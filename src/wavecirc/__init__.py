@@ -13,7 +13,8 @@ from .givens import (GivensBasisMap, ParityPartition, BlockHamiltonian,
                      to_mapped_basis, from_mapped_basis)
 from .ising import (IsingParameters, MappedSystem, BrokenSymmetryError,
                     extract_diagonal_params, extract_offdiag_params,
-                    assemble_ising, map_system, restrict_to_block)
+                    assemble_ising, check_parity_coupling, map_system,
+                    restrict_to_block)
 from .qsd import (Gate, GateSequence, CsdResult, DemuxResult,
                   cosine_sine_decompose, demultiplex,
                   multiplexed_rotation_to_gates, zyz, qsd_compile,
@@ -22,9 +23,9 @@ from .qasm import to_qasm, from_qasm, write_qasm, read_qasm
 from .sim import (ShotResult, exact_propagator, run_circuit,
                   circuit_matrix, sample_shots, probability_density,
                   mapped_density_to_grid)
-from .dynamics import (WavepacketSpec, Trajectory, initial_wavepacket,
-                       evolve_exact, propagate, probability_error,
-                       shot_density_trajectory)
+from .dynamics import (WavepacketSpec, Trajectory, Evolution,
+                       initial_wavepacket, evolve_exact, evolve, densities,
+                       propagate, probability_error, shot_density_trajectory)
 from .spectra import (Spectrum, grid_spectrum, autocorrelation,
                       autocorrelation_spectrum, compare_eigendiffs,
                       eigen_differences)

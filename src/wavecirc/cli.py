@@ -10,18 +10,18 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import units
 from .config import ConfigError, load_config
-from .dynamics import (WavepacketSpec, Trajectory, initial_wavepacket,
-                       propagate, probability_error)
+from .dynamics import (WavepacketSpec, densities, evolve, initial_wavepacket,
+                       probability_error)
 from .givens import block_transform, givens_map, parity_partition
 from .grid import (DafParams, build_grid, build_hamiltonian, eigensolve,
                    eval_potential)
-from .ising import BrokenSymmetryError, map_system, parameters_to_dict
+from .ising import (BrokenSymmetryError, check_parity_coupling, map_system,
+                    parameters_to_dict)
 from .qasm import write_qasm
 from .qsd import cnot_count, cnot_lower_bound, qsd_compile
 from .sim import circuit_matrix, exact_propagator
@@ -217,38 +217,58 @@ def cmd_compile(args):
     return EXIT_OK
 
 
-def _run_propagation(pipe, method=None, shots=None, seed=None):
+def _seed(args, cfg):
+    '''--seed when given, else the config's dynamics.seed.'''
+    return cfg["dynamics"]["seed"] if args.seed is None else args.seed
+
+
+def _evolve(pipe, method):
+    '''Evolution of the configured wavepacket along `method`'s route,
+    with the reference through the cached full eigensystem.  The circuit
+    routes are refused, unless mapping.force, when the parity blocks
+    couple; the ising route is refused by map_system.'''
     dyn = pipe.cfg["dynamics"]
-    method = method or dyn["method"]
-    psi0 = pipe.wavepacket()
     kwargs = {}
     if method != "classical":
         if method == "ising":
             msys = pipe.mapped()
             blocks = (msys.block_even, msys.block_odd)
         else:
+            m = pipe.cfg["mapping"]
+            check_parity_coupling(pipe.blocks, m["threshold_ratio"],
+                                  m["force"])
             blocks = (pipe.blocks.block_plus, pipe.blocks.block_minus)
         kwargs = dict(gmap=pipe.gmap, partition=pipe.partition, blocks=blocks)
-        if method == "circuit-shots":
-            kwargs["shots"] = shots if shots is not None else dyn.get("shots")
-            kwargs["seed"] = seed if seed is not None else dyn["seed"]
-    return propagate(method, pipe.ham, psi0, dyn["dt_fs"], dyn["steps"],
-                     **kwargs)
+    return evolve(method, pipe.ham, pipe.wavepacket(), dyn["dt_fs"],
+                  dyn["steps"], eig=pipe.eig, **kwargs)
+
+
+def _propagate(pipe, seed):
+    '''The configured route's Trajectory and, off the classical route,
+    its epsilon against the classical reference (else None).'''
+    dyn = pipe.cfg["dynamics"]
+    evo = _evolve(pipe, dyn["method"])
+    traj = densities(evo, shots=dyn.get("shots"), seed=seed)
+    if traj.method == "classical":
+        return traj, None
+    return traj, probability_error(traj, evo.reference_trajectory())
+
+
+def _write_epsilon(out, traj, eps):
+    _write_json(os.path.join(out, "epsilon.json"),
+                {"method": traj.method, "epsilon": eps,
+                 "shots": traj.shots, "seed": traj.seed})
 
 
 def cmd_propagate(args):
     cfg = load_config(args.config)
     pipe = Pipeline(cfg)
     out = _out_dir(cfg, args)
-    traj = _run_propagation(pipe, seed=args.seed)
+    traj, eps = _propagate(pipe, _seed(args, cfg))
     _trajectory_csv(os.path.join(out, "trajectory.csv"), traj)
     files = ["trajectory.csv"]
-    if traj.method != "classical":
-        ref = _run_propagation(pipe, method="classical")
-        eps = probability_error(traj, ref)
-        _write_json(os.path.join(out, "epsilon.json"),
-                    {"method": traj.method, "epsilon": eps,
-                     "shots": traj.shots, "seed": traj.seed})
+    if eps is not None:
+        _write_epsilon(out, traj, eps)
         files.append("epsilon.json")
         print(f"propagated ({traj.method}); epsilon vs classical = {eps:.3e}")
     else:
@@ -261,7 +281,7 @@ def cmd_spectrum(args):
     cfg = load_config(args.config)
     pipe = Pipeline(cfg)
     out = _out_dir(cfg, args)
-    traj = _run_propagation(pipe, seed=args.seed)
+    traj, eps = _propagate(pipe, _seed(args, cfg))
     sp = cfg["spectrum"]
     spectrum = grid_spectrum(traj, window=None if sp["window"] == "none"
                              else sp["window"], padding=sp["padding"],
@@ -273,12 +293,8 @@ def cmd_spectrum(args):
     _write_json(os.path.join(out, "peaks.json"),
                 {"bin_cm1": spectrum.bin_cm1, "peaks": table})
     files = ["spectrum.csv", "peaks.json"]
-    if traj.method != "classical":
-        ref = _run_propagation(pipe, method="classical")
-        eps = probability_error(traj, ref)
-        _write_json(os.path.join(out, "epsilon.json"),
-                    {"method": traj.method, "epsilon": eps,
-                     "shots": traj.shots, "seed": traj.seed})
+    if eps is not None:
+        _write_epsilon(out, traj, eps)
         files.append("epsilon.json")
     _write_manifest(out, cfg, files)
     print(f"extracted {len(spectrum.peaks)} peaks; "
@@ -286,29 +302,20 @@ def cmd_spectrum(args):
     return EXIT_OK
 
 
-def _sweep_worker(payload):
-    config_path, shots, seed = payload
-    cfg = load_config(config_path)
-    pipe = Pipeline(cfg)
-    traj = _run_propagation(pipe, method="circuit-shots", shots=shots,
-                            seed=seed)
-    ref = _run_propagation(pipe, method="classical")
-    return shots, seed, probability_error(traj, ref)
-
-
 def cmd_sweep_shots(args):
     cfg = load_config(args.config)
+    pipe = Pipeline(cfg)
     out = _out_dir(cfg, args)
     shot_counts = [int(s) for s in args.shots.split(",")]
-    seeds = [args.seed + k for k in range(args.n_seeds)]
-    jobs = [(args.config, s, seed) for s in shot_counts for seed in seeds]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
-    else:
-        results = [_sweep_worker(j) for j in jobs]
-    rows = [{"shots": s, "seed": seed, "epsilon": eps}
-            for s, seed, eps in results]
+    base = _seed(args, cfg)
+    seeds = [base + k for k in range(args.n_seeds)]
+    # the compiled states and the reference are deterministic: evolve
+    # once, then only resample per (shots, seed)
+    evo = _evolve(pipe, "circuit-shots")
+    ref = evo.reference_trajectory()
+    rows = [{"shots": s, "seed": seed,
+             "epsilon": probability_error(densities(evo, s, seed), ref)}
+            for s in shot_counts for seed in seeds]
     medians = {}
     for s in shot_counts:
         medians[str(s)] = float(np.median(
@@ -331,7 +338,8 @@ def build_parser():
         p.add_argument("--config", required=True, help="JSON run config")
         p.add_argument("--out", help="output directory (default from config)")
         p.add_argument("--seed", type=int, default=None,
-                       help="override the sampling seed")
+                       help="sampling seed (default: the config's "
+                       "dynamics.seed)")
 
     p = sub.add_parser("build", help="grid Hamiltonian and eigensystem")
     common(p)
@@ -364,7 +372,9 @@ def build_parser():
     p.add_argument("--shots", default="1000,10000,100000,1000000",
                    help="comma-separated shot counts")
     p.add_argument("--n-seeds", type=int, default=20)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for existing command lines; the sweep "
+                   "evolves once and runs in one process")
     p.set_defaults(func=cmd_sweep_shots)
     return parser
 
@@ -372,8 +382,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = 0
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -5,7 +5,10 @@ Three propagation routes produce grid-density trajectories from the
 same initial state: exact evolution under the grid Hamiltonian
 ("classical"), evolution under the reassembled spin-model blocks
 ("ising"), and per-step compiled circuits for each parity block
-("circuit-exact" / "circuit-shots").
+("circuit-exact" / "circuit-shots").  Propagation is two steps: the
+deterministic `evolve` (reference and route amplitudes) and `densities`
+(exact or seeded shot densities), so shot resamplings share one
+evolution.
 '''
 
 from dataclasses import dataclass
@@ -119,49 +122,82 @@ def _circuit_evolve(block_even, block_odd, psi0_map, partition, dt_fs, steps):
     return out
 
 
-def propagate(method, ham, psi0, dt_fs, steps, gmap=None, partition=None,
-              blocks=None, shots=None, seed=None):
-    '''Produce a density Trajectory.
+@dataclass(frozen=True)
+class Evolution:
+    '''The deterministic part of a propagation, shared by every shot
+    resampling: the time axis, the exact grid amplitudes of the classical
+    reference and, for the ising and circuit routes, the mapped-basis
+    amplitudes of the route.'''
+    method: str
+    t_fs: np.ndarray
+    dx: float
+    reference: np.ndarray        # grid amplitudes, shape (steps+1, 2^N)
+    states: np.ndarray = None    # mapped-basis amplitudes, same shape
+    gmap: object = None
+    partition: object = None
 
-    method "classical": exact evolution of psi0 under `ham`.
-    method "ising": block evolution under `blocks` = (even, odd) spin
-    block matrices (e.g. MappedSystem.block_even/odd).
-    method "circuit-exact" / "circuit-shots": per-step compiled circuits
-    for `blocks` = the rotated Hamiltonian blocks in parity order.
-    Shot mode samples `shots` measurements per step and uses the
-    classical amplitudes as the pair-split reference.
+    def reference_trajectory(self):
+        '''The classical density Trajectory, |reference|^2.'''
+        return Trajectory(t_fs=self.t_fs, rho=np.abs(self.reference) ** 2,
+                          method="classical", dx=self.dx)
+
+
+def evolve(method, ham, psi0, dt_fs, steps, gmap=None, partition=None,
+           blocks=None, eig=None):
+    '''Evolve psi0 along the route of `method`; returns an Evolution.
+
+    The classical reference is exact evolution under `ham` (through `eig`,
+    its eigensystem, when given).  method "ising": block evolution under
+    `blocks` = (even, odd) spin block matrices (e.g.
+    MappedSystem.block_even/odd).  method "circuit-exact" /
+    "circuit-shots": per-step compiled circuits for `blocks` = the rotated
+    Hamiltonian blocks in parity order.
     '''
     if method not in ("classical", "ising", "circuit-exact",
                       "circuit-shots"):
         raise ValueError(f"unknown method {method!r}")
     if dt_fs <= 0:
         raise ValueError("dt_fs must be positive")
-    psi0 = np.asarray(psi0, dtype=complex)
-    dx = ham.grid.dx
-    t_fs = dt_fs * np.arange(steps + 1)
-    ref = evolve_exact(ham, psi0, dt_fs, steps)
-    if method == "classical":
-        return Trajectory(t_fs=t_fs, rho=np.abs(ref) ** 2,
-                          method=method, dx=dx)
-    if gmap is None or partition is None or blocks is None:
+    if method != "classical" and (gmap is None or partition is None
+                                  or blocks is None):
         raise ValueError(f"method {method!r} needs gmap, partition, blocks")
-    psi0_map = to_mapped_basis(psi0, gmap, partition)
-    if method == "ising":
-        states = _block_evolve(blocks[0], blocks[1], psi0_map, partition,
-                               dt_fs, steps)
-    else:
-        states = _circuit_evolve(blocks[0], blocks[1], psi0_map, partition,
-                                 dt_fs, steps)
-    if method == "circuit-shots":
+    psi0 = np.asarray(psi0, dtype=complex)
+    t_fs = dt_fs * np.arange(steps + 1)
+    ref = evolve_exact(ham if eig is None else eig, psi0, dt_fs, steps)
+    states = None
+    if method != "classical":
+        psi0_map = to_mapped_basis(psi0, gmap, partition)
+        route = _block_evolve if method == "ising" else _circuit_evolve
+        states = route(blocks[0], blocks[1], psi0_map, partition, dt_fs,
+                       steps)
+    return Evolution(method=method, t_fs=t_fs, dx=ham.grid.dx, reference=ref,
+                     states=states, gmap=gmap, partition=partition)
+
+
+def densities(evo, shots=None, seed=None):
+    '''Density Trajectory of an Evolution.  Shot mode ("circuit-shots")
+    samples `shots` measurements per step from streams spawned from
+    `seed`, with the classical amplitudes as the pair-split reference.'''
+    if evo.method == "classical":
+        return evo.reference_trajectory()
+    if evo.method == "circuit-shots":
         if shots is None:
             raise ValueError("circuit-shots needs a shot count")
-        rho = shot_density_trajectory(states, ref, gmap, partition,
-                                      shots, seed)
-        return Trajectory(t_fs=t_fs, rho=rho, method=method, dx=dx,
-                          shots=int(shots), seed=seed)
-    rho = np.array([np.abs(from_mapped_basis(s, gmap, partition)) ** 2
-                    for s in states])
-    return Trajectory(t_fs=t_fs, rho=rho, method=method, dx=dx)
+        rho = shot_density_trajectory(evo.states, evo.reference, evo.gmap,
+                                      evo.partition, shots, seed)
+        return Trajectory(t_fs=evo.t_fs, rho=rho, method=evo.method,
+                          dx=evo.dx, shots=int(shots), seed=seed)
+    rho = np.array([np.abs(from_mapped_basis(s, evo.gmap, evo.partition)) ** 2
+                    for s in evo.states])
+    return Trajectory(t_fs=evo.t_fs, rho=rho, method=evo.method, dx=evo.dx)
+
+
+def propagate(method, ham, psi0, dt_fs, steps, gmap=None, partition=None,
+              blocks=None, shots=None, seed=None):
+    '''Produce a density Trajectory: `evolve`, then `densities`.'''
+    evo = evolve(method, ham, psi0, dt_fs, steps, gmap=gmap,
+                 partition=partition, blocks=blocks)
+    return densities(evo, shots=shots, seed=seed)
 
 
 def shot_density_trajectory(mapped_states, reference_states, gmap, partition,

@@ -174,6 +174,20 @@ def restrict_to_block(matrix, bitstrings):
     return matrix[np.ix_(idx, idx)]
 
 
+def check_parity_coupling(bh, threshold_ratio=1e-8, force=False):
+    '''Refuse with BrokenSymmetryError, unless `force`, when the coupling
+    between the parity blocks of a BlockHamiltonian exceeds
+    threshold_ratio * ||H||_F.  The block-wise spin map and the per-block
+    circuits both drop that coupling.'''
+    if force:
+        return
+    h_norm = np.linalg.norm(bh.h_tilde)
+    if bh.coupling_norm > threshold_ratio * max(h_norm, 1e-300):
+        raise BrokenSymmetryError(
+            "parity blocks are coupled (broken symmetry): coupling norm "
+            f"{bh.coupling_norm:.3e} exceeds {threshold_ratio:.1e}*||H||")
+
+
 def map_system(bh, partition, force=False, threshold_ratio=1e-8, joint=False):
     '''Map both parity blocks of a BlockHamiltonian to spin parameters.
 
@@ -183,11 +197,7 @@ def map_system(bh, partition, force=False, threshold_ratio=1e-8, joint=False):
     fitted to both blocks at once.
     '''
     n = partition.n_qubits
-    h_norm = np.linalg.norm(bh.h_tilde)
-    if bh.coupling_norm > threshold_ratio * max(h_norm, 1e-300) and not force:
-        raise BrokenSymmetryError(
-            "map undefined for broken symmetry: coupling norm "
-            f"{bh.coupling_norm:.3e} exceeds {threshold_ratio:.1e}*||H||")
+    check_parity_coupling(bh, threshold_ratio, force)
     even_states = partition.even_states
     odd_states = partition.odd_states
     if joint:

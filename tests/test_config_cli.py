@@ -218,6 +218,87 @@ class TestCliPipeline:
             sweep["median_epsilon"]["100"]
 
 
+class TestSeed:
+    def test_config_seed_used_without_flag(self, tmp_path):
+        cfg = write_config(tmp_path, {"dynamics": {
+            "method": "circuit-shots", "shots": 500, "steps": 12,
+            "seed": 7}})
+        o1, o2 = str(tmp_path / "o1"), str(tmp_path / "o2")
+        assert main(["propagate", "--config", cfg, "--out", o1]) == 0
+        assert main(["propagate", "--config", cfg, "--out", o2,
+                     "--seed", "7"]) == 0
+        eps = json.load(open(os.path.join(o1, "epsilon.json")))
+        assert eps["seed"] == 7
+        with open(os.path.join(o1, "trajectory.csv")) as fh:
+            assert "seed=7" in fh.readline().split()
+        r1 = read_trajectory_csv(os.path.join(o1, "trajectory.csv"))[1]
+        r2 = read_trajectory_csv(os.path.join(o2, "trajectory.csv"))[1]
+        assert np.array_equal(r1, r2)
+
+    def test_sweep_base_seed_from_config(self, tmp_path):
+        cfg = write_config(tmp_path, {"dynamics": {"steps": 5, "seed": 7}})
+        out = str(tmp_path / "o")
+        assert main(["sweep-shots", "--config", cfg, "--out", out,
+                     "--shots", "100", "--n-seeds", "2"]) == 0
+        sweep = json.load(open(os.path.join(out, "shot_sweep.json")))
+        assert [r["seed"] for r in sweep["results"]] == [7, 8]
+
+
+class TestSharedEvolution:
+    def test_sweep_rows_equal_propagate(self, tmp_path):
+        shot_counts, seeds = (300, 30000), (3, 4)
+        cfg = write_config(tmp_path, {"dynamics": {
+            "method": "circuit-shots", "shots": shot_counts[0],
+            "steps": 15}})
+        out = str(tmp_path / "sweep")
+        assert main(["sweep-shots", "--config", cfg, "--out", out,
+                     "--seed", str(seeds[0]), "--n-seeds", str(len(seeds)),
+                     "--shots", ",".join(map(str, shot_counts)),
+                     "--jobs", "2"]) == 0
+        rows = json.load(open(os.path.join(out, "shot_sweep.json")))["results"]
+        assert sorted((r["shots"], r["seed"]) for r in rows) == \
+            [(s, k) for s in shot_counts for k in seeds]
+        for r in rows:
+            name = f"s{r['shots']}.json"
+            cfg = write_config(tmp_path, {"dynamics": {
+                "method": "circuit-shots", "shots": r["shots"],
+                "steps": 15}}, name=name)
+            o = str(tmp_path / f"p{r['shots']}_{r['seed']}")
+            assert main(["propagate", "--config", cfg, "--out", o,
+                         "--seed", str(r["seed"])]) == 0
+            eps = json.load(open(os.path.join(o, "epsilon.json")))
+            assert r["epsilon"] == eps["epsilon"]
+
+
+class TestCircuitRouteGuard:
+    # a tilted surface: the parity blocks couple
+    TILTED = {"potential": {"model": {"kind": "polynomial",
+                                      "coefficients": [0, 0.01, 0.5]}}}
+
+    def commands(self, tmp_path, force):
+        def config(method):
+            return write_config(tmp_path, dict(
+                self.TILTED, mapping={"force": force},
+                dynamics={"method": method, "steps": 64, "shots": 200}),
+                name=f"{method}.json")
+        out = str(tmp_path / "o")
+        return [["propagate", "--config", config("circuit-exact"),
+                 "--out", out],
+                ["spectrum", "--config", config("circuit-shots"),
+                 "--out", out],
+                ["sweep-shots", "--config", config("circuit-exact"),
+                 "--out", out, "--shots", "100", "--n-seeds", "1"]]
+
+    def test_refused_exit_4(self, tmp_path, capsys):
+        for argv in self.commands(tmp_path, force=False):
+            assert main(argv) == 4, argv[0]
+            assert "refused" in capsys.readouterr().err
+
+    def test_runs_with_mapping_force(self, tmp_path):
+        for argv in self.commands(tmp_path, force=True):
+            assert main(argv) == 0, argv[0]
+
+
 class TestEntryPoint:
     def test_console_script(self, tmp_path):
         import subprocess

@@ -153,6 +153,43 @@ class TestPropagate:
                         blocks=1)
 
 
+class TestEvolveAndDensities:
+    def test_one_evolution_many_samples(self):
+        ham, gm, pp, blocks = mapped_blocks(3)
+        psi0 = w.initial_wavepacket(w.WavepacketSpec("delta"), ham.grid)
+        kw = dict(gmap=gm, partition=pp, blocks=blocks)
+        evo = w.evolve("circuit-shots", ham, psi0, 0.5, 20,
+                       eig=w.eigensolve(ham), **kw)
+        assert evo.states.shape == evo.reference.shape == (21, 8)
+        for shots, seed in ((100, 1), (5000, 2)):
+            traj = w.densities(evo, shots=shots, seed=seed)
+            direct = w.propagate("circuit-shots", ham, psi0, 0.5, 20,
+                                 shots=shots, seed=seed, **kw)
+            assert np.array_equal(traj.rho, direct.rho)
+            assert (traj.shots, traj.seed) == (shots, seed)
+        with pytest.raises(ValueError, match="shot count"):
+            w.densities(evo)
+
+    def test_reference_is_classical_trajectory(self, dw3):
+        g, _, ham = dw3
+        psi0 = w.initial_wavepacket(w.WavepacketSpec("delta"), g)
+        evo = w.evolve("classical", ham, psi0, 0.25, 30)
+        assert evo.states is None
+        ref = evo.reference_trajectory()
+        assert ref.method == "classical"
+        assert np.array_equal(
+            ref.rho, w.propagate("classical", ham, psi0, 0.25, 30).rho)
+        assert np.array_equal(w.densities(evo).rho, ref.rho)
+
+    def test_cached_eigensystem_gives_same_bits(self, dw3):
+        g, _, ham = dw3
+        psi0 = w.initial_wavepacket(w.WavepacketSpec("delta"), g)
+        a = w.propagate("classical", ham, psi0, 0.25, 30)
+        b = w.evolve("classical", ham, psi0, 0.25, 30,
+                     eig=w.eigensolve(ham)).reference_trajectory()
+        assert np.array_equal(a.rho, b.rho)
+
+
 class TestProbabilityError:
     def make(self, rho, dt=0.5):
         steps = rho.shape[0] - 1

@@ -224,6 +224,17 @@ class TestMapSystem:
         ms = w.map_system(bh, w.parity_partition(3), force=True)
         assert ms.recon_error_even >= 0
 
+    def test_coupling_guard_threshold_and_force(self):
+        g = w.build_grid(3, 0.66)
+        pot = w.eval_potential(g, {"kind": "polynomial",
+                                   "coefficients": [0, 0.01, 0.5]})
+        bh = w.block_transform(w.build_hamiltonian(g, pot), w.givens_map(3))
+        ratio = bh.coupling_norm / np.linalg.norm(bh.h_tilde)
+        with pytest.raises(w.BrokenSymmetryError, match="coupling norm"):
+            w.check_parity_coupling(bh, threshold_ratio=ratio / 2)
+        w.check_parity_coupling(bh, threshold_ratio=ratio * 2)
+        w.check_parity_coupling(bh, threshold_ratio=ratio / 2, force=True)
+
     def test_parameter_counts(self):
         # unknowns per block: 1 + N + N(N-1)/2 diagonal, N(N-1) off-diagonal
         for n in (3, 5, 7):

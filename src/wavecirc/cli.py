@@ -10,6 +10,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import cached_property
 
 import numpy as np
 
@@ -52,50 +53,34 @@ class Pipeline:
         self.ham = build_hamiltonian(
             self.grid, self.potential,
             DafParams(m_daf=daf["m_daf"], sigma_ratio=daf["sigma_ratio"]))
-        self._eig = None
-        self._gmap = None
-        self._partition = None
-        self._blocks = None
-        self._mapped = None
 
-    @property
+    @cached_property
     def eig(self):
-        if self._eig is None:
-            self._eig = eigensolve(self.ham)
-        return self._eig
+        return eigensolve(self.ham)
 
-    @property
+    @cached_property
     def gmap(self):
-        if self._gmap is None:
-            self._gmap = givens_map(self.grid.n_qubits)
-        return self._gmap
+        return givens_map(self.grid.n_qubits)
 
-    @property
+    @cached_property
     def partition(self):
-        if self._partition is None:
-            self._partition = parity_partition(self.grid.n_qubits)
-        return self._partition
+        return parity_partition(self.grid.n_qubits)
 
-    @property
+    @cached_property
     def blocks(self):
-        if self._blocks is None:
-            self._blocks = block_transform(self.ham, self.gmap)
-        return self._blocks
+        return block_transform(self.ham, self.gmap)
 
     def mapped(self, force=False):
-        if self._mapped is None:
-            m = self.cfg["mapping"]
-            self._mapped = map_system(
-                self.blocks, self.partition, force=force or m["force"],
-                threshold_ratio=m["threshold_ratio"], joint=m["joint"])
-        return self._mapped
+        m = self.cfg["mapping"]
+        return map_system(self.blocks, self.partition,
+                          force=force or m["force"],
+                          threshold_ratio=m["threshold_ratio"])
 
     def wavepacket(self):
         w = self.cfg["dynamics"]["wavepacket"]
         spec = WavepacketSpec(kind=w["kind"], x0_index=w["x0_index"],
                               mu=w["mu_angstrom"], sigma=w["sigma_angstrom"],
-                              temperature=w["temperature_kelvin"],
-                              sqrt_weights=w["sqrt_weights"])
+                              temperature=w["temperature_kelvin"])
         return initial_wavepacket(spec, self.grid, self.eig)
 
 
@@ -217,6 +202,24 @@ def cmd_compile(args):
     return EXIT_OK
 
 
+def _integer_at_least(minimum):
+    '''argparse type: an integer >= minimum, refused at parse time.'''
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}")
+        return value
+    return parse
+
+
+def _shot_counts(text):
+    return [_integer_at_least(1)(s) for s in text.split(",")]
+
+
 def _seed(args, cfg):
     '''--seed when given, else the config's dynamics.seed.'''
     return cfg["dynamics"]["seed"] if args.seed is None else args.seed
@@ -247,6 +250,8 @@ def _propagate(pipe, seed):
     '''The configured route's Trajectory and, off the classical route,
     its epsilon against the classical reference (else None).'''
     dyn = pipe.cfg["dynamics"]
+    if dyn["method"] == "circuit-shots" and dyn.get("shots") is None:
+        raise ConfigError("method circuit-shots needs dynamics.shots")
     evo = _evolve(pipe, dyn["method"])
     traj = densities(evo, shots=dyn.get("shots"), seed=seed)
     if traj.method == "classical":
@@ -306,7 +311,7 @@ def cmd_sweep_shots(args):
     cfg = load_config(args.config)
     pipe = Pipeline(cfg)
     out = _out_dir(cfg, args)
-    shot_counts = [int(s) for s in args.shots.split(",")]
+    shot_counts = args.shots
     base = _seed(args, cfg)
     seeds = [base + k for k in range(args.n_seeds)]
     # the compiled states and the reference are deterministic: evolve
@@ -337,7 +342,7 @@ def build_parser():
     def common(p):
         p.add_argument("--config", required=True, help="JSON run config")
         p.add_argument("--out", help="output directory (default from config)")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_integer_at_least(0), default=None,
                        help="sampling seed (default: the config's "
                        "dynamics.seed)")
 
@@ -369,9 +374,10 @@ def build_parser():
 
     p = sub.add_parser("sweep-shots", help="shot-noise error sweep")
     common(p)
-    p.add_argument("--shots", default="1000,10000,100000,1000000",
+    p.add_argument("--shots", type=_shot_counts,
+                   default="1000,10000,100000,1000000",
                    help="comma-separated shot counts")
-    p.add_argument("--n-seeds", type=int, default=20)
+    p.add_argument("--n-seeds", type=_integer_at_least(1), default=20)
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for existing command lines; the sweep "
                    "evolves once and runs in one process")

@@ -69,7 +69,6 @@ SCHEMA = {
                                            "exclusiveMinimum": 0},
                         "temperature_kelvin": {"type": "number",
                                                "exclusiveMinimum": 0},
-                        "sqrt_weights": {"type": "boolean"},
                     },
                 },
                 "dt_fs": {"type": "number", "exclusiveMinimum": 0},
@@ -94,7 +93,6 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "force": {"type": "boolean"},
-                "joint": {"type": "boolean"},
                 "threshold_ratio": {"type": "number", "exclusiveMinimum": 0},
             },
         },
@@ -108,14 +106,14 @@ DEFAULTS = {
     "dynamics": {
         "wavepacket": {"kind": "gaussian", "x0_index": 0,
                        "mu_angstrom": 0.0, "sigma_angstrom": 0.1,
-                       "temperature_kelvin": 300.0, "sqrt_weights": False},
+                       "temperature_kelvin": 300.0},
         "dt_fs": 0.25,
         "steps": 8000,
         "method": "classical",
         "seed": 0,
     },
     "spectrum": {"window": "none", "padding": 4, "peak_threshold": 1e-3},
-    "mapping": {"force": False, "joint": False, "threshold_ratio": 1e-8},
+    "mapping": {"force": False, "threshold_ratio": 1e-8},
     "output_dir": "runs",
 }
 

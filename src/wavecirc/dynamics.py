@@ -36,7 +36,6 @@ class WavepacketSpec:
     mu: float = 0.0        # Angstrom
     sigma: float = 0.1     # Angstrom
     temperature: float = 300.0  # Kelvin
-    sqrt_weights: bool = False  # use exp(-E/2kT) amplitudes instead
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,7 @@ def initial_wavepacket(spec, grid, eig=None):
             raise ValueError("temperature must be positive")
         kt = units.KB_HARTREE * spec.temperature
         e = eig.energies - eig.energies[0]
-        w = np.exp(-e / (2 * kt if spec.sqrt_weights else kt))
+        w = np.exp(-e / kt)
         psi = eig.states @ w
     else:
         raise ValueError(f"unknown wavepacket kind {spec.kind!r}")
@@ -187,8 +186,7 @@ def densities(evo, shots=None, seed=None):
                                       evo.partition, shots, seed)
         return Trajectory(t_fs=evo.t_fs, rho=rho, method=evo.method,
                           dx=evo.dx, shots=int(shots), seed=seed)
-    rho = np.array([np.abs(from_mapped_basis(s, evo.gmap, evo.partition)) ** 2
-                    for s in evo.states])
+    rho = np.abs(from_mapped_basis(evo.states, evo.gmap, evo.partition)) ** 2
     return Trajectory(t_fs=evo.t_fs, rho=rho, method=evo.method, dx=evo.dx)
 
 

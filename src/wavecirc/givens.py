@@ -1,6 +1,10 @@
 '''Pairwise rotation of the grid basis into even/odd reflection
 combinations, the resulting 2x2 block structure of the Hamiltonian, and
 the parity-ordered computational basis used by the spin mapping.
+
+The rotation G is symmetric and its own inverse.  `_rotate_pairs`
+applies it by slicing, so the blocks of H are extracted in O(4^N) and
+states are rotated in O(2^N); no dense G is formed.
 '''
 
 from dataclasses import dataclass
@@ -15,11 +19,20 @@ class GivensBasisMap:
     '''Orthogonal map G mixing mirror grid pairs (i, n-i).
 
     Row i for i < 2^(N-1) is (e_i + e_{n-i})/sqrt(2); row i for
-    i >= 2^(N-1) is (e_{n-i} - e_i)/sqrt(2).
+    i >= 2^(N-1) is (e_{n-i} - e_i)/sqrt(2).  G is symmetric and its own
+    inverse; the library applies it by index slicing, and `matrix`
+    builds the dense form only on request.
     '''
     n_qubits: int
-    matrix: np.ndarray
-    pairs: tuple
+
+    @property
+    def dim(self):
+        return 2 ** self.n_qubits
+
+    @property
+    def matrix(self):
+        '''G as a dense 2^N x 2^N array.'''
+        return _rotate_pairs(np.eye(self.dim))
 
 
 @dataclass(frozen=True)
@@ -58,23 +71,27 @@ class BlockHamiltonian:
     source: NuclearHamiltonian = None
 
 
+def _rotate_pairs(a, axis=-1):
+    '''Apply G along `axis` of `a` in O(a.size).
+
+    In halves, G = [[I, F], [F, -I]]/sqrt(2) with F the half-size flip,
+    so output i < half is (a_i + a_{n-i})/sqrt(2) and output n-i is
+    (a_i - a_{n-i})/sqrt(2).  G is its own inverse.
+    '''
+    a = np.moveaxis(np.asarray(a), axis, -1)
+    half = a.shape[-1] // 2
+    lo, hi = a[..., :half], a[..., half:]
+    r = 1 / np.sqrt(2)
+    out = np.concatenate([(lo + hi[..., ::-1]) * r,
+                          (lo[..., ::-1] - hi) * r], axis=-1)
+    return np.moveaxis(out, -1, axis)
+
+
 def givens_map(n_qubits):
-    '''Build the orthogonal pair-mixing matrix for 2^N grid points.'''
+    '''The orthogonal pair-mixing map for 2^N grid points.'''
     if n_qubits < 1:
         raise ValueError("n_qubits must be >= 1")
-    dim = 2 ** n_qubits
-    n = dim - 1
-    half = dim // 2
-    g = np.zeros((dim, dim))
-    r = 1 / np.sqrt(2)
-    for i in range(half):
-        g[i, i] = r
-        g[i, n - i] = r
-    for i in range(half, dim):
-        g[i, n - i] = r
-        g[i, i] = -r
-    pairs = tuple((i, n - i) for i in range(half))
-    return GivensBasisMap(n_qubits=n_qubits, matrix=g, pairs=pairs)
+    return GivensBasisMap(n_qubits=n_qubits)
 
 
 def parity_partition(n_qubits):
@@ -89,83 +106,46 @@ def parity_partition(n_qubits):
     return ParityPartition(n_qubits=n_qubits, order=order, inverse=inverse)
 
 
-def _closed_form_blocks(ham):
-    '''Diagonal/off-diagonal blocks from the Toeplitz kinetic band and the
-    potential, without forming G H G^T.'''
-    k = ham.kinetic_band
-    v = ham.potential.values
-    dim = len(v)
-    n = dim - 1
-    half = dim // 2
-    i = np.arange(half)
-    kk = np.abs(i[:, None] - i[None, :])       # |i - l|
-    kr = np.abs(i[:, None] - (n - i)[None, :])  # |i - (n-l)|
-    vs = np.diag(0.5 * (v[:half] + v[::-1][:half]))
-    plus = k[kk] + k[kr] + vs
-    # minus rows run through pairs in reverse: row a <-> pair half-1-a
-    j = half - 1 - i
-    kkm = np.abs(j[:, None] - j[None, :])
-    krm = np.abs(j[:, None] - (n - j)[None, :])
-    vsm = np.diag(0.5 * (v[j] + v[n - j]))
-    minus = k[kkm] - k[krm] + vsm
-    # coupling is anti-diagonal in the antisymmetric part of V
-    coup = np.zeros((half, half))
-    anti = 0.5 * (v[:half] - v[::-1][:half])
-    coup[i, half - 1 - i] = anti
-    return plus, minus, coup
-
-
 def block_transform(ham, gmap):
-    '''Rotate H into the pair basis and extract its blocks.
-
-    When `ham` is a NuclearHamiltonian the blocks are checked against
-    their closed forms in the Toeplitz band and the potential.
-    '''
+    '''Rotate H (a NuclearHamiltonian or a raw symmetric matrix) into the
+    pair basis, G H G, and extract its blocks.'''
     if isinstance(ham, NuclearHamiltonian):
         h = ham.matrix
         source = ham
     else:
         h = np.asarray(ham)
         source = None
-    g = gmap.matrix
-    if h.shape != g.shape:
+    if h.shape != (gmap.dim, gmap.dim):
         raise ValueError("Hamiltonian and basis map dimensions differ")
-    ht = g @ h @ g.T
-    half = h.shape[0] // 2
+    ht = _rotate_pairs(_rotate_pairs(h, 0), 1)
+    half = gmap.dim // 2
     plus = ht[:half, :half]
     minus = ht[half:, half:]
     coup = ht[:half, half:]
     coupling_norm = float(np.sqrt(2) * np.linalg.norm(coup))
-    if source is not None and source.potential is not None:
-        cp, cm, cc = _closed_form_blocks(source)
-        scale = max(np.linalg.norm(h), 1.0)
-        err = max(np.abs(plus - cp).max(), np.abs(minus - cm).max(),
-                  np.abs(coup - cc).max())
-        if err > 1e-12 * scale:
-            raise AssertionError(
-                f"rotated blocks disagree with closed forms by {err:.3e}")
     return BlockHamiltonian(h_tilde=ht, block_plus=plus, block_minus=minus,
                             coupling_norm=coupling_norm, source=source)
 
 
+def _check_dim(psi, gmap):
+    psi = np.asarray(psi)
+    if psi.shape[-1:] != (gmap.dim,):
+        raise ValueError("state dimension does not match the basis map")
+    return psi
+
+
 def to_mapped_basis(psi, gmap, partition):
-    '''Grid amplitudes -> parity-ordered computational-basis amplitudes.
+    '''Grid amplitudes -> parity-ordered computational-basis amplitudes,
+    along the last axis (one state or a (steps, 2^N) stack).
 
     Pair-basis component i is placed at computational state order[i].
     '''
-    psi = np.asarray(psi)
-    if len(psi) != len(gmap.matrix):
-        raise ValueError("state dimension does not match the basis map")
-    phi = gmap.matrix @ psi
+    phi = _rotate_pairs(_check_dim(psi, gmap))
     out = np.empty_like(phi)
-    out[partition.order] = phi
+    out[..., partition.order] = phi
     return out
 
 
 def from_mapped_basis(psi, gmap, partition):
     '''Inverse of to_mapped_basis.'''
-    psi = np.asarray(psi)
-    if len(psi) != len(gmap.matrix):
-        raise ValueError("state dimension does not match the basis map")
-    phi = psi[partition.order]
-    return gmap.matrix.T @ phi
+    return _rotate_pairs(_check_dim(psi, gmap)[..., partition.order])

@@ -98,37 +98,33 @@ def extract_offdiag_params(block, bitstrings, n):
     m = np.asarray(block)
     if np.abs(m - m.conj().T).max() > 1e-12 * max(1.0, np.abs(m).max()):
         raise ValueError("block matrix is not Hermitian")
-    pairs = _pairs(n)
-    col = {p: c for c, p in enumerate(pairs)}
-    rows, rhs = [], []
-    unmapped_sq = 0.0
-    size = len(bitstrings)
-    for a in range(size):
-        for b in range(a + 1, size):
-            diff = int(bitstrings[a]) ^ int(bitstrings[b])
-            dist = bin(diff).count("1")
-            if dist == 2:
-                j = (diff & -diff).bit_length() - 1
-                k = diff.bit_length() - 1
-                s = 1.0 if _bit(int(bitstrings[a]), j) == _bit(int(bitstrings[a]), k) else -1.0
-                row = np.zeros(2 * len(pairs))
-                row[col[(j, k)]] = 1.0
-                row[len(pairs) + col[(j, k)]] = -s
-                rows.append(row)
-                rhs.append(m[a, b].real)
-                unmapped_sq += 2 * m[a, b].imag ** 2
-            else:
-                # distance != 2: not reachable by two-body couplings
-                unmapped_sq += 2 * abs(m[a, b]) ** 2
+    bits = np.asarray(bitstrings, dtype=np.int64)
+    a, b = np.triu_indices(len(bits), 1)     # element pairs, row-major
+    diff = bits[a] ^ bits[b]
+    high = diff & (diff - 1)                 # diff without its lowest bit
+    two = (high != 0) & ((high & (high - 1)) == 0)   # Hamming distance 2
+    elem = m[a, b]
+    # distance != 2, and imaginary parts: not reachable by the couplings
+    unmapped_sq = 2 * (np.sum(np.abs(elem[~two]) ** 2)
+                       + np.sum(elem[two].imag ** 2))
+    bra, diff, high, rhs = bits[a[two]], diff[two], high[two], elem[two].real
+    j = np.frexp(diff ^ high)[1] - 1         # lowest differing bit
+    k = np.frexp(high)[1] - 1                # highest differing bit
+    s = np.where(((bra >> j) & 1) == ((bra >> k) & 1), 1.0, -1.0)
+    upper = np.triu_indices(n, 1)
+    npairs = len(upper[0])
+    col = np.zeros((n, n), dtype=int)
+    col[upper] = np.arange(npairs)
+    a_mat = np.zeros((len(rhs), 2 * npairs))
+    r = np.arange(len(rhs))
+    a_mat[r, col[j, k]] = 1.0
+    a_mat[r, npairs + col[j, k]] = -s
     j_x = np.zeros((n, n))
     j_y = np.zeros((n, n))
-    if rows:
-        a_mat = np.array(rows)
-        theta, _, _, _ = np.linalg.lstsq(a_mat, np.array(rhs), rcond=RCOND)
+    if len(rhs):
+        theta, _, _, _ = np.linalg.lstsq(a_mat, rhs, rcond=RCOND)
         misfit = float(np.linalg.norm(a_mat @ theta - rhs))
-        for c, (j, k) in enumerate(pairs):
-            j_x[j, k] = theta[c]
-            j_y[j, k] = theta[len(pairs) + c]
+        j_x[upper], j_y[upper] = theta[:npairs], theta[npairs:]
     else:
         misfit = 0.0
     residual = float(np.sqrt(misfit ** 2 + unmapped_sq))
@@ -188,24 +184,19 @@ def check_parity_coupling(bh, threshold_ratio=1e-8, force=False):
             f"{bh.coupling_norm:.3e} exceeds {threshold_ratio:.1e}*||H||")
 
 
-def map_system(bh, partition, force=False, threshold_ratio=1e-8, joint=False):
+def map_system(bh, partition, force=False, threshold_ratio=1e-8):
     '''Map both parity blocks of a BlockHamiltonian to spin parameters.
 
     Refuses (unless `force`) when the inter-block coupling exceeds
     threshold_ratio * ||H||_F, since the block-diagonal spin model cannot
-    represent the coupling.  With `joint=True` a single parameter set is
-    fitted to both blocks at once.
+    represent the coupling.
     '''
     n = partition.n_qubits
     check_parity_coupling(bh, threshold_ratio, force)
     even_states = partition.even_states
     odd_states = partition.odd_states
-    if joint:
-        both = np.concatenate([even_states, odd_states])
-        pe = po = extract_block_params(bh.h_tilde, both, n)
-    else:
-        pe = extract_block_params(bh.block_plus, even_states, n)
-        po = extract_block_params(bh.block_minus, odd_states, n)
+    pe = extract_block_params(bh.block_plus, even_states, n)
+    po = extract_block_params(bh.block_minus, odd_states, n)
     he = restrict_to_block(assemble_ising(pe, n), even_states)
     ho = restrict_to_block(assemble_ising(po, n), odd_states)
     # blocks of a real symmetric Hamiltonian are real; drop the zero

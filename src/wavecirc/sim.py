@@ -13,7 +13,7 @@ import numpy as np
 
 from . import units
 from .grid import NuclearHamiltonian, EigenSystem, eigensolve
-from .givens import from_mapped_basis
+from .givens import _check_dim, _rotate_pairs, from_mapped_basis
 from .qsd import Gate, Multiplexor, ZyzLeaf
 
 
@@ -166,14 +166,14 @@ def mapped_density_to_grid(probabilities, gmap, partition, reference=None):
     state at the same time) supplies that split; without it the split
     term is taken as zero.
     '''
-    q = np.asarray(probabilities, dtype=float)
+    q = _check_dim(np.asarray(probabilities, dtype=float), gmap)
     dim = len(q)
     n = dim - 1
     half = dim // 2
     order = partition.order
     i = np.arange(half)
     if reference is not None:
-        phi = gmap.matrix @ np.asarray(reference, dtype=complex)
+        phi = _rotate_pairs(_check_dim(reference, gmap))
         cross = np.real(np.conj(phi[:half]) * phi[n - i])
     else:
         cross = np.zeros(half)

@@ -299,6 +299,52 @@ class TestCircuitRouteGuard:
             assert main(argv) == 0, argv[0]
 
 
+class TestRemovedSwitches:
+    @pytest.mark.parametrize("extra", [
+        {"mapping": {"joint": False}},
+        {"dynamics": {"wavepacket": {"kind": "thermal",
+                                     "sqrt_weights": True}}}])
+    def test_exit_2_with_schema_message(self, tmp_path, capsys, extra):
+        cfg = write_config(tmp_path, extra)
+        assert main(["build", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config invalid" in err and "was unexpected" in err
+
+
+class TestInputsRefusedBeforeEvolution:
+    @pytest.fixture(autouse=True)
+    def no_evolution(self, monkeypatch):
+        def evolve(*args, **kwargs):
+            pytest.fail("evolved before the inputs were checked")
+        monkeypatch.setattr("wavecirc.cli._evolve", evolve)
+
+    def sweep(self, tmp_path, *flags):
+        cfg = write_config(tmp_path, {"dynamics": {"steps": 5}})
+        return ["sweep-shots", "--config", cfg,
+                "--out", str(tmp_path / "o")] + list(flags)
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--n-seeds", "0"), "--n-seeds"),
+        (("--shots", "100,0"), "--shots"),
+        (("--shots", "1e3"), "--shots"),
+        (("--seed", "-3"), "--seed")])
+    def test_bad_sweep_flags_exit_2(self, tmp_path, capsys, flags, message):
+        with pytest.raises(SystemExit) as exc:
+            main(self.sweep(tmp_path, *flags))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "expected an integer >=" in err
+
+    def test_circuit_shots_without_shot_count_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"dynamics": {
+            "method": "circuit-shots", "steps": 5}})
+        for command in ("propagate", "spectrum"):
+            assert main([command, "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 2
+            assert "dynamics.shots" in capsys.readouterr().err
+
+
 class TestEntryPoint:
     def test_console_script(self, tmp_path):
         import subprocess

@@ -7,6 +7,27 @@ import wavecirc as w
 from conftest import double_well_system, random_state
 
 
+def closed_form_blocks(band, v):
+    '''Reference blocks of G H G from the Toeplitz kinetic band and the
+    potential alone, by index algebra over mirror pairs (i, n-i).'''
+    dim = len(v)
+    n = dim - 1
+    half = dim // 2
+    i = np.arange(half)
+    kk = np.abs(i[:, None] - i[None, :])       # |i - l|
+    kr = np.abs(i[:, None] - (n - i)[None, :])  # |i - (n-l)|
+    plus = band[kk] + band[kr] + np.diag(0.5 * (v[:half] + v[::-1][:half]))
+    # minus rows run through pairs in reverse: row a <-> pair half-1-a
+    j = half - 1 - i
+    kkm = np.abs(j[:, None] - j[None, :])
+    krm = np.abs(j[:, None] - (n - j)[None, :])
+    minus = band[kkm] - band[krm] + np.diag(0.5 * (v[j] + v[n - j]))
+    # coupling is anti-diagonal in the antisymmetric part of V
+    coup = np.zeros((half, half))
+    coup[i, half - 1 - i] = 0.5 * (v[:half] - v[::-1][:half])
+    return plus, minus, coup
+
+
 class TestGivensMap:
     def test_two_point_map(self):
         g = w.givens_map(1)
@@ -110,6 +131,22 @@ class TestBlockTransform:
         with pytest.raises(ValueError):
             w.block_transform(np.eye(4), w.givens_map(3))
 
+    def test_blocks_match_closed_form(self):
+        rng = np.random.default_rng(17)
+        for n in range(1, 9):
+            g, pot, dw = double_well_system(n)
+            v_tilted = 0.01 * rng.normal(size=2 ** n)
+            tilted = w.assemble_hamiltonian(w.daf_kinetic(g), v_tilted, g)
+            for ham, v in ((dw, pot.values), (tilted, v_tilted)):
+                expected = closed_form_blocks(ham.kinetic_band, v)
+                bh = w.block_transform(ham, w.givens_map(n))
+                half = 2 ** (n - 1)
+                got = (bh.block_plus, bh.block_minus,
+                       bh.h_tilde[:half, half:])
+                scale = max(np.linalg.norm(ham.matrix), 1.0)
+                for blk, ref in zip(got, expected):
+                    assert np.abs(blk - ref).max() <= 1e-12 * scale, n
+
 
 class TestMappedBasis:
     def test_round_trip(self, dw3_full):
@@ -118,6 +155,16 @@ class TestMappedBasis:
         gm, pp = dw3_full["gmap"], dw3_full["partition"]
         back = w.from_mapped_basis(w.to_mapped_basis(psi, gm, pp), gm, pp)
         assert np.abs(back - psi).max() <= 1e-15
+
+    def test_batched_round_trip(self):
+        rng = np.random.default_rng(12)
+        gm, pp = w.givens_map(5), w.parity_partition(5)
+        x = rng.normal(size=(7, 32)) + 1j * rng.normal(size=(7, 32))
+        mapped = w.to_mapped_basis(x, gm, pp)
+        for row, m in zip(x, mapped):
+            assert np.array_equal(w.to_mapped_basis(row, gm, pp), m)
+        back = w.from_mapped_basis(mapped, gm, pp)
+        assert np.abs(back - x).max() <= 1e-15
 
     def test_first_pair_maps_to_zero_state(self, dw3_full):
         gm, pp = dw3_full["gmap"], dw3_full["partition"]

@@ -85,7 +85,53 @@ class TestExtractDiagonal:
             w.extract_diagonal_params(np.array([]), np.array([], int), 3)
 
 
+def loop_offdiag_params(m, bitstrings, n):
+    '''Reference fit: one least-squares row per distance-2 element pair,
+    visited in row-major order by a Python double loop.'''
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    rows, rhs, unmapped_sq = [], [], 0.0
+    for a in range(len(bitstrings)):
+        for b in range(a + 1, len(bitstrings)):
+            sa = int(bitstrings[a])
+            diff = sa ^ int(bitstrings[b])
+            if bin(diff).count("1") != 2:
+                unmapped_sq += 2 * abs(m[a, b]) ** 2
+                continue
+            j, k = (diff & -diff).bit_length() - 1, diff.bit_length() - 1
+            s = 1.0 if (sa >> j) & 1 == (sa >> k) & 1 else -1.0
+            row = np.zeros(2 * len(pairs))
+            row[pairs.index((j, k))] = 1.0
+            row[len(pairs) + pairs.index((j, k))] = -s
+            rows.append(row)
+            rhs.append(m[a, b].real)
+            unmapped_sq += 2 * m[a, b].imag ** 2
+    j_x, j_y, misfit = np.zeros((n, n)), np.zeros((n, n)), 0.0
+    if rows:
+        a_mat = np.array(rows)
+        theta = np.linalg.lstsq(a_mat, np.array(rhs), rcond=1e-12)[0]
+        misfit = float(np.linalg.norm(a_mat @ theta - rhs))
+        for c, (j, k) in enumerate(pairs):
+            j_x[j, k], j_y[j, k] = theta[c], theta[len(pairs) + c]
+    return j_x, j_y, float(np.sqrt(misfit ** 2 + unmapped_sq))
+
+
 class TestExtractOffdiag:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_matches_loop_reference(self, n, monkeypatch):
+        # pyproject allows numpy 1.24, which has no np.bitwise_count
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        rng = np.random.default_rng(40 + n)
+        pp = w.parity_partition(n)
+        for bits in (pp.even_states, pp.odd_states):
+            a = rng.normal(size=(len(bits),) * 2) \
+                + 1j * rng.normal(size=(len(bits),) * 2)
+            blk = a + a.conj().T
+            jx, jy, res = w.extract_offdiag_params(blk, bits, n)
+            rx, ry, rres = loop_offdiag_params(blk, bits, n)
+            # same rows in the same order: the same least-squares solution
+            assert np.array_equal(jx, rx) and np.array_equal(jy, ry)
+            assert res == pytest.approx(rres, rel=1e-14)
+
     def test_zero_matrix(self):
         pp = w.parity_partition(3)
         jx, jy, res = w.extract_offdiag_params(np.zeros((4, 4)),

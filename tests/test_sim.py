@@ -247,6 +247,35 @@ class TestDensityTransport:
         assert np.abs(rho - rho[::-1]).max() <= 1e-13
         assert rho.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_pair_split_formula(self, n):
+        # each mirror pair (i, n-i) gets half its sampled total plus or
+        # minus Re(conj(p) m), p and m the reference's even/odd amplitudes
+        rng = np.random.default_rng(20 + n)
+        gm, pp = w.givens_map(n), w.parity_partition(n)
+        dim, half = 2 ** n, 2 ** (n - 1)
+        q = rng.dirichlet(np.ones(dim))
+        psi = random_state(dim, rng)
+        phi = gm.matrix @ psi
+        i = np.arange(half)
+        total = 0.5 * (q[pp.order[i]] + q[pp.order[dim - 1 - i]])
+        cross = np.real(np.conj(phi[i]) * phi[dim - 1 - i])
+        expected = np.empty(dim)
+        expected[i], expected[dim - 1 - i] = total + cross, total - cross
+        rho = w.mapped_density_to_grid(q, gm, pp, reference=psi)
+        assert np.abs(rho - expected).max() <= 1e-15
+        even = w.mapped_density_to_grid(q, gm, pp)
+        expected[i] = expected[dim - 1 - i] = total
+        assert np.abs(even - expected).max() <= 1e-15
+
+    def test_dimension_mismatch_rejected(self, dw3_full):
+        gm, pp = dw3_full["gmap"], dw3_full["partition"]
+        q = np.full(8, 1 / 8)
+        with pytest.raises(ValueError, match="dimension"):
+            w.mapped_density_to_grid(np.full(16, 1 / 16), gm, pp)
+        with pytest.raises(ValueError, match="dimension"):
+            w.mapped_density_to_grid(q, gm, pp, reference=np.ones(16))
+
     def test_shot_result_pathway(self, dw3_full):
         gm, pp = dw3_full["gmap"], dw3_full["partition"]
         psi = random_state(8, np.random.default_rng(7))

@@ -15,14 +15,13 @@ from .ising import (IsingParameters, MappedSystem, BrokenSymmetryError,
                     extract_diagonal_params, extract_offdiag_params,
                     assemble_ising, check_parity_coupling, map_system,
                     restrict_to_block)
-from .qsd import (Gate, GateSequence, CsdResult, DemuxResult,
+from .qsd import (NumericalError, Gate, GateSequence, CsdResult, DemuxResult,
                   cosine_sine_decompose, demultiplex,
                   multiplexed_rotation_to_gates, zyz, qsd_compile,
                   cnot_count, cnot_lower_bound)
 from .qasm import to_qasm, from_qasm, write_qasm, read_qasm
 from .sim import (ShotResult, exact_propagator, run_circuit,
-                  circuit_matrix, sample_shots, probability_density,
-                  mapped_density_to_grid)
+                  circuit_matrix, sample_shots, mapped_density_to_grid)
 from .dynamics import (WavepacketSpec, Trajectory, Evolution,
                        initial_wavepacket, evolve_exact, evolve, densities,
                        propagate, probability_error, shot_density_trajectory)

@@ -24,7 +24,7 @@ from .grid import (DafParams, build_grid, build_hamiltonian, eigensolve,
 from .ising import (BrokenSymmetryError, check_parity_coupling, map_system,
                     parameters_to_dict)
 from .qasm import write_qasm
-from .qsd import cnot_count, cnot_lower_bound, qsd_compile
+from .qsd import NumericalError, cnot_count, cnot_lower_bound, qsd_compile
 from .sim import circuit_matrix, exact_propagator
 from .spectra import compare_eigendiffs, grid_spectrum
 
@@ -396,12 +396,12 @@ def main(argv=None):
     except BrokenSymmetryError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -9,6 +9,13 @@ same initial state: exact evolution under the grid Hamiltonian
 deterministic `evolve` (reference and route amplitudes) and `densities`
 (exact or seeded shot densities), so shot resamplings share one
 evolution.
+
+The circuit routes compile one circuit per time step and parity block,
+a chunk of steps at a time: the chunk's exact propagators are one
+batched product, compiled by one stacked `qsd_compile` call and run by
+one lockstep `run_circuit` call.  A fixed byte budget on the stack
+(CHUNK_BYTES) sets the chunk size, so memory does not grow with the
+step count, and each chunk is checked against exact block evolution.
 '''
 
 from dataclasses import dataclass
@@ -18,9 +25,8 @@ import numpy as np
 from . import units
 from .grid import eigensolve
 from .givens import to_mapped_basis, from_mapped_basis
-from .qsd import qsd_compile
-from .sim import (exact_propagator, run_circuit, sample_shots,
-                  mapped_density_to_grid)
+from .qsd import NumericalError, qsd_compile
+from .sim import run_circuit, sample_shots, mapped_density_to_grid
 
 
 @dataclass(frozen=True)
@@ -86,38 +92,78 @@ def evolve_exact(ham_or_eig, psi0, dt_fs, steps):
     return (phases * c0) @ eig.states.T
 
 
+def _per_block(evolve_block, block_even, block_odd, psi0_map, partition,
+               dt_fs, steps):
+    '''Evolve each parity component with `evolve_block(block, comp0,
+    dt_fs, steps)`; returns mapped-basis amplitudes, shape
+    (steps+1, 2^N).'''
+    out = np.empty((steps + 1, 2 * partition.half), dtype=complex)
+    for states, block in ((partition.even_states, block_even),
+                          (partition.odd_states, block_odd)):
+        out[:, states] = evolve_block(block, psi0_map[states], dt_fs, steps)
+    return out
+
+
 def _block_evolve(block_even, block_odd, psi0_map, partition, dt_fs, steps):
     '''Evolve the two parity components exactly under the given block
     matrices; returns mapped-basis amplitudes, shape (steps+1, 2^N).'''
-    half = partition.half
-    dim = 2 * half
-    out = np.empty((steps + 1, dim), dtype=complex)
-    for states, block in ((partition.even_states, block_even),
-                          (partition.odd_states, block_odd)):
-        comp = evolve_exact(block, psi0_map[states], dt_fs, steps)
-        out[:, states] = comp
-    return out
+    return _per_block(evolve_exact, block_even, block_odd, psi0_map,
+                      partition, dt_fs, steps)
 
 
 def _circuit_evolve(block_even, block_odd, psi0_map, partition, dt_fs, steps):
     '''Per-step compiled propagation: each U(t_s) of each parity block is
     compiled to gates and run on the block component.'''
-    half = partition.half
-    nb = partition.n_qubits - 1
-    dim = 2 * half
+    return _per_block(_compiled_evolve, block_even, block_odd, psi0_map,
+                      partition, dt_fs, steps)
+
+
+# Byte budget of the stack of exact propagators compiled together,
+# S 4^n complex numbers: 256 KiB is 16 steps of a 5-qubit block.  The
+# compile's level arrays are the same size as the stack, so the budget
+# bounds the working set whatever the step count.
+CHUNK_BYTES = 1 << 18
+
+# compiled circuit against exact block evolution, as in `compile --check`
+CIRCUIT_TOL = 1e-9
+
+
+def _chunk_steps(dim):
+    '''Time steps compiled together for a block of dimension `dim`.'''
+    return max(1, CHUNK_BYTES // (16 * dim * dim))
+
+
+def _compiled_evolve(block, comp0, dt_fs, steps):
+    '''Amplitudes (steps+1, dim) of comp0 under one compiled circuit per
+    step.  Steps go in chunks of `_chunk_steps(dim)`: the exact
+    propagators of a chunk are one batched product, compiled by one
+    qsd_compile call and run in lockstep by one run_circuit call.  Each
+    chunk's circuit amplitudes are checked against U_s comp0
+    (NumericalError above CIRCUIT_TOL).'''
+    eig = eigensolve(block)
+    dim = len(comp0)
     out = np.empty((steps + 1, dim), dtype=complex)
-    for states, block in ((partition.even_states, block_even),
-                          (partition.odd_states, block_odd)):
-        eig = eigensolve(block)
-        comp0 = psi0_map[states]
-        out[0, states] = comp0
-        for s in range(1, steps + 1):
-            u = exact_propagator(None, s * dt_fs, eig=eig)
-            if nb == 0:
-                out[s, states] = u @ comp0
-            else:
-                seq = qsd_compile(u)
-                out[s, states] = run_circuit(comp0, seq)
+    out[0] = comp0
+    energies = -1j * eig.energies
+    chunk = _chunk_steps(dim)
+    for start in range(1, steps + 1, chunk):
+        s = np.arange(start, min(start + chunk, steps + 1))
+        t_au = units.fs_to_au(s * dt_fs)
+        u = (eig.states * np.exp(energies * t_au[:, None])[:, None]) \
+            @ eig.states.T
+        exact = u @ comp0
+        if dim == 1:
+            out[s] = exact
+            continue
+        cols = np.repeat(comp0[:, None], len(s), axis=1)
+        amps = run_circuit(cols, qsd_compile(u)).T
+        err = np.abs(amps - exact).max()
+        if not err <= CIRCUIT_TOL:
+            raise NumericalError(
+                f"compiled circuits miss the exact block evolution by "
+                f"{err:.3e} (> {CIRCUIT_TOL:g}) at t = {s[0] * dt_fs:g}.."
+                f"{s[-1] * dt_fs:g} fs")
+        out[s] = amps
     return out
 
 

@@ -6,17 +6,23 @@ each block-diagonal factor, which yields a multiplexed Rz between two
 half-size unitaries.  Multiplexed rotations expand through the
 Gray-code construction; 2x2 leaves are finished with a ZYZ split.
 Global phase is carried explicitly so the gate product reproduces the
-input matrix exactly.  A compiled sequence keeps each multiplexed
-rotation (Multiplexor) and each ZYZ leaf (ZyzLeaf) as one block, so the
-simulator can apply the block's gates in a single vectorised step.
+input matrix exactly.
+
+The recursion tree has the same shape for every unitary of a given
+size, so `qsd_compile` takes a stack of S unitaries and walks the tree
+one level at a time: the LAPACK factorizations run per matrix, and the
+sorting, the demultiplex products, the Walsh-Gray angle transform and
+the ZYZ split run once per level over every node of every circuit.  The
+result is one GateSequence of S circuits sharing one gate layout.  Each
+multiplexed rotation (Multiplexor) and each ZYZ leaf (ZyzLeaf) is one
+block holding an angle array with one row per circuit, so the simulator
+runs all S circuits in lockstep, one vectorised step per block.
 
 Gates are listed in application order: the first gate in a sequence
 acts on the state first.  Qubit q addresses bit q of the basis index
 (qubit 0 is the least significant bit).
 '''
 
-import cmath
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,12 +32,18 @@ from scipy.linalg.lapack import zgees, zuncsd, zuncsd_lwork
 DEGENERATE_TOL = 1e-13
 
 
+class NumericalError(ValueError):
+    '''A numerical result failed its check (a matrix that should be
+    unitary is not, a compiled circuit misses its target).'''
+
+
 @dataclass(frozen=True)
 class Gate:
     '''One elementary gate.
 
     kind: "ry" | "rz" | "cx" | "phase".  Rotations use `target` and
-    `angle`; cx uses `control` and `target`; phase is global.
+    `angle`; cx uses `control` and `target`; phase is global.  In a stack
+    of circuits `angle` may hold one value per circuit.
     '''
     kind: str
     target: int = 0
@@ -41,43 +53,58 @@ class Gate:
     def __post_init__(self):
         if self.kind == "cx" and self.control == self.target:
             raise ValueError("cx control and target must differ")
-        if self.angle is not None and not np.isfinite(self.angle):
+        if self.angle is not None and not np.isfinite(self.angle).all():
             raise ValueError("gate angle must be finite")
 
+    def gates(self, i=0):
+        if np.ndim(self.angle) == 0:
+            return [self]
+        return [Gate(self.kind, self.target, self.control,
+                     float(self.angle[i]))]
 
-def _expand(block):
-    return [block] if isinstance(block, Gate) else block.gates()
+    def counts(self):
+        return {self.kind: 1}
 
 
 class GateSequence:
-    '''Ordered gate list over n qubits.
+    '''Ordered gate list over n qubits, for one circuit or a stack of
+    `n_circuits` circuits with the same gate layout.
 
     `blocks` holds single Gates and the compiler's fused blocks
-    (Multiplexor, ZyzLeaf) in application order; `gates` and iteration
-    expand the blocks into single gates.
+    (Multiplexor, ZyzLeaf) in application order.  `circuit(i)` expands
+    circuit i into single gates; `gates`, iteration, `len` and `counts`
+    cover every circuit of the stack, circuit by circuit.
     '''
 
-    def __init__(self, n_qubits, gates=()):
+    def __init__(self, n_qubits, gates=(), n_circuits=1):
         self.n_qubits = n_qubits
+        self.n_circuits = n_circuits
         self.blocks = list(gates)
+
+    def circuit(self, i):
+        return GateSequence(self.n_qubits,
+                            [g for b in self.blocks for g in b.gates(i)])
 
     @property
     def gates(self):
-        return [g for b in self.blocks for g in _expand(b)]
+        return [g for i in range(self.n_circuits)
+                for g in self.circuit(i).blocks]
 
     def append(self, gate):
         self.blocks.append(gate)
 
     def counts(self):
         out = {}
-        for g in self:
-            out[g.kind] = out.get(g.kind, 0) + 1
+        for b in self.blocks:
+            for kind, k in b.counts().items():
+                out[kind] = out.get(kind, 0) + k * self.n_circuits
         return out
 
     def cnot_count(self):
         return self.counts().get("cx", 0)
 
     def global_phase(self):
+        '''Sum of the phase gates: a float, or one value per circuit.'''
         return sum(b.angle for b in self.blocks
                    if isinstance(b, Gate) and b.kind == "phase")
 
@@ -85,10 +112,11 @@ class GateSequence:
         return GateSequence(self.n_qubits,
                             [b for b in self.blocks
                              if not (isinstance(b, Gate)
-                                     and b.kind == "phase")])
+                                     and b.kind == "phase")],
+                            self.n_circuits)
 
     def __len__(self):
-        return len(self.gates)
+        return sum(self.counts().values())
 
     def __iter__(self):
         return iter(self.gates)
@@ -112,56 +140,67 @@ def _walsh_gray(k):
 class Multiplexor:
     '''Gray-code expansion of a uniformly controlled rotation.
 
-    For s = 0 .. 2^k - 1 it applies R(theta[s]) to `target`, then a CNOT
-    onto `target` from the control whose select bit changes between
-    gray(s) and gray(s + 1); k >= 1.
+    For s = 0 .. 2^k - 1 it applies R(theta[i, s]) to `target`, then a
+    CNOT onto `target` from the control whose select bit changes between
+    gray(s) and gray(s + 1); k >= 1.  Row i of `theta` is circuit i of
+    the stack.
     '''
     kind: str              # "ry" | "rz"
     target: int
     controls: tuple        # controls[0] supplies the lowest select bit
-    theta: np.ndarray
+    theta: np.ndarray      # shape (n_circuits, 2^k)
 
-    def gates(self):
+    def gates(self, i=0):
         _, ladder = _walsh_gray(len(self.controls))
         out = []
-        for angle, c in zip(self.theta.tolist(), ladder):
+        for angle, c in zip(self.theta[i].tolist(), ladder):
             out.append(Gate(self.kind, target=self.target, angle=angle))
             out.append(Gate("cx", control=self.controls[c],
                             target=self.target))
         return out
 
+    def counts(self):
+        k = self.theta.shape[1]
+        return {self.kind: k, "cx": k}
+
     def select_angles(self):
-        '''Net rotation angle for each control value b.
+        '''Net rotation angle for each control value b, one column per
+        circuit: shape (2^k, n_circuits).
 
         The CNOT ladder returns every control pattern's target to where
         it started, and X R(theta) X = R(-theta) for Ry and Rz, so for
         control value b the gates multiply to one rotation by
         sum_s (-1)^popcount(b & gray(s)) theta[s].
         '''
-        return _walsh_gray(len(self.controls))[0] @ self.theta
+        return _walsh_gray(len(self.controls))[0] @ self.theta.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZyzLeaf:
-    '''Rz(delta), Ry(gamma), Rz(beta) on `target`, in application order.'''
+    '''Rz(delta), Ry(gamma), Rz(beta) on `target`, in application order;
+    each angle holds one value per circuit of the stack.'''
     target: int
-    beta: float
-    gamma: float
-    delta: float
+    beta: np.ndarray
+    gamma: np.ndarray
+    delta: np.ndarray
 
-    def gates(self):
+    def gates(self, i=0):
         q = self.target
-        return [Gate("rz", target=q, angle=self.delta),
-                Gate("ry", target=q, angle=self.gamma),
-                Gate("rz", target=q, angle=self.beta)]
+        return [Gate("rz", target=q, angle=float(self.delta[i])),
+                Gate("ry", target=q, angle=float(self.gamma[i])),
+                Gate("rz", target=q, angle=float(self.beta[i]))]
+
+    def counts(self):
+        return {"rz": 2, "ry": 1}
 
     def matrix(self):
-        '''The 2x2 product Rz(beta) Ry(gamma) Rz(delta).'''
-        c, s = math.cos(self.gamma / 2), math.sin(self.gamma / 2)
-        p = cmath.exp(-0.5j * (self.beta + self.delta))
-        q = cmath.exp(-0.5j * (self.beta - self.delta))
-        return np.array([[p * c, -q * s],
-                         [q.conjugate() * s, p.conjugate() * c]])
+        '''The 2x2 products Rz(beta) Ry(gamma) Rz(delta), shape
+        (n_circuits, 2, 2).'''
+        c, s = np.cos(self.gamma / 2), np.sin(self.gamma / 2)
+        p = np.exp(-0.5j * (self.beta + self.delta))
+        q = np.exp(-0.5j * (self.beta - self.delta))
+        return np.stack([p * c, -q * s, q.conj() * s, p.conj() * c],
+                        axis=-1).reshape(-1, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -184,12 +223,19 @@ class DemuxResult:
     delta: np.ndarray
 
 
-def _check_unitary(u, tol=1e-10):
+def _check_unitary(u, tol=1e-10, stack=False):
+    '''u as a complex array: one square matrix, or with `stack` also a
+    stack of them (ValueError on the shape, NumericalError when not
+    unitary).'''
     u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError("input must be a square matrix")
-    if not np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= tol:
-        raise ValueError("input matrix is not unitary")
+    if u.ndim not in ((2, 3) if stack else (2,)) \
+            or u.shape[-1] != u.shape[-2]:
+        raise ValueError("input must be a square matrix"
+                         + (" or a stack of them" if stack else ""))
+    gram = u.conj().swapaxes(-1, -2) @ u
+    gram -= np.eye(u.shape[-1])
+    if not np.abs(gram).max() <= tol:
+        raise NumericalError("input matrix is not unitary")
     return u
 
 
@@ -198,7 +244,8 @@ def cosine_sine_decompose(u):
     u = _check_unitary(u)
     if u.shape[0] % 2:
         raise ValueError("matrix dimension must be even")
-    return _csd(u)
+    alpha, l0, l1, r0, r1 = (x[0] for x in _csd(u[None]))
+    return CsdResult(l0=l0, l1=l1, r0=r0, r1=r1, alpha=alpha)
 
 
 # The LAPACK drivers behind scipy.linalg.cossin and schur are called
@@ -224,22 +271,27 @@ def _schur_lwork(n):
 
 
 def _csd(u):
-    m = u.shape[0] // 2
+    '''CSD of every matrix of a stack (K, 2m, 2m); returns alpha (K, m),
+    ascending in each row, and l0, l1, r0, r1 (K, m, m).'''
+    k, m = len(u), u.shape[-1] // 2
     lwork, lrwork = _csd_lwork(m)
-    *_, alpha, l0, l1, r0, r1, info = zuncsd(
-        x11=u[:m, :m], x12=u[:m, m:], x21=u[m:, :m], x22=u[m:, m:],
-        compute_u1=True, compute_u2=True, compute_v1t=True,
-        compute_v2t=True, trans=False, signs=False,
-        lwork=lwork, lrwork=lrwork)
-    if info:
-        raise np.linalg.LinAlgError(f"zuncsd failed with info={info}")
-    order = np.argsort(alpha, kind="stable")
-    if not np.array_equal(order, np.arange(m)):
-        p = np.eye(m)[:, order]
-        l0, l1 = l0 @ p, l1 @ p
-        r0, r1 = p.T @ r0, p.T @ r1
-        alpha = alpha[order]
-    return CsdResult(l0=l0, l1=l1, r0=r0, r1=r1, alpha=alpha)
+    alpha = np.empty((k, m))
+    l0, l1, r0, r1 = (np.empty((k, m, m), dtype=complex) for _ in range(4))
+    for i, x in enumerate(u):
+        *_, alpha[i], l0[i], l1[i], r0[i], r1[i], info = zuncsd(
+            x11=x[:m, :m], x12=x[:m, m:], x21=x[m:, :m], x22=x[m:, m:],
+            compute_u1=True, compute_u2=True, compute_v1t=True,
+            compute_v2t=True, trans=False, signs=False,
+            lwork=lwork, lrwork=lrwork)
+        if info:
+            raise np.linalg.LinAlgError(f"zuncsd failed with info={info}")
+    order = np.argsort(alpha, axis=1, kind="stable")
+    if np.array_equal(order, np.broadcast_to(np.arange(m), order.shape)):
+        return alpha, l0, l1, r0, r1      # zuncsd's usual, sorted output
+    cols, rows = order[:, None, :], order[:, :, None]
+    return (np.take_along_axis(alpha, order, 1),
+            np.take_along_axis(l0, cols, 2), np.take_along_axis(l1, cols, 2),
+            np.take_along_axis(r0, rows, 1), np.take_along_axis(r1, rows, 1))
 
 
 def demultiplex(l0, l1):
@@ -249,31 +301,33 @@ def demultiplex(l0, l1):
     delta = arg(eigenvalue)/2 with arg in (-pi, pi], and w = D V^dag l1.
     Eigenvalues are sorted by phase angle.
     '''
-    return _demultiplex(_check_unitary(l0), _check_unitary(l1))
+    l0, l1 = _check_unitary(l0), _check_unitary(l1)
+    v, w, delta = (x[0] for x in _demultiplex(l0[None], l1[None]))
+    return DemuxResult(v=v, w=w, delta=delta)
 
 
 def _demultiplex(l0, l1):
-    t, _, _, v, _, info = zgees(_no_sort, l0 @ l1.conj().T,
-                                lwork=_schur_lwork(len(l0)), overwrite_a=True)
-    if info:
-        raise np.linalg.LinAlgError(f"zgees failed with info={info}")
-    phases = np.angle(np.diagonal(t))
-    order = np.argsort(phases, kind="stable")
-    phases = phases[order]
-    v = v[:, order]
-    delta = phases / 2
-    d = np.exp(1j * delta)
-    w = (d[:, None] * v.conj().T) @ l1
-    return DemuxResult(v=v, w=w, delta=delta)
+    '''demultiplex over stacks (K, m, m); returns v, w (K, m, m) and
+    delta (K, m).'''
+    k, m = l0.shape[:2]
+    lwork = _schur_lwork(m)
+    t = np.empty((k, m, m), dtype=complex)
+    v = np.empty((k, m, m), dtype=complex)
+    for i, x in enumerate(l0 @ l1.conj().swapaxes(1, 2)):
+        t[i], _, _, v[i], _, info = zgees(_no_sort, x, lwork=lwork,
+                                          overwrite_a=True)
+        if info:
+            raise np.linalg.LinAlgError(f"zgees failed with info={info}")
+    phases = np.angle(np.diagonal(t, axis1=1, axis2=2))
+    order = np.argsort(phases, axis=1, kind="stable")
+    delta = np.take_along_axis(phases, order, 1) / 2
+    v = np.take_along_axis(v, order[:, None, :], 2)
+    w = (np.exp(1j * delta)[:, :, None] * v.conj().swapaxes(1, 2)) @ l1
+    return v, w, delta
 
 
 def _gray(i):
     return i ^ (i >> 1)
-
-
-def _multiplexor(kind, angles, target, controls):
-    m, _ = _walsh_gray(len(controls))
-    return Multiplexor(kind, target, controls, m.T @ angles / len(angles))
 
 
 def multiplexed_rotation_to_gates(axis, angles, target, controls):
@@ -297,7 +351,9 @@ def multiplexed_rotation_to_gates(axis, angles, target, controls):
     if k == 0:
         seq.append(Gate(kind, target=target, angle=float(angles[0])))
     else:
-        seq.append(_multiplexor(kind, angles, target, controls))
+        m, _ = _walsh_gray(k)
+        seq.append(Multiplexor(kind, target, controls,
+                               angles[None] @ m / len(angles)))
     return seq
 
 
@@ -333,50 +389,67 @@ def _zyz_angles(u):
     return alpha, beta, gamma, delta
 
 
-def _compile(u, nq, blocks, leaves):
-    '''Append the blocks for u on qubits 0..nq-1.  Each 2x2 leaf goes to
-    `leaves` and is marked by None in `blocks` until its ZYZ angles are
-    computed.'''
-    if nq == 1:
-        blocks.append(None)
-        leaves.append(u)
+def _split(level):
+    '''One recursion level over a stack of nodes (K, 2h, 2h): the select
+    angles (3, K, h) of each node's Rz, Ry and Rz multiplexors, and its
+    four half-size children (K, 4, h, h) in layout order.'''
+    alpha, l0, l1, r0, r1 = _csd(level)
+    v_r, w_r, delta_r = _demultiplex(r0, r1)
+    v_l, w_l, delta_l = _demultiplex(l0, l1)
+    return (np.stack([-2 * delta_r, 2 * alpha, -2 * delta_l]),
+            np.stack([w_r, v_r, w_l, v_l], axis=1))
+
+
+def _layout(m, node=0):
+    '''Application order of the blocks below node `node` of the m-qubit
+    level: (1, None, node) for a ZYZ leaf, (m, r, node) for multiplexor r
+    of a node (0: Rz of the right factor, 1: Ry, 2: Rz of the left).
+    Node j's children on the next level are 4j .. 4j+3: the w and v of
+    the right factor's demultiplex, then those of the left factor's.'''
+    if m == 1:
+        yield 1, None, node
         return
-    top = nq - 1
-    lower = tuple(range(top))
-    csd = _csd(u)
-    _demux(csd.r0, csd.r1, lower, top, blocks, leaves)
-    blocks.append(_multiplexor("ry", 2 * csd.alpha, top, lower))
-    _demux(csd.l0, csd.l1, lower, top, blocks, leaves)
-
-
-def _demux(l0, l1, lower, top, blocks, leaves):
-    dm = _demultiplex(l0, l1)
-    _compile(dm.w, top, blocks, leaves)
-    blocks.append(_multiplexor("rz", -2 * dm.delta, top, lower))
-    _compile(dm.v, top, blocks, leaves)
+    for child, mux in enumerate((0, 1, 2, None)):
+        yield from _layout(m - 1, 4 * node + child)
+        if mux is not None:
+            yield m, mux, node
 
 
 def qsd_compile(u):
-    '''Compile a 2^n x 2^n unitary into Ry/Rz/CNOT gates plus one
-    trailing global-phase gate.'''
-    u = _check_unitary(u)
-    n = int(np.log2(u.shape[0]))
-    if 2 ** n != u.shape[0]:
+    '''Compile a 2^n x 2^n unitary, or a stack (S, 2^n, 2^n) of them,
+    into Ry/Rz/CNOT gates plus one trailing global-phase gate.
+
+    A stack gives one GateSequence of S circuits, circuit i compiled from
+    u[i]; each circuit is the one `qsd_compile(u[i])` gives, up to
+    rounding.  The tree is walked level by level: level m holds the
+    4^(n-m) nodes of size 2^m of every circuit.
+    '''
+    u = _check_unitary(u, stack=True)
+    stacked = u.ndim == 3
+    u = u if stacked else u[None]
+    n_circ, dim = len(u), u.shape[-1]
+    n = dim.bit_length() - 1
+    if n < 1 or 2 ** n != dim:
         raise ValueError("matrix dimension must be a power of two")
     if n > 12:
         raise ValueError("refusing to compile more than 12 qubits")
-    blocks, leaves = [], []
-    _compile(u, n, blocks, leaves)
-    alpha, beta, gamma, delta = (x.tolist()
-                                 for x in _zyz_angles(np.array(leaves)))
-    zyz_leaves = iter([ZyzLeaf(0, b, c, d)
-                       for b, c, d in zip(beta, gamma, delta)])
-    seq = GateSequence(n, [next(zyz_leaves) if b is None else b
-                           for b in blocks])
-    phase = sum(alpha)
-    seq.append(Gate("phase", angle=float(np.mod(phase + np.pi, 2 * np.pi)
-                                         - np.pi)))
-    return seq
+    theta = {}                # m -> (3, S, 4^(n-m), 2^(m-1))
+    level = u
+    for m in range(n, 1, -1):
+        half = 2 ** (m - 1)
+        angles, level = _split(level.reshape(-1, 2 * half, 2 * half))
+        walsh, _ = _walsh_gray(m - 1)
+        theta[m] = (angles @ walsh / half).reshape(3, n_circ, -1, half)
+    alpha, beta, gamma, delta = (x.reshape(n_circ, -1)
+                                 for x in _zyz_angles(level.reshape(-1, 2, 2)))
+    kinds = ("rz", "ry", "rz")
+    blocks = [ZyzLeaf(0, beta[:, j], gamma[:, j], delta[:, j]) if m == 1
+              else Multiplexor(kinds[mux], m - 1, tuple(range(m - 1)),
+                               theta[m][mux, :, j])
+              for m, mux, j in _layout(n)]
+    phase = np.mod(alpha.sum(axis=1) + np.pi, 2 * np.pi) - np.pi
+    blocks.append(Gate("phase", angle=phase if stacked else float(phase[0])))
+    return GateSequence(n, blocks, n_circ)
 
 
 def cnot_count(n):

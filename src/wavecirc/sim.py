@@ -1,6 +1,11 @@
 '''Statevector execution of gate sequences, exact eigendecomposition
 propagators, and seeded shot sampling.
 
+A compiled stack of circuits runs in lockstep: the amplitudes hold one
+column per circuit, and each block applies every circuit's angles in
+one vectorised step.  `circuit_matrix` runs the same kernels on the
+identity.
+
 The sampler uses numpy's Generator with the PCG64 bit generator; the
 seed is recorded in every ShotResult so runs are bit-exact
 reproducible.
@@ -13,7 +18,7 @@ import numpy as np
 
 from . import units
 from .grid import NuclearHamiltonian, EigenSystem, eigensolve
-from .givens import _check_dim, _rotate_pairs, from_mapped_basis
+from .givens import _check_dim, _rotate_pairs
 from .qsd import Gate, Multiplexor, ZyzLeaf
 
 
@@ -97,10 +102,11 @@ def _select_index(n, target, controls):
 
 def _apply_multiplexor(amp, mux, n):
     '''Apply all gates of a Multiplexor in one pass: a diagonal phase
-    for rz, paired 2x2 rotations for ry.'''
+    for rz, paired 2x2 rotations for ry.  The last axis of `amp` indexes
+    the circuits of the stack (or is broadcast over for one circuit).'''
     t = mux.target
-    a = amp.reshape(amp.shape[0] >> (t + 1), 2, 1 << t, -1)
-    angle = mux.select_angles()[_select_index(n, t, mux.controls)][..., None]
+    a = amp.reshape(amp.shape[0] >> (t + 1), 2, 1 << t, -1, len(mux.theta))
+    angle = mux.select_angles()[_select_index(n, t, mux.controls)][:, :, None]
     lo, hi = a[:, 0], a[:, 1]
     if mux.kind == "ry":
         co, si = np.cos(angle / 2), np.sin(angle / 2)
@@ -113,9 +119,13 @@ def _apply_multiplexor(amp, mux, n):
 
 
 def _apply_leaf(amp, leaf, n):
-    '''Apply the three rotations of a ZyzLeaf as one 2x2 matrix.'''
-    a = amp.reshape(amp.shape[0] >> (leaf.target + 1), 2, -1)
-    a[...] = leaf.matrix() @ a
+    '''Apply the three rotations of a ZyzLeaf as one 2x2 matrix per
+    circuit.'''
+    m = leaf.matrix()
+    a = amp.reshape(amp.shape[0] >> (leaf.target + 1), 2, -1, len(m))
+    lo, hi = a[:, 0], a[:, 1]
+    a[:, 0], a[:, 1] = (m[:, 0, 0] * lo + m[:, 0, 1] * hi,
+                        m[:, 1, 0] * lo + m[:, 1, 1] * hi)
     return amp
 
 
@@ -127,22 +137,33 @@ def run_circuit(psi, seq):
     '''Apply a gate sequence to a state vector (or a batch of column
     vectors) and return the evolved amplitudes.
 
-    Compiled blocks (Multiplexor, ZyzLeaf) are applied as the exact
-    product of their gates in one vectorised step; applying their gates
-    one by one with _apply_gate gives the same result to rounding.
+    A stack of S circuits runs in lockstep: the last axis of `psi` must
+    have length S, and slice [..., i] goes through circuit i.  Compiled
+    blocks (Multiplexor, ZyzLeaf) are applied as the exact product of
+    their gates in one vectorised step for every circuit at once;
+    applying their gates one by one with _apply_gate gives the same
+    result to rounding.
     '''
     psi = np.array(psi, dtype=complex)
-    n = seq.n_qubits
+    n, s = seq.n_qubits, seq.n_circuits
     if psi.shape[0] != 2 ** n:
         raise ValueError("state dimension does not match the circuit")
+    if s > 1 and (psi.ndim < 2 or psi.shape[-1] != s):
+        raise ValueError(f"a stack of {s} circuits needs {s} amplitude "
+                         "columns on the last axis")
     for block in seq.blocks:
         psi = _APPLY[type(block)](psi, block, n)
     return psi
 
 
 def circuit_matrix(seq):
-    '''Dense matrix realized by a gate sequence (including phase).'''
-    return run_circuit(np.eye(2 ** seq.n_qubits, dtype=complex), seq)
+    '''Dense matrix realized by a gate sequence (including phase); a
+    stack of S circuits gives shape (S, 2^n, 2^n).'''
+    eye = np.eye(2 ** seq.n_qubits, dtype=complex)
+    if seq.n_circuits == 1:
+        return run_circuit(eye, seq)
+    eye = np.repeat(eye[:, :, None], seq.n_circuits, axis=2)
+    return np.moveaxis(run_circuit(eye, seq), 2, 0)
 
 
 def sample_shots(psi, shots, seed):
@@ -184,27 +205,3 @@ def mapped_density_to_grid(probabilities, gmap, partition, reference=None):
     rho[i] = s + cross
     rho[n - i] = s - cross
     return rho
-
-
-def probability_density(source, gmap=None, partition=None, basis="grid",
-                        reference=None):
-    '''Probability density over grid points.
-
-    `source` is either a mapped-basis StateVector (exact mode: the
-    amplitudes are rotated back to the grid) or a ShotResult (empirical
-    mode: see mapped_density_to_grid).  With basis="mapped" the density
-    is returned over computational-basis states without transport.
-    '''
-    if isinstance(source, ShotResult):
-        probs = source.probabilities
-        if basis == "mapped":
-            return probs
-        if gmap is None or partition is None:
-            raise ValueError("grid transport needs the basis maps")
-        return mapped_density_to_grid(probs, gmap, partition, reference)
-    psi = np.asarray(source)
-    if basis == "mapped":
-        return np.abs(psi) ** 2
-    if gmap is None or partition is None:
-        raise ValueError("grid transport needs the basis maps")
-    return np.abs(from_mapped_basis(psi, gmap, partition)) ** 2

@@ -345,6 +345,26 @@ class TestInputsRefusedBeforeEvolution:
             assert "dynamics.shots" in capsys.readouterr().err
 
 
+class TestCircuitHealthCheck:
+    def test_corrupted_compile_exit_3(self, tmp_path, capsys, monkeypatch):
+        from wavecirc.qsd import Multiplexor, qsd_compile
+
+        def corrupted(u):
+            seq = qsd_compile(u)
+            i, mux = next((i, b) for i, b in enumerate(seq.blocks)
+                          if isinstance(b, Multiplexor))
+            seq.blocks[i] = Multiplexor(mux.kind, mux.target, mux.controls,
+                                        mux.theta + 1e-3)
+            return seq
+        monkeypatch.setattr("wavecirc.dynamics.qsd_compile", corrupted)
+        cfg = write_config(tmp_path, {"dynamics": {
+            "method": "circuit-exact", "steps": 5}})
+        assert main(["propagate", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "exact block evolution" in err
+
+
 class TestEntryPoint:
     def test_console_script(self, tmp_path):
         import subprocess

@@ -239,6 +239,69 @@ class TestQsdCompile:
             w.qsd_compile(np.full((4, 4), np.nan))
 
 
+def reference_layout(n):
+    '''(kind, target, control) of every gate of an n-qubit compile, from
+    the recursion written out: U -> [demux(R), Ry mux, demux(L)], each
+    demux -> [W, Rz mux, V], 1-qubit leaves -> Rz Ry Rz.'''
+    if n == 1:
+        return [("rz", 0, None), ("ry", 0, None), ("rz", 0, None)]
+
+    def mux(kind):
+        out = []
+        for s in range(2 ** (n - 1)):
+            gray, nxt = s ^ (s >> 1), (s + 1) % 2 ** (n - 1)
+            changed = (gray ^ nxt ^ (nxt >> 1)).bit_length() - 1
+            out += [(kind, n - 1, None), ("cx", n - 1, changed)]
+        return out
+
+    sub = reference_layout(n - 1)
+    return (sub + mux("rz") + sub + mux("ry") + sub + mux("rz") + sub)
+
+
+class TestSingleCircuitLayout:
+    '''An S = 1 compile lists the same gates on the same qubits in the
+    same order as the recursive construction.'''
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_gates_counts_and_qasm(self, n, tmp_path):
+        seq = w.qsd_compile(unitary_group.rvs(2 ** n, random_state=90 + n))
+        want = reference_layout(n)
+        assert [(g.kind, g.target, g.control) for g in seq] == \
+            want + [("phase", 0, None)]
+        kinds = [k for k, _, _ in want]
+        assert seq.counts() == {"rz": kinds.count("rz"),
+                                "ry": kinds.count("ry"),
+                                **({"cx": w.cnot_count(n)} if n > 1 else {}),
+                                "phase": 1}
+        w.write_qasm(seq, tmp_path / "c.qasm")
+        back = w.read_qasm(tmp_path / "c.qasm")
+        assert [(g.kind, g.target, g.control) for g in back] == want
+
+    def test_stack_of_one_equals_single(self):
+        u = unitary_group.rvs(8, random_state=99)
+        one, single = w.qsd_compile(u[None]), w.qsd_compile(u)
+        assert one.n_circuits == single.n_circuits == 1
+        assert [(g.kind, g.target, g.control, g.angle) for g in one] == \
+            [(g.kind, g.target, g.control, g.angle) for g in single]
+
+
+class TestNumericalError:
+    def test_is_a_value_error(self):
+        assert issubclass(w.NumericalError, ValueError)
+
+    def test_not_unitary_is_numerical(self):
+        for bad in (2 * np.eye(4), np.full((4, 4), np.nan),
+                    np.array([np.eye(4), 2 * np.eye(4)])):
+            with pytest.raises(w.NumericalError, match="not unitary"):
+                w.qsd_compile(bad)
+
+    def test_shape_errors_are_not_numerical(self):
+        for bad in (np.eye(6), np.ones((2, 3)), np.ones((2, 2, 2, 2))):
+            with pytest.raises(ValueError) as exc:
+                w.qsd_compile(bad)
+            assert not isinstance(exc.value, w.NumericalError)
+
+
 class TestCnotCount:
     def test_values(self):
         assert [w.cnot_count(n) for n in range(1, 8)] == \

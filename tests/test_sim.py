@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from scipy.stats import unitary_group
 
 import wavecirc as w
 from wavecirc import units
-from wavecirc.dynamics import _circuit_evolve
+from wavecirc.dynamics import _chunk_steps, _circuit_evolve, _compiled_evolve
 from wavecirc.qsd import Gate, GateSequence, Multiplexor, ZyzLeaf
 from wavecirc.sim import _apply_gate, circuit_matrix
 
@@ -193,6 +195,103 @@ class TestFusedExecution:
                 assert np.abs(out[s, states] - ref).max() <= 1e-12
 
 
+def random_block(dim, rng):
+    '''A real symmetric block whose propagators are generic unitaries
+    over a few femtoseconds.'''
+    h = rng.normal(scale=0.02, size=(dim, dim))
+    return h + h.T
+
+
+class TestLockstepExecution:
+    '''A stack of unitaries compiled by one qsd_compile call and run in
+    lockstep matches per-step compiles run gate by gate.'''
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("stack", [1, 3])
+    def test_stack_matches_per_step(self, n, stack):
+        rng = np.random.default_rng(40 + 10 * n + stack)
+        u = np.array([unitary_group.rvs(2 ** n, random_state=rng)
+                      for _ in range(stack)])
+        seq = w.qsd_compile(u)
+        assert seq.n_circuits == stack
+        psi = np.stack([random_state(2 ** n, rng) for _ in range(stack)], 1)
+        got = w.run_circuit(psi, seq)
+        for i in range(stack):
+            ref = gate_by_gate(psi[:, i], w.qsd_compile(u[i]))
+            assert np.abs(got[:, i] - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_chunked_block_evolution_matches_per_step(self, n):
+        # one step more than a chunk: two compiles, the second of one step
+        rng = np.random.default_rng(60 + n)
+        block = random_block(2 ** n, rng)
+        comp0 = random_state(2 ** n, rng)
+        dt, steps = 0.5, _chunk_steps(2 ** n) + 1
+        out = _compiled_evolve(block, comp0, dt, steps)
+        assert np.array_equal(out[0], comp0)
+        eig = w.eigensolve(block)
+        for s in range(1, steps + 1):
+            u = w.exact_propagator(None, s * dt, eig=eig)
+            ref = gate_by_gate(comp0, w.qsd_compile(u))
+            assert np.abs(out[s] - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_circuit_obeys_count_law_and_reconstructs(self, n):
+        rng = np.random.default_rng(70 + n)
+        u = np.array([unitary_group.rvs(2 ** n, random_state=rng)
+                      for _ in range(3)])
+        seq = w.qsd_compile(u)
+        law = w.cnot_count(n)
+        assert seq.cnot_count() == 3 * law
+        recon = circuit_matrix(seq)
+        assert recon.shape == u.shape
+        for i in range(3):
+            assert seq.circuit(i).cnot_count() == law
+            assert np.abs(recon[i] - u[i]).max() <= 1e-9
+
+    def test_stack_needs_one_column_per_circuit(self):
+        seq = w.qsd_compile(np.array([np.eye(4), np.eye(4)]))
+        with pytest.raises(ValueError, match="columns"):
+            w.run_circuit(np.ones(4), seq)
+        with pytest.raises(ValueError, match="columns"):
+            w.run_circuit(np.ones((4, 3)), seq)
+
+    def test_corrupted_compile_raises_numerical_error(self, monkeypatch):
+        def corrupted(u):
+            seq = w.qsd_compile(u)
+            seq.blocks[0] = ZyzLeaf(0, seq.blocks[0].beta + 1e-6,
+                                    seq.blocks[0].gamma, seq.blocks[0].delta)
+            return seq
+        monkeypatch.setattr("wavecirc.dynamics.qsd_compile", corrupted)
+        rng = np.random.default_rng(80)
+        with pytest.raises(w.NumericalError, match="exact block evolution"):
+            _compiled_evolve(random_block(8, rng), random_state(8, rng),
+                             0.5, 4)
+
+    def test_working_memory_independent_of_step_count(self):
+        # 5 block qubits.  The trajectory grows with the step count, and so
+        # does each block's half of it while it is copied into place;
+        # the chunked compile-and-run working set must not.
+        g, pot, ham = double_well_system(6)
+        gm, pp = w.givens_map(6), w.parity_partition(6)
+        bh = w.block_transform(ham, gm)
+        psi0_map = w.to_mapped_basis(w.initial_wavepacket(
+            w.WavepacketSpec("gaussian", mu=0.0, sigma=0.1), g), gm, pp)
+        peak, size = {}, {}
+        for steps in (64, 2000):
+            tracemalloc.start()
+            try:
+                out = _circuit_evolve(bh.block_plus, bh.block_minus,
+                                      psi0_map, pp, 1.0, steps)
+                peak[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            size[steps] = out.nbytes
+        print(f"peak {peak}, trajectory bytes {size}")
+        assert peak[2000] - peak[64] <= 1.5 * (size[2000] - size[64]) \
+            + 2 ** 18
+
+
 class TestSampleShots:
     def test_basis_state_deterministic(self):
         psi = np.zeros(8)
@@ -226,7 +325,7 @@ class TestDensityTransport:
         gm, pp = dw3_full["gmap"], dw3_full["partition"]
         psi = random_state(8, np.random.default_rng(4))
         mapped = w.to_mapped_basis(psi, gm, pp)
-        rho = w.probability_density(mapped, gm, pp)
+        rho = np.abs(w.from_mapped_basis(mapped, gm, pp)) ** 2
         assert np.abs(rho - np.abs(psi) ** 2).max() <= 1e-14
 
     def test_transport_with_reference_recovers_density(self, dw3_full):
@@ -281,17 +380,7 @@ class TestDensityTransport:
         psi = random_state(8, np.random.default_rng(7))
         mapped = w.to_mapped_basis(psi, gm, pp)
         res = w.sample_shots(mapped, 200000, seed=8)
-        rho = w.probability_density(res, gm, pp, reference=psi)
+        rho = w.mapped_density_to_grid(res.probabilities, gm, pp,
+                                       reference=psi)
         assert rho.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.abs(rho - np.abs(psi) ** 2).max() <= 0.01
-
-    def test_mapped_basis_passthrough(self, dw3_full):
-        gm, pp = dw3_full["gmap"], dw3_full["partition"]
-        psi = random_state(8, np.random.default_rng(9))
-        mapped = w.to_mapped_basis(psi, gm, pp)
-        assert np.allclose(w.probability_density(mapped, basis="mapped"),
-                           np.abs(mapped) ** 2)
-
-    def test_missing_maps_raise(self):
-        with pytest.raises(ValueError):
-            w.probability_density(np.zeros(4))

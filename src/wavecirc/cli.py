@@ -21,8 +21,7 @@ from .dynamics import (WavepacketSpec, densities, evolve, initial_wavepacket,
 from .givens import block_transform, givens_map, parity_partition
 from .grid import (DafParams, build_grid, build_hamiltonian, eigensolve,
                    eval_potential)
-from .ising import (BrokenSymmetryError, check_parity_coupling, map_system,
-                    parameters_to_dict)
+from .ising import BrokenSymmetryError, map_system, parameters_to_dict
 from .qasm import write_qasm
 from .qsd import NumericalError, cnot_count, cnot_lower_bound, qsd_compile
 from .sim import circuit_matrix, exact_propagator
@@ -227,9 +226,9 @@ def _seed(args, cfg):
 
 def _evolve(pipe, method):
     '''Evolution of the configured wavepacket along `method`'s route,
-    with the reference through the cached full eigensystem.  The circuit
-    routes are refused, unless mapping.force, when the parity blocks
-    couple; the ising route is refused by map_system.'''
+    with the reference through the cached full eigensystem.  When the
+    parity blocks couple, the circuit routes are refused by `evolve` and
+    the ising route by map_system, unless mapping.force.'''
     dyn = pipe.cfg["dynamics"]
     kwargs = {}
     if method != "classical":
@@ -237,11 +236,10 @@ def _evolve(pipe, method):
             msys = pipe.mapped()
             blocks = (msys.block_even, msys.block_odd)
         else:
-            m = pipe.cfg["mapping"]
-            check_parity_coupling(pipe.blocks, m["threshold_ratio"],
-                                  m["force"])
             blocks = (pipe.blocks.block_plus, pipe.blocks.block_minus)
-        kwargs = dict(gmap=pipe.gmap, partition=pipe.partition, blocks=blocks)
+        m = pipe.cfg["mapping"]
+        kwargs = dict(gmap=pipe.gmap, partition=pipe.partition, blocks=blocks,
+                      force=m["force"], threshold_ratio=m["threshold_ratio"])
     return evolve(method, pipe.ham, pipe.wavepacket(), dyn["dt_fs"],
                   dyn["steps"], eig=pipe.eig, **kwargs)
 

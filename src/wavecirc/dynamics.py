@@ -24,7 +24,8 @@ import numpy as np
 
 from . import units
 from .grid import eigensolve
-from .givens import to_mapped_basis, from_mapped_basis
+from .givens import block_transform, to_mapped_basis, from_mapped_basis
+from .ising import check_parity_coupling
 from .qsd import NumericalError, qsd_compile
 from .sim import run_circuit, sample_shots, mapped_density_to_grid
 
@@ -188,7 +189,7 @@ class Evolution:
 
 
 def evolve(method, ham, psi0, dt_fs, steps, gmap=None, partition=None,
-           blocks=None, eig=None):
+           blocks=None, eig=None, force=False, threshold_ratio=1e-8):
     '''Evolve psi0 along the route of `method`; returns an Evolution.
 
     The classical reference is exact evolution under `ham` (through `eig`,
@@ -196,7 +197,9 @@ def evolve(method, ham, psi0, dt_fs, steps, gmap=None, partition=None,
     `blocks` = (even, odd) spin block matrices (e.g.
     MappedSystem.block_even/odd).  method "circuit-exact" /
     "circuit-shots": per-step compiled circuits for `blocks` = the rotated
-    Hamiltonian blocks in parity order.
+    Hamiltonian blocks in parity order; these drop the coupling between
+    the parity blocks of `ham`, so they refuse with BrokenSymmetryError,
+    unless `force`, when it exceeds threshold_ratio * ||H||_F.
     '''
     if method not in ("classical", "ising", "circuit-exact",
                       "circuit-shots"):
@@ -206,6 +209,9 @@ def evolve(method, ham, psi0, dt_fs, steps, gmap=None, partition=None,
     if method != "classical" and (gmap is None or partition is None
                                   or blocks is None):
         raise ValueError(f"method {method!r} needs gmap, partition, blocks")
+    if method in ("circuit-exact", "circuit-shots"):
+        check_parity_coupling(block_transform(ham, gmap), threshold_ratio,
+                              force)
     psi0 = np.asarray(psi0, dtype=complex)
     t_fs = dt_fs * np.arange(steps + 1)
     ref = evolve_exact(ham if eig is None else eig, psi0, dt_fs, steps)
@@ -237,10 +243,12 @@ def densities(evo, shots=None, seed=None):
 
 
 def propagate(method, ham, psi0, dt_fs, steps, gmap=None, partition=None,
-              blocks=None, shots=None, seed=None):
+              blocks=None, shots=None, seed=None, force=False,
+              threshold_ratio=1e-8):
     '''Produce a density Trajectory: `evolve`, then `densities`.'''
     evo = evolve(method, ham, psi0, dt_fs, steps, gmap=gmap,
-                 partition=partition, blocks=blocks)
+                 partition=partition, blocks=blocks, force=force,
+                 threshold_ratio=threshold_ratio)
     return densities(evo, shots=shots, seed=seed)
 
 

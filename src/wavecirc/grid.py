@@ -238,9 +238,8 @@ def eigensolve(ham):
     h = ham.matrix if isinstance(ham, NuclearHamiltonian) else np.asarray(ham)
     energies, states = eigh(h)
     # make the first component larger than 1e-12 positive in each column
-    for j in range(states.shape[1]):
-        col = states[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if len(nz) and col[nz[0]] < 0:
-            states[:, j] = -col
+    big = np.abs(states) > 1e-12
+    cols = np.arange(states.shape[1])
+    flip = big.any(axis=0) & (states[np.argmax(big, axis=0), cols] < 0)
+    states[:, flip] = -states[:, flip]
     return EigenSystem(energies=energies, states=states)

@@ -10,13 +10,32 @@ input matrix exactly.
 
 The recursion tree has the same shape for every unitary of a given
 size, so `qsd_compile` takes a stack of S unitaries and walks the tree
-one level at a time: the LAPACK factorizations run per matrix, and the
-sorting, the demultiplex products, the Walsh-Gray angle transform and
-the ZYZ split run once per level over every node of every circuit.  The
-result is one GateSequence of S circuits sharing one gate layout.  Each
-multiplexed rotation (Multiplexor) and each ZYZ leaf (ZyzLeaf) is one
-block holding an angle array with one row per circuit, so the simulator
-runs all S circuits in lockstep, one vectorised step per block.
+one level at a time.  Nodes of 8x8 and larger are factorized by LAPACK
+(zuncsd, zgees) per matrix; the 4x4 nodes of level m = 2, most nodes of
+a circuit, by vectorised closed forms: a 4x4 -> 2x2 CSD and the
+eigensystem of a 2x2 unitary.  The sorting, the demultiplex products,
+the Walsh-Gray angle transform and the ZYZ split run once per level over
+every node of every circuit.  The result is one GateSequence of S
+circuits sharing one gate layout.  Each multiplexed rotation
+(Multiplexor) and each ZYZ leaf (ZyzLeaf) is one block holding an angle
+array with one row per circuit, so the simulator runs all S circuits in
+lockstep, one vectorised step per block.
+
+Both factorizations leave one phase per column free, which LAPACK fixes
+differently from one BLAS kernel to another and from one input to its
+neighbour a rounding error away.  The compiler fixes it in a canonical
+gauge: after sorting, each column of the CSD's l0 and of the
+demultiplex's v is multiplied by the conjugate phase of its
+largest-magnitude entry (l1, r0, r1 and w take the matching phase), and
+the ZYZ split folds beta and delta into (-pi, pi].  The angles are then
+a continuous function of the input: the closed forms and LAPACK give
+the same angles, and QASM is reproducible across BLAS kernels up to
+round-off in the angles.  They stay discontinuous where the factors are
+not unique or a branch is crossed: a tie for the largest entry of a
+column, an eigenphase crossing -1 (where the sort key wraps), crossing
+alpha values or eigenphases, and a ZYZ leaf whose gamma comes within
+DEGENERATE_TOL of 0 or pi, where only beta + delta or beta - delta is
+determined.
 
 Gates are listed in application order: the first gate in a sequence
 acts on the state first.  Qubit q addresses bit q of the basis index
@@ -272,7 +291,26 @@ def _schur_lwork(n):
 
 def _csd(u):
     '''CSD of every matrix of a stack (K, 2m, 2m); returns alpha (K, m),
-    ascending in each row, and l0, l1, r0, r1 (K, m, m).'''
+    ascending in each row, and l0, l1, r0, r1 (K, m, m) in the canonical
+    gauge: the largest-magnitude entry of each column of l0 is real and
+    positive.'''
+    alpha, l0, l1, r0, r1 = _csd4(u) if u.shape[-1] == 4 else _csd_lapack(u)
+    d = _column_gauge(l0)
+    dc = d.conj()[:, :, None]
+    d = d[:, None, :]
+    return alpha, l0 * d, l1 * d, dc * r0, dc * r1
+
+
+def _column_gauge(x):
+    '''Phases (K, m) that make the largest-magnitude entry of each column
+    of x (K, m, m) real and positive when multiplied onto the column.'''
+    idx = np.argmax(np.abs(x), axis=1)[:, None, :]
+    pivot = np.take_along_axis(x, idx, 1)[:, 0]
+    return pivot.conj() / np.abs(pivot)
+
+
+def _csd_lapack(u):
+    '''zuncsd per matrix of a stack (K, 2m, 2m), sorted by alpha.'''
     k, m = len(u), u.shape[-1] // 2
     lwork, lrwork = _csd_lwork(m)
     alpha = np.empty((k, m))
@@ -294,6 +332,79 @@ def _csd(u):
             np.take_along_axis(r0, rows, 1), np.take_along_axis(r1, rows, 1))
 
 
+# Closed forms for the 4x4 nodes of level m = 2 (most nodes of a circuit),
+# vectorised over the stack: a CSD into 2x2 blocks and the eigensystem of
+# a 2x2 unitary.  Both meet the LAPACK factors once the gauge is fixed.
+
+def _unit(v, fallback):
+    '''Columns v (K, 2) normalised; a zero column becomes `fallback`.'''
+    norm = np.linalg.norm(v, axis=1)
+    ok = (norm > 0)[:, None]
+    return np.where(ok, v / np.where(ok, norm[:, None], 1), fallback)
+
+
+def _perp(v):
+    '''Unit columns (K, 2) orthogonal to the unit columns v.'''
+    return np.stack([-v[:, 1].conj(), v[:, 0].conj()], axis=1)
+
+
+def _aligned(v, like):
+    '''Columns v (K, 2) times the phase that makes their overlap with
+    `like` real and non-negative.'''
+    z = np.einsum("ki,ki->k", v.conj(), like)
+    nz = z != 0
+    return v * np.where(nz, z / np.where(nz, np.abs(z), 1), 1)[:, None]
+
+
+def _csd4(u):
+    '''CSD of a stack of 4x4 unitaries (K, 4, 4), alpha ascending.
+
+    The right vectors are the eigenvectors of the Gram matrix of the
+    smaller of A = U[:2, :2] and B = U[2:, :2], where the small squared
+    cosines or sines keep their relative accuracy; alpha_j =
+    atan2(|B x_j|, |A x_j|).  The stronger column of l0 (l1) is A x_j (B
+    x_j) normalised and the other one its phase-matched perpendicular;
+    each row of r1 comes from whichever of u01 = -l0 S r1 and u11 = l1 C
+    r1 has the larger sine or cosine.
+    '''
+    a, b = u[:, :2, :2], u[:, 2:, :2]
+    use_a = (np.linalg.norm(a, axis=(1, 2))
+             <= np.linalg.norm(b, axis=(1, 2)))[:, None, None]
+    x = _eigh2(np.where(use_a, a.conj().swapaxes(1, 2) @ a,
+                        b.conj().swapaxes(1, 2) @ b))
+    # alpha ascending: A's Gram gives the larger cosine first, B's the
+    # larger sine, so B's order is reversed
+    x = np.where(use_a, x, x[:, :, ::-1])
+    ax, bx = a @ x, b @ x
+    alpha = np.arctan2(np.linalg.norm(bx, axis=1), np.linalg.norm(ax, axis=1))
+    swap = (alpha[:, 0] > alpha[:, 1])[:, None]
+    alpha = np.where(swap, alpha[:, ::-1], alpha)
+    x, ax, bx = (np.where(swap[:, None], y[:, :, ::-1], y)
+                 for y in (x, ax, bx))
+    e0, e1 = np.eye(2, dtype=complex)
+    l0_0 = _unit(ax[:, :, 0], e0)
+    l1_1 = _unit(bx[:, :, 1], e1)
+    l0 = np.stack([l0_0, _aligned(_perp(l0_0), ax[:, :, 1])], axis=2)
+    l1 = np.stack([_aligned(_perp(l1_1), bx[:, :, 0]), l1_1], axis=2)
+    c, s = np.cos(alpha)[:, :, None], np.sin(alpha)[:, :, None]
+    # the chosen divisor is at least 1/sqrt(2); clip only guards the other
+    from_sin = -(l0.conj().swapaxes(1, 2) @ u[:, :2, 2:]) / s.clip(0.5)
+    from_cos = (l1.conj().swapaxes(1, 2) @ u[:, 2:, 2:]) / c.clip(0.5)
+    r1 = np.where(s >= c, from_sin, from_cos)
+    return alpha, l0, l1, x.conj().swapaxes(1, 2), r1
+
+
+def _eigh2(g):
+    '''Eigenvectors of Hermitian 2x2 matrices (K, 2, 2), as columns:
+    the larger eigenvalue's first.'''
+    b = g[:, 0, 1]
+    half = 0.5 * np.arctan2(2 * np.abs(b), g[:, 0, 0].real - g[:, 1, 1].real)
+    c, s = np.cos(half), np.sin(half)
+    ph = np.exp(-1j * np.angle(b))
+    return np.stack([np.stack([c, ph * s], 1),
+                     np.stack([-s, ph * c], 1)], axis=2)
+
+
 def demultiplex(l0, l1):
     '''Factor blkdiag(l0, l1) through a shared eigenbasis.
 
@@ -308,22 +419,53 @@ def demultiplex(l0, l1):
 
 def _demultiplex(l0, l1):
     '''demultiplex over stacks (K, m, m); returns v, w (K, m, m) and
-    delta (K, m).'''
-    k, m = l0.shape[:2]
-    lwork = _schur_lwork(m)
-    t = np.empty((k, m, m), dtype=complex)
-    v = np.empty((k, m, m), dtype=complex)
-    for i, x in enumerate(l0 @ l1.conj().swapaxes(1, 2)):
-        t[i], _, _, v[i], _, info = zgees(_no_sort, x, lwork=lwork,
-                                          overwrite_a=True)
-        if info:
-            raise np.linalg.LinAlgError(f"zgees failed with info={info}")
-    phases = np.angle(np.diagonal(t, axis1=1, axis2=2))
+    delta (K, m), with the largest-magnitude entry of each column of v
+    real and positive.'''
+    x = l0 @ l1.conj().swapaxes(1, 2)
+    phases, v = _eig2_unitary(x) if x.shape[-1] == 2 else _schur_lapack(x)
     order = np.argsort(phases, axis=1, kind="stable")
     delta = np.take_along_axis(phases, order, 1) / 2
     v = np.take_along_axis(v, order[:, None, :], 2)
+    v = v * _column_gauge(v)[:, None, :]
     w = (np.exp(1j * delta)[:, :, None] * v.conj().swapaxes(1, 2)) @ l1
     return v, w, delta
+
+
+def _schur_lapack(x):
+    '''zgees per matrix of a stack of unitaries (K, m, m): eigenphases
+    in (-pi, pi] and the Schur vectors, which are eigenvectors.'''
+    k, m = x.shape[:2]
+    lwork = _schur_lwork(m)
+    t = np.empty((k, m, m), dtype=complex)
+    v = np.empty((k, m, m), dtype=complex)
+    for i, y in enumerate(x):
+        t[i], _, _, v[i], _, info = zgees(_no_sort, y, lwork=lwork,
+                                          overwrite_a=True)
+        if info:
+            raise np.linalg.LinAlgError(f"zgees failed with info={info}")
+    return np.angle(np.diagonal(t, axis1=1, axis2=2)), v
+
+
+def _eig2_unitary(x):
+    '''Eigenphases in (-pi, pi] and eigenvectors of 2x2 unitaries (K, 2,
+    2).  x = exp(i psi) [[p, -q*], [q, p*]] has eigenphases psi +- theta
+    with cos theta = Re p; the +theta eigenvector is parallel to (s + z,
+    -i q) and to ((-i q)*, s - z), z = Im p, s = sin theta.'''
+    psi = 0.5 * np.angle(x[:, 0, 0] * x[:, 1, 1] - x[:, 0, 1] * x[:, 1, 0])
+    n = x * np.exp(-1j * psi)[:, None, None]
+    p = 0.5 * (n[:, 0, 0] + n[:, 1, 1].conj())
+    iq = -0.5j * (n[:, 1, 0] - n[:, 0, 1].conj())       # -i q
+    z = p.imag
+    s = np.hypot(z, np.abs(iq))
+    theta = np.arctan2(s, p.real)
+    # s + z cancels when z < 0, where s - z does not
+    up = _unit(np.where((z >= 0)[:, None], np.stack([s + z, iq], 1),
+                        np.stack([iq.conj(), s - z], 1)),
+               np.array([1, 0], dtype=complex))
+    phases = np.stack([psi - theta, psi + theta], axis=1)
+    phases = np.where(phases > np.pi, phases - 2 * np.pi,
+                      np.where(phases <= -np.pi, phases + 2 * np.pi, phases))
+    return phases, np.stack([_perp(up), up], axis=2)
 
 
 def _gray(i):
@@ -360,7 +502,7 @@ def multiplexed_rotation_to_gates(axis, angles, target, controls):
 def zyz(u):
     '''Angles (alpha, beta, gamma, delta) with
     u = exp(i alpha) Rz(beta) Ry(gamma) Rz(delta), gamma in [0, pi],
-    beta in (-pi, pi], and delta = 0 when gamma is 0 or pi.'''
+    beta and delta in (-pi, pi], and delta = 0 when gamma is 0 or pi.'''
     u = _check_unitary(u)
     if u.shape != (2, 2):
         raise ValueError("zyz expects a 2x2 matrix")
@@ -379,12 +521,13 @@ def _zyz_angles(u):
     no_s, no_c = s < DEGENERATE_TOL, c < DEGENERATE_TOL
     beta = np.where(no_s, 2 * q, np.where(no_c, 2 * p, q + p))
     delta = np.where(no_s | no_c, 0.0, q - p)
-    # fold beta into (-pi, pi]; each 2pi shift flips the SU(2) sign,
-    # compensated through the global phase
-    for _ in range(2):
-        high, low = beta > np.pi, beta <= -np.pi
-        beta = np.where(high, beta - 2 * np.pi,
-                        np.where(low, beta + 2 * np.pi, beta))
+    # fold beta and delta into (-pi, pi]; each 2pi shift flips the SU(2)
+    # sign, compensated through the global phase.  Both start in
+    # (-2pi, 2pi], so one fold each suffices.
+    for x in (beta, delta):
+        high, low = x > np.pi, x <= -np.pi
+        x -= 2 * np.pi * high
+        x += 2 * np.pi * low
         alpha = np.where(high | low, alpha + np.pi, alpha)
     return alpha, beta, gamma, delta
 

@@ -18,7 +18,6 @@ class Spectrum:
     '''One-sided spectrum with extracted peaks.
 
     omega_cm1: frequency axis in cm^-1; power: scalar intensity;
-    grid_intensity: optional |I(omega; x_i)|^2 per grid point;
     peaks: list of (omega_cm1, intensity) sorted by frequency;
     bin_cm1: unpadded frequency resolution.
     '''
@@ -28,7 +27,6 @@ class Spectrum:
     bin_cm1: float
     window: str
     padding: int
-    grid_intensity: np.ndarray = None
     zero_weight: float = 0.0
 
 
@@ -90,8 +88,7 @@ def grid_spectrum(traj, window=None, padding=4, threshold=1e-3):
         2 * np.pi / units.fs_to_au(n_steps * dt[0]))
     return Spectrum(omega_cm1=omega, power=power, peaks=peaks,
                     bin_cm1=bin_cm1, window=window or "none",
-                    padding=padding, grid_intensity=intens,
-                    zero_weight=zero_weight)
+                    padding=padding, zero_weight=zero_weight)
 
 
 def autocorrelation(states):

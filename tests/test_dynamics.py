@@ -153,6 +153,45 @@ class TestPropagate:
                         blocks=1)
 
 
+class TestCouplingGuard:
+    '''The circuit routes drop the coupling between the parity blocks,
+    so the library refuses them on an asymmetric surface.'''
+
+    def tilted(self):
+        g = w.build_grid(3, 0.66)
+        pot = w.eval_potential(g, {"kind": "polynomial",
+                                   "coefficients": [0, 0.01, 0.5]})
+        ham = w.build_hamiltonian(g, pot)
+        gm, pp = w.givens_map(3), w.parity_partition(3)
+        bh = w.block_transform(ham, gm)
+        psi0 = w.initial_wavepacket(w.WavepacketSpec("delta"), g)
+        return ham, psi0, dict(gmap=gm, partition=pp,
+                               blocks=(bh.block_plus, bh.block_minus))
+
+    @pytest.mark.parametrize("method", ["circuit-exact", "circuit-shots"])
+    def test_refused_by_default_and_run_with_force(self, method):
+        ham, psi0, kw = self.tilted()
+        shots = dict(shots=100, seed=1) if method == "circuit-shots" else {}
+        with pytest.raises(w.BrokenSymmetryError, match="coupled"):
+            w.evolve(method, ham, psi0, 0.25, 20, **kw)
+        with pytest.raises(w.BrokenSymmetryError, match="coupled"):
+            w.propagate(method, ham, psi0, 0.25, 20, **kw, **shots)
+        traj = w.propagate(method, ham, psi0, 0.25, 20, force=True, **kw,
+                           **shots)
+        assert traj.rho.shape == (21, 8)
+        assert np.allclose(traj.rho.sum(axis=1), 1.0)
+
+    def test_threshold_ratio_is_forwarded(self):
+        ham, psi0, kw = self.tilted()
+        w.propagate("circuit-exact", ham, psi0, 0.25, 5, threshold_ratio=1.0,
+                    **kw)
+
+    def test_ising_and_classical_routes_unchecked(self):
+        ham, psi0, kw = self.tilted()
+        w.evolve("classical", ham, psi0, 0.25, 5)
+        w.evolve("ising", ham, psi0, 0.25, 5, **kw)
+
+
 class TestEvolveAndDensities:
     def test_one_evolution_many_samples(self):
         ham, gm, pp, blocks = mapped_blocks(3)

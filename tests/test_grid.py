@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh
 
 import wavecirc as w
 from wavecirc import units
@@ -221,6 +222,42 @@ class TestAssembleAndEigensolve:
             col = eig.states[:, j]
             nz = np.nonzero(np.abs(col) > 1e-12)[0]
             assert col[nz[0]] > 0
+
+    @staticmethod
+    def loop_signs(states):
+        '''The per-column sign loop eigensolve used to run, as the
+        reference.'''
+        states = states.copy()
+        for j in range(states.shape[1]):
+            col = states[:, j]
+            nz = np.nonzero(np.abs(col) > 1e-12)[0]
+            if len(nz) and col[nz[0]] < 0:
+                states[:, j] = -col
+        return states
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_signs_match_loop_reference(self, n):
+        g, _, ham = double_well_system(n)
+        energies, states = eigh(ham.matrix)
+        eig = w.eigensolve(ham)
+        assert np.array_equal(eig.energies, energies)
+        assert np.array_equal(eig.states, self.loop_signs(states))
+
+    def test_signs_skip_tiny_leading_entries(self):
+        # three far-off levels couple to the rest by 1e-14, so the other
+        # eigenvectors start with entries below 1e-12 of either sign
+        rng = np.random.default_rng(11)
+        h = rng.normal(size=(12, 12))
+        h = h + h.T
+        h[:3], h[:, :3] = 0, 0
+        h[:3, :3] = np.diag([50.0, 60.0, 70.0])
+        tiny = 1e-14 * rng.normal(size=(3, 9))
+        h[:3, 3:], h[3:, :3] = tiny, tiny.T
+        energies, states = eigh(h)
+        lead = np.abs(states[0])
+        assert ((lead > 0) & (lead < 1e-12)).sum() >= 5
+        assert (states[0, :9] < 0).any() and (states[0, :9] > 0).any()
+        assert np.array_equal(w.eigensolve(h).states, self.loop_signs(states))
 
     def test_reversal_symmetry_commutes(self):
         g, pot, ham = double_well_system(5)

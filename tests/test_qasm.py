@@ -1,3 +1,9 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import unitary_group
@@ -69,3 +75,47 @@ class TestFromQasmErrors:
     def test_unsupported_gate(self):
         with pytest.raises(ValueError, match="unsupported"):
             w.from_qasm("qreg q[1];\nh q[0];\n")
+
+
+# Compile the N = 8 double-well even block at t = 1.234567 fs and write
+# its QASM to argv[1].
+COMPILE_N8 = '''
+import sys
+import wavecirc as w
+g = w.build_grid(8, 0.66)
+ham = w.build_hamiltonian(g, w.eval_potential(g, {"kind": "double_well"}))
+bh = w.block_transform(ham, w.givens_map(8))
+u = w.exact_propagator(bh.block_plus, 1.234567)
+w.write_qasm(w.qsd_compile(u), sys.argv[1])
+'''
+
+
+class TestAcrossBlasKernels:
+    '''The canonical gauge makes the QASM angles a continuous function of
+    the propagator, so a different BLAS kernel, which changes the
+    propagator by round-off, moves them by round-off only.'''
+
+    def compile_in_child(self, path, coretype):
+        env = dict(os.environ)
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        src = str(Path(w.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", COMPILE_N8, str(path)],
+                       env=env, check=True, timeout=300)
+        text = path.read_text()
+        phase = float(re.search(r"global phase dropped: (\S+)", text)[1])
+        return w.from_qasm(text), phase
+
+    def test_angles_agree(self, tmp_path):
+        a, pa = self.compile_in_child(tmp_path / "default.qasm", None)
+        b, pb = self.compile_in_child(tmp_path / "sandybridge.qasm",
+                                      "Sandybridge")
+        assert [(g.kind, g.target, g.control) for g in a] == \
+            [(g.kind, g.target, g.control) for g in b]
+        angles = np.array([[g.angle, h.angle] for g, h in zip(a, b)
+                           if g.kind != "cx"] + [[pa, pb]])
+        gap = np.mod(angles[:, 0] - angles[:, 1] + np.pi, 2 * np.pi) - np.pi
+        assert np.abs(gap).max() <= 1e-5

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import cossin, expm, schur
 from scipy.stats import unitary_group
 
 import wavecirc as w
-from wavecirc.sim import circuit_matrix
+from wavecirc import qsd
+from wavecirc.sim import circuit_matrix, exact_propagator
+
+from conftest import double_well_system
 
 
 def block_diag(a, b):
@@ -168,6 +172,38 @@ class TestZyz:
             assert -np.pi < b <= np.pi
             assert np.abs(self.reassemble((a, b, c, d)) - u).max() <= 1e-13
 
+    def check_ranges(self, u):
+        a, b, c, d = w.zyz(u)
+        assert -np.pi < d <= np.pi
+        assert -np.pi < b <= np.pi
+        assert 0 <= c <= np.pi
+        assert np.abs(self.reassemble((a, b, c, d)) - u).max() <= 1e-13
+
+    def test_ranges_random(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            self.check_ranges(unitary_group.rvs(2, random_state=rng))
+
+    def test_ranges_det_minus_one(self):
+        # det = -1 sits on the branch of angle(det), where the rounding
+        # of its imaginary part picks alpha = +pi/2 or -pi/2
+        x = np.array([[0, 1], [1, 0]])
+        y = np.array([[0, -1j], [1j, 0]])
+        z = np.diag([1, -1])
+        for u in (x, y, z):
+            assert np.linalg.det(u) == -1
+            self.check_ranges(u)
+        rng = np.random.default_rng(13)
+        signs = set()
+        for _ in range(200):
+            u = 1j * unitary_group.rvs(2, random_state=rng)
+            u /= np.sqrt(np.linalg.det(u) / -1)
+            det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
+            assert abs(det + 1) <= 1e-15
+            signs.add(np.sign(det.imag))
+            self.check_ranges(u)
+        assert {-1.0, 1.0} <= signs
+
     def test_degenerate_delta_zero(self):
         u = rz(1.1)
         a, b, c, d = w.zyz(u)
@@ -318,3 +354,183 @@ class TestCnotCount:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             w.cnot_count(0)
+
+
+def column_gauge(x):
+    '''Phases that make the largest-magnitude entry of each column of x
+    real and positive.'''
+    pivot = x[np.argmax(np.abs(x), axis=0), np.arange(x.shape[1])]
+    return pivot.conj() / np.abs(pivot)
+
+
+def lapack_csd(u):
+    '''Per-matrix reference for qsd._csd at every size: scipy's cossin
+    (zuncsd), sorted by alpha, in the canonical gauge.'''
+    m = u.shape[-1] // 2
+    out = []
+    for x in u:
+        (l0, l1), alpha, (r0, r1) = cossin(x, p=m, q=m, separate=True)
+        o = np.argsort(alpha, kind="stable")
+        d = column_gauge(l0[:, o])
+        out.append((alpha[o], l0[:, o] * d, l1[:, o] * d,
+                    d.conj()[:, None] * r0[o], d.conj()[:, None] * r1[o]))
+    return tuple(np.array(f) for f in zip(*out))
+
+
+def lapack_demultiplex(l0, l1):
+    '''Per-matrix reference for qsd._demultiplex at every size: scipy's
+    complex Schur form (zgees), sorted by eigenphase, in the canonical
+    gauge.'''
+    out = []
+    for a, b in zip(l0, l1):
+        t, v = schur(a @ b.conj().T, output="complex")
+        phases = np.angle(np.diag(t))
+        o = np.argsort(phases, kind="stable")
+        delta, v = phases[o] / 2, v[:, o]
+        v = v * column_gauge(v)
+        out.append((v, (np.exp(1j * delta)[:, None] * v.conj().T) @ b, delta))
+    return tuple(np.array(f) for f in zip(*out))
+
+
+def all_angles(seq):
+    '''Every angle of a compiled stack, the global phase included.'''
+    out = []
+    for b in seq.blocks:
+        if isinstance(b, qsd.Multiplexor):
+            out.append(b.theta.ravel())
+        elif isinstance(b, qsd.ZyzLeaf):
+            out += [b.beta, b.gamma, b.delta]
+        else:
+            out.append(np.atleast_1d(b.angle))
+    return np.concatenate(out)
+
+
+def angle_gap(a, b):
+    '''Largest difference of two angle arrays, modulo 2 pi.'''
+    return np.abs(np.mod(a - b + np.pi, 2 * np.pi) - np.pi).max()
+
+
+def block_propagators(n, times):
+    '''Stacks of exact propagators of the two parity blocks of the N = n
+    double well, one per time in fs.'''
+    g, pot, ham = double_well_system(n)
+    bh = w.block_transform(ham, w.givens_map(n))
+    eigs = (w.eigensolve(bh.block_plus), w.eigensolve(bh.block_minus))
+    return [np.array([exact_propagator(e, t) for t in times]) for e in eigs]
+
+
+DOUBLE_WELL = {6: np.arange(1, 401) * 1.0, 8: [1.234567]}
+
+
+def perturbed(u, rng, size=1e-13):
+    '''exp(i size H) u for a random Hermitian H with largest entry 1.'''
+    dim = u.shape[-1]
+    h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h += h.conj().T
+    return expm(1j * size * h / np.abs(h).max()) @ u
+
+
+class TestClosedFormsAgainstLapack:
+    '''Level m = 2 uses closed forms, the other levels LAPACK; in the
+    canonical gauge both give the angles of the per-matrix LAPACK
+    reference.'''
+
+    def compile_reference(self, u, monkeypatch):
+        with monkeypatch.context() as mp:
+            mp.setattr(qsd, "_csd", lapack_csd)
+            mp.setattr(qsd, "_demultiplex", lapack_demultiplex)
+            return w.qsd_compile(u)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_random_unitaries(self, n, monkeypatch):
+        u = unitary_group.rvs(2 ** n, size=3, random_state=200 + n)
+        got = w.qsd_compile(u)
+        assert angle_gap(all_angles(got), all_angles(
+            self.compile_reference(u, monkeypatch))) <= 1e-9
+
+    @pytest.mark.parametrize("n", sorted(DOUBLE_WELL))
+    def test_double_well_blocks(self, n, monkeypatch):
+        for u in block_propagators(n, DOUBLE_WELL[n]):
+            assert angle_gap(all_angles(w.qsd_compile(u)), all_angles(
+                self.compile_reference(u, monkeypatch))) <= 1e-9
+
+    def test_factors_match_reference(self):
+        u = unitary_group.rvs(4, size=50, random_state=17)
+        for got, want in zip(qsd._csd(u), lapack_csd(u)):
+            assert np.abs(got - want).max() <= 1e-12
+        l0, l1 = (unitary_group.rvs(2, size=50, random_state=s)
+                  for s in (18, 19))
+        for got, want in zip(qsd._demultiplex(l0, l1),
+                             lapack_demultiplex(l0, l1)):
+            assert np.abs(got - want).max() <= 1e-12
+
+
+def degenerate_nodes():
+    a = unitary_group.rvs(2, random_state=21)
+    b = unitary_group.rvs(2, random_state=22)
+    zero = np.zeros((2, 2))
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    h = np.random.default_rng(23).normal(size=(4, 4, 2)) @ [1, 1j]
+    # l0 l1^dag with eigenvectors 1e-9 from e0, e1
+    tilt = np.array([[1, -1e-9], [1e-9, 1]]) / np.hypot(1, 1e-9)
+    near_diag = tilt @ np.diag(np.exp([-0.7j, 0.7j])) @ tilt.T @ b
+    return {
+        "identity": np.eye(4),
+        "diagonal phases": np.diag(np.exp([0.3j, -1.2j, 2.9j, 0.7j])),
+        "block swap": np.block([[zero, -a], [b, zero]]),
+        "block diagonal": block_diag(a, b),
+        "hadamard x identity": np.kron(hadamard, np.eye(2)),
+        "W = +I": block_diag(a, a),
+        "W = -I": block_diag(a, -a),
+        "W nearly diagonal": block_diag(near_diag, b),
+        "exp(i 1e-9 H)": expm(1e-9j * (h + h.conj().T)),
+    }
+
+
+class TestDegenerateNodes:
+    @pytest.mark.parametrize("name", list(degenerate_nodes()))
+    def test_reconstruction(self, name):
+        u = degenerate_nodes()[name]
+        res = w.cosine_sine_decompose(u)
+        assert np.abs(csd_reassemble(res) - u).max() <= 1e-12
+        for f in (res.l0, res.l1, res.r0, res.r1):
+            assert np.abs(f.conj().T @ f - np.eye(2)).max() <= 1e-12
+        for l0, l1 in ((res.l0, res.l1), (res.r0, res.r1),
+                       (u[:2, :2], u[2:, 2:])):
+            if np.abs(l0.conj().T @ l0 - np.eye(2)).max() > 1e-12:
+                continue            # off-diagonal blocks of a mixing node
+            dm = w.demultiplex(l0, l1)
+            d = np.diag(np.exp(1j * dm.delta))
+            assert np.abs(dm.v @ d @ dm.w - l0).max() <= 1e-12
+            assert np.abs(dm.v @ d.conj() @ dm.w - l1).max() <= 1e-12
+        assert np.abs(circuit_matrix(w.qsd_compile(u)) - u).max() <= 1e-12
+
+    def test_angles_at_the_limits(self):
+        nodes = degenerate_nodes()
+        assert np.allclose(w.cosine_sine_decompose(
+            nodes["block swap"]).alpha, np.pi / 2, atol=1e-15)
+        assert np.array_equal(w.cosine_sine_decompose(
+            nodes["block diagonal"]).alpha, [0, 0])
+        assert np.allclose(w.cosine_sine_decompose(
+            nodes["hadamard x identity"]).alpha, np.pi / 4, atol=1e-15)
+
+
+class TestContinuity:
+    '''In the canonical gauge a 1e-13 change of the input moves every
+    angle by little, not by up to pi as a free LAPACK gauge does.'''
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_random_unitaries(self, n):
+        rng = np.random.default_rng(300 + n)
+        u = unitary_group.rvs(2 ** n, size=3, random_state=rng)
+        moved = np.array([perturbed(x, rng) for x in u])
+        assert angle_gap(all_angles(w.qsd_compile(u)),
+                         all_angles(w.qsd_compile(moved))) < 1e-5
+
+    @pytest.mark.parametrize("n", sorted(DOUBLE_WELL))
+    def test_double_well_blocks(self, n):
+        rng = np.random.default_rng(310 + n)
+        for u in block_propagators(n, DOUBLE_WELL[n]):
+            moved = np.array([perturbed(x, rng) for x in u])
+            assert angle_gap(all_angles(w.qsd_compile(u)),
+                             all_angles(w.qsd_compile(moved))) < 1e-5

@@ -18,7 +18,8 @@ from . import units
 from .config import ConfigError, load_config
 from .dynamics import (WavepacketSpec, densities, evolve, initial_wavepacket,
                        probability_error)
-from .givens import block_transform, givens_map, parity_partition
+from .givens import (block_eigensolve, block_transform, givens_map,
+                     parity_partition)
 from .grid import (DafParams, build_grid, build_hamiltonian, eigensolve,
                    eval_potential)
 from .ising import BrokenSymmetryError, map_system, parameters_to_dict
@@ -55,6 +56,9 @@ class Pipeline:
 
     @cached_property
     def eig(self):
+        # exactly decoupled parity blocks: two half-size eigenproblems
+        if self.blocks.coupling_norm == 0.0:
+            return block_eigensolve(self.blocks)
         return eigensolve(self.ham)
 
     @cached_property
@@ -226,9 +230,9 @@ def _seed(args, cfg):
 
 def _evolve(pipe, method):
     '''Evolution of the configured wavepacket along `method`'s route,
-    with the reference through the cached full eigensystem.  When the
-    parity blocks couple, the circuit routes are refused by `evolve` and
-    the ising route by map_system, unless mapping.force.'''
+    with the reference through the cached eigensystem `pipe.eig`.  When
+    the parity blocks couple, the circuit routes are refused by `evolve`
+    and the ising route by map_system, unless mapping.force.'''
     dyn = pipe.cfg["dynamics"]
     kwargs = {}
     if method != "classical":

@@ -4,14 +4,16 @@ the parity-ordered computational basis used by the spin mapping.
 
 The rotation G is symmetric and its own inverse.  `_rotate_pairs`
 applies it by slicing, so the blocks of H are extracted in O(4^N) and
-states are rotated in O(2^N); no dense G is formed.
+states are rotated in O(2^N); no dense G is formed.  When the blocks
+are exactly decoupled, `block_eigensolve` builds the eigensystem of H
+from two half-size eigenproblems.
 '''
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import NuclearHamiltonian
+from .grid import EigenSystem, NuclearHamiltonian, _fix_signs, eigensolve
 
 
 @dataclass(frozen=True)
@@ -125,6 +127,31 @@ def block_transform(ham, gmap):
     coupling_norm = float(np.sqrt(2) * np.linalg.norm(coup))
     return BlockHamiltonian(h_tilde=ht, block_plus=plus, block_minus=minus,
                             coupling_norm=coupling_norm, source=source)
+
+
+def block_eigensolve(bh):
+    '''Eigensystem of H from the eigensystems of its two parity blocks.
+
+    H = G blockdiag(H+, H-) G when the coupling vanishes, so the block
+    eigenvectors, placed in the pair basis and rotated by G, are the
+    eigenvectors of H: two 2^(N-1) eigenproblems instead of one 2^N.
+    The coupling is dropped, so this is the eigensystem of H only when
+    `bh.coupling_norm` is exactly 0; otherwise use `eigensolve`.
+    Energies ascend (a stable sort, so ties keep the even block first)
+    and the columns carry `eigensolve`'s sign rule on the grid.
+    '''
+    plus, minus = eigensolve(bh.block_plus), eigensolve(bh.block_minus)
+    half = len(plus.energies)
+    energies = np.concatenate([plus.energies, minus.energies])
+    order = np.argsort(energies, kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(2 * half)
+    x = np.zeros((2 * half, 2 * half),
+                 dtype=np.result_type(plus.states, minus.states))
+    x[:half, slot[:half]] = plus.states
+    x[half:, slot[half:]] = minus.states
+    return EigenSystem(energies=energies[order],
+                       states=_fix_signs(_rotate_pairs(x, axis=0)))
 
 
 def _check_dim(psi, gmap):

@@ -233,13 +233,18 @@ def build_hamiltonian(spec, potential, params=DafParams()):
     return assemble_hamiltonian(daf_kinetic(spec, params), potential, spec)
 
 
-def eigensolve(ham):
-    '''Full diagonalization with a deterministic eigenvector sign.'''
-    h = ham.matrix if isinstance(ham, NuclearHamiltonian) else np.asarray(ham)
-    energies, states = eigh(h)
-    # make the first component larger than 1e-12 positive in each column
+def _fix_signs(states):
+    '''The deterministic eigenvector sign, in place: the first entry of
+    each column above 1e-12 in magnitude is made positive.'''
     big = np.abs(states) > 1e-12
     cols = np.arange(states.shape[1])
     flip = big.any(axis=0) & (states[np.argmax(big, axis=0), cols] < 0)
     states[:, flip] = -states[:, flip]
-    return EigenSystem(energies=energies, states=states)
+    return states
+
+
+def eigensolve(ham):
+    '''Full diagonalization with a deterministic eigenvector sign.'''
+    h = ham.matrix if isinstance(ham, NuclearHamiltonian) else np.asarray(ham)
+    energies, states = eigh(h)
+    return EigenSystem(energies=energies, states=_fix_signs(states))

@@ -49,19 +49,15 @@ def _pairs(n):
     return [(j, k) for j in range(n) for k in range(j + 1, n)]
 
 
-def _bit(s, j):
-    return (s >> j) & 1
-
-
 def _diag_design(bitstrings, n):
-    '''Rows: one equation per basis state; columns: [1, Bz_j, Jz_jk].'''
-    rows = []
-    for s in bitstrings:
-        row = [1.0]
-        row += [(-1.0) ** _bit(s, j) for j in range(n)]
-        row += [(-1.0) ** (_bit(s, j) ^ _bit(s, k)) for j, k in _pairs(n)]
-        rows.append(row)
-    return np.array(rows)
+    '''Rows: one equation per basis state; columns: [1, Bz_j, Jz_jk],
+    with Bz_j the sign (-1)^bit_j and Jz_jk the sign (-1)^(bit_j xor
+    bit_k), pairs j < k in row-major order.'''
+    bits = (np.asarray(bitstrings, dtype=np.int64)[:, None]
+            >> np.arange(n)) & 1
+    j, k = np.triu_indices(n, 1)
+    return np.hstack([np.ones((len(bits), 1)), 1.0 - 2 * bits,
+                      1.0 - 2 * (bits[:, j] ^ bits[:, k])])
 
 
 def extract_diagonal_params(diag, bitstrings, n):

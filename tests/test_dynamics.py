@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import wavecirc as w
-from wavecirc import units
+from wavecirc import dynamics, units
 
-from conftest import double_well_system
+from conftest import double_well_system, random_state
 
 
 def mapped_blocks(n, ms=False):
@@ -86,6 +89,39 @@ class TestEvolveExact:
         states = w.evolve_exact(eig, eig.states[:, 1], 0.5, 100)
         rho = np.abs(states) ** 2
         assert np.abs(rho - rho[0]).max() <= 1e-10
+
+    @staticmethod
+    def one_shot(eig, psi0, dt_fs, steps):
+        '''The whole trajectory as one product, as the reference.'''
+        c0 = eig.states.conj().T @ psi0
+        t_au = units.fs_to_au(dt_fs) * np.arange(steps + 1)
+        phases = np.exp(-1j * np.outer(t_au, eig.energies))
+        return (phases * c0) @ eig.states.T
+
+    @pytest.mark.parametrize("hermitian", [False, True])
+    @pytest.mark.parametrize("budget", [None, 16 * 64 * 7])
+    def test_chunks_match_one_shot_product(self, hermitian, budget,
+                                           monkeypatch):
+        # steps + 1 rows: one past a chunk boundary, so the last chunk
+        # holds a single step
+        if budget is not None:
+            monkeypatch.setattr(dynamics, "REFERENCE_CHUNK_BYTES", budget)
+        rows = dynamics.REFERENCE_CHUNK_BYTES // (16 * 64)
+        steps = 2 * rows if budget else rows
+        rng = np.random.default_rng(21)
+        a = rng.normal(size=(64, 64))
+        if hermitian:
+            a = a + 1j * rng.normal(size=(64, 64))
+        h = 0.01 * (a + a.conj().T)
+        eig = w.eigensolve(h)
+        assert np.iscomplexobj(eig.states) == hermitian
+        psi0 = random_state(64, rng)
+        got = w.evolve_exact(eig, psi0, 0.05, steps)
+        assert got.shape == (steps + 1, 64)
+        assert np.abs(got - self.one_shot(eig, psi0, 0.05, steps)).max() \
+            <= 1e-13
+        t_au = units.fs_to_au(0.05 * steps)
+        assert np.abs(got[-1] - expm(-1j * h * t_au) @ psi0).max() <= 1e-11
 
 
 class TestPropagate:
@@ -258,3 +294,44 @@ class TestProbabilityError:
         b = np.zeros((6, 8))
         with pytest.raises(ValueError):
             w.probability_error(self.make(a), self.make(b))
+
+
+class TestClassicalWorkingSet:
+    def test_reference_and_spectrum_stay_within_chunk_budgets(
+            self, monkeypatch):
+        # N = 9, 2,000 steps.  The budgets are shrunk to 1 MiB so that a
+        # chunk is far smaller than the trajectory (15.6 MiB) and its
+        # density (7.8 MiB): a temporary of the whole trajectory would
+        # break the bounds below.
+        budget = 1 << 20
+        monkeypatch.setattr(dynamics, "REFERENCE_CHUNK_BYTES", budget)
+        monkeypatch.setattr(w.spectra, "SPECTRUM_CHUNK_BYTES", budget)
+        g, pot, ham = double_well_system(9)
+        eig = w.block_eigensolve(w.block_transform(ham, w.givens_map(9)))
+        psi0 = w.initial_wavepacket(
+            w.WavepacketSpec("gaussian", mu=0.0, sigma=0.1), g)
+        steps = 2000
+        tracemalloc.start()
+        try:
+            ref = w.evolve_exact(eig, psi0, 0.5, steps)
+            evolve_extra = tracemalloc.get_traced_memory()[1] - ref.nbytes
+            traj = w.Trajectory(t_fs=0.5 * np.arange(steps + 1),
+                                rho=np.abs(ref) ** 2, method="classical",
+                                dx=g.dx)
+            del ref
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            spec = w.grid_spectrum(traj, window="hann")
+            spectrum_extra = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        n_pad = len(traj.rho) * 4
+        print(f"evolve_exact {evolve_extra} B, grid_spectrum "
+              f"{spectrum_extra} B beyond their results")
+        # a few chunks, plus the eigenvectors' size for the O(4^N) terms
+        assert evolve_extra <= 3 * budget + eig.states.nbytes
+        assert 3 * budget + eig.states.nbytes < traj.rho.nbytes
+        # a few chunks, plus O(n_pad) sums and axes
+        assert spectrum_extra <= 2 * budget + 64 * n_pad
+        assert 2 * budget + 64 * n_pad < traj.rho.nbytes
+        assert len(spec.peaks) >= 1

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavecirc as w
+from wavecirc.cli import Pipeline
+from wavecirc.config import resolve
 
 from conftest import double_well_system, random_state
 
@@ -182,3 +184,61 @@ class TestMappedBasis:
         gm, pp = w.givens_map(n), w.parity_partition(n)
         assert np.linalg.norm(w.to_mapped_basis(psi, gm, pp)) == \
             pytest.approx(1.0, abs=1e-12)
+
+
+def pipeline(n, model):
+    return Pipeline(resolve({"grid": {"n_qubits": n, "length_angstrom": 0.66},
+                             "potential": {"model": model}}))
+
+
+class TestBlockEigensolve:
+    '''The eigensystem of H from its two parity blocks, against the full
+    eigensolve.'''
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_matches_full_eigensolve(self, n):
+        g, pot, ham = double_well_system(n)
+        full = w.eigensolve(ham)
+        eig = w.block_eigensolve(w.block_transform(ham, w.givens_map(n)))
+        scale = np.linalg.norm(ham.matrix)
+        assert np.all(np.diff(eig.energies) >= 0)
+        assert np.abs(eig.energies - full.energies).max() <= 1e-12 * scale
+        assert np.abs(eig.states.T @ eig.states - np.eye(2 ** n)).max() \
+            <= 1e-12
+        # every column obeys eigensolve's sign rule on the grid
+        big = np.abs(eig.states) > 1e-12
+        lead = eig.states[np.argmax(big, axis=0), np.arange(2 ** n)]
+        assert np.all(lead > 0)
+        # the same physics: an evolved Gaussian and a thermal wavepacket
+        psi0 = w.initial_wavepacket(
+            w.WavepacketSpec("gaussian", mu=0.03, sigma=0.1), g)
+        rho = [np.abs(w.evolve_exact(e, psi0, 0.5, 500)) ** 2
+               for e in (eig, full)]
+        assert np.abs(rho[0] - rho[1]).max() <= 1e-10
+        spec = w.WavepacketSpec("thermal", temperature=2000.0)
+        thermal = [w.initial_wavepacket(spec, g, e) for e in (eig, full)]
+        assert np.abs(thermal[0] - thermal[1]).max() <= 1e-10
+
+    def test_degenerate_energies_keep_even_block_first(self):
+        # both blocks have levels 1 and 2: every level is twofold, and
+        # the stable sort puts the even (reflection-symmetric) vector first
+        plus, minus = np.diag([1.0, 2.0]), np.diag([2.0, 1.0])
+        bh = w.BlockHamiltonian(h_tilde=None, block_plus=plus,
+                                block_minus=minus, coupling_norm=0.0)
+        eig = w.block_eigensolve(bh)
+        assert np.array_equal(eig.energies, [1.0, 1.0, 2.0, 2.0])
+        reflection = np.sum(eig.states * eig.states[::-1], axis=0)
+        assert np.allclose(reflection, [1, -1, 1, -1], atol=1e-15)
+
+    def test_pipeline_uses_blocks_only_when_exactly_decoupled(self):
+        pipe = pipeline(3, {"kind": "double_well"})
+        assert pipe.blocks.coupling_norm == 0.0
+        want = w.block_eigensolve(pipe.blocks)
+        assert np.array_equal(pipe.eig.energies, want.energies)
+        assert np.array_equal(pipe.eig.states, want.states)
+        tilted = pipeline(3, {"kind": "polynomial",
+                              "coefficients": [0, 0.01, 0.5]})
+        assert tilted.blocks.coupling_norm > 0.0
+        want = w.eigensolve(tilted.ham)
+        assert np.array_equal(tilted.eig.energies, want.energies)
+        assert np.array_equal(tilted.eig.states, want.states)

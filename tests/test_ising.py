@@ -84,6 +84,29 @@ class TestExtractDiagonal:
         with pytest.raises(ValueError):
             w.extract_diagonal_params(np.array([]), np.array([], int), 3)
 
+    @staticmethod
+    def loop_design(bitstrings, n):
+        '''The per-bitstring design loop _diag_design used to run, as
+        the reference.'''
+        pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+        rows = []
+        for s in bitstrings:
+            row = [1.0]
+            row += [(-1.0) ** ((s >> j) & 1) for j in range(n)]
+            row += [(-1.0) ** (((s >> j) & 1) ^ ((s >> k) & 1))
+                    for j, k in pairs]
+            rows.append(row)
+        return np.array(rows)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_design_matches_loop_reference(self, n):
+        pp = w.parity_partition(n)
+        for bits in (pp.even_states, pp.odd_states):
+            got, want = _diag_design(bits, n), self.loop_design(bits, n)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
 
 def loop_offdiag_params(m, bitstrings, n):
     '''Reference fit: one least-squares row per distance-2 element pair,

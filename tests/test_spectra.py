@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import wavecirc as w
-from wavecirc import units
+from wavecirc import spectra, units
 
 from conftest import double_well_system
 
@@ -16,6 +16,74 @@ def harmonic_system(n=6):
     pot = w.eval_potential(g, {"kind": "harmonic", "k": k_ang})
     ham = w.build_hamiltonian(g, pot)
     return g, ham, omega
+
+
+def rfft_power(traj, window=None, padding=4):
+    '''One real transform per column, as the reference: (omega, power).'''
+    rho = traj.rho
+    y = rho - rho.mean(axis=0)
+    if window == "hann":
+        y = y * np.hanning(len(rho))[:, None]
+    n_pad = len(rho) * padding
+    power = np.sum(np.abs(np.fft.rfft(y, n=n_pad, axis=0)) ** 2, axis=1)
+    omega_au = 2 * np.pi * np.fft.rfftfreq(
+        n_pad, units.fs_to_au(traj.t_fs[1] - traj.t_fs[0]))
+    return units.hartree_to_cm1(omega_au), power * traj.dx
+
+
+class TestPackedTransform:
+    '''Two columns per complex FFT, in chunks, against one real FFT per
+    column.'''
+
+    @pytest.mark.parametrize("n_cols", [1, 2, 7, 8, 33])
+    @pytest.mark.parametrize("n_steps", [64, 101, 256])
+    @pytest.mark.parametrize("padding", [1, 4])
+    def test_matches_per_column_rfft(self, n_cols, n_steps, padding,
+                                     monkeypatch):
+        # a budget of three pairs: several chunks, the last one partial
+        monkeypatch.setattr(spectra, "SPECTRUM_CHUNK_BYTES",
+                            3 * 16 * n_steps * padding)
+        rng = np.random.default_rng(n_cols * 1000 + n_steps + padding)
+        rho = rng.random((n_steps, n_cols))
+        traj = w.Trajectory(t_fs=0.5 * np.arange(n_steps), rho=rho,
+                            method="classical", dx=0.05)
+        for window in (None, "hann"):
+            spec = w.grid_spectrum(traj, window=window, padding=padding)
+            omega, power = rfft_power(traj, window, padding)
+            assert np.array_equal(spec.omega_cm1, omega)
+            assert np.abs(spec.power - power).max() <= 1e-12 * power.max()
+
+    @staticmethod
+    def assert_same_peaks(traj, window, padding):
+        spec = w.grid_spectrum(traj, window=window, padding=padding)
+        omega, power = rfft_power(traj, window, padding)
+        assert np.abs(spec.power - power).max() <= 1e-12 * power.max()
+        # the transforms differ, so the peaks agree to round-off
+        want = spectra._find_peaks(omega, power, 1e-3)
+        assert len(spec.peaks) == len(want) >= 1
+        for (pos, height), (pos_ref, height_ref) in zip(spec.peaks, want):
+            assert pos == pytest.approx(pos_ref, rel=1e-10)
+            assert height == pytest.approx(height_ref, rel=1e-10)
+
+    @pytest.mark.parametrize("steps, window, padding", [
+        (2048, "hann", 4), (512, None, 1), (512, None, 4), (256, None, 1)])
+    def test_peaks_of_superpositions(self, dw3, steps, window, padding):
+        # the inputs of the grid-spectrum tests below: 257, 513 and 2049
+        # time points, 257 prime
+        _, _, ham = dw3
+        eig = w.eigensolve(ham)
+        for a, b in ((0, 1), (0, 2)):
+            psi0 = (eig.states[:, a] + eig.states[:, b]) / np.sqrt(2)
+            traj = w.propagate("classical", ham, psi0, 0.25, steps)
+            self.assert_same_peaks(traj, window, padding)
+
+    def test_peaks_of_harmonic_wavepacket(self):
+        g, ham, omega = harmonic_system(6)
+        psi0 = w.initial_wavepacket(
+            w.WavepacketSpec("gaussian", mu=0.08, sigma=0.08), g)
+        dt = 2 * np.pi / omega / units.FS_AU / 40
+        traj = w.propagate("classical", ham, psi0, dt, 4000)
+        self.assert_same_peaks(traj, "hann", 4)
 
 
 class TestGridSpectrum:

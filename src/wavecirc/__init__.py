@@ -8,9 +8,9 @@ from .grid import (GridSpec, PotentialSurface, DafParams,
                    eval_potential, daf_kinetic, daf_band, daf_kernel,
                    assemble_hamiltonian, build_hamiltonian, eigensolve,
                    double_well_coefficients)
-from .givens import (GivensBasisMap, ParityPartition, BlockHamiltonian,
-                     givens_map, parity_partition, block_transform,
-                     block_eigensolve, to_mapped_basis, from_mapped_basis)
+from .givens import (ParityPartition, BlockHamiltonian, parity_partition,
+                     block_transform, block_eigensolve, to_mapped_basis,
+                     from_mapped_basis)
 from .ising import (IsingParameters, MappedSystem, BrokenSymmetryError,
                     extract_diagonal_params, extract_offdiag_params,
                     assemble_ising, check_parity_coupling, map_system,

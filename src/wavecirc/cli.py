@@ -18,8 +18,7 @@ from . import units
 from .config import ConfigError, load_config
 from .dynamics import (WavepacketSpec, densities, evolve, initial_wavepacket,
                        probability_error)
-from .givens import (block_eigensolve, block_transform, givens_map,
-                     parity_partition)
+from .givens import block_eigensolve, block_transform, parity_partition
 from .grid import (DafParams, build_grid, build_hamiltonian, eigensolve,
                    eval_potential)
 from .ising import BrokenSymmetryError, map_system, parameters_to_dict
@@ -62,16 +61,12 @@ class Pipeline:
         return eigensolve(self.ham)
 
     @cached_property
-    def gmap(self):
-        return givens_map(self.grid.n_qubits)
-
-    @cached_property
     def partition(self):
         return parity_partition(self.grid.n_qubits)
 
     @cached_property
     def blocks(self):
-        return block_transform(self.ham, self.gmap)
+        return block_transform(self.ham)
 
     def mapped(self, force=False):
         m = self.cfg["mapping"]
@@ -242,7 +237,7 @@ def _evolve(pipe, method):
         else:
             blocks = (pipe.blocks.block_plus, pipe.blocks.block_minus)
         m = pipe.cfg["mapping"]
-        kwargs = dict(gmap=pipe.gmap, partition=pipe.partition, blocks=blocks,
+        kwargs = dict(partition=pipe.partition, blocks=blocks,
                       force=m["force"], threshold_ratio=m["threshold_ratio"])
     return evolve(method, pipe.ham, pipe.wavepacket(), dyn["dt_fs"],
                   dyn["steps"], eig=pipe.eig, **kwargs)

@@ -27,7 +27,8 @@ from .grid import eigensolve
 from .givens import block_transform, to_mapped_basis, from_mapped_basis
 from .ising import check_parity_coupling
 from .qsd import NumericalError, qsd_compile
-from .sim import run_circuit, sample_shots, mapped_density_to_grid
+from .sim import (exact_propagator, run_circuit, sample_shots,
+                  mapped_density_to_grid)
 
 
 @dataclass(frozen=True)
@@ -167,21 +168,19 @@ def _chunk_steps(dim):
 def _compiled_evolve(block, comp0, dt_fs, steps):
     '''Amplitudes (steps+1, dim) of comp0 under one compiled circuit per
     step.  Steps go in chunks of `_chunk_steps(dim)`: the exact
-    propagators of a chunk are one batched product, compiled by one
-    qsd_compile call and run in lockstep by one run_circuit call.  Each
+    propagators of a chunk come from one exact_propagator call, are
+    compiled by one qsd_compile call and run in lockstep by one
+    run_circuit call.  Each
     chunk's circuit amplitudes are checked against U_s comp0
     (NumericalError above CIRCUIT_TOL).'''
     eig = eigensolve(block)
     dim = len(comp0)
     out = np.empty((steps + 1, dim), dtype=complex)
     out[0] = comp0
-    energies = -1j * eig.energies
     chunk = _chunk_steps(dim)
     for start in range(1, steps + 1, chunk):
         s = np.arange(start, min(start + chunk, steps + 1))
-        t_au = units.fs_to_au(s * dt_fs)
-        u = (eig.states * np.exp(energies * t_au[:, None])[:, None]) \
-            @ eig.states.T
+        u = exact_propagator(eig, s * dt_fs)
         exact = u @ comp0
         if dim == 1:
             out[s] = exact
@@ -209,7 +208,6 @@ class Evolution:
     dx: float
     reference: np.ndarray        # grid amplitudes, shape (steps+1, 2^N)
     states: np.ndarray = None    # mapped-basis amplitudes, same shape
-    gmap: object = None
     partition: object = None
 
     def reference_trajectory(self):
@@ -218,12 +216,14 @@ class Evolution:
                           method="classical", dx=self.dx)
 
 
-def evolve(method, ham, psi0, dt_fs, steps, gmap=None, partition=None,
-           blocks=None, eig=None, force=False, threshold_ratio=1e-8):
+def evolve(method, ham, psi0, dt_fs, steps, partition=None, blocks=None,
+           eig=None, force=False, threshold_ratio=1e-8):
     '''Evolve psi0 along the route of `method`; returns an Evolution.
 
     The classical reference is exact evolution under `ham` (through `eig`,
-    its eigensystem, when given).  method "ising": block evolution under
+    its eigensystem, when given).  The other routes work in the basis of
+    `partition` (a ParityPartition of the grid's N qubits), which fixes
+    the state size 2^N.  method "ising": block evolution under
     `blocks` = (even, odd) spin block matrices (e.g.
     MappedSystem.block_even/odd).  method "circuit-exact" /
     "circuit-shots": per-step compiled circuits for `blocks` = the rotated
@@ -236,23 +236,21 @@ def evolve(method, ham, psi0, dt_fs, steps, gmap=None, partition=None,
         raise ValueError(f"unknown method {method!r}")
     if dt_fs <= 0:
         raise ValueError("dt_fs must be positive")
-    if method != "classical" and (gmap is None or partition is None
-                                  or blocks is None):
-        raise ValueError(f"method {method!r} needs gmap, partition, blocks")
+    if method != "classical" and (partition is None or blocks is None):
+        raise ValueError(f"method {method!r} needs partition and blocks")
     if method in ("circuit-exact", "circuit-shots"):
-        check_parity_coupling(block_transform(ham, gmap), threshold_ratio,
-                              force)
+        check_parity_coupling(block_transform(ham), threshold_ratio, force)
     psi0 = np.asarray(psi0, dtype=complex)
     t_fs = dt_fs * np.arange(steps + 1)
     ref = evolve_exact(ham if eig is None else eig, psi0, dt_fs, steps)
     states = None
     if method != "classical":
-        psi0_map = to_mapped_basis(psi0, gmap, partition)
+        psi0_map = to_mapped_basis(psi0, partition)
         route = _block_evolve if method == "ising" else _circuit_evolve
         states = route(blocks[0], blocks[1], psi0_map, partition, dt_fs,
                        steps)
     return Evolution(method=method, t_fs=t_fs, dx=ham.grid.dx, reference=ref,
-                     states=states, gmap=gmap, partition=partition)
+                     states=states, partition=partition)
 
 
 def densities(evo, shots=None, seed=None):
@@ -264,25 +262,23 @@ def densities(evo, shots=None, seed=None):
     if evo.method == "circuit-shots":
         if shots is None:
             raise ValueError("circuit-shots needs a shot count")
-        rho = shot_density_trajectory(evo.states, evo.reference, evo.gmap,
+        rho = shot_density_trajectory(evo.states, evo.reference,
                                       evo.partition, shots, seed)
         return Trajectory(t_fs=evo.t_fs, rho=rho, method=evo.method,
                           dx=evo.dx, shots=int(shots), seed=seed)
-    rho = np.abs(from_mapped_basis(evo.states, evo.gmap, evo.partition)) ** 2
+    rho = np.abs(from_mapped_basis(evo.states, evo.partition)) ** 2
     return Trajectory(t_fs=evo.t_fs, rho=rho, method=evo.method, dx=evo.dx)
 
 
-def propagate(method, ham, psi0, dt_fs, steps, gmap=None, partition=None,
-              blocks=None, shots=None, seed=None, force=False,
-              threshold_ratio=1e-8):
+def propagate(method, ham, psi0, dt_fs, steps, partition=None, blocks=None,
+              shots=None, seed=None, force=False, threshold_ratio=1e-8):
     '''Produce a density Trajectory: `evolve`, then `densities`.'''
-    evo = evolve(method, ham, psi0, dt_fs, steps, gmap=gmap,
-                 partition=partition, blocks=blocks, force=force,
-                 threshold_ratio=threshold_ratio)
+    evo = evolve(method, ham, psi0, dt_fs, steps, partition=partition,
+                 blocks=blocks, force=force, threshold_ratio=threshold_ratio)
     return densities(evo, shots=shots, seed=seed)
 
 
-def shot_density_trajectory(mapped_states, reference_states, gmap, partition,
+def shot_density_trajectory(mapped_states, reference_states, partition,
                             shots, seed):
     '''Sample each mapped state and transport the empirical densities to
     the grid with the reference pair-split.  Per-step draws are
@@ -292,7 +288,7 @@ def shot_density_trajectory(mapped_states, reference_states, gmap, partition,
     rho = np.empty((len(mapped_states), mapped_states.shape[1]))
     for s, (state, child) in enumerate(zip(mapped_states, children)):
         res = sample_shots(state, shots, child)
-        rho[s] = mapped_density_to_grid(res.probabilities, gmap, partition,
+        rho[s] = mapped_density_to_grid(res.probabilities, partition,
                                         reference=reference_states[s])
     return rho
 

@@ -2,39 +2,22 @@
 combinations, the resulting 2x2 block structure of the Hamiltonian, and
 the parity-ordered computational basis used by the spin mapping.
 
-The rotation G is symmetric and its own inverse.  `_rotate_pairs`
-applies it by slicing, so the blocks of H are extracted in O(4^N) and
-states are rotated in O(2^N); no dense G is formed.  When the blocks
-are exactly decoupled, `block_eigensolve` builds the eigensystem of H
-from two half-size eigenproblems.
+The rotation G mixes mirror grid pairs (i, n-i): row i < 2^(N-1) is
+(e_i + e_{n-i})/sqrt(2), row i >= 2^(N-1) is (e_{n-i} - e_i)/sqrt(2).
+G is symmetric and its own inverse.  `_rotate_pairs` applies it by
+slicing, so the blocks of H are extracted in O(4^N) and states are
+rotated in O(2^N); no dense G is formed.  `ParityPartition` is the one
+basis descriptor: it lays the even/odd blocks onto the even/odd
+bitstring-parity sectors.  When the blocks are exactly decoupled,
+`block_eigensolve` builds the eigensystem of H from two half-size
+eigenproblems.
 '''
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import EigenSystem, NuclearHamiltonian, _fix_signs, eigensolve
-
-
-@dataclass(frozen=True)
-class GivensBasisMap:
-    '''Orthogonal map G mixing mirror grid pairs (i, n-i).
-
-    Row i for i < 2^(N-1) is (e_i + e_{n-i})/sqrt(2); row i for
-    i >= 2^(N-1) is (e_{n-i} - e_i)/sqrt(2).  G is symmetric and its own
-    inverse; the library applies it by index slicing, and `matrix`
-    builds the dense form only on request.
-    '''
-    n_qubits: int
-
-    @property
-    def dim(self):
-        return 2 ** self.n_qubits
-
-    @property
-    def matrix(self):
-        '''G as a dense 2^N x 2^N array.'''
-        return _rotate_pairs(np.eye(self.dim))
+from .grid import EigenSystem, _fix_signs, eigensolve
 
 
 @dataclass(frozen=True)
@@ -47,7 +30,6 @@ class ParityPartition:
     '''
     n_qubits: int
     order: np.ndarray
-    inverse: np.ndarray
 
     @property
     def half(self):
@@ -70,7 +52,6 @@ class BlockHamiltonian:
     block_plus: np.ndarray    # even-combination block, size 2^(N-1)
     block_minus: np.ndarray   # odd-combination block
     coupling_norm: float      # Frobenius norm of the off-diagonal blocks
-    source: NuclearHamiltonian = None
 
 
 def _rotate_pairs(a, axis=-1):
@@ -89,13 +70,6 @@ def _rotate_pairs(a, axis=-1):
     return np.moveaxis(out, -1, axis)
 
 
-def givens_map(n_qubits):
-    '''The orthogonal pair-mixing map for 2^N grid points.'''
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
-    return GivensBasisMap(n_qubits=n_qubits)
-
-
 def parity_partition(n_qubits):
     '''Order computational basis states even-parity first, odd second.'''
     if n_qubits < 1:
@@ -103,30 +77,25 @@ def parity_partition(n_qubits):
     states = np.arange(2 ** n_qubits)
     pop = np.array([bin(s).count("1") & 1 for s in states])
     order = np.concatenate([states[pop == 0], states[pop == 1]])
-    inverse = np.empty_like(order)
-    inverse[order] = states
-    return ParityPartition(n_qubits=n_qubits, order=order, inverse=inverse)
+    return ParityPartition(n_qubits=n_qubits, order=order)
 
 
-def block_transform(ham, gmap):
-    '''Rotate H (a NuclearHamiltonian or a raw symmetric matrix) into the
-    pair basis, G H G, and extract its blocks.'''
-    if isinstance(ham, NuclearHamiltonian):
-        h = ham.matrix
-        source = ham
-    else:
-        h = np.asarray(ham)
-        source = None
-    if h.shape != (gmap.dim, gmap.dim):
-        raise ValueError("Hamiltonian and basis map dimensions differ")
+def block_transform(ham):
+    '''Rotate H (a NuclearHamiltonian or a raw symmetric 2^N x 2^N
+    matrix, N >= 1) into the pair basis, G H G, and extract its blocks.'''
+    h = np.asarray(getattr(ham, "matrix", ham))
+    dim = h.shape[0] if h.ndim == 2 else 0
+    if h.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
+        raise ValueError(f"Hamiltonian of shape {h.shape} is not square "
+                         "with a power-of-two side >= 2")
     ht = _rotate_pairs(_rotate_pairs(h, 0), 1)
-    half = gmap.dim // 2
+    half = dim // 2
     plus = ht[:half, :half]
     minus = ht[half:, half:]
     coup = ht[:half, half:]
     coupling_norm = float(np.sqrt(2) * np.linalg.norm(coup))
     return BlockHamiltonian(h_tilde=ht, block_plus=plus, block_minus=minus,
-                            coupling_norm=coupling_norm, source=source)
+                            coupling_norm=coupling_norm)
 
 
 def block_eigensolve(bh):
@@ -154,25 +123,27 @@ def block_eigensolve(bh):
                        states=_fix_signs(_rotate_pairs(x, axis=0)))
 
 
-def _check_dim(psi, gmap):
+def _check_dim(psi, partition):
     psi = np.asarray(psi)
-    if psi.shape[-1:] != (gmap.dim,):
-        raise ValueError("state dimension does not match the basis map")
+    dim = 2 ** partition.n_qubits
+    if psi.shape[-1:] != (dim,):
+        raise ValueError(f"state dimension (shape {psi.shape}) does not "
+                         f"match the 2^N = {dim} basis states")
     return psi
 
 
-def to_mapped_basis(psi, gmap, partition):
+def to_mapped_basis(psi, partition):
     '''Grid amplitudes -> parity-ordered computational-basis amplitudes,
     along the last axis (one state or a (steps, 2^N) stack).
 
     Pair-basis component i is placed at computational state order[i].
     '''
-    phi = _rotate_pairs(_check_dim(psi, gmap))
+    phi = _rotate_pairs(_check_dim(psi, partition))
     out = np.empty_like(phi)
     out[..., partition.order] = phi
     return out
 
 
-def from_mapped_basis(psi, gmap, partition):
+def from_mapped_basis(psi, partition):
     '''Inverse of to_mapped_basis.'''
-    return _rotate_pairs(_check_dim(psi, gmap)[..., partition.order])
+    return _rotate_pairs(_check_dim(psi, partition)[..., partition.order])

@@ -35,13 +35,18 @@ class ShotResult:
 
 
 def exact_propagator(ham, t_fs, eig=None):
-    '''U(t) = X exp(-i E t) X^T from the eigendecomposition of a real
-    symmetric Hamiltonian (Hartree, time in femtoseconds).'''
+    '''U(t) = X exp(-i E t) X^H from the eigendecomposition of a
+    Hermitian Hamiltonian (Hartree, time in femtoseconds).
+
+    `t_fs` may be an array of times; the result then has shape
+    t_fs.shape + (dim, dim), one propagator per time.  For real
+    eigenvectors X^H is X^T, with no copy.
+    '''
     if eig is None:
         eig = ham if isinstance(ham, EigenSystem) else eigensolve(ham)
-    t_au = units.fs_to_au(t_fs)
-    phases = np.exp(-1j * eig.energies * t_au)
-    return (eig.states * phases) @ eig.states.T
+    t_au = np.asarray(units.fs_to_au(t_fs))
+    phases = np.exp(-1j * eig.energies * t_au[..., None])
+    return (eig.states * phases[..., None, :]) @ eig.states.conj().T
 
 
 def _apply_gate(amp, gate, n):
@@ -177,7 +182,7 @@ def sample_shots(psi, shots, seed):
     return ShotResult(shots=int(shots), counts=counts, seed=seed)
 
 
-def mapped_density_to_grid(probabilities, gmap, partition, reference=None):
+def mapped_density_to_grid(probabilities, partition, reference=None):
     '''Transport a computational-basis probability vector to the grid.
 
     Probabilities alone fix only the symmetric part of each mirror-pair
@@ -187,14 +192,14 @@ def mapped_density_to_grid(probabilities, gmap, partition, reference=None):
     state at the same time) supplies that split; without it the split
     term is taken as zero.
     '''
-    q = _check_dim(np.asarray(probabilities, dtype=float), gmap)
+    q = _check_dim(np.asarray(probabilities, dtype=float), partition)
     dim = len(q)
     n = dim - 1
     half = dim // 2
     order = partition.order
     i = np.arange(half)
     if reference is not None:
-        phi = _rotate_pairs(_check_dim(reference, gmap))
+        phi = _rotate_pairs(_check_dim(reference, partition))
         cross = np.real(np.conj(phi[:half]) * phi[n - i])
     else:
         cross = np.zeros(half)

@@ -23,11 +23,10 @@ def dw3():
 def dw3_full(dw3):
     g, pot, ham = dw3
     eig = w.eigensolve(ham)
-    gm = w.givens_map(3)
     pp = w.parity_partition(3)
-    bh = w.block_transform(ham, gm)
+    bh = w.block_transform(ham)
     ms = w.map_system(bh, pp)
-    return dict(grid=g, pot=pot, ham=ham, eig=eig, gmap=gm, partition=pp,
+    return dict(grid=g, pot=pot, ham=ham, eig=eig, partition=pp,
                 blocks=bh, mapped=ms)
 
 

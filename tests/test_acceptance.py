@@ -28,9 +28,9 @@ def report(name, ok, detail):
 
 def model_system(n):
     g, pot, ham = double_well_system(n)
-    gm, pp = w.givens_map(n), w.parity_partition(n)
-    bh = w.block_transform(ham, gm)
-    return g, ham, gm, pp, bh
+    pp = w.parity_partition(n)
+    bh = w.block_transform(ham)
+    return g, ham, pp, bh
 
 
 def psi_gaussian(g):
@@ -41,12 +41,12 @@ def psi_gaussian(g):
 class TestCriterion1MapExactness:
     def test_three_qubit_ising_vs_classical(self):
         t0 = time.perf_counter()
-        g, ham, gm, pp, bh = model_system(3)
+        g, ham, pp, bh = model_system(3)
         ms = w.map_system(bh, pp)
         psi0 = psi_gaussian(g)
         steps = 4000   # 1000 fs at dt = 0.25 fs
         tc = w.propagate("classical", ham, psi0, 0.25, steps)
-        ti = w.propagate("ising", ham, psi0, 0.25, steps, gmap=gm,
+        ti = w.propagate("ising", ham, psi0, 0.25, steps,
                          partition=pp,
                          blocks=(ms.block_even, ms.block_odd))
         eps = w.probability_error(ti, tc)
@@ -104,9 +104,9 @@ def shot_sweep():
     steps, dt = 60, 0.25
     medians = {}
     for n in range(3, 8):
-        g, ham, gm, pp, bh = model_system(n)
+        g, ham, pp, bh = model_system(n)
         psi0 = psi_gaussian(g)
-        psi0_map = w.to_mapped_basis(psi0, gm, pp)
+        psi0_map = w.to_mapped_basis(psi0, pp)
         states = _circuit_evolve(bh.block_plus, bh.block_minus, psi0_map,
                                  pp, dt, steps)
         ref = evolve_exact(ham, psi0, dt, steps)
@@ -114,7 +114,7 @@ def shot_sweep():
         for shots in SHOT_COUNTS:
             eps = []
             for seed in range(N_SEEDS):
-                rho_q = w.shot_density_trajectory(states, ref, gm, pp,
+                rho_q = w.shot_density_trajectory(states, ref, pp,
                                                   shots, seed)
                 eps.append(float(np.mean(np.abs(rho_q - rho_c))))
             medians[(n, shots)] = float(np.median(eps))
@@ -163,8 +163,8 @@ class TestCriterion4ShotError:
         worst = 0.0
         lines = []
         for n in range(3, 8):
-            g, ham, gm, pp, bh = model_system(n)
-            psi0_map = w.to_mapped_basis(psi_gaussian(g), gm, pp)
+            g, ham, pp, bh = model_system(n)
+            psi0_map = w.to_mapped_basis(psi_gaussian(g), pp)
             q = np.abs(_block_evolve(bh.block_plus, bh.block_minus, psi0_map,
                                      pp, dt, steps)) ** 2
             i = np.arange(pp.half)
@@ -187,7 +187,7 @@ class TestCriterion4ShotError:
 class TestCriterion5SpectralFidelity:
     def test_first_three_peaks_and_shot_stability(self):
         t0 = time.perf_counter()
-        g, ham, gm, pp, bh = model_system(6)
+        g, ham, pp, bh = model_system(6)
         eig = w.eigensolve(ham)
         psi0 = psi_gaussian(g)
 
@@ -202,11 +202,11 @@ class TestCriterion5SpectralFidelity:
         ok_exact = len(rows) == 3 and max(errs) <= tol
 
         # shot mode: same T with dt = 1.0 fs, 1000 shots per step
-        psi0_map = w.to_mapped_basis(psi0, gm, pp)
+        psi0_map = w.to_mapped_basis(psi0, pp)
         states = _circuit_evolve(bh.block_plus, bh.block_minus, psi0_map,
                                  pp, 1.0, 2000)
         ref = evolve_exact(ham, psi0, 1.0, 2000)
-        rho_q = w.shot_density_trajectory(states, ref, gm, pp, 1000, 0)
+        rho_q = w.shot_density_trajectory(states, ref, pp, 1000, 0)
         tq = w.Trajectory(t_fs=1.0 * np.arange(2001), rho=rho_q,
                           method="circuit-shots", dx=g.dx, shots=1000, seed=0)
         t_ref = w.propagate("classical", ham, psi0, 1.0, 2000)
@@ -264,7 +264,7 @@ class TestCriterion7BlockStructure:
         worst_sym = 0.0
         for n in range(1, 8):
             g, pot, ham = double_well_system(n)
-            bh = w.block_transform(ham, w.givens_map(n))
+            bh = w.block_transform(ham)
             worst_sym = max(worst_sym, bh.coupling_norm
                             / np.linalg.norm(ham.matrix))
         # perturbed surface: coupling norm equals the l2 norm of the
@@ -274,7 +274,7 @@ class TestCriterion7BlockStructure:
         tilt = 1e-3 * rng.normal(size=32)
         v = pot.values + tilt
         ham2 = w.assemble_hamiltonian(w.daf_kinetic(g), v, g)
-        bh2 = w.block_transform(ham2, w.givens_map(5))
+        bh2 = w.block_transform(ham2)
         anti = 0.5 * (v - v[::-1])
         gap = abs(bh2.coupling_norm - np.linalg.norm(anti))
         el = time.perf_counter() - t0

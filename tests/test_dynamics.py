@@ -12,12 +12,12 @@ from conftest import double_well_system, random_state
 
 def mapped_blocks(n, ms=False):
     g, pot, ham = double_well_system(n)
-    gm, pp = w.givens_map(n), w.parity_partition(n)
-    bh = w.block_transform(ham, gm)
+    pp = w.parity_partition(n)
+    bh = w.block_transform(ham)
     if ms:
         sys = w.map_system(bh, pp)
-        return ham, gm, pp, (sys.block_even, sys.block_odd)
-    return ham, gm, pp, (bh.block_plus, bh.block_minus)
+        return ham, pp, (sys.block_even, sys.block_odd)
+    return ham, pp, (bh.block_plus, bh.block_minus)
 
 
 class TestInitialWavepacket:
@@ -135,29 +135,29 @@ class TestPropagate:
         assert traj.t_fs[-1] == pytest.approx(25.0)
 
     def test_ising_matches_classical_n3(self):
-        ham, gm, pp, blocks = mapped_blocks(3, ms=True)
+        ham, pp, blocks = mapped_blocks(3, ms=True)
         g = ham.grid
         psi0 = w.initial_wavepacket(w.WavepacketSpec("delta"), g)
         tc = w.propagate("classical", ham, psi0, 0.25, 200)
-        ti = w.propagate("ising", ham, psi0, 0.25, 200, gmap=gm,
+        ti = w.propagate("ising", ham, psi0, 0.25, 200,
                          partition=pp, blocks=blocks)
         assert w.probability_error(ti, tc) <= 1e-10
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_circuit_exact_matches_classical(self, n):
-        ham, gm, pp, blocks = mapped_blocks(n)
+        ham, pp, blocks = mapped_blocks(n)
         g = ham.grid
         psi0 = w.initial_wavepacket(w.WavepacketSpec("delta"), g)
         tc = w.propagate("classical", ham, psi0, 0.5, 40)
-        tq = w.propagate("circuit-exact", ham, psi0, 0.5, 40, gmap=gm,
+        tq = w.propagate("circuit-exact", ham, psi0, 0.5, 40,
                          partition=pp, blocks=blocks)
         assert w.probability_error(tq, tc) <= 1e-9
 
     def test_circuit_shots_reproducible_and_normalized(self):
-        ham, gm, pp, blocks = mapped_blocks(3)
+        ham, pp, blocks = mapped_blocks(3)
         g = ham.grid
         psi0 = w.initial_wavepacket(w.WavepacketSpec("delta"), g)
-        kw = dict(gmap=gm, partition=pp, blocks=blocks, shots=2000, seed=7)
+        kw = dict(partition=pp, blocks=blocks, shots=2000, seed=7)
         t1 = w.propagate("circuit-shots", ham, psi0, 0.5, 20, **kw)
         t2 = w.propagate("circuit-shots", ham, psi0, 0.5, 20, **kw)
         assert np.array_equal(t1.rho, t2.rho)
@@ -165,13 +165,13 @@ class TestPropagate:
         assert t1.shots == 2000 and t1.seed == 7
 
     def test_shot_error_decreases_with_shots(self):
-        ham, gm, pp, blocks = mapped_blocks(3)
+        ham, pp, blocks = mapped_blocks(3)
         g = ham.grid
         psi0 = w.initial_wavepacket(w.WavepacketSpec("delta"), g)
         tc = w.propagate("classical", ham, psi0, 0.5, 20)
         errs = []
         for shots in (100, 100000):
-            tq = w.propagate("circuit-shots", ham, psi0, 0.5, 20, gmap=gm,
+            tq = w.propagate("circuit-shots", ham, psi0, 0.5, 20,
                              partition=pp, blocks=blocks, shots=shots, seed=1)
             errs.append(w.probability_error(tq, tc))
         assert errs[1] < errs[0] / 5
@@ -185,7 +185,7 @@ class TestPropagate:
         with pytest.raises(ValueError):
             w.propagate("classical", ham, psi0, -0.25, 10)
         with pytest.raises(ValueError):
-            w.propagate("warp", ham, psi0, 0.25, 10, gmap=1, partition=1,
+            w.propagate("warp", ham, psi0, 0.25, 10, partition=1,
                         blocks=1)
 
 
@@ -198,10 +198,10 @@ class TestCouplingGuard:
         pot = w.eval_potential(g, {"kind": "polynomial",
                                    "coefficients": [0, 0.01, 0.5]})
         ham = w.build_hamiltonian(g, pot)
-        gm, pp = w.givens_map(3), w.parity_partition(3)
-        bh = w.block_transform(ham, gm)
+        pp = w.parity_partition(3)
+        bh = w.block_transform(ham)
         psi0 = w.initial_wavepacket(w.WavepacketSpec("delta"), g)
-        return ham, psi0, dict(gmap=gm, partition=pp,
+        return ham, psi0, dict(partition=pp,
                                blocks=(bh.block_plus, bh.block_minus))
 
     @pytest.mark.parametrize("method", ["circuit-exact", "circuit-shots"])
@@ -230,9 +230,9 @@ class TestCouplingGuard:
 
 class TestEvolveAndDensities:
     def test_one_evolution_many_samples(self):
-        ham, gm, pp, blocks = mapped_blocks(3)
+        ham, pp, blocks = mapped_blocks(3)
         psi0 = w.initial_wavepacket(w.WavepacketSpec("delta"), ham.grid)
-        kw = dict(gmap=gm, partition=pp, blocks=blocks)
+        kw = dict(partition=pp, blocks=blocks)
         evo = w.evolve("circuit-shots", ham, psi0, 0.5, 20,
                        eig=w.eigensolve(ham), **kw)
         assert evo.states.shape == evo.reference.shape == (21, 8)
@@ -307,7 +307,7 @@ class TestClassicalWorkingSet:
         monkeypatch.setattr(dynamics, "REFERENCE_CHUNK_BYTES", budget)
         monkeypatch.setattr(w.spectra, "SPECTRUM_CHUNK_BYTES", budget)
         g, pot, ham = double_well_system(9)
-        eig = w.block_eigensolve(w.block_transform(ham, w.givens_map(9)))
+        eig = w.block_eigensolve(w.block_transform(ham))
         psi0 = w.initial_wavepacket(
             w.WavepacketSpec("gaussian", mu=0.0, sigma=0.1), g)
         steps = 2000

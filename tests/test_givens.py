@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import wavecirc as w
 from wavecirc.cli import Pipeline
 from wavecirc.config import resolve
+from wavecirc.givens import _rotate_pairs
 
 from conftest import double_well_system, random_state
 
@@ -30,13 +31,18 @@ def closed_form_blocks(band, v):
     return plus, minus, coup
 
 
+def dense_g(n):
+    '''The pair rotation G as a dense 2^n x 2^n matrix.'''
+    return _rotate_pairs(np.eye(2 ** n))
+
+
 class TestGivensMap:
     def test_two_point_map(self):
-        g = w.givens_map(1)
-        assert np.allclose(g.matrix, np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+        g = dense_g(1)
+        assert np.allclose(g, np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
     def test_first_and_last_rows_n3(self):
-        g = w.givens_map(3).matrix
+        g = dense_g(3)
         r = 1 / np.sqrt(2)
         assert np.allclose(g[0], [r, 0, 0, 0, 0, 0, 0, r])
         assert np.allclose(g[7], [r, 0, 0, 0, 0, 0, 0, -r])
@@ -44,7 +50,7 @@ class TestGivensMap:
     @given(n=st.integers(1, 8))
     @settings(max_examples=8, deadline=None)
     def test_orthogonal(self, n):
-        g = w.givens_map(n).matrix
+        g = dense_g(n)
         assert np.abs(g @ g.T - np.eye(2 ** n)).max() <= 1e-14
 
 
@@ -81,7 +87,7 @@ class TestBlockTransform:
     def test_symmetric_potential_decouples(self):
         for n in range(1, 6):
             g, pot, ham = double_well_system(n)
-            bh = w.block_transform(ham, w.givens_map(n))
+            bh = w.block_transform(ham)
             assert bh.coupling_norm <= 1e-12 * np.linalg.norm(ham.matrix)
 
     def test_two_point_blocks(self):
@@ -90,7 +96,7 @@ class TestBlockTransform:
         k = w.daf_kinetic(g)
         v = np.array([0.3, -0.2])
         ham = w.assemble_hamiltonian(k, v, g)
-        bh = w.block_transform(ham, w.givens_map(1))
+        bh = w.block_transform(ham)
         plus = k[0, 0] + k[0, 1] + (v[0] + v[1]) / 2
         minus = k[0, 0] - k[0, 1] + (v[0] + v[1]) / 2
         coup = (v[0] - v[1]) / 2
@@ -102,14 +108,14 @@ class TestBlockTransform:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(16, 16))
         h = a + a.T
-        bh = w.block_transform(h, w.givens_map(4))
+        bh = w.block_transform(h)
         e1 = np.linalg.eigvalsh(h)
         e2 = np.linalg.eigvalsh(bh.h_tilde)
         assert np.abs(e1 - e2).max() <= 1e-10 * np.abs(e1).max()
 
     def test_block_eigenvalues_interleave_full_spectrum(self):
         g, pot, ham = double_well_system(4)
-        bh = w.block_transform(ham, w.givens_map(4))
+        bh = w.block_transform(ham)
         full = np.linalg.eigvalsh(ham.matrix)
         blocks = np.sort(np.concatenate([
             np.linalg.eigvalsh(bh.block_plus),
@@ -122,7 +128,7 @@ class TestBlockTransform:
         rng = np.random.default_rng(5)
         v = rng.normal(size=8)
         ham = w.assemble_hamiltonian(k, v, g)
-        bh = w.block_transform(ham, w.givens_map(3))
+        bh = w.block_transform(ham)
         coup = bh.h_tilde[:4, 4:]
         expected = np.zeros((4, 4))
         for i in range(4):
@@ -130,8 +136,10 @@ class TestBlockTransform:
         assert np.abs(coup - expected).max() <= 1e-12
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            w.block_transform(np.eye(4), w.givens_map(3))
+        # not square, or a side that is not a power of two >= 2
+        for shape in ((6, 6), (4, 2), (1, 1)):
+            with pytest.raises(ValueError, match="power-of-two"):
+                w.block_transform(np.ones(shape))
 
     def test_blocks_match_closed_form(self):
         rng = np.random.default_rng(17)
@@ -141,7 +149,7 @@ class TestBlockTransform:
             tilted = w.assemble_hamiltonian(w.daf_kinetic(g), v_tilted, g)
             for ham, v in ((dw, pot.values), (tilted, v_tilted)):
                 expected = closed_form_blocks(ham.kinetic_band, v)
-                bh = w.block_transform(ham, w.givens_map(n))
+                bh = w.block_transform(ham)
                 half = 2 ** (n - 1)
                 got = (bh.block_plus, bh.block_minus,
                        bh.h_tilde[:half, half:])
@@ -154,25 +162,25 @@ class TestMappedBasis:
     def test_round_trip(self, dw3_full):
         rng = np.random.default_rng(11)
         psi = random_state(8, rng)
-        gm, pp = dw3_full["gmap"], dw3_full["partition"]
-        back = w.from_mapped_basis(w.to_mapped_basis(psi, gm, pp), gm, pp)
+        pp = dw3_full["partition"]
+        back = w.from_mapped_basis(w.to_mapped_basis(psi, pp), pp)
         assert np.abs(back - psi).max() <= 1e-15
 
     def test_batched_round_trip(self):
         rng = np.random.default_rng(12)
-        gm, pp = w.givens_map(5), w.parity_partition(5)
+        pp = w.parity_partition(5)
         x = rng.normal(size=(7, 32)) + 1j * rng.normal(size=(7, 32))
-        mapped = w.to_mapped_basis(x, gm, pp)
+        mapped = w.to_mapped_basis(x, pp)
         for row, m in zip(x, mapped):
-            assert np.array_equal(w.to_mapped_basis(row, gm, pp), m)
-        back = w.from_mapped_basis(mapped, gm, pp)
+            assert np.array_equal(w.to_mapped_basis(row, pp), m)
+        back = w.from_mapped_basis(mapped, pp)
         assert np.abs(back - x).max() <= 1e-15
 
     def test_first_pair_maps_to_zero_state(self, dw3_full):
-        gm, pp = dw3_full["gmap"], dw3_full["partition"]
+        pp = dw3_full["partition"]
         psi = np.zeros(8)
         psi[0] = psi[7] = 1 / np.sqrt(2)   # even combination of pair (0, 7)
-        mapped = w.to_mapped_basis(psi, gm, pp)
+        mapped = w.to_mapped_basis(psi, pp)
         assert mapped[0] == pytest.approx(1.0)
         assert np.abs(mapped[1:]).max() <= 1e-15
 
@@ -181,8 +189,8 @@ class TestMappedBasis:
     def test_norm_preserved(self, n, seed):
         rng = np.random.default_rng(seed)
         psi = random_state(2 ** n, rng)
-        gm, pp = w.givens_map(n), w.parity_partition(n)
-        assert np.linalg.norm(w.to_mapped_basis(psi, gm, pp)) == \
+        pp = w.parity_partition(n)
+        assert np.linalg.norm(w.to_mapped_basis(psi, pp)) == \
             pytest.approx(1.0, abs=1e-12)
 
 
@@ -199,7 +207,7 @@ class TestBlockEigensolve:
     def test_matches_full_eigensolve(self, n):
         g, pot, ham = double_well_system(n)
         full = w.eigensolve(ham)
-        eig = w.block_eigensolve(w.block_transform(ham, w.givens_map(n)))
+        eig = w.block_eigensolve(w.block_transform(ham))
         scale = np.linalg.norm(ham.matrix)
         assert np.all(np.diff(eig.energies) >= 0)
         assert np.abs(eig.energies - full.energies).max() <= 1e-12 * scale

@@ -250,20 +250,20 @@ class TestMapSystem:
     def test_zero_hamiltonian(self):
         g = w.build_grid(3, 1.0)
         ham = w.assemble_hamiltonian(np.zeros((8, 8)), np.zeros(8), g)
-        bh = w.block_transform(ham, w.givens_map(3))
+        bh = w.block_transform(ham)
         ms = w.map_system(bh, w.parity_partition(3))
         assert ms.even.offset == 0 and ms.recon_error_even == 0
 
     def test_larger_grid_has_residual_and_projection_removes_it(self):
         g, pot, ham = double_well_system(6)
         pp = w.parity_partition(6)
-        bh = w.block_transform(ham, w.givens_map(6))
+        bh = w.block_transform(ham)
         ms = w.map_system(bh, pp)
         assert ms.recon_error_even > 1e-12
         # remap the representable projection: residual collapses to zero
         proj = type(bh)(h_tilde=bh.h_tilde, block_plus=np.real(ms.block_even),
                         block_minus=np.real(ms.block_odd),
-                        coupling_norm=0.0, source=None)
+                        coupling_norm=0.0)
         ms2 = w.map_system(proj, pp)
         assert ms2.recon_error_even <= 1e-9
         assert ms2.recon_error_odd <= 1e-9
@@ -275,7 +275,7 @@ class TestMapSystem:
         shifted = type(bh)(h_tilde=bh.h_tilde + shift * np.eye(8),
                            block_plus=bh.block_plus + shift * np.eye(4),
                            block_minus=bh.block_minus + shift * np.eye(4),
-                           coupling_norm=bh.coupling_norm, source=None)
+                           coupling_norm=bh.coupling_norm)
         ms = w.map_system(shifted, pp)
         ms0 = dw3_full["mapped"]
         assert ms.recon_error_even == pytest.approx(ms0.recon_error_even,
@@ -287,7 +287,7 @@ class TestMapSystem:
         rng = np.random.default_rng(1)
         v = rng.normal(size=8)
         ham = w.assemble_hamiltonian(w.daf_kinetic(g), v, g)
-        bh = w.block_transform(ham, w.givens_map(3))
+        bh = w.block_transform(ham)
         with pytest.raises(w.BrokenSymmetryError):
             w.map_system(bh, w.parity_partition(3))
         ms = w.map_system(bh, w.parity_partition(3), force=True)
@@ -297,7 +297,7 @@ class TestMapSystem:
         g = w.build_grid(3, 0.66)
         pot = w.eval_potential(g, {"kind": "polynomial",
                                    "coefficients": [0, 0.01, 0.5]})
-        bh = w.block_transform(w.build_hamiltonian(g, pot), w.givens_map(3))
+        bh = w.block_transform(w.build_hamiltonian(g, pot))
         ratio = bh.coupling_norm / np.linalg.norm(bh.h_tilde)
         with pytest.raises(w.BrokenSymmetryError, match="coupling norm"):
             w.check_parity_coupling(bh, threshold_ratio=ratio / 2)

@@ -84,7 +84,7 @@ import sys
 import wavecirc as w
 g = w.build_grid(8, 0.66)
 ham = w.build_hamiltonian(g, w.eval_potential(g, {"kind": "double_well"}))
-bh = w.block_transform(ham, w.givens_map(8))
+bh = w.block_transform(ham)
 u = w.exact_propagator(bh.block_plus, 1.234567)
 w.write_qasm(w.qsd_compile(u), sys.argv[1])
 '''

@@ -414,7 +414,7 @@ def block_propagators(n, times):
     '''Stacks of exact propagators of the two parity blocks of the N = n
     double well, one per time in fs.'''
     g, pot, ham = double_well_system(n)
-    bh = w.block_transform(ham, w.givens_map(n))
+    bh = w.block_transform(ham)
     eigs = (w.eigensolve(bh.block_plus), w.eigensolve(bh.block_minus))
     return [np.array([exact_propagator(e, t) for t in times]) for e in eigs]
 

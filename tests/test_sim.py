@@ -9,6 +9,7 @@ from scipy.stats import unitary_group
 import wavecirc as w
 from wavecirc import units
 from wavecirc.dynamics import _chunk_steps, _circuit_evolve, _compiled_evolve
+from wavecirc.givens import _rotate_pairs
 from wavecirc.qsd import Gate, GateSequence, Multiplexor, ZyzLeaf
 from wavecirc.sim import _apply_gate, circuit_matrix
 
@@ -47,6 +48,19 @@ class TestExactPropagator:
         out = w.exact_propagator(ham, 3.0, eig=eig) @ chi
         phase = np.exp(-1j * eig.energies[2] * units.fs_to_au(3.0))
         assert np.abs(out - phase * chi).max() <= 1e-12
+
+    def test_complex_hermitian_matches_expm(self):
+        # complex eigenvectors: U = X exp(-iEt) X^H, not X^T; an array
+        # of times gives one propagator per time
+        h = random_hermitian(6, np.random.default_rng(1))
+        t = np.array([[0.0, 0.4], [1.3, 2.9], [4.1, 7.5]])
+        u = w.exact_propagator(h, t)
+        assert u.shape == (3, 2, 6, 6)
+        for idx in np.ndindex(t.shape):
+            direct = expm(-1j * h * units.fs_to_au(t[idx]))
+            assert np.abs(w.exact_propagator(h, t[idx]) - direct).max() \
+                <= 1e-12
+            assert np.abs(u[idx] - direct).max() <= 1e-12
 
 
 class TestRunCircuit:
@@ -178,11 +192,11 @@ class TestFusedExecution:
 
     def test_circuit_evolve_first_steps(self):
         g, pot, ham = double_well_system(6)
-        gm, pp = w.givens_map(6), w.parity_partition(6)
-        bh = w.block_transform(ham, gm)
+        pp = w.parity_partition(6)
+        bh = w.block_transform(ham)
         psi0 = w.initial_wavepacket(
             w.WavepacketSpec("gaussian", mu=0.0, sigma=0.1), g)
-        psi0_map = w.to_mapped_basis(psi0, gm, pp)
+        psi0_map = w.to_mapped_basis(psi0, pp)
         dt, steps = 1.0, 3
         out = _circuit_evolve(bh.block_plus, bh.block_minus, psi0_map, pp,
                               dt, steps)
@@ -200,6 +214,13 @@ def random_block(dim, rng):
     over a few femtoseconds.'''
     h = rng.normal(scale=0.02, size=(dim, dim))
     return h + h.T
+
+
+def random_hermitian(dim, rng):
+    '''A complex Hermitian matrix with entries of 0.02 Hartree.'''
+    h = rng.normal(scale=0.02, size=(dim, dim)) \
+        + 1j * rng.normal(scale=0.02, size=(dim, dim))
+    return h + h.conj().T
 
 
 class TestLockstepExecution:
@@ -234,6 +255,14 @@ class TestLockstepExecution:
             u = w.exact_propagator(None, s * dt, eig=eig)
             ref = gate_by_gate(comp0, w.qsd_compile(u))
             assert np.abs(out[s] - ref).max() <= 1e-12
+
+    def test_complex_hermitian_block_matches_exact_evolution(self):
+        rng = np.random.default_rng(65)
+        block = random_hermitian(4, rng)
+        comp0 = random_state(4, rng)
+        out = _compiled_evolve(block, comp0, 0.5, 40)
+        ref = w.evolve_exact(block, comp0, 0.5, 40)
+        assert np.abs(out - ref).max() <= 1e-9
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_circuit_obeys_count_law_and_reconstructs(self, n):
@@ -273,10 +302,10 @@ class TestLockstepExecution:
         # does each block's half of it while it is copied into place;
         # the chunked compile-and-run working set must not.
         g, pot, ham = double_well_system(6)
-        gm, pp = w.givens_map(6), w.parity_partition(6)
-        bh = w.block_transform(ham, gm)
+        pp = w.parity_partition(6)
+        bh = w.block_transform(ham)
         psi0_map = w.to_mapped_basis(w.initial_wavepacket(
-            w.WavepacketSpec("gaussian", mu=0.0, sigma=0.1), g), gm, pp)
+            w.WavepacketSpec("gaussian", mu=0.0, sigma=0.1), g), pp)
         peak, size = {}, {}
         for steps in (64, 2000):
             tracemalloc.start()
@@ -322,27 +351,27 @@ class TestSampleShots:
 
 class TestDensityTransport:
     def test_exact_round_trip(self, dw3_full):
-        gm, pp = dw3_full["gmap"], dw3_full["partition"]
+        pp = dw3_full["partition"]
         psi = random_state(8, np.random.default_rng(4))
-        mapped = w.to_mapped_basis(psi, gm, pp)
-        rho = np.abs(w.from_mapped_basis(mapped, gm, pp)) ** 2
+        mapped = w.to_mapped_basis(psi, pp)
+        rho = np.abs(w.from_mapped_basis(mapped, pp)) ** 2
         assert np.abs(rho - np.abs(psi) ** 2).max() <= 1e-14
 
     def test_transport_with_reference_recovers_density(self, dw3_full):
         # exact probabilities + the same state as reference must give the
         # exact grid density including the mirror-pair split
-        gm, pp = dw3_full["gmap"], dw3_full["partition"]
+        pp = dw3_full["partition"]
         psi = random_state(8, np.random.default_rng(5))
-        mapped = w.to_mapped_basis(psi, gm, pp)
-        rho = w.mapped_density_to_grid(np.abs(mapped) ** 2, gm, pp,
+        mapped = w.to_mapped_basis(psi, pp)
+        rho = w.mapped_density_to_grid(np.abs(mapped) ** 2, pp,
                                        reference=psi)
         assert np.abs(rho - np.abs(psi) ** 2).max() <= 1e-13
 
     def test_transport_without_reference_symmetrizes(self, dw3_full):
-        gm, pp = dw3_full["gmap"], dw3_full["partition"]
+        pp = dw3_full["partition"]
         psi = random_state(8, np.random.default_rng(6))
-        mapped = w.to_mapped_basis(psi, gm, pp)
-        rho = w.mapped_density_to_grid(np.abs(mapped) ** 2, gm, pp)
+        mapped = w.to_mapped_basis(psi, pp)
+        rho = w.mapped_density_to_grid(np.abs(mapped) ** 2, pp)
         assert np.abs(rho - rho[::-1]).max() <= 1e-13
         assert rho.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -351,36 +380,36 @@ class TestDensityTransport:
         # each mirror pair (i, n-i) gets half its sampled total plus or
         # minus Re(conj(p) m), p and m the reference's even/odd amplitudes
         rng = np.random.default_rng(20 + n)
-        gm, pp = w.givens_map(n), w.parity_partition(n)
+        pp = w.parity_partition(n)
         dim, half = 2 ** n, 2 ** (n - 1)
         q = rng.dirichlet(np.ones(dim))
         psi = random_state(dim, rng)
-        phi = gm.matrix @ psi
+        phi = _rotate_pairs(np.eye(dim)) @ psi
         i = np.arange(half)
         total = 0.5 * (q[pp.order[i]] + q[pp.order[dim - 1 - i]])
         cross = np.real(np.conj(phi[i]) * phi[dim - 1 - i])
         expected = np.empty(dim)
         expected[i], expected[dim - 1 - i] = total + cross, total - cross
-        rho = w.mapped_density_to_grid(q, gm, pp, reference=psi)
+        rho = w.mapped_density_to_grid(q, pp, reference=psi)
         assert np.abs(rho - expected).max() <= 1e-15
-        even = w.mapped_density_to_grid(q, gm, pp)
+        even = w.mapped_density_to_grid(q, pp)
         expected[i] = expected[dim - 1 - i] = total
         assert np.abs(even - expected).max() <= 1e-15
 
     def test_dimension_mismatch_rejected(self, dw3_full):
-        gm, pp = dw3_full["gmap"], dw3_full["partition"]
+        pp = dw3_full["partition"]
         q = np.full(8, 1 / 8)
         with pytest.raises(ValueError, match="dimension"):
-            w.mapped_density_to_grid(np.full(16, 1 / 16), gm, pp)
+            w.mapped_density_to_grid(np.full(16, 1 / 16), pp)
         with pytest.raises(ValueError, match="dimension"):
-            w.mapped_density_to_grid(q, gm, pp, reference=np.ones(16))
+            w.mapped_density_to_grid(q, pp, reference=np.ones(16))
 
     def test_shot_result_pathway(self, dw3_full):
-        gm, pp = dw3_full["gmap"], dw3_full["partition"]
+        pp = dw3_full["partition"]
         psi = random_state(8, np.random.default_rng(7))
-        mapped = w.to_mapped_basis(psi, gm, pp)
+        mapped = w.to_mapped_basis(psi, pp)
         res = w.sample_shots(mapped, 200000, seed=8)
-        rho = w.mapped_density_to_grid(res.probabilities, gm, pp,
+        rho = w.mapped_density_to_grid(res.probabilities, pp,
                                        reference=psi)
         assert rho.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.abs(rho - np.abs(psi) ** 2).max() <= 0.01

@@ -171,27 +171,32 @@ def cmd_map(args):
 
 def cmd_compile(args):
     cfg = load_config(args.config)
+    nb = cfg["grid"]["n_qubits"] - 1
+    if nb < 1:
+        raise ConfigError("compile needs grid.n_qubits >= 2: the parity "
+                          "blocks of a 1-qubit grid are 1x1")
     pipe = Pipeline(cfg)
-    out = _out_dir(cfg, args)
-    nb = pipe.grid.n_qubits - 1
-    files = []
-    summary = {"cnot_formula": cnot_count(max(nb, 1)),
-               "cnot_lower_bound": cnot_lower_bound(max(nb, 1)),
-               "blocks": {}}
+    # compile (and check) both blocks before writing any file
+    seqs = {}
     for name, block in (("even", pipe.blocks.block_plus),
                         ("odd", pipe.blocks.block_minus)):
         u = exact_propagator(block, args.time_fs)
-        seq = qsd_compile(u)
+        seqs[name] = qsd_compile(u)
         if args.check:
-            err = np.abs(circuit_matrix(seq) - u).max()
+            err = np.abs(circuit_matrix(seqs[name]) - u).max()
             if err > 1e-9:
                 print(f"reconstruction error {err:.3e} exceeds 1e-9",
                       file=sys.stderr)
                 return EXIT_NUMERICAL
+    out = _out_dir(cfg, args)
+    files = []
+    for name, seq in seqs.items():
         fname = f"propagator_{name}.qasm"
         write_qasm(seq, os.path.join(out, fname))
         files.append(fname)
-        summary["blocks"][name] = seq.counts()
+    summary = {"cnot_formula": cnot_count(nb),
+               "cnot_lower_bound": cnot_lower_bound(nb),
+               "blocks": {name: seq.counts() for name, seq in seqs.items()}}
     _write_json(os.path.join(out, "gate_counts.json"), summary)
     files.append("gate_counts.json")
     _write_manifest(out, cfg, files)

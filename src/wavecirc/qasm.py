@@ -14,21 +14,27 @@ _GATE_RE = re.compile(
 
 
 def to_qasm(seq):
-    '''Serialize a GateSequence to OpenQASM 2.0 text.'''
+    '''Serialize a GateSequence to OpenQASM 2.0 text, every circuit of a
+    stack in order.
+
+    Lines are formatted from each block's (kind, target, control, angle)
+    rows, with no Gate object per line; a block with a non-finite angle
+    raises ValueError.
+    '''
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
     phase = seq.global_phase()
     if phase:
         lines.append(f"// global phase dropped: {phase:.17g}")
     lines.append(f"qreg q[{seq.n_qubits}];")
-    for g in seq:
-        if g.kind == "phase":
-            continue
-        if g.kind == "cx":
-            lines.append(f"cx q[{g.control}],q[{g.target}];")
-        elif g.kind in ("ry", "rz"):
-            lines.append(f"{g.kind}({g.angle:.17g}) q[{g.target}];")
-        else:
-            raise ValueError(f"gate kind {g.kind!r} has no QASM form")
+    for i in range(seq.n_circuits):
+        for block in seq.blocks:
+            for kind, target, control, angle in block.rows(i):
+                if kind == "cx":
+                    lines.append(f"cx q[{control}],q[{target}];")
+                elif kind in ("ry", "rz"):
+                    lines.append(f"{kind}({angle:.17g}) q[{target}];")
+                elif kind != "phase":
+                    raise ValueError(f"gate kind {kind!r} has no QASM form")
     return "\n".join(lines) + "\n"
 
 

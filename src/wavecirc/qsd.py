@@ -75,11 +75,15 @@ class Gate:
         if self.angle is not None and not np.isfinite(self.angle).all():
             raise ValueError("gate angle must be finite")
 
+    def rows(self, i=0):
+        if np.ndim(self.angle) == 0:
+            return [(self.kind, self.target, self.control, self.angle)]
+        return [(self.kind, self.target, self.control, float(self.angle[i]))]
+
     def gates(self, i=0):
         if np.ndim(self.angle) == 0:
             return [self]
-        return [Gate(self.kind, self.target, self.control,
-                     float(self.angle[i]))]
+        return [Gate(*row) for row in self.rows(i)]
 
     def counts(self):
         return {self.kind: 1}
@@ -90,9 +94,12 @@ class GateSequence:
     `n_circuits` circuits with the same gate layout.
 
     `blocks` holds single Gates and the compiler's fused blocks
-    (Multiplexor, ZyzLeaf) in application order.  `circuit(i)` expands
-    circuit i into single gates; `gates`, iteration, `len` and `counts`
-    cover every circuit of the stack, circuit by circuit.
+    (Multiplexor, ZyzLeaf) in application order.  Every block expands
+    circuit i into plain (kind, target, control, angle) rows with
+    `rows(i)`, and into Gates built from those rows with `gates(i)`.
+    `circuit(i)` expands circuit i into single gates; `gates`, iteration,
+    `len` and `counts` cover every circuit of the stack, circuit by
+    circuit.
     '''
 
     def __init__(self, n_qubits, gates=(), n_circuits=1):
@@ -155,6 +162,20 @@ def _walsh_gray(k):
     return m, ladder
 
 
+@lru_cache(maxsize=None)
+def _ladder_rows(target, controls):
+    '''The CNOT rows of a multiplexor's Gray ladder, in order.'''
+    _, ladder = _walsh_gray(len(controls))
+    return tuple(("cx", target, controls[c], None) for c in ladder)
+
+
+def _finite(angles):
+    '''`angles` itself; ValueError unless every entry is finite.'''
+    if not np.isfinite(angles).all():
+        raise ValueError("gate angle must be finite")
+    return angles
+
+
 @dataclass(frozen=True, eq=False)
 class Multiplexor:
     '''Gray-code expansion of a uniformly controlled rotation.
@@ -169,14 +190,17 @@ class Multiplexor:
     controls: tuple        # controls[0] supplies the lowest select bit
     theta: np.ndarray      # shape (n_circuits, 2^k)
 
-    def gates(self, i=0):
-        _, ladder = _walsh_gray(len(self.controls))
-        out = []
-        for angle, c in zip(self.theta[i].tolist(), ladder):
-            out.append(Gate(self.kind, target=self.target, angle=angle))
-            out.append(Gate("cx", control=self.controls[c],
-                            target=self.target))
+    def rows(self, i=0):
+        '''Circuit i as (kind, target, control, angle) rows in application
+        order: the one expansion of the Gray ladder.'''
+        angles = _finite(self.theta[i]).tolist()
+        out = [None] * (2 * len(angles))
+        out[::2] = [(self.kind, self.target, None, a) for a in angles]
+        out[1::2] = _ladder_rows(self.target, self.controls)
         return out
+
+    def gates(self, i=0):
+        return [Gate(*row) for row in self.rows(i)]
 
     def counts(self):
         k = self.theta.shape[1]
@@ -203,11 +227,15 @@ class ZyzLeaf:
     gamma: np.ndarray
     delta: np.ndarray
 
-    def gates(self, i=0):
+    def rows(self, i=0):
         q = self.target
-        return [Gate("rz", target=q, angle=float(self.delta[i])),
-                Gate("ry", target=q, angle=float(self.gamma[i])),
-                Gate("rz", target=q, angle=float(self.beta[i]))]
+        delta, gamma, beta = _finite(
+            np.array([self.delta[i], self.gamma[i], self.beta[i]])).tolist()
+        return [("rz", q, None, delta), ("ry", q, None, gamma),
+                ("rz", q, None, beta)]
+
+    def gates(self, i=0):
+        return [Gate(*row) for row in self.rows(i)]
 
     def counts(self):
         return {"rz": 2, "ry": 1}
@@ -218,8 +246,10 @@ class ZyzLeaf:
         c, s = np.cos(self.gamma / 2), np.sin(self.gamma / 2)
         p = np.exp(-0.5j * (self.beta + self.delta))
         q = np.exp(-0.5j * (self.beta - self.delta))
-        return np.stack([p * c, -q * s, q.conj() * s, p.conj() * c],
-                        axis=-1).reshape(-1, 2, 2)
+        m = np.empty((c.size, 2, 2), dtype=complex)
+        m[:, 0, 0], m[:, 0, 1] = p * c, -q * s
+        m[:, 1, 0], m[:, 1, 1] = q.conj() * s, p.conj() * c
+        return m
 
 
 @dataclass(frozen=True)

@@ -344,18 +344,34 @@ class TestInputsRefusedBeforeEvolution:
                          "--out", str(tmp_path / "o")]) == 2
             assert "dynamics.shots" in capsys.readouterr().err
 
+    def test_compile_single_qubit_grid_exit_2(self, tmp_path, capsys,
+                                              monkeypatch):
+        def compile_(u):
+            pytest.fail("compiled before the grid size was checked")
+        monkeypatch.setattr("wavecirc.cli.qsd_compile", compile_)
+        cfg = write_config(tmp_path, {"grid": {"n_qubits": 1}})
+        out = tmp_path / "o"
+        assert main(["compile", "--config", cfg, "--out", str(out)]) == 2
+        assert "compile needs grid.n_qubits >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def corrupt_one_multiplexor(seq):
+    '''seq with 1e-3 added to the angles of its first Multiplexor.'''
+    from wavecirc.qsd import Multiplexor
+    i, mux = next((i, b) for i, b in enumerate(seq.blocks)
+                  if isinstance(b, Multiplexor))
+    seq.blocks[i] = Multiplexor(mux.kind, mux.target, mux.controls,
+                                mux.theta + 1e-3)
+    return seq
+
 
 class TestCircuitHealthCheck:
     def test_corrupted_compile_exit_3(self, tmp_path, capsys, monkeypatch):
-        from wavecirc.qsd import Multiplexor, qsd_compile
+        from wavecirc.qsd import qsd_compile
 
         def corrupted(u):
-            seq = qsd_compile(u)
-            i, mux = next((i, b) for i, b in enumerate(seq.blocks)
-                          if isinstance(b, Multiplexor))
-            seq.blocks[i] = Multiplexor(mux.kind, mux.target, mux.controls,
-                                        mux.theta + 1e-3)
-            return seq
+            return corrupt_one_multiplexor(qsd_compile(u))
         monkeypatch.setattr("wavecirc.dynamics.qsd_compile", corrupted)
         cfg = write_config(tmp_path, {"dynamics": {
             "method": "circuit-exact", "steps": 5}})
@@ -363,6 +379,27 @@ class TestCircuitHealthCheck:
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err and "exact block evolution" in err
+
+    @pytest.mark.parametrize("corrupt", [("odd",), ("even", "odd")])
+    def test_compile_check_failure_writes_nothing(self, tmp_path, capsys,
+                                                   monkeypatch, corrupt):
+        # the even block is compiled first, then the odd one
+        from wavecirc.qsd import qsd_compile
+        names = iter(("even", "odd"))
+
+        def corrupted(u):
+            seq = qsd_compile(u)
+            if next(names) in corrupt:
+                corrupt_one_multiplexor(seq)
+            return seq
+        monkeypatch.setattr("wavecirc.cli.qsd_compile", corrupted)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["compile", "--config", cfg, "--out", str(out),
+                     "--time-fs", "0.5", "--check"]) == 3
+        assert "reconstruction error" in capsys.readouterr().err
+        assert not list(out.glob("*.qasm"))
+        assert not (out / "manifest.json").exists()
 
 
 class TestEntryPoint:

@@ -9,7 +9,47 @@ import pytest
 from scipy.stats import unitary_group
 
 import wavecirc as w
+from wavecirc.qsd import Gate, GateSequence, Multiplexor, ZyzLeaf, _walsh_gray
 from wavecirc.sim import circuit_matrix
+
+
+def reference_gates(block, i):
+    '''Reference: circuit i of a block expanded gate by gate.'''
+    if isinstance(block, Multiplexor):
+        _, ladder = _walsh_gray(len(block.controls))
+        out = []
+        for angle, c in zip(block.theta[i].tolist(), ladder):
+            out.append(Gate(block.kind, target=block.target, angle=angle))
+            out.append(Gate("cx", control=block.controls[c],
+                            target=block.target))
+        return out
+    if isinstance(block, ZyzLeaf):
+        q = block.target
+        return [Gate("rz", target=q, angle=float(block.delta[i])),
+                Gate("ry", target=q, angle=float(block.gamma[i])),
+                Gate("rz", target=q, angle=float(block.beta[i]))]
+    if np.ndim(block.angle) == 0:
+        return [block]
+    return [Gate(block.kind, block.target, block.control,
+                 float(block.angle[i]))]
+
+
+def per_gate_qasm(seq):
+    '''Reference: OpenQASM formatted from one Gate per line, every
+    circuit of a stack in order.'''
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
+    phase = seq.global_phase()
+    if phase:
+        lines.append(f"// global phase dropped: {phase:.17g}")
+    lines.append(f"qreg q[{seq.n_qubits}];")
+    for i in range(seq.n_circuits):
+        for b in seq.blocks:
+            for g in reference_gates(b, i):
+                if g.kind == "cx":
+                    lines.append(f"cx q[{g.control}],q[{g.target}];")
+                elif g.kind != "phase":
+                    lines.append(f"{g.kind}({g.angle:.17g}) q[{g.target}];")
+    return "\n".join(lines) + "\n"
 
 
 class TestToQasm:
@@ -35,6 +75,64 @@ class TestToQasm:
         assert all(ln.startswith(("ry(", "rz(", "cx ")) for ln in body)
         assert len(body) == sum(v for k, v in seq.counts().items()
                                 if k != "phase")
+
+
+class TestBlockWiseWriter:
+    '''to_qasm formats block rows; the per-Gate formatter is the
+    reference, byte for byte.'''
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_compiled_bytes_match_per_gate(self, n):
+        seq = w.qsd_compile(unitary_group.rvs(2 ** n, random_state=20 + n))
+        assert w.to_qasm(seq) == per_gate_qasm(seq)
+
+    def test_stack_bytes_match_per_gate(self):
+        # a stack's phase is one value per circuit, which the header
+        # comment cannot hold: the stack is written without it
+        rng = np.random.default_rng(30)
+        u = np.array([unitary_group.rvs(8, random_state=rng)
+                      for _ in range(3)])
+        seq = w.qsd_compile(u).without_phase()
+        text = w.to_qasm(seq)
+        assert text == per_gate_qasm(seq)
+        body = text.splitlines()[3:]
+        assert len(body) == 3 * len(w.to_qasm(
+            w.qsd_compile(u[0])).splitlines()[4:])
+
+    def test_single_gates_match_per_gate(self):
+        gates = [Gate("ry", target=0, angle=0.1), Gate("cx", 1, 0),
+                 Gate("rz", target=2, angle=np.float64(-1e-300)),
+                 Gate("phase", angle=0.25), Gate("cx", 0, 2),
+                 Gate("ry", target=1, angle=np.pi)]
+        seq = GateSequence(3, gates)
+        assert w.to_qasm(seq) == per_gate_qasm(seq)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_block_angle_raises(self, bad):
+        seq = w.qsd_compile(unitary_group.rvs(8, random_state=31))
+        i, mux = next((i, b) for i, b in enumerate(seq.blocks)
+                      if isinstance(b, Multiplexor))
+        theta = mux.theta.copy()
+        theta[0, 1] = bad
+        seq.blocks[i] = Multiplexor(mux.kind, mux.target, mux.controls, theta)
+        with pytest.raises(ValueError, match="finite"):
+            w.to_qasm(seq)
+        leaf = ZyzLeaf(0, np.array([0.1]), np.array([bad]), np.array([0.2]))
+        with pytest.raises(ValueError, match="finite"):
+            w.to_qasm(GateSequence(1, [leaf]))
+
+    def test_circuit_and_iteration_gate_lists(self):
+        rng = np.random.default_rng(32)
+        u = np.array([unitary_group.rvs(8, random_state=rng)
+                      for _ in range(3)])
+        seq = w.qsd_compile(u)
+        want = [[g for b in seq.blocks for g in reference_gates(b, i)]
+                for i in range(3)]
+        for i in range(3):
+            assert seq.circuit(i).blocks == want[i]
+        assert list(seq) == want[0] + want[1] + want[2]
+        assert all(type(g.angle) is float for g in seq
+                   if g.kind != "cx")
 
 
 class TestRoundTrip:

@@ -11,6 +11,7 @@ from wavecirc import units
 from wavecirc.dynamics import _chunk_steps, _circuit_evolve, _compiled_evolve
 from wavecirc.givens import _rotate_pairs
 from wavecirc.qsd import Gate, GateSequence, Multiplexor, ZyzLeaf
+from wavecirc import sim
 from wavecirc.sim import _apply_gate, circuit_matrix
 
 from conftest import double_well_system, random_state
@@ -207,6 +208,130 @@ class TestFusedExecution:
                 u = w.exact_propagator(None, s * dt, eig=eig)
                 ref = gate_by_gate(psi0_map[states], w.qsd_compile(u))
                 assert np.abs(out[s, states] - ref).max() <= 1e-12
+
+
+def identity_run(seq):
+    '''Reference: every block of `seq` run across the whole 2^n identity,
+    with a stack of S circuits as (S, 2^n, 2^n).'''
+    eye = np.eye(2 ** seq.n_qubits, dtype=complex)
+    if seq.n_circuits == 1:
+        return w.run_circuit(eye, seq)
+    eye = np.repeat(eye[:, :, None], seq.n_circuits, axis=2)
+    return np.moveaxis(w.run_circuit(eye, seq), 2, 0)
+
+
+def random_single_gates(n, count, rng):
+    '''`count` random ry, rz and cx gates on n qubits.'''
+    gates = []
+    for _ in range(count):
+        kind = ("ry", "rz", "cx")[rng.integers(3 if n > 1 else 2)]
+        if kind == "cx":
+            t, c = rng.choice(n, size=2, replace=False)
+            gates.append(Gate("cx", target=int(t), control=int(c)))
+        else:
+            gates.append(Gate(kind, target=int(rng.integers(n)),
+                              angle=float(rng.normal())))
+    return GateSequence(n, gates)
+
+
+class TestNestedProducts:
+    '''circuit_matrix builds the products of runs of blocks on the low
+    qubits and nests them; running every block across the identity is
+    the reference.'''
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_compiled_circuits(self, n):
+        seq = w.qsd_compile(unitary_group.rvs(2 ** n, random_state=90 + n))
+        assert np.abs(circuit_matrix(seq) - identity_run(seq)).max() \
+            <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_stacks(self, n):
+        rng = np.random.default_rng(100 + n)
+        u = np.array([unitary_group.rvs(2 ** n, random_state=rng)
+                      for _ in range(3)])
+        seq = w.qsd_compile(u)
+        got = circuit_matrix(seq)
+        assert got.shape == (3, 2 ** n, 2 ** n)
+        assert np.abs(got - identity_run(seq)).max() <= 1e-12
+
+    def test_hand_built_supports(self):
+        # supports falling and rising, runs long enough to be fused and
+        # short enough to be replayed, cx in both orientations,
+        # multiplexors with controls (2, 0) and (1, 3), leaves and phases
+        rng = np.random.default_rng(110)
+
+        def rot(kind, q):
+            return Gate(kind, target=q, angle=float(rng.normal()))
+
+        def leaf(q):
+            return ZyzLeaf(q, *rng.normal(size=(3, 1)))
+
+        def cx(c, t):
+            return Gate("cx", target=t, control=c)
+
+        def mux(kind, target, controls):
+            return w.multiplexed_rotation_to_gates(
+                kind, rng.normal(size=2 ** len(controls)), target,
+                controls).blocks
+        mux_y = mux("y", 1, [2, 0])
+        blocks = ([rot("ry", 0), rot("rz", 0), rot("ry", 0), cx(0, 1),
+                   cx(1, 0), rot("ry", 3), Gate("phase", angle=0.4),
+                   leaf(0)]
+                  + mux_y
+                  + [rot("rz", 1), rot("ry", 0), leaf(2), cx(4, 0), cx(0, 4)]
+                  + mux("z", 3, [4])
+                  + [Gate("phase", angle=-0.2), Gate("phase", angle=1.1),
+                     leaf(0), leaf(1), rot("rz", 0), rot("ry", 1),
+                     rot("rz", 2), cx(1, 2)] * 3
+                  + [rot("ry", 4)] + mux_y
+                  + [rot("rz", 4), rot("ry", 0), rot("rz", 1), rot("ry", 0),
+                     rot("rz", 1)]
+                  + mux("z", 0, [1, 3])
+                  + [rot("ry", 1), rot("rz", 0), rot("ry", 4)])
+        seq = GateSequence(5, blocks)
+        assert np.abs(circuit_matrix(seq) - identity_run(seq)).max() \
+            <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_random_single_gates(self, n):
+        seq = random_single_gates(n, 2000, np.random.default_rng(120 + n))
+        assert np.abs(circuit_matrix(seq) - identity_run(seq)).max() \
+            <= 1e-12
+
+    @staticmethod
+    def passes(seq, monkeypatch):
+        '''Amplitudes that circuit_matrix(seq) updates, in passes across
+        the 2^n identity; a product on c qubits counts 2^c per amplitude.'''
+        work = []
+        for cls, fn in list(sim._APPLY.items()):
+            def counted(amp, op, n, fn=fn):
+                rows = len(op.matrix) if isinstance(op, sim._Product) else 1
+                work.append(amp.size * rows)
+                return fn(amp, op, n)
+            monkeypatch.setitem(sim._APPLY, cls, counted)
+        circuit_matrix(seq)
+        return sum(work) / (4 ** seq.n_qubits * seq.n_circuits)
+
+    def test_fuse_only_when_it_saves_passes(self, monkeypatch):
+        # a compiled circuit runs at full width only at its top level; a
+        # sequence with no nesting costs no more than one pass per block
+        seq = w.qsd_compile(unitary_group.rvs(128, random_state=140))
+        assert self.passes(seq, monkeypatch) <= 0.1 * len(seq.blocks)
+        seq = random_single_gates(7, 2000, np.random.default_rng(141))
+        assert self.passes(seq, monkeypatch) <= len(seq.blocks)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_qasm_round_trip(self, n):
+        seq = w.qsd_compile(unitary_group.rvs(2 ** n, random_state=130 + n))
+        back = w.from_qasm(w.to_qasm(seq))
+        assert np.abs(circuit_matrix(back)
+                      - circuit_matrix(seq.without_phase())).max() <= 1e-12
+
+    def test_gate_outside_register_rejected(self):
+        seq = GateSequence(2, [Gate("ry", target=2, angle=0.1)])
+        with pytest.raises(ValueError, match="outside"):
+            circuit_matrix(seq)
 
 
 def random_block(dim, rng):

@@ -2,7 +2,7 @@
 
 Subcommands: build, map, compile, propagate, spectrum, sweep-shots.
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
-failure, 4 guarded-precondition refusal.
+failure or a lost parity-block worker, 4 guarded-precondition refusal.
 '''
 
 import argparse
@@ -25,7 +25,7 @@ from .ising import BrokenSymmetryError, map_system, parameters_to_dict
 from .qasm import write_qasm
 from .qsd import NumericalError, cnot_count, cnot_lower_bound, qsd_compile
 from .sim import circuit_matrix, exact_propagator
-from .spectra import compare_eigendiffs, grid_spectrum
+from .spectra import MIN_SAMPLES, compare_eigendiffs, grid_spectrum
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -219,6 +219,18 @@ def _integer_at_least(minimum):
     return parse
 
 
+def _finite_float(text):
+    '''argparse type: a finite float, refused at parse time.'''
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not np.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
+
+
 def _shot_counts(text):
     return [_integer_at_least(1)(s) for s in text.split(",")]
 
@@ -248,12 +260,18 @@ def _evolve(pipe, method):
                   dyn["steps"], eig=pipe.eig, **kwargs)
 
 
-def _propagate(pipe, seed):
+def _propagate(pipe, seed, min_samples=1):
     '''The configured route's Trajectory and, off the classical route,
-    its epsilon against the classical reference (else None).'''
+    its epsilon against the classical reference (else None).  Refuses,
+    before evolving, a run of fewer than `min_samples` time samples.'''
     dyn = pipe.cfg["dynamics"]
     if dyn["method"] == "circuit-shots" and dyn.get("shots") is None:
         raise ConfigError("method circuit-shots needs dynamics.shots")
+    if dyn["steps"] + 1 < min_samples:
+        raise ConfigError(
+            f"a spectrum needs at least {min_samples} time samples "
+            f"(dynamics.steps >= {min_samples - 1}), got dynamics.steps = "
+            f"{dyn['steps']}")
     evo = _evolve(pipe, dyn["method"])
     traj = densities(evo, shots=dyn.get("shots"), seed=seed)
     if traj.method == "classical":
@@ -288,7 +306,7 @@ def cmd_spectrum(args):
     cfg = load_config(args.config)
     pipe = Pipeline(cfg)
     out = _out_dir(cfg, args)
-    traj, eps = _propagate(pipe, _seed(args, cfg))
+    traj, eps = _propagate(pipe, _seed(args, cfg), min_samples=MIN_SAMPLES)
     sp = cfg["spectrum"]
     spectrum = grid_spectrum(traj, window=None if sp["window"] == "none"
                              else sp["window"], padding=sp["padding"],
@@ -360,7 +378,7 @@ def build_parser():
 
     p = sub.add_parser("compile", help="compile block propagators to QASM")
     common(p)
-    p.add_argument("--time-fs", type=float, default=1.0,
+    p.add_argument("--time-fs", type=_finite_float, default=1.0,
                    help="propagation time of the compiled unitary")
     p.add_argument("--check", action="store_true",
                    help="verify gate-product reconstruction <= 1e-9")
@@ -381,8 +399,8 @@ def build_parser():
                    help="comma-separated shot counts")
     p.add_argument("--n-seeds", type=_integer_at_least(1), default=20)
     p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for existing command lines; the sweep "
-                   "evolves once and runs in one process")
+                   help="accepted for existing command lines and ignored; "
+                   "the sweep evolves once and resamples that evolution")
     p.set_defaults(func=cmd_sweep_shots)
     return parser
 
@@ -400,6 +418,9 @@ def main(argv=None):
         return EXIT_REFUSED
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except ChildProcessError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,8 +16,17 @@ batched product, compiled by one stacked `qsd_compile` call and run by
 one lockstep `run_circuit` call.  A fixed byte budget on the stack
 (CHUNK_BYTES) sets the chunk size, so memory does not grow with the
 step count, and each chunk is checked against exact block evolution.
+
+The two parity blocks share no data until their amplitudes are put back
+together, so the ising and circuit routes evolve them at once: the even
+block in the calling process and the odd block in one worker forked for
+the call (see `_per_block`).  Where `os.fork` is missing the blocks run
+in turn.
 '''
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,12 +137,93 @@ def _per_block(evolve_block, block_even, block_odd, psi0_map, partition,
                dt_fs, steps):
     '''Evolve each parity component with `evolve_block(block, comp0,
     dt_fs, steps)`; returns mapped-basis amplitudes, shape
-    (steps+1, 2^N).'''
+    (steps+1, 2^N).
+
+    The odd component runs in one worker forked for the call while the
+    even one runs here.  The worker sends its (steps+1, half) amplitudes
+    as raw bytes over a pipe; they are read into a buffer allocated only
+    once the even half is in place, so this process holds at most the
+    result plus one half, as when the blocks run in turn.  An exception
+    in the worker is raised here; a worker that dies without reporting
+    raises ChildProcessError.  The worker is joined on every path, and
+    killed first when this process fails.  OpenBLAS stops its thread
+    pool around a fork, so the worker starts with a usable BLAS.
+    Without `os.fork` the two components run in turn.
+    '''
     out = np.empty((steps + 1, 2 * partition.half), dtype=complex)
-    for states, block in ((partition.even_states, block_even),
-                          (partition.odd_states, block_odd)):
-        out[:, states] = evolve_block(block, psi0_map[states], dt_fs, steps)
+    even, odd = partition.even_states, partition.odd_states
+    if not hasattr(os, "fork"):
+        for states, block in ((even, block_even), (odd, block_odd)):
+            out[:, states] = evolve_block(block, psi0_map[states], dt_fs,
+                                          steps)
+        return out
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _worker(read_fd, write_fd, evolve_block, block_odd, psi0_map[odd],
+                dt_fs, steps)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            out[:, even] = evolve_block(block_even, psi0_map[even], dt_fs,
+                                        steps)
+            half = _receive(pipe, (steps + 1, len(odd)))
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if half is None:
+        raise ChildProcessError(
+            f"the odd parity block's worker exited with status "
+            f"{os.waitstatus_to_exitcode(status)} without a result")
+    out[:, odd] = half
     return out
+
+
+def _worker(read_fd, write_fd, evolve_block, *args):
+    '''Body of the forked worker: writes b"R" and the raw bytes of
+    `evolve_block(*args)`, or b"E" and its pickled exception, to the
+    pipe `write_fd`, then leaves by os._exit, so that no inherited exit
+    handler or buffered output runs twice.  Never returns.'''
+    code = 1
+    try:
+        os.close(read_fd)
+        with open(write_fd, "wb") as pipe:
+            try:
+                amps = np.ascontiguousarray(evolve_block(*args),
+                                            dtype=complex)
+            except Exception as exc:
+                pipe.write(b"E" + _pickled(exc))
+            else:
+                pipe.write(b"R")
+                pipe.write(memoryview(amps).cast("B"))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _pickled(exc):
+    '''exc pickled, or a RuntimeError with its message where exc does
+    not pickle.'''
+    try:
+        return pickle.dumps(exc)
+    except Exception:
+        return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+
+
+def _receive(pipe, shape):
+    '''The worker's amplitudes of `shape`, read from `pipe` into a new
+    array; raises the worker's exception; None when the pipe ends
+    before a whole result.'''
+    tag = pipe.read(1)
+    if tag == b"E":
+        raise pickle.loads(pipe.read())
+    if tag != b"R":
+        return None
+    half = np.empty(shape, dtype=complex)
+    view = memoryview(half).cast("B")
+    return half if pipe.readinto(view) == view.nbytes else None
 
 
 def _block_evolve(block_even, block_odd, psi0_map, partition, dt_fs, steps):

@@ -7,6 +7,8 @@ export and noted in the file header.
 
 import re
 
+import numpy as np
+
 from .qsd import Gate, GateSequence
 
 _GATE_RE = re.compile(
@@ -19,10 +21,16 @@ def to_qasm(seq):
 
     Lines are formatted from each block's (kind, target, control, angle)
     rows, with no Gate object per line; a block with a non-finite angle
-    raises ValueError.
+    raises ValueError, and so does a stack that still holds its
+    per-circuit phases (drop them with `without_phase()`).
     '''
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
     phase = seq.global_phase()
+    if np.ndim(phase):
+        raise ValueError(
+            f"a stack of {seq.n_circuits} circuits has one global phase per "
+            f"circuit and the QASM header holds one; write "
+            f"seq.without_phase()")
     if phase:
         lines.append(f"// global phase dropped: {phase:.17g}")
     lines.append(f"qreg q[{seq.n_qubits}];")

@@ -60,6 +60,9 @@ def _find_peaks(omega, power, threshold):
     return tuple(peaks)
 
 
+# fewest time samples (steps + 1) a spectrum is taken from
+MIN_SAMPLES = 64
+
 # Byte budget of the padded transforms of one chunk of column pairs,
 # (pairs, n_pad) complex: 8 MiB is 32 pairs at 16,004 padded steps.
 SPECTRUM_CHUNK_BYTES = 1 << 23
@@ -83,8 +86,8 @@ def grid_spectrum(traj, window=None, padding=4, threshold=1e-3):
     '''
     rho = np.asarray(traj.rho)
     n_steps, n_cols = rho.shape
-    if n_steps < 64:
-        raise ValueError("need at least 64 time steps")
+    if n_steps < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} time steps")
     dt = np.diff(traj.t_fs)
     if np.abs(dt - dt[0]).max() > 1e-9 * dt[0]:
         raise ValueError("non-uniform time axis")

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -33,3 +35,26 @@ def dw3_full(dw3):
 def random_state(dim, rng):
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return psi / np.linalg.norm(psi)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    '''Pids of the processes forked during the test.'''
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def in_worker_only(replacement, original):
+    '''`replacement` in a forked process, `original` in this one.'''
+    parent = os.getpid()
+
+    def pick(*args):
+        return (original if os.getpid() == parent else replacement)(*args)
+    return pick

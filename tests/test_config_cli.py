@@ -8,6 +8,8 @@ import wavecirc as w
 from wavecirc.cli import main, read_trajectory_csv
 from wavecirc.config import ConfigError, load_config, resolve
 
+from conftest import in_worker_only
+
 
 BASE = {
     "grid": {"n_qubits": 3, "length_angstrom": 0.66},
@@ -344,6 +346,25 @@ class TestInputsRefusedBeforeEvolution:
                          "--out", str(tmp_path / "o")]) == 2
             assert "dynamics.shots" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["classical", "circuit-exact"])
+    def test_spectrum_of_fewer_than_64_samples_exit_2(self, tmp_path,
+                                                      capsys, method):
+        cfg = write_config(tmp_path, {"dynamics": {"method": method,
+                                                   "steps": 62}})
+        assert main(["spectrum", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "at least 64 time samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "x"])
+    def test_compile_non_finite_time_exit_2(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", "--config", cfg, "--out", str(tmp_path / "o"),
+                  f"--time-fs={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--time-fs" in err and "expected a finite number" in err
+
     def test_compile_single_qubit_grid_exit_2(self, tmp_path, capsys,
                                               monkeypatch):
         def compile_(u):
@@ -366,6 +387,12 @@ def corrupt_one_multiplexor(seq):
     return seq
 
 
+# off-centre, so both parity components are spread over their registers:
+# the delta's odd component is one basis state, on which a corrupted
+# first multiplexor can act as a phase only
+GAUSSIAN = {"kind": "gaussian", "mu_angstrom": 0.1, "sigma_angstrom": 0.1}
+
+
 class TestCircuitHealthCheck:
     def test_corrupted_compile_exit_3(self, tmp_path, capsys, monkeypatch):
         from wavecirc.qsd import qsd_compile
@@ -379,6 +406,51 @@ class TestCircuitHealthCheck:
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err and "exact block evolution" in err
+
+    def test_worker_only_corruption_exit_3(self, tmp_path, capsys,
+                                           monkeypatch):
+        # the odd parity block is compiled in a forked worker
+        from wavecirc.qsd import qsd_compile
+        monkeypatch.setattr("wavecirc.dynamics.qsd_compile", in_worker_only(
+            lambda u: corrupt_one_multiplexor(qsd_compile(u)), qsd_compile))
+        cfg = write_config(tmp_path, {"dynamics": {
+            "method": "circuit-exact", "steps": 5, "wavepacket": GAUSSIAN}})
+        assert main(["propagate", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "exact block evolution" in err
+
+    def test_dead_worker_exit_3(self, tmp_path, capsys, monkeypatch):
+        from wavecirc.dynamics import _compiled_evolve
+        monkeypatch.setattr("wavecirc.dynamics._compiled_evolve",
+                            in_worker_only(lambda *a: os._exit(1),
+                                           _compiled_evolve))
+        cfg = write_config(tmp_path, {"dynamics": {
+            "method": "circuit-exact", "steps": 5}})
+        assert main(["propagate", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 3
+        assert "without a result" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    @pytest.mark.parametrize("command", [
+        ["propagate"], ["sweep-shots", "--shots", "100", "--n-seeds", "2"]])
+    def test_no_worker_left_alive(self, tmp_path, capsys, monkeypatch, forks,
+                                  command, corrupt):
+        from wavecirc.qsd import qsd_compile
+        if corrupt:
+            monkeypatch.setattr(
+                "wavecirc.dynamics.qsd_compile", in_worker_only(
+                    lambda u: corrupt_one_multiplexor(qsd_compile(u)),
+                    qsd_compile))
+        cfg = write_config(tmp_path, {"dynamics": {
+            "method": "circuit-shots", "shots": 100, "steps": 5,
+            "wavepacket": GAUSSIAN}})
+        code = main(command + ["--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == (3 if corrupt else 0), capsys.readouterr().err
+        assert len(forks) == 1
+        # reaped: waitpid no longer knows the pid
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
 
     @pytest.mark.parametrize("corrupt", [("odd",), ("even", "odd")])
     def test_compile_check_failure_writes_nothing(self, tmp_path, capsys,

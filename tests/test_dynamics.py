@@ -1,3 +1,5 @@
+import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -7,7 +9,7 @@ from scipy.linalg import expm
 import wavecirc as w
 from wavecirc import dynamics, units
 
-from conftest import double_well_system, random_state
+from conftest import double_well_system, in_worker_only, random_state
 
 
 def mapped_blocks(n, ms=False):
@@ -187,6 +189,125 @@ class TestPropagate:
         with pytest.raises(ValueError):
             w.propagate("warp", ham, psi0, 0.25, 10, partition=1,
                         blocks=1)
+
+
+def random_hermitian(dim, rng):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return 0.01 * (a + a.conj().T)
+
+
+class TestParityWorker:
+    '''_per_block evolves the odd block in a forked worker; its output is
+    that of the two in-process block calls, bit for bit.'''
+
+    ROUTES = [(dynamics._circuit_evolve, dynamics._compiled_evolve),
+              (dynamics._block_evolve, dynamics.evolve_exact)]
+
+    @staticmethod
+    def in_process(evolve_block, blocks, psi0_map, pp, dt_fs, steps):
+        out = np.empty((steps + 1, 2 * pp.half), dtype=complex)
+        for states, block in zip((pp.even_states, pp.odd_states), blocks):
+            out[:, states] = evolve_block(block, psi0_map[states], dt_fs,
+                                          steps)
+        return out
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("route, evolve_block", ROUTES)
+    def test_bits_match_in_process_blocks(self, n, route, evolve_block,
+                                          forks):
+        ham, pp, blocks = mapped_blocks(n)
+        psi0_map = w.to_mapped_basis(w.initial_wavepacket(
+            w.WavepacketSpec("gaussian", mu=0.0, sigma=0.1), ham.grid), pp)
+        got = route(*blocks, psi0_map, pp, 0.5, 20)
+        assert len(forks) == 1
+        assert np.array_equal(
+            got, self.in_process(evolve_block, blocks, psi0_map, pp, 0.5, 20))
+
+    @pytest.mark.parametrize("route, evolve_block", ROUTES)
+    def test_complex_hermitian_blocks(self, route, evolve_block, forks):
+        rng = np.random.default_rng(90)
+        pp = w.parity_partition(4)
+        blocks = (random_hermitian(8, rng), random_hermitian(8, rng))
+        psi0_map = random_state(16, rng)
+        got = route(*blocks, psi0_map, pp, 0.05, 20)
+        assert len(forks) == 1
+        assert np.array_equal(
+            got, self.in_process(evolve_block, blocks, psi0_map, pp, 0.05,
+                                 20))
+
+    def test_without_fork_blocks_run_in_turn(self, monkeypatch):
+        ham, pp, blocks = mapped_blocks(4)
+        psi0_map = w.to_mapped_basis(w.initial_wavepacket(
+            w.WavepacketSpec("delta"), ham.grid), pp)
+        forked = dynamics._circuit_evolve(*blocks, psi0_map, pp, 0.5, 20)
+        monkeypatch.delattr(os, "fork")
+        assert np.array_equal(
+            dynamics._circuit_evolve(*blocks, psi0_map, pp, 0.5, 20), forked)
+
+    def test_worker_exception_is_raised_here(self, monkeypatch, forks):
+        def corrupted(u):
+            seq = w.qsd_compile(u)
+            return w.GateSequence(seq.n_qubits, seq.blocks[1:],
+                                  seq.n_circuits)
+        monkeypatch.setattr(dynamics, "qsd_compile",
+                            in_worker_only(corrupted, w.qsd_compile))
+        ham, pp, blocks = mapped_blocks(4)
+        psi0_map = w.to_mapped_basis(w.initial_wavepacket(
+            w.WavepacketSpec("delta"), ham.grid), pp)
+        with pytest.raises(w.NumericalError, match="exact block evolution"):
+            dynamics._circuit_evolve(*blocks, psi0_map, pp, 0.5, 20)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+
+    def test_unpicklable_exception_keeps_its_message(self, monkeypatch):
+        class Local(Exception):
+            pass
+
+        def fails(*args):
+            raise Local("from the odd block")
+        monkeypatch.setattr(dynamics, "evolve_exact",
+                            in_worker_only(fails, dynamics.evolve_exact))
+        ham, pp, blocks = mapped_blocks(3)
+        psi0_map = np.ones(8) / np.sqrt(8)
+        with pytest.raises(RuntimeError, match="Local: from the odd block"):
+            dynamics._block_evolve(*blocks, psi0_map, pp, 0.5, 5)
+
+    def test_dead_worker_raises_instead_of_hanging(self, monkeypatch, forks):
+        def dies(*args):
+            os._exit(1)
+        monkeypatch.setattr(dynamics, "_compiled_evolve",
+                            in_worker_only(dies, dynamics._compiled_evolve))
+        ham, pp, blocks = mapped_blocks(4)
+        psi0_map = w.to_mapped_basis(w.initial_wavepacket(
+            w.WavepacketSpec("delta"), ham.grid), pp)
+        with pytest.raises(ChildProcessError, match="status 1 without"):
+            dynamics._circuit_evolve(*blocks, psi0_map, pp, 0.5, 20)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+
+    def test_worker_killed_when_even_block_fails(self, monkeypatch, forks):
+        # 2,000 steps keep the worker busy for seconds: it is killed, not
+        # waited for
+        statuses, waitpid = [], os.waitpid
+
+        def recording_waitpid(pid, options):
+            pid, status = waitpid(pid, options)
+            statuses.append(status)
+            return pid, status
+        monkeypatch.setattr(os, "waitpid", recording_waitpid)
+
+        def fails(*args):
+            raise FloatingPointError("even block")
+        monkeypatch.setattr(dynamics, "_compiled_evolve",
+                            in_worker_only(dynamics._compiled_evolve, fails))
+        ham, pp, blocks = mapped_blocks(6)
+        psi0_map = w.to_mapped_basis(w.initial_wavepacket(
+            w.WavepacketSpec("delta"), ham.grid), pp)
+        with pytest.raises(FloatingPointError, match="even block"):
+            dynamics._circuit_evolve(*blocks, psi0_map, pp, 0.5, 2000)
+        assert os.waitstatus_to_exitcode(statuses[0]) == -signal.SIGKILL
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
 
 
 class TestCouplingGuard:

@@ -99,6 +99,14 @@ class TestBlockWiseWriter:
         assert len(body) == 3 * len(w.to_qasm(
             w.qsd_compile(u[0])).splitlines()[4:])
 
+    def test_stack_with_phases_refused(self):
+        rng = np.random.default_rng(31)
+        u = np.array([unitary_group.rvs(4, random_state=rng)
+                      for _ in range(3)])
+        with pytest.raises(ValueError,
+                           match="3 circuits has one global phase per circuit"):
+            w.to_qasm(w.qsd_compile(u))
+
     def test_single_gates_match_per_gate(self):
         gates = [Gate("ry", target=0, angle=0.1), Gate("cx", 1, 0),
                  Gate("rz", target=2, angle=np.float64(-1e-300)),

@@ -445,6 +445,28 @@ class TestLockstepExecution:
         assert peak[2000] - peak[64] <= 1.5 * (size[2000] - size[64]) \
             + 2 ** 18
 
+    def test_block_working_memory_independent_of_step_count(self):
+        # _compiled_evolve alone, as the odd block's forked worker runs
+        # it: the test above traces only the even block, in this process
+        g, pot, ham = double_well_system(6)
+        pp = w.parity_partition(6)
+        bh = w.block_transform(ham)
+        comp0 = w.to_mapped_basis(w.initial_wavepacket(
+            w.WavepacketSpec("gaussian", mu=0.0, sigma=0.1), g),
+            pp)[pp.odd_states]
+        peak, size = {}, {}
+        for steps in (64, 2000):
+            tracemalloc.start()
+            try:
+                out = _compiled_evolve(bh.block_minus, comp0, 1.0, steps)
+                peak[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            size[steps] = out.nbytes
+        print(f"peak {peak}, block trajectory bytes {size}")
+        assert peak[2000] - peak[64] <= 1.5 * (size[2000] - size[64]) \
+            + 2 ** 18
+
 
 class TestSampleShots:
     def test_basis_state_deterministic(self):

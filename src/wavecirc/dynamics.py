@@ -18,15 +18,19 @@ one lockstep `run_circuit` call.  A fixed byte budget on the stack
 step count, and each chunk is checked against exact block evolution.
 
 The two parity blocks share no data until their amplitudes are put back
-together, so the ising and circuit routes evolve them at once: the even
-block in the calling process and the odd block in one worker forked for
-the call (see `_per_block`).  Where `os.fork` is missing the blocks run
-in turn.
+together, so the circuit routes evolve them at once: the even block in
+the calling process and the odd block in one worker forked for the call,
+which writes its amplitudes into a shared buffer (see `_circuit_evolve`).
+Where `os.fork` is missing, or another Python thread is running, the
+blocks run in turn.  The ising route runs them in turn: its few large
+products already use both cores through BLAS.
 '''
 
+import mmap
 import os
 import pickle
 import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,71 +137,86 @@ def evolve_exact(ham_or_eig, psi0, dt_fs, steps):
     return out
 
 
-def _per_block(evolve_block, block_even, block_odd, psi0_map, partition,
-               dt_fs, steps):
-    '''Evolve each parity component with `evolve_block(block, comp0,
-    dt_fs, steps)`; returns mapped-basis amplitudes, shape
-    (steps+1, 2^N).
+def _block_evolve(block_even, block_odd, psi0_map, partition, dt_fs, steps):
+    '''Evolve the two parity components exactly under the given block
+    matrices, one after the other; returns mapped-basis amplitudes, shape
+    (steps+1, 2^N).'''
+    out = np.empty((steps + 1, 2 * partition.half), dtype=complex)
+    for states, block in ((partition.even_states, block_even),
+                          (partition.odd_states, block_odd)):
+        out[:, states] = evolve_exact(block, psi0_map[states], dt_fs, steps)
+    return out
 
-    The odd component runs in one worker forked for the call while the
-    even one runs here.  The worker sends its (steps+1, half) amplitudes
-    as raw bytes over a pipe; they are read into a buffer allocated only
-    once the even half is in place, so this process holds at most the
-    result plus one half, as when the blocks run in turn.  An exception
-    in the worker is raised here; a worker that dies without reporting
-    raises ChildProcessError.  The worker is joined on every path, and
-    killed first when this process fails.  OpenBLAS stops its thread
-    pool around a fork, so the worker starts with a usable BLAS.
-    Without `os.fork` the two components run in turn.
+
+def _circuit_evolve(block_even, block_odd, psi0_map, partition, dt_fs, steps):
+    '''Per-step compiled propagation: each U(t_s) of each parity block is
+    compiled to gates and run on the block component; returns
+    mapped-basis amplitudes, shape (steps+1, 2^N).
+
+    The odd block runs in one worker forked for the call while the even
+    one runs here, each writing its amplitudes in place: the even block
+    into its columns of the result, the odd block into a MAP_SHARED
+    buffer of (steps+1, half) that is copied into the result once the
+    worker is done.  So the whole run holds the result plus one half,
+    as when the blocks run in turn, plus the worker's chunk working set.
+    The pipe carries only a worker exception, which is raised here; a
+    worker that dies without reporting raises ChildProcessError.  The
+    worker is joined on every path, and killed first when this process
+    fails.  OpenBLAS stops its thread pool around a fork, so the worker
+    starts with a usable BLAS and this process forks with one thread.
+    Without `os.fork`, or while another Python thread runs here (a child
+    could inherit a lock that thread holds), the blocks run in turn.
     '''
     out = np.empty((steps + 1, 2 * partition.half), dtype=complex)
     even, odd = partition.even_states, partition.odd_states
-    if not hasattr(os, "fork"):
+    if not hasattr(os, "fork") or threading.active_count() > 1:
         for states, block in ((even, block_even), (odd, block_odd)):
-            out[:, states] = evolve_block(block, psi0_map[states], dt_fs,
-                                          steps)
+            _compiled_evolve(block, psi0_map[states], dt_fs, steps, out,
+                             states)
         return out
+    # MAP_SHARED and anonymous; unmapped when the last view is dropped
+    shared = np.frombuffer(mmap.mmap(-1, (steps + 1) * len(odd) * 16),
+                           dtype=complex).reshape(steps + 1, len(odd))
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
-        _worker(read_fd, write_fd, evolve_block, block_odd, psi0_map[odd],
-                dt_fs, steps)
+        _worker(read_fd, write_fd, _compiled_evolve, block_odd,
+                psi0_map[odd], dt_fs, steps, shared)
     os.close(write_fd)
     try:
         with open(read_fd, "rb") as pipe:
-            out[:, even] = evolve_block(block_even, psi0_map[even], dt_fs,
-                                        steps)
-            half = _receive(pipe, (steps + 1, len(odd)))
+            _compiled_evolve(block_even, psi0_map[even], dt_fs, steps, out,
+                             even)
+            report = pipe.read()
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
         _, status = os.waitpid(pid, 0)
-    if half is None:
+    if report:
+        raise pickle.loads(report)
+    if status:
         raise ChildProcessError(
             f"the odd parity block's worker exited with status "
             f"{os.waitstatus_to_exitcode(status)} without a result")
-    out[:, odd] = half
+    out[:, odd] = shared
     return out
 
 
 def _worker(read_fd, write_fd, evolve_block, *args):
-    '''Body of the forked worker: writes b"R" and the raw bytes of
-    `evolve_block(*args)`, or b"E" and its pickled exception, to the
-    pipe `write_fd`, then leaves by os._exit, so that no inherited exit
-    handler or buffered output runs twice.  Never returns.'''
+    '''Body of the forked worker: runs `evolve_block(*args)`, writes
+    its pickled exception, if any, to the pipe `write_fd`, and leaves by
+    os._exit (status 0 once it has run or reported), so that no
+    inherited exit handler or buffered output runs twice.  Never
+    returns.'''
     code = 1
     try:
         os.close(read_fd)
         with open(write_fd, "wb") as pipe:
             try:
-                amps = np.ascontiguousarray(evolve_block(*args),
-                                            dtype=complex)
+                evolve_block(*args)
             except Exception as exc:
-                pipe.write(b"E" + _pickled(exc))
-            else:
-                pipe.write(b"R")
-                pipe.write(memoryview(amps).cast("B"))
+                pipe.write(_pickled(exc))
         code = 0
     finally:
         os._exit(code)
@@ -210,34 +229,6 @@ def _pickled(exc):
         return pickle.dumps(exc)
     except Exception:
         return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-
-
-def _receive(pipe, shape):
-    '''The worker's amplitudes of `shape`, read from `pipe` into a new
-    array; raises the worker's exception; None when the pipe ends
-    before a whole result.'''
-    tag = pipe.read(1)
-    if tag == b"E":
-        raise pickle.loads(pipe.read())
-    if tag != b"R":
-        return None
-    half = np.empty(shape, dtype=complex)
-    view = memoryview(half).cast("B")
-    return half if pipe.readinto(view) == view.nbytes else None
-
-
-def _block_evolve(block_even, block_odd, psi0_map, partition, dt_fs, steps):
-    '''Evolve the two parity components exactly under the given block
-    matrices; returns mapped-basis amplitudes, shape (steps+1, 2^N).'''
-    return _per_block(evolve_exact, block_even, block_odd, psi0_map,
-                      partition, dt_fs, steps)
-
-
-def _circuit_evolve(block_even, block_odd, psi0_map, partition, dt_fs, steps):
-    '''Per-step compiled propagation: each U(t_s) of each parity block is
-    compiled to gates and run on the block component.'''
-    return _per_block(_compiled_evolve, block_even, block_odd, psi0_map,
-                      partition, dt_fs, steps)
 
 
 # Byte budget of the stack of exact propagators compiled together,
@@ -255,25 +246,29 @@ def _chunk_steps(dim):
     return max(1, CHUNK_BYTES // (16 * dim * dim))
 
 
-def _compiled_evolve(block, comp0, dt_fs, steps):
+def _compiled_evolve(block, comp0, dt_fs, steps, out=None,
+                     states=slice(None)):
     '''Amplitudes (steps+1, dim) of comp0 under one compiled circuit per
-    step.  Steps go in chunks of `_chunk_steps(dim)`: the exact
-    propagators of a chunk come from one exact_propagator call, are
-    compiled by one qsd_compile call and run in lockstep by one
-    run_circuit call.  Each
-    chunk's circuit amplitudes are checked against U_s comp0
-    (NumericalError above CIRCUIT_TOL).'''
+    step, written into `out[:, states]` and returning `out` (a new
+    (steps+1, dim) array when `out` is None).  Steps go in chunks of
+    `_chunk_steps(dim)`: the exact propagators of a chunk come from one
+    exact_propagator call, are compiled by one qsd_compile call and run
+    in lockstep by one run_circuit call.  Each chunk's circuit
+    amplitudes are checked against U_s comp0 (NumericalError above
+    CIRCUIT_TOL).'''
     eig = eigensolve(block)
     dim = len(comp0)
-    out = np.empty((steps + 1, dim), dtype=complex)
-    out[0] = comp0
+    if out is None:
+        out = np.empty((steps + 1, dim), dtype=complex)
+    out[0, states] = comp0
     chunk = _chunk_steps(dim)
     for start in range(1, steps + 1, chunk):
         s = np.arange(start, min(start + chunk, steps + 1))
+        rows = slice(s[0], s[-1] + 1)
         u = exact_propagator(eig, s * dt_fs)
         exact = u @ comp0
         if dim == 1:
-            out[s] = exact
+            out[rows, states] = exact
             continue
         cols = np.repeat(comp0[:, None], len(s), axis=1)
         amps = run_circuit(cols, qsd_compile(u)).T
@@ -283,7 +278,7 @@ def _compiled_evolve(block, comp0, dt_fs, steps):
                 f"compiled circuits miss the exact block evolution by "
                 f"{err:.3e} (> {CIRCUIT_TOL:g}) at t = {s[0] * dt_fs:g}.."
                 f"{s[-1] * dt_fs:g} fs")
-        out[s] = amps
+        out[rows, states] = amps
     return out
 
 
@@ -319,7 +314,11 @@ def evolve(method, ham, psi0, dt_fs, steps, partition=None, blocks=None,
     "circuit-shots": per-step compiled circuits for `blocks` = the rotated
     Hamiltonian blocks in parity order; these drop the coupling between
     the parity blocks of `ham`, so they refuse with BrokenSymmetryError,
-    unless `force`, when it exceeds threshold_ratio * ||H||_F.
+    unless `force`, when it exceeds threshold_ratio * ||H||_F.  They
+    evolve the odd block in a child process forked for the call (joined
+    before returning), unless another Python thread is running here;
+    an error there is raised here, and a child that dies without a
+    result raises ChildProcessError.
     '''
     if method not in ("classical", "ising", "circuit-exact",
                       "circuit-shots"):
@@ -362,7 +361,8 @@ def densities(evo, shots=None, seed=None):
 
 def propagate(method, ham, psi0, dt_fs, steps, partition=None, blocks=None,
               shots=None, seed=None, force=False, threshold_ratio=1e-8):
-    '''Produce a density Trajectory: `evolve`, then `densities`.'''
+    '''Produce a density Trajectory: `evolve`, then `densities`.  The
+    circuit routes fork one child process per call (see `evolve`).'''
     evo = evolve(method, ham, psi0, dt_fs, steps, partition=partition,
                  blocks=blocks, force=force, threshold_ratio=threshold_ratio)
     return densities(evo, shots=shots, seed=seed)

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -451,6 +454,45 @@ class TestCircuitHealthCheck:
         # reaped: waitpid no longer knows the pid
         with pytest.raises(ChildProcessError):
             os.waitpid(forks[0], os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                        reason="reads the thread count from /proc")
+    def test_fork_from_one_thread(self, tmp_path):
+        # Python >= 3.12 warns (DeprecationWarning) on a fork from a process
+        # with more than one OS thread.  OpenBLAS stops its pool around a
+        # fork, so the CLI forks from one.  Run in a new interpreter: the
+        # faulthandler timeout runs a watchdog thread in this one.
+        cfg = write_config(tmp_path, {"dynamics": {
+            "method": "circuit-exact", "steps": 5, "wavepacket": GAUSSIAN}})
+        script = textwrap.dedent(f'''
+            import json, os, warnings
+            import numpy as np
+            from wavecirc.cli import main
+            fork, threads = os.fork, []
+            def counting_fork():
+                pid = fork()
+                if pid:
+                    with open("/proc/self/stat") as f:
+                        stat = f.read().rsplit(")", 1)[1].split()
+                    threads.append(int(stat[17]))
+                return pid
+            os.fork = counting_fork
+            np.ones((400, 400)) @ np.ones((400, 400))  # start the BLAS pool
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["propagate", "--config", {cfg!r},
+                             "--out", {str(tmp_path / "o")!r}])
+            print(json.dumps({{"code": code, "threads": threads,
+                "deprecations": [str(c.message) for c in caught
+                                 if c.category is DeprecationWarning]}}))
+        ''')
+        src = os.path.dirname(os.path.dirname(w.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout.splitlines()[-1]) == {
+            "code": 0, "threads": [1], "deprecations": []}
 
     @pytest.mark.parametrize("corrupt", [("odd",), ("even", "odd")])
     def test_compile_check_failure_writes_nothing(self, tmp_path, capsys,

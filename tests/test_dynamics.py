@@ -1,5 +1,6 @@
 import os
 import signal
+import threading
 import tracemalloc
 
 import numpy as np
@@ -197,11 +198,12 @@ def random_hermitian(dim, rng):
 
 
 class TestParityWorker:
-    '''_per_block evolves the odd block in a forked worker; its output is
-    that of the two in-process block calls, bit for bit.'''
+    '''_circuit_evolve evolves the odd block in a forked worker, and
+    _block_evolve runs the blocks in turn; the output of each is that of
+    the two in-process block calls, bit for bit.'''
 
-    ROUTES = [(dynamics._circuit_evolve, dynamics._compiled_evolve),
-              (dynamics._block_evolve, dynamics.evolve_exact)]
+    ROUTES = [(dynamics._circuit_evolve, dynamics._compiled_evolve, 1),
+              (dynamics._block_evolve, dynamics.evolve_exact, 0)]
 
     @staticmethod
     def in_process(evolve_block, blocks, psi0_map, pp, dt_fs, steps):
@@ -212,25 +214,26 @@ class TestParityWorker:
         return out
 
     @pytest.mark.parametrize("n", range(2, 7))
-    @pytest.mark.parametrize("route, evolve_block", ROUTES)
+    @pytest.mark.parametrize("route, evolve_block, n_forks", ROUTES)
     def test_bits_match_in_process_blocks(self, n, route, evolve_block,
-                                          forks):
+                                          n_forks, forks):
         ham, pp, blocks = mapped_blocks(n)
         psi0_map = w.to_mapped_basis(w.initial_wavepacket(
             w.WavepacketSpec("gaussian", mu=0.0, sigma=0.1), ham.grid), pp)
         got = route(*blocks, psi0_map, pp, 0.5, 20)
-        assert len(forks) == 1
+        assert len(forks) == n_forks
         assert np.array_equal(
             got, self.in_process(evolve_block, blocks, psi0_map, pp, 0.5, 20))
 
-    @pytest.mark.parametrize("route, evolve_block", ROUTES)
-    def test_complex_hermitian_blocks(self, route, evolve_block, forks):
+    @pytest.mark.parametrize("route, evolve_block, n_forks", ROUTES)
+    def test_complex_hermitian_blocks(self, route, evolve_block, n_forks,
+                                      forks):
         rng = np.random.default_rng(90)
         pp = w.parity_partition(4)
         blocks = (random_hermitian(8, rng), random_hermitian(8, rng))
         psi0_map = random_state(16, rng)
         got = route(*blocks, psi0_map, pp, 0.05, 20)
-        assert len(forks) == 1
+        assert len(forks) == n_forks
         assert np.array_equal(
             got, self.in_process(evolve_block, blocks, psi0_map, pp, 0.05,
                                  20))
@@ -243,6 +246,23 @@ class TestParityWorker:
         monkeypatch.delattr(os, "fork")
         assert np.array_equal(
             dynamics._circuit_evolve(*blocks, psi0_map, pp, 0.5, 20), forked)
+
+    def test_other_thread_blocks_run_in_turn(self, forks):
+        # a forked child would inherit the locks another thread holds
+        ham, pp, blocks = mapped_blocks(4)
+        psi0_map = w.to_mapped_basis(w.initial_wavepacket(
+            w.WavepacketSpec("gaussian", mu=0.0, sigma=0.1), ham.grid), pp)
+        forked = dynamics._circuit_evolve(*blocks, psi0_map, pp, 0.5, 20)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            in_turn = dynamics._circuit_evolve(*blocks, psi0_map, pp, 0.5, 20)
+        finally:
+            stop.set()
+            thread.join()
+        assert len(forks) == 1
+        assert np.array_equal(in_turn, forked)
 
     def test_worker_exception_is_raised_here(self, monkeypatch, forks):
         def corrupted(u):
@@ -265,12 +285,12 @@ class TestParityWorker:
 
         def fails(*args):
             raise Local("from the odd block")
-        monkeypatch.setattr(dynamics, "evolve_exact",
-                            in_worker_only(fails, dynamics.evolve_exact))
+        monkeypatch.setattr(dynamics, "_compiled_evolve",
+                            in_worker_only(fails, dynamics._compiled_evolve))
         ham, pp, blocks = mapped_blocks(3)
         psi0_map = np.ones(8) / np.sqrt(8)
         with pytest.raises(RuntimeError, match="Local: from the odd block"):
-            dynamics._block_evolve(*blocks, psi0_map, pp, 0.5, 5)
+            dynamics._circuit_evolve(*blocks, psi0_map, pp, 0.5, 5)
 
     def test_dead_worker_raises_instead_of_hanging(self, monkeypatch, forks):
         def dies(*args):

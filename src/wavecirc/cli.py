@@ -55,7 +55,8 @@ class Pipeline:
 
     @cached_property
     def eig(self):
-        # exactly decoupled parity blocks: two half-size eigenproblems
+        # exactly decoupled parity blocks: two half-size eigenproblems,
+        # kept in block form (no 2^N eigenvector matrix)
         if self.blocks.coupling_norm == 0.0:
             return block_eigensolve(self.blocks)
         return eigensolve(self.ham)
@@ -104,8 +105,11 @@ def _write_json(path, obj):
 def _write_manifest(out, cfg, files):
     entries = {}
     for name in files:
+        digest = hashlib.sha256()
         with open(os.path.join(out, name), "rb") as fh:
-            entries[name] = hashlib.sha256(fh.read()).hexdigest()
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+        entries[name] = digest.hexdigest()
     _write_json(os.path.join(out, "manifest.json"),
                 {"resolved_config": cfg, "outputs": entries})
 
@@ -121,15 +125,6 @@ def _trajectory_csv(path, traj):
         for t, row in zip(traj.t_fs, traj.rho):
             fh.write(",".join([f"{t:.6f}"] + [f"{v:.12e}" for v in row]))
             fh.write("\n")
-
-
-def read_trajectory_csv(path):
-    with open(path) as fh:
-        meta = fh.readline().strip()
-        fh.readline()
-        data = np.loadtxt(fh, delimiter=",")
-    method = meta.split("method=")[1].split()[0]
-    return data[:, 0], data[:, 1:], method
 
 
 def cmd_build(args):

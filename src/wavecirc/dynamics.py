@@ -10,6 +10,16 @@ deterministic `evolve` (reference and route amplitudes) and `densities`
 (exact or seeded shot densities), so shot resamplings share one
 evolution.
 
+The classical reference comes from one exact evolution loop
+(`_exact_chunks`), in time chunks of a fixed byte budget
+(REFERENCE_CHUNK_BYTES).  On a reflection-symmetric surface the
+eigensystem is a BlockEigenSystem: each chunk is evolved by the two
+half-size parity blocks in the pair basis and rotated to the grid on
+its own.  `evolve` keeps only the real density of the reference (and,
+for circuit-shots, the half-size pair cross term the shot transport
+needs), never a complex grid trajectory; `evolve_exact` returns the
+amplitudes from the same loop.
+
 The circuit routes compile one circuit per time step and parity block,
 a chunk of steps at a time: the chunk's exact propagators are one
 batched product, compiled by one stacked `qsd_compile` call and run by
@@ -37,11 +47,11 @@ import numpy as np
 
 from . import units
 from .grid import eigensolve
-from .givens import block_transform, to_mapped_basis, from_mapped_basis
+from .givens import (BlockEigenSystem, _pair_cross, _rotate_pairs,
+                     block_transform, to_mapped_basis)
 from .ising import check_parity_coupling
 from .qsd import NumericalError, qsd_compile
-from .sim import (exact_propagator, run_circuit, sample_shots,
-                  mapped_density_to_grid)
+from .sim import _split_pairs, exact_propagator, run_circuit, sample_shots
 
 
 @dataclass(frozen=True)
@@ -88,53 +98,148 @@ def initial_wavepacket(spec, grid, eig=None):
             raise ValueError("thermal wavepacket needs the eigensystem")
         if spec.temperature <= 0:
             raise ValueError("temperature must be positive")
+        # sum_j exp(-(E_j - E_0) / kT) chi_j, block by block
         kt = units.KB_HARTREE * spec.temperature
-        e = eig.energies - eig.energies[0]
-        w = np.exp(-e / kt)
-        psi = eig.states @ w
+        blocks, pair = _eigen_blocks(eig)
+        psi = np.concatenate([x @ np.exp(-(e - eig.energies[0]) / kt)
+                              for e, x in blocks])
+        if pair:
+            psi = _rotate_pairs(psi)
     else:
         raise ValueError(f"unknown wavepacket kind {spec.kind!r}")
     return psi / np.linalg.norm(psi)
 
 
-# Byte budget of one time chunk of the exact reference, (rows, dim)
+# Byte budget of one time chunk of the exact evolution, (rows, dim)
 # complex eigenbasis coefficients: 8 MiB is 256 steps at N = 11.  The
-# working set beyond the returned trajectory is a few chunks and does not
-# grow with the step count.
+# phase table is one chunk more, and the working set beyond the returned
+# trajectory or density is a few chunks; it does not grow with the step
+# count.
 REFERENCE_CHUNK_BYTES = 1 << 23
+
+
+def _eigen_blocks(eig):
+    '''The diagonal blocks (energies, eigenvectors) of the eigenvector
+    matrix of `eig`, and whether they act on the pair basis: the two
+    parity blocks of a BlockEigenSystem, else one block on the grid.'''
+    if isinstance(eig, BlockEigenSystem):
+        return ((eig.plus.energies, eig.plus.states),
+                (eig.minus.energies, eig.minus.states)), True
+    return ((eig.energies, eig.states),), False
+
+
+def _exact_chunks(eig, psi0, dt_fs, steps):
+    '''The exact evolution loop: psi0 (grid amplitudes) under
+    exp(-i H t) at t = s dt_fs, s = 0..steps, through the eigensystem
+    `eig`, in time chunks of REFERENCE_CHUNK_BYTES.  Yields (rows, re,
+    im): the real and imaginary amplitudes of the steps in the slice
+    `rows`, on the basis of the eigenvectors (the pair basis for a
+    BlockEigenSystem, else the grid).  They are views of buffers that the
+    next chunk overwrites.
+
+    psi0 is projected once.  A chunk's phases exp(-iE t) are
+    W[k] exp(-iE t_start), from one table W = exp(-iE k dt) of a chunk's
+    rows built once per call.  Each block of real eigenvectors (a real
+    symmetric H) takes two real products per chunk, one for the real and
+    one for the imaginary part of its coefficients; complex eigenvectors
+    (a complex Hermitian H) project psi0 with their conjugate and take
+    one complex product.
+    '''
+    blocks, pair = _eigen_blocks(eig)
+    psi0 = np.asarray(psi0, dtype=complex)
+    if pair:
+        psi0 = _rotate_pairs(psi0)
+    parts, c0, first = [], [], 0
+    for energies, x in blocks:
+        cols = slice(first, first + len(energies))
+        first = cols.stop
+        xt, p = x.T, psi0[cols]
+        c0.append(xt.conj() @ p if np.iscomplexobj(xt)
+                  else xt @ p.real + 1j * (xt @ p.imag))
+        parts.append((cols, xt))
+    c0 = np.concatenate(c0)
+    energies = np.concatenate([e for e, _ in blocks])
+    dim = len(energies)
+    dt_au = units.fs_to_au(dt_fs)
+    rows = min(steps + 1, max(1, REFERENCE_CHUNK_BYTES // (16 * dim)))
+    table = np.outer(dt_au * np.arange(rows), -1j * energies)
+    np.exp(table, out=table)
+    # one set of chunk buffers, overwritten by every chunk
+    coef = np.empty_like(table)
+    re, im = np.empty((rows, dim)), np.empty((rows, dim))
+    for start in range(0, steps + 1, rows):
+        n = min(rows, steps + 1 - start)
+        np.multiply(table[:n], c0 * np.exp(-1j * (dt_au * start) * energies),
+                    out=coef[:n])
+        for cols, xt in parts:
+            c = coef[:n, cols]
+            if np.iscomplexobj(xt):
+                z = c @ xt
+                re[:n, cols], im[:n, cols] = z.real, z.imag
+            else:
+                np.matmul(c.real, xt, out=re[:n, cols])
+                np.matmul(c.imag, xt, out=im[:n, cols])
+        yield slice(start, start + n), re[:n], im[:n]
+
+
+def _pair_density(re, im, out):
+    '''The grid density |G (re + i im)|^2 of pair-basis amplitudes,
+    along the last axis, written into `out`.'''
+    g = _rotate_pairs(re)
+    np.multiply(g, g, out=out)
+    del g
+    g = _rotate_pairs(im)
+    g *= g
+    out += g
 
 
 def evolve_exact(ham_or_eig, psi0, dt_fs, steps):
     '''Amplitude trajectory under exp(-i H t); shape (steps+1, dim).
 
-    The steps are filled in time chunks of REFERENCE_CHUNK_BYTES.  Real
-    eigenvectors (a real symmetric H) take two real products per chunk,
-    one for the real and one for the imaginary part of the coefficients,
-    instead of a complex product on a complex copy of the eigenvectors.
-    Complex eigenvectors (a complex Hermitian H) project psi0 with their
-    conjugate and take one complex product per chunk.
+    `ham_or_eig` is a Hamiltonian, its EigenSystem or its
+    BlockEigenSystem; the steps come from the one exact evolution loop,
+    `_exact_chunks`, and a block eigensystem's chunks are rotated to the
+    grid one chunk at a time.
     '''
     eig = ham_or_eig if hasattr(ham_or_eig, "energies") \
         else eigensolve(ham_or_eig)
-    vt = eig.states.T
-    psi0 = np.asarray(psi0, dtype=complex)
-    real = not np.iscomplexobj(vt)
-    c0 = vt @ psi0.real + 1j * (vt @ psi0.imag) if real \
-        else vt.conj() @ psi0
-    t_au = units.fs_to_au(dt_fs) * np.arange(steps + 1)
-    out = np.empty((steps + 1, len(c0)), dtype=complex)
-    rows = max(1, REFERENCE_CHUNK_BYTES // (16 * len(c0)))
-    for start in range(0, steps + 1, rows):
-        chunk = slice(start, start + rows)
-        coef = -1j * np.outer(t_au[chunk], eig.energies)
-        np.exp(coef, out=coef)
-        coef *= c0
-        if real:
-            out[chunk].real = np.ascontiguousarray(coef.real) @ vt
-            out[chunk].imag = np.ascontiguousarray(coef.imag) @ vt
-        else:
-            out[chunk] = coef @ vt
+    _, pair = _eigen_blocks(eig)
+    out = np.empty((steps + 1, len(eig.energies)), dtype=complex)
+    for rows, re, im in _exact_chunks(eig, psi0, dt_fs, steps):
+        out[rows].real = _rotate_pairs(re) if pair else re
+        out[rows].imag = _rotate_pairs(im) if pair else im
     return out
+
+
+def _exact_reference(eig, psi0, dt_fs, steps, cross):
+    '''The classical reference of `evolve` from the exact evolution
+    loop: the grid density, shape (steps+1, 2^N), and, when `cross`, the
+    pair cross term of the amplitudes (`givens._pair_cross`), shape
+    (steps+1, 2^(N-1)); else None.  Only one chunk of amplitudes exists
+    at a time.'''
+    _, pair = _eigen_blocks(eig)
+    dim = len(eig.energies)
+    rho = np.empty((steps + 1, dim))
+    pc = np.empty((steps + 1, dim // 2)) if cross else None
+    for rows, re, im in _exact_chunks(eig, psi0, dt_fs, steps):
+        if not pair:    # grid amplitudes: to the pair basis, as in block form
+            re, im = _rotate_pairs(re), _rotate_pairs(im)
+        if cross:
+            pc[rows] = _pair_cross(re, im)
+        _pair_density(re, im, rho[rows])
+    return rho, pc
+
+
+def _mapped_density(states, partition):
+    '''The grid density of mapped-basis amplitudes (steps+1, 2^N),
+    |from_mapped_basis(states)|^2, a time chunk of REFERENCE_CHUNK_BYTES
+    at a time.'''
+    rho = np.empty(states.shape)
+    rows = max(1, REFERENCE_CHUNK_BYTES // (16 * states.shape[1]))
+    for start in range(0, len(states), rows):
+        phi = states[start:start + rows][:, partition.order]
+        _pair_density(phi.real, phi.imag, rho[start:start + rows])
+    return rho
 
 
 def _block_evolve(block_even, block_odd, psi0_map, partition, dt_fs, steps):
@@ -285,19 +390,22 @@ def _compiled_evolve(block, comp0, dt_fs, steps, out=None,
 @dataclass(frozen=True)
 class Evolution:
     '''The deterministic part of a propagation, shared by every shot
-    resampling: the time axis, the exact grid amplitudes of the classical
-    reference and, for the ising and circuit routes, the mapped-basis
-    amplitudes of the route.'''
+    resampling: the time axis, the grid density of the classical
+    reference, on circuit-shots the reference's pair cross term that the
+    shot transport needs, and, for the ising and circuit routes, the
+    mapped-basis amplitudes of the route.  No complex grid trajectory is
+    kept.'''
     method: str
     t_fs: np.ndarray
     dx: float
-    reference: np.ndarray        # grid amplitudes, shape (steps+1, 2^N)
-    states: np.ndarray = None    # mapped-basis amplitudes, same shape
+    reference_rho: np.ndarray    # classical density, shape (steps+1, 2^N)
+    pair_cross: np.ndarray = None   # circuit-shots: (steps+1, 2^(N-1))
+    states: np.ndarray = None    # mapped-basis amplitudes, (steps+1, 2^N)
     partition: object = None
 
     def reference_trajectory(self):
-        '''The classical density Trajectory, |reference|^2.'''
-        return Trajectory(t_fs=self.t_fs, rho=np.abs(self.reference) ** 2,
+        '''The classical density Trajectory.'''
+        return Trajectory(t_fs=self.t_fs, rho=self.reference_rho,
                           method="classical", dx=self.dx)
 
 
@@ -306,7 +414,8 @@ def evolve(method, ham, psi0, dt_fs, steps, partition=None, blocks=None,
     '''Evolve psi0 along the route of `method`; returns an Evolution.
 
     The classical reference is exact evolution under `ham` (through `eig`,
-    its eigensystem, when given).  The other routes work in the basis of
+    its EigenSystem or BlockEigenSystem, when given), kept as its grid
+    density and, for circuit-shots, its pair cross term.  The other routes work in the basis of
     `partition` (a ParityPartition of the grid's N qubits), which fixes
     the state size 2^N.  method "ising": block evolution under
     `blocks` = (even, odd) spin block matrices (e.g.
@@ -331,31 +440,34 @@ def evolve(method, ham, psi0, dt_fs, steps, partition=None, blocks=None,
         check_parity_coupling(block_transform(ham), threshold_ratio, force)
     psi0 = np.asarray(psi0, dtype=complex)
     t_fs = dt_fs * np.arange(steps + 1)
-    ref = evolve_exact(ham if eig is None else eig, psi0, dt_fs, steps)
+    rho, cross = _exact_reference(eigensolve(ham) if eig is None else eig,
+                                  psi0, dt_fs, steps,
+                                  cross=method == "circuit-shots")
     states = None
     if method != "classical":
         psi0_map = to_mapped_basis(psi0, partition)
         route = _block_evolve if method == "ising" else _circuit_evolve
         states = route(blocks[0], blocks[1], psi0_map, partition, dt_fs,
                        steps)
-    return Evolution(method=method, t_fs=t_fs, dx=ham.grid.dx, reference=ref,
-                     states=states, partition=partition)
+    return Evolution(method=method, t_fs=t_fs, dx=ham.grid.dx,
+                     reference_rho=rho, pair_cross=cross, states=states,
+                     partition=partition)
 
 
 def densities(evo, shots=None, seed=None):
     '''Density Trajectory of an Evolution.  Shot mode ("circuit-shots")
     samples `shots` measurements per step from streams spawned from
-    `seed`, with the classical amplitudes as the pair-split reference.'''
+    `seed`, split between mirror pairs by the reference's cross term.'''
     if evo.method == "classical":
         return evo.reference_trajectory()
     if evo.method == "circuit-shots":
         if shots is None:
             raise ValueError("circuit-shots needs a shot count")
-        rho = shot_density_trajectory(evo.states, evo.reference,
+        rho = shot_density_trajectory(evo.states, evo.pair_cross,
                                       evo.partition, shots, seed)
         return Trajectory(t_fs=evo.t_fs, rho=rho, method=evo.method,
                           dx=evo.dx, shots=int(shots), seed=seed)
-    rho = np.abs(from_mapped_basis(evo.states, evo.partition)) ** 2
+    rho = _mapped_density(evo.states, evo.partition)
     return Trajectory(t_fs=evo.t_fs, rho=rho, method=evo.method, dx=evo.dx)
 
 
@@ -368,18 +480,19 @@ def propagate(method, ham, psi0, dt_fs, steps, partition=None, blocks=None,
     return densities(evo, shots=shots, seed=seed)
 
 
-def shot_density_trajectory(mapped_states, reference_states, partition,
-                            shots, seed):
+def shot_density_trajectory(mapped_states, pair_cross, partition, shots,
+                            seed):
     '''Sample each mapped state and transport the empirical densities to
-    the grid with the reference pair-split.  Per-step draws are
-    independent streams spawned from one seed.'''
+    the grid, mirror pair i split by pair_cross[s, i], the reference's
+    cross term at step s (`Evolution.pair_cross`; see
+    `mapped_density_to_grid`).  Per-step draws are independent streams
+    spawned from one seed.'''
     ss = np.random.SeedSequence(seed)
     children = ss.spawn(len(mapped_states))
     rho = np.empty((len(mapped_states), mapped_states.shape[1]))
     for s, (state, child) in enumerate(zip(mapped_states, children)):
         res = sample_shots(state, shots, child)
-        rho[s] = mapped_density_to_grid(res.probabilities, partition,
-                                        reference=reference_states[s])
+        rho[s] = _split_pairs(res.probabilities, partition, pair_cross[s])
     return rho
 
 

@@ -9,15 +9,19 @@ slicing, so the blocks of H are extracted in O(4^N) and states are
 rotated in O(2^N); no dense G is formed.  `ParityPartition` is the one
 basis descriptor: it lays the even/odd blocks onto the even/odd
 bitstring-parity sectors.  When the blocks are exactly decoupled,
-`block_eigensolve` builds the eigensystem of H from two half-size
-eigenproblems.
+`block_eigensolve` solves the two half-size eigenproblems and keeps the
+eigensystem of H in that block form (`BlockEigenSystem`).
 '''
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .grid import EigenSystem, _fix_signs, eigensolve
+
+# the pair rotation's coefficient, 1/sqrt(2)
+_R = 1 / np.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -64,10 +68,20 @@ def _rotate_pairs(a, axis=-1):
     a = np.moveaxis(np.asarray(a), axis, -1)
     half = a.shape[-1] // 2
     lo, hi = a[..., :half], a[..., half:]
-    r = 1 / np.sqrt(2)
-    out = np.concatenate([(lo + hi[..., ::-1]) * r,
-                          (lo[..., ::-1] - hi) * r], axis=-1)
+    out = np.empty(a.shape, dtype=np.result_type(a, _R))
+    np.add(lo, hi[..., ::-1], out=out[..., :half])
+    np.subtract(lo[..., ::-1], hi, out=out[..., half:])
+    out *= _R
     return np.moveaxis(out, -1, axis)
+
+
+def _pair_cross(re, im):
+    '''Re(conj(phi_i) phi_{n-i}) for i < half, along the last axis of the
+    pair-basis amplitudes phi = re + i im: the interference term that
+    splits the density of mirror pair i between x_i and x_{n-i}.'''
+    half = re.shape[-1] // 2
+    return re[..., :half] * re[..., half:][..., ::-1] \
+        + im[..., :half] * im[..., half:][..., ::-1]
 
 
 def parity_partition(n_qubits):
@@ -98,29 +112,58 @@ def block_transform(ham):
                             coupling_norm=coupling_norm)
 
 
+@dataclass(frozen=True)
+class BlockEigenSystem:
+    '''The eigensystem of H kept in parity-block form.
+
+    `plus` and `minus` are the eigensystems of the two blocks, with their
+    eigenvectors in the pair basis; `energies` are theirs merged in
+    ascending order (a stable sort, so ties keep the even block first).
+    A block eigenvector placed in the pair basis and rotated by G is an
+    eigenvector of H with eigensolve's sign rule on the grid.  `states`
+    builds that 2^N x 2^N eigenvector matrix, columns in the order of
+    `energies`, on first request; the dynamics never needs it.
+    '''
+    energies: np.ndarray
+    plus: EigenSystem
+    minus: EigenSystem
+
+    @cached_property
+    def states(self):
+        half = len(self.plus.energies)
+        order = np.argsort(np.concatenate([self.plus.energies,
+                                           self.minus.energies]),
+                           kind="stable")
+        slot = np.empty_like(order)
+        slot[order] = np.arange(2 * half)
+        x = np.zeros((2 * half, 2 * half),
+                     dtype=np.result_type(self.plus.states,
+                                          self.minus.states))
+        x[:half, slot[:half]] = self.plus.states
+        x[half:, slot[half:]] = self.minus.states
+        return _rotate_pairs(x, axis=0)
+
+
 def block_eigensolve(bh):
-    '''Eigensystem of H from the eigensystems of its two parity blocks.
+    '''Eigensystem of H from the eigensystems of its two parity blocks,
+    as a BlockEigenSystem.
 
     H = G blockdiag(H+, H-) G when the coupling vanishes, so the block
     eigenvectors, placed in the pair basis and rotated by G, are the
     eigenvectors of H: two 2^(N-1) eigenproblems instead of one 2^N.
     The coupling is dropped, so this is the eigensystem of H only when
     `bh.coupling_norm` is exactly 0; otherwise use `eigensolve`.
-    Energies ascend (a stable sort, so ties keep the even block first)
-    and the columns carry `eigensolve`'s sign rule on the grid.
+    The grid vector of an even eigenvector x is [x, flip(x)]/sqrt(2) and
+    that of an odd one [flip(x), -x]/sqrt(2), so eigensolve's sign rule
+    on the grid reads an even x from its start and an odd x from its end.
     '''
     plus, minus = eigensolve(bh.block_plus), eigensolve(bh.block_minus)
-    half = len(plus.energies)
+    _fix_signs(plus.states, _R)
+    _fix_signs(minus.states[::-1], _R)
     energies = np.concatenate([plus.energies, minus.energies])
-    order = np.argsort(energies, kind="stable")
-    slot = np.empty_like(order)
-    slot[order] = np.arange(2 * half)
-    x = np.zeros((2 * half, 2 * half),
-                 dtype=np.result_type(plus.states, minus.states))
-    x[:half, slot[:half]] = plus.states
-    x[half:, slot[half:]] = minus.states
-    return EigenSystem(energies=energies[order],
-                       states=_fix_signs(_rotate_pairs(x, axis=0)))
+    return BlockEigenSystem(
+        energies=energies[np.argsort(energies, kind="stable")],
+        plus=plus, minus=minus)
 
 
 def _check_dim(psi, partition):

@@ -233,10 +233,13 @@ def build_hamiltonian(spec, potential, params=DafParams()):
     return assemble_hamiltonian(daf_kinetic(spec, params), potential, spec)
 
 
-def _fix_signs(states):
+def _fix_signs(states, scale=1.0):
     '''The deterministic eigenvector sign, in place: the first entry of
-    each column above 1e-12 in magnitude is made positive.'''
-    big = np.abs(states) > 1e-12
+    each column whose magnitude times `scale` is above 1e-12 is made
+    positive.'''
+    mag = np.abs(states)
+    mag *= scale
+    big = mag > 1e-12
     cols = np.arange(states.shape[1])
     flip = big.any(axis=0) & (states[np.argmax(big, axis=0), cols] < 0)
     states[:, flip] = -states[:, flip]

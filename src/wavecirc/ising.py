@@ -131,9 +131,22 @@ def assemble_ising(params, n=None):
     '''Dense 2^n Hermitian matrix of the two-body spin Hamiltonian.'''
     if n is None:
         n = params.n_qubits
-    dim = 2 ** n
+    return _assemble(params, n, np.arange(2 ** n))
+
+
+def _assemble(params, n, states):
+    '''The spin Hamiltonian on the basis states `states`, in order: the
+    entries of assemble_ising at rows and columns `states`, built at that
+    size and with the same additions in the same order, so a parity
+    sector's block has the same bits as restrict_to_block of the full
+    matrix.  `states` must be closed under flipping two bits, as the full
+    basis and each parity sector are.'''
+    states = np.asarray(states, dtype=np.int64)
+    dim = len(states)
+    slot = np.empty(2 ** n, dtype=np.int64)
+    slot[states] = np.arange(dim)
     h = np.zeros((dim, dim), dtype=complex)
-    states = np.arange(dim)
+    cols = np.arange(dim)
     diag = np.full(dim, params.offset, dtype=float)
     for j in range(n):
         diag += params.b_z[j] * (-1.0) ** ((states >> j) & 1)
@@ -141,12 +154,12 @@ def assemble_ising(params, n=None):
         zz = (-1.0) ** (((states >> j) & 1) ^ ((states >> k) & 1))
         diag += params.j_z[j, k] * zz
         mask = (1 << j) | (1 << k)
-        flipped = states ^ mask
+        flipped = slot[states ^ mask]
         same = ((states >> j) & 1) == ((states >> k) & 1)
         # <s^mask| sx sx |s> = 1 ; <s^mask| sy sy |s> = -1 if bits agree else +1
         vals = params.j_x[j, k] + params.j_y[j, k] * np.where(same, -1.0, 1.0)
-        h[flipped, states] += vals
-    h[states, states] += diag
+        h[flipped, cols] += vals
+    h[cols, cols] += diag
     return h
 
 
@@ -193,8 +206,8 @@ def map_system(bh, partition, force=False, threshold_ratio=1e-8):
     odd_states = partition.odd_states
     pe = extract_block_params(bh.block_plus, even_states, n)
     po = extract_block_params(bh.block_minus, odd_states, n)
-    he = restrict_to_block(assemble_ising(pe, n), even_states)
-    ho = restrict_to_block(assemble_ising(po, n), odd_states)
+    he = _assemble(pe, n, even_states)
+    ho = _assemble(po, n, odd_states)
     # blocks of a real symmetric Hamiltonian are real; drop the zero
     # imaginary part so downstream eigensolves stay in real arithmetic
     if np.abs(he.imag).max() == 0.0:

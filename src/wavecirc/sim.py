@@ -22,8 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import units
-from .grid import NuclearHamiltonian, EigenSystem, eigensolve
-from .givens import _check_dim, _rotate_pairs
+from .grid import eigensolve
+from .givens import _check_dim, _pair_cross, _rotate_pairs
 from .qsd import Gate, Multiplexor, ZyzLeaf
 
 
@@ -48,7 +48,7 @@ def exact_propagator(ham, t_fs, eig=None):
     eigenvectors X^H is X^T, with no copy.
     '''
     if eig is None:
-        eig = ham if isinstance(ham, EigenSystem) else eigensolve(ham)
+        eig = ham if hasattr(ham, "energies") else eigensolve(ham)
     t_au = np.asarray(units.fs_to_au(t_fs))
     phases = np.exp(-1j * eig.energies * t_au[..., None])
     return (eig.states * phases[..., None, :]) @ eig.states.conj().T
@@ -292,17 +292,23 @@ def mapped_density_to_grid(probabilities, partition, reference=None):
     state at the same time) supplies that split; without it the split
     term is taken as zero.
     '''
+    cross = 0.0
+    if reference is not None:
+        phi = _rotate_pairs(_check_dim(reference, partition))
+        cross = _pair_cross(phi.real, phi.imag)
+    return _split_pairs(probabilities, partition, cross)
+
+
+def _split_pairs(probabilities, partition, cross):
+    '''The grid density of computational-basis probabilities q: mirror
+    pair i holds q of its even and odd slots, split as their mean
+    +- cross[i] between x_i and x_{n-i}.'''
     q = _check_dim(np.asarray(probabilities, dtype=float), partition)
     dim = len(q)
     n = dim - 1
     half = dim // 2
     order = partition.order
     i = np.arange(half)
-    if reference is not None:
-        phi = _rotate_pairs(_check_dim(reference, partition))
-        cross = np.real(np.conj(phi[:half]) * phi[n - i])
-    else:
-        cross = np.zeros(half)
     qp = q[order[i]]        # even-combination slot of pair i
     qm = q[order[n - i]]    # odd-combination slot of pair i
     s = 0.5 * (qp + qm)

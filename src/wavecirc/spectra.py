@@ -174,18 +174,57 @@ def eigen_differences(eig, max_levels=None):
     return units.hartree_to_cm1(vals)
 
 
+def _nearest_difference(e, omega):
+    '''The positive difference e[j] - e[i] of the ascending energies `e`
+    (Hartree) whose value in cm^-1 is nearest to omega, the smallest of
+    equally near ones: eigen_differences' line nearest to omega, found
+    without forming the differences.  Line (i, j) rises with j, so for
+    every i the levels are searched for the first j whose line is
+    positive and at least omega; the nearest line of row i is that one
+    or the one before it.'''
+    n = len(e)
+
+    def line(j):
+        return units.hartree_to_cm1(e[np.minimum(j, n - 1)] - e)
+
+    def reaches(j):          # line (i, j) exists, is positive and >= omega
+        v = line(j)
+        return (j < n) & (v > 0) & (v >= omega)
+
+    # a guess by bisection on the energies, then stepped to the exact
+    # first j, since the line is rounded once more than the guess
+    j = np.searchsorted(e, e + units.cm1_to_hartree(max(omega, 0.0)))
+    while True:
+        up = (j < n) & ~reaches(j)
+        down = (j > 0) & reaches(j - 1)
+        if not (up.any() or down.any()):
+            break
+        j = j + up - down
+    cand = np.concatenate([j, j - 1])
+    i = np.tile(np.arange(n), 2)
+    keep = (cand >= 0) & (cand < n)
+    cand, i = cand[keep], i[keep]
+    vals = units.hartree_to_cm1(e[cand] - e[i])
+    vals = vals[vals > 0]
+    if not len(vals):
+        raise ValueError("no positive eigenenergy differences")
+    dist = np.abs(vals - omega)
+    return vals[np.lexsort((vals, dist))[0]]
+
+
 def compare_eigendiffs(spectrum, eig, max_levels=None):
-    '''Match each extracted peak to the nearest eigenenergy difference.
+    '''Match each extracted peak to the nearest eigenenergy difference
+    (of eigen_differences; of equally near ones, the smallest).
 
     Returns a list of dicts with the peak position, the matched
     difference, and the absolute error in cm^-1 and kcal/mol.
     '''
     if not spectrum.peaks:
         raise ValueError("no peaks to compare")
-    lines = eigen_differences(eig, max_levels)
+    e = eig.energies if max_levels is None else eig.energies[:max_levels]
     out = []
     for omega, intensity in spectrum.peaks:
-        nearest = lines[np.argmin(np.abs(lines - omega))]
+        nearest = _nearest_difference(e, omega)
         err = abs(omega - nearest)
         out.append({
             "peak_cm1": omega,

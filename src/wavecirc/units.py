@@ -19,10 +19,6 @@ def angstrom_to_bohr(x):
     return x / BOHR_ANGSTROM
 
 
-def bohr_to_angstrom(x):
-    return x * BOHR_ANGSTROM
-
-
 def hartree_to_kcalmol(e):
     return e * HARTREE_KCALMOL
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wavecirc as w
+from wavecirc.givens import _pair_cross, _rotate_pairs
 
 
 def double_well_system(n_qubits, length=0.66, **model):
@@ -30,6 +31,13 @@ def dw3_full(dw3):
     ms = w.map_system(bh, pp)
     return dict(grid=g, pot=pot, ham=ham, eig=eig, partition=pp,
                 blocks=bh, mapped=ms)
+
+
+def pair_cross(amps):
+    '''The pair cross term of grid amplitudes along the last axis, as
+    Evolution.pair_cross holds it for shot_density_trajectory.'''
+    phi = _rotate_pairs(amps)
+    return _pair_cross(phi.real, phi.imag)
 
 
 def random_state(dim, rng):

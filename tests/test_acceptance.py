@@ -18,7 +18,7 @@ from wavecirc import units
 from wavecirc.dynamics import _block_evolve, _circuit_evolve, evolve_exact
 from wavecirc.sim import circuit_matrix
 
-from conftest import double_well_system
+from conftest import double_well_system, pair_cross
 
 
 def report(name, ok, detail):
@@ -111,10 +111,11 @@ def shot_sweep():
                                  pp, dt, steps)
         ref = evolve_exact(ham, psi0, dt, steps)
         rho_c = np.abs(ref) ** 2
+        cross = pair_cross(ref)
         for shots in SHOT_COUNTS:
             eps = []
             for seed in range(N_SEEDS):
-                rho_q = w.shot_density_trajectory(states, ref, pp,
+                rho_q = w.shot_density_trajectory(states, cross, pp,
                                                   shots, seed)
                 eps.append(float(np.mean(np.abs(rho_q - rho_c))))
             medians[(n, shots)] = float(np.median(eps))
@@ -206,7 +207,8 @@ class TestCriterion5SpectralFidelity:
         states = _circuit_evolve(bh.block_plus, bh.block_minus, psi0_map,
                                  pp, 1.0, 2000)
         ref = evolve_exact(ham, psi0, 1.0, 2000)
-        rho_q = w.shot_density_trajectory(states, ref, pp, 1000, 0)
+        rho_q = w.shot_density_trajectory(states, pair_cross(ref), pp, 1000,
+                                          0)
         tq = w.Trajectory(t_fs=1.0 * np.arange(2001), rho=rho_q,
                           method="circuit-shots", dx=g.dx, shots=1000, seed=0)
         t_ref = w.propagate("classical", ham, psi0, 1.0, 2000)

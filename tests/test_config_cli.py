@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import wavecirc as w
-from wavecirc.cli import main, read_trajectory_csv
+from wavecirc.cli import main
 from wavecirc.config import ConfigError, load_config, resolve
 
 from conftest import in_worker_only
@@ -19,6 +19,16 @@ BASE = {
     "potential": {"model": {"kind": "double_well"}},
     "dynamics": {"dt_fs": 0.5, "steps": 100},
 }
+
+
+def read_trajectory_csv(path):
+    '''(t_fs, rho, method) of a trajectory.csv written by propagate.'''
+    with open(path) as fh:
+        meta = fh.readline().strip()
+        fh.readline()
+        data = np.loadtxt(fh, delimiter=",")
+    method = meta.split("method=")[1].split()[0]
+    return data[:, 0], data[:, 1:], method
 
 
 def write_config(tmp_path, extra=None, name="run.json"):
@@ -210,6 +220,17 @@ class TestCliPipeline:
             data = open(os.path.join(out, name), "rb").read()
             assert hashlib.sha256(data).hexdigest() == digest
         assert manifest["resolved_config"]["grid"]["n_qubits"] == 3
+
+    def test_manifest_hashes_file_larger_than_a_read_block(self, tmp_path):
+        # the manifest hashes a file in blocks; one of 3.5 MiB spans four
+        import hashlib
+        from wavecirc.cli import _write_manifest
+        data = np.random.default_rng(3).bytes(7 << 19)
+        (tmp_path / "big.bin").write_bytes(data)
+        _write_manifest(str(tmp_path), {}, ["big.bin"])
+        manifest = json.load(open(tmp_path / "manifest.json"))
+        assert manifest["outputs"] == {
+            "big.bin": hashlib.sha256(data).hexdigest()}
 
     def test_sweep_shots(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"dynamics": {"steps": 10}})

@@ -10,7 +10,8 @@ from scipy.linalg import expm
 import wavecirc as w
 from wavecirc import dynamics, units
 
-from conftest import double_well_system, in_worker_only, random_state
+from conftest import (double_well_system, in_worker_only, pair_cross,
+                      random_state)
 
 
 def mapped_blocks(n, ms=False):
@@ -376,7 +377,9 @@ class TestEvolveAndDensities:
         kw = dict(partition=pp, blocks=blocks)
         evo = w.evolve("circuit-shots", ham, psi0, 0.5, 20,
                        eig=w.eigensolve(ham), **kw)
-        assert evo.states.shape == evo.reference.shape == (21, 8)
+        assert evo.states.shape == evo.reference_rho.shape == (21, 8)
+        assert evo.pair_cross.shape == (21, 4)
+        assert not np.iscomplexobj(evo.reference_rho)
         for shots, seed in ((100, 1), (5000, 2)):
             traj = w.densities(evo, shots=shots, seed=seed)
             direct = w.propagate("circuit-shots", ham, psi0, 0.5, 20,
@@ -385,6 +388,28 @@ class TestEvolveAndDensities:
             assert (traj.shots, traj.seed) == (shots, seed)
         with pytest.raises(ValueError, match="shot count"):
             w.densities(evo)
+
+    @pytest.mark.parametrize("n, block_form", [(3, True), (4, False)])
+    def test_shot_split_matches_reference_amplitudes(self, n, block_form):
+        # the kept cross term splits the shots as the reference amplitudes
+        # do through mapped_density_to_grid, in block form and through
+        # the full eigensystem
+        ham, pp, blocks = mapped_blocks(n)
+        eig = w.block_eigensolve(w.block_transform(ham)) if block_form \
+            else w.eigensolve(ham)
+        psi0 = w.initial_wavepacket(
+            w.WavepacketSpec("gaussian", mu=0.03, sigma=0.1), ham.grid)
+        evo = w.evolve("circuit-shots", ham, psi0, 0.5, 12, partition=pp,
+                       blocks=blocks, eig=eig)
+        amps = w.evolve_exact(w.eigensolve(ham), psi0, 0.5, 12)
+        assert np.abs(evo.reference_rho - np.abs(amps) ** 2).max() <= 1e-13
+        assert np.abs(evo.pair_cross - pair_cross(amps)).max() <= 1e-13
+        traj = w.densities(evo, shots=500, seed=9)
+        streams = np.random.SeedSequence(9).spawn(13)
+        for s in (0, 5, 12):
+            q = w.sample_shots(evo.states[s], 500, streams[s]).probabilities
+            want = w.mapped_density_to_grid(q, pp, reference=amps[s])
+            assert np.abs(traj.rho[s] - want).max() <= 1e-13
 
     def test_reference_is_classical_trajectory(self, dw3):
         g, _, ham = dw3
@@ -456,10 +481,13 @@ class TestClassicalWorkingSet:
         try:
             ref = w.evolve_exact(eig, psi0, 0.5, steps)
             evolve_extra = tracemalloc.get_traced_memory()[1] - ref.nbytes
-            traj = w.Trajectory(t_fs=0.5 * np.arange(steps + 1),
-                                rho=np.abs(ref) ** 2, method="classical",
-                                dx=g.dx)
             del ref
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            evo = w.evolve("classical", ham, psi0, 0.5, steps, eig=eig)
+            traj = evo.reference_trajectory()
+            density_extra = tracemalloc.get_traced_memory()[1] - base \
+                - traj.rho.nbytes
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             spec = w.grid_spectrum(traj, window="hann")
@@ -467,12 +495,44 @@ class TestClassicalWorkingSet:
         finally:
             tracemalloc.stop()
         n_pad = len(traj.rho) * 4
-        print(f"evolve_exact {evolve_extra} B, grid_spectrum "
-              f"{spectrum_extra} B beyond their results")
-        # a few chunks, plus the eigenvectors' size for the O(4^N) terms
-        assert evolve_extra <= 3 * budget + eig.states.nbytes
-        assert 3 * budget + eig.states.nbytes < traj.rho.nbytes
+        print(f"evolve_exact {evolve_extra} B, the reference density "
+              f"{density_extra} B, grid_spectrum {spectrum_extra} B beyond "
+              "their results")
+        # a few chunks, plus the two block eigenvector matrices' size for
+        # the O(4^N) terms: the 2^N eigenvector matrix is never built
+        blocks = eig.plus.states.nbytes + eig.minus.states.nbytes
+        assert evolve_extra <= 3 * budget + blocks
+        assert density_extra <= 3 * budget + blocks
+        assert 3 * budget + blocks < traj.rho.nbytes
+        assert "states" not in vars(eig)
         # a few chunks, plus O(n_pad) sums and axes
         assert spectrum_extra <= 2 * budget + 64 * n_pad
         assert 2 * budget + 64 * n_pad < traj.rho.nbytes
         assert len(spec.peaks) >= 1
+
+
+class TestRouteDensityWorkingSet:
+    def test_mapped_density_in_chunks(self, monkeypatch):
+        # circuit-exact densities of 16,001 steps at N = 6: the amplitudes
+        # are 15.6 MiB and the density 7.8 MiB, against a 1 MiB chunk
+        budget = 1 << 20
+        monkeypatch.setattr(dynamics, "REFERENCE_CHUNK_BYTES", budget)
+        pp = w.parity_partition(6)
+        rng = np.random.default_rng(31)
+        steps = 16000
+        states = rng.normal(size=(steps + 1, 64)) \
+            + 1j * rng.normal(size=(steps + 1, 64))
+        evo = w.Evolution(method="circuit-exact",
+                          t_fs=0.5 * np.arange(steps + 1), dx=0.1,
+                          reference_rho=None, states=states, partition=pp)
+        tracemalloc.start()
+        try:
+            traj = w.densities(evo)
+            extra = tracemalloc.get_traced_memory()[1] - traj.rho.nbytes
+        finally:
+            tracemalloc.stop()
+        print(f"densities {extra} B beyond the density")
+        assert extra <= 3 * budget
+        assert 3 * budget < traj.rho.nbytes
+        want = np.abs(w.from_mapped_basis(states, pp)) ** 2
+        assert np.abs(traj.rho - want).max() <= 1e-14 * want.max()

@@ -208,24 +208,31 @@ class TestBlockEigensolve:
         g, pot, ham = double_well_system(n)
         full = w.eigensolve(ham)
         eig = w.block_eigensolve(w.block_transform(ham))
+        assert isinstance(eig, w.BlockEigenSystem)
         scale = np.linalg.norm(ham.matrix)
         assert np.all(np.diff(eig.energies) >= 0)
         assert np.abs(eig.energies - full.energies).max() <= 1e-12 * scale
+        # the same physics in block form: an evolved Gaussian, as
+        # amplitudes and as the reference density of `evolve`, and a
+        # thermal wavepacket
+        psi0 = w.initial_wavepacket(
+            w.WavepacketSpec("gaussian", mu=0.03, sigma=0.1), g)
+        rho = [np.abs(w.evolve_exact(e, psi0, 0.5, 500)) ** 2
+               for e in (eig, full)]
+        assert np.abs(rho[0] - rho[1]).max() <= 1e-10
+        ref = w.evolve("classical", ham, psi0, 0.5, 500, eig=eig)
+        assert np.abs(ref.reference_rho - rho[1]).max() <= 1e-10
+        spec = w.WavepacketSpec("thermal", temperature=2000.0)
+        thermal = [w.initial_wavepacket(spec, g, e) for e in (eig, full)]
+        assert np.abs(thermal[0] - thermal[1]).max() <= 1e-10
+        # none of it built the 2^N eigenvector matrix
+        assert "states" not in vars(eig)
         assert np.abs(eig.states.T @ eig.states - np.eye(2 ** n)).max() \
             <= 1e-12
         # every column obeys eigensolve's sign rule on the grid
         big = np.abs(eig.states) > 1e-12
         lead = eig.states[np.argmax(big, axis=0), np.arange(2 ** n)]
         assert np.all(lead > 0)
-        # the same physics: an evolved Gaussian and a thermal wavepacket
-        psi0 = w.initial_wavepacket(
-            w.WavepacketSpec("gaussian", mu=0.03, sigma=0.1), g)
-        rho = [np.abs(w.evolve_exact(e, psi0, 0.5, 500)) ** 2
-               for e in (eig, full)]
-        assert np.abs(rho[0] - rho[1]).max() <= 1e-10
-        spec = w.WavepacketSpec("thermal", temperature=2000.0)
-        thermal = [w.initial_wavepacket(spec, g, e) for e in (eig, full)]
-        assert np.abs(thermal[0] - thermal[1]).max() <= 1e-10
 
     def test_degenerate_energies_keep_even_block_first(self):
         # both blocks have levels 1 and 2: every level is twofold, and

@@ -239,6 +239,19 @@ class TestAssembleIsing:
 
 
 class TestMapSystem:
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_blocks_have_bits_of_the_restricted_full_matrix(self, n):
+        # map_system assembles each parity block at half size; its bits
+        # are those of the block cut out of the full 2^n spin matrix
+        g, pot, ham = double_well_system(n)
+        pp = w.parity_partition(n)
+        ms = w.map_system(w.block_transform(ham), pp, force=True)
+        for params, bits, got in ((ms.even, pp.even_states, ms.block_even),
+                                  (ms.odd, pp.odd_states, ms.block_odd)):
+            want = w.restrict_to_block(w.assemble_ising(params), bits)
+            assert np.array_equal(got, want.real)
+            assert np.array_equal(np.signbit(got), np.signbit(want.real))
+
     def test_three_qubit_exactness(self, dw3_full):
         ms = dw3_full["mapped"]
         scale = np.linalg.norm(dw3_full["blocks"].h_tilde)

@@ -246,3 +246,33 @@ class TestEigenComparisons:
                           peaks=(), bin_cm1=1.0, window="none", padding=1)
         with pytest.raises(ValueError):
             w.compare_eigendiffs(spec, eig)
+
+    @pytest.mark.parametrize("max_levels", [None, 7])
+    def test_nearest_line_matches_difference_matrix(self, max_levels):
+        # the line eigen_differences' full difference matrix gives, with
+        # its tie-break (the smallest of equally near lines), on energies
+        # with twofold and threefold levels and repeated gaps
+        rng = np.random.default_rng(17)
+        step = 2.0 ** -12
+        e = np.sort(np.concatenate([
+            step * np.array([0, 0, 1, 2, 2, 2, 3, 5, 8, 8]),
+            rng.uniform(0, 0.01, 14)]))
+        eig = w.EigenSystem(energies=e, states=None)
+        lines = w.eigen_differences(eig, max_levels)
+        mids = (lines[1:] + lines[:-1]) / 2
+        omegas = np.concatenate([
+            lines, mids, np.nextafter(mids, 0), np.nextafter(mids, np.inf),
+            rng.uniform(0, 1.2 * lines[-1], 200),
+            [0.0, lines[0] / 3, 2 * lines[-1]]])
+        spec = w.Spectrum(omega_cm1=None, power=None,
+                          peaks=tuple((float(o), 1.0) for o in omegas),
+                          bin_cm1=1.0, window="none", padding=1)
+        rows = w.compare_eigendiffs(spec, eig, max_levels)
+        ties = 0
+        for omega, row in zip(omegas, rows):
+            dist = np.abs(lines - omega)
+            want = lines[np.argmin(dist)]
+            ties += np.count_nonzero(dist == dist.min()) > 1
+            assert row["nearest_cm1"] == want
+            assert row["error_cm1"] == abs(omega - want)
+        assert ties > 0

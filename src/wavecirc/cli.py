@@ -42,12 +42,8 @@ class Pipeline:
         self.grid = build_grid(g["n_qubits"], g["length_angstrom"],
                                g["center_angstrom"], g["mass_au"])
         pot = cfg["potential"]
-        if "file" in pot:
-            source = pot["file"]
-        else:
-            model = dict(pot["model"])
-            source = _model_source(model)
-        self.potential = eval_potential(self.grid, source)
+        self.potential = eval_potential(self.grid, pot["file"] if "file" in pot
+                                        else pot["model"])
         daf = cfg["daf"]
         self.ham = build_hamiltonian(
             self.grid, self.potential,
@@ -62,18 +58,8 @@ class Pipeline:
         return eigensolve(self.ham)
 
     @cached_property
-    def partition(self):
-        return parity_partition(self.grid.n_qubits)
-
-    @cached_property
     def blocks(self):
         return block_transform(self.ham)
-
-    def mapped(self, force=False):
-        m = self.cfg["mapping"]
-        return map_system(self.blocks, self.partition,
-                          force=force or m["force"],
-                          threshold_ratio=m["threshold_ratio"])
 
     def wavepacket(self):
         w = self.cfg["dynamics"]["wavepacket"]
@@ -81,13 +67,6 @@ class Pipeline:
                               mu=w["mu_angstrom"], sigma=w["sigma_angstrom"],
                               temperature=w["temperature_kelvin"])
         return initial_wavepacket(spec, self.grid, self.eig)
-
-
-def _model_source(model):
-    kind = model.pop("kind")
-    out = {"kind": kind}
-    out.update(model)
-    return out
 
 
 def _out_dir(cfg, args):
@@ -149,7 +128,10 @@ def cmd_map(args):
     cfg = load_config(args.config)
     pipe = Pipeline(cfg)
     out = _out_dir(cfg, args)
-    msys = pipe.mapped(force=args.force)
+    m = cfg["mapping"]
+    msys = map_system(pipe.blocks, parity_partition(pipe.grid.n_qubits),
+                      force=args.force or m["force"],
+                      threshold_ratio=m["threshold_ratio"])
     report = {
         "coupling_norm": pipe.blocks.coupling_norm,
         "even": parameters_to_dict(msys.even),
@@ -172,10 +154,10 @@ def cmd_compile(args):
                           "blocks of a 1-qubit grid are 1x1")
     pipe = Pipeline(cfg)
     # compile (and check) both blocks before writing any file
+    solved = block_eigensolve(pipe.blocks)
     seqs = {}
-    for name, block in (("even", pipe.blocks.block_plus),
-                        ("odd", pipe.blocks.block_minus)):
-        u = exact_propagator(block, args.time_fs)
+    for name, eig in (("even", solved.plus), ("odd", solved.minus)):
+        u = exact_propagator(eig, args.time_fs)
         seqs[name] = qsd_compile(u)
         if args.check:
             err = np.abs(circuit_matrix(seqs[name]) - u).max()
@@ -237,22 +219,13 @@ def _seed(args, cfg):
 
 def _evolve(pipe, method):
     '''Evolution of the configured wavepacket along `method`'s route,
-    with the reference through the cached eigensystem `pipe.eig`.  When
-    the parity blocks couple, the circuit routes are refused by `evolve`
-    and the ising route by map_system, unless mapping.force.'''
-    dyn = pipe.cfg["dynamics"]
-    kwargs = {}
-    if method != "classical":
-        if method == "ising":
-            msys = pipe.mapped()
-            blocks = (msys.block_even, msys.block_odd)
-        else:
-            blocks = (pipe.blocks.block_plus, pipe.blocks.block_minus)
-        m = pipe.cfg["mapping"]
-        kwargs = dict(partition=pipe.partition, blocks=blocks,
-                      force=m["force"], threshold_ratio=m["threshold_ratio"])
+    from the cached blocks `pipe.blocks` and eigensystem `pipe.eig`.
+    When the parity blocks couple, `evolve` refuses every route but the
+    classical one, unless mapping.force.'''
+    dyn, m = pipe.cfg["dynamics"], pipe.cfg["mapping"]
     return evolve(method, pipe.ham, pipe.wavepacket(), dyn["dt_fs"],
-                  dyn["steps"], eig=pipe.eig, **kwargs)
+                  dyn["steps"], blocks=pipe.blocks, eig=pipe.eig,
+                  force=m["force"], threshold_ratio=m["threshold_ratio"])
 
 
 def _propagate(pipe, seed, min_samples=1):

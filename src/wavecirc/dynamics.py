@@ -48,8 +48,9 @@ import numpy as np
 from . import units
 from .grid import eigensolve
 from .givens import (BlockEigenSystem, _pair_cross, _rotate_pairs,
-                     block_transform, to_mapped_basis)
-from .ising import check_parity_coupling
+                     block_eigensolve, block_transform, parity_partition,
+                     to_mapped_basis)
+from .ising import check_parity_coupling, map_system
 from .qsd import NumericalError, qsd_compile
 from .sim import _split_pairs, exact_propagator, run_circuit, sample_shots
 
@@ -242,21 +243,22 @@ def _mapped_density(states, partition):
     return rho
 
 
-def _block_evolve(block_even, block_odd, psi0_map, partition, dt_fs, steps):
-    '''Evolve the two parity components exactly under the given block
-    matrices, one after the other; returns mapped-basis amplitudes, shape
-    (steps+1, 2^N).'''
+def _block_evolve(even, odd, psi0_map, partition, dt_fs, steps):
+    '''Evolve the two parity components exactly under the blocks whose
+    EigenSystems are `even` and `odd`, one after the other; returns
+    mapped-basis amplitudes, shape (steps+1, 2^N).'''
     out = np.empty((steps + 1, 2 * partition.half), dtype=complex)
-    for states, block in ((partition.even_states, block_even),
-                          (partition.odd_states, block_odd)):
-        out[:, states] = evolve_exact(block, psi0_map[states], dt_fs, steps)
+    for states, eig in ((partition.even_states, even),
+                        (partition.odd_states, odd)):
+        out[:, states] = evolve_exact(eig, psi0_map[states], dt_fs, steps)
     return out
 
 
-def _circuit_evolve(block_even, block_odd, psi0_map, partition, dt_fs, steps):
-    '''Per-step compiled propagation: each U(t_s) of each parity block is
-    compiled to gates and run on the block component; returns
-    mapped-basis amplitudes, shape (steps+1, 2^N).
+def _circuit_evolve(even, odd, psi0_map, partition, dt_fs, steps):
+    '''Per-step compiled propagation: each U(t_s) of each parity block,
+    from the block's EigenSystem (`even`, `odd`), is compiled to gates
+    and run on the block component; returns mapped-basis amplitudes,
+    shape (steps+1, 2^N).
 
     The odd block runs in one worker forked for the call while the even
     one runs here, each writing its amplitudes in place: the even block
@@ -273,25 +275,24 @@ def _circuit_evolve(block_even, block_odd, psi0_map, partition, dt_fs, steps):
     could inherit a lock that thread holds), the blocks run in turn.
     '''
     out = np.empty((steps + 1, 2 * partition.half), dtype=complex)
-    even, odd = partition.even_states, partition.odd_states
+    evens, odds = partition.even_states, partition.odd_states
     if not hasattr(os, "fork") or threading.active_count() > 1:
-        for states, block in ((even, block_even), (odd, block_odd)):
-            _compiled_evolve(block, psi0_map[states], dt_fs, steps, out,
+        for states, eig in ((evens, even), (odds, odd)):
+            _compiled_evolve(eig, psi0_map[states], dt_fs, steps, out,
                              states)
         return out
     # MAP_SHARED and anonymous; unmapped when the last view is dropped
-    shared = np.frombuffer(mmap.mmap(-1, (steps + 1) * len(odd) * 16),
-                           dtype=complex).reshape(steps + 1, len(odd))
+    shared = np.frombuffer(mmap.mmap(-1, (steps + 1) * len(odds) * 16),
+                           dtype=complex).reshape(steps + 1, len(odds))
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
-        _worker(read_fd, write_fd, _compiled_evolve, block_odd,
-                psi0_map[odd], dt_fs, steps, shared)
+        _worker(read_fd, write_fd, _compiled_evolve, odd, psi0_map[odds],
+                dt_fs, steps, shared)
     os.close(write_fd)
     try:
         with open(read_fd, "rb") as pipe:
-            _compiled_evolve(block_even, psi0_map[even], dt_fs, steps, out,
-                             even)
+            _compiled_evolve(even, psi0_map[evens], dt_fs, steps, out, evens)
             report = pipe.read()
     except BaseException:
         os.kill(pid, signal.SIGKILL)
@@ -304,7 +305,7 @@ def _circuit_evolve(block_even, block_odd, psi0_map, partition, dt_fs, steps):
         raise ChildProcessError(
             f"the odd parity block's worker exited with status "
             f"{os.waitstatus_to_exitcode(status)} without a result")
-    out[:, odd] = shared
+    out[:, odds] = shared
     return out
 
 
@@ -351,17 +352,16 @@ def _chunk_steps(dim):
     return max(1, CHUNK_BYTES // (16 * dim * dim))
 
 
-def _compiled_evolve(block, comp0, dt_fs, steps, out=None,
+def _compiled_evolve(eig, comp0, dt_fs, steps, out=None,
                      states=slice(None)):
     '''Amplitudes (steps+1, dim) of comp0 under one compiled circuit per
-    step, written into `out[:, states]` and returning `out` (a new
-    (steps+1, dim) array when `out` is None).  Steps go in chunks of
-    `_chunk_steps(dim)`: the exact propagators of a chunk come from one
-    exact_propagator call, are compiled by one qsd_compile call and run
-    in lockstep by one run_circuit call.  Each chunk's circuit
-    amplitudes are checked against U_s comp0 (NumericalError above
-    CIRCUIT_TOL).'''
-    eig = eigensolve(block)
+    step of the block whose EigenSystem is `eig`, written into
+    `out[:, states]` and returning `out` (a new (steps+1, dim) array when
+    `out` is None).  Steps go in chunks of `_chunk_steps(dim)`: the exact
+    propagators of a chunk come from one exact_propagator call, are
+    compiled by one qsd_compile call and run in lockstep by one
+    run_circuit call.  Each chunk's circuit amplitudes are checked
+    against U_s comp0 (NumericalError above CIRCUIT_TOL).'''
     dim = len(comp0)
     if out is None:
         out = np.empty((steps + 1, dim), dtype=complex)
@@ -409,49 +409,56 @@ class Evolution:
                           method="classical", dx=self.dx)
 
 
-def evolve(method, ham, psi0, dt_fs, steps, partition=None, blocks=None,
-           eig=None, force=False, threshold_ratio=1e-8):
+def evolve(method, ham, psi0, dt_fs, steps, blocks=None, eig=None,
+           force=False, threshold_ratio=1e-8):
     '''Evolve psi0 along the route of `method`; returns an Evolution.
 
     The classical reference is exact evolution under `ham` (through `eig`,
     its EigenSystem or BlockEigenSystem, when given), kept as its grid
-    density and, for circuit-shots, its pair cross term.  The other routes work in the basis of
-    `partition` (a ParityPartition of the grid's N qubits), which fixes
-    the state size 2^N.  method "ising": block evolution under
-    `blocks` = (even, odd) spin block matrices (e.g.
-    MappedSystem.block_even/odd).  method "circuit-exact" /
-    "circuit-shots": per-step compiled circuits for `blocks` = the rotated
-    Hamiltonian blocks in parity order; these drop the coupling between
-    the parity blocks of `ham`, so they refuse with BrokenSymmetryError,
-    unless `force`, when it exceeds threshold_ratio * ||H||_F.  They
-    evolve the odd block in a child process forked for the call (joined
-    before returning), unless another Python thread is running here;
-    an error there is raised here, and a child that dies without a
-    result raises ChildProcessError.
+    density and, for circuit-shots, its pair cross term.  The other
+    routes start from `blocks`, the BlockHamiltonian of `ham`
+    (block_transform(ham) when None), in the parity basis of the grid's
+    N qubits, and drop the coupling between the parity blocks: they
+    refuse with BrokenSymmetryError, unless `force`, when it exceeds
+    threshold_ratio * ||H||_F.  method "ising": exact evolution under
+    the spin blocks map_system fits to `blocks`.  method "circuit-exact"
+    / "circuit-shots": per-step compiled circuits for the blocks, from
+    `eig.plus`/`eig.minus` when `eig` is a BlockEigenSystem, else from
+    block_eigensolve(blocks); each block is eigensolved at most once, in
+    this process.  The circuit routes evolve the odd block in a child
+    process forked for the call (joined before returning), unless
+    another Python thread is running here; an error there is raised
+    here, and a child that dies without a result raises
+    ChildProcessError.
     '''
     if method not in ("classical", "ising", "circuit-exact",
                       "circuit-shots"):
         raise ValueError(f"unknown method {method!r}")
     if dt_fs <= 0:
         raise ValueError("dt_fs must be positive")
-    if method != "classical" and (partition is None or blocks is None):
-        raise ValueError(f"method {method!r} needs partition and blocks")
-    if method in ("circuit-exact", "circuit-shots"):
-        check_parity_coupling(block_transform(ham), threshold_ratio, force)
+    if not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
+    partition = parity_partition(ham.grid.n_qubits)
+    if method != "classical":
+        blocks = block_transform(ham) if blocks is None else blocks
+    if method == "ising":
+        msys = map_system(blocks, partition, force, threshold_ratio)
+        systems = eigensolve(msys.block_even), eigensolve(msys.block_odd)
+        route = _block_evolve
+    elif method != "classical":
+        check_parity_coupling(blocks, threshold_ratio, force)
+        solved = eig if isinstance(eig, BlockEigenSystem) \
+            else block_eigensolve(blocks)
+        systems, route = (solved.plus, solved.minus), _circuit_evolve
     psi0 = np.asarray(psi0, dtype=complex)
-    t_fs = dt_fs * np.arange(steps + 1)
     rho, cross = _exact_reference(eigensolve(ham) if eig is None else eig,
                                   psi0, dt_fs, steps,
                                   cross=method == "circuit-shots")
-    states = None
-    if method != "classical":
-        psi0_map = to_mapped_basis(psi0, partition)
-        route = _block_evolve if method == "ising" else _circuit_evolve
-        states = route(blocks[0], blocks[1], psi0_map, partition, dt_fs,
-                       steps)
-    return Evolution(method=method, t_fs=t_fs, dx=ham.grid.dx,
-                     reference_rho=rho, pair_cross=cross, states=states,
-                     partition=partition)
+    states = None if method == "classical" else route(
+        *systems, to_mapped_basis(psi0, partition), partition, dt_fs, steps)
+    return Evolution(method=method, t_fs=dt_fs * np.arange(steps + 1),
+                     dx=ham.grid.dx, reference_rho=rho, pair_cross=cross,
+                     states=states, partition=partition)
 
 
 def densities(evo, shots=None, seed=None):
@@ -471,12 +478,13 @@ def densities(evo, shots=None, seed=None):
     return Trajectory(t_fs=evo.t_fs, rho=rho, method=evo.method, dx=evo.dx)
 
 
-def propagate(method, ham, psi0, dt_fs, steps, partition=None, blocks=None,
-              shots=None, seed=None, force=False, threshold_ratio=1e-8):
-    '''Produce a density Trajectory: `evolve`, then `densities`.  The
+def propagate(method, ham, psi0, dt_fs, steps, shots=None, seed=None,
+              force=False, threshold_ratio=1e-8):
+    '''Produce a density Trajectory: `evolve`, which derives the parity
+    blocks and their eigensystems from `ham`, then `densities`.  The
     circuit routes fork one child process per call (see `evolve`).'''
-    evo = evolve(method, ham, psi0, dt_fs, steps, partition=partition,
-                 blocks=blocks, force=force, threshold_ratio=threshold_ratio)
+    evo = evolve(method, ham, psi0, dt_fs, steps, force=force,
+                 threshold_ratio=threshold_ratio)
     return densities(evo, shots=shots, seed=seed)
 
 

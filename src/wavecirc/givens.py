@@ -5,12 +5,13 @@ the parity-ordered computational basis used by the spin mapping.
 The rotation G mixes mirror grid pairs (i, n-i): row i < 2^(N-1) is
 (e_i + e_{n-i})/sqrt(2), row i >= 2^(N-1) is (e_{n-i} - e_i)/sqrt(2).
 G is symmetric and its own inverse.  `_rotate_pairs` applies it by
-slicing, so the blocks of H are extracted in O(4^N) and states are
-rotated in O(2^N); no dense G is formed.  `ParityPartition` is the one
-basis descriptor: it lays the even/odd blocks onto the even/odd
-bitstring-parity sectors.  When the blocks are exactly decoupled,
-`block_eigensolve` solves the two half-size eigenproblems and keeps the
-eigensystem of H in that block form (`BlockEigenSystem`).
+slicing: states are rotated in O(2^N), and `block_transform` builds the
+blocks of G H G at half size in O(4^N), never forming G or G H G.
+`ParityPartition` is the one basis descriptor: it lays the even/odd
+blocks onto the even/odd bitstring-parity sectors.  `block_eigensolve`
+solves the two half-size eigenproblems, which, when the blocks are
+exactly decoupled, give the eigensystem of H in block form
+(`BlockEigenSystem`).
 '''
 
 from dataclasses import dataclass
@@ -50,12 +51,13 @@ class ParityPartition:
 
 @dataclass(frozen=True)
 class BlockHamiltonian:
-    '''H in the rotated basis: two diagonal blocks plus a coupling block
-    that vanishes for reflection-symmetric potentials.'''
-    h_tilde: np.ndarray
+    '''H in the rotated basis G H G: its two diagonal blocks, the norm of
+    the coupling blocks, which vanish for reflection-symmetric
+    potentials, and ||H||_F (= ||G H G||_F, G being orthogonal).'''
     block_plus: np.ndarray    # even-combination block, size 2^(N-1)
     block_minus: np.ndarray   # odd-combination block
     coupling_norm: float      # Frobenius norm of the off-diagonal blocks
+    norm: float               # Frobenius norm of H
 
 
 def _rotate_pairs(a, axis=-1):
@@ -95,21 +97,36 @@ def parity_partition(n_qubits):
 
 
 def block_transform(ham):
-    '''Rotate H (a NuclearHamiltonian or a raw symmetric 2^N x 2^N
-    matrix, N >= 1) into the pair basis, G H G, and extract its blocks.'''
+    '''The parity blocks of G H G for H a NuclearHamiltonian or a raw
+    symmetric 2^N x 2^N matrix (N >= 1), as a BlockHamiltonian.
+
+    Each row half of G H, rotated along its columns, holds a diagonal
+    block and a coupling block: the element-wise operations of
+    `_rotate_pairs` along both axes, so the blocks have the bits of
+    G H G's, built without any 2^N x 2^N matrix but H.
+    '''
     h = np.asarray(getattr(ham, "matrix", ham))
     dim = h.shape[0] if h.ndim == 2 else 0
     if h.shape != (dim, dim) or dim < 2 or dim & (dim - 1):
         raise ValueError(f"Hamiltonian of shape {h.shape} is not square "
                          "with a power-of-two side >= 2")
-    ht = _rotate_pairs(_rotate_pairs(h, 0), 1)
+
+    def scaled(x):          # x *= 1/sqrt(2), in place as _rotate_pairs
+        x *= _R
+        return x
+
     half = dim // 2
-    plus = ht[:half, :half]
-    minus = ht[half:, half:]
-    coup = ht[:half, half:]
+    lo, hi = h[:half], h[half:]
+    rows = scaled(lo + hi[::-1])            # the even rows of G H
+    plus = scaled(rows[:, :half] + rows[:, half:][:, ::-1])
+    coup = scaled(rows[:, :half][:, ::-1] - rows[:, half:])
     coupling_norm = float(np.sqrt(2) * np.linalg.norm(coup))
-    return BlockHamiltonian(h_tilde=ht, block_plus=plus, block_minus=minus,
-                            coupling_norm=coupling_norm)
+    del rows, coup
+    rows = scaled(lo[::-1] - hi)            # the odd rows of G H
+    minus = scaled(rows[:, :half][:, ::-1] - rows[:, half:])
+    return BlockHamiltonian(block_plus=plus, block_minus=minus,
+                            coupling_norm=coupling_norm,
+                            norm=float(np.linalg.norm(h)))
 
 
 @dataclass(frozen=True)
@@ -145,8 +162,8 @@ class BlockEigenSystem:
 
 
 def block_eigensolve(bh):
-    '''Eigensystem of H from the eigensystems of its two parity blocks,
-    as a BlockEigenSystem.
+    '''The eigensystems of the two parity blocks of a BlockHamiltonian,
+    merged into the eigensystem of H as a BlockEigenSystem.
 
     H = G blockdiag(H+, H-) G when the coupling vanishes, so the block
     eigenvectors, placed in the pair basis and rotated by G, are the

@@ -186,8 +186,7 @@ def check_parity_coupling(bh, threshold_ratio=1e-8, force=False):
     circuits both drop that coupling.'''
     if force:
         return
-    h_norm = np.linalg.norm(bh.h_tilde)
-    if bh.coupling_norm > threshold_ratio * max(h_norm, 1e-300):
+    if bh.coupling_norm > threshold_ratio * max(bh.norm, 1e-300):
         raise BrokenSymmetryError(
             "parity blocks are coupled (broken symmetry): coupling norm "
             f"{bh.coupling_norm:.3e} exceeds {threshold_ratio:.1e}*||H||")

@@ -39,16 +39,16 @@ class ShotResult:
         return self.counts / self.shots
 
 
-def exact_propagator(ham, t_fs, eig=None):
+def exact_propagator(ham, t_fs):
     '''U(t) = X exp(-i E t) X^H from the eigendecomposition of a
-    Hermitian Hamiltonian (Hartree, time in femtoseconds).
+    Hermitian Hamiltonian (Hartree, time in femtoseconds): `ham` is the
+    Hamiltonian, solved here, or its EigenSystem.
 
     `t_fs` may be an array of times; the result then has shape
     t_fs.shape + (dim, dim), one propagator per time.  For real
     eigenvectors X^H is X^T, with no copy.
     '''
-    if eig is None:
-        eig = ham if hasattr(ham, "energies") else eigensolve(ham)
+    eig = ham if hasattr(ham, "energies") else eigensolve(ham)
     t_au = np.asarray(units.fs_to_au(t_fs))
     phases = np.exp(-1j * eig.energies * t_au[..., None])
     return (eig.states * phases[..., None, :]) @ eig.states.conj().T

@@ -60,6 +60,22 @@ def _find_peaks(omega, power, threshold):
     return tuple(peaks)
 
 
+def _spectrum(omega, power, n_pad, zero_weight, duration_fs, window, padding,
+              threshold):
+    '''The Spectrum of `power` over `omega` (n_pad padded samples) from
+    a record of `duration_fs`, with its peaks above threshold * max.'''
+    # a stationary density leaves only roundoff at finite frequency;
+    # suppress peak extraction when the power is negligible against the
+    # static (zero-frequency) weight
+    floor = 1e-24 * n_pad ** 2 * zero_weight
+    peaks = _find_peaks(omega, power, threshold) \
+        if power.max() > floor else ()
+    bin_cm1 = units.hartree_to_cm1(2 * np.pi / units.fs_to_au(duration_fs))
+    return Spectrum(omega_cm1=omega, power=power, peaks=peaks,
+                    bin_cm1=bin_cm1, window=window or "none",
+                    padding=padding, zero_weight=zero_weight)
+
+
 # fewest time samples (steps + 1) a spectrum is taken from
 MIN_SAMPLES = 64
 
@@ -117,17 +133,8 @@ def grid_spectrum(traj, window=None, padding=4, threshold=1e-3):
         total += np.einsum("ij,ij->j", f, f).reshape(-1, 2).sum(axis=1)
     k = np.arange(len(omega))
     power = 0.5 * (total[k] + total[-k % n_pad]) * traj.dx
-    # a stationary density leaves only roundoff at finite frequency;
-    # suppress peak extraction when the power is negligible against the
-    # static (zero-frequency) weight
-    floor = 1e-24 * n_pad ** 2 * zero_weight
-    peaks = _find_peaks(omega, power, threshold) \
-        if power.max() > floor else ()
-    bin_cm1 = units.hartree_to_cm1(
-        2 * np.pi / units.fs_to_au(n_steps * dt[0]))
-    return Spectrum(omega_cm1=omega, power=power, peaks=peaks,
-                    bin_cm1=bin_cm1, window=window or "none",
-                    padding=padding, zero_weight=zero_weight)
+    return _spectrum(omega, power, n_pad, zero_weight, n_steps * dt[0],
+                     window, padding, threshold)
 
 
 def autocorrelation(states):
@@ -157,13 +164,8 @@ def autocorrelation_spectrum(states, dt_fs, window=None, padding=4,
         raise ValueError(f"unknown window {window!r}")
     n_pad, omega = _fft_axis(n_steps, dt_fs, padding)
     power = np.abs(np.fft.rfft(y, n=n_pad)) ** 2
-    floor = 1e-24 * n_pad ** 2 * zero_weight
-    peaks = _find_peaks(omega, power, threshold) \
-        if power.max() > floor else ()
-    bin_cm1 = units.hartree_to_cm1(2 * np.pi / units.fs_to_au(n_steps * dt_fs))
-    return Spectrum(omega_cm1=omega, power=power, peaks=peaks,
-                    bin_cm1=bin_cm1, window=window or "none",
-                    padding=padding, zero_weight=zero_weight)
+    return _spectrum(omega, power, n_pad, zero_weight, n_steps * dt_fs,
+                     window, padding, threshold)
 
 
 def eigen_differences(eig, max_levels=None):

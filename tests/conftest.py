@@ -33,6 +33,12 @@ def dw3_full(dw3):
                 blocks=bh, mapped=ms)
 
 
+def block_systems(bh):
+    '''The EigenSystems of the two parity blocks of a BlockHamiltonian,
+    as the circuit and block routes take them.'''
+    return w.eigensolve(bh.block_plus), w.eigensolve(bh.block_minus)
+
+
 def pair_cross(amps):
     '''The pair cross term of grid amplitudes along the last axis, as
     Evolution.pair_cross holds it for shot_density_trajectory.'''

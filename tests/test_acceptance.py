@@ -18,7 +18,7 @@ from wavecirc import units
 from wavecirc.dynamics import _block_evolve, _circuit_evolve, evolve_exact
 from wavecirc.sim import circuit_matrix
 
-from conftest import double_well_system, pair_cross
+from conftest import block_systems, double_well_system, pair_cross
 
 
 def report(name, ok, detail):
@@ -42,13 +42,10 @@ class TestCriterion1MapExactness:
     def test_three_qubit_ising_vs_classical(self):
         t0 = time.perf_counter()
         g, ham, pp, bh = model_system(3)
-        ms = w.map_system(bh, pp)
         psi0 = psi_gaussian(g)
         steps = 4000   # 1000 fs at dt = 0.25 fs
         tc = w.propagate("classical", ham, psi0, 0.25, steps)
-        ti = w.propagate("ising", ham, psi0, 0.25, steps,
-                         partition=pp,
-                         blocks=(ms.block_even, ms.block_odd))
+        ti = w.propagate("ising", ham, psi0, 0.25, steps)
         eps = w.probability_error(ti, tc)
         el = time.perf_counter() - t0
         ok = eps <= 1e-10 and el < 5
@@ -107,8 +104,8 @@ def shot_sweep():
         g, ham, pp, bh = model_system(n)
         psi0 = psi_gaussian(g)
         psi0_map = w.to_mapped_basis(psi0, pp)
-        states = _circuit_evolve(bh.block_plus, bh.block_minus, psi0_map,
-                                 pp, dt, steps)
+        states = _circuit_evolve(*block_systems(bh), psi0_map, pp, dt,
+                                 steps)
         ref = evolve_exact(ham, psi0, dt, steps)
         rho_c = np.abs(ref) ** 2
         cross = pair_cross(ref)
@@ -166,8 +163,8 @@ class TestCriterion4ShotError:
         for n in range(3, 8):
             g, ham, pp, bh = model_system(n)
             psi0_map = w.to_mapped_basis(psi_gaussian(g), pp)
-            q = np.abs(_block_evolve(bh.block_plus, bh.block_minus, psi0_map,
-                                     pp, dt, steps)) ** 2
+            q = np.abs(_block_evolve(*block_systems(bh), psi0_map, pp, dt,
+                                     steps)) ** 2
             i = np.arange(pp.half)
             qp = q[:, pp.order[i]]
             qm = q[:, pp.order[2 * pp.half - 1 - i]]
@@ -204,8 +201,8 @@ class TestCriterion5SpectralFidelity:
 
         # shot mode: same T with dt = 1.0 fs, 1000 shots per step
         psi0_map = w.to_mapped_basis(psi0, pp)
-        states = _circuit_evolve(bh.block_plus, bh.block_minus, psi0_map,
-                                 pp, 1.0, 2000)
+        states = _circuit_evolve(*block_systems(bh), psi0_map, pp, 1.0,
+                                 2000)
         ref = evolve_exact(ham, psi0, 1.0, 2000)
         rho_q = w.shot_density_trajectory(states, pair_cross(ref), pp, 1000,
                                           0)

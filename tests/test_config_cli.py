@@ -296,6 +296,40 @@ class TestSharedEvolution:
             assert r["epsilon"] == eps["epsilon"]
 
 
+class TestBlocksDerivedOnce:
+    '''A command rotates H once and eigensolves each parity block once,
+    all in the calling process: the forked worker is handed its block's
+    eigensystem.'''
+
+    # N = 3: blocks exactly decoupled, so the two block eigensolves serve
+    # the reference too; N = 4: the full eigensolve, then the two blocks
+    @pytest.mark.parametrize("n, eighs", [(3, 2), (4, 3)])
+    def test_spectrum_circuit_exact(self, tmp_path, monkeypatch, n, eighs):
+        from scipy.linalg import eigh
+        from wavecirc.givens import block_transform
+        calls = {"eigh": 0, "block_transform": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        def refused(*args):
+            raise AssertionError("eigh called in the forked worker")
+        monkeypatch.setattr("wavecirc.grid.eigh",
+                            in_worker_only(refused, counted("eigh", eigh)))
+        for module in ("cli", "dynamics"):
+            monkeypatch.setattr(f"wavecirc.{module}.block_transform",
+                                counted("block_transform", block_transform))
+        cfg = write_config(tmp_path, {
+            "grid": {"n_qubits": n}, "mapping": {"force": True},
+            "dynamics": {"method": "circuit-exact", "steps": 63}})
+        assert main(["spectrum", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 0
+        assert calls == {"eigh": eighs, "block_transform": 1}
+
+
 class TestCircuitRouteGuard:
     # a tilted surface: the parity blocks couple
     TILTED = {"potential": {"model": {"kind": "polynomial",

@@ -10,18 +10,15 @@ from scipy.linalg import expm
 import wavecirc as w
 from wavecirc import dynamics, units
 
-from conftest import (double_well_system, in_worker_only, pair_cross,
-                      random_state)
+from conftest import (block_systems, double_well_system, in_worker_only,
+                      pair_cross, random_state)
 
 
-def mapped_blocks(n, ms=False):
+def block_model(n):
+    '''The N-qubit double well's Hamiltonian, parity partition and the
+    EigenSystems of its two parity blocks.'''
     g, pot, ham = double_well_system(n)
-    pp = w.parity_partition(n)
-    bh = w.block_transform(ham)
-    if ms:
-        sys = w.map_system(bh, pp)
-        return ham, pp, (sys.block_even, sys.block_odd)
-    return ham, pp, (bh.block_plus, bh.block_minus)
+    return ham, w.parity_partition(n), block_systems(w.block_transform(ham))
 
 
 class TestInitialWavepacket:
@@ -139,44 +136,38 @@ class TestPropagate:
         assert traj.t_fs[-1] == pytest.approx(25.0)
 
     def test_ising_matches_classical_n3(self):
-        ham, pp, blocks = mapped_blocks(3, ms=True)
-        g = ham.grid
+        g, _, ham = double_well_system(3)
         psi0 = w.initial_wavepacket(w.WavepacketSpec("delta"), g)
         tc = w.propagate("classical", ham, psi0, 0.25, 200)
-        ti = w.propagate("ising", ham, psi0, 0.25, 200,
-                         partition=pp, blocks=blocks)
+        ti = w.propagate("ising", ham, psi0, 0.25, 200)
         assert w.probability_error(ti, tc) <= 1e-10
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_circuit_exact_matches_classical(self, n):
-        ham, pp, blocks = mapped_blocks(n)
-        g = ham.grid
+        g, _, ham = double_well_system(n)
         psi0 = w.initial_wavepacket(w.WavepacketSpec("delta"), g)
         tc = w.propagate("classical", ham, psi0, 0.5, 40)
-        tq = w.propagate("circuit-exact", ham, psi0, 0.5, 40,
-                         partition=pp, blocks=blocks)
+        tq = w.propagate("circuit-exact", ham, psi0, 0.5, 40)
         assert w.probability_error(tq, tc) <= 1e-9
 
-    def test_circuit_shots_reproducible_and_normalized(self):
-        ham, pp, blocks = mapped_blocks(3)
-        g = ham.grid
+    def test_circuit_shots_reproducible_and_normalized(self, dw3):
+        g, _, ham = dw3
         psi0 = w.initial_wavepacket(w.WavepacketSpec("delta"), g)
-        kw = dict(partition=pp, blocks=blocks, shots=2000, seed=7)
+        kw = dict(shots=2000, seed=7)
         t1 = w.propagate("circuit-shots", ham, psi0, 0.5, 20, **kw)
         t2 = w.propagate("circuit-shots", ham, psi0, 0.5, 20, **kw)
         assert np.array_equal(t1.rho, t2.rho)
         assert np.abs(t1.rho.sum(axis=1) - 1).max() <= 1e-12
         assert t1.shots == 2000 and t1.seed == 7
 
-    def test_shot_error_decreases_with_shots(self):
-        ham, pp, blocks = mapped_blocks(3)
-        g = ham.grid
+    def test_shot_error_decreases_with_shots(self, dw3):
+        g, _, ham = dw3
         psi0 = w.initial_wavepacket(w.WavepacketSpec("delta"), g)
         tc = w.propagate("classical", ham, psi0, 0.5, 20)
         errs = []
         for shots in (100, 100000):
             tq = w.propagate("circuit-shots", ham, psi0, 0.5, 20,
-                             partition=pp, blocks=blocks, shots=shots, seed=1)
+                             shots=shots, seed=1)
             errs.append(w.probability_error(tq, tc))
         assert errs[1] < errs[0] / 5
 
@@ -185,12 +176,12 @@ class TestPropagate:
         psi0 = np.zeros(8)
         psi0[0] = 1.0
         with pytest.raises(ValueError):
-            w.propagate("ising", ham, psi0, 0.25, 10)
-        with pytest.raises(ValueError):
             w.propagate("classical", ham, psi0, -0.25, 10)
         with pytest.raises(ValueError):
-            w.propagate("warp", ham, psi0, 0.25, 10, partition=1,
-                        blocks=1)
+            w.propagate("warp", ham, psi0, 0.25, 10)
+        for steps in (-1, -5, 2.5):
+            with pytest.raises(ValueError, match="steps"):
+                w.propagate("circuit-exact", ham, psi0, 0.25, steps)
 
 
 def random_hermitian(dim, rng):
@@ -207,10 +198,10 @@ class TestParityWorker:
               (dynamics._block_evolve, dynamics.evolve_exact, 0)]
 
     @staticmethod
-    def in_process(evolve_block, blocks, psi0_map, pp, dt_fs, steps):
+    def in_process(evolve_block, systems, psi0_map, pp, dt_fs, steps):
         out = np.empty((steps + 1, 2 * pp.half), dtype=complex)
-        for states, block in zip((pp.even_states, pp.odd_states), blocks):
-            out[:, states] = evolve_block(block, psi0_map[states], dt_fs,
+        for states, eig in zip((pp.even_states, pp.odd_states), systems):
+            out[:, states] = evolve_block(eig, psi0_map[states], dt_fs,
                                           steps)
         return out
 
@@ -218,47 +209,48 @@ class TestParityWorker:
     @pytest.mark.parametrize("route, evolve_block, n_forks", ROUTES)
     def test_bits_match_in_process_blocks(self, n, route, evolve_block,
                                           n_forks, forks):
-        ham, pp, blocks = mapped_blocks(n)
+        ham, pp, systems = block_model(n)
         psi0_map = w.to_mapped_basis(w.initial_wavepacket(
             w.WavepacketSpec("gaussian", mu=0.0, sigma=0.1), ham.grid), pp)
-        got = route(*blocks, psi0_map, pp, 0.5, 20)
+        got = route(*systems, psi0_map, pp, 0.5, 20)
         assert len(forks) == n_forks
         assert np.array_equal(
-            got, self.in_process(evolve_block, blocks, psi0_map, pp, 0.5, 20))
+            got, self.in_process(evolve_block, systems, psi0_map, pp, 0.5,
+                                 20))
 
     @pytest.mark.parametrize("route, evolve_block, n_forks", ROUTES)
     def test_complex_hermitian_blocks(self, route, evolve_block, n_forks,
                                       forks):
         rng = np.random.default_rng(90)
         pp = w.parity_partition(4)
-        blocks = (random_hermitian(8, rng), random_hermitian(8, rng))
+        systems = [w.eigensolve(random_hermitian(8, rng)) for _ in range(2)]
         psi0_map = random_state(16, rng)
-        got = route(*blocks, psi0_map, pp, 0.05, 20)
+        got = route(*systems, psi0_map, pp, 0.05, 20)
         assert len(forks) == n_forks
         assert np.array_equal(
-            got, self.in_process(evolve_block, blocks, psi0_map, pp, 0.05,
+            got, self.in_process(evolve_block, systems, psi0_map, pp, 0.05,
                                  20))
 
     def test_without_fork_blocks_run_in_turn(self, monkeypatch):
-        ham, pp, blocks = mapped_blocks(4)
+        ham, pp, systems = block_model(4)
         psi0_map = w.to_mapped_basis(w.initial_wavepacket(
             w.WavepacketSpec("delta"), ham.grid), pp)
-        forked = dynamics._circuit_evolve(*blocks, psi0_map, pp, 0.5, 20)
+        forked = dynamics._circuit_evolve(*systems, psi0_map, pp, 0.5, 20)
         monkeypatch.delattr(os, "fork")
         assert np.array_equal(
-            dynamics._circuit_evolve(*blocks, psi0_map, pp, 0.5, 20), forked)
+            dynamics._circuit_evolve(*systems, psi0_map, pp, 0.5, 20), forked)
 
     def test_other_thread_blocks_run_in_turn(self, forks):
         # a forked child would inherit the locks another thread holds
-        ham, pp, blocks = mapped_blocks(4)
+        ham, pp, systems = block_model(4)
         psi0_map = w.to_mapped_basis(w.initial_wavepacket(
             w.WavepacketSpec("gaussian", mu=0.0, sigma=0.1), ham.grid), pp)
-        forked = dynamics._circuit_evolve(*blocks, psi0_map, pp, 0.5, 20)
+        forked = dynamics._circuit_evolve(*systems, psi0_map, pp, 0.5, 20)
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            in_turn = dynamics._circuit_evolve(*blocks, psi0_map, pp, 0.5, 20)
+            in_turn = dynamics._circuit_evolve(*systems, psi0_map, pp, 0.5, 20)
         finally:
             stop.set()
             thread.join()
@@ -272,11 +264,11 @@ class TestParityWorker:
                                   seq.n_circuits)
         monkeypatch.setattr(dynamics, "qsd_compile",
                             in_worker_only(corrupted, w.qsd_compile))
-        ham, pp, blocks = mapped_blocks(4)
+        ham, pp, systems = block_model(4)
         psi0_map = w.to_mapped_basis(w.initial_wavepacket(
             w.WavepacketSpec("delta"), ham.grid), pp)
         with pytest.raises(w.NumericalError, match="exact block evolution"):
-            dynamics._circuit_evolve(*blocks, psi0_map, pp, 0.5, 20)
+            dynamics._circuit_evolve(*systems, psi0_map, pp, 0.5, 20)
         with pytest.raises(ChildProcessError):
             os.waitpid(forks[0], os.WNOHANG)
 
@@ -288,21 +280,21 @@ class TestParityWorker:
             raise Local("from the odd block")
         monkeypatch.setattr(dynamics, "_compiled_evolve",
                             in_worker_only(fails, dynamics._compiled_evolve))
-        ham, pp, blocks = mapped_blocks(3)
+        ham, pp, systems = block_model(3)
         psi0_map = np.ones(8) / np.sqrt(8)
         with pytest.raises(RuntimeError, match="Local: from the odd block"):
-            dynamics._circuit_evolve(*blocks, psi0_map, pp, 0.5, 5)
+            dynamics._circuit_evolve(*systems, psi0_map, pp, 0.5, 5)
 
     def test_dead_worker_raises_instead_of_hanging(self, monkeypatch, forks):
         def dies(*args):
             os._exit(1)
         monkeypatch.setattr(dynamics, "_compiled_evolve",
                             in_worker_only(dies, dynamics._compiled_evolve))
-        ham, pp, blocks = mapped_blocks(4)
+        ham, pp, systems = block_model(4)
         psi0_map = w.to_mapped_basis(w.initial_wavepacket(
             w.WavepacketSpec("delta"), ham.grid), pp)
         with pytest.raises(ChildProcessError, match="status 1 without"):
-            dynamics._circuit_evolve(*blocks, psi0_map, pp, 0.5, 20)
+            dynamics._circuit_evolve(*systems, psi0_map, pp, 0.5, 20)
         with pytest.raises(ChildProcessError):
             os.waitpid(forks[0], os.WNOHANG)
 
@@ -321,69 +313,64 @@ class TestParityWorker:
             raise FloatingPointError("even block")
         monkeypatch.setattr(dynamics, "_compiled_evolve",
                             in_worker_only(dynamics._compiled_evolve, fails))
-        ham, pp, blocks = mapped_blocks(6)
+        ham, pp, systems = block_model(6)
         psi0_map = w.to_mapped_basis(w.initial_wavepacket(
             w.WavepacketSpec("delta"), ham.grid), pp)
         with pytest.raises(FloatingPointError, match="even block"):
-            dynamics._circuit_evolve(*blocks, psi0_map, pp, 0.5, 2000)
+            dynamics._circuit_evolve(*systems, psi0_map, pp, 0.5, 2000)
         assert os.waitstatus_to_exitcode(statuses[0]) == -signal.SIGKILL
         with pytest.raises(ChildProcessError):
             os.waitpid(forks[0], os.WNOHANG)
 
 
 class TestCouplingGuard:
-    '''The circuit routes drop the coupling between the parity blocks,
-    so the library refuses them on an asymmetric surface.'''
+    '''The spin-block and circuit routes drop the coupling between the
+    parity blocks, so the library refuses them on an asymmetric surface.'''
 
     def tilted(self):
         g = w.build_grid(3, 0.66)
         pot = w.eval_potential(g, {"kind": "polynomial",
                                    "coefficients": [0, 0.01, 0.5]})
         ham = w.build_hamiltonian(g, pot)
-        pp = w.parity_partition(3)
-        bh = w.block_transform(ham)
         psi0 = w.initial_wavepacket(w.WavepacketSpec("delta"), g)
-        return ham, psi0, dict(partition=pp,
-                               blocks=(bh.block_plus, bh.block_minus))
+        return ham, psi0
 
-    @pytest.mark.parametrize("method", ["circuit-exact", "circuit-shots"])
+    @pytest.mark.parametrize("method",
+                             ["circuit-exact", "circuit-shots", "ising"])
     def test_refused_by_default_and_run_with_force(self, method):
-        ham, psi0, kw = self.tilted()
+        ham, psi0 = self.tilted()
         shots = dict(shots=100, seed=1) if method == "circuit-shots" else {}
         with pytest.raises(w.BrokenSymmetryError, match="coupled"):
-            w.evolve(method, ham, psi0, 0.25, 20, **kw)
+            w.evolve(method, ham, psi0, 0.25, 20,
+                     blocks=w.block_transform(ham))
         with pytest.raises(w.BrokenSymmetryError, match="coupled"):
-            w.propagate(method, ham, psi0, 0.25, 20, **kw, **shots)
-        traj = w.propagate(method, ham, psi0, 0.25, 20, force=True, **kw,
-                           **shots)
+            w.propagate(method, ham, psi0, 0.25, 20, **shots)
+        traj = w.propagate(method, ham, psi0, 0.25, 20, force=True, **shots)
         assert traj.rho.shape == (21, 8)
         assert np.allclose(traj.rho.sum(axis=1), 1.0)
 
     def test_threshold_ratio_is_forwarded(self):
-        ham, psi0, kw = self.tilted()
-        w.propagate("circuit-exact", ham, psi0, 0.25, 5, threshold_ratio=1.0,
-                    **kw)
+        ham, psi0 = self.tilted()
+        w.propagate("circuit-exact", ham, psi0, 0.25, 5, threshold_ratio=1.0)
 
-    def test_ising_and_classical_routes_unchecked(self):
-        ham, psi0, kw = self.tilted()
+    def test_classical_route_unchecked(self):
+        ham, psi0 = self.tilted()
         w.evolve("classical", ham, psi0, 0.25, 5)
-        w.evolve("ising", ham, psi0, 0.25, 5, **kw)
 
 
 class TestEvolveAndDensities:
     def test_one_evolution_many_samples(self):
-        ham, pp, blocks = mapped_blocks(3)
-        psi0 = w.initial_wavepacket(w.WavepacketSpec("delta"), ham.grid)
-        kw = dict(partition=pp, blocks=blocks)
+        g, _, ham = double_well_system(3)
+        psi0 = w.initial_wavepacket(w.WavepacketSpec("delta"), g)
         evo = w.evolve("circuit-shots", ham, psi0, 0.5, 20,
-                       eig=w.eigensolve(ham), **kw)
+                       eig=w.eigensolve(ham))
         assert evo.states.shape == evo.reference_rho.shape == (21, 8)
         assert evo.pair_cross.shape == (21, 4)
         assert not np.iscomplexobj(evo.reference_rho)
         for shots, seed in ((100, 1), (5000, 2)):
             traj = w.densities(evo, shots=shots, seed=seed)
             direct = w.propagate("circuit-shots", ham, psi0, 0.5, 20,
-                                 shots=shots, seed=seed, **kw)
+                                 shots=shots, seed=seed)
             assert np.array_equal(traj.rho, direct.rho)
             assert (traj.shots, traj.seed) == (shots, seed)
         with pytest.raises(ValueError, match="shot count"):
@@ -394,13 +381,13 @@ class TestEvolveAndDensities:
         # the kept cross term splits the shots as the reference amplitudes
         # do through mapped_density_to_grid, in block form and through
         # the full eigensystem
-        ham, pp, blocks = mapped_blocks(n)
+        g, _, ham = double_well_system(n)
+        pp = w.parity_partition(n)
         eig = w.block_eigensolve(w.block_transform(ham)) if block_form \
             else w.eigensolve(ham)
         psi0 = w.initial_wavepacket(
-            w.WavepacketSpec("gaussian", mu=0.03, sigma=0.1), ham.grid)
-        evo = w.evolve("circuit-shots", ham, psi0, 0.5, 12, partition=pp,
-                       blocks=blocks, eig=eig)
+            w.WavepacketSpec("gaussian", mu=0.03, sigma=0.1), g)
+        evo = w.evolve("circuit-shots", ham, psi0, 0.5, 12, eig=eig)
         amps = w.evolve_exact(w.eigensolve(ham), psi0, 0.5, 12)
         assert np.abs(evo.reference_rho - np.abs(amps) ** 2).max() <= 1e-13
         assert np.abs(evo.pair_cross - pair_cross(amps)).max() <= 1e-13

@@ -102,16 +102,41 @@ class TestBlockTransform:
         coup = (v[0] - v[1]) / 2
         assert bh.block_plus[0, 0] == pytest.approx(plus, abs=1e-14)
         assert bh.block_minus[0, 0] == pytest.approx(minus, abs=1e-14)
-        assert bh.h_tilde[0, 1] == pytest.approx(coup, abs=1e-14)
+        assert bh.coupling_norm == pytest.approx(np.sqrt(2) * abs(coup),
+                                                 abs=1e-14)
 
     def test_spectrum_preserved_random_symmetric(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(16, 16))
         h = a + a.T
         bh = w.block_transform(h)
+        ht = _rotate_pairs(_rotate_pairs(h, 0), 1)
         e1 = np.linalg.eigvalsh(h)
-        e2 = np.linalg.eigvalsh(bh.h_tilde)
+        e2 = np.linalg.eigvalsh(ht)
         assert np.abs(e1 - e2).max() <= 1e-10 * np.abs(e1).max()
+        assert bh.norm == pytest.approx(np.linalg.norm(ht), rel=1e-14)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_blocks_are_those_of_the_rotated_matrix(self, complex_):
+        # the half-size blocks have the bits of the blocks of G H G, and
+        # own their memory: no 2^N rotated matrix is kept behind them
+        rng = np.random.default_rng(4)
+        for n in range(1, 8):
+            a = rng.normal(size=(2 ** n, 2 ** n))
+            if complex_:
+                a = a + 1j * rng.normal(size=a.shape)
+            h = a + a.conj().T
+            ht = _rotate_pairs(_rotate_pairs(h, 0), 1)
+            bh = w.block_transform(h)
+            half = 2 ** (n - 1)
+            for got, want in ((bh.block_plus, ht[:half, :half]),
+                              (bh.block_minus, ht[half:, half:])):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got.real),
+                                      np.signbit(want.real))
+                assert got.base is None
+            assert bh.coupling_norm == float(
+                np.sqrt(2) * np.linalg.norm(ht[:half, half:]))
 
     def test_block_eigenvalues_interleave_full_spectrum(self):
         g, pot, ham = double_well_system(4)
@@ -129,11 +154,11 @@ class TestBlockTransform:
         v = rng.normal(size=8)
         ham = w.assemble_hamiltonian(k, v, g)
         bh = w.block_transform(ham)
-        coup = bh.h_tilde[:4, 4:]
         expected = np.zeros((4, 4))
         for i in range(4):
             expected[i, 3 - i] = 0.5 * (v[i] - v[7 - i])
-        assert np.abs(coup - expected).max() <= 1e-12
+        assert bh.coupling_norm == pytest.approx(
+            np.sqrt(2) * np.linalg.norm(expected), abs=1e-12)
 
     def test_dimension_mismatch(self):
         # not square, or a side that is not a power of two >= 2
@@ -150,12 +175,12 @@ class TestBlockTransform:
             for ham, v in ((dw, pot.values), (tilted, v_tilted)):
                 expected = closed_form_blocks(ham.kinetic_band, v)
                 bh = w.block_transform(ham)
-                half = 2 ** (n - 1)
-                got = (bh.block_plus, bh.block_minus,
-                       bh.h_tilde[:half, half:])
                 scale = max(np.linalg.norm(ham.matrix), 1.0)
-                for blk, ref in zip(got, expected):
+                for blk, ref in zip((bh.block_plus, bh.block_minus),
+                                    expected):
                     assert np.abs(blk - ref).max() <= 1e-12 * scale, n
+                coup = np.sqrt(2) * np.linalg.norm(expected[2])
+                assert abs(bh.coupling_norm - coup) <= 1e-12 * scale, n
 
 
 class TestMappedBasis:
@@ -238,8 +263,8 @@ class TestBlockEigensolve:
         # both blocks have levels 1 and 2: every level is twofold, and
         # the stable sort puts the even (reflection-symmetric) vector first
         plus, minus = np.diag([1.0, 2.0]), np.diag([2.0, 1.0])
-        bh = w.BlockHamiltonian(h_tilde=None, block_plus=plus,
-                                block_minus=minus, coupling_norm=0.0)
+        bh = w.BlockHamiltonian(block_plus=plus, block_minus=minus,
+                                coupling_norm=0.0, norm=np.sqrt(10.0))
         eig = w.block_eigensolve(bh)
         assert np.array_equal(eig.energies, [1.0, 1.0, 2.0, 2.0])
         reflection = np.sum(eig.states * eig.states[::-1], axis=0)

@@ -254,7 +254,7 @@ class TestMapSystem:
 
     def test_three_qubit_exactness(self, dw3_full):
         ms = dw3_full["mapped"]
-        scale = np.linalg.norm(dw3_full["blocks"].h_tilde)
+        scale = dw3_full["blocks"].norm
         assert ms.recon_error_even <= 1e-10 * scale
         assert ms.recon_error_odd <= 1e-10 * scale
         assert ms.even.diag_residual <= 1e-10 * scale
@@ -274,9 +274,9 @@ class TestMapSystem:
         ms = w.map_system(bh, pp)
         assert ms.recon_error_even > 1e-12
         # remap the representable projection: residual collapses to zero
-        proj = type(bh)(h_tilde=bh.h_tilde, block_plus=np.real(ms.block_even),
+        proj = type(bh)(block_plus=np.real(ms.block_even),
                         block_minus=np.real(ms.block_odd),
-                        coupling_norm=0.0)
+                        coupling_norm=0.0, norm=bh.norm)
         ms2 = w.map_system(proj, pp)
         assert ms2.recon_error_even <= 1e-9
         assert ms2.recon_error_odd <= 1e-9
@@ -285,10 +285,11 @@ class TestMapSystem:
         bh = dw3_full["blocks"]
         pp = dw3_full["partition"]
         shift = 0.123
-        shifted = type(bh)(h_tilde=bh.h_tilde + shift * np.eye(8),
-                           block_plus=bh.block_plus + shift * np.eye(4),
-                           block_minus=bh.block_minus + shift * np.eye(4),
-                           coupling_norm=bh.coupling_norm)
+        shifted = type(bh)(
+            block_plus=bh.block_plus + shift * np.eye(4),
+            block_minus=bh.block_minus + shift * np.eye(4),
+            coupling_norm=bh.coupling_norm,
+            norm=np.linalg.norm(dw3_full["ham"].matrix + shift * np.eye(8)))
         ms = w.map_system(shifted, pp)
         ms0 = dw3_full["mapped"]
         assert ms.recon_error_even == pytest.approx(ms0.recon_error_even,
@@ -311,7 +312,7 @@ class TestMapSystem:
         pot = w.eval_potential(g, {"kind": "polynomial",
                                    "coefficients": [0, 0.01, 0.5]})
         bh = w.block_transform(w.build_hamiltonian(g, pot))
-        ratio = bh.coupling_norm / np.linalg.norm(bh.h_tilde)
+        ratio = bh.coupling_norm / bh.norm
         with pytest.raises(w.BrokenSymmetryError, match="coupling norm"):
             w.check_parity_coupling(bh, threshold_ratio=ratio / 2)
         w.check_parity_coupling(bh, threshold_ratio=ratio * 2)

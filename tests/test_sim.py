@@ -14,7 +14,7 @@ from wavecirc.qsd import Gate, GateSequence, Multiplexor, ZyzLeaf
 from wavecirc import sim
 from wavecirc.sim import _apply_gate, circuit_matrix
 
-from conftest import double_well_system, random_state
+from conftest import block_systems, double_well_system, random_state
 
 
 class TestExactPropagator:
@@ -46,7 +46,7 @@ class TestExactPropagator:
         _, _, ham = dw3
         eig = w.eigensolve(ham)
         chi = eig.states[:, 2]
-        out = w.exact_propagator(ham, 3.0, eig=eig) @ chi
+        out = w.exact_propagator(eig, 3.0) @ chi
         phase = np.exp(-1j * eig.energies[2] * units.fs_to_au(3.0))
         assert np.abs(out - phase * chi).max() <= 1e-12
 
@@ -199,13 +199,11 @@ class TestFusedExecution:
             w.WavepacketSpec("gaussian", mu=0.0, sigma=0.1), g)
         psi0_map = w.to_mapped_basis(psi0, pp)
         dt, steps = 1.0, 3
-        out = _circuit_evolve(bh.block_plus, bh.block_minus, psi0_map, pp,
-                              dt, steps)
-        for states, block in ((pp.even_states, bh.block_plus),
-                              (pp.odd_states, bh.block_minus)):
-            eig = w.eigensolve(block)
+        systems = block_systems(bh)
+        out = _circuit_evolve(*systems, psi0_map, pp, dt, steps)
+        for states, eig in zip((pp.even_states, pp.odd_states), systems):
             for s in range(1, steps + 1):
-                u = w.exact_propagator(None, s * dt, eig=eig)
+                u = w.exact_propagator(eig, s * dt)
                 ref = gate_by_gate(psi0_map[states], w.qsd_compile(u))
                 assert np.abs(out[s, states] - ref).max() <= 1e-12
 
@@ -373,11 +371,11 @@ class TestLockstepExecution:
         block = random_block(2 ** n, rng)
         comp0 = random_state(2 ** n, rng)
         dt, steps = 0.5, _chunk_steps(2 ** n) + 1
-        out = _compiled_evolve(block, comp0, dt, steps)
-        assert np.array_equal(out[0], comp0)
         eig = w.eigensolve(block)
+        out = _compiled_evolve(eig, comp0, dt, steps)
+        assert np.array_equal(out[0], comp0)
         for s in range(1, steps + 1):
-            u = w.exact_propagator(None, s * dt, eig=eig)
+            u = w.exact_propagator(eig, s * dt)
             ref = gate_by_gate(comp0, w.qsd_compile(u))
             assert np.abs(out[s] - ref).max() <= 1e-12
 
@@ -385,7 +383,7 @@ class TestLockstepExecution:
         rng = np.random.default_rng(65)
         block = random_hermitian(4, rng)
         comp0 = random_state(4, rng)
-        out = _compiled_evolve(block, comp0, 0.5, 40)
+        out = _compiled_evolve(w.eigensolve(block), comp0, 0.5, 40)
         ref = w.evolve_exact(block, comp0, 0.5, 40)
         assert np.abs(out - ref).max() <= 1e-9
 
@@ -419,8 +417,8 @@ class TestLockstepExecution:
         monkeypatch.setattr("wavecirc.dynamics.qsd_compile", corrupted)
         rng = np.random.default_rng(80)
         with pytest.raises(w.NumericalError, match="exact block evolution"):
-            _compiled_evolve(random_block(8, rng), random_state(8, rng),
-                             0.5, 4)
+            _compiled_evolve(w.eigensolve(random_block(8, rng)),
+                             random_state(8, rng), 0.5, 4)
 
     def test_working_memory_independent_of_step_count(self):
         # 5 block qubits.  The trajectory grows with the step count, and so
@@ -431,12 +429,12 @@ class TestLockstepExecution:
         bh = w.block_transform(ham)
         psi0_map = w.to_mapped_basis(w.initial_wavepacket(
             w.WavepacketSpec("gaussian", mu=0.0, sigma=0.1), g), pp)
+        systems = block_systems(bh)
         peak, size = {}, {}
         for steps in (64, 2000):
             tracemalloc.start()
             try:
-                out = _circuit_evolve(bh.block_plus, bh.block_minus,
-                                      psi0_map, pp, 1.0, steps)
+                out = _circuit_evolve(*systems, psi0_map, pp, 1.0, steps)
                 peak[steps] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -454,11 +452,12 @@ class TestLockstepExecution:
         comp0 = w.to_mapped_basis(w.initial_wavepacket(
             w.WavepacketSpec("gaussian", mu=0.0, sigma=0.1), g),
             pp)[pp.odd_states]
+        eig = w.eigensolve(bh.block_minus)
         peak, size = {}, {}
         for steps in (64, 2000):
             tracemalloc.start()
             try:
-                out = _compiled_evolve(bh.block_minus, comp0, 1.0, steps)
+                out = _compiled_evolve(eig, comp0, 1.0, steps)
                 peak[steps] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

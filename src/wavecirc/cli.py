@@ -18,10 +18,11 @@ from . import units
 from .config import ConfigError, load_config
 from .dynamics import (WavepacketSpec, densities, evolve, initial_wavepacket,
                        probability_error)
-from .givens import block_eigensolve, block_transform, parity_partition
-from .grid import (DafParams, build_grid, build_hamiltonian, eigensolve,
-                   eval_potential)
-from .ising import BrokenSymmetryError, map_system, parameters_to_dict
+from .givens import (block_eigensolve, block_transform, eigensystem,
+                     parity_partition)
+from .grid import DafParams, build_grid, build_hamiltonian, eval_potential
+from .ising import (BrokenSymmetryError, check_parity_coupling, map_system,
+                    parameters_to_dict)
 from .qasm import write_qasm
 from .qsd import NumericalError, cnot_count, cnot_lower_bound, qsd_compile
 from .sim import circuit_matrix, exact_propagator
@@ -51,11 +52,7 @@ class Pipeline:
 
     @cached_property
     def eig(self):
-        # exactly decoupled parity blocks: two half-size eigenproblems,
-        # kept in block form (no 2^N eigenvector matrix)
-        if self.blocks.coupling_norm == 0.0:
-            return block_eigensolve(self.blocks)
-        return eigensolve(self.ham)
+        return eigensystem(self.ham, self.blocks)
 
     @cached_property
     def blocks(self):
@@ -153,6 +150,9 @@ def cmd_compile(args):
         raise ConfigError("compile needs grid.n_qubits >= 2: the parity "
                           "blocks of a 1-qubit grid are 1x1")
     pipe = Pipeline(cfg)
+    # the block circuits drop the coupling: refuse it as map does
+    m = cfg["mapping"]
+    check_parity_coupling(pipe.blocks, m["threshold_ratio"], m["force"])
     # compile (and check) both blocks before writing any file
     solved = block_eigensolve(pipe.blocks)
     seqs = {}

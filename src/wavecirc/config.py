@@ -3,6 +3,7 @@ with all defaults made explicit in the resolved form.'''
 
 import copy
 import json
+import math
 
 import jsonschema
 
@@ -147,10 +148,20 @@ def resolve(raw):
     return cfg
 
 
+def _finite(text):
+    '''json number hook: the float of `text`; ConfigError when it is not
+    finite (NaN, Infinity, or a literal beyond the float range), which
+    json.load would accept and the schema's bounds let through.'''
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config holds the non-finite number {text}")
+    return value
+
+
 def load_config(path):
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:

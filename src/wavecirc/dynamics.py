@@ -6,19 +6,23 @@ same initial state: exact evolution under the grid Hamiltonian
 ("classical"), evolution under the reassembled spin-model blocks
 ("ising"), and per-step compiled circuits for each parity block
 ("circuit-exact" / "circuit-shots").  Propagation is two steps: the
-deterministic `evolve` (reference and route amplitudes) and `densities`
-(exact or seeded shot densities), so shot resamplings share one
-evolution.
+deterministic `evolve` (the reference and the route's density, or on
+circuit-shots the compiled amplitudes) and `densities` (that density, or
+seeded shot densities), so shot resamplings share one evolution.  The
+reference's eigensystem follows one rule (`givens.eigensystem`) in the
+library and the CLI.
 
 The classical reference comes from one exact evolution loop
 (`_exact_chunks`), in time chunks of a fixed byte budget
 (REFERENCE_CHUNK_BYTES).  On a reflection-symmetric surface the
 eigensystem is a BlockEigenSystem: each chunk is evolved by the two
 half-size parity blocks in the pair basis and rotated to the grid on
-its own.  `evolve` keeps only the real density of the reference (and,
-for circuit-shots, the half-size pair cross term the shot transport
-needs), never a complex grid trajectory; `evolve_exact` returns the
-amplitudes from the same loop.
+its own.  The ising route runs on the same loop: its spin blocks are
+block-diagonal in the pair basis, so their eigensystems form a
+BlockEigenSystem.  `evolve` keeps only real densities (and, for
+circuit-shots, the half-size pair cross term the shot transport needs),
+never a complex grid trajectory; `evolve_exact` returns the amplitudes
+from the same loop.
 
 The circuit routes compile one circuit per time step and parity block,
 a chunk of steps at a time: the chunk's exact propagators are one
@@ -32,7 +36,7 @@ together, so the circuit routes evolve them at once: the even block in
 the calling process and the odd block in one worker forked for the call,
 which writes its amplitudes into a shared buffer (see `_circuit_evolve`).
 Where `os.fork` is missing, or another Python thread is running, the
-blocks run in turn.  The ising route runs them in turn: its few large
+blocks run in turn.  The ising route forks nothing: its few large
 products already use both cores through BLAS.
 '''
 
@@ -41,15 +45,15 @@ import os
 import pickle
 import signal
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import units
 from .grid import eigensolve
 from .givens import (BlockEigenSystem, _pair_cross, _rotate_pairs,
-                     block_eigensolve, block_transform, parity_partition,
-                     to_mapped_basis)
+                     block_eigensolve, block_transform, eigensystem,
+                     parity_partition, to_mapped_basis)
 from .ising import check_parity_coupling, map_system
 from .qsd import NumericalError, qsd_compile
 from .sim import _split_pairs, exact_propagator, run_circuit, sample_shots
@@ -108,7 +112,11 @@ def initial_wavepacket(spec, grid, eig=None):
             psi = _rotate_pairs(psi)
     else:
         raise ValueError(f"unknown wavepacket kind {spec.kind!r}")
-    return psi / np.linalg.norm(psi)
+    norm = np.linalg.norm(psi)
+    if not norm > 0:
+        raise ValueError(f"the {spec.kind} wavepacket has zero norm on the "
+                         "grid")
+    return psi / norm
 
 
 # Byte budget of one time chunk of the exact evolution, (rows, dim)
@@ -213,11 +221,11 @@ def evolve_exact(ham_or_eig, psi0, dt_fs, steps):
 
 
 def _exact_reference(eig, psi0, dt_fs, steps, cross):
-    '''The classical reference of `evolve` from the exact evolution
-    loop: the grid density, shape (steps+1, 2^N), and, when `cross`, the
-    pair cross term of the amplitudes (`givens._pair_cross`), shape
-    (steps+1, 2^(N-1)); else None.  Only one chunk of amplitudes exists
-    at a time.'''
+    '''The classical reference of `evolve`, or the ising route's density,
+    from the exact evolution loop through `eig`: the grid density, shape
+    (steps+1, 2^N), and, when `cross`, the pair cross term of the
+    amplitudes (`givens._pair_cross`), shape (steps+1, 2^(N-1)); else
+    None.  Only one chunk of amplitudes exists at a time.'''
     _, pair = _eigen_blocks(eig)
     dim = len(eig.energies)
     rho = np.empty((steps + 1, dim))
@@ -241,17 +249,6 @@ def _mapped_density(states, partition):
         phi = states[start:start + rows][:, partition.order]
         _pair_density(phi.real, phi.imag, rho[start:start + rows])
     return rho
-
-
-def _block_evolve(even, odd, psi0_map, partition, dt_fs, steps):
-    '''Evolve the two parity components exactly under the blocks whose
-    EigenSystems are `even` and `odd`, one after the other; returns
-    mapped-basis amplitudes, shape (steps+1, 2^N).'''
-    out = np.empty((steps + 1, 2 * partition.half), dtype=complex)
-    for states, eig in ((partition.even_states, even),
-                        (partition.odd_states, odd)):
-        out[:, states] = evolve_exact(eig, psi0_map[states], dt_fs, steps)
-    return out
 
 
 def _circuit_evolve(even, odd, psi0_map, partition, dt_fs, steps):
@@ -391,17 +388,18 @@ def _compiled_evolve(eig, comp0, dt_fs, steps, out=None,
 class Evolution:
     '''The deterministic part of a propagation, shared by every shot
     resampling: the time axis, the grid density of the classical
-    reference, on circuit-shots the reference's pair cross term that the
-    shot transport needs, and, for the ising and circuit routes, the
-    mapped-basis amplitudes of the route.  No complex grid trajectory is
-    kept.'''
+    reference and, on circuit-shots, the reference's pair cross term and
+    the mapped-basis amplitudes of the compiled circuits, which the shot
+    sampler draws from.  Every other route keeps only its density `rho`
+    (on the classical route, the reference density itself).  No complex
+    grid trajectory is kept.'''
     method: str
     t_fs: np.ndarray
     dx: float
     reference_rho: np.ndarray    # classical density, shape (steps+1, 2^N)
     pair_cross: np.ndarray = None   # circuit-shots: (steps+1, 2^(N-1))
-    states: np.ndarray = None    # mapped-basis amplitudes, (steps+1, 2^N)
-    partition: object = None
+    states: np.ndarray = None    # circuit-shots: mapped-basis, (steps+1, 2^N)
+    rho: np.ndarray = None       # the route's density, (steps+1, 2^N)
 
     def reference_trajectory(self):
         '''The classical density Trajectory.'''
@@ -413,16 +411,18 @@ def evolve(method, ham, psi0, dt_fs, steps, blocks=None, eig=None,
            force=False, threshold_ratio=1e-8):
     '''Evolve psi0 along the route of `method`; returns an Evolution.
 
-    The classical reference is exact evolution under `ham` (through `eig`,
-    its EigenSystem or BlockEigenSystem, when given), kept as its grid
-    density and, for circuit-shots, its pair cross term.  The other
-    routes start from `blocks`, the BlockHamiltonian of `ham`
-    (block_transform(ham) when None), in the parity basis of the grid's
-    N qubits, and drop the coupling between the parity blocks: they
-    refuse with BrokenSymmetryError, unless `force`, when it exceeds
-    threshold_ratio * ||H||_F.  method "ising": exact evolution under
-    the spin blocks map_system fits to `blocks`.  method "circuit-exact"
-    / "circuit-shots": per-step compiled circuits for the blocks, from
+    The classical reference is exact evolution under `ham` through
+    `eig`, its EigenSystem or BlockEigenSystem; when None, `eig` is
+    givens.eigensystem(ham, blocks), as the CLI's.  It is kept as its
+    grid density and, for circuit-shots, its pair cross term.  `blocks`
+    is the BlockHamiltonian of `ham` (block_transform(ham) when None and
+    needed), in the parity basis of the grid's N qubits.  The other
+    routes drop the coupling between the parity blocks: they refuse
+    with BrokenSymmetryError, unless `force`, when it exceeds
+    threshold_ratio * ||H||_F.  method "ising": the spin blocks that
+    map_system fits to `blocks`, each eigensolved once, evolved by the
+    reference's exact loop in block form.  method "circuit-exact" /
+    "circuit-shots": per-step compiled circuits for the blocks, from
     `eig.plus`/`eig.minus` when `eig` is a BlockEigenSystem, else from
     block_eigensolve(blocks); each block is eigensolved at most once, in
     this process.  The circuit routes evolve the odd block in a child
@@ -439,50 +439,57 @@ def evolve(method, ham, psi0, dt_fs, steps, blocks=None, eig=None,
     if not isinstance(steps, (int, np.integer)) or steps < 0:
         raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
     partition = parity_partition(ham.grid.n_qubits)
-    if method != "classical":
-        blocks = block_transform(ham) if blocks is None else blocks
+    if blocks is None and (method != "classical" or eig is None):
+        blocks = block_transform(ham)
     if method == "ising":
-        msys = map_system(blocks, partition, force, threshold_ratio)
-        systems = eigensolve(msys.block_even), eigensolve(msys.block_odd)
-        route = _block_evolve
+        spin = map_system(blocks, partition, force, threshold_ratio)
     elif method != "classical":
         check_parity_coupling(blocks, threshold_ratio, force)
+    eig = eigensystem(ham, blocks) if eig is None else eig
+    psi0 = np.asarray(psi0, dtype=complex)
+    ref, cross = _exact_reference(eig, psi0, dt_fs, steps,
+                                  cross=method == "circuit-shots")
+    rho, states = ref, None
+    if method == "ising":   # block_eigensolve reads only the blocks
+        rho, _ = _exact_reference(block_eigensolve(replace(
+            blocks, block_plus=spin.block_even, block_minus=spin.block_odd)),
+            psi0, dt_fs, steps, cross=False)
+    elif method != "classical":
         solved = eig if isinstance(eig, BlockEigenSystem) \
             else block_eigensolve(blocks)
-        systems, route = (solved.plus, solved.minus), _circuit_evolve
-    psi0 = np.asarray(psi0, dtype=complex)
-    rho, cross = _exact_reference(eigensolve(ham) if eig is None else eig,
-                                  psi0, dt_fs, steps,
-                                  cross=method == "circuit-shots")
-    states = None if method == "classical" else route(
-        *systems, to_mapped_basis(psi0, partition), partition, dt_fs, steps)
+        rho, states = None, _circuit_evolve(
+            solved.plus, solved.minus, to_mapped_basis(psi0, partition),
+            partition, dt_fs, steps)
+        if method == "circuit-exact":
+            rho, states = _mapped_density(states, partition), None
     return Evolution(method=method, t_fs=dt_fs * np.arange(steps + 1),
-                     dx=ham.grid.dx, reference_rho=rho, pair_cross=cross,
-                     states=states, partition=partition)
+                     dx=ham.grid.dx, reference_rho=ref, pair_cross=cross,
+                     states=states, rho=rho)
 
 
 def densities(evo, shots=None, seed=None):
-    '''Density Trajectory of an Evolution.  Shot mode ("circuit-shots")
-    samples `shots` measurements per step from streams spawned from
-    `seed`, split between mirror pairs by the reference's cross term.'''
-    if evo.method == "classical":
-        return evo.reference_trajectory()
-    if evo.method == "circuit-shots":
-        if shots is None:
-            raise ValueError("circuit-shots needs a shot count")
-        rho = shot_density_trajectory(evo.states, evo.pair_cross,
-                                      evo.partition, shots, seed)
-        return Trajectory(t_fs=evo.t_fs, rho=rho, method=evo.method,
-                          dx=evo.dx, shots=int(shots), seed=seed)
-    rho = _mapped_density(evo.states, evo.partition)
-    return Trajectory(t_fs=evo.t_fs, rho=rho, method=evo.method, dx=evo.dx)
+    '''Density Trajectory of an Evolution: on circuit-shots, `shots`
+    measurements per step sampled from streams spawned from `seed`, split
+    between mirror pairs by the reference's cross term; on every other
+    route, the density that `evolve` formed.'''
+    if evo.method != "circuit-shots":
+        return Trajectory(t_fs=evo.t_fs, rho=evo.rho, method=evo.method,
+                          dx=evo.dx)
+    if shots is None:
+        raise ValueError("circuit-shots needs a shot count")
+    partition = parity_partition(evo.states.shape[1].bit_length() - 1)
+    rho = shot_density_trajectory(evo.states, evo.pair_cross, partition,
+                                  shots, seed)
+    return Trajectory(t_fs=evo.t_fs, rho=rho, method=evo.method, dx=evo.dx,
+                      shots=int(shots), seed=seed)
 
 
 def propagate(method, ham, psi0, dt_fs, steps, shots=None, seed=None,
               force=False, threshold_ratio=1e-8):
     '''Produce a density Trajectory: `evolve`, which derives the parity
-    blocks and their eigensystems from `ham`, then `densities`.  The
-    circuit routes fork one child process per call (see `evolve`).'''
+    blocks and the eigensystems from `ham` as the CLI does, then
+    `densities`.  The circuit routes fork one child process per call
+    (see `evolve`).'''
     evo = evolve(method, ham, psi0, dt_fs, steps, force=force,
                  threshold_ratio=threshold_ratio)
     return densities(evo, shots=shots, seed=seed)

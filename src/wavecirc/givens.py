@@ -11,7 +11,8 @@ blocks of G H G at half size in O(4^N), never forming G or G H G.
 blocks onto the even/odd bitstring-parity sectors.  `block_eigensolve`
 solves the two half-size eigenproblems, which, when the blocks are
 exactly decoupled, give the eigensystem of H in block form
-(`BlockEigenSystem`).
+(`BlockEigenSystem`); `eigensystem` picks that form or the full
+eigensolve, for the CLI and the dynamics alike.
 '''
 
 from dataclasses import dataclass
@@ -181,6 +182,13 @@ def block_eigensolve(bh):
     return BlockEigenSystem(
         energies=energies[np.argsort(energies, kind="stable")],
         plus=plus, minus=minus)
+
+
+def eigensystem(ham, bh):
+    '''The eigensystem of H whose BlockHamiltonian is `bh`: in block
+    form (block_eigensolve) when the parity blocks are exactly
+    decoupled, else the full eigensolve(ham).'''
+    return block_eigensolve(bh) if bh.coupling_norm == 0.0 else eigensolve(ham)
 
 
 def _check_dim(psi, partition):

@@ -80,11 +80,6 @@ class Gate:
             return [(self.kind, self.target, self.control, self.angle)]
         return [(self.kind, self.target, self.control, float(self.angle[i]))]
 
-    def gates(self, i=0):
-        if np.ndim(self.angle) == 0:
-            return [self]
-        return [Gate(*row) for row in self.rows(i)]
-
     def counts(self):
         return {self.kind: 1}
 
@@ -96,10 +91,9 @@ class GateSequence:
     `blocks` holds single Gates and the compiler's fused blocks
     (Multiplexor, ZyzLeaf) in application order.  Every block expands
     circuit i into plain (kind, target, control, angle) rows with
-    `rows(i)`, and into Gates built from those rows with `gates(i)`.
-    `circuit(i)` expands circuit i into single gates; `gates`, iteration,
-    `len` and `counts` cover every circuit of the stack, circuit by
-    circuit.
+    `rows(i)`, the one expansion: `circuit(i)` builds circuit i's single
+    Gates from those rows; `gates`, iteration, `len` and `counts` cover
+    every circuit of the stack, circuit by circuit.
     '''
 
     def __init__(self, n_qubits, gates=(), n_circuits=1):
@@ -108,8 +102,8 @@ class GateSequence:
         self.blocks = list(gates)
 
     def circuit(self, i):
-        return GateSequence(self.n_qubits,
-                            [g for b in self.blocks for g in b.gates(i)])
+        return GateSequence(self.n_qubits, [Gate(*row) for b in self.blocks
+                                            for row in b.rows(i)])
 
     @property
     def gates(self):
@@ -199,9 +193,6 @@ class Multiplexor:
         out[1::2] = _ladder_rows(self.target, self.controls)
         return out
 
-    def gates(self, i=0):
-        return [Gate(*row) for row in self.rows(i)]
-
     def counts(self):
         k = self.theta.shape[1]
         return {self.kind: k, "cx": k}
@@ -233,9 +224,6 @@ class ZyzLeaf:
             np.array([self.delta[i], self.gamma[i], self.beta[i]])).tolist()
         return [("rz", q, None, delta), ("ry", q, None, gamma),
                 ("rz", q, None, beta)]
-
-    def gates(self, i=0):
-        return [Gate(*row) for row in self.rows(i)]
 
     def counts(self):
         return {"rz": 2, "ry": 1}

@@ -35,7 +35,7 @@ def dw3_full(dw3):
 
 def block_systems(bh):
     '''The EigenSystems of the two parity blocks of a BlockHamiltonian,
-    as the circuit and block routes take them.'''
+    as the circuit routes take them.'''
     return w.eigensolve(bh.block_plus), w.eigensolve(bh.block_minus)
 
 

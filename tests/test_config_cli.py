@@ -142,6 +142,15 @@ class TestCliExitCodes:
         assert "refused" in capsys.readouterr().err
         assert main(["map", "--config", cfg, "--out", out, "--force"]) == 0
 
+    def test_vanishing_wavepacket_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"dynamics": {
+            "steps": 5, "wavepacket": {"kind": "gaussian",
+                                       "mu_angstrom": 50.0}}})
+        out = tmp_path / "o"
+        assert main(["propagate", "--config", cfg, "--out", str(out)]) == 2
+        assert "gaussian wavepacket has zero norm" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
     def test_map_writes_parameters(self, tmp_path):
         cfg = write_config(tmp_path)
         out = str(tmp_path / "o")
@@ -329,6 +338,34 @@ class TestBlocksDerivedOnce:
                      "--out", str(tmp_path / "o")]) == 0
         assert calls == {"eigh": eighs, "block_transform": 1}
 
+    # the library derives the reference's eigensystem by the CLI's rule
+    @pytest.mark.parametrize("method, eighs", [("circuit-exact", 2),
+                                               ("ising", 4)])
+    def test_library_propagate_solves_as_the_cli(self, tmp_path,
+                                                 monkeypatch, method, eighs):
+        from scipy.linalg import eigh
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return eigh(*args)
+
+        def refused(*args):
+            raise AssertionError("eigh called in the forked worker")
+        monkeypatch.setattr("wavecirc.grid.eigh",
+                            in_worker_only(refused, counted))
+        cfg = write_config(tmp_path, {"dynamics": {"method": method,
+                                                   "steps": 20}})
+        assert main(["propagate", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 0
+        cli = len(calls)
+        g = w.build_grid(3, 0.66)
+        ham = w.build_hamiltonian(g, w.eval_potential(
+            g, {"kind": "double_well"}))
+        psi0 = w.initial_wavepacket(w.WavepacketSpec("gaussian"), g)
+        w.propagate(method, ham, psi0, 0.5, 20)
+        assert (cli, len(calls) - cli) == (eighs, eighs)
+
 
 class TestCircuitRouteGuard:
     # a tilted surface: the parity blocks couple
@@ -347,7 +384,9 @@ class TestCircuitRouteGuard:
                 ["spectrum", "--config", config("circuit-shots"),
                  "--out", out],
                 ["sweep-shots", "--config", config("circuit-exact"),
-                 "--out", out, "--shots", "100", "--n-seeds", "1"]]
+                 "--out", out, "--shots", "100", "--n-seeds", "1"],
+                ["compile", "--config", config("circuit-exact"),
+                 "--out", out]]
 
     def test_refused_exit_4(self, tmp_path, capsys):
         for argv in self.commands(tmp_path, force=False):
@@ -357,6 +396,11 @@ class TestCircuitRouteGuard:
     def test_runs_with_mapping_force(self, tmp_path):
         for argv in self.commands(tmp_path, force=True):
             assert main(argv) == 0, argv[0]
+
+    def test_compile_refused_before_writing(self, tmp_path):
+        argv = self.commands(tmp_path, force=False)[-1]
+        assert argv[0] == "compile" and main(argv) == 4
+        assert not (tmp_path / "o").exists()
 
 
 class TestRemovedSwitches:
@@ -422,6 +466,20 @@ class TestInputsRefusedBeforeEvolution:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--time-fs" in err and "expected a finite number" in err
+
+    # json.load accepts these, and the schema's bounds let them through
+    @pytest.mark.parametrize("extra", [
+        dict(TestCircuitRouteGuard.TILTED, mapping={
+            "threshold_ratio": float("nan")}, dynamics={
+            "method": "circuit-exact", "steps": 5}),
+        {"dynamics": {"dt_fs": float("nan")}},
+        {"dynamics": {"dt_fs": float("inf")}}],
+        ids=["threshold_ratio-NaN", "dt_fs-NaN", "dt_fs-Infinity"])
+    def test_non_finite_config_number_exit_2(self, tmp_path, capsys, extra):
+        cfg = write_config(tmp_path, extra)
+        assert main(["propagate", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "non-finite number" in capsys.readouterr().err
 
     def test_compile_single_qubit_grid_exit_2(self, tmp_path, capsys,
                                               monkeypatch):

@@ -66,6 +66,12 @@ class TestInitialWavepacket:
         with pytest.raises(ValueError):
             w.initial_wavepacket(w.WavepacketSpec("nope"), g)
 
+    def test_vanishing_gaussian_refused(self, dw3):
+        # centred 50 A away from a 0.66 A grid: every sample underflows
+        g, _, _ = dw3
+        with pytest.raises(ValueError, match="gaussian wavepacket has zero"):
+            w.initial_wavepacket(w.WavepacketSpec("gaussian", mu=50.0), g)
+
 
 class TestEvolveExact:
     def test_initial_row_is_input(self, dw3):
@@ -190,12 +196,10 @@ def random_hermitian(dim, rng):
 
 
 class TestParityWorker:
-    '''_circuit_evolve evolves the odd block in a forked worker, and
-    _block_evolve runs the blocks in turn; the output of each is that of
-    the two in-process block calls, bit for bit.'''
+    '''_circuit_evolve evolves the odd block in a forked worker; its
+    output is that of the two in-process block calls, bit for bit.'''
 
-    ROUTES = [(dynamics._circuit_evolve, dynamics._compiled_evolve, 1),
-              (dynamics._block_evolve, dynamics.evolve_exact, 0)]
+    ROUTES = [(dynamics._circuit_evolve, dynamics._compiled_evolve, 1)]
 
     @staticmethod
     def in_process(evolve_block, systems, psi0_map, pp, dt_fs, steps):
@@ -230,6 +234,12 @@ class TestParityWorker:
         assert np.array_equal(
             got, self.in_process(evolve_block, systems, psi0_map, pp, 0.05,
                                  20))
+
+    def test_ising_forks_nothing(self, forks):
+        g, _, ham = double_well_system(4)
+        psi0 = w.initial_wavepacket(w.WavepacketSpec("delta"), g)
+        w.evolve("ising", ham, psi0, 0.5, 20)
+        assert forks == []
 
     def test_without_fork_blocks_run_in_turn(self, monkeypatch):
         ham, pp, systems = block_model(4)
@@ -363,7 +373,7 @@ class TestEvolveAndDensities:
         g, _, ham = double_well_system(3)
         psi0 = w.initial_wavepacket(w.WavepacketSpec("delta"), g)
         evo = w.evolve("circuit-shots", ham, psi0, 0.5, 20,
-                       eig=w.eigensolve(ham))
+                       eig=w.eigensystem(ham, w.block_transform(ham)))
         assert evo.states.shape == evo.reference_rho.shape == (21, 8)
         assert evo.pair_cross.shape == (21, 4)
         assert not np.iscomplexobj(evo.reference_rho)
@@ -414,8 +424,38 @@ class TestEvolveAndDensities:
         psi0 = w.initial_wavepacket(w.WavepacketSpec("delta"), g)
         a = w.propagate("classical", ham, psi0, 0.25, 30)
         b = w.evolve("classical", ham, psi0, 0.25, 30,
-                     eig=w.eigensolve(ham)).reference_trajectory()
+                     eig=w.eigensystem(ham, w.block_transform(ham))
+                     ).reference_trajectory()
         assert np.array_equal(a.rho, b.rho)
+
+    @pytest.mark.parametrize("method", ["ising", "circuit-exact"])
+    def test_only_circuit_shots_keeps_amplitudes(self, method):
+        g, _, ham = double_well_system(3)
+        psi0 = w.initial_wavepacket(w.WavepacketSpec("delta"), g)
+        evo = w.evolve(method, ham, psi0, 0.5, 20)
+        assert evo.states is None and evo.pair_cross is None
+        assert evo.rho.shape == evo.reference_rho.shape == (21, 8)
+        traj = w.densities(evo)
+        assert traj.method == method and traj.rho is evo.rho
+
+    def test_ising_density_is_exact_spin_block_evolution(self):
+        # N = 5 with force: the spin blocks differ from H's, and each
+        # evolves exactly on its own parity sector of the mapped basis
+        n, steps = 5, 40
+        g, _, ham = double_well_system(n)
+        pp, bh = w.parity_partition(n), w.block_transform(ham)
+        ms = w.map_system(bh, pp, force=True)
+        psi0 = w.initial_wavepacket(
+            w.WavepacketSpec("gaussian", mu=0.03, sigma=0.1), g)
+        psi0_map = w.to_mapped_basis(psi0, pp)
+        amps = np.empty((steps + 1, 2 ** n), dtype=complex)
+        for states, block in ((pp.even_states, ms.block_even),
+                              (pp.odd_states, ms.block_odd)):
+            amps[:, states] = w.evolve_exact(w.eigensolve(block),
+                                             psi0_map[states], 0.5, steps)
+        want = np.abs(w.from_mapped_basis(amps, pp)) ** 2
+        evo = w.evolve("ising", ham, psi0, 0.5, steps, force=True)
+        assert np.abs(evo.rho - want).max() <= 1e-13
 
 
 class TestProbabilityError:
@@ -509,17 +549,34 @@ class TestRouteDensityWorkingSet:
         steps = 16000
         states = rng.normal(size=(steps + 1, 64)) \
             + 1j * rng.normal(size=(steps + 1, 64))
-        evo = w.Evolution(method="circuit-exact",
-                          t_fs=0.5 * np.arange(steps + 1), dx=0.1,
-                          reference_rho=None, states=states, partition=pp)
         tracemalloc.start()
         try:
-            traj = w.densities(evo)
-            extra = tracemalloc.get_traced_memory()[1] - traj.rho.nbytes
+            rho = dynamics._mapped_density(states, pp)
+            extra = tracemalloc.get_traced_memory()[1] - rho.nbytes
         finally:
             tracemalloc.stop()
-        print(f"densities {extra} B beyond the density")
+        print(f"_mapped_density {extra} B beyond the density")
         assert extra <= 3 * budget
-        assert 3 * budget < traj.rho.nbytes
+        assert 3 * budget < rho.nbytes
         want = np.abs(w.from_mapped_basis(states, pp)) ** 2
-        assert np.abs(traj.rho - want).max() <= 1e-14 * want.max()
+        assert np.abs(rho - want).max() <= 1e-14 * want.max()
+
+    def test_ising_keeps_no_complex_trajectory(self, monkeypatch):
+        # N = 6, 4,000 steps against a 64 KiB chunk: the route's complex
+        # trajectory would be 3.9 MiB, each density 2.0 MiB
+        budget = 1 << 16
+        monkeypatch.setattr(dynamics, "REFERENCE_CHUNK_BYTES", budget)
+        g, _, ham = double_well_system(6)
+        psi0 = w.initial_wavepacket(
+            w.WavepacketSpec("gaussian", mu=0.0, sigma=0.1), g)
+        steps = 4000
+        trajectory = (steps + 1) * 2 ** 6 * 16
+        tracemalloc.start()
+        try:
+            evo = w.evolve("ising", ham, psi0, 0.5, steps)
+            extra = tracemalloc.get_traced_memory()[1] \
+                - evo.reference_rho.nbytes - evo.rho.nbytes
+        finally:
+            tracemalloc.stop()
+        print(f"evolve('ising') {extra} B beyond its two densities")
+        assert extra < trajectory

@@ -143,25 +143,33 @@ def resolve(raw):
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
     cfg = _merge(DEFAULTS, raw)
+    # json.load gives NaN, Infinity and literals beyond the float range
+    # as floats, and the schema's bounds let them through
+    for path, value in _floats(cfg):
+        if not math.isfinite(value):
+            raise ConfigError(
+                f"config holds the non-finite number {value} at "
+                + "/".join(map(str, path)))
     mass = cfg["grid"]["mass"]
     cfg["grid"]["mass_au"] = MASSES.get(mass, mass)
     return cfg
 
 
-def _finite(text):
-    '''json number hook: the float of `text`; ConfigError when it is not
-    finite (NaN, Infinity, or a literal beyond the float range), which
-    json.load would accept and the schema's bounds let through.'''
-    value = float(text)
-    if not math.isfinite(value):
-        raise ConfigError(f"config holds the non-finite number {text}")
-    return value
+def _floats(node, path=()):
+    '''(path, value) of every float in a nested config; path is the
+    tuple of keys and list indices that leads to it.'''
+    if isinstance(node, float):
+        yield path, node
+    elif isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, val in items:
+            yield from _floats(val, path + (key,))
 
 
 def load_config(path):
     try:
         with open(path) as fh:
-            raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            raw = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:

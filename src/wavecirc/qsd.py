@@ -10,16 +10,24 @@ input matrix exactly.
 
 The recursion tree has the same shape for every unitary of a given
 size, so `qsd_compile` takes a stack of S unitaries and walks the tree
-one level at a time.  Nodes of 8x8 and larger are factorized by LAPACK
-(zuncsd, zgees) per matrix; the 4x4 nodes of level m = 2, most nodes of
-a circuit, by vectorised closed forms: a 4x4 -> 2x2 CSD and the
-eigensystem of a 2x2 unitary.  The sorting, the demultiplex products,
-the Walsh-Gray angle transform and the ZYZ split run once per level over
-every node of every circuit.  The result is one GateSequence of S
-circuits sharing one gate layout.  Each multiplexed rotation
-(Multiplexor) and each ZYZ leaf (ZyzLeaf) is one block holding an angle
-array with one row per circuit, so the simulator runs all S circuits in
-lockstep, one vectorised step per block.
+one level at a time.  The 4x4 nodes of level m = 2, most nodes of a
+circuit, are factorized by vectorised closed forms: a 4x4 -> 2x2 CSD and
+the eigensystem of a 2x2 unitary.  Nodes of 8x8 and larger are
+factorized over the whole level by batched numpy calls: the CSD from
+one SVD (the right vectors) and two QRs (l0 and l1), the demultiplex
+from one eigh of a Hermitian part of l0 l1^H (the eigenvectors) and its
+Rayleigh quotients (the eigenphases).  Each such node is checked on its
+own: a reconstruction or unitarity residual above CHECK_TOL, or a
+conditioning screen (a sine or cosine of alpha, a gap between adjacent
+alphas or between adjacent eigh eigenvalues below SCREEN_TOL), sends it
+to LAPACK (zuncsd, zgees) instead; about 1% of the nodes of a propagator
+go there.  The sorting, the demultiplex products, the Walsh-Gray angle
+transform and the ZYZ split run once per level over every node of every
+circuit.  The result is one GateSequence of S circuits sharing one gate
+layout.  Each multiplexed rotation (Multiplexor) and each ZYZ leaf
+(ZyzLeaf) is one block holding an angle array with one row per circuit,
+so the simulator runs all S circuits in lockstep, one vectorised step
+per block.
 
 Both factorizations leave one phase per column free, which LAPACK fixes
 differently from one BLAS kernel to another and from one input to its
@@ -28,14 +36,14 @@ gauge: after sorting, each column of the CSD's l0 and of the
 demultiplex's v is multiplied by the conjugate phase of its
 largest-magnitude entry (l1, r0, r1 and w take the matching phase), and
 the ZYZ split folds beta and delta into (-pi, pi].  The angles are then
-a continuous function of the input: the closed forms and LAPACK give
-the same angles, and QASM is reproducible across BLAS kernels up to
-round-off in the angles.  They stay discontinuous where the factors are
-not unique or a branch is crossed: a tie for the largest entry of a
-column, an eigenphase crossing -1 (where the sort key wraps), crossing
-alpha values or eigenphases, and a ZYZ leaf whose gamma comes within
-DEGENERATE_TOL of 0 or pi, where only beta + delta or beta - delta is
-determined.
+a continuous function of the input: the closed forms, the batched
+factorizations and LAPACK give the same angles, and QASM is
+reproducible across BLAS kernels up to round-off in the angles.  They
+stay discontinuous where the factors are not unique or a branch is
+crossed: a tie for the largest entry of a column, an eigenphase
+crossing -1 (where the sort key wraps), crossing alpha values or
+eigenphases, and a ZYZ leaf whose gamma comes within DEGENERATE_TOL of 0
+or pi, where only beta + delta or beta - delta is determined.
 
 Gates are listed in application order: the first gate in a sequence
 acts on the state first.  Qubit q addresses bit q of the basis index
@@ -49,6 +57,12 @@ import numpy as np
 from scipy.linalg.lapack import zgees, zuncsd, zuncsd_lwork
 
 DEGENERATE_TOL = 1e-13
+# the batched factorizations of the 8x8-and-larger nodes: the largest
+# reconstruction and unitarity residual a node may have, and the smallest
+# sine, cosine, alpha gap and eigh eigenvalue gap it may have, before it
+# goes to LAPACK
+CHECK_TOL = 1e-12
+SCREEN_TOL = 1e-3
 
 
 class NumericalError(ValueError):
@@ -285,10 +299,11 @@ def cosine_sine_decompose(u):
     return CsdResult(l0=l0, l1=l1, r0=r0, r1=r1, alpha=alpha)
 
 
-# The LAPACK drivers behind scipy.linalg.cossin and schur are called
-# directly: the wrappers re-validate the input and re-query the workspace
-# size on every call, which costs more than the factorization at the
-# sizes the recursion visits.  Same driver, same arguments and the same
+# The LAPACK drivers behind scipy.linalg.cossin and schur, the fallback
+# of the nodes of 8x8 and larger, are called directly: the wrappers
+# re-validate the input and re-query the workspace size on every call,
+# which costs more than the factorization at the sizes the recursion
+# visits.  Same driver, same arguments and the same
 # workspace sizes give the same factors.
 
 @lru_cache(maxsize=None)
@@ -312,7 +327,7 @@ def _csd(u):
     ascending in each row, and l0, l1, r0, r1 (K, m, m) in the canonical
     gauge: the largest-magnitude entry of each column of l0 is real and
     positive.'''
-    alpha, l0, l1, r0, r1 = _csd4(u) if u.shape[-1] == 4 else _csd_lapack(u)
+    alpha, l0, l1, r0, r1 = _csd4(u) if u.shape[-1] == 4 else _csd_stack(u)
     d = _column_gauge(l0)
     dc = d.conj()[:, :, None]
     d = d[:, None, :]
@@ -440,7 +455,7 @@ def _demultiplex(l0, l1):
     delta (K, m), with the largest-magnitude entry of each column of v
     real and positive.'''
     x = l0 @ l1.conj().swapaxes(1, 2)
-    phases, v = _eig2_unitary(x) if x.shape[-1] == 2 else _schur_lapack(x)
+    phases, v = _eig2_unitary(x) if x.shape[-1] == 2 else _eig_stack(x)
     order = np.argsort(phases, axis=1, kind="stable")
     delta = np.take_along_axis(phases, order, 1) / 2
     v = np.take_along_axis(v, order[:, None, :], 2)
@@ -484,6 +499,104 @@ def _eig2_unitary(x):
     phases = np.where(phases > np.pi, phases - 2 * np.pi,
                       np.where(phases <= -np.pi, phases + 2 * np.pi, phases))
     return phases, np.stack([_perp(up), up], axis=2)
+
+
+# Nodes of 8x8 and larger, factorized over the whole stack by batched
+# numpy calls.  Each node is checked on its own; one that fails the check
+# or the conditioning screen is factorized again by LAPACK.
+
+def _csd_stack(u):
+    '''CSD of a stack (K, 2m, 2m), alpha ascending: a batched SVD for the
+    right vectors and batched QRs for l0 and l1, with `_csd_lapack` for
+    the nodes that fail `_csd_ok`.
+
+    X holds the right singular vectors of the smaller of A = U[:m, :m]
+    and B = U[m:, :m], ordered by ascending alpha = atan2(|B x_j|, |A
+    x_j|); l0 (l1) is the Q of A X (B X) with its columns in descending
+    cosine (sine) and R's diagonal made real and positive; each row of
+    r1 comes from whichever of u01 = -l0 S r1 and u11 = l1 C r1 has the
+    larger sine or cosine.
+    '''
+    m = u.shape[-1] // 2
+    a, b = u[:, :m, :m], u[:, m:, :m]
+    use_a = (np.linalg.norm(a, axis=(1, 2))
+             <= np.linalg.norm(b, axis=(1, 2)))[:, None, None]
+    xh = np.linalg.svd(np.where(use_a, a, b))[2]
+    # A's singular values are the cosines, descending; B's the sines
+    x = np.where(use_a, xh, xh[:, ::-1]).conj().swapaxes(1, 2)
+    ax, bx = a @ x, b @ x
+    alpha = np.arctan2(np.linalg.norm(bx, axis=1), np.linalg.norm(ax, axis=1))
+    l0 = _positive_qr(ax)
+    l1 = _positive_qr(bx[:, :, ::-1])[:, :, ::-1]
+    c, s = np.cos(alpha)[:, :, None], np.sin(alpha)[:, :, None]
+    from_sin = -(l0.conj().swapaxes(1, 2) @ u[:, :m, m:]) / s.clip(0.5)
+    from_cos = (l1.conj().swapaxes(1, 2) @ u[:, m:, m:]) / c.clip(0.5)
+    r1 = np.where(s >= c, from_sin, from_cos)
+    out = alpha, l0, l1, x.conj().swapaxes(1, 2), r1
+    return _with_fallback(out, ~_csd_ok(u, *out), _csd_lapack, u)
+
+
+def _positive_qr(y):
+    '''The Q of a batched QR of y (K, m, m), each column turned so that
+    R's diagonal is real and positive.'''
+    q, r = np.linalg.qr(y)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    size = np.abs(d)
+    return q * np.where(size > 0, d / np.where(size > 0, size, 1), 1)[:, None]
+
+
+def _csd_ok(u, alpha, l0, l1, r0, r1):
+    '''Per node (K,): the factors reconstruct u and are unitary within
+    CHECK_TOL, and every sine, cosine and alpha gap is at least
+    SCREEN_TOL.'''
+    m = alpha.shape[1]
+    c, s = np.cos(alpha)[:, None, :], np.sin(alpha)[:, None, :]
+    blocks = ((l0, c, r0, u[:, :m, :m]), (l0, -s, r1, u[:, :m, m:]),
+              (l1, s, r0, u[:, m:, :m]), (l1, c, r1, u[:, m:, m:]))
+    return ((_largest((x * f) @ y - z for x, f, y, z in blocks) <= CHECK_TOL)
+            & (_largest(f @ f.conj().swapaxes(1, 2) - np.eye(m)
+                        for f in (l0, l1, r0, r1)) <= CHECK_TOL)
+            & (np.minimum(c, s).min(axis=(1, 2)) >= SCREEN_TOL)
+            & (np.diff(alpha, axis=1).min(axis=1) >= SCREEN_TOL))
+
+
+def _largest(residuals):
+    '''The largest magnitude per node (K,) over residuals (K, m, m), taken
+    one array at a time.'''
+    return np.max([np.abs(r).max(axis=(1, 2)) for r in residuals], axis=0)
+
+
+def _eig_stack(x):
+    '''Eigenphases in (-pi, pi] and eigenvectors of a stack of unitaries
+    (K, m, m): the eigenvectors of a batched eigh of the Hermitian part
+    of exp(-i phi) x, the phases from the Rayleigh quotients v^H x v,
+    with `_schur_lapack` for the nodes where x v = v exp(i phases) or the
+    unitarity of v misses by more than CHECK_TOL, or two adjacent eigh
+    eigenvalues lie closer than SCREEN_TOL.
+
+    The Hermitian part has the eigenvalues cos(theta_j - phi), which
+    coincide for eigenphases mirrored about phi; phi = arg(tr x) + pi/2
+    puts the mirror at right angles to where the eigenphases gather.
+    '''
+    m = x.shape[-1]
+    phi = np.angle(np.trace(x, axis1=1, axis2=2)) + np.pi / 2
+    y = x * np.exp(-1j * phi)[:, None, None]
+    ev, v = np.linalg.eigh(0.5 * (y + y.conj().swapaxes(1, 2)))
+    xv = x @ v
+    phases = np.angle(np.einsum("kij,kij->kj", v.conj(), xv))
+    ok = ((_largest([xv - v * np.exp(1j * phases)[:, None, :],
+                     v.conj().swapaxes(1, 2) @ v - np.eye(m)]) <= CHECK_TOL)
+          & (np.diff(ev, axis=1).min(axis=1) >= SCREEN_TOL))
+    return _with_fallback((phases, v), ~ok, _schur_lapack, x)
+
+
+def _with_fallback(out, bad, lapack, x):
+    '''The arrays `out`, with the rows of the nodes `bad` replaced by
+    `lapack(x[bad])`.'''
+    if bad.any():
+        for y, z in zip(out, lapack(x[bad])):
+            y[bad] = z
+    return out
 
 
 def _gray(i):

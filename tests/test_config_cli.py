@@ -94,6 +94,28 @@ class TestConfig:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("raw, where", [
+        ({"grid": {"length_angstrom": float("nan")}}, "grid/length_angstrom"),
+        ({"dynamics": {"dt_fs": float("inf")}}, "dynamics/dt_fs"),
+        ({"potential": {"model": {
+            "kind": "polynomial", "coefficients": [0.0, -float("inf")]}}},
+         "potential/model/coefficients/1")], ids=["nan", "inf", "in-list"])
+    def test_resolve_rejects_non_finite(self, raw, where):
+        # a library caller's dict, which no JSON parser has seen
+        cfg = json.loads(json.dumps(BASE))
+        for block, val in raw.items():
+            cfg[block].update(val)
+        with pytest.raises(ConfigError, match=f"non-finite number .* {where}"):
+            resolve(cfg)
+
+    def test_load_rejects_literal_beyond_float_range(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(BASE).replace('"dt_fs": 0.5',
+                                                 '"dt_fs": 1e400'))
+        with pytest.raises(ConfigError, match="non-finite number inf at "
+                                              "dynamics/dt_fs"):
+            load_config(str(path))
+
 
 class TestCliExitCodes:
     def test_build_ok(self, tmp_path, capsys):

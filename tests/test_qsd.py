@@ -431,9 +431,9 @@ def perturbed(u, rng, size=1e-13):
 
 
 class TestClosedFormsAgainstLapack:
-    '''Level m = 2 uses closed forms, the other levels LAPACK; in the
-    canonical gauge both give the angles of the per-matrix LAPACK
-    reference.'''
+    '''Level m = 2 uses closed forms, the other levels batched
+    factorizations with a LAPACK fallback; in the canonical gauge they
+    give the angles of the per-matrix LAPACK reference.'''
 
     def compile_reference(self, u, monkeypatch):
         with monkeypatch.context() as mp:
@@ -453,6 +453,24 @@ class TestClosedFormsAgainstLapack:
         for u in block_propagators(n, DOUBLE_WELL[n]):
             assert angle_gap(all_angles(w.qsd_compile(u)), all_angles(
                 self.compile_reference(u, monkeypatch))) <= 1e-9
+
+    @pytest.mark.parametrize("size", [8, 16, 32])
+    def test_large_factors_match_reference(self, size, monkeypatch):
+        # random nodes take the batched path, the degenerate ones between
+        # them LAPACK; both come back in the stack's order
+        calls = node_counter(monkeypatch, "_csd_lapack", "_schur_lapack")
+        nodes = large_degenerate_nodes(size // 2)
+        u = unitary_group.rvs(size, size=12, random_state=size)
+        u[::4] = [nodes["identity"], nodes["block swap"], nodes["W = -I"]]
+        for got, want in zip(qsd._csd(u), lapack_csd(u)):
+            assert np.abs(got - want).max() <= 1e-11
+        l0, l1 = (unitary_group.rvs(size // 2, size=12, random_state=s)
+                  for s in (size + 1, size + 2))
+        l1[::4] = l0[::4]
+        for got, want in zip(qsd._demultiplex(l0, l1),
+                             lapack_demultiplex(l0, l1)):
+            assert np.abs(got - want).max() <= 1e-11
+        assert calls["_csd_lapack"] == 3 and calls["_schur_lapack"] >= 3
 
     def test_factors_match_reference(self):
         u = unitary_group.rvs(4, size=50, random_state=17)
@@ -487,7 +505,80 @@ def degenerate_nodes():
     }
 
 
+def large_degenerate_nodes(m):
+    '''2m x 2m nodes (m >= 4) that the batched path must hand to LAPACK,
+    and one random node that it keeps.'''
+    rng = np.random.default_rng(30 + m)
+    a, b, c, d = unitary_group.rvs(m, size=4, random_state=rng)
+    zero = np.zeros((m, m))
+    hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    h = rng.normal(size=(2 * m, 2 * m, 2)) @ [1, 1j]
+    alpha = np.linspace(0.3, 1.2, m)
+    alpha[0] = 1e-7
+    cos, sin = np.diag(np.cos(alpha)), np.diag(np.sin(alpha))
+    mixing = np.block([[cos, -sin], [sin, cos]])
+    return {
+        "random": unitary_group.rvs(2 * m, random_state=rng),
+        "identity": np.eye(2 * m),
+        "hadamard x identity": np.kron(hadamard, np.eye(m)),
+        "block swap": np.block([[zero, -a], [b, zero]]),
+        "block diagonal": block_diag(a, b),
+        "W = +I": block_diag(a, a),
+        "W = -I": block_diag(a, -a),
+        "exp(i 1e-9 H)": expm(1e-9j * (h + h.conj().T)),
+        "one sine 1e-7": block_diag(a, b) @ mixing @ block_diag(c, d),
+    }
+
+
+def node_counter(monkeypatch, *names):
+    '''Counts, per named qsd function, the nodes of the stacks passed to
+    it from now on.'''
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(x, name=name, original=getattr(qsd, name)):
+            counts[name] += len(x)
+            return original(x)
+        monkeypatch.setattr(qsd, name, counted)
+    return counts
+
+
+def unitarity_error(x):
+    return np.abs(x.conj().T @ x - np.eye(len(x))).max()
+
+
 class TestDegenerateNodes:
+    @pytest.mark.parametrize("size", [8, 16])
+    @pytest.mark.parametrize("name", list(large_degenerate_nodes(4)))
+    def test_large_nodes(self, name, size, monkeypatch):
+        u = large_degenerate_nodes(size // 2)[name]
+        calls = node_counter(monkeypatch, "_csd_lapack", "_schur_lapack")
+        res = w.cosine_sine_decompose(u)
+        assert np.abs(csd_reassemble(res) - u).max() <= 1e-12
+        for f in (res.l0, res.l1, res.r0, res.r1):
+            assert unitarity_error(f) <= 1e-12
+        # the random node stays on the batched path, every other one
+        # fails the conditioning screen and goes to LAPACK
+        assert calls["_csd_lapack"] == (name != "random")
+        m = size // 2
+        diagonal = (u[:m, :m], u[m:, m:])
+        for l0, l1 in ((res.l0, res.l1), (res.r0, res.r1), diagonal):
+            if unitarity_error(l0) > 1e-12:
+                continue            # off-diagonal blocks of a mixing node
+            dm = w.demultiplex(l0, l1)
+            d = np.diag(np.exp(1j * dm.delta))
+            assert np.abs(dm.v @ d @ dm.w - l0).max() <= 1e-12
+            assert np.abs(dm.v @ d.conj() @ dm.w - l1).max() <= 1e-12
+            assert unitarity_error(dm.v) <= 1e-12
+            assert unitarity_error(dm.w) <= 1e-12
+        if name.startswith("W = "):
+            # l0 l1^dag = +-I has one eigenvalue m times
+            before = calls["_schur_lapack"]
+            w.demultiplex(*diagonal)
+            assert calls["_schur_lapack"] == before + 1
+        assert np.abs(circuit_matrix(w.qsd_compile(u)) - u).max() <= 1e-12
+        if name == "random":
+            assert calls == {"_csd_lapack": 0, "_schur_lapack": 0}
+
     @pytest.mark.parametrize("name", list(degenerate_nodes()))
     def test_reconstruction(self, name):
         u = degenerate_nodes()[name]
@@ -534,3 +625,21 @@ class TestContinuity:
             moved = np.array([perturbed(x, rng) for x in u])
             assert angle_gap(all_angles(w.qsd_compile(u)),
                              all_angles(w.qsd_compile(moved))) < 1e-5
+
+
+class TestBatchedPathInUse:
+    '''Sending every node to LAPACK would keep the angles right and lose
+    the speed; on the N = 6 double-well propagators at most 2% of the
+    nodes of 8x8 and larger may fall back.'''
+
+    def test_double_well_fallback_fraction(self, monkeypatch):
+        calls = node_counter(monkeypatch, "_csd_stack", "_csd_lapack",
+                             "_eig_stack", "_schur_lapack")
+        for u in block_propagators(6, DOUBLE_WELL[6]):
+            w.qsd_compile(u)
+        # per 5-qubit circuit: 1 + 4 + 16 CSD nodes at m >= 3, two
+        # demultiplexes each
+        assert calls["_csd_stack"] == 800 * 21
+        assert calls["_eig_stack"] == 800 * 42
+        assert calls["_csd_lapack"] <= 0.02 * calls["_csd_stack"]
+        assert calls["_schur_lapack"] <= 0.02 * calls["_eig_stack"]

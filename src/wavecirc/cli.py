@@ -78,6 +78,37 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
+def _write_matrix_csv(path, h):
+    '''Writes the real 2-D array `h` byte for byte as
+    np.savetxt(path, h, delimiter=",") does, quickly when h is a
+    symmetric Toeplitz matrix plus a diagonal, as H = K + diag(V) is.
+
+    Entry (i, j) reuses the '%.18e' text of h[0, |i - j|] where its bits
+    equal that entry's; the rest (on H, the diagonal) are formatted one
+    by one.  Bits, not values, are compared: -0.0 == +0.0, but they
+    print differently.'''
+    h = np.asarray(h, dtype=float)
+    n_rows, n_cols = h.shape
+    first = h[:1].ravel()                      # empty when h has no rows
+    # index j - i + n_rows - 1 stands for h[0, |j - i|]; offsets past the
+    # first row point at a pad slot that never matches
+    offset = np.abs(np.arange(1 - n_rows, n_cols))
+    unknown = offset >= first.size
+    offset[unknown] = first.size
+    texts = ["%.18e" % v for v in first.tolist()] + [""]
+    ref_text = [texts[k] for k in offset.tolist()]
+    ref_bits = np.append(first.view(np.int64), 0)[offset]
+    bits = h.view(np.int64)
+    with open(path, "w") as fh:
+        for i in range(n_rows):
+            cols = slice(n_rows - 1 - i, n_rows - 1 - i + n_cols)
+            row = ref_text[cols]
+            miss = np.flatnonzero((bits[i] != ref_bits[cols]) | unknown[cols])
+            for j, v in zip(miss.tolist(), h[i, miss].tolist()):
+                row[j] = "%.18e" % v
+            fh.write(",".join(row) + "\n")
+
+
 def _write_manifest(out, cfg, files):
     entries = {}
     for name in files:
@@ -107,8 +138,7 @@ def cmd_build(args):
     cfg = load_config(args.config)
     pipe = Pipeline(cfg)
     out = _out_dir(cfg, args)
-    np.savetxt(os.path.join(out, "hamiltonian.csv"), pipe.ham.matrix,
-               delimiter=",")
+    _write_matrix_csv(os.path.join(out, "hamiltonian.csv"), pipe.ham.matrix)
     np.savetxt(os.path.join(out, "potential.csv"),
                np.column_stack([pipe.grid.points, pipe.potential.values]),
                delimiter=",", header="x_angstrom,energy_hartree")

@@ -9,6 +9,22 @@ import jsonschema
 
 from . import units
 
+NUMBER = {"type": "number"}
+POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+
+
+def _fields(fields, required=()):
+    '''Schema of a potential model with `kind` and `fields` (name ->
+    schema), no others, the names in `required` among them.'''
+    return {"properties": {"kind": True, **fields},
+            "required": list(required), "additionalProperties": False}
+
+
+def _when_kind(kind, schema):
+    '''Applies `schema` to a potential model of `kind` only.'''
+    return {"if": {"properties": {"kind": {"const": kind}}}, "then": schema}
+
+
 SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -42,6 +58,25 @@ SCHEMA = {
                         "kind": {"enum": ["double_well", "harmonic",
                                           "polynomial"]},
                     },
+                    "allOf": [
+                        # both a and b, or barrier_kcal and
+                        # minimum_angstrom (or their defaults)
+                        _when_kind("double_well", {
+                            **_fields({"barrier_kcal": NUMBER,
+                                       "minimum_angstrom": POSITIVE,
+                                       "a": NUMBER, "b": NUMBER}),
+                            "dependentRequired": {"a": ["b"], "b": ["a"]},
+                            "if": {"required": ["a"]},
+                            "then": {"propertyNames": {
+                                "enum": ["kind", "a", "b"]}}}),
+                        _when_kind("harmonic", _fields(
+                            {"k": NUMBER}, required=["k"])),
+                        _when_kind("polynomial", _fields(
+                            {"coefficients": {"type": "array",
+                                              "items": NUMBER,
+                                              "minItems": 1}},
+                            required=["coefficients"])),
+                    ],
                 },
             },
             "oneOf": [{"required": ["file"]}, {"required": ["model"]}],
@@ -101,6 +136,8 @@ SCHEMA = {
     },
 }
 
+VALIDATOR = jsonschema.Draft202012Validator
+
 DEFAULTS = {
     "grid": {"center_angstrom": 0.0, "mass": "proton"},
     "daf": {"m_daf": 20, "sigma_ratio": 1.5},
@@ -137,9 +174,11 @@ def _merge(defaults, override):
 
 def resolve(raw):
     '''Validate a raw config dict and fill in defaults.'''
-    try:
-        jsonschema.validate(raw, SCHEMA)
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate would raise, without its check of
+    # the constant SCHEMA against the metaschema (about 20 ms a call),
+    # which the tests make once
+    exc = jsonschema.exceptions.best_match(VALIDATOR(SCHEMA).iter_errors(raw))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
     cfg = _merge(DEFAULTS, raw)

@@ -9,7 +9,6 @@ second-derivative operator on a uniform grid).
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.linalg import toeplitz, eigh
 
 from . import units
@@ -155,6 +154,8 @@ def eval_potential(spec, source):
             raise ValueError(f"unknown analytic model: {kind!r}")
         tag = "analytic"
     else:
+        # imported here: only a tabulated potential pays for it
+        from scipy.interpolate import PchipInterpolator
         data = np.genfromtxt(source, delimiter=",", names=True)
         xt = np.atleast_1d(data["x_angstrom"])
         vt = np.atleast_1d(data["energy_hartree"])

@@ -14,7 +14,6 @@ so it never holds the transform of every column at once.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from . import units
 
@@ -115,6 +114,7 @@ def grid_spectrum(traj, window=None, padding=4, threshold=1e-3):
         taper = 1.0
     else:
         raise ValueError(f"unknown window {window!r}")
+    import scipy.fft    # here: only the spectrum commands pay for it
     n_pad, omega = _fft_axis(n_steps, dt[0], padding)
     half = (n_cols + 1) // 2
     pairs = min(half, max(1, SPECTRUM_CHUNK_BYTES // (16 * n_pad)))

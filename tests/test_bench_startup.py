@@ -1,0 +1,29 @@
+'''tools/bench_startup.py runs end to end at a tiny size and writes its
+report.'''
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_startup.py"
+
+
+def test_writes_report(tmp_path):
+    out = tmp_path / "BENCH_startup.json"
+    subprocess.run([sys.executable, str(TOOL), "--processes", "2",
+                    "--n-qubits", "3", "--repeats", "1", "--out", str(out)],
+                   check=True, capture_output=True, timeout=300)
+    report = json.loads(out.read_text())
+    assert set(report["import"]) == {"cli", "cli+deferred"}
+    for row in report["import"].values():
+        for metric in ("wall_s", "peak_rss_mb"):
+            assert 0 < row[metric]["q1"] <= row[metric]["median"] \
+                <= row[metric]["q3"]
+    csv = report["hamiltonian_csv"]
+    assert csv["n_qubits"] == 3 and csv["byte_identical"]
+    # 8 rows of 8 '%.18e' fields, 24 or 25 characters each
+    assert 8 * 8 * 25 <= csv["bytes"] <= 8 * 8 * 26
+    assert csv["write_matrix_csv_s"] > 0 and csv["savetxt_s"] > 0
+    assert report["numpy"] and report["scipy"]
+    assert report["src_lines"] > 0

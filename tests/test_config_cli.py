@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import wavecirc as w
-from wavecirc.cli import main
-from wavecirc.config import ConfigError, load_config, resolve
+from wavecirc.cli import _write_matrix_csv, main
+from wavecirc.config import (SCHEMA, VALIDATOR, ConfigError, load_config,
+                             resolve)
 
 from conftest import in_worker_only
 
@@ -59,8 +60,13 @@ class TestConfig:
     def test_numeric_mass_passthrough(self):
         cfg = resolve({"grid": {"n_qubits": 2, "length_angstrom": 1.0,
                                 "mass": 1234.5},
-                       "potential": {"model": {"kind": "harmonic"}}})
+                       "potential": {"model": {"kind": "harmonic",
+                                               "k": 1.0}}})
         assert cfg["grid"]["mass_au"] == 1234.5
+
+    def test_schema_is_valid(self):
+        # resolve() validates against SCHEMA without checking it first
+        VALIDATOR.check_schema(SCHEMA)
 
     def test_missing_required_block(self):
         with pytest.raises(ConfigError, match="grid"):
@@ -438,6 +444,148 @@ class TestRemovedSwitches:
         assert "config invalid" in err and "was unexpected" in err
 
 
+class TestModelSchema:
+    '''Each potential model kind has its own fields, typed, and no others;
+    a malformed model exits 2 before any work.'''
+
+    @pytest.mark.parametrize("model, where, message", [
+        ({"kind": "double_well", "barrier_kcal": "two"},
+         "potential/model/barrier_kcal", "is not of type 'number'"),
+        ({"kind": "polynomial"},
+         "potential/model", "'coefficients' is a required property"),
+        ({"kind": "double_well", "barier_kcal": 2.0},
+         "potential/model", "'barier_kcal' was unexpected"),
+        ({"kind": "double_well", "a": 1.0},
+         "potential/model", "'b' is a dependency of 'a'"),
+        ({"kind": "double_well", "a": 1.0, "b": 2.0, "barrier_kcal": 2.0},
+         "potential/model", "'barrier_kcal' is not one of"),
+        ({"kind": "harmonic"}, "potential/model", "'k' is a required"),
+        ({"kind": "harmonic", "k": 1.0, "a": 1.0},
+         "potential/model", "'a' was unexpected"),
+        ({"kind": "polynomial", "coefficients": [0.0, "x"]},
+         "potential/model/coefficients/1", "is not of type 'number'"),
+        ({"kind": "polynomial", "coefficients": []},
+         "potential/model/coefficients", "should be non-empty"),
+        ({"kind": "double_well", "minimum_angstrom": 0.0},
+         "potential/model/minimum_angstrom", "less than or equal")],
+        ids=["barrier-string", "polynomial-no-coefficients", "misspelled",
+             "a-without-b", "a-b-and-barrier", "harmonic-no-k",
+             "harmonic-extra", "coefficient-string", "no-coefficients",
+             "zero-minimum"])
+    def test_malformed_model_exit_2(self, tmp_path, capsys, model, where,
+                                    message):
+        cfg = write_config(tmp_path, {"potential": {"model": model}})
+        out = tmp_path / "o"
+        assert main(["build", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config invalid at {where}: " in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", [
+        {"kind": "double_well"},
+        {"kind": "double_well", "barrier_kcal": 3.0},
+        {"kind": "double_well", "barrier_kcal": 2.0,
+         "minimum_angstrom": 0.2},
+        {"kind": "double_well", "a": 1.0, "b": 2.0},
+        {"kind": "harmonic", "k": 2.5},
+        {"kind": "polynomial", "coefficients": [0.0, 0.01, 0.5]}])
+    def test_well_formed_model_builds(self, tmp_path, model):
+        cfg = write_config(tmp_path, {"potential": {"model": model}})
+        assert main(["build", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 0
+
+
+def savetxt_bytes(tmp_path, h):
+    path = tmp_path / "savetxt.csv"
+    np.savetxt(path, h, delimiter=",")
+    return path.read_bytes()
+
+
+def written_bytes(tmp_path, h):
+    path = tmp_path / "written.csv"
+    _write_matrix_csv(path, h)
+    return path.read_bytes()
+
+
+class TestMatrixCsv:
+    '''hamiltonian.csv is written byte for byte as np.savetxt writes it,
+    whether or not the matrix is Toeplitz off its diagonal.'''
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 11])
+    def test_double_well(self, tmp_path, n):
+        g = w.build_grid(n, 0.66)
+        ham = w.build_hamiltonian(g, w.eval_potential(
+            g, {"kind": "double_well"}))
+        assert written_bytes(tmp_path, ham.matrix) == \
+            savetxt_bytes(tmp_path, ham.matrix)
+
+    def test_kinetic_band_signed_zeros_are_not_the_matrix(self):
+        # the trap the writer avoids: K's band holds -0.0 where H, after
+        # + diag(V), holds +0.0, so its text must come from H itself
+        g = w.build_grid(11, 0.66)
+        ham = w.build_hamiltonian(g, w.eval_potential(
+            g, {"kind": "double_well"}))
+        band, row = ham.kinetic_band, ham.matrix[0]
+        assert np.any(np.signbit(band) & (band == 0))
+        assert not np.any(np.signbit(row) & (row == 0))
+
+    def test_random_symmetric_not_toeplitz(self, tmp_path):
+        a = np.random.default_rng(3).normal(size=(9, 9))
+        h = a + a.T
+        assert written_bytes(tmp_path, h) == savetxt_bytes(tmp_path, h)
+
+    def test_negative_zero_in_first_row(self, tmp_path):
+        # -0.0 == +0.0, but the two print differently
+        h = np.array([[1.0, -0.0, 2.0, 0.0],
+                      [0.0, 1.0, -0.0, 2.0],
+                      [2.0, 0.0, 1.0, -0.0],
+                      [-0.0, 2.0, -0.0, 1.0]])
+        assert written_bytes(tmp_path, h) == savetxt_bytes(tmp_path, h)
+
+    @pytest.mark.parametrize("h", [
+        np.array([[0.25]]),
+        np.random.default_rng(4).normal(size=(3, 5)),
+        np.random.default_rng(5).normal(size=(5, 3)),
+        np.array([[np.nan, np.inf], [np.inf, -np.inf]]),
+        np.zeros((0, 3)), np.zeros((2, 0))],
+        ids=["1x1", "wide", "tall", "non-finite", "no-rows", "no-columns"])
+    def test_other_shapes_and_values(self, tmp_path, h):
+        assert written_bytes(tmp_path, h) == savetxt_bytes(tmp_path, h)
+
+
+class TestImportCost:
+    def test_cli_import_leaves_out_interpolate_and_fft(self):
+        # a new interpreter: this one has imported both already
+        script = ("import json, sys, wavecirc.cli; print(json.dumps("
+                  "[m for m in ('scipy.interpolate', 'scipy.fft') "
+                  "if m in sys.modules]))")
+        src = os.path.dirname(os.path.dirname(w.__file__))
+        res = subprocess.run([sys.executable, "-c", script],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == []
+
+    def test_build_from_tabulated_potential(self, tmp_path):
+        from scipy.interpolate import PchipInterpolator
+        xt = np.linspace(-0.4, 0.4, 9)
+        vt = xt ** 2 + 0.2 * xt
+        pot_path = tmp_path / "tabulated.csv"
+        np.savetxt(pot_path, np.column_stack([xt, vt]), delimiter=",",
+                   header="x_angstrom,energy_hartree", comments="")
+        raw = json.loads(open(write_config(tmp_path)).read())
+        raw["potential"] = {"file": str(pot_path)}
+        cfg = tmp_path / "tabulated.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert main(["build", "--config", str(cfg), "--out", str(out)]) == 0
+        x = w.build_grid(3, 0.66).points
+        expected = tmp_path / "expected.csv"
+        np.savetxt(expected, np.column_stack([x, PchipInterpolator(xt, vt)(x)]),
+                   delimiter=",", header="x_angstrom,energy_hartree")
+        assert (out / "potential.csv").read_bytes() == expected.read_bytes()
+
+
 class TestInputsRefusedBeforeEvolution:
     @pytest.fixture(autouse=True)
     def no_evolution(self, monkeypatch):
@@ -602,7 +750,7 @@ class TestCircuitHealthCheck:
         script = textwrap.dedent(f'''
             import json, os, warnings
             import numpy as np
-            from wavecirc.cli import main
+            from wavecirc.cli import _write_matrix_csv, main
             fork, threads = os.fork, []
             def counting_fork():
                 pid = fork()

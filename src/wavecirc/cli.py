@@ -20,7 +20,7 @@ from .dynamics import (WavepacketSpec, densities, evolve, initial_wavepacket,
                        probability_error)
 from .givens import (block_eigensolve, block_transform, eigensystem,
                      parity_partition)
-from .grid import DafParams, build_grid, build_hamiltonian, eval_potential
+from .grid import DafParams, _eval_potential, build_grid, build_hamiltonian
 from .ising import (BrokenSymmetryError, check_parity_coupling, map_system,
                     parameters_to_dict)
 from .qasm import write_qasm
@@ -43,8 +43,9 @@ class Pipeline:
         self.grid = build_grid(g["n_qubits"], g["length_angstrom"],
                                g["center_angstrom"], g["mass_au"])
         pot = cfg["potential"]
-        self.potential = eval_potential(self.grid, pot["file"] if "file" in pot
-                                        else pot["model"])
+        # resolve has checked the model
+        self.potential = _eval_potential(
+            self.grid, pot["file"] if "file" in pot else pot["model"])
         daf = cfg["daf"]
         self.ham = build_hamiltonian(
             self.grid, self.potential,

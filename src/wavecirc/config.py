@@ -172,15 +172,28 @@ def _merge(defaults, override):
     return out
 
 
-def resolve(raw):
-    '''Validate a raw config dict and fill in defaults.'''
+def _validate(schema, value, what):
+    '''ConfigError naming the first problem of `value` under `schema`.'''
     # the error jsonschema.validate would raise, without its check of
     # the constant SCHEMA against the metaschema (about 20 ms a call),
     # which the tests make once
-    exc = jsonschema.exceptions.best_match(VALIDATOR(SCHEMA).iter_errors(raw))
+    exc = jsonschema.exceptions.best_match(
+        VALIDATOR(schema).iter_errors(value))
     if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
+        raise ConfigError(f"{what} invalid at {path}: {exc.message}") from exc
+
+
+def check_model(model):
+    '''ConfigError (a ValueError) unless the config schema accepts
+    `model` as `potential.model`.'''
+    _validate(SCHEMA["properties"]["potential"]["properties"]["model"],
+              model, "potential model")
+
+
+def resolve(raw):
+    '''Validate a raw config dict and fill in defaults.'''
+    _validate(SCHEMA, raw, "config")
     cfg = _merge(DEFAULTS, raw)
     # json.load gives NaN, Infinity and literals beyond the float range
     # as floats, and the schema's bounds let them through

@@ -132,7 +132,19 @@ def eval_potential(spec, source):
       {"kind": "double_well", "a": ..., "b": ...}      (Hartree/Angstrom^4,2)
       {"kind": "harmonic", "k": ...}                    (Hartree/Angstrom^2)
       {"kind": "polynomial", "coefficients": [c0, c1, ...]}  (Hartree)
+    A model dict is first checked against the config schema's potential
+    model: a missing, misspelled or mistyped field raises ValueError.
     '''
+    if isinstance(source, dict):
+        # imported here: a tabulated potential needs no schema
+        from .config import check_model
+        check_model(source)
+    return _eval_potential(spec, source)
+
+
+def _eval_potential(spec, source):
+    '''eval_potential of a source whose model dict, if any, has been
+    checked (config.resolve checks every config's).'''
     x = spec.points
     if isinstance(source, dict):
         kind = source.get("kind")

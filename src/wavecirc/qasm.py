@@ -6,10 +6,11 @@ export and noted in the file header.
 '''
 
 import re
+from functools import lru_cache
 
 import numpy as np
 
-from .qsd import Gate, GateSequence
+from .qsd import Gate, GateSequence, _ladder_rows, _layout
 
 _GATE_RE = re.compile(
     r"^(ry|rz)\(([^)]+)\)\s+q\[(\d+)\];$|^cx\s+q\[(\d+)\],\s*q\[(\d+)\];$")
@@ -19,8 +20,9 @@ def to_qasm(seq):
     '''Serialize a GateSequence to OpenQASM 2.0 text, every circuit of a
     stack in order.
 
-    Lines are formatted from each block's (kind, target, control, angle)
-    rows, with no Gate object per line; a block with a non-finite angle
+    A compiled sequence fills one text template per qubit count with its
+    angles, gathered from the level arrays; any other is formatted from
+    its blocks' (kind, target, control, angle) rows.  A non-finite angle
     raises ValueError, and so does a stack that still holds its
     per-circuit phases (drop them with `without_phase()`).
     '''
@@ -34,6 +36,8 @@ def to_qasm(seq):
     if phase:
         lines.append(f"// global phase dropped: {phase:.17g}")
     lines.append(f"qreg q[{seq.n_qubits}];")
+    if seq.tree is not None:
+        return "\n".join(lines) + "\n" + _tree_text(seq.tree)
     for i in range(seq.n_circuits):
         for block in seq.blocks:
             for kind, target, control, angle in block.rows(i):
@@ -44,6 +48,47 @@ def to_qasm(seq):
                 elif kind != "phase":
                     raise ValueError(f"gate kind {kind!r} has no QASM form")
     return "\n".join(lines) + "\n"
+
+
+def _tree_text(tree):
+    '''The gate lines of every circuit of a QsdTree.'''
+    n = tree.n_qubits
+    template, order = _tree_template(n)
+    angles = np.concatenate(
+        [tree.theta[m].swapaxes(0, 1).reshape(len(tree.beta), -1)
+         for m in range(n, 1, -1)] + [tree.delta, tree.gamma, tree.beta],
+        axis=1)[:, order]
+    if not np.isfinite(angles).all():
+        raise ValueError("gate angle must be finite")
+    return "".join(template % tuple(row) for row in angles.tolist())
+
+
+@lru_cache(maxsize=None)
+def _tree_template(n):
+    '''The gate lines of one compiled n-qubit circuit with a %.17g slot
+    per angle, and the index of each slot's angle in the circuit's
+    angles laid out as theta[n], ..., theta[2] (each row-major over
+    (multiplexor, node, angle)), then delta, gamma and beta.'''
+    start, size = {}, 0
+    for m in range(n, 1, -1):
+        start[m] = size
+        size += 3 * 4 ** (n - m) * 2 ** (m - 1)
+    leaves = 4 ** (n - 1)
+    lines, order = [], []
+    for m, mux, j in _layout(n):
+        if m == 1:
+            lines += ["rz(%.17g) q[0];", "ry(%.17g) q[0];", "rz(%.17g) q[0];"]
+            order += [size + j, size + leaves + j, size + 2 * leaves + j]
+            continue
+        h, t = 2 ** (m - 1), m - 1
+        first = start[m] + (mux * 4 ** (n - m) + j) * h
+        kind = ("rz", "ry", "rz")[mux]
+        for _, _, control, _ in _ladder_rows(t, tuple(range(t))):
+            lines += [f"{kind}(%.17g) q[{t}];", f"cx q[{control}],q[{t}];"]
+        order += range(first, first + h)
+    order = np.array(order)
+    order.flags.writeable = False
+    return "\n".join(lines) + "\n", order
 
 
 def from_qasm(text):

@@ -24,10 +24,13 @@ to LAPACK (zuncsd, zgees) instead; about 1% of the nodes of a propagator
 go there.  The sorting, the demultiplex products, the Walsh-Gray angle
 transform and the ZYZ split run once per level over every node of every
 circuit.  The result is one GateSequence of S circuits sharing one gate
-layout.  Each multiplexed rotation (Multiplexor) and each ZYZ leaf
-(ZyzLeaf) is one block holding an angle array with one row per circuit,
-so the simulator runs all S circuits in lockstep, one vectorised step
-per block.
+layout, which keeps the level arrays the walk built (QsdTree) as the one
+store of its angles.  Its blocks are derived from them once: each
+multiplexed rotation (Multiplexor) and each ZYZ leaf (ZyzLeaf) is one
+block whose angle arrays, one row per circuit, are views into the level
+arrays, so the simulator runs all S circuits in lockstep, one
+vectorised step per block.  `sim.circuit_matrix` and `qasm.to_qasm`
+read the level arrays directly.
 
 Both factorizations leave one phase per column free, which LAPACK fixes
 differently from one BLAS kernel to another and from one input to its
@@ -50,7 +53,7 @@ acts on the state first.  Qubit q addresses bit q of the basis index
 (qubit 0 is the least significant bit).
 '''
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -94,9 +97,6 @@ class Gate:
             return [(self.kind, self.target, self.control, self.angle)]
         return [(self.kind, self.target, self.control, float(self.angle[i]))]
 
-    def counts(self):
-        return {self.kind: 1}
-
 
 class GateSequence:
     '''Ordered gate list over n qubits, for one circuit or a stack of
@@ -108,12 +108,24 @@ class GateSequence:
     `rows(i)`, the one expansion: `circuit(i)` builds circuit i's single
     Gates from those rows; `gates`, iteration, `len` and `counts` cover
     every circuit of the stack, circuit by circuit.
+
+    A compiled sequence keeps its QsdTree `tree`, the one store of its
+    angles, and takes no further gates; its `blocks` are a tuple built
+    from the tree once, their angles views into the level arrays.  Any
+    other sequence has no tree and a list of blocks.
     '''
 
-    def __init__(self, n_qubits, gates=(), n_circuits=1):
+    def __init__(self, n_qubits, gates=(), n_circuits=1, tree=None):
         self.n_qubits = n_qubits
         self.n_circuits = n_circuits
-        self.blocks = list(gates)
+        self.tree = tree
+        self._blocks = None if tree is not None else list(gates)
+
+    @property
+    def blocks(self):
+        if self._blocks is None:
+            self._blocks = self.tree.blocks()
+        return self._blocks
 
     def circuit(self, i):
         return GateSequence(self.n_qubits, [Gate(*row) for b in self.blocks
@@ -125,24 +137,35 @@ class GateSequence:
                 for g in self.circuit(i).blocks]
 
     def append(self, gate):
-        self.blocks.append(gate)
+        if self.tree is not None:
+            raise TypeError("a compiled sequence takes no further gates")
+        self._blocks.append(gate)
 
     def counts(self):
-        out = {}
-        for b in self.blocks:
-            for kind, k in b.counts().items():
-                out[kind] = out.get(kind, 0) + k * self.n_circuits
-        return out
+        '''Gates of each kind over the stack, kinds in order of first use.'''
+        if self.tree is not None:
+            one = self.tree.counts()
+        else:
+            one = {}
+            for b in self.blocks:
+                for kind, *_ in b.rows(0):
+                    one[kind] = one.get(kind, 0) + 1
+        return {kind: k * self.n_circuits for kind, k in one.items()}
 
     def cnot_count(self):
         return self.counts().get("cx", 0)
 
     def global_phase(self):
         '''Sum of the phase gates: a float, or one value per circuit.'''
+        if self.tree is not None:
+            return 0 if self.tree.phase is None else self.tree.phase
         return sum(b.angle for b in self.blocks
                    if isinstance(b, Gate) and b.kind == "phase")
 
     def without_phase(self):
+        if self.tree is not None:
+            return GateSequence(self.n_qubits, n_circuits=self.n_circuits,
+                                tree=replace(self.tree, phase=None))
         return GateSequence(self.n_qubits,
                             [b for b in self.blocks
                              if not (isinstance(b, Gate)
@@ -160,7 +183,12 @@ class GateSequence:
 def _walsh_gray(k):
     '''Gray-code tables for k controls: M[b, s] = (-1)^popcount(b &
     gray(s)), and ladder[s] = index of the control whose select bit
-    changes between gray(s) and gray(s + 1).'''
+    changes between gray(s) and gray(s + 1).
+
+    The CNOT ladder returns every control pattern's target to where it
+    started, and X R(theta) X = R(-theta) for Ry and Rz, so for control
+    value b a multiplexor's gates multiply to one rotation by the select
+    angle sum_s M[b, s] theta[s]: theta @ M.T.'''
     size = 2 ** k
     m = np.array([[(-1.0) ** bin(b & _gray(s)).count("1")
                    for s in range(size)] for b in range(size)])
@@ -207,21 +235,6 @@ class Multiplexor:
         out[1::2] = _ladder_rows(self.target, self.controls)
         return out
 
-    def counts(self):
-        k = self.theta.shape[1]
-        return {self.kind: k, "cx": k}
-
-    def select_angles(self):
-        '''Net rotation angle for each control value b, one column per
-        circuit: shape (2^k, n_circuits).
-
-        The CNOT ladder returns every control pattern's target to where
-        it started, and X R(theta) X = R(-theta) for Ry and Rz, so for
-        control value b the gates multiply to one rotation by
-        sum_s (-1)^popcount(b & gray(s)) theta[s].
-        '''
-        return _walsh_gray(len(self.controls))[0] @ self.theta.T
-
 
 @dataclass(frozen=True, eq=False)
 class ZyzLeaf:
@@ -239,19 +252,61 @@ class ZyzLeaf:
         return [("rz", q, None, delta), ("ry", q, None, gamma),
                 ("rz", q, None, beta)]
 
-    def counts(self):
-        return {"rz": 2, "ry": 1}
 
-    def matrix(self):
-        '''The 2x2 products Rz(beta) Ry(gamma) Rz(delta), shape
-        (n_circuits, 2, 2).'''
-        c, s = np.cos(self.gamma / 2), np.sin(self.gamma / 2)
-        p = np.exp(-0.5j * (self.beta + self.delta))
-        q = np.exp(-0.5j * (self.beta - self.delta))
-        m = np.empty((c.size, 2, 2), dtype=complex)
-        m[:, 0, 0], m[:, 0, 1] = p * c, -q * s
-        m[:, 1, 0], m[:, 1, 1] = q.conj() * s, p.conj() * c
-        return m
+def _zyz_matrix(beta, gamma, delta):
+    '''Rz(beta) Ry(gamma) Rz(delta) for angle arrays of one shape; the
+    2x2 matrices are the last two axes.'''
+    c, s = np.cos(gamma / 2), np.sin(gamma / 2)
+    p = np.exp(-0.5j * (beta + delta))
+    q = np.exp(-0.5j * (beta - delta))
+    m = np.empty(c.shape + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 0, 1] = p * c, -q * s
+    m[..., 1, 0], m[..., 1, 1] = q.conj() * s, p.conj() * c
+    return m
+
+
+@dataclass(frozen=True, eq=False)
+class QsdTree:
+    '''The angles of a stack of S compiled n-qubit circuits, level by
+    level, as they are emitted.
+
+    theta[m], shape (3, S, 4^(n-m), 2^(m-1)) for m = 2 .. n, holds the
+    Gray-code angles of the Rz, Ry and Rz multiplexors (rows 0, 1, 2) of
+    every node of level m; node j's children on level m - 1 are nodes
+    4j .. 4j+3.  beta, gamma and delta, shape (S, 4^(n-1)), are the ZYZ
+    leaves of level 1; `phase` is the global phase (a float for one
+    circuit, one value per circuit for a stack, None once dropped).
+    '''
+    theta: dict
+    beta: np.ndarray
+    gamma: np.ndarray
+    delta: np.ndarray
+    phase: object = None
+
+    @property
+    def n_qubits(self):
+        return len(self.theta) + 1
+
+    def blocks(self):
+        '''The blocks in application order, angles as views into the
+        level arrays, then the phase gate.'''
+        kinds = ("rz", "ry", "rz")
+        blocks = [ZyzLeaf(0, self.beta[:, j], self.gamma[:, j],
+                          self.delta[:, j]) if m == 1
+                  else Multiplexor(kinds[mux], m - 1, tuple(range(m - 1)),
+                                   self.theta[m][mux, :, j])
+                  for m, mux, j in _layout(self.n_qubits)]
+        if self.phase is not None:
+            blocks.append(Gate("phase", angle=self.phase))
+        return tuple(blocks)
+
+    def counts(self):
+        '''Gates of each kind in one circuit, in order of first use.'''
+        leaves = 4 ** (self.n_qubits - 1)
+        angles = leaves - 2 ** (self.n_qubits - 1)   # per multiplexor row
+        out = {"rz": 2 * (leaves + angles), "ry": leaves + angles,
+               "cx": 3 * angles, "phase": int(self.phase is not None)}
+        return {kind: k for kind, k in out.items() if k}
 
 
 @dataclass(frozen=True)
@@ -620,14 +675,10 @@ def multiplexed_rotation_to_gates(axis, angles, target, controls):
     angles = np.asarray(angles, dtype=float)
     if len(angles) != 2 ** k:
         raise ValueError("need exactly 2^k angles for k controls")
-    seq = GateSequence(max((target,) + controls) + 1)
-    if k == 0:
-        seq.append(Gate(kind, target=target, angle=float(angles[0])))
-    else:
-        m, _ = _walsh_gray(k)
-        seq.append(Multiplexor(kind, target, controls,
-                               angles[None] @ m / len(angles)))
-    return seq
+    block = Gate(kind, target=target, angle=float(angles[0])) if k == 0 \
+        else Multiplexor(kind, target, controls,
+                         angles[None] @ _walsh_gray(k)[0] / len(angles))
+    return GateSequence(max((target,) + controls) + 1, [block])
 
 
 def zyz(u):
@@ -716,14 +767,10 @@ def qsd_compile(u):
         theta[m] = (angles @ walsh / half).reshape(3, n_circ, -1, half)
     alpha, beta, gamma, delta = (x.reshape(n_circ, -1)
                                  for x in _zyz_angles(level.reshape(-1, 2, 2)))
-    kinds = ("rz", "ry", "rz")
-    blocks = [ZyzLeaf(0, beta[:, j], gamma[:, j], delta[:, j]) if m == 1
-              else Multiplexor(kinds[mux], m - 1, tuple(range(m - 1)),
-                               theta[m][mux, :, j])
-              for m, mux, j in _layout(n)]
     phase = np.mod(alpha.sum(axis=1) + np.pi, 2 * np.pi) - np.pi
-    blocks.append(Gate("phase", angle=phase if stacked else float(phase[0])))
-    return GateSequence(n, blocks, n_circ)
+    tree = QsdTree(theta, beta, gamma, delta,
+                   phase if stacked else float(phase[0]))
+    return GateSequence(n, n_circuits=n_circ, tree=tree)
 
 
 def cnot_count(n):

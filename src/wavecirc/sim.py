@@ -3,13 +3,12 @@ propagators, and seeded shot sampling.
 
 A compiled stack of circuits runs in lockstep: the amplitudes hold one
 column per circuit, and each block applies every circuit's angles in
-one vectorised step.  `circuit_matrix` runs the same kernels, not on the
-whole 2^n identity but on nested products: a run of blocks on the low s
-qubits acts as kron(I, P_s), P_s is built at width 2^s, and a finished
-run is fused into the enclosing one as a matrix product only when it
-holds more passes than its dimension 2^s (else its blocks are replayed
-there).  A compiled 7-qubit circuit, 8,192 blocks, takes about 0.1 s
-this way against 0.4 s across the identity (2-core x86, numpy 2.4.6).
+one vectorised step.  `circuit_matrix` rebuilds a compiled sequence
+from its level arrays instead, every node of a level at once from its
+four children and its three multiplexors; a compiled 7-qubit circuit
+takes about 6 ms this way against about 0.4 s for its 8,192 blocks run
+across the 2^n identity, which is how a sequence with no tree is
+rebuilt (2-core x86, numpy 2.4.6; tools/bench_qsd.py).
 
 The sampler uses numpy's Generator with the PCG64 bit generator; the
 seed is recorded in every ShotResult so runs are bit-exact
@@ -24,7 +23,7 @@ import numpy as np
 from . import units
 from .grid import eigensolve
 from .givens import _check_dim, _pair_cross, _rotate_pairs
-from .qsd import Gate, Multiplexor, ZyzLeaf
+from .qsd import Gate, Multiplexor, ZyzLeaf, _walsh_gray, _zyz_matrix
 
 
 @dataclass(frozen=True)
@@ -61,40 +60,39 @@ def _apply_gate(amp, gate, n):
     if gate.kind == "phase":
         amp *= np.exp(1j * gate.angle)
         return amp
-    dim = amp.shape[0]
-    batch = amp.shape[1:]
     t = gate.target
     if gate.kind == "cx":
-        c = gate.control
-        if c > t:
-            # axes: (high, bit c, mid, bit t, low) + batch
-            b = amp.reshape((dim >> (c + 1), 2, 1 << (c - t - 1), 2,
-                             1 << t) + batch)
-            tmp = b[:, 1, :, 0].copy()
-            b[:, 1, :, 0] = b[:, 1, :, 1]
-            b[:, 1, :, 1] = tmp
-        else:
-            # axes: (high, bit t, mid, bit c, low) + batch
-            b = amp.reshape((dim >> (t + 1), 2, 1 << (t - c - 1), 2,
-                             1 << c) + batch)
-            tmp = b[:, 0, :, 1].copy()
-            b[:, 0, :, 1] = b[:, 1, :, 1]
-            b[:, 1, :, 1] = tmp
+        off, on = _cx_rows(amp.shape[0], gate.control, t)
+        amp[off], amp[on] = amp[on], amp[off]
         return amp
-    a = amp.reshape((dim >> (t + 1), 2, 1 << t) + batch)
-    lo, hi = a[:, 0], a[:, 1]
-    if gate.kind == "ry":
-        co, si = np.cos(gate.angle / 2), np.sin(gate.angle / 2)
-        new_lo = co * lo - si * hi
-        new_hi = si * lo + co * hi
-        a[:, 0], a[:, 1] = new_lo, new_hi
-    elif gate.kind == "rz":
-        ph = np.exp(-0.5j * gate.angle)
-        a[:, 0] = ph * lo
-        a[:, 1] = np.conj(ph) * hi
-    else:
-        raise ValueError(f"unknown gate kind {gate.kind!r}")
+    _rotate(amp.reshape((amp.shape[0] >> (t + 1), 2, 1 << t)
+                        + amp.shape[1:]), gate.kind, gate.angle)
     return amp
+
+
+@lru_cache(maxsize=None)
+def _cx_rows(dim, control, target):
+    '''The basis states with the control bit set and the target bit
+    clear, and their partners with the target bit set.'''
+    i = np.arange(dim)
+    i = i[(i >> control & 1 == 1) & (i >> target & 1 == 0)]
+    j = i | 1 << target
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def _rotate(a, kind, angle):
+    '''R(angle), an Ry or Rz, on every pair (a[:, 0], a[:, 1]) in place;
+    `angle` broadcasts against a[:, 0].'''
+    lo, hi = a[:, 0], a[:, 1]
+    if kind == "ry":
+        co, si = np.cos(angle / 2), np.sin(angle / 2)
+        a[:, 0], a[:, 1] = co * lo - si * hi, si * lo + co * hi
+    elif kind == "rz":
+        ph = np.exp(-0.5j * angle)
+        a[:, 0], a[:, 1] = ph * lo, np.conj(ph) * hi
+    else:
+        raise ValueError(f"unknown gate kind {kind!r}")
 
 
 @lru_cache(maxsize=None)
@@ -111,27 +109,21 @@ def _select_index(n, target, controls):
 
 
 def _apply_multiplexor(amp, mux, n):
-    '''Apply all gates of a Multiplexor in one pass: a diagonal phase
-    for rz, paired 2x2 rotations for ry.  The last axis of `amp` indexes
-    the circuits of the stack (or is broadcast over for one circuit).'''
+    '''Apply all gates of a Multiplexor in one pass: each amplitude
+    pair turns by its select angle (see _walsh_gray).  The last axis of
+    `amp` indexes the circuits of the stack (or is broadcast over for one
+    circuit).'''
     t = mux.target
     a = amp.reshape(amp.shape[0] >> (t + 1), 2, 1 << t, -1, len(mux.theta))
-    angle = mux.select_angles()[_select_index(n, t, mux.controls)][:, :, None]
-    lo, hi = a[:, 0], a[:, 1]
-    if mux.kind == "ry":
-        co, si = np.cos(angle / 2), np.sin(angle / 2)
-        a[:, 0], a[:, 1] = co * lo - si * hi, si * lo + co * hi
-    else:
-        ph = np.exp(-0.5j * angle)
-        a[:, 0] = ph * lo
-        a[:, 1] = np.conj(ph) * hi
+    select = _walsh_gray(len(mux.controls))[0] @ mux.theta.T
+    _rotate(a, mux.kind, select[_select_index(n, t, mux.controls)][:, :, None])
     return amp
 
 
 def _apply_leaf(amp, leaf, n):
     '''Apply the three rotations of a ZyzLeaf as one 2x2 matrix per
     circuit.'''
-    m = leaf.matrix()
+    m = _zyz_matrix(leaf.beta, leaf.gamma, leaf.delta)
     a = amp.reshape(amp.shape[0] >> (leaf.target + 1), 2, -1, len(m))
     lo, hi = a[:, 0], a[:, 1]
     a[:, 0], a[:, 1] = (m[:, 0, 0] * lo + m[:, 0, 1] * hi,
@@ -139,26 +131,8 @@ def _apply_leaf(amp, leaf, n):
     return amp
 
 
-@dataclass(frozen=True, eq=False)
-class _Product:
-    '''The product P of a run of blocks on the low `support` qubits,
-    shape (2^s, 2^s, S); on n qubits it acts as kron(I, P).'''
-    support: int
-    matrix: np.ndarray
-
-
-def _apply_product(amp, prod, n):
-    '''amp <- kron(I, P) amp: P on the low qubits of every column, one
-    matrix product per circuit of the stack.'''
-    d = 1 << prod.support
-    a = amp.reshape(amp.shape[0] // d, d, -1, amp.shape[-1])
-    a = a.transpose(3, 0, 1, 2)
-    out = prod.matrix.transpose(2, 0, 1)[:, None] @ a
-    return out.transpose(1, 2, 3, 0).reshape(amp.shape)
-
-
 _APPLY = {Gate: _apply_gate, Multiplexor: _apply_multiplexor,
-          ZyzLeaf: _apply_leaf, _Product: _apply_product}
+          ZyzLeaf: _apply_leaf}
 
 
 def run_circuit(psi, seq):
@@ -170,7 +144,7 @@ def run_circuit(psi, seq):
     blocks (Multiplexor, ZyzLeaf) are applied as the exact product of
     their gates in one vectorised step for every circuit at once;
     applying their gates one by one with _apply_gate gives the same
-    result to rounding.
+    result to rounding.  A gate outside the register raises ValueError.
     '''
     psi = np.array(psi, dtype=complex)
     n, s = seq.n_qubits, seq.n_circuits
@@ -179,96 +153,59 @@ def run_circuit(psi, seq):
     if s > 1 and (psi.ndim < 2 or psi.shape[-1] != s):
         raise ValueError(f"a stack of {s} circuits needs {s} amplitude "
                          "columns on the last axis")
+    if seq.tree is None and any(
+            max(b.target, getattr(b, "control", None) or 0,
+                *getattr(b, "controls", ())) >= n for b in seq.blocks):
+        raise ValueError("gate acts outside the circuit's qubits")
     for block in seq.blocks:
         psi = _APPLY[type(block)](psi, block, n)
     return psi
-
-
-def _support(block):
-    '''Number of low qubits a block acts on: its highest qubit + 1, 0 for
-    a global phase.'''
-    if isinstance(block, Multiplexor):
-        return max(block.target, *block.controls) + 1
-    if isinstance(block, ZyzLeaf):
-        return block.target + 1
-    if block.kind == "phase":
-        return 0
-    return max(block.target, block.control or 0) + 1
-
-
-class _Frame:
-    '''A contiguous run of operations on the low `support` qubits of a
-    stack of S circuits: blocks, and the products of finished inner
-    runs.  `cost` counts passes at this width: one per block, 2^c per
-    product on c qubits (a matrix product with 2^c terms per entry).'''
-
-    def __init__(self, support, n_circuits):
-        self.support = support
-        self.n_circuits = n_circuits
-        self.ops = []
-        self.cost = 0
-
-    def add(self, op, cost=1):
-        self.ops.append(op)
-        self.cost += cost
-
-    def take(self, inner):
-        '''Absorb a finished inner frame: fuse it into one product when
-        it holds more passes than its dimension, else replay its
-        operations here.'''
-        dim = 1 << inner.support
-        if inner.cost > dim:
-            self.add(_Product(inner.support, inner.product()), dim)
-        else:
-            self.ops.extend(inner.ops)
-            self.cost += inner.cost
-
-    def product(self):
-        '''The frame's operations applied to the identity, shape
-        (2^s, 2^s, S).'''
-        dim = 1 << self.support
-        amp = np.repeat(np.eye(dim, dtype=complex)[:, :, None],
-                        self.n_circuits, axis=2)
-        for op in self.ops:
-            amp = _APPLY[type(op)](amp, op, self.support)
-        return amp
 
 
 def circuit_matrix(seq):
     '''Dense matrix realized by a gate sequence (including phase); a
     stack of S circuits gives shape (S, 2^n, 2^n).
 
-    A run of blocks on the low s qubits (qubit q is bit q) acts as
-    kron(I, P_s).  The blocks are read in application order into nested
-    frames, one per support (highest qubit + 1), and a frame's product
-    P_s is built with the run_circuit kernels at width 2^s.  Applying a
-    finished frame to its parent costs about 2^s passes at the parent's
-    width as one matrix product, or one pass per block when its blocks
-    are replayed there; so the frame is fused only when it holds more
-    passes than its dimension 2^s.  A QSD circuit nests every subtree on
-    the low qubits, so only its top level runs at the full 2^n width; a
-    sequence with no such nesting costs what running every block across
-    the identity costs.
+    A compiled sequence is rebuilt from its QsdTree, the angles its
+    gates carry, a level at a time; any other sequence is run across the
+    whole 2^n identity.
     '''
     n, n_circ = seq.n_qubits, seq.n_circuits
-    frames = [_Frame(n, n_circ)]
-    for block in seq.blocks:
-        s = _support(block)
-        if s > n:
-            raise ValueError("gate acts outside the circuit's qubits")
-        while frames[-1].support < s:
-            inner = frames.pop()
-            if frames[-1].support > s:
-                frames.append(_Frame(s, n_circ))
-            frames[-1].take(inner)
-        if frames[-1].support > s:
-            frames.append(_Frame(s, n_circ))
-        frames[-1].add(block)
-    while len(frames) > 1:
-        inner = frames.pop()
-        frames[-1].take(inner)
-    m = frames[0].product()
-    return m[:, :, 0] if n_circ == 1 else np.moveaxis(m, 2, 0)
+    if seq.tree is not None:
+        m = _tree_matrix(seq.tree, n_circ)
+    else:
+        eye = np.repeat(np.eye(2 ** n, dtype=complex)[:, :, None], n_circ,
+                        axis=2)
+        m = np.moveaxis(run_circuit(eye, seq), 2, 0)
+    return m[0] if n_circ == 1 else m
+
+
+def _tree_matrix(tree, n_circ):
+    '''The matrices (S, 2^n, 2^n) of a QsdTree's circuits: the leaves'
+    2x2 matrices, then each node of level m as C3 Z2 C2 Y C1 Z0 C0, with
+    C_c = blkdiag(child c, child c) and Z0, Y, Z2 its multiplexors, which
+    turn row pair (b, b + 2^(m-1)) by select angle b, theta[m] @ walsh.T.
+    C1 Z0 C0 is blkdiag(C1 z C0, C1 z* C0); only the products after Y
+    are full.'''
+    n = tree.n_qubits
+    mats = _zyz_matrix(tree.beta, tree.gamma, tree.delta)
+    for m in range(2, n + 1):
+        h = 2 ** (m - 1)
+        walsh, _ = _walsh_gray(m - 1)
+        rz0, ry, rz2 = (tree.theta[m] @ walsh.T)[..., None]
+        c0, c1, c2, c3 = np.moveaxis(mats.reshape(n_circ, -1, 4, h, h), 2, 0)
+        z = np.exp(-0.5j * rz0)
+        lo, hi = c1 @ (z * c0), c1 @ (z.conj() * c0)
+        co, si = np.cos(ry / 2), np.sin(ry / 2)
+        z = np.exp(-0.5j * rz2)
+        top = c3 @ (z * (c2 @ np.concatenate([co * lo, -si * hi], -1)))
+        bottom = c3 @ (z.conj() * (c2 @ np.concatenate([si * lo, co * hi],
+                                                        -1)))
+        mats = np.concatenate([top, bottom], -2)
+    mats = mats.reshape(n_circ, 2 ** n, 2 ** n)
+    if tree.phase is not None:
+        mats *= np.exp(1j * np.reshape(tree.phase, (-1, 1, 1)))
+    return mats
 
 
 def sample_shots(psi, shots, seed):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -664,13 +665,29 @@ class TestInputsRefusedBeforeEvolution:
 
 
 def corrupt_one_multiplexor(seq):
-    '''seq with 1e-3 added to the angles of its first Multiplexor.'''
+    '''seq with 1e-3 added in place to the angles of its first
+    Multiplexor, through the block's view into the level arrays, so
+    that QASM, run_circuit and circuit_matrix all see it.'''
     from wavecirc.qsd import Multiplexor
-    i, mux = next((i, b) for i, b in enumerate(seq.blocks)
-                  if isinstance(b, Multiplexor))
-    seq.blocks[i] = Multiplexor(mux.kind, mux.target, mux.controls,
-                                mux.theta + 1e-3)
+    mux = next(b for b in seq.blocks if isinstance(b, Multiplexor))
+    mux.theta[...] += 1e-3
     return seq
+
+
+def corrupt_one_leaf(seq):
+    '''seq with 1e-3 added in place to the beta of its first ZYZ leaf.'''
+    from wavecirc.qsd import ZyzLeaf
+    leaf = next(b for b in seq.blocks if isinstance(b, ZyzLeaf))
+    leaf.beta[...] += 1e-3
+    return seq
+
+
+def corrupt_phase(seq):
+    '''seq with 1e-3 added to its global phase.'''
+    tree = seq.tree
+    return w.GateSequence(seq.n_qubits, n_circuits=seq.n_circuits,
+                          tree=dataclasses.replace(tree,
+                                                   phase=tree.phase + 1e-3))
 
 
 # off-centre, so both parity components are spread over their registers:
@@ -776,6 +793,20 @@ class TestCircuitHealthCheck:
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout.splitlines()[-1]) == {
             "code": 0, "threads": [1], "deprecations": []}
+
+    @pytest.mark.parametrize("corrupt", [corrupt_one_leaf, corrupt_phase],
+                             ids=["leaf", "phase"])
+    def test_compile_check_sees_every_angle(self, tmp_path, capsys,
+                                            monkeypatch, corrupt):
+        from wavecirc.qsd import qsd_compile
+        monkeypatch.setattr("wavecirc.cli.qsd_compile",
+                            lambda u: corrupt(qsd_compile(u)))
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["compile", "--config", cfg, "--out", str(out),
+                     "--time-fs", "0.5", "--check"]) == 3
+        assert "reconstruction error" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("corrupt", [("odd",), ("even", "odd")])
     def test_compile_check_failure_writes_nothing(self, tmp_path, capsys,

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,6 +91,36 @@ class TestEvalPotential:
         g = w.build_grid(2, 1.0)
         with pytest.raises(ValueError):
             w.eval_potential(g, {"kind": "nope"})
+
+    # a library caller's model dict gets the config schema's refusals
+    @pytest.mark.parametrize("model, field", [
+        ({"kind": "double_well", "barier_kcal": 5.0}, "barier_kcal"),
+        ({"kind": "harmonic"}, "'k'"),
+        ({"kind": "double_well", "a": 1.0}, "'b'"),
+        ({"kind": "double_well", "barrier_kcal": "two"}, "'two'")],
+        ids=["misspelled", "missing-k", "a-without-b", "string-value"])
+    def test_model_checked(self, model, field):
+        g = w.build_grid(3, 1.0)
+        with pytest.raises(ValueError, match="potential model invalid") \
+                as exc:
+            w.eval_potential(g, model)
+        assert field in str(exc.value)
+
+    def test_pipeline_does_not_check_twice(self, tmp_path, monkeypatch):
+        # config.resolve has checked the model; Pipeline evaluates it
+        # unchecked
+        from wavecirc import config
+        from wavecirc.cli import Pipeline
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "grid": {"n_qubits": 3, "length_angstrom": 1.0},
+            "potential": {"model": {"kind": "harmonic", "k": 2.5}}}))
+        cfg = config.load_config(str(path))
+
+        def refuse(model):
+            pytest.fail("the model was checked again")
+        monkeypatch.setattr(config, "check_model", refuse)
+        assert Pipeline(cfg).potential.symmetric
 
 
 class TestDafKinetic:

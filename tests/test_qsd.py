@@ -275,6 +275,50 @@ class TestQsdCompile:
             w.qsd_compile(np.full((4, 4), np.nan))
 
 
+class TestLevelArrays:
+    '''A compiled sequence keeps the compiler's level arrays; its blocks
+    are built from them once, as views.'''
+
+    def test_blocks_built_once_as_views(self):
+        seq = w.qsd_compile(unitary_group.rvs(16, random_state=150))
+        assert seq.blocks is seq.blocks
+        assert isinstance(seq.blocks, tuple)
+        leaf, mux = seq.blocks[:2]
+        assert np.shares_memory(leaf.beta, seq.tree.beta)
+        assert np.shares_memory(mux.theta, seq.tree.theta[2])
+        with pytest.raises(TypeError):
+            seq.append(qsd.Gate("ry", angle=0.1))
+
+    @pytest.mark.parametrize("stack", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_counts_match_blocks(self, n, stack):
+        rng = np.random.default_rng(151 + n)
+        u = np.array([unitary_group.rvs(2 ** n, random_state=rng)
+                      for _ in range(stack)])
+        for seq in (w.qsd_compile(u), w.qsd_compile(u).without_phase()):
+            plain = w.GateSequence(n, seq.blocks, stack)
+            assert list(seq.counts().items()) == \
+                list(plain.counts().items())
+
+    def test_without_phase_keeps_tree(self):
+        u = unitary_group.rvs(16, random_state=152)
+        seq = w.qsd_compile(u)
+        bare = seq.without_phase()
+        assert bare.tree.theta is seq.tree.theta
+        assert bare.tree.beta is seq.tree.beta
+        assert bare.global_phase() == 0
+        assert np.abs(circuit_matrix(bare) * np.exp(1j * seq.global_phase())
+                      - u).max() <= 1e-12
+        # the same gate lines, with no header phase; and back
+        text = w.to_qasm(seq)
+        assert w.to_qasm(bare) == "".join(
+            line for line in text.splitlines(keepends=True)
+            if not line.startswith("//"))
+        back = w.from_qasm(w.to_qasm(bare))
+        assert np.abs(circuit_matrix(back) - circuit_matrix(bare)).max() \
+            <= 1e-12
+
+
 def reference_layout(n):
     '''(kind, target, control) of every gate of an n-qubit compile, from
     the recursion written out: U -> [demux(R), Ry mux, demux(L)], each

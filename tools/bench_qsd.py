@@ -15,6 +15,15 @@ fallback for the nodes that fail them) against `qsd._csd_lapack`
 x = l0 l1^H.  The sorting and gauge code that both paths share is not
 timed.  The fallback counts compile both parity blocks of the N = 6
 double well for `--steps` steps of 1 fs, 16 steps per qsd_compile call.
+
+The layer costs are the best of `--repeats` timings, in milliseconds per
+circuit, on one compiled Haar-random circuit of 5 and of 7 qubits:
+`circuit_matrix` (rebuilt from the level arrays), its reference
+`identity_replay` (every block run across the 2^n identity, what a
+sequence with no tree costs), `to_qasm` from the level arrays against
+`to_qasm_blockwise` (the same circuit as a plain block list), and
+`blocks` (the block tuple built from the level arrays, once per
+sequence).
 '''
 
 import argparse
@@ -36,7 +45,8 @@ from scipy.stats import unitary_group               # noqa: E402
 
 import wavecirc as w                                # noqa: E402
 from wavecirc import qsd                            # noqa: E402
-from wavecirc.sim import exact_propagator           # noqa: E402
+from wavecirc.sim import (circuit_matrix, exact_propagator,  # noqa: E402
+                          run_circuit)
 
 SIZES = (8, 16, 32)
 PATHS = {"csd": ("_csd_stack", "_csd_lapack"),
@@ -64,13 +74,18 @@ def counted(*names):
             setattr(qsd, name, f)
 
 
-def us_per_node(f, x, repeats):
+def best_s(f, repeats):
+    '''The shortest of `repeats` timings of f().'''
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        f(x)
+        f()
         best = min(best, time.perf_counter() - start)
-    return best / len(x) * 1e6
+    return best
+
+
+def us_per_node(f, x, repeats):
+    return best_s(lambda: f(x), repeats) / len(x) * 1e6
 
 
 def node_costs(n_nodes, repeats, seed=0):
@@ -89,6 +104,23 @@ def node_costs(n_nodes, repeats, seed=0):
                 getattr(qsd, lapack), inputs[kind], repeats)
             row[f"{kind}_fallback_nodes"] = fell_back[lapack] // repeats
         out[f"{size}x{size}"] = row
+    return out
+
+
+def layer_costs(repeats, seed=1):
+    rng = np.random.default_rng(seed)
+    out = {}
+    for n in (5, 7):
+        seq = w.qsd_compile(unitary_group.rvs(2 ** n, random_state=rng))
+        plain = w.GateSequence(n, seq.blocks)
+        eye = np.eye(2 ** n, dtype=complex)
+        calls = {"circuit_matrix": lambda: circuit_matrix(seq),
+                 "identity_replay": lambda: run_circuit(eye, seq),
+                 "to_qasm": lambda: w.to_qasm(seq),
+                 "to_qasm_blockwise": lambda: w.to_qasm(plain),
+                 "blocks": seq.tree.blocks}
+        out[f"{n}_qubits"] = {f"{name}_ms": 1e3 * best_s(f, repeats)
+                              for name, f in calls.items()}
     return out
 
 
@@ -139,11 +171,13 @@ def main(argv=None):
         "nodes_per_stack": args.nodes,
         "repeats": args.repeats,
         "us_per_node": node_costs(args.nodes, args.repeats),
+        "ms_per_circuit": layer_costs(args.repeats),
         "double_well_n6_steps": args.steps,
         "double_well_n6_fallbacks": double_well_fallbacks(args.steps),
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report["us_per_node"]))
+    print(json.dumps(report["ms_per_circuit"]))
     print(json.dumps(report["double_well_n6_fallbacks"]))
 
 

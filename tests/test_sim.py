@@ -218,6 +218,27 @@ def identity_run(seq):
     return np.moveaxis(w.run_circuit(eye, seq), 2, 0)
 
 
+def dense_product(seq):
+    '''Reference for one circuit: the product of every gate's full
+    2^n x 2^n matrix, built without the run_circuit kernels.'''
+    n = seq.n_qubits
+    idx = np.arange(2 ** n)
+    out = np.eye(2 ** n, dtype=complex)
+    for g in seq:
+        if g.kind == "phase":
+            m = np.exp(1j * g.angle) * np.eye(2 ** n)
+        elif g.kind == "cx":
+            m = np.eye(2 ** n)[idx ^ (((idx >> g.control) & 1) << g.target)]
+        else:
+            c, s = np.cos(g.angle / 2), np.sin(g.angle / 2)
+            r = np.array([[c, -s], [s, c]]) if g.kind == "ry" \
+                else np.diag([np.exp(-0.5j * g.angle), np.exp(0.5j * g.angle)])
+            m = np.kron(np.kron(np.eye(2 ** (n - 1 - g.target)), r),
+                        np.eye(2 ** g.target))
+        out = m @ out
+    return out
+
+
 def random_single_gates(n, count, rng):
     '''`count` random ry, rz and cx gates on n qubits.'''
     gates = []
@@ -234,8 +255,10 @@ def random_single_gates(n, count, rng):
 
 class TestNestedProducts:
     '''circuit_matrix rebuilds a compiled sequence node by node from its
-    level arrays, children inside parents; running every block across
-    the identity is the reference.'''
+    level arrays, children inside parents, and runs any other sequence
+    across the identity.  The references are that identity run for a
+    compiled sequence and a product of dense gate matrices for the
+    others.'''
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_compiled_circuits(self, n):
@@ -254,8 +277,7 @@ class TestNestedProducts:
         assert np.abs(got - identity_run(seq)).max() <= 1e-12
 
     def test_hand_built_supports(self):
-        # supports falling and rising, runs long enough to be fused and
-        # short enough to be replayed, cx in both orientations,
+        # every block kind on every qubit: cx in both orientations,
         # multiplexors with controls (2, 0) and (1, 3), leaves and phases
         rng = np.random.default_rng(110)
 
@@ -288,13 +310,13 @@ class TestNestedProducts:
                   + mux("z", 0, [1, 3])
                   + [rot("ry", 1), rot("rz", 0), rot("ry", 4)])
         seq = GateSequence(5, blocks)
-        assert np.abs(circuit_matrix(seq) - identity_run(seq)).max() \
+        assert np.abs(circuit_matrix(seq) - dense_product(seq)).max() \
             <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_random_single_gates(self, n):
         seq = random_single_gates(n, 2000, np.random.default_rng(120 + n))
-        assert np.abs(circuit_matrix(seq) - identity_run(seq)).max() \
+        assert np.abs(circuit_matrix(seq) - dense_product(seq)).max() \
             <= 1e-12
 
     def test_no_full_width_kernel(self, monkeypatch):

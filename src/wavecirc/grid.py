@@ -4,12 +4,15 @@ exact diagonalization for a one-dimensional nuclear Hamiltonian.
 The kinetic energy uses the Gaussian-weighted Hermite expansion of the
 free propagator (an analytic, banded, Toeplitz approximation to the
 second-derivative operator on a uniform grid).
+
+scipy.linalg is imported by eigensolve alone, at its first call: a
+command that builds and maps the Hamiltonian without eigensolving never
+loads it.
 '''
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz, eigh
 
 from . import units
 
@@ -223,7 +226,12 @@ def daf_band(spec, params=DafParams()):
 def daf_kinetic(spec, params=DafParams()):
     '''Dense Toeplitz kinetic-energy matrix on the grid (Hartree).'''
     band = daf_band(spec, params)
-    return toeplitz(band)
+    # row i of the symmetric Toeplitz matrix is the window of
+    # [band[n-1], .., band[1], band[0], .., band[n-1]] that starts at
+    # n - 1 - i: the windows in reverse order, copied out
+    vals = np.concatenate([band[:0:-1], band])
+    return np.lib.stride_tricks.sliding_window_view(vals, len(band))[::-1] \
+        .copy()
 
 
 def assemble_hamiltonian(kinetic, potential, spec):
@@ -261,6 +269,7 @@ def _fix_signs(states, scale=1.0):
 
 def eigensolve(ham):
     '''Full diagonalization with a deterministic eigenvector sign.'''
+    from scipy.linalg import eigh    # here: only eigensolving loads it
     h = ham.matrix if isinstance(ham, NuclearHamiltonian) else np.asarray(ham)
     energies, states = eigh(h)
     return EigenSystem(energies=energies, states=_fix_signs(states))

@@ -20,12 +20,13 @@ Rayleigh quotients (the eigenphases).  Each such node is checked on its
 own: a reconstruction or unitarity residual above CHECK_TOL, or a
 conditioning screen (a sine or cosine of alpha, a gap between adjacent
 alphas or between adjacent eigh eigenvalues below SCREEN_TOL), sends it
-to LAPACK (zuncsd, zgees) instead; about 1% of the nodes of a propagator
-go there.  The sorting, the demultiplex products, the Walsh-Gray angle
-transform and the ZYZ split run once per level over every node of every
-circuit.  The result is one GateSequence of S circuits sharing one gate
-layout, which keeps the level arrays the walk built (QsdTree) as the one
-store of its angles.  Its blocks are derived from them once: each
+to LAPACK (scipy's zuncsd and zgees, imported at the first such node)
+instead; about 1% of the nodes of a propagator go there.  The sorting,
+the demultiplex products, the Walsh-Gray angle transform and the ZYZ
+split run once per level over every node of every circuit.  The result
+is one GateSequence of S circuits sharing one gate layout, which keeps
+the level arrays the walk built (QsdTree) as the one store of its
+angles.  Its blocks are derived from them once: each
 multiplexed rotation (Multiplexor) and each ZYZ leaf (ZyzLeaf) is one
 block whose angle arrays, one row per circuit, are views into the level
 arrays, so the simulator runs all S circuits in lockstep, one
@@ -57,7 +58,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import zgees, zuncsd, zuncsd_lwork
 
 DEGENERATE_TOL = 1e-13
 # the batched factorizations of the 8x8-and-larger nodes: the largest
@@ -362,8 +362,16 @@ def cosine_sine_decompose(u):
 # workspace sizes give the same factors.
 
 @lru_cache(maxsize=None)
+def _lapack():
+    '''scipy.linalg.lapack, imported at the first fallback: a process
+    that never falls back to LAPACK never loads scipy.linalg for it.'''
+    from scipy.linalg import lapack
+    return lapack
+
+
+@lru_cache(maxsize=None)
 def _csd_lwork(m):
-    work, rwork, _ = zuncsd_lwork(2 * m, m, m)
+    work, rwork, _ = _lapack().zuncsd_lwork(2 * m, m, m)
     return int(work.real), int(rwork)
 
 
@@ -373,7 +381,8 @@ def _no_sort(x):
 
 @lru_cache(maxsize=None)
 def _schur_lwork(n):
-    work = zgees(_no_sort, np.eye(n, dtype=complex), lwork=-1)[-2]
+    eye = np.eye(n, dtype=complex)
+    work = _lapack().zgees(_no_sort, eye, lwork=-1)[-2]
     return int(work[0].real)
 
 
@@ -401,6 +410,7 @@ def _csd_lapack(u):
     '''zuncsd per matrix of a stack (K, 2m, 2m), sorted by alpha.'''
     k, m = len(u), u.shape[-1] // 2
     lwork, lrwork = _csd_lwork(m)
+    zuncsd = _lapack().zuncsd
     alpha = np.empty((k, m))
     l0, l1, r0, r1 = (np.empty((k, m, m), dtype=complex) for _ in range(4))
     for i, x in enumerate(u):
@@ -524,6 +534,7 @@ def _schur_lapack(x):
     in (-pi, pi] and the Schur vectors, which are eigenvectors.'''
     k, m = x.shape[:2]
     lwork = _schur_lwork(m)
+    zgees = _lapack().zgees
     t = np.empty((k, m, m), dtype=complex)
     v = np.empty((k, m, m), dtype=complex)
     for i, y in enumerate(x):

@@ -8,7 +8,12 @@ autocorrelation spectrum both peak at eigenenergy differences.
 The grid spectrum transforms two real density columns with one complex
 FFT (packed as y_a + i y_b, with the pair's powers recovered from the
 bins k and -k) and walks the columns in chunks of SPECTRUM_CHUNK_BYTES,
-so it never holds the transform of every column at once.
+so it never holds the transform of every column at once.  The columns
+are transformed at a fast length of at least 2L - 1 for L time samples,
+not at the padded length, which is often a prime times the padding: the
+summed power gives the summed autocorrelation without wrap-around
+(Wiener-Khinchin), and one real transform of that, folded to the padded
+length, gives the power at the padded bins.
 '''
 
 from dataclasses import dataclass
@@ -78,8 +83,8 @@ def _spectrum(omega, power, n_pad, zero_weight, duration_fs, window, padding,
 # fewest time samples (steps + 1) a spectrum is taken from
 MIN_SAMPLES = 64
 
-# Byte budget of the padded transforms of one chunk of column pairs,
-# (pairs, n_pad) complex: 8 MiB is 32 pairs at 16,004 padded steps.
+# Byte budget of the transforms of one chunk of column pairs, (pairs, M)
+# complex: 8 MiB is 65 pairs at M = 8,019 for 4,001 time samples.
 SPECTRUM_CHUNK_BYTES = 1 << 23
 
 
@@ -89,15 +94,22 @@ def grid_spectrum(traj, window=None, padding=4, threshold=1e-3):
     The time mean of each rho(x_i, t) is removed before the transform so
     finite-frequency peaks are not swamped by the static component (the
     removed zero-frequency weight is reported separately).  The scalar
-    intensity is P(omega) = sum_i |I(omega; x_i)|^2 * dx.
+    intensity is P(omega) = sum_i |I(omega; x_i)|^2 * dx, at the bins of
+    the zero-padded length n_pad = padding * L for L time samples.
 
     Columns a and a + h (h half the column count, rounded up; an odd
     count pairs its middle column with zeros) are packed into
-    z = y_a + i y_b and transformed together.  For real y_a and y_b,
-    |Z(k)|^2 + |Z(-k)|^2 = 2 (|Y_a(k)|^2 + |Y_b(k)|^2), so with
-    S(k) = sum over pairs of |Z(k)|^2 the power is
-    (S(k) + S(-k mod n_pad)) / 2 * dx.  Pairs go in chunks of
-    SPECTRUM_CHUNK_BYTES of transforms.
+    z = y_a + i y_b and transformed together at M = next_fast_len(2L - 1).
+    For real y_a and y_b, |Z(k)|^2 + |Z(-k)|^2 = 2 (|Y_a(k)|^2 +
+    |Y_b(k)|^2), so with S(k) = sum over pairs of |Z(k)|^2,
+    (S(k) + S(-k mod M)) / 2 is the summed power at length M.  Its
+    inverse transform is the summed linear autocorrelation r(tau) at the
+    lags -(L-1)..(L-1), with no wrap-around since M >= 2L - 1.  The lags
+    folded modulo n_pad (which overlaps them only at padding 1) and
+    transformed at n_pad give the same DFT-bin power as transforming each
+    column at n_pad, to round-off.  Round-off can leave a bin slightly
+    negative where the power is near zero; such bins are clipped to 0.
+    Pairs go in chunks of SPECTRUM_CHUNK_BYTES of transforms.
     '''
     rho = np.asarray(traj.rho)
     n_steps, n_cols = rho.shape
@@ -116,10 +128,11 @@ def grid_spectrum(traj, window=None, padding=4, threshold=1e-3):
         raise ValueError(f"unknown window {window!r}")
     import scipy.fft    # here: only the spectrum commands pay for it
     n_pad, omega = _fft_axis(n_steps, dt[0], padding)
+    m = scipy.fft.next_fast_len(2 * n_steps - 1)
     half = (n_cols + 1) // 2
-    pairs = min(half, max(1, SPECTRUM_CHUNK_BYTES // (16 * n_pad)))
-    z = np.empty((pairs, n_pad), dtype=complex)
-    total = np.zeros(n_pad)
+    pairs = min(half, max(1, SPECTRUM_CHUNK_BYTES // (16 * m)))
+    z = np.empty((pairs, m), dtype=complex)
+    total = np.zeros(m)
     for a in range(0, half, pairs):
         lo = slice(a, min(a + pairs, half))
         hi = slice(lo.start + half, min(lo.stop + half, n_cols))
@@ -128,11 +141,19 @@ def grid_spectrum(traj, window=None, padding=4, threshold=1e-3):
         chunk.real[:, :n_steps] = ((rho[:, lo] - mean[lo]) * taper).T
         chunk.imag[:hi.stop - hi.start, :n_steps] = \
             ((rho[:, hi] - mean[hi]) * taper).T
-        # zero-padded to n_pad, transformed in place along the rows
+        # zero-padded to m, transformed in place along the rows
         f = scipy.fft.fft(chunk, axis=1, overwrite_x=True).view(float)
         total += np.einsum("ij,ij->j", f, f).reshape(-1, 2).sum(axis=1)
-    k = np.arange(len(omega))
-    power = 0.5 * (total[k] + total[-k % n_pad]) * traj.dx
+    # the summed autocorrelation, lags 0..L-1 at the front and
+    # -(L-1)..-1 at the back: the inverse transform of the real, even
+    # (S(k) + S(-k)) / 2 is the real part of that of the real S
+    acf = scipy.fft.ifft(total).real
+    # lag tau at index tau mod n_pad, added where padding 1 overlaps them
+    folded = np.zeros(n_pad)
+    folded[:n_steps] = acf[:n_steps]
+    folded[n_pad - n_steps + 1:] += acf[m - n_steps + 1:]
+    power = np.maximum(scipy.fft.rfft(folded).real, 0)
+    power *= traj.dx
     return _spectrum(omega, power, n_pad, zero_weight, n_steps * dt[0],
                      window, padding, threshold)
 

@@ -355,7 +355,8 @@ class TestBlocksDerivedOnce:
 
         def refused(*args):
             raise AssertionError("eigh called in the forked worker")
-        monkeypatch.setattr("wavecirc.grid.eigh",
+        # the name grid.eigensolve imports at each call
+        monkeypatch.setattr("scipy.linalg.eigh",
                             in_worker_only(refused, counted("eigh", eigh)))
         for module in ("cli", "dynamics"):
             monkeypatch.setattr(f"wavecirc.{module}.block_transform",
@@ -381,7 +382,7 @@ class TestBlocksDerivedOnce:
 
         def refused(*args):
             raise AssertionError("eigh called in the forked worker")
-        monkeypatch.setattr("wavecirc.grid.eigh",
+        monkeypatch.setattr("scipy.linalg.eigh",
                             in_worker_only(refused, counted))
         cfg = write_config(tmp_path, {"dynamics": {"method": method,
                                                    "steps": 20}})
@@ -554,18 +555,36 @@ class TestMatrixCsv:
         assert written_bytes(tmp_path, h) == savetxt_bytes(tmp_path, h)
 
 
+def scipy_modules_after(code):
+    '''The scipy modules loaded by a new interpreter (this one has
+    imported scipy already) once it has run `code`.'''
+    script = code + ("\nimport json, sys; print(json.dumps(sorted("
+                     "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    src = os.path.dirname(os.path.dirname(w.__file__))
+    res = subprocess.run([sys.executable, "-c", script],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
 class TestImportCost:
     def test_cli_import_leaves_out_interpolate_and_fft(self):
-        # a new interpreter: this one has imported both already
-        script = ("import json, sys, wavecirc.cli; print(json.dumps("
-                  "[m for m in ('scipy.interpolate', 'scipy.fft') "
-                  "if m in sys.modules]))")
-        src = os.path.dirname(os.path.dirname(w.__file__))
-        res = subprocess.run([sys.executable, "-c", script],
-                             env=dict(os.environ, PYTHONPATH=src),
-                             capture_output=True, text=True, timeout=120)
-        assert res.returncode == 0, res.stderr
-        assert json.loads(res.stdout) == []
+        # nor any other part of scipy
+        assert scipy_modules_after("import wavecirc.cli") == []
+
+    def command(self, tmp_path, name):
+        cfg = write_config(tmp_path, {"grid": {"n_qubits": 4}})
+        argv = [name, "--config", cfg, "--out", str(tmp_path / name)]
+        return f"from wavecirc.cli import main; assert main({argv!r}) == 0"
+
+    def test_map_loads_no_scipy(self, tmp_path):
+        assert scipy_modules_after(self.command(tmp_path, "map")) == []
+
+    def test_build_loads_linalg_not_fft(self, tmp_path):
+        loaded = scipy_modules_after(self.command(tmp_path, "build"))
+        assert "scipy.linalg" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.fft")]
 
     def test_build_from_tabulated_potential(self, tmp_path):
         from scipy.interpolate import PchipInterpolator

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 import wavecirc as w
 from wavecirc import spectra, units
@@ -32,17 +33,20 @@ def rfft_power(traj, window=None, padding=4):
 
 
 class TestPackedTransform:
-    '''Two columns per complex FFT, in chunks, against one real FFT per
-    column.'''
+    '''Two columns per complex FFT at a fast length, in chunks, then the
+    summed autocorrelation to the padded length, against one real FFT
+    per column at the padded length.'''
 
+    # padding 1: n_pad = L < 2L - 1, so the lags fold onto each other;
+    # 101, 127 and 257 are prime
     @pytest.mark.parametrize("n_cols", [1, 2, 7, 8, 33])
-    @pytest.mark.parametrize("n_steps", [64, 101, 256])
-    @pytest.mark.parametrize("padding", [1, 4])
+    @pytest.mark.parametrize("n_steps", [64, 101, 127, 256, 257])
+    @pytest.mark.parametrize("padding", [1, 2, 3, 4])
     def test_matches_per_column_rfft(self, n_cols, n_steps, padding,
                                      monkeypatch):
         # a budget of three pairs: several chunks, the last one partial
-        monkeypatch.setattr(spectra, "SPECTRUM_CHUNK_BYTES",
-                            3 * 16 * n_steps * padding)
+        m = scipy.fft.next_fast_len(2 * n_steps - 1)
+        monkeypatch.setattr(spectra, "SPECTRUM_CHUNK_BYTES", 3 * 16 * m)
         rng = np.random.default_rng(n_cols * 1000 + n_steps + padding)
         rho = rng.random((n_steps, n_cols))
         traj = w.Trajectory(t_fs=0.5 * np.arange(n_steps), rho=rho,
@@ -94,6 +98,22 @@ class TestGridSpectrum:
         spec = w.grid_spectrum(traj)
         assert spec.peaks == ()
         assert spec.zero_weight > 0
+
+    # the inputs of test_stationary_state_has_no_peaks and of
+    # test_two_state_superposition_single_peak
+    @pytest.mark.parametrize("superposed, window, dt, steps", [
+        ((0,), None, 0.5, 256), ((0, 1), "hann", 0.25, 2048)],
+        ids=["stationary", "two-state-hann"])
+    def test_power_not_negative(self, dw3, superposed, window, dt, steps):
+        # a sum of squares; the inverse route leaves round-off of either
+        # sign where the power is near 0 (on the Hann-windowed pair, 1,044
+        # of 4,099 bins before the clip at 0)
+        g, _, ham = dw3
+        eig = w.eigensolve(ham)
+        psi0 = eig.states[:, superposed].sum(axis=1)
+        psi0 /= np.linalg.norm(psi0)
+        traj = w.propagate("classical", ham, psi0, dt, steps)
+        assert w.grid_spectrum(traj, window=window).power.min() >= 0
 
     def test_two_state_superposition_single_peak(self, dw3):
         g, _, ham = dw3

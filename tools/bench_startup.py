@@ -41,8 +41,6 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np                                  # noqa: E402
-import scipy                                        # noqa: E402
-
 import scipy.fft                                    # noqa: E402
 
 import wavecirc as w                                # noqa: E402

@@ -10,8 +10,8 @@ import pytest
 
 import wavecirc as w
 from wavecirc.cli import _write_matrix_csv, main
-from wavecirc.config import (SCHEMA, VALIDATOR, ConfigError, load_config,
-                             resolve)
+from wavecirc.config import (SCHEMA, ConfigError, load_config, resolve,
+                             validator)
 
 from conftest import in_worker_only
 
@@ -67,7 +67,7 @@ class TestConfig:
 
     def test_schema_is_valid(self):
         # resolve() validates against SCHEMA without checking it first
-        VALIDATOR.check_schema(SCHEMA)
+        validator().check_schema(SCHEMA)
 
     def test_missing_required_block(self):
         with pytest.raises(ConfigError, match="grid"):
@@ -555,11 +555,10 @@ class TestMatrixCsv:
         assert written_bytes(tmp_path, h) == savetxt_bytes(tmp_path, h)
 
 
-def scipy_modules_after(code):
-    '''The scipy modules loaded by a new interpreter (this one has
-    imported scipy already) once it has run `code`.'''
-    script = code + ("\nimport json, sys; print(json.dumps(sorted("
-                     "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+def modules_after(code):
+    '''The modules a new interpreter (this one has imported them
+    already) has loaded once it has run `code`, in the order loaded.'''
+    script = code + "\nimport json, sys; print(json.dumps(list(sys.modules)))"
     src = os.path.dirname(os.path.dirname(w.__file__))
     res = subprocess.run([sys.executable, "-c", script],
                          env=dict(os.environ, PYTHONPATH=src),
@@ -568,10 +567,14 @@ def scipy_modules_after(code):
     return json.loads(res.stdout.splitlines()[-1])
 
 
+def scipy_modules(loaded):
+    return [m for m in loaded if m.split(".")[0] == "scipy"]
+
+
 class TestImportCost:
     def test_cli_import_leaves_out_interpolate_and_fft(self):
         # nor any other part of scipy
-        assert scipy_modules_after("import wavecirc.cli") == []
+        assert scipy_modules(modules_after("import wavecirc.cli")) == []
 
     def command(self, tmp_path, name):
         cfg = write_config(tmp_path, {"grid": {"n_qubits": 4}})
@@ -579,12 +582,15 @@ class TestImportCost:
         return f"from wavecirc.cli import main; assert main({argv!r}) == 0"
 
     def test_map_loads_no_scipy(self, tmp_path):
-        assert scipy_modules_after(self.command(tmp_path, "map")) == []
+        assert scipy_modules(modules_after(self.command(tmp_path, "map"))) \
+            == []
 
     def test_build_loads_linalg_not_fft(self, tmp_path):
-        loaded = scipy_modules_after(self.command(tmp_path, "build"))
+        loaded = modules_after(self.command(tmp_path, "build"))
         assert "scipy.linalg" in loaded
         assert not [m for m in loaded if m.startswith("scipy.fft")]
+        # scipy.linalg first: the order config.validator explains
+        assert loaded.index("scipy.linalg") < loaded.index("jsonschema")
 
     def test_build_from_tabulated_potential(self, tmp_path):
         from scipy.interpolate import PchipInterpolator

@@ -11,9 +11,8 @@ replaced.  Writes one JSON file.
 Each import entry gives the median and quartiles, over `--processes`
 fresh interpreters, of the wall time of the process and of its peak RSS
 (`ru_maxrss` from wait4).  "cli" runs `import wavecirc.cli`, which is
-what `map` loads.  "cli+deferred" also imports scipy.linalg and
-scipy.fft, which the commands that eigensolve and the spectrum commands
-load.  The two kinds of process alternate.  The write entries are the
+what `map` loads.  "cli+deferred" also imports scipy.linalg, which the
+commands that eigensolve load, and scipy.fft, which `spectrum` loads.  The two kinds of process alternate.  The write entries are the
 best of `--repeats` writes of the double-well Hamiltonian at
 `--n-qubits`, in a temporary directory, and the report says whether the
 two files are byte-identical.

@@ -174,7 +174,7 @@ def validator():
     jsonschema is imported here, at the first config check, so that the
     CLI loads scipy.linalg (cli.main) before it: with jsonschema loaded
     first, `compile` of the 7-qubit blocks peaked 0.8 MB higher in
-    resident memory, from where the allocator placed what they keep.'''
+    resident memory, one more 1 MiB arena of Python's allocator live.'''
     import jsonschema
     return jsonschema.Draft202012Validator
 

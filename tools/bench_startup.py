@@ -10,9 +10,10 @@ replaced.  Writes one JSON file.
 
 Each import entry gives the median and quartiles, over `--processes`
 fresh interpreters, of the wall time of the process and of its peak RSS
-(`ru_maxrss` from wait4).  "cli" runs `import wavecirc.cli`, which is
-what `map` loads.  "cli+deferred" also imports scipy.linalg, which the
-commands that eigensolve load, and scipy.fft, which `spectrum` loads.  The two kinds of process alternate.  The write entries are the
+(`ru_maxrss` from wait4).  "cli" imports wavecirc.cli and jsonschema,
+which the config check loads: what `map` loads.  "cli+deferred" also
+imports scipy.linalg, which the commands that eigensolve load before
+jsonschema, and scipy.fft, which `spectrum` loads.  The two kinds of process alternate.  The write entries are the
 best of `--repeats` writes of the double-well Hamiltonian at
 `--n-qubits`, in a temporary directory, and the report says whether the
 two files are byte-identical.
@@ -46,8 +47,9 @@ import wavecirc as w                                # noqa: E402
 from wavecirc import spectra                        # noqa: E402
 from wavecirc.cli import _write_matrix_csv          # noqa: E402
 
-IMPORTS = {"cli": "import wavecirc.cli",
-           "cli+deferred": "import wavecirc.cli, scipy.linalg, scipy.fft"}
+IMPORTS = {"cli": "import wavecirc.cli, jsonschema",
+           "cli+deferred": "import wavecirc.cli, scipy.linalg, jsonschema, "
+                           "scipy.fft"}
 
 
 def quartiles(values):

@@ -168,24 +168,18 @@ def _merge(defaults, override):
     return out
 
 
-def validator():
-    '''The jsonschema validator class of SCHEMA (Draft 2020-12).
-
-    jsonschema is imported here, at the first config check, so that the
-    CLI loads scipy.linalg (cli.main) before it: with jsonschema loaded
-    first, `compile` of the 7-qubit blocks peaked 0.8 MB higher in
-    resident memory, one more 1 MiB arena of Python's allocator live.'''
-    import jsonschema
-    return jsonschema.Draft202012Validator
-
-
 def _validate(schema, value, what):
     '''ConfigError naming the first problem of `value` under `schema`.'''
     # the error jsonschema.validate would raise, without its check of
     # the constant SCHEMA against the metaschema (about 20 ms a call),
-    # which the tests make once
-    from jsonschema.exceptions import best_match
-    exc = best_match(validator()(schema).iter_errors(value))
+    # which the tests make once.  jsonschema is imported here, at the
+    # first check, so that the CLI loads scipy.linalg (cli.main) before
+    # it: with jsonschema loaded first, `compile` of the 7-qubit blocks
+    # peaked 0.8 MB higher in resident memory, one more 1 MiB arena of
+    # Python's allocator live.
+    import jsonschema
+    exc = jsonschema.exceptions.best_match(
+        jsonschema.Draft202012Validator(schema).iter_errors(value))
     if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"{what} invalid at {path}: {exc.message}") from exc

@@ -359,19 +359,13 @@ def cosine_sine_decompose(u):
 # re-validate the input and re-query the workspace size on every call,
 # which costs more than the factorization at the sizes the recursion
 # visits.  Same driver, same arguments and the same
-# workspace sizes give the same factors.
-
-@lru_cache(maxsize=None)
-def _lapack():
-    '''scipy.linalg.lapack, imported at the first fallback: a process
-    that never falls back to LAPACK never loads scipy.linalg for it.'''
-    from scipy.linalg import lapack
-    return lapack
-
+# workspace sizes give the same factors.  They are imported at the first
+# fallback, so a process that never falls back never loads them.
 
 @lru_cache(maxsize=None)
 def _csd_lwork(m):
-    work, rwork, _ = _lapack().zuncsd_lwork(2 * m, m, m)
+    from scipy.linalg.lapack import zuncsd_lwork
+    work, rwork, _ = zuncsd_lwork(2 * m, m, m)
     return int(work.real), int(rwork)
 
 
@@ -381,8 +375,8 @@ def _no_sort(x):
 
 @lru_cache(maxsize=None)
 def _schur_lwork(n):
-    eye = np.eye(n, dtype=complex)
-    work = _lapack().zgees(_no_sort, eye, lwork=-1)[-2]
+    from scipy.linalg.lapack import zgees
+    work = zgees(_no_sort, np.eye(n, dtype=complex), lwork=-1)[-2]
     return int(work[0].real)
 
 
@@ -409,8 +403,8 @@ def _column_gauge(x):
 def _csd_lapack(u):
     '''zuncsd per matrix of a stack (K, 2m, 2m), sorted by alpha.'''
     k, m = len(u), u.shape[-1] // 2
+    from scipy.linalg.lapack import zuncsd
     lwork, lrwork = _csd_lwork(m)
-    zuncsd = _lapack().zuncsd
     alpha = np.empty((k, m))
     l0, l1, r0, r1 = (np.empty((k, m, m), dtype=complex) for _ in range(4))
     for i, x in enumerate(u):
@@ -533,8 +527,8 @@ def _schur_lapack(x):
     '''zgees per matrix of a stack of unitaries (K, m, m): eigenphases
     in (-pi, pi] and the Schur vectors, which are eigenvectors.'''
     k, m = x.shape[:2]
+    from scipy.linalg.lapack import zgees
     lwork = _schur_lwork(m)
-    zgees = _lapack().zgees
     t = np.empty((k, m, m), dtype=complex)
     v = np.empty((k, m, m), dtype=complex)
     for i, y in enumerate(x):

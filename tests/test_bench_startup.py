@@ -12,8 +12,7 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_startup.py"
 def test_writes_report(tmp_path):
     out = tmp_path / "BENCH_startup.json"
     subprocess.run([sys.executable, str(TOOL), "--processes", "2",
-                    "--n-qubits", "3", "--steps", "63", "--repeats", "1",
-                    "--out", str(out)],
+                    "--n-qubits", "3", "--repeats", "1", "--out", str(out)],
                    check=True, capture_output=True, timeout=300)
     report = json.loads(out.read_text())
     assert set(report["import"]) == {"cli", "cli+deferred"}
@@ -27,7 +26,7 @@ def test_writes_report(tmp_path):
     assert 8 * 8 * 25 <= csv["bytes"] <= 8 * 8 * 26
     assert csv["write_matrix_csv_s"] > 0 and csv["savetxt_s"] > 0
     spec = report["grid_spectrum"]
-    assert (spec["n_pad"], spec["fft_length"]) == (256, 128)
+    assert (spec["n_pad"], spec["fft_length"]) == (16004, 8100)
     assert spec["grid_spectrum_s"] > 0 and spec["reference_s"] > 0
     assert spec["max_power_diff_over_max"] <= 1e-14
     assert spec["peaks"] >= 1 and spec["max_peak_shift_cm1"] <= 1e-9

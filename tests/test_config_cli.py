@@ -5,13 +5,13 @@ import subprocess
 import sys
 import textwrap
 
+import jsonschema
 import numpy as np
 import pytest
 
 import wavecirc as w
 from wavecirc.cli import _write_matrix_csv, main
-from wavecirc.config import (SCHEMA, ConfigError, load_config, resolve,
-                             validator)
+from wavecirc.config import SCHEMA, ConfigError, load_config, resolve
 
 from conftest import in_worker_only
 
@@ -67,7 +67,7 @@ class TestConfig:
 
     def test_schema_is_valid(self):
         # resolve() validates against SCHEMA without checking it first
-        validator().check_schema(SCHEMA)
+        jsonschema.Draft202012Validator.check_schema(SCHEMA)
 
     def test_missing_required_block(self):
         with pytest.raises(ConfigError, match="grid"):
@@ -589,8 +589,14 @@ class TestImportCost:
         loaded = modules_after(self.command(tmp_path, "build"))
         assert "scipy.linalg" in loaded
         assert not [m for m in loaded if m.startswith("scipy.fft")]
-        # scipy.linalg first: the order config.validator explains
+        # scipy.linalg first: the order config._validate explains
         assert loaded.index("scipy.linalg") < loaded.index("jsonschema")
+
+    def test_spectrum_loads_no_scipy_fft(self, tmp_path):
+        # the grid spectrum's transforms are numpy's
+        loaded = modules_after(self.command(tmp_path, "spectrum"))
+        assert "scipy.linalg" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.fft")]
 
     def test_build_from_tabulated_potential(self, tmp_path):
         from scipy.interpolate import PchipInterpolator

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.fft
 
 import wavecirc as w
 from wavecirc import spectra, units
@@ -45,8 +44,8 @@ class TestPackedTransform:
     def test_matches_per_column_rfft(self, n_cols, n_steps, padding,
                                      monkeypatch):
         # a budget of three pairs: several chunks, the last one partial
-        m = scipy.fft.next_fast_len(2 * n_steps - 1)
-        monkeypatch.setattr(spectra, "SPECTRUM_CHUNK_BYTES", 3 * 16 * m)
+        m = spectra._fast_len(2 * n_steps - 1)
+        monkeypatch.setattr(spectra, "SPECTRUM_CHUNK_BYTES", 3 * 32 * m)
         rng = np.random.default_rng(n_cols * 1000 + n_steps + padding)
         rho = rng.random((n_steps, n_cols))
         traj = w.Trajectory(t_fs=0.5 * np.arange(n_steps), rho=rho,
@@ -56,6 +55,19 @@ class TestPackedTransform:
             omega, power = rfft_power(traj, window, padding)
             assert np.array_equal(spec.omega_cm1, omega)
             assert np.abs(spec.power - power).max() <= 1e-12 * power.max()
+
+    def test_fast_len(self):
+        def smooth(n):
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            return n == 1
+        smooth_lengths = [n for n in range(1, 2200) if smooth(n)]
+        for n in range(1, 2000):
+            assert spectra._fast_len(n) == min(
+                k for k in smooth_lengths if k >= n)
+        # 2L - 1 at the 4,001 samples of a 4,000-step spectrum
+        assert spectra._fast_len(8001) == 8100
 
     @staticmethod
     def assert_same_peaks(traj, window, padding):
@@ -106,7 +118,7 @@ class TestGridSpectrum:
         ids=["stationary", "two-state-hann"])
     def test_power_not_negative(self, dw3, superposed, window, dt, steps):
         # a sum of squares; the inverse route leaves round-off of either
-        # sign where the power is near 0 (on the Hann-windowed pair, 1,044
+        # sign where the power is near 0 (on the Hann-windowed pair, 1,042
         # of 4,099 bins before the clip at 0)
         g, _, ham = dw3
         eig = w.eigensolve(ham)

@@ -5,24 +5,23 @@ spectrum at the benchmark's grid-map shape against the transform it
 replaced.  Writes one JSON file.
 
     python3 tools/bench_startup.py [--processes 15] [--n-qubits 11]
-                                   [--steps 4000] [--repeats 3]
-                                   [--out BENCH_startup.json]
+                                   [--repeats 3] [--out BENCH_startup.json]
 
 Each import entry gives the median and quartiles, over `--processes`
 fresh interpreters, of the wall time of the process and of its peak RSS
 (`ru_maxrss` from wait4).  "cli" imports wavecirc.cli and jsonschema,
 which the config check loads: what `map` loads.  "cli+deferred" also
 imports scipy.linalg, which the commands that eigensolve load before
-jsonschema, and scipy.fft, which `spectrum` loads.  The two kinds of process alternate.  The write entries are the
-best of `--repeats` writes of the double-well Hamiltonian at
-`--n-qubits`, in a temporary directory, and the report says whether the
-two files are byte-identical.
+jsonschema, and numpy.fft, which `spectrum` loads.  The two kinds of
+process alternate.  The write entries are the best of `--repeats` writes
+of the double-well Hamiltonian at `--n-qubits`, in a temporary
+directory, and the report says whether the two files are byte-identical.
 
 The grid_spectrum entry times, best of `--repeats`, `grid_spectrum` on
-the classical density of the benchmark's wavepacket (`--steps` steps of
-0.5 fs at `--n-qubits`, Hann window, padding 4) and the transform it
-replaced: the packed column pairs transformed at the padded length, in
-8 MiB chunks.  It reports the largest power difference over the maximum,
+the classical density of the benchmark's wavepacket at the grid-map
+shape (STEPS steps of 0.5 fs at `--n-qubits`, Hann window, padding 4)
+and the transform it replaced: the packed column pairs transformed at
+the padded length, in 8 MiB chunks.  It reports the largest power difference over the maximum,
 whether the extracted peak positions are equal, and the largest shift
 of one (null when the peak counts differ).
 '''
@@ -49,7 +48,9 @@ from wavecirc.cli import _write_matrix_csv          # noqa: E402
 
 IMPORTS = {"cli": "import wavecirc.cli, jsonschema",
            "cli+deferred": "import wavecirc.cli, scipy.linalg, jsonschema, "
-                           "scipy.fft"}
+                           "numpy.fft"}
+# the time steps of the benchmark's grid-map spectrum: 4,001 samples
+STEPS = 4000
 
 
 def quartiles(values):
@@ -130,7 +131,7 @@ def padded_power(traj, padding):
     return 0.5 * (total[k] + total[-k % n_pad]) * traj.dx
 
 
-def spectrum_costs(n_qubits, steps, repeats, padding=4):
+def spectrum_costs(n_qubits, repeats, steps=STEPS, padding=4):
     g = w.build_grid(n_qubits, 0.66)
     ham = w.build_hamiltonian(g, w.eval_potential(
         g, {"kind": "double_well"}))
@@ -152,7 +153,7 @@ def spectrum_costs(n_qubits, steps, repeats, padding=4):
                 default=0.0) if len(peaks) == len(spec.peaks) else None
     return {"n_qubits": n_qubits, "steps": steps, "window": "hann",
             "padding": padding, "n_pad": padding * (steps + 1),
-            "fft_length": scipy.fft.next_fast_len(2 * steps + 1),
+            "fft_length": spectra._fast_len(2 * steps + 1),
             **{f"{name}_s": t for name, t in best.items()},
             "max_power_diff_over_max":
                 float(np.abs(spec.power - power).max() / power.max()),
@@ -176,7 +177,6 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--processes", type=int, default=15)
     p.add_argument("--n-qubits", type=int, default=11)
-    p.add_argument("--steps", type=int, default=4000)
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--out", default="BENCH_startup.json")
     args = p.parse_args(argv)
@@ -193,8 +193,7 @@ def main(argv=None):
         "import": import_costs(args.processes),
         "repeats": args.repeats,
         "hamiltonian_csv": write_costs(args.n_qubits, args.repeats),
-        "grid_spectrum": spectrum_costs(args.n_qubits, args.steps,
-                                        args.repeats),
+        "grid_spectrum": spectrum_costs(args.n_qubits, args.repeats),
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report["import"]))

@@ -585,18 +585,14 @@ class TestImportCost:
         assert scipy_modules(modules_after(self.command(tmp_path, "map"))) \
             == []
 
-    def test_build_loads_linalg_not_fft(self, tmp_path):
-        loaded = modules_after(self.command(tmp_path, "build"))
+    # the grid spectrum's transforms are numpy's
+    @pytest.mark.parametrize("name", ["build", "spectrum"])
+    def test_loads_linalg_not_fft(self, tmp_path, name):
+        loaded = modules_after(self.command(tmp_path, name))
         assert "scipy.linalg" in loaded
         assert not [m for m in loaded if m.startswith("scipy.fft")]
         # scipy.linalg first: the order config._validate explains
         assert loaded.index("scipy.linalg") < loaded.index("jsonschema")
-
-    def test_spectrum_loads_no_scipy_fft(self, tmp_path):
-        # the grid spectrum's transforms are numpy's
-        loaded = modules_after(self.command(tmp_path, "spectrum"))
-        assert "scipy.linalg" in loaded
-        assert not [m for m in loaded if m.startswith("scipy.fft")]
 
     def test_build_from_tabulated_potential(self, tmp_path):
         from scipy.interpolate import PchipInterpolator

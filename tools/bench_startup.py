@@ -21,9 +21,9 @@ The grid_spectrum entry times, best of `--repeats`, `grid_spectrum` on
 the classical density of the benchmark's wavepacket at the grid-map
 shape (STEPS steps of 0.5 fs at `--n-qubits`, Hann window, padding 4)
 and the transform it replaced: the packed column pairs transformed at
-the padded length, in 8 MiB chunks.  It reports the largest power difference over the maximum,
-whether the extracted peak positions are equal, and the largest shift
-of one (null when the peak counts differ).
+the padded length, in 8 MiB chunks.  It reports the largest power
+difference over the maximum, whether the extracted peak positions are
+equal, and the largest shift of one (null when the peak counts differ).
 '''
 
 import argparse

@@ -10,7 +10,8 @@ from .grid import (GridSpec, PotentialSurface, DafParams,
                    double_well_coefficients)
 from .givens import (ParityPartition, BlockHamiltonian, BlockEigenSystem,
                      parity_partition, block_transform, block_eigensolve,
-                     eigensystem, to_mapped_basis, from_mapped_basis)
+                     eigensystem, eigenvalues, to_mapped_basis,
+                     from_mapped_basis)
 from .ising import (IsingParameters, MappedSystem, BrokenSymmetryError,
                     extract_diagonal_params, extract_offdiag_params,
                     assemble_ising, check_parity_coupling, map_system,

@@ -19,7 +19,7 @@ from .config import ConfigError, load_config
 from .dynamics import (WavepacketSpec, densities, evolve, initial_wavepacket,
                        probability_error)
 from .givens import (block_eigensolve, block_transform, eigensystem,
-                     parity_partition)
+                     eigenvalues, parity_partition)
 from .grid import DafParams, _eval_potential, build_grid, build_hamiltonian
 from .ising import (BrokenSymmetryError, check_parity_coupling, map_system,
                     parameters_to_dict)
@@ -143,12 +143,13 @@ def cmd_build(args):
     np.savetxt(os.path.join(out, "potential.csv"),
                np.column_stack([pipe.grid.points, pipe.potential.values]),
                delimiter=",", header="x_angstrom,energy_hartree")
-    np.savetxt(os.path.join(out, "eigenvalues.csv"), pipe.eig.energies,
+    energies = eigenvalues(pipe.ham, pipe.blocks)
+    np.savetxt(os.path.join(out, "eigenvalues.csv"), energies,
                delimiter=",", header="energy_hartree")
     _write_manifest(out, cfg, ["hamiltonian.csv", "potential.csv",
                                "eigenvalues.csv"])
     print(f"built N={pipe.grid.n_qubits} Hamiltonian; "
-          f"E0={pipe.eig.energies[0]:.10f} Ha")
+          f"E0={energies[0]:.10f} Ha")
     return EXIT_OK
 
 
@@ -365,7 +366,7 @@ def build_parser():
                        help="sampling seed (default: the config's "
                        "dynamics.seed)")
 
-    p = sub.add_parser("build", help="grid Hamiltonian and eigensystem")
+    p = sub.add_parser("build", help="grid Hamiltonian and its eigenvalues")
     common(p)
     p.set_defaults(func=cmd_build)
 
@@ -407,8 +408,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func is not cmd_map:
-        # Every command but map eigensolves.  scipy.linalg is loaded
+    if args.func not in (cmd_build, cmd_map):
+        # The other commands need eigenvectors, from scipy.linalg's eigh
+        # (build's eigenvalues are numpy's).  scipy.linalg is loaded
         # here, before any array work: loaded at the first eigensolve
         # instead, `compile` of the 7-qubit blocks took 0.1 s (7%) more
         # CPU time, median of 40 runs on 2 cores.

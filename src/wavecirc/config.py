@@ -173,10 +173,11 @@ def _validate(schema, value, what):
     # the error jsonschema.validate would raise, without its check of
     # the constant SCHEMA against the metaschema (about 20 ms a call),
     # which the tests make once.  jsonschema is imported here, at the
-    # first check, so that the CLI loads scipy.linalg (cli.main) before
-    # it: with jsonschema loaded first, `compile` of the 7-qubit blocks
-    # peaked 0.8 MB higher in resident memory, one more 1 MiB arena of
-    # Python's allocator live.
+    # first check, so that the commands that load scipy.linalg (cli.main:
+    # all but build and map) load it before jsonschema: with jsonschema
+    # loaded first, `compile` of the 7-qubit blocks peaked 0.8 MB higher
+    # in resident memory, one more 1 MiB arena of Python's allocator
+    # live.
     import jsonschema
     exc = jsonschema.exceptions.best_match(
         jsonschema.Draft202012Validator(schema).iter_errors(value))

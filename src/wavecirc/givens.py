@@ -12,7 +12,8 @@ blocks onto the even/odd bitstring-parity sectors.  `block_eigensolve`
 solves the two half-size eigenproblems, which, when the blocks are
 exactly decoupled, give the eigensystem of H in block form
 (`BlockEigenSystem`); `eigensystem` picks that form or the full
-eigensolve, for the CLI and the dynamics alike.
+eigensolve, for the CLI and the dynamics alike, and `eigenvalues` makes
+the same choice for the energies alone.
 '''
 
 from dataclasses import dataclass
@@ -189,6 +190,18 @@ def eigensystem(ham, bh):
     form (block_eigensolve) when the parity blocks are exactly
     decoupled, else the full eigensolve(ham).'''
     return block_eigensolve(bh) if bh.coupling_norm == 0.0 else eigensolve(ham)
+
+
+def eigenvalues(ham, bh):
+    '''The ascending eigenvalues of H whose BlockHamiltonian is `bh`, by
+    eigensystem's rule and without eigenvectors: the two blocks' merged
+    by the same stable sort when they are exactly decoupled, else the
+    full H's.  numpy's eigvalsh: no scipy is loaded.'''
+    if bh.coupling_norm != 0.0:
+        return np.linalg.eigvalsh(getattr(ham, "matrix", ham))
+    energies = np.concatenate([np.linalg.eigvalsh(bh.block_plus),
+                               np.linalg.eigvalsh(bh.block_minus)])
+    return np.sort(energies, kind="stable")
 
 
 def _check_dim(psi, partition):

@@ -6,8 +6,9 @@ free propagator (an analytic, banded, Toeplitz approximation to the
 second-derivative operator on a uniform grid).
 
 scipy.linalg is imported by eigensolve alone, at its first call: a
-command that builds and maps the Hamiltonian without eigensolving never
-loads it.
+command that needs no eigenvectors never loads it.  `build` writes
+eigenvalues only (givens.eigenvalues, numpy's eigvalsh), and `map`
+needs none.
 '''
 
 from dataclasses import dataclass, field

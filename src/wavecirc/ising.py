@@ -5,7 +5,12 @@ Hamiltonian from those parameters.
 The target model is an all-to-all two-body spin Hamiltonian
 c*I + sum_j Bz_j sz_j + sum_{j<k} (Jx sx sx + Jy sy sy + Jz sz sz)
 with no transverse local fields, so it is block-diagonal in the parity
-partition of the computational basis.
+partition of the computational basis.  Its parameters are real, and so
+is every matrix assembled from them.
+
+A block's diagonal is fitted to the offset, fields and sz-sz couplings
+by least squares; its off-diagonal to the sx-sx and sy-sy couplings in
+closed form, the equations of each qubit pair being separate.
 '''
 
 from dataclasses import dataclass
@@ -87,48 +92,52 @@ def extract_offdiag_params(block, bitstrings, n):
     Elements between states at Hamming distance 2 differing in bits j < k
     satisfy M = Jx_jk - s*Jy_jk with s = +1 when the differing bits agree
     in the bra (00<->11 flips) and s = -1 otherwise (01<->10 flips).
-    Elements at Hamming distance >= 4 cannot be produced by two-body
-    couplings and enter the residual with weight 2 (both Hermitian
-    partners).
+    Each pair's equations involve only its own two unknowns, so the
+    least-squares fit is in closed form: u = Jx - Jy is the mean of M
+    over the pair's s = +1 elements and v = Jx + Jy the mean over its
+    s = -1 ones, and a sign class with no element gives 0, the
+    minimum-norm solution (the even sector of n = 2 has only s = +1).
+    Elements at Hamming distance >= 4, and imaginary parts, cannot be
+    produced by two-body couplings and enter the residual with weight 2
+    (both Hermitian partners), summed directly.
     '''
     m = np.asarray(block)
     if np.abs(m - m.conj().T).max() > 1e-12 * max(1.0, np.abs(m).max()):
         raise ValueError("block matrix is not Hermitian")
     bits = np.asarray(bitstrings, dtype=np.int64)
-    a, b = np.triu_indices(len(bits), 1)     # element pairs, row-major
-    diff = bits[a] ^ bits[b]
-    high = diff & (diff - 1)                 # diff without its lowest bit
-    two = (high != 0) & ((high & (high - 1)) == 0)   # Hamming distance 2
+    dim = len(bits)
+    slot = np.full(2 ** n, -1, dtype=np.int64)
+    slot[bits] = np.arange(dim)
+    j, k = np.triu_indices(n, 1)
+    npairs = len(j)
+    # the distance-2 partner of each state across each pair, where it is
+    # in the block; each element once, in the upper triangle
+    partner = slot[bits[:, None] ^ ((1 << j) | (1 << k))]
+    a, pair = np.nonzero(partner > np.arange(dim)[:, None])
+    b = partner[a, pair]
     elem = m[a, b]
-    # distance != 2, and imaginary parts: not reachable by the couplings
-    unmapped_sq = 2 * (np.sum(np.abs(elem[~two]) ** 2)
-                       + np.sum(elem[two].imag ** 2))
-    bra, diff, high, rhs = bits[a[two]], diff[two], high[two], elem[two].real
-    j = np.frexp(diff ^ high)[1] - 1         # lowest differing bit
-    k = np.frexp(high)[1] - 1                # highest differing bit
-    s = np.where(((bra >> j) & 1) == ((bra >> k) & 1), 1.0, -1.0)
-    upper = np.triu_indices(n, 1)
-    npairs = len(upper[0])
-    col = np.zeros((n, n), dtype=int)
-    col[upper] = np.arange(npairs)
-    a_mat = np.zeros((len(rhs), 2 * npairs))
-    r = np.arange(len(rhs))
-    a_mat[r, col[j, k]] = 1.0
-    a_mat[r, npairs + col[j, k]] = -s
+    rhs = elem.real
+    bra = bits[a]
+    agree = ((bra >> j[pair]) & 1) == ((bra >> k[pair]) & 1)
+    cls = 2 * pair + ~agree                  # (pair, s = +1) or (pair, -1)
+    count = np.bincount(cls, minlength=2 * npairs)
+    mean = np.bincount(cls, rhs, minlength=2 * npairs) / np.maximum(count, 1)
+    u, v = mean[0::2], mean[1::2]
     j_x = np.zeros((n, n))
     j_y = np.zeros((n, n))
-    if len(rhs):
-        theta, _, _, _ = np.linalg.lstsq(a_mat, rhs, rcond=RCOND)
-        misfit = float(np.linalg.norm(a_mat @ theta - rhs))
-        j_x[upper], j_y[upper] = theta[:npairs], theta[npairs:]
-    else:
-        misfit = 0.0
-    residual = float(np.sqrt(misfit ** 2 + unmapped_sq))
-    return j_x, j_y, residual
+    j_x[j, k] = (u + v) / 2
+    j_y[j, k] = (v - u) / 2
+    misfit_sq = np.sum((rhs - mean[cls]) ** 2)
+    # distance != 2, and imaginary parts: not reachable by the couplings
+    unmapped = np.abs(m) ** 2
+    unmapped[a, b] = elem.imag ** 2
+    unmapped_sq = 2 * np.triu(unmapped, 1).sum()
+    return j_x, j_y, float(np.sqrt(misfit_sq + unmapped_sq))
 
 
 def assemble_ising(params, n=None):
-    '''Dense 2^n Hermitian matrix of the two-body spin Hamiltonian.'''
+    '''Dense 2^n real symmetric matrix of the two-body spin Hamiltonian
+    (its parameters are real, and so are sx sx and sy sy).'''
     if n is None:
         n = params.n_qubits
     return _assemble(params, n, np.arange(2 ** n))
@@ -145,7 +154,7 @@ def _assemble(params, n, states):
     dim = len(states)
     slot = np.empty(2 ** n, dtype=np.int64)
     slot[states] = np.arange(dim)
-    h = np.zeros((dim, dim), dtype=complex)
+    h = np.zeros((dim, dim))
     cols = np.arange(dim)
     diag = np.full(dim, params.offset, dtype=float)
     for j in range(n):
@@ -207,12 +216,6 @@ def map_system(bh, partition, force=False, threshold_ratio=1e-8):
     po = extract_block_params(bh.block_minus, odd_states, n)
     he = _assemble(pe, n, even_states)
     ho = _assemble(po, n, odd_states)
-    # blocks of a real symmetric Hamiltonian are real; drop the zero
-    # imaginary part so downstream eigensolves stay in real arithmetic
-    if np.abs(he.imag).max() == 0.0:
-        he = he.real
-    if np.abs(ho.imag).max() == 0.0:
-        ho = ho.real
     return MappedSystem(
         even=pe, odd=po, block_even=he, block_odd=ho,
         recon_error_even=float(np.linalg.norm(he - bh.block_plus)),

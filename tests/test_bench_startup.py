@@ -30,5 +30,14 @@ def test_writes_report(tmp_path):
     assert spec["grid_spectrum_s"] > 0 and spec["reference_s"] > 0
     assert spec["max_power_diff_over_max"] <= 1e-14
     assert spec["peaks"] >= 1 and spec["max_peak_shift_cm1"] <= 1e-9
+    fit = report["spin_fit"]
+    assert (fit["n_qubits"], fit["block_dim"]) == (3, 4)
+    assert fit["closed_form_s"] > 0 and fit["lstsq_s"] > 0
+    assert fit["max_j_diff_over_max"] <= 1e-14
+    assert fit["max_residual_diff_over_norm"] <= 1e-14
+    energies = report["build_energies"]
+    assert energies["n_qubits"] == 3 and energies["block_form"]
+    assert energies["eigenvalues_s"] > 0 and energies["eigensystem_s"] > 0
+    assert energies["max_energy_diff_over_max"] <= 1e-14
     assert report["numpy"] and report["scipy"]
     assert report["src_lines"] > 0

@@ -151,9 +151,49 @@ class TestExtractOffdiag:
             blk = a + a.conj().T
             jx, jy, res = w.extract_offdiag_params(blk, bits, n)
             rx, ry, rres = loop_offdiag_params(blk, bits, n)
-            # same rows in the same order: the same least-squares solution
-            assert np.array_equal(jx, rx) and np.array_equal(jy, ry)
+            # the closed form solves the reference's least-squares system
+            tol = 1e-14 * max(np.abs(rx).max(), np.abs(ry).max())
+            assert np.abs(jx - rx).max() <= tol
+            assert np.abs(jy - ry).max() <= tol
             assert res == pytest.approx(rres, rel=1e-14)
+
+    def test_empty_sign_class_gives_minimum_norm_split(self):
+        # the even sector of 2 qubits, {00, 11}, has one 00<->11 element
+        # and no 01<->10 one: Jx - Jy = M alone, least norm at Jx = -Jy
+        pp = w.parity_partition(2)
+        blk = np.array([[0.3, 0.8], [0.8, -0.1]])
+        jx, jy, res = w.extract_offdiag_params(blk, pp.even_states, 2)
+        rx, ry, rres = loop_offdiag_params(blk, pp.even_states, 2)
+        assert jx[0, 1] == 0.4 and jy[0, 1] == -0.4 and res == 0.0
+        assert jx[0, 1] == pytest.approx(rx[0, 1], rel=1e-14)
+        assert jy[0, 1] == pytest.approx(ry[0, 1], rel=1e-14)
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 11])
+    def test_recovers_random_couplings(self, n):
+        rng = np.random.default_rng(70 + n)
+        pp = w.parity_partition(n)
+        p = random_params(n, rng)
+        full = w.assemble_ising(p)
+        for bits in (pp.even_states, pp.odd_states):
+            blk = w.restrict_to_block(full, bits)
+            jx, jy, res = w.extract_offdiag_params(blk, bits, n)
+            tol = 1e-14 * max(np.abs(p.j_x).max(), np.abs(p.j_y).max())
+            assert np.abs(jx - p.j_x).max() <= tol
+            assert np.abs(jy - p.j_y).max() <= tol
+            assert res <= 1e-14 * np.linalg.norm(blk)
+
+    def test_tiny_unmapped_part_is_not_cancelled(self):
+        # an exactly fitted block plus one 1e-8 distance-4 element: the
+        # residual is that element's, not round-off of a difference
+        pp = w.parity_partition(4)
+        bits = list(pp.even_states)
+        p = random_params(4, np.random.default_rng(5), offdiag_only=True)
+        blk = w.restrict_to_block(w.assemble_ising(p), pp.even_states)
+        a, b = bits.index(0b0000), bits.index(0b1111)
+        blk[a, b] = blk[b, a] = 1e-8
+        jx, jy, res = w.extract_offdiag_params(blk, pp.even_states, 4)
+        assert np.abs(jx - p.j_x).max() <= 1e-14
+        assert res == pytest.approx(np.sqrt(2) * 1e-8, rel=1e-12)
 
     def test_zero_matrix(self):
         pp = w.parity_partition(3)

@@ -1,8 +1,9 @@
 '''Fixed cost of every wavecirc CLI process: the import of wavecirc.cli in
 fresh interpreters, and the write of hamiltonian.csv by
-`wavecirc.cli._write_matrix_csv` against `np.savetxt`; and the grid
-spectrum at the benchmark's grid-map shape against the transform it
-replaced.  Writes one JSON file.
+`wavecirc.cli._write_matrix_csv` against `np.savetxt`; and, at the
+benchmark's grid-map shape, the grid spectrum, the spin fit and the
+energies `build` writes, each against the computation it replaced.
+Writes one JSON file.
 
     python3 tools/bench_startup.py [--processes 15] [--n-qubits 11]
                                    [--repeats 3] [--out BENCH_startup.json]
@@ -10,12 +11,13 @@ replaced.  Writes one JSON file.
 Each import entry gives the median and quartiles, over `--processes`
 fresh interpreters, of the wall time of the process and of its peak RSS
 (`ru_maxrss` from wait4).  "cli" imports wavecirc.cli and jsonschema,
-which the config check loads: what `map` loads.  "cli+deferred" also
-imports scipy.linalg, which the commands that eigensolve load before
-jsonschema, and numpy.fft, which `spectrum` loads.  The two kinds of
-process alternate.  The write entries are the best of `--repeats` writes
-of the double-well Hamiltonian at `--n-qubits`, in a temporary
-directory, and the report says whether the two files are byte-identical.
+which the config check loads: what `build` and `map` load.
+"cli+deferred" also imports scipy.linalg, which the commands that need
+eigenvectors load before jsonschema, and numpy.fft, which `spectrum`
+loads.  The two kinds of process alternate.  The write entries are the
+best of `--repeats` writes of the double-well Hamiltonian at
+`--n-qubits`, in a temporary directory, and the report says whether the
+two files are byte-identical.
 
 The grid_spectrum entry times, best of `--repeats`, `grid_spectrum` on
 the classical density of the benchmark's wavepacket at the grid-map
@@ -24,6 +26,17 @@ and the transform it replaced: the packed column pairs transformed at
 the padded length, in 8 MiB chunks.  It reports the largest power
 difference over the maximum, whether the extracted peak positions are
 equal, and the largest shift of one (null when the peak counts differ).
+
+The spin_fit entry times, best of `--repeats` over both parity blocks of
+the double-well Hamiltonian at `--n-qubits`, the closed-form sx-sx/sy-sy
+fit `extract_offdiag_params` and the least-squares design it replaced
+(one row per distance-2 element, solved by `numpy.linalg.lstsq`).  It
+reports both blocks' residuals by each, the largest change in J over
+max|J| and that in the residual over the block's Frobenius norm.  The
+build_energies entry times, the same way, the energies `build` writes
+(`givens.eigenvalues`, numpy's eigvalsh) and those of
+`givens.eigensystem`, which also computes eigenvectors, and reports the
+largest change, in Hartree and over max|E|.
 '''
 
 import argparse
@@ -43,7 +56,7 @@ import numpy as np                                  # noqa: E402
 import scipy.fft                                    # noqa: E402
 
 import wavecirc as w                                # noqa: E402
-from wavecirc import spectra                        # noqa: E402
+from wavecirc import givens, ising, spectra         # noqa: E402
 from wavecirc.cli import _write_matrix_csv          # noqa: E402
 
 IMPORTS = {"cli": "import wavecirc.cli, jsonschema",
@@ -82,10 +95,24 @@ def import_costs(n_processes):
             for name, rs in runs.items()}
 
 
-def write_costs(n_qubits, repeats):
+def double_well(n_qubits):
     g = w.build_grid(n_qubits, 0.66)
-    h = w.build_hamiltonian(g, w.eval_potential(
-        g, {"kind": "double_well"})).matrix
+    return w.build_hamiltonian(g, w.eval_potential(
+        g, {"kind": "double_well"}))
+
+
+def best_of(repeats, fn):
+    '''(seconds of the fastest of `repeats` calls of fn, its result).'''
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def write_costs(n_qubits, repeats):
+    h = double_well(n_qubits).matrix
     writers = {"write_matrix_csv": _write_matrix_csv,
                "savetxt": lambda path, h: np.savetxt(path, h, delimiter=",")}
     best = dict.fromkeys(writers, float("inf"))
@@ -132,11 +159,9 @@ def padded_power(traj, padding):
 
 
 def spectrum_costs(n_qubits, repeats, steps=STEPS, padding=4):
-    g = w.build_grid(n_qubits, 0.66)
-    ham = w.build_hamiltonian(g, w.eval_potential(
-        g, {"kind": "double_well"}))
+    ham = double_well(n_qubits)
     psi0 = w.initial_wavepacket(
-        w.WavepacketSpec("gaussian", mu=0.0, sigma=0.1), g)
+        w.WavepacketSpec("gaussian", mu=0.0, sigma=0.1), ham.grid)
     traj = w.propagate("classical", ham, psi0, 0.5, steps)
     best = {"grid_spectrum": float("inf"), "reference": float("inf")}
     for _ in range(repeats):
@@ -161,6 +186,75 @@ def spectrum_costs(n_qubits, repeats, steps=STEPS, padding=4):
             "peak_positions_equal":
                 [p[0] for p in spec.peaks] == [p[0] for p in peaks],
             "max_peak_shift_cm1": shift}
+
+
+def lstsq_offdiag(block, bits, n):
+    '''(j_x, j_y, residual) as extract_offdiag_params fitted them before
+    the closed form: one design row per distance-2 element of the upper
+    triangle, solved by lstsq at ising.RCOND.'''
+    m = np.asarray(block)
+    a, b = np.triu_indices(len(bits), 1)
+    diff = bits[a] ^ bits[b]
+    high = diff & (diff - 1)
+    two = (high != 0) & ((high & (high - 1)) == 0)
+    elem = m[a, b]
+    unmapped_sq = 2 * (np.sum(np.abs(elem[~two]) ** 2)
+                       + np.sum(elem[two].imag ** 2))
+    bra, diff, high, rhs = bits[a[two]], diff[two], high[two], elem[two].real
+    j = np.frexp(diff ^ high)[1] - 1
+    k = np.frexp(high)[1] - 1
+    s = np.where(((bra >> j) & 1) == ((bra >> k) & 1), 1.0, -1.0)
+    upper = np.triu_indices(n, 1)
+    npairs = len(upper[0])
+    col = np.zeros((n, n), dtype=int)
+    col[upper] = np.arange(npairs)
+    design = np.zeros((len(rhs), 2 * npairs))
+    r = np.arange(len(rhs))
+    design[r, col[j, k]] = 1.0
+    design[r, npairs + col[j, k]] = -s
+    theta = np.linalg.lstsq(design, rhs, rcond=ising.RCOND)[0]
+    misfit = np.linalg.norm(design @ theta - rhs)
+    j_x, j_y = np.zeros((n, n)), np.zeros((n, n))
+    j_x[upper], j_y[upper] = theta[:npairs], theta[npairs:]
+    return j_x, j_y, float(np.sqrt(misfit ** 2 + unmapped_sq))
+
+
+def spin_fit_costs(n_qubits, repeats):
+    bh = w.block_transform(double_well(n_qubits))
+    pp = w.parity_partition(n_qubits)
+    blocks = ((bh.block_plus, pp.even_states), (bh.block_minus, pp.odd_states))
+    fits = {"closed_form": w.extract_offdiag_params,
+            "lstsq": lstsq_offdiag}
+    times, results = {}, {}
+    for name, fit in fits.items():
+        times[name], results[name] = best_of(
+            repeats, lambda: [fit(m, bits, n_qubits) for m, bits in blocks])
+    dj = dres = 0.0
+    for (m, _), (jx, jy, res), (rx, ry, rres) in zip(
+            blocks, results["closed_form"], results["lstsq"]):
+        scale = max(np.abs(rx).max(), np.abs(ry).max())
+        dj = max(dj, np.abs(jx - rx).max() / scale,
+                 np.abs(jy - ry).max() / scale)
+        dres = max(dres, abs(res - rres) / np.linalg.norm(m))
+    return {"n_qubits": n_qubits, "block_dim": len(pp.even_states),
+            **{f"{name}_s": t for name, t in times.items()},
+            "residuals": {name: [r[2] for r in rs]
+                          for name, rs in results.items()},
+            "max_j_diff_over_max": float(dj),
+            "max_residual_diff_over_norm": float(dres)}
+
+
+def build_energy_costs(n_qubits, repeats):
+    ham = double_well(n_qubits)
+    bh = w.block_transform(ham)
+    t_vals, e = best_of(repeats, lambda: givens.eigenvalues(ham, bh))
+    t_sys, eig = best_of(repeats, lambda: givens.eigensystem(ham, bh))
+    return {"n_qubits": n_qubits, "block_form": bh.coupling_norm == 0.0,
+            "eigenvalues_s": t_vals, "eigensystem_s": t_sys,
+            "max_energy_diff_hartree": float(np.abs(e - eig.energies).max()),
+            "max_energy_diff_over_max":
+                float(np.abs(e - eig.energies).max()
+                      / np.abs(eig.energies).max())}
 
 
 def commit():
@@ -194,11 +288,14 @@ def main(argv=None):
         "repeats": args.repeats,
         "hamiltonian_csv": write_costs(args.n_qubits, args.repeats),
         "grid_spectrum": spectrum_costs(args.n_qubits, args.repeats),
+        "spin_fit": spin_fit_costs(args.n_qubits, args.repeats),
+        "build_energies": build_energy_costs(args.n_qubits, args.repeats),
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report["import"]))
     print(json.dumps(report["hamiltonian_csv"]))
-    print(json.dumps(report["grid_spectrum"]))
+    for name in ("grid_spectrum", "spin_fit", "build_energies"):
+        print(json.dumps(report[name]))
 
 
 if __name__ == "__main__":

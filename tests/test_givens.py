@@ -282,3 +282,22 @@ class TestBlockEigensolve:
         want = w.eigensolve(tilted.ham)
         assert np.array_equal(tilted.eig.energies, want.energies)
         assert np.array_equal(tilted.eig.states, want.states)
+
+    # build's energies: eigvalsh of the blocks or of H, by the same rule
+    @pytest.mark.parametrize("n, model, blocks", [
+        (3, {"kind": "double_well"}, True),
+        (8, {"kind": "double_well"}, True),
+        (3, {"kind": "polynomial", "coefficients": [0, 0.01, 0.5]}, False),
+        (8, {"kind": "polynomial", "coefficients": [0, 0.01, 0.5]}, False)])
+    def test_eigenvalues_by_the_eigensystem_rule(self, n, model, blocks):
+        pipe = pipeline(n, model)
+        got = w.eigenvalues(pipe.ham, pipe.blocks)
+        if blocks:
+            want = np.sort(np.concatenate(
+                [np.linalg.eigvalsh(pipe.blocks.block_plus),
+                 np.linalg.eigvalsh(pipe.blocks.block_minus)]))
+        else:
+            want = np.linalg.eigvalsh(pipe.ham.matrix)
+        assert np.array_equal(got, want)
+        assert np.abs(got - pipe.eig.energies).max() \
+            <= 1e-14 * np.abs(pipe.eig.energies).max()

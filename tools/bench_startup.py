@@ -249,12 +249,11 @@ def build_energy_costs(n_qubits, repeats):
     bh = w.block_transform(ham)
     t_vals, e = best_of(repeats, lambda: givens.eigenvalues(ham, bh))
     t_sys, eig = best_of(repeats, lambda: givens.eigensystem(ham, bh))
+    diff = float(np.abs(e - eig.energies).max())
     return {"n_qubits": n_qubits, "block_form": bh.coupling_norm == 0.0,
             "eigenvalues_s": t_vals, "eigensystem_s": t_sys,
-            "max_energy_diff_hartree": float(np.abs(e - eig.energies).max()),
-            "max_energy_diff_over_max":
-                float(np.abs(e - eig.energies).max()
-                      / np.abs(eig.energies).max())}
+            "max_energy_diff_hartree": diff,
+            "max_energy_diff_over_max": diff / np.abs(eig.energies).max()}
 
 
 def commit():

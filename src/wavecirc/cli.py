@@ -408,13 +408,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func not in (cmd_build, cmd_map):
-        # The other commands need eigenvectors, from scipy.linalg's eigh
-        # (build's eigenvalues are numpy's).  scipy.linalg is loaded
-        # here, before any array work: loaded at the first eigensolve
-        # instead, `compile` of the 7-qubit blocks took 0.1 s (7%) more
-        # CPU time, median of 40 runs on 2 cores.
-        import scipy.linalg  # noqa: F401
     try:
         return args.func(args)
     except ConfigError as exc:

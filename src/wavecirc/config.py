@@ -172,12 +172,8 @@ def _validate(schema, value, what):
     '''ConfigError naming the first problem of `value` under `schema`.'''
     # the error jsonschema.validate would raise, without its check of
     # the constant SCHEMA against the metaschema (about 20 ms a call),
-    # which the tests make once.  jsonschema is imported here, at the
-    # first check, so that the commands that load scipy.linalg (cli.main:
-    # all but build and map) load it before jsonschema: with jsonschema
-    # loaded first, `compile` of the 7-qubit blocks peaked 0.8 MB higher
-    # in resident memory, one more 1 MiB arena of Python's allocator
-    # live.
+    # which the tests make once.  Imported here, so that `import
+    # wavecirc.cli` does not pay for it (about 0.09 s).
     import jsonschema
     exc = jsonschema.exceptions.best_match(
         jsonschema.Draft202012Validator(schema).iter_errors(value))

@@ -5,17 +5,18 @@ The kinetic energy uses the Gaussian-weighted Hermite expansion of the
 free propagator (an analytic, banded, Toeplitz approximation to the
 second-derivative operator on a uniform grid).
 
-scipy.linalg is imported by eigensolve alone, at its first call: a
-command that needs no eigenvectors never loads it.  `build` writes
-eigenvalues only (givens.eigenvalues, numpy's eigvalsh), and `map`
-needs none.
+eigensolve is scipy's eigh driver (dsyevr/zheevr), called through
+wavecirc.lapack, which loads scipy's LAPACK extension at the first call
+without the scipy.linalg package.  A command that needs no eigenvectors
+loads no scipy: `build` writes eigenvalues only (givens.eigenvalues,
+numpy's eigvalsh), and `map` needs none.
 '''
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import units
+from . import lapack, units
 
 SYMMETRY_TOL = 1e-10  # Hartree
 
@@ -270,7 +271,6 @@ def _fix_signs(states, scale=1.0):
 
 def eigensolve(ham):
     '''Full diagonalization with a deterministic eigenvector sign.'''
-    from scipy.linalg import eigh    # here: only eigensolving loads it
     h = ham.matrix if isinstance(ham, NuclearHamiltonian) else np.asarray(ham)
-    energies, states = eigh(h)
+    energies, states = lapack.eigh(h)
     return EigenSystem(energies=energies, states=_fix_signs(states))

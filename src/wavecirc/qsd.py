@@ -20,8 +20,8 @@ Rayleigh quotients (the eigenphases).  Each such node is checked on its
 own: a reconstruction or unitarity residual above CHECK_TOL, or a
 conditioning screen (a sine or cosine of alpha, a gap between adjacent
 alphas or between adjacent eigh eigenvalues below SCREEN_TOL), sends it
-to LAPACK (scipy's zuncsd and zgees, imported at the first such node)
-instead; about 1% of the nodes of a propagator go there.  The sorting,
+to LAPACK (scipy's zuncsd and zgees, through wavecirc.lapack, which
+loads them at the first such node) instead; about 1% of the nodes of a propagator go there.  The sorting,
 the demultiplex products, the Walsh-Gray angle transform and the ZYZ
 split run once per level over every node of every circuit.  The result
 is one GateSequence of S circuits sharing one gate layout, which keeps
@@ -58,6 +58,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+
+from . import lapack
 
 DEGENERATE_TOL = 1e-13
 # the batched factorizations of the 8x8-and-larger nodes: the largest
@@ -359,13 +361,13 @@ def cosine_sine_decompose(u):
 # re-validate the input and re-query the workspace size on every call,
 # which costs more than the factorization at the sizes the recursion
 # visits.  Same driver, same arguments and the same
-# workspace sizes give the same factors.  They are imported at the first
-# fallback, so a process that never falls back never loads them.
+# workspace sizes give the same factors.  lapack.flapack loads them at
+# the first fallback, so a process that never falls back never loads
+# them.
 
 @lru_cache(maxsize=None)
 def _csd_lwork(m):
-    from scipy.linalg.lapack import zuncsd_lwork
-    work, rwork, _ = zuncsd_lwork(2 * m, m, m)
+    work, rwork, _ = lapack.flapack().zuncsd_lwork(2 * m, m, m)
     return int(work.real), int(rwork)
 
 
@@ -375,8 +377,7 @@ def _no_sort(x):
 
 @lru_cache(maxsize=None)
 def _schur_lwork(n):
-    from scipy.linalg.lapack import zgees
-    work = zgees(_no_sort, np.eye(n, dtype=complex), lwork=-1)[-2]
+    work = lapack.flapack().zgees(_no_sort, np.eye(n, dtype=complex), lwork=-1)[-2]
     return int(work[0].real)
 
 
@@ -403,7 +404,7 @@ def _column_gauge(x):
 def _csd_lapack(u):
     '''zuncsd per matrix of a stack (K, 2m, 2m), sorted by alpha.'''
     k, m = len(u), u.shape[-1] // 2
-    from scipy.linalg.lapack import zuncsd
+    zuncsd = lapack.flapack().zuncsd
     lwork, lrwork = _csd_lwork(m)
     alpha = np.empty((k, m))
     l0, l1, r0, r1 = (np.empty((k, m, m), dtype=complex) for _ in range(4))
@@ -527,7 +528,7 @@ def _schur_lapack(x):
     '''zgees per matrix of a stack of unitaries (K, m, m): eigenphases
     in (-pi, pi] and the Schur vectors, which are eigenvectors.'''
     k, m = x.shape[:2]
-    from scipy.linalg.lapack import zgees
+    zgees = lapack.flapack().zgees
     lwork = _schur_lwork(m)
     t = np.empty((k, m, m), dtype=complex)
     v = np.empty((k, m, m), dtype=complex)

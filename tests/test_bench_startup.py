@@ -16,10 +16,14 @@ def test_writes_report(tmp_path):
                    check=True, capture_output=True, timeout=300)
     report = json.loads(out.read_text())
     assert set(report["import"]) == {"cli", "cli+deferred"}
+    assert set(report["loader"]) == {"flapack", "scipy.linalg"}
     for row in report["import"].values():
-        for metric in ("wall_s", "peak_rss_mb"):
-            assert 0 < row[metric]["q1"] <= row[metric]["median"] \
-                <= row[metric]["q3"]
+        assert set(row) == {"wall_s", "peak_rss_mb"}
+    for row in [*report["import"].values(), *report["loader"].values()]:
+        for metric in row.values():
+            assert 0 < metric["q1"] <= metric["median"] <= metric["q3"]
+    for row in report["loader"].values():
+        assert row["in_process_s"]["q3"] < row["wall_s"]["q1"]
     csv = report["hamiltonian_csv"]
     assert csv["n_qubits"] == 3 and csv["byte_identical"]
     # 8 rows of 8 '%.18e' fields, 24 or 25 characters each

@@ -343,8 +343,8 @@ class TestBlocksDerivedOnce:
     # the reference too; N = 4: the full eigensolve, then the two blocks
     @pytest.mark.parametrize("n, eighs", [(3, 2), (4, 3)])
     def test_spectrum_circuit_exact(self, tmp_path, monkeypatch, n, eighs):
-        from scipy.linalg import eigh
         from wavecirc.givens import block_transform
+        from wavecirc.lapack import eigh
         calls = {"eigh": 0, "block_transform": 0}
 
         def counted(name, fn):
@@ -355,8 +355,8 @@ class TestBlocksDerivedOnce:
 
         def refused(*args):
             raise AssertionError("eigh called in the forked worker")
-        # the name grid.eigensolve imports at each call
-        monkeypatch.setattr("scipy.linalg.eigh",
+        # the name grid.eigensolve calls
+        monkeypatch.setattr("wavecirc.lapack.eigh",
                             in_worker_only(refused, counted("eigh", eigh)))
         for module in ("cli", "dynamics"):
             monkeypatch.setattr(f"wavecirc.{module}.block_transform",
@@ -373,7 +373,7 @@ class TestBlocksDerivedOnce:
                                                ("ising", 4)])
     def test_library_propagate_solves_as_the_cli(self, tmp_path,
                                                  monkeypatch, method, eighs):
-        from scipy.linalg import eigh
+        from wavecirc.lapack import eigh
         calls = []
 
         def counted(*args):
@@ -382,7 +382,7 @@ class TestBlocksDerivedOnce:
 
         def refused(*args):
             raise AssertionError("eigh called in the forked worker")
-        monkeypatch.setattr("scipy.linalg.eigh",
+        monkeypatch.setattr("wavecirc.lapack.eigh",
                             in_worker_only(refused, counted))
         cfg = write_config(tmp_path, {"dynamics": {"method": method,
                                                    "steps": 20}})
@@ -576,9 +576,9 @@ class TestImportCost:
         # nor any other part of scipy
         assert scipy_modules(modules_after("import wavecirc.cli")) == []
 
-    def command(self, tmp_path, name):
+    def command(self, tmp_path, name, *flags):
         cfg = write_config(tmp_path, {"grid": {"n_qubits": 4}})
-        argv = [name, "--config", cfg, "--out", str(tmp_path / name)]
+        argv = [name, "--config", cfg, "--out", str(tmp_path / name), *flags]
         return f"from wavecirc.cli import main; assert main({argv!r}) == 0"
 
     # build's eigenvalues are numpy's eigvalsh
@@ -587,14 +587,23 @@ class TestImportCost:
         assert scipy_modules(modules_after(self.command(tmp_path, name))) \
             == []
 
-    # the grid spectrum's transforms are numpy's
-    @pytest.mark.parametrize("name", ["spectrum"])
-    def test_loads_linalg_not_fft(self, tmp_path, name):
-        loaded = modules_after(self.command(tmp_path, name))
-        assert "scipy.linalg" in loaded
-        assert not [m for m in loaded if m.startswith("scipy.fft")]
-        # scipy.linalg first: the order config._validate explains
-        assert loaded.index("scipy.linalg") < loaded.index("jsonschema")
+    # the eigensolving commands load scipy's LAPACK extension by itself
+    # (wavecirc.lapack), not the scipy.linalg package; the grid spectrum's
+    # transforms are numpy's
+    @pytest.mark.parametrize("name", ["spectrum", "propagate", "compile",
+                                      "sweep-shots"])
+    def test_loads_lapack_not_linalg(self, tmp_path, name):
+        flags = ("--shots", "100", "--n-seeds", "1") \
+            if name == "sweep-shots" else ()
+        loaded = scipy_modules(modules_after(
+            self.command(tmp_path, name, *flags)
+            + "\nfrom wavecirc import lapack"
+            + "\nassert lapack.flapack.cache_info().currsize == 1"))
+        assert "scipy" in loaded
+        assert [m for m in loaded if not (
+            m in ("scipy", "scipy.__config__", "scipy.version",
+                  "scipy.linalg._flapack")
+            or m.startswith("scipy._"))] == []
 
     def test_build_from_tabulated_potential(self, tmp_path):
         from scipy.interpolate import PchipInterpolator

@@ -1,5 +1,5 @@
 '''Fixed cost of every wavecirc CLI process: the import of wavecirc.cli in
-fresh interpreters, and the write of hamiltonian.csv by
+fresh interpreters, the load of scipy's LAPACK drivers, and the write of hamiltonian.csv by
 `wavecirc.cli._write_matrix_csv` against `np.savetxt`; and, at the
 benchmark's grid-map shape, the grid spectrum, the spin fit and the
 energies `build` writes, each against the computation it replaced.
@@ -12,9 +12,15 @@ Each import entry gives the median and quartiles, over `--processes`
 fresh interpreters, of the wall time of the process and of its peak RSS
 (`ru_maxrss` from wait4).  "cli" imports wavecirc.cli and jsonschema,
 which the config check loads: what `build` and `map` load.
-"cli+deferred" also imports scipy.linalg, which the commands that need
-eigenvectors load before jsonschema, and numpy.fft, which `spectrum`
-loads.  The two kinds of process alternate.  The write entries are the
+"cli+deferred" also loads scipy's LAPACK extension by
+`wavecirc.lapack.flapack()`, as the commands that need eigenvectors do
+at their first eigensolve, and imports numpy.fft, which `spectrum`
+loads.  The two kinds of process alternate.  The loader entry compares,
+the same way, `wavecirc.lapack.flapack()` with `import scipy.linalg`,
+each run after `import wavecirc.lapack`: the seconds the statement took
+in its process (in_process_s), and the process's wall time and peak
+RSS.  The write
+entries are the
 best of `--repeats` writes of the double-well Hamiltonian at
 `--n-qubits`, in a temporary directory, and the report says whether the
 two files are byte-identical.
@@ -60,8 +66,14 @@ from wavecirc import givens, ising, spectra         # noqa: E402
 from wavecirc.cli import _write_matrix_csv          # noqa: E402
 
 IMPORTS = {"cli": "import wavecirc.cli, jsonschema",
-           "cli+deferred": "import wavecirc.cli, scipy.linalg, jsonschema, "
-                           "numpy.fft"}
+           "cli+deferred": "import wavecirc.cli, jsonschema; "
+                           "wavecirc.lapack.flapack(); import numpy.fft"}
+# scipy's LAPACK drivers, as wavecirc loads them and by scipy's package
+LOADERS = {"flapack": "lapack.flapack()",
+           "scipy.linalg": "import scipy.linalg"}
+TIMED = ("import time; from wavecirc import lapack; "
+         "start = time.perf_counter(); {}; "
+         "print(time.perf_counter() - start)")
 # the time steps of the benchmark's grid-map spectrum: 4,001 samples
 STEPS = 4000
 
@@ -72,27 +84,37 @@ def quartiles(values):
 
 
 def run_once(code):
-    '''(wall seconds, peak RSS in MB) of one fresh interpreter running
-    `code` with this checkout's src/ on its path.'''
+    '''(wall seconds, peak RSS in MB, stdout) of one fresh interpreter
+    running `code` with this checkout's src/ on its path.'''
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-c", code], env=env)
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env,
+                            stdout=subprocess.PIPE, text=True)
+    out = proc.stdout.read()
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
         raise RuntimeError(f"{code!r} exited {proc.returncode}")
-    return wall, usage.ru_maxrss / 1024     # Linux reports KiB
+    return wall, usage.ru_maxrss / 1024, out    # Linux reports KiB
 
 
-def import_costs(n_processes):
-    runs = {name: [] for name in IMPORTS}
+def process_costs(codes, n_processes):
+    '''name -> quartiles of the wall time and peak RSS of `n_processes`
+    fresh interpreters running codes[name], the names alternating, and of
+    the seconds each printed, if it printed any.'''
+    runs = {name: [] for name in codes}
     for _ in range(n_processes):
-        for name, code in IMPORTS.items():
+        for name, code in codes.items():
             runs[name].append(run_once(code))
-    return {name: {"wall_s": quartiles([r[0] for r in rs]),
-                   "peak_rss_mb": quartiles([r[1] for r in rs])}
-            for name, rs in runs.items()}
+    report = {}
+    for name, rs in runs.items():
+        report[name] = {"wall_s": quartiles([r[0] for r in rs]),
+                        "peak_rss_mb": quartiles([r[1] for r in rs])}
+        if rs[0][2]:
+            report[name]["in_process_s"] = quartiles(
+                [float(r[2]) for r in rs])
+    return report
 
 
 def double_well(n_qubits):
@@ -283,7 +305,10 @@ def main(argv=None):
         "src_lines": sum(len(f.read_text().splitlines())
                          for f in (ROOT / "src" / "wavecirc").glob("*.py")),
         "processes": args.processes,
-        "import": import_costs(args.processes),
+        "import": process_costs(IMPORTS, args.processes),
+        "loader": process_costs(
+            {name: TIMED.format(code) for name, code in LOADERS.items()},
+            args.processes),
         "repeats": args.repeats,
         "hamiltonian_csv": write_costs(args.n_qubits, args.repeats),
         "grid_spectrum": spectrum_costs(args.n_qubits, args.repeats),
@@ -292,6 +317,7 @@ def main(argv=None):
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report["import"]))
+    print(json.dumps(report["loader"]))
     print(json.dumps(report["hamiltonian_csv"]))
     for name in ("grid_spectrum", "spin_fit", "build_energies"):
         print(json.dumps(report[name]))

@@ -10,7 +10,7 @@ Writes one JSON file.
 
 Each import entry gives the median and quartiles, over `--processes`
 fresh interpreters, of the wall time of the process and of its peak RSS
-(`ru_maxrss` from wait4).  "cli" imports wavecirc.cli and jsonschema,
+(`ru_maxrss` from wait4 in a small launcher process).  "cli" imports wavecirc.cli and jsonschema,
 which the config check loads: what `build` and `map` load.
 "cli+deferred" also loads scipy's LAPACK extension by
 `wavecirc.lapack.flapack()`, as the commands that need eigenvectors do
@@ -83,20 +83,33 @@ def quartiles(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+# Runs the interpreter `-c argv[1]` and prints its wall time, exit code,
+# peak RSS (KiB on Linux) and output.  A child's ru_maxrss starts from
+# the high-water RSS of the process that started it, so the measured
+# interpreters are started from this small one (about 8 MB, run with -S),
+# not from the tool, which holds numpy and wavecirc.
+LAUNCHER = """
+import json, os, subprocess, sys, time
+start = time.perf_counter()
+proc = subprocess.Popen([sys.executable, "-c", sys.argv[1]],
+                        stdout=subprocess.PIPE, text=True)
+out = proc.stdout.read()
+_, status, usage = os.wait4(proc.pid, 0)
+print(json.dumps([time.perf_counter() - start,
+                  os.waitstatus_to_exitcode(status), usage.ru_maxrss, out]))
+"""
+
+
 def run_once(code):
     '''(wall seconds, peak RSS in MB, stdout) of one fresh interpreter
     running `code` with this checkout's src/ on its path.'''
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-c", code], env=env,
-                            stdout=subprocess.PIPE, text=True)
-    out = proc.stdout.read()
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{code!r} exited {proc.returncode}")
-    return wall, usage.ru_maxrss / 1024, out    # Linux reports KiB
+    wall, status, kib, out = json.loads(subprocess.run(
+        [sys.executable, "-S", "-c", LAUNCHER, code], env=env,
+        capture_output=True, text=True, check=True).stdout)
+    if status != 0:
+        raise RuntimeError(f"{code!r} exited {status}")
+    return wall, kib / 1024, out
 
 
 def process_costs(codes, n_processes):

@@ -21,9 +21,10 @@ own: a reconstruction or unitarity residual above CHECK_TOL, or a
 conditioning screen (a sine or cosine of alpha, a gap between adjacent
 alphas or between adjacent eigh eigenvalues below SCREEN_TOL), sends it
 to LAPACK (scipy's zuncsd and zgees, through wavecirc.lapack, which
-loads them at the first such node) instead; about 1% of the nodes of a propagator go there.  The sorting,
-the demultiplex products, the Walsh-Gray angle transform and the ZYZ
-split run once per level over every node of every circuit.  The result
+loads them at the first such node) instead; about 1% of the nodes of a
+propagator go there.  The sorting, the demultiplex products, the
+Walsh-Gray angle transform and the ZYZ split run once per level over
+every node of every circuit.  The result
 is one GateSequence of S circuits sharing one gate layout, which keeps
 the level arrays the walk built (QsdTree) as the one store of its
 angles.  Its blocks are derived from them once: each
@@ -361,9 +362,8 @@ def cosine_sine_decompose(u):
 # re-validate the input and re-query the workspace size on every call,
 # which costs more than the factorization at the sizes the recursion
 # visits.  Same driver, same arguments and the same
-# workspace sizes give the same factors.  lapack.flapack loads them at
-# the first fallback, so a process that never falls back never loads
-# them.
+# workspace sizes give the same factors.  They come from
+# lapack.flapack(), which `import wavecirc` does not call.
 
 @lru_cache(maxsize=None)
 def _csd_lwork(m):
@@ -377,7 +377,8 @@ def _no_sort(x):
 
 @lru_cache(maxsize=None)
 def _schur_lwork(n):
-    work = lapack.flapack().zgees(_no_sort, np.eye(n, dtype=complex), lwork=-1)[-2]
+    work = lapack.flapack().zgees(_no_sort, np.eye(n, dtype=complex),
+                                  lwork=-1)[-2]
     return int(work[0].real)
 
 

@@ -1,29 +1,27 @@
 '''Fixed cost of every wavecirc CLI process: the import of wavecirc.cli in
-fresh interpreters, the load of scipy's LAPACK drivers, and the write of hamiltonian.csv by
-`wavecirc.cli._write_matrix_csv` against `np.savetxt`; and, at the
-benchmark's grid-map shape, the grid spectrum, the spin fit and the
-energies `build` writes, each against the computation it replaced.
-Writes one JSON file.
+fresh interpreters, the load of scipy's LAPACK drivers, and the write of
+hamiltonian.csv by `wavecirc.cli._write_matrix_csv` against `np.savetxt`;
+and, at the benchmark's grid-map shape, the grid spectrum, the spin fit
+and the energies `build` writes, each against the computation it
+replaced.  Writes one JSON file.
 
     python3 tools/bench_startup.py [--processes 15] [--n-qubits 11]
                                    [--repeats 3] [--out BENCH_startup.json]
 
 Each import entry gives the median and quartiles, over `--processes`
 fresh interpreters, of the wall time of the process and of its peak RSS
-(`ru_maxrss` from wait4 in a small launcher process).  "cli" imports wavecirc.cli and jsonschema,
-which the config check loads: what `build` and `map` load.
-"cli+deferred" also loads scipy's LAPACK extension by
+(`ru_maxrss` from wait4 in a small launcher process).  "cli" imports
+wavecirc.cli and jsonschema, which the config check loads: what `build`
+and `map` load.  "cli+deferred" also loads scipy's LAPACK extension by
 `wavecirc.lapack.flapack()`, as the commands that need eigenvectors do
 at their first eigensolve, and imports numpy.fft, which `spectrum`
 loads.  The two kinds of process alternate.  The loader entry compares,
 the same way, `wavecirc.lapack.flapack()` with `import scipy.linalg`,
 each run after `import wavecirc.lapack`: the seconds the statement took
 in its process (in_process_s), and the process's wall time and peak
-RSS.  The write
-entries are the
-best of `--repeats` writes of the double-well Hamiltonian at
-`--n-qubits`, in a temporary directory, and the report says whether the
-two files are byte-identical.
+RSS.  The write entries are the best of `--repeats` writes of the
+double-well Hamiltonian at `--n-qubits`, in a temporary directory, and
+the report says whether the two files are byte-identical.
 
 The grid_spectrum entry times, best of `--repeats`, `grid_spectrum` on
 the classical density of the benchmark's wavepacket at the grid-map

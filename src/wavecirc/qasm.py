@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qsd import Gate, GateSequence, _ladder_rows, _layout
+from .qsd import MUX_KINDS, Gate, GateSequence, _ladder, _layout
 
 _GATE_RE = re.compile(
     r"^(ry|rz)\(([^)]+)\)\s+q\[(\d+)\];$|^cx\s+q\[(\d+)\],\s*q\[(\d+)\];$")
@@ -21,10 +21,10 @@ def to_qasm(seq):
     stack in order.
 
     A compiled sequence fills one text template per qubit count with its
-    angles, gathered from the level arrays; any other is formatted from
-    its blocks' (kind, target, control, angle) rows.  A non-finite angle
-    raises ValueError, and so does a stack that still holds its
-    per-circuit phases (drop them with `without_phase()`).
+    angles, gathered from the level arrays; any other is formatted gate
+    by gate.  A non-finite angle raises ValueError, and so does a stack
+    that still holds its per-circuit phases (drop them with
+    `without_phase()`).
     '''
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
     phase = seq.global_phase()
@@ -39,14 +39,14 @@ def to_qasm(seq):
     if seq.tree is not None:
         return "\n".join(lines) + "\n" + _tree_text(seq.tree)
     for i in range(seq.n_circuits):
-        for block in seq.blocks:
-            for kind, target, control, angle in block.rows(i):
-                if kind == "cx":
-                    lines.append(f"cx q[{control}],q[{target}];")
-                elif kind in ("ry", "rz"):
-                    lines.append(f"{kind}({angle:.17g}) q[{target}];")
-                elif kind != "phase":
-                    raise ValueError(f"gate kind {kind!r} has no QASM form")
+        for g in seq.blocks:
+            g = g.at(i)
+            if g.kind == "cx":
+                lines.append(f"cx q[{g.control}],q[{g.target}];")
+            elif g.kind in ("ry", "rz"):
+                lines.append(f"{g.kind}({g.angle:.17g}) q[{g.target}];")
+            elif g.kind != "phase":
+                raise ValueError(f"gate kind {g.kind!r} has no QASM form")
     return "\n".join(lines) + "\n"
 
 
@@ -82,9 +82,9 @@ def _tree_template(n):
             continue
         h, t = 2 ** (m - 1), m - 1
         first = start[m] + (mux * 4 ** (n - m) + j) * h
-        kind = ("rz", "ry", "rz")[mux]
-        for _, _, control, _ in _ladder_rows(t, tuple(range(t))):
-            lines += [f"{kind}(%.17g) q[{t}];", f"cx q[{control}],q[{t}];"]
+        kind = MUX_KINDS[mux]
+        for cx in _ladder(t, tuple(range(t))):
+            lines += [f"{kind}(%.17g) q[{t}];", f"cx q[{cx.control}],q[{t}];"]
         order += range(first, first + h)
     order = np.array(order)
     order.flags.writeable = False

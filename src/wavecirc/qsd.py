@@ -27,12 +27,11 @@ Walsh-Gray angle transform and the ZYZ split run once per level over
 every node of every circuit.  The result
 is one GateSequence of S circuits sharing one gate layout, which keeps
 the level arrays the walk built (QsdTree) as the one store of its
-angles.  Its blocks are derived from them once: each
-multiplexed rotation (Multiplexor) and each ZYZ leaf (ZyzLeaf) is one
-block whose angle arrays, one row per circuit, are views into the level
-arrays, so the simulator runs all S circuits in lockstep, one
-vectorised step per block.  `sim.circuit_matrix` and `qasm.to_qasm`
-read the level arrays directly.
+angles.  `sim.run_circuit` runs all S circuits from them in lockstep,
+one vectorised step per multiplexed rotation and per ZYZ leaf, and
+`sim.circuit_matrix` and `qasm.to_qasm` read them too.  Only
+`QsdTree.gates()` expands them into elementary gates, whose angles are
+views into the level arrays.
 
 Both factorizations leave one phase per column free, which LAPACK fixes
 differently from one BLAS kernel to another and from one input to its
@@ -95,27 +94,27 @@ class Gate:
         if self.angle is not None and not np.isfinite(self.angle).all():
             raise ValueError("gate angle must be finite")
 
-    def rows(self, i=0):
+    def at(self, i):
+        '''The gate of circuit i of a stack.'''
         if np.ndim(self.angle) == 0:
-            return [(self.kind, self.target, self.control, self.angle)]
-        return [(self.kind, self.target, self.control, float(self.angle[i]))]
+            return self
+        return replace(self, angle=float(self.angle[i]))
 
 
 class GateSequence:
     '''Ordered gate list over n qubits, for one circuit or a stack of
     `n_circuits` circuits with the same gate layout.
 
-    `blocks` holds single Gates and the compiler's fused blocks
-    (Multiplexor, ZyzLeaf) in application order.  Every block expands
-    circuit i into plain (kind, target, control, angle) rows with
-    `rows(i)`, the one expansion: `circuit(i)` builds circuit i's single
-    Gates from those rows; `gates`, iteration, `len` and `counts` cover
-    every circuit of the stack, circuit by circuit.
+    `blocks` holds the Gates in application order; in a stack a gate's
+    angle holds one value per circuit.  `circuit(i)` takes circuit i's
+    single Gates from them with `Gate.at(i)`; `gates`, iteration, `len`
+    and `counts` cover every circuit of the stack, circuit by circuit.
 
     A compiled sequence keeps its QsdTree `tree`, the one store of its
-    angles, and takes no further gates; its `blocks` are a tuple built
-    from the tree once, their angles views into the level arrays.  Any
-    other sequence has no tree and a list of blocks.
+    angles, and takes no further gates.  Running it, its matrix, its
+    QASM, its counts and its phase read the tree; only `blocks` expands
+    it, once, into `tree.gates()`.  Any other sequence has no tree and a
+    list of gates.
     '''
 
     def __init__(self, n_qubits, gates=(), n_circuits=1, tree=None):
@@ -127,12 +126,11 @@ class GateSequence:
     @property
     def blocks(self):
         if self._blocks is None:
-            self._blocks = self.tree.blocks()
+            self._blocks = self.tree.gates()
         return self._blocks
 
     def circuit(self, i):
-        return GateSequence(self.n_qubits, [Gate(*row) for b in self.blocks
-                                            for row in b.rows(i)])
+        return GateSequence(self.n_qubits, [b.at(i) for b in self.blocks])
 
     @property
     def gates(self):
@@ -151,8 +149,7 @@ class GateSequence:
         else:
             one = {}
             for b in self.blocks:
-                for kind, *_ in b.rows(0):
-                    one[kind] = one.get(kind, 0) + 1
+                one[b.kind] = one.get(b.kind, 0) + 1
         return {kind: k * self.n_circuits for kind, k in one.items()}
 
     def cnot_count(self):
@@ -162,17 +159,14 @@ class GateSequence:
         '''Sum of the phase gates: a float, or one value per circuit.'''
         if self.tree is not None:
             return 0 if self.tree.phase is None else self.tree.phase
-        return sum(b.angle for b in self.blocks
-                   if isinstance(b, Gate) and b.kind == "phase")
+        return sum(b.angle for b in self.blocks if b.kind == "phase")
 
     def without_phase(self):
         if self.tree is not None:
             return GateSequence(self.n_qubits, n_circuits=self.n_circuits,
                                 tree=replace(self.tree, phase=None))
         return GateSequence(self.n_qubits,
-                            [b for b in self.blocks
-                             if not (isinstance(b, Gate)
-                                     and b.kind == "phase")],
+                            [b for b in self.blocks if b.kind != "phase"],
                             self.n_circuits)
 
     def __len__(self):
@@ -202,58 +196,10 @@ def _walsh_gray(k):
 
 
 @lru_cache(maxsize=None)
-def _ladder_rows(target, controls):
-    '''The CNOT rows of a multiplexor's Gray ladder, in order.'''
+def _ladder(target, controls):
+    '''The CNOTs of a multiplexor's Gray ladder, in order.'''
     _, ladder = _walsh_gray(len(controls))
-    return tuple(("cx", target, controls[c], None) for c in ladder)
-
-
-def _finite(angles):
-    '''`angles` itself; ValueError unless every entry is finite.'''
-    if not np.isfinite(angles).all():
-        raise ValueError("gate angle must be finite")
-    return angles
-
-
-@dataclass(frozen=True, eq=False)
-class Multiplexor:
-    '''Gray-code expansion of a uniformly controlled rotation.
-
-    For s = 0 .. 2^k - 1 it applies R(theta[i, s]) to `target`, then a
-    CNOT onto `target` from the control whose select bit changes between
-    gray(s) and gray(s + 1); k >= 1.  Row i of `theta` is circuit i of
-    the stack.
-    '''
-    kind: str              # "ry" | "rz"
-    target: int
-    controls: tuple        # controls[0] supplies the lowest select bit
-    theta: np.ndarray      # shape (n_circuits, 2^k)
-
-    def rows(self, i=0):
-        '''Circuit i as (kind, target, control, angle) rows in application
-        order: the one expansion of the Gray ladder.'''
-        angles = _finite(self.theta[i]).tolist()
-        out = [None] * (2 * len(angles))
-        out[::2] = [(self.kind, self.target, None, a) for a in angles]
-        out[1::2] = _ladder_rows(self.target, self.controls)
-        return out
-
-
-@dataclass(frozen=True, eq=False)
-class ZyzLeaf:
-    '''Rz(delta), Ry(gamma), Rz(beta) on `target`, in application order;
-    each angle holds one value per circuit of the stack.'''
-    target: int
-    beta: np.ndarray
-    gamma: np.ndarray
-    delta: np.ndarray
-
-    def rows(self, i=0):
-        q = self.target
-        delta, gamma, beta = _finite(
-            np.array([self.delta[i], self.gamma[i], self.beta[i]])).tolist()
-        return [("rz", q, None, delta), ("ry", q, None, gamma),
-                ("rz", q, None, beta)]
+    return tuple(Gate("cx", target, controls[c]) for c in ladder)
 
 
 def _zyz_matrix(beta, gamma, delta):
@@ -290,18 +236,23 @@ class QsdTree:
     def n_qubits(self):
         return len(self.theta) + 1
 
-    def blocks(self):
-        '''The blocks in application order, angles as views into the
-        level arrays, then the phase gate.'''
-        kinds = ("rz", "ry", "rz")
-        blocks = [ZyzLeaf(0, self.beta[:, j], self.gamma[:, j],
-                          self.delta[:, j]) if m == 1
-                  else Multiplexor(kinds[mux], m - 1, tuple(range(m - 1)),
-                                   self.theta[m][mux, :, j])
-                  for m, mux, j in _layout(self.n_qubits)]
+    def gates(self):
+        '''The elementary gates in application order, each angle a view
+        into the level arrays (one value per circuit), then the phase
+        gate.'''
+        gates = []
+        for m, mux, j in _layout(self.n_qubits):
+            if m == 1:
+                gates += [Gate("rz", 0, angle=self.delta[:, j]),
+                          Gate("ry", 0, angle=self.gamma[:, j]),
+                          Gate("rz", 0, angle=self.beta[:, j])]
+                continue
+            theta = self.theta[m][mux, :, j]
+            for s, cx in enumerate(_ladder(m - 1, tuple(range(m - 1)))):
+                gates += [Gate(MUX_KINDS[mux], m - 1, angle=theta[:, s]), cx]
         if self.phase is not None:
-            blocks.append(Gate("phase", angle=self.phase))
-        return tuple(blocks)
+            gates.append(Gate("phase", angle=self.phase))
+        return tuple(gates)
 
     def counts(self):
         '''Gates of each kind in one circuit, in order of first use.'''
@@ -682,10 +633,14 @@ def multiplexed_rotation_to_gates(axis, angles, target, controls):
     angles = np.asarray(angles, dtype=float)
     if len(angles) != 2 ** k:
         raise ValueError("need exactly 2^k angles for k controls")
-    block = Gate(kind, target=target, angle=float(angles[0])) if k == 0 \
-        else Multiplexor(kind, target, controls,
-                         angles[None] @ _walsh_gray(k)[0] / len(angles))
-    return GateSequence(max((target,) + controls) + 1, [block])
+    if k == 0:
+        gates = [Gate(kind, target=target, angle=float(angles[0]))]
+    else:
+        theta = angles[None] @ _walsh_gray(k)[0] / len(angles)
+        gates = [g for a, cx in zip(theta[0].tolist(),
+                                    _ladder(target, controls))
+                 for g in (Gate(kind, target=target, angle=a), cx)]
+    return GateSequence(max((target,) + controls) + 1, gates)
 
 
 def zyz(u):
@@ -730,6 +685,10 @@ def _split(level):
     v_l, w_l, delta_l = _demultiplex(l0, l1)
     return (np.stack([-2 * delta_r, 2 * alpha, -2 * delta_l]),
             np.stack([w_r, v_r, w_l, v_l], axis=1))
+
+
+# the kinds of a node's three multiplexors, in application order
+MUX_KINDS = ("rz", "ry", "rz")
 
 
 def _layout(m, node=0):

@@ -1,13 +1,14 @@
 '''Statevector execution of gate sequences, exact eigendecomposition
 propagators, and seeded shot sampling.
 
-A compiled stack of circuits runs in lockstep: the amplitudes hold one
-column per circuit, and each block applies every circuit's angles in
-one vectorised step.  `circuit_matrix` rebuilds a compiled sequence
-from its level arrays instead, every node of a level at once from its
-four children and its three multiplexors; a compiled 7-qubit circuit
-takes about 9 ms this way against about 0.76 s for its 8,192 blocks run
-across the 2^n identity, which is how a sequence with no tree is
+A compiled stack of circuits runs in lockstep from its level arrays:
+the amplitudes hold one column per circuit, and each multiplexed
+rotation and each ZYZ leaf applies every circuit's angles in one
+vectorised step.  `circuit_matrix` rebuilds a compiled sequence from
+the level arrays instead, every node of a level at once from its four
+children and its three multiplexors; a compiled 7-qubit circuit takes
+about 9 ms this way against about 1.3 s for its 36,481 gates run one by
+one across the 2^n identity, which is how a sequence with no tree is
 rebuilt (2-core x86, numpy 2.4.6; tools/bench_qsd.py).
 
 The sampler uses numpy's Generator with the PCG64 bit generator; the
@@ -23,7 +24,7 @@ import numpy as np
 from . import units
 from .grid import eigensolve
 from .givens import _check_dim, _pair_cross, _rotate_pairs
-from .qsd import Gate, Multiplexor, ZyzLeaf, _walsh_gray, _zyz_matrix
+from .qsd import MUX_KINDS, _layout, _walsh_gray, _zyz_matrix
 
 
 @dataclass(frozen=True)
@@ -95,44 +96,46 @@ def _rotate(a, kind, angle):
         raise ValueError(f"unknown gate kind {kind!r}")
 
 
-@lru_cache(maxsize=None)
-def _select_index(n, target, controls):
-    '''Control value of every amplitude pair of `target`, laid out as
-    the (high, low) axes of _apply_gate's reshape.'''
-    high = np.arange(1 << (n - target - 1))[:, None] << (target + 1)
-    idx = high | np.arange(1 << target)
-    sel = np.zeros_like(idx)
-    for j, c in enumerate(controls):
-        sel |= ((idx >> c) & 1) << j
-    sel.flags.writeable = False
-    return sel
-
-
-def _apply_multiplexor(amp, mux, n):
-    '''Apply all gates of a Multiplexor in one pass: each amplitude
-    pair turns by its select angle (see _walsh_gray).  The last axis of
-    `amp` indexes the circuits of the stack (or is broadcast over for one
-    circuit).'''
-    t = mux.target
-    a = amp.reshape(amp.shape[0] >> (t + 1), 2, 1 << t, -1, len(mux.theta))
-    select = _walsh_gray(len(mux.controls))[0] @ mux.theta.T
-    _rotate(a, mux.kind, select[_select_index(n, t, mux.controls)][:, :, None])
+def _apply_multiplexor(amp, kind, theta):
+    '''Apply every gate of a compiled multiplexor in one pass: its
+    target is qubit t, 2^t = theta.shape[1], and its controls are the
+    qubits below it, so the control value of each amplitude pair is the
+    pair's index below the target, and the pair turns by that value's
+    select angle (see _walsh_gray).  Row i of `theta` is circuit i of
+    the stack, and the last axis of `amp` indexes the circuits (or is
+    broadcast over for one circuit).'''
+    n_circ, size = theta.shape
+    t = size.bit_length() - 1
+    a = amp.reshape(amp.shape[0] >> (t + 1), 2, size, -1, n_circ)
+    select = _walsh_gray(t)[0] @ theta.T
+    _rotate(a, kind, select[:, None, :])
     return amp
 
 
-def _apply_leaf(amp, leaf, n):
-    '''Apply the three rotations of a ZyzLeaf as one 2x2 matrix per
-    circuit.'''
-    m = _zyz_matrix(leaf.beta, leaf.gamma, leaf.delta)
-    a = amp.reshape(amp.shape[0] >> (leaf.target + 1), 2, -1, len(m))
+def _apply_leaf(amp, beta, gamma, delta):
+    '''Apply a ZYZ leaf, Rz(delta) Ry(gamma) Rz(beta) on qubit 0, as one
+    2x2 matrix per circuit.'''
+    m = _zyz_matrix(beta, gamma, delta)
+    a = amp.reshape(amp.shape[0] >> 1, 2, -1, len(m))
     lo, hi = a[:, 0], a[:, 1]
     a[:, 0], a[:, 1] = (m[:, 0, 0] * lo + m[:, 0, 1] * hi,
                         m[:, 1, 0] * lo + m[:, 1, 1] * hi)
     return amp
 
 
-_APPLY = {Gate: _apply_gate, Multiplexor: _apply_multiplexor,
-          ZyzLeaf: _apply_leaf}
+def _run_tree(amp, tree):
+    '''Run the circuits of a QsdTree on `amp` in place: each multiplexor
+    and each leaf in application order, its angles formed from the level
+    arrays one block at a time, then the global phase.'''
+    for m, mux, j in _layout(tree.n_qubits):
+        if m == 1:
+            _apply_leaf(amp, tree.beta[:, j], tree.gamma[:, j],
+                        tree.delta[:, j])
+        else:
+            _apply_multiplexor(amp, MUX_KINDS[mux], tree.theta[m][mux, :, j])
+    if tree.phase is not None:
+        amp *= np.exp(1j * tree.phase)
+    return amp
 
 
 def run_circuit(psi, seq):
@@ -140,11 +143,12 @@ def run_circuit(psi, seq):
     vectors) and return the evolved amplitudes.
 
     A stack of S circuits runs in lockstep: the last axis of `psi` must
-    have length S, and slice [..., i] goes through circuit i.  Compiled
-    blocks (Multiplexor, ZyzLeaf) are applied as the exact product of
-    their gates in one vectorised step for every circuit at once;
-    applying their gates one by one with _apply_gate gives the same
-    result to rounding.  A gate outside the register raises ValueError.
+    have length S, and slice [..., i] goes through circuit i.  A
+    compiled sequence runs from its level arrays, each multiplexor and
+    each ZYZ leaf as the exact product of its gates in one vectorised
+    step for every circuit at once; applying its gates one by one with
+    _apply_gate gives the same result to rounding.  A gate outside the
+    register raises ValueError.
     '''
     psi = np.array(psi, dtype=complex)
     n, s = seq.n_qubits, seq.n_circuits
@@ -153,12 +157,12 @@ def run_circuit(psi, seq):
     if s > 1 and (psi.ndim < 2 or psi.shape[-1] != s):
         raise ValueError(f"a stack of {s} circuits needs {s} amplitude "
                          "columns on the last axis")
-    if seq.tree is None and any(
-            max(b.target, getattr(b, "control", None) or 0,
-                *getattr(b, "controls", ())) >= n for b in seq.blocks):
+    if seq.tree is not None:
+        return _run_tree(psi, seq.tree)
+    if any(max(g.target, g.control or 0) >= n for g in seq.blocks):
         raise ValueError("gate acts outside the circuit's qubits")
-    for block in seq.blocks:
-        psi = _APPLY[type(block)](psi, block, n)
+    for g in seq.blocks:
+        psi = _apply_gate(psi, g, n)
     return psi
 
 

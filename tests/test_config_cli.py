@@ -704,19 +704,15 @@ class TestInputsRefusedBeforeEvolution:
 
 def corrupt_one_multiplexor(seq):
     '''seq with 1e-3 added in place to the angles of its first
-    Multiplexor, through the block's view into the level arrays, so
-    that QASM, run_circuit and circuit_matrix all see it.'''
-    from wavecirc.qsd import Multiplexor
-    mux = next(b for b in seq.blocks if isinstance(b, Multiplexor))
-    mux.theta[...] += 1e-3
+    multiplexor in the level arrays, so that QASM, run_circuit and
+    circuit_matrix all see it.'''
+    seq.tree.theta[2][0, :, 0] += 1e-3
     return seq
 
 
 def corrupt_one_leaf(seq):
     '''seq with 1e-3 added in place to the beta of its first ZYZ leaf.'''
-    from wavecirc.qsd import ZyzLeaf
-    leaf = next(b for b in seq.blocks if isinstance(b, ZyzLeaf))
-    leaf.beta[...] += 1e-3
+    seq.tree.beta[:, 0] += 1e-3
     return seq
 
 

@@ -9,29 +9,15 @@ import pytest
 from scipy.stats import unitary_group
 
 import wavecirc as w
-from wavecirc.qsd import Gate, GateSequence, Multiplexor, ZyzLeaf, _walsh_gray
+from wavecirc.qsd import Gate, GateSequence
 from wavecirc.sim import circuit_matrix
 
 
-def reference_gates(block, i):
-    '''Reference: circuit i of a block expanded gate by gate.'''
-    if isinstance(block, Multiplexor):
-        _, ladder = _walsh_gray(len(block.controls))
-        out = []
-        for angle, c in zip(block.theta[i].tolist(), ladder):
-            out.append(Gate(block.kind, target=block.target, angle=angle))
-            out.append(Gate("cx", control=block.controls[c],
-                            target=block.target))
-        return out
-    if isinstance(block, ZyzLeaf):
-        q = block.target
-        return [Gate("rz", target=q, angle=float(block.delta[i])),
-                Gate("ry", target=q, angle=float(block.gamma[i])),
-                Gate("rz", target=q, angle=float(block.beta[i]))]
-    if np.ndim(block.angle) == 0:
-        return [block]
-    return [Gate(block.kind, block.target, block.control,
-                 float(block.angle[i]))]
+def reference_gate(gate, i):
+    '''Reference: the gate of circuit i of a stack.'''
+    if np.ndim(gate.angle) == 0:
+        return gate
+    return Gate(gate.kind, gate.target, gate.control, float(gate.angle[i]))
 
 
 def per_gate_qasm(seq):
@@ -44,11 +30,11 @@ def per_gate_qasm(seq):
     lines.append(f"qreg q[{seq.n_qubits}];")
     for i in range(seq.n_circuits):
         for b in seq.blocks:
-            for g in reference_gates(b, i):
-                if g.kind == "cx":
-                    lines.append(f"cx q[{g.control}],q[{g.target}];")
-                elif g.kind != "phase":
-                    lines.append(f"{g.kind}({g.angle:.17g}) q[{g.target}];")
+            g = reference_gate(b, i)
+            if g.kind == "cx":
+                lines.append(f"cx q[{g.control}],q[{g.target}];")
+            elif g.kind != "phase":
+                lines.append(f"{g.kind}({g.angle:.17g}) q[{g.target}];")
     return "\n".join(lines) + "\n"
 
 
@@ -78,8 +64,9 @@ class TestToQasm:
 
 
 class TestBlockWiseWriter:
-    '''to_qasm formats block rows; the per-Gate formatter is the
-    reference, byte for byte.'''
+    '''to_qasm fills a template from a compiled sequence's level arrays;
+    the per-Gate formatter over its gate expansion is the reference,
+    byte for byte.'''
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_compiled_bytes_match_per_gate(self, n):
@@ -117,24 +104,28 @@ class TestBlockWiseWriter:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_block_angle_raises(self, bad):
-        # in place, through the block's view into the level arrays; the
-        # tree writer and the block writer both refuse it
-        seq = w.qsd_compile(unitary_group.rvs(8, random_state=31))
-        mux = next(b for b in seq.blocks if isinstance(b, Multiplexor))
-        mux.theta[0, 1] = bad
-        for s in (seq, GateSequence(3, seq.blocks)):
+        # in place in the level arrays, after the gates were expanded
+        # with views into them: the tree writer and the gate writer both
+        # refuse it
+        u = unitary_group.rvs(8, random_state=31)
+        seq = w.qsd_compile(u)
+        plain = GateSequence(3, seq.blocks)
+        seq.tree.theta[2][0, 0, 0, 1] = bad
+        for s in (seq, plain):
             with pytest.raises(ValueError, match="finite"):
                 w.to_qasm(s)
-        leaf = ZyzLeaf(0, np.array([0.1]), np.array([bad]), np.array([0.2]))
+        # and so does the gate expansion
+        seq = w.qsd_compile(u)
+        seq.tree.gamma[0, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            w.to_qasm(GateSequence(1, [leaf]))
+            seq.blocks
 
     def test_circuit_and_iteration_gate_lists(self):
         rng = np.random.default_rng(32)
         u = np.array([unitary_group.rvs(8, random_state=rng)
                       for _ in range(3)])
         seq = w.qsd_compile(u)
-        want = [[g for b in seq.blocks for g in reference_gates(b, i)]
+        want = [[reference_gate(b, i) for b in seq.blocks]
                 for i in range(3)]
         for i in range(3):
             assert seq.circuit(i).blocks == want[i]

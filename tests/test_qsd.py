@@ -276,16 +276,21 @@ class TestQsdCompile:
 
 
 class TestLevelArrays:
-    '''A compiled sequence keeps the compiler's level arrays; its blocks
-    are built from them once, as views.'''
+    '''A compiled sequence keeps the compiler's level arrays; its gates
+    are expanded from them once, their angles views.'''
 
     def test_blocks_built_once_as_views(self):
         seq = w.qsd_compile(unitary_group.rvs(16, random_state=150))
         assert seq.blocks is seq.blocks
         assert isinstance(seq.blocks, tuple)
-        leaf, mux = seq.blocks[:2]
-        assert np.shares_memory(leaf.beta, seq.tree.beta)
-        assert np.shares_memory(mux.theta, seq.tree.theta[2])
+        delta, gamma, beta = seq.blocks[:3]
+        assert np.shares_memory(delta.angle, seq.tree.delta)
+        assert np.shares_memory(gamma.angle, seq.tree.gamma)
+        assert np.shares_memory(beta.angle, seq.tree.beta)
+        rz, cx = seq.blocks[3:5]
+        assert (rz.kind, rz.target, cx.kind, cx.control) == ("rz", 1,
+                                                              "cx", 0)
+        assert np.shares_memory(rz.angle, seq.tree.theta[2])
         with pytest.raises(TypeError):
             seq.append(qsd.Gate("ry", angle=0.1))
 
@@ -438,15 +443,10 @@ def lapack_demultiplex(l0, l1):
 
 def all_angles(seq):
     '''Every angle of a compiled stack, the global phase included.'''
-    out = []
-    for b in seq.blocks:
-        if isinstance(b, qsd.Multiplexor):
-            out.append(b.theta.ravel())
-        elif isinstance(b, qsd.ZyzLeaf):
-            out += [b.beta, b.gamma, b.delta]
-        else:
-            out.append(np.atleast_1d(b.angle))
-    return np.concatenate(out)
+    tree = seq.tree
+    return np.concatenate([x.ravel() for x in tree.theta.values()]
+                          + [tree.beta.ravel(), tree.gamma.ravel(),
+                             tree.delta.ravel(), np.ravel(tree.phase)])
 
 
 def angle_gap(a, b):

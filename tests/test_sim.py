@@ -10,7 +10,7 @@ import wavecirc as w
 from wavecirc import units
 from wavecirc.dynamics import _chunk_steps, _circuit_evolve, _compiled_evolve
 from wavecirc.givens import _rotate_pairs
-from wavecirc.qsd import Gate, GateSequence, Multiplexor, ZyzLeaf
+from wavecirc.qsd import Gate, GateSequence, QsdTree
 from wavecirc import sim
 from wavecirc.sim import _apply_gate, circuit_matrix
 
@@ -161,13 +161,47 @@ def gate_by_gate(psi, seq):
 
 
 class TestFusedExecution:
-    '''run_circuit applies compiled blocks in one step each; the
-    gate-by-gate path is the reference.'''
+    '''run_circuit runs a compiled sequence from its level arrays, one
+    step per multiplexor and per leaf; its gates run one by one are the
+    reference.'''
 
-    def test_compiled_blocks_are_used(self):
-        seq = w.qsd_compile(unitary_group.rvs(8, random_state=10))
-        kinds = {type(b) for b in seq.blocks}
-        assert kinds == {Gate, Multiplexor, ZyzLeaf}
+    def test_compiled_stack_never_expanded(self, monkeypatch):
+        def expand(tree):
+            pytest.fail("a compiled stack was expanded into gates")
+        monkeypatch.setattr(QsdTree, "gates", expand)
+        rng = np.random.default_rng(10)
+        u = np.array([unitary_group.rvs(8, random_state=rng)
+                      for _ in range(3)])
+        seq = w.qsd_compile(u)
+        w.run_circuit(np.ones((8, 3)), seq)
+        circuit_matrix(seq)
+        w.to_qasm(seq.without_phase())
+        assert seq.counts()["cx"] == 3 * w.cnot_count(3)
+        assert seq.without_phase().global_phase() == 0
+
+    @pytest.mark.parametrize("n, stack, batch, phase", [
+        (4, 1, (), True),        # a 1-D state
+        (4, 1, (3,), True),      # an extra batch axis
+        (1, 1, (2,), True),      # one qubit: a leaf only
+        (3, 1, (), False),       # without_phase()
+        (3, 3, (), True),        # a stack of three circuits
+    ])
+    def test_tree_run_matches_gate_by_gate(self, n, stack, batch, phase):
+        rng = np.random.default_rng(13 + n + stack)
+        u = np.array([unitary_group.rvs(2 ** n, random_state=rng)
+                      for _ in range(stack)])
+        seq = w.qsd_compile(u if stack > 1 else u[0])
+        if not phase:
+            seq = seq.without_phase()
+        shape = (2 ** n,) + batch + ((stack,) if stack > 1 else ())
+        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = w.run_circuit(psi, seq)
+        assert got.shape == shape
+        if stack == 1:
+            got, psi = got[..., None], psi[..., None]
+        for i in range(stack):
+            ref = gate_by_gate(psi[..., i], seq.circuit(i))
+            assert np.abs(got[..., i] - ref).max() <= 1e-12
 
     def test_random_unitaries_single_and_batched(self):
         rng = np.random.default_rng(11)
@@ -189,7 +223,7 @@ class TestFusedExecution:
             seq = GateSequence(n_qubits=5, gates=mux.blocks)
             psi = random_state(32, rng)
             assert np.abs(w.run_circuit(psi, seq)
-                          - gate_by_gate(psi, seq)).max() <= 1e-12
+                          - dense_product(seq) @ psi).max() <= 1e-12
 
     def test_circuit_evolve_first_steps(self):
         g, pot, ham = double_well_system(6)
@@ -277,15 +311,16 @@ class TestNestedProducts:
         assert np.abs(got - identity_run(seq)).max() <= 1e-12
 
     def test_hand_built_supports(self):
-        # every block kind on every qubit: cx in both orientations,
-        # multiplexors with controls (2, 0) and (1, 3), leaves and phases
+        # every gate kind on every qubit: cx in both orientations,
+        # multiplexors with controls (2, 0) and (1, 3), ZYZ triples and
+        # phases
         rng = np.random.default_rng(110)
 
         def rot(kind, q):
             return Gate(kind, target=q, angle=float(rng.normal()))
 
         def leaf(q):
-            return ZyzLeaf(q, *rng.normal(size=(3, 1)))
+            return [rot("rz", q), rot("ry", q), rot("rz", q)]
 
         def cx(c, t):
             return Gate("cx", target=t, control=c)
@@ -296,14 +331,15 @@ class TestNestedProducts:
                 controls).blocks
         mux_y = mux("y", 1, [2, 0])
         blocks = ([rot("ry", 0), rot("rz", 0), rot("ry", 0), cx(0, 1),
-                   cx(1, 0), rot("ry", 3), Gate("phase", angle=0.4),
-                   leaf(0)]
-                  + mux_y
-                  + [rot("rz", 1), rot("ry", 0), leaf(2), cx(4, 0), cx(0, 4)]
+                   cx(1, 0), rot("ry", 3), Gate("phase", angle=0.4)]
+                  + leaf(0) + mux_y
+                  + [rot("rz", 1), rot("ry", 0)] + leaf(2)
+                  + [cx(4, 0), cx(0, 4)]
                   + mux("z", 3, [4])
-                  + [Gate("phase", angle=-0.2), Gate("phase", angle=1.1),
-                     leaf(0), leaf(1), rot("rz", 0), rot("ry", 1),
-                     rot("rz", 2), cx(1, 2)] * 3
+                  + ([Gate("phase", angle=-0.2), Gate("phase", angle=1.1)]
+                     + leaf(0) + leaf(1)
+                     + [rot("rz", 0), rot("ry", 1), rot("rz", 2),
+                        cx(1, 2)]) * 3
                   + [rot("ry", 4)] + mux_y
                   + [rot("rz", 4), rot("ry", 0), rot("rz", 1), rot("ry", 0),
                      rot("rz", 1)]
@@ -320,14 +356,14 @@ class TestNestedProducts:
             <= 1e-12
 
     def test_no_full_width_kernel(self, monkeypatch):
-        # a compiled sequence is rebuilt from its level arrays: no block
-        # kernel runs across the 2^n identity
+        # a compiled sequence is rebuilt from its level arrays: no gate,
+        # multiplexor or leaf kernel runs across the 2^n identity
         widths = []
-        for cls, fn in list(sim._APPLY.items()):
-            def counted(amp, op, n, fn=fn):
+        for name in ("_apply_gate", "_apply_multiplexor", "_apply_leaf"):
+            def counted(amp, *args, fn=getattr(sim, name)):
                 widths.append(amp.shape[0])
-                return fn(amp, op, n)
-            monkeypatch.setitem(sim._APPLY, cls, counted)
+                return fn(amp, *args)
+            monkeypatch.setattr(sim, name, counted)
         seq = w.qsd_compile(unitary_group.rvs(128, random_state=140))
         circuit_matrix(seq)
         assert 128 not in widths
@@ -431,7 +467,7 @@ class TestLockstepExecution:
     def test_corrupted_compile_raises_numerical_error(self, monkeypatch):
         def corrupted(u):
             seq = w.qsd_compile(u)
-            seq.blocks[0].beta[:] += 1e-6
+            seq.tree.beta[:, 0] += 1e-6
             return seq
         monkeypatch.setattr("wavecirc.dynamics.qsd_compile", corrupted)
         rng = np.random.default_rng(80)

@@ -19,11 +19,12 @@ double well for `--steps` steps of 1 fs, 16 steps per qsd_compile call.
 The layer costs are the best of `--repeats` timings, in milliseconds per
 circuit, on one compiled Haar-random circuit of 5 and of 7 qubits:
 `circuit_matrix` (rebuilt from the level arrays), its reference
-`identity_replay` (every block run across the 2^n identity, what a
-sequence with no tree costs), `to_qasm` from the level arrays against
-`to_qasm_blockwise` (the same circuit as a plain block list), and
-`blocks` (the block tuple built from the level arrays, once per
-sequence).
+`identity_replay` (the circuit's gate expansion run gate by gate across
+the 2^n identity, what a sequence with no tree costs), `to_qasm` from
+the level arrays against `to_qasm_blockwise` (the gate expansion
+formatted gate by gate), `gates` (that expansion, built from the level
+arrays) and `run_circuit` (the compiled circuit run from its level
+arrays on one column).
 '''
 
 import argparse
@@ -115,10 +116,11 @@ def layer_costs(repeats, seed=1):
         plain = w.GateSequence(n, seq.blocks)
         eye = np.eye(2 ** n, dtype=complex)
         calls = {"circuit_matrix": lambda: circuit_matrix(seq),
-                 "identity_replay": lambda: run_circuit(eye, seq),
+                 "identity_replay": lambda: run_circuit(eye, plain),
                  "to_qasm": lambda: w.to_qasm(seq),
                  "to_qasm_blockwise": lambda: w.to_qasm(plain),
-                 "blocks": seq.tree.blocks}
+                 "gates": seq.tree.gates,
+                 "run_circuit": lambda: run_circuit(eye[:, 0], seq)}
         out[f"{n}_qubits"] = {f"{name}_ms": 1e3 * best_s(f, repeats)
                               for name, f in calls.items()}
     return out

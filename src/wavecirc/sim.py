@@ -7,7 +7,7 @@ rotation and each ZYZ leaf applies every circuit's angles in one
 vectorised step.  `circuit_matrix` rebuilds a compiled sequence from
 the level arrays instead, every node of a level at once from its four
 children and its three multiplexors; a compiled 7-qubit circuit takes
-about 9 ms this way against about 1.3 s for its 36,481 gates run one by
+about 9 ms this way against about 1.4 s for its 36,481 gates run one by
 one across the 2^n identity, which is how a sequence with no tree is
 rebuilt (2-core x86, numpy 2.4.6; tools/bench_qsd.py).
 

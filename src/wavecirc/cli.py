@@ -68,6 +68,8 @@ class Pipeline:
 
 
 def _out_dir(cfg, args):
+    '''The output directory, created: every command calls it only once
+    its work has succeeded, so a refused or failed run leaves none.'''
     path = args.out or cfg["output_dir"]
     os.makedirs(path, exist_ok=True)
     return path
@@ -138,12 +140,12 @@ def _trajectory_csv(path, traj):
 def cmd_build(args):
     cfg = load_config(args.config)
     pipe = Pipeline(cfg)
+    energies = eigenvalues(pipe.ham, pipe.blocks)
     out = _out_dir(cfg, args)
     _write_matrix_csv(os.path.join(out, "hamiltonian.csv"), pipe.ham.matrix)
     np.savetxt(os.path.join(out, "potential.csv"),
                np.column_stack([pipe.grid.points, pipe.potential.values]),
                delimiter=",", header="x_angstrom,energy_hartree")
-    energies = eigenvalues(pipe.ham, pipe.blocks)
     np.savetxt(os.path.join(out, "eigenvalues.csv"), energies,
                delimiter=",", header="energy_hartree")
     _write_manifest(out, cfg, ["hamiltonian.csv", "potential.csv",
@@ -156,7 +158,6 @@ def cmd_build(args):
 def cmd_map(args):
     cfg = load_config(args.config)
     pipe = Pipeline(cfg)
-    out = _out_dir(cfg, args)
     m = cfg["mapping"]
     msys = map_system(pipe.blocks, parity_partition(pipe.grid.n_qubits),
                       force=args.force or m["force"],
@@ -168,6 +169,7 @@ def cmd_map(args):
         "reconstruction_error": {"even": msys.recon_error_even,
                                  "odd": msys.recon_error_odd},
     }
+    out = _out_dir(cfg, args)
     _write_json(os.path.join(out, "ising_parameters.json"), report)
     _write_manifest(out, cfg, ["ising_parameters.json"])
     print(f"mapped blocks; reconstruction error even={msys.recon_error_even:.3e}"
@@ -287,9 +289,8 @@ def _write_epsilon(out, traj, eps):
 
 def cmd_propagate(args):
     cfg = load_config(args.config)
-    pipe = Pipeline(cfg)
+    traj, eps = _propagate(Pipeline(cfg), _seed(args, cfg))
     out = _out_dir(cfg, args)
-    traj, eps = _propagate(pipe, _seed(args, cfg))
     _trajectory_csv(os.path.join(out, "trajectory.csv"), traj)
     files = ["trajectory.csv"]
     if eps is not None:
@@ -305,16 +306,16 @@ def cmd_propagate(args):
 def cmd_spectrum(args):
     cfg = load_config(args.config)
     pipe = Pipeline(cfg)
-    out = _out_dir(cfg, args)
     traj, eps = _propagate(pipe, _seed(args, cfg), min_samples=MIN_SAMPLES)
     sp = cfg["spectrum"]
     spectrum = grid_spectrum(traj, window=None if sp["window"] == "none"
                              else sp["window"], padding=sp["padding"],
                              threshold=sp["peak_threshold"])
+    table = compare_eigendiffs(spectrum, pipe.eig)
+    out = _out_dir(cfg, args)
     np.savetxt(os.path.join(out, "spectrum.csv"),
                np.column_stack([spectrum.omega_cm1, spectrum.power]),
                delimiter=",", header="omega_cm1,intensity")
-    table = compare_eigendiffs(spectrum, pipe.eig)
     _write_json(os.path.join(out, "peaks.json"),
                 {"bin_cm1": spectrum.bin_cm1, "peaks": table})
     files = ["spectrum.csv", "peaks.json"]
@@ -330,7 +331,6 @@ def cmd_spectrum(args):
 def cmd_sweep_shots(args):
     cfg = load_config(args.config)
     pipe = Pipeline(cfg)
-    out = _out_dir(cfg, args)
     shot_counts = args.shots
     base = _seed(args, cfg)
     seeds = [base + k for k in range(args.n_seeds)]
@@ -345,6 +345,7 @@ def cmd_sweep_shots(args):
     for s in shot_counts:
         medians[str(s)] = float(np.median(
             [r["epsilon"] for r in rows if r["shots"] == s]))
+    out = _out_dir(cfg, args)
     _write_json(os.path.join(out, "shot_sweep.json"),
                 {"results": rows, "median_epsilon": medians})
     _write_manifest(out, cfg, ["shot_sweep.json"])

@@ -433,6 +433,30 @@ class TestCircuitRouteGuard:
         assert not (tmp_path / "o").exists()
 
 
+class TestFailureWritesNothing:
+    '''A refused or failed command leaves no output directory: each one
+    creates it only after its work has succeeded.'''
+
+    @pytest.mark.parametrize("command, dynamics, code", [
+        ("map", {}, 4),
+        ("propagate", {"method": "circuit-exact", "steps": 8}, 4),
+        ("spectrum", {"method": "circuit-shots", "steps": 64, "shots": 200},
+         4),
+        ("sweep-shots", {"steps": 8}, 4),
+        ("spectrum", {"steps": 10}, 2),
+    ])
+    def test_no_output_directory(self, tmp_path, capsys, command, dynamics,
+                                 code):
+        cfg = write_config(tmp_path, dict(TestCircuitRouteGuard.TILTED,
+                                          dynamics=dynamics))
+        out = tmp_path / "o"
+        argv = [command, "--config", cfg, "--out", str(out)]
+        if command == "sweep-shots":
+            argv += ["--shots", "100", "--n-seeds", "1"]
+        assert main(argv) == code
+        assert not out.exists()
+
+
 class TestRemovedSwitches:
     @pytest.mark.parametrize("extra", [
         {"mapping": {"joint": False}},

@@ -5,17 +5,16 @@ Densities oscillate at the beat frequencies (E_j - E_i)/hbar of the
 populated eigenstates, so the grid-resolved spectrum and the density
 autocorrelation spectrum both peak at eigenenergy differences.
 
-The grid spectrum transforms two real density columns with one complex
-FFT (packed as y_a + i y_b, with the pair's powers recovered from the
-bins k and -k) and walks the columns in chunks of SPECTRUM_CHUNK_BYTES,
-so it never holds the transform of every column at once.  The columns
-are transformed at a 5-smooth length of at least 2L - 1 for L time
-samples, not at the padded length, which is often a prime times the
-padding: the summed power gives the summed autocorrelation without
-wrap-around (Wiener-Khinchin), and one real transform of that, folded to
-the padded length, gives the power at the padded bins.  The transforms
-are numpy's: scipy.fft, the same pocketfft, would cost a spectrum
-process 0.11 s and 5 MB of resident memory more to import.
+The grid spectrum walks the real density columns in chunks of
+SPECTRUM_CHUNK_BYTES, so it never holds the transform of every column
+at once.  The columns are transformed at a 5-smooth length of at least
+2L - 1 for L time samples, not at the padded length, which is often a
+prime times the padding: the summed power gives the summed
+autocorrelation without wrap-around (Wiener-Khinchin), and one real
+transform of that, folded to the padded length, gives the power at the
+padded bins.  The transforms are numpy's: scipy.fft, the same pocketfft,
+would cost a spectrum process 0.11 s and 5 MB of resident memory more to
+import.
 '''
 
 from dataclasses import dataclass
@@ -85,8 +84,9 @@ def _spectrum(omega, power, n_pad, zero_weight, duration_fs, window, padding,
 # fewest time samples (steps + 1) a spectrum is taken from
 MIN_SAMPLES = 64
 
-# Byte budget of one chunk of column pairs and its transform, (pairs, M)
-# complex each: 8 MiB is 32 pairs at M = 8,100 for 4,001 time samples.
+# Byte budget of one chunk of zero-padded columns and its real transform,
+# 16 bytes per column and sample of M: 8 MiB is 64 columns at M = 8,100
+# for 4,001 time samples.
 SPECTRUM_CHUNK_BYTES = 1 << 23
 
 
@@ -112,14 +112,10 @@ def grid_spectrum(traj, window=None, padding=4, threshold=1e-3):
     intensity is P(omega) = sum_i |I(omega; x_i)|^2 * dx, at the bins of
     the zero-padded length n_pad = padding * L for L time samples.
 
-    Columns a and a + h (h half the column count, rounded up; an odd
-    count pairs its middle column with zeros) are packed into
-    z = y_a + i y_b and transformed together at M = _fast_len(2L - 1).
-    For real y_a and y_b, |Z(k)|^2 + |Z(-k)|^2 = 2 (|Y_a(k)|^2 +
-    |Y_b(k)|^2), so with S(k) = sum over pairs of |Z(k)|^2,
-    (S(k) + S(-k mod M)) / 2 is the summed power at length M.  Its
-    inverse transform is the summed linear autocorrelation r(tau) at the
-    lags -(L-1)..(L-1), with no wrap-around since M >= 2L - 1.  The lags
+    Each column is zero-padded to M = _fast_len(2L - 1) and transformed
+    by a real FFT.  The power summed over the columns has as its inverse
+    transform the summed linear autocorrelation r(tau) at the lags
+    -(L-1)..(L-1), with no wrap-around since M >= 2L - 1.  The lags
     folded modulo n_pad (which overlaps them only at padding 1) and
     transformed at n_pad give the same DFT-bin power as transforming each
     column at n_pad, to round-off.  That round-off is absolute, up to
@@ -127,7 +123,7 @@ def grid_spectrum(traj, window=None, padding=4, threshold=1e-3):
     was relative to each bin: bins below about 1e-15 * max are
     round-off, and those it leaves negative are written as 0, so the
     far tail of the power is no signal on a log scale.
-    Pairs go in chunks of SPECTRUM_CHUNK_BYTES of packed columns and
+    Columns go in chunks of SPECTRUM_CHUNK_BYTES of padded columns and
     their transforms.
     '''
     rho = np.asarray(traj.rho)
@@ -147,25 +143,18 @@ def grid_spectrum(traj, window=None, padding=4, threshold=1e-3):
         raise ValueError(f"unknown window {window!r}")
     n_pad, omega = _fft_axis(n_steps, dt[0], padding)
     m = _fast_len(2 * n_steps - 1)
-    half = (n_cols + 1) // 2
-    pairs = min(half, max(1, SPECTRUM_CHUNK_BYTES // (32 * m)))
-    z = np.empty((pairs, m), dtype=complex)
-    total = np.zeros(m)
-    for a in range(0, half, pairs):
-        lo = slice(a, min(a + pairs, half))
-        hi = slice(lo.start + half, min(lo.stop + half, n_cols))
-        chunk = z[:lo.stop - lo.start]
-        chunk[:] = 0
-        chunk.real[:, :n_steps] = ((rho[:, lo] - mean[lo]) * taper).T
-        chunk.imag[:hi.stop - hi.start, :n_steps] = \
-            ((rho[:, hi] - mean[hi]) * taper).T
-        # zero-padded to m, transformed along the rows
-        f = np.fft.fft(chunk, axis=1).view(float)
+    width = min(n_cols, max(1, SPECTRUM_CHUNK_BYTES // (16 * m)))
+    y = np.zeros((width, m))          # zero past the L samples
+    total = np.zeros(m // 2 + 1)
+    for a in range(0, n_cols, width):
+        cols = slice(a, min(a + width, n_cols))
+        chunk = y[:cols.stop - a]
+        chunk[:, :n_steps] = ((rho[:, cols] - mean[cols]) * taper).T
+        f = np.fft.rfft(chunk, axis=1).view(float)
         total += np.einsum("ij,ij->j", f, f).reshape(-1, 2).sum(axis=1)
     # the summed autocorrelation, lags 0..L-1 at the front and
-    # -(L-1)..-1 at the back: the inverse transform of the real, even
-    # (S(k) + S(-k)) / 2 is the real part of that of the real S
-    acf = np.fft.ifft(total).real
+    # -(L-1)..-1 at the back
+    acf = np.fft.irfft(total, n=m)
     # lag tau at index tau mod n_pad, added where padding 1 overlaps them
     folded = np.zeros(n_pad)
     folded[:n_steps] = acf[:n_steps]

@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qsd import MUX_KINDS, Gate, GateSequence, _ladder, _layout
+from .qsd import MUX_KINDS, Gate, GateSequence, _gray_angles, _ladder, _layout
 
 _GATE_RE = re.compile(
     r"^(ry|rz)\(([^)]+)\)\s+q\[(\d+)\];$|^cx\s+q\[(\d+)\],\s*q\[(\d+)\];$")
@@ -21,7 +21,7 @@ def to_qasm(seq):
     stack in order.
 
     A compiled sequence fills one text template per qubit count with its
-    angles, gathered from the level arrays; any other is formatted gate
+    gate angles, formed from the level arrays; any other is formatted gate
     by gate.  A non-finite angle raises ValueError, and so does a stack
     that still holds its per-circuit phases (drop them with
     `without_phase()`).
@@ -52,10 +52,10 @@ def to_qasm(seq):
 
 def _tree_text(tree):
     '''The gate lines of every circuit of a QsdTree.'''
-    n = tree.n_qubits
+    n, n_circ = tree.n_qubits, len(tree.beta)
     template, order = _tree_template(n)
     angles = np.concatenate(
-        [tree.theta[m].swapaxes(0, 1).reshape(len(tree.beta), -1)
+        [_gray_angles(tree.select[m]).swapaxes(0, 1).reshape(n_circ, -1)
          for m in range(n, 1, -1)] + [tree.delta, tree.gamma, tree.beta],
         axis=1)[:, order]
     if not np.isfinite(angles).all():
@@ -67,8 +67,8 @@ def _tree_text(tree):
 def _tree_template(n):
     '''The gate lines of one compiled n-qubit circuit with a %.17g slot
     per angle, and the index of each slot's angle in the circuit's
-    angles laid out as theta[n], ..., theta[2] (each row-major over
-    (multiplexor, node, angle)), then delta, gamma and beta.'''
+    gate angles laid out as the Gray-code angles of levels n, ..., 2 (each
+    row-major over (multiplexor, node, angle)), then delta, gamma, beta.'''
     start, size = {}, 0
     for m in range(n, 1, -1):
         start[m] = size

@@ -22,16 +22,14 @@ conditioning screen (a sine or cosine of alpha, a gap between adjacent
 alphas or between adjacent eigh eigenvalues below SCREEN_TOL), sends it
 to LAPACK (scipy's zuncsd and zgees, through wavecirc.lapack, which
 loads them at the first such node) instead; about 1% of the nodes of a
-propagator go there.  The sorting, the demultiplex products, the
-Walsh-Gray angle transform and the ZYZ split run once per level over
-every node of every circuit.  The result
+propagator go there.  The sorting, the demultiplex products and the ZYZ
+split run once per level over every node of every circuit.  The result
 is one GateSequence of S circuits sharing one gate layout, which keeps
-the level arrays the walk built (QsdTree) as the one store of its
-angles.  `sim.run_circuit` runs all S circuits from them in lockstep,
-one vectorised step per multiplexed rotation and per ZYZ leaf, and
-`sim.circuit_matrix` and `qasm.to_qasm` read them too.  Only
-`QsdTree.gates()` expands them into elementary gates, whose angles are
-views into the level arrays.
+the level arrays the walk built (QsdTree), with each multiplexor's
+select angles, as the one store of its angles.  `sim.run_circuit` runs
+all S circuits from them in lockstep, and `sim.circuit_matrix` reads
+them too.  Gray-code gate angles exist only at export: `_gray_angles`
+forms them a level at a time for `QsdTree.gates()` and `qasm.to_qasm`.
 
 Both factorizations leave one phase per column free, which LAPACK fixes
 differently from one BLAS kernel to another and from one input to its
@@ -177,29 +175,35 @@ class GateSequence:
 
 
 @lru_cache(maxsize=None)
-def _walsh_gray(k):
-    '''Gray-code tables for k controls: M[b, s] = (-1)^popcount(b &
-    gray(s)), and ladder[s] = index of the control whose select bit
-    changes between gray(s) and gray(s + 1).
+def _walsh_gray(size):
+    '''W[b, s] = (-1)^popcount(b & gray(s)) / size for `size` = 2^k
+    control values: the Gray-code gate angles are theta = select @ W.
 
-    The CNOT ladder returns every control pattern's target to where it
-    started, and X R(theta) X = R(-theta) for Ry and Rz, so for control
-    value b a multiplexor's gates multiply to one rotation by the select
-    angle sum_s M[b, s] theta[s]: theta @ M.T.'''
-    size = 2 ** k
-    m = np.array([[(-1.0) ** bin(b & _gray(s)).count("1")
+    A multiplexor's gates are its rotations by theta[s], each followed by
+    a CNOT from the control whose bit changes between gray(s) and
+    gray(s + 1) (`_ladder`).  The ladder returns every control pattern's
+    target to where it started, and X R(theta) X = R(-theta) for Ry and
+    Rz, so for control value b the gates multiply to one rotation by
+    select[b] = size sum_s W[b, s] theta[s], and size W^T W = 1.'''
+    w = np.array([[(-1.0) ** bin(b & _gray(s)).count("1") / size
                    for s in range(size)] for b in range(size)])
-    m.flags.writeable = False
-    ladder = tuple((_gray(s) ^ _gray((s + 1) % size)).bit_length() - 1
-                   for s in range(size))
-    return m, ladder
+    w.flags.writeable = False
+    return w
+
+
+def _gray_angles(select):
+    '''Multiplexors' Gray-code gate angles from their select angles, over
+    the last axis (see _walsh_gray).'''
+    return select @ _walsh_gray(select.shape[-1])
 
 
 @lru_cache(maxsize=None)
 def _ladder(target, controls):
     '''The CNOTs of a multiplexor's Gray ladder, in order.'''
-    _, ladder = _walsh_gray(len(controls))
-    return tuple(Gate("cx", target, controls[c]) for c in ladder)
+    size = 2 ** len(controls)
+    return tuple(Gate("cx", target, controls[
+        (_gray(s) ^ _gray((s + 1) % size)).bit_length() - 1])
+        for s in range(size))
 
 
 def _zyz_matrix(beta, gamma, delta):
@@ -217,16 +221,17 @@ def _zyz_matrix(beta, gamma, delta):
 @dataclass(frozen=True, eq=False)
 class QsdTree:
     '''The angles of a stack of S compiled n-qubit circuits, level by
-    level, as they are emitted.
+    level, as the compiler forms them.
 
-    theta[m], shape (3, S, 4^(n-m), 2^(m-1)) for m = 2 .. n, holds the
-    Gray-code angles of the Rz, Ry and Rz multiplexors (rows 0, 1, 2) of
-    every node of level m; node j's children on level m - 1 are nodes
-    4j .. 4j+3.  beta, gamma and delta, shape (S, 4^(n-1)), are the ZYZ
-    leaves of level 1; `phase` is the global phase (a float for one
-    circuit, one value per circuit for a stack, None once dropped).
+    select[m], shape (3, S, 4^(n-m), 2^(m-1)) for m = 2 .. n, holds the
+    select angles, angle b for control value b, of the Rz, Ry and Rz
+    multiplexors (rows 0, 1, 2) of every node of level m; node j's
+    children on level m - 1 are nodes 4j .. 4j+3.  beta, gamma and delta,
+    shape (S, 4^(n-1)), are the ZYZ leaves of level 1; `phase` is the
+    global phase (a float for one circuit, one value per circuit for a
+    stack, None once dropped).
     '''
-    theta: dict
+    select: dict
     beta: np.ndarray
     gamma: np.ndarray
     delta: np.ndarray
@@ -234,20 +239,21 @@ class QsdTree:
 
     @property
     def n_qubits(self):
-        return len(self.theta) + 1
+        return len(self.select) + 1
 
     def gates(self):
-        '''The elementary gates in application order, each angle a view
-        into the level arrays (one value per circuit), then the phase
-        gate.'''
+        '''The elementary gates in application order, then the phase
+        gate.  Each angle (one value per circuit) is a view into the leaf
+        arrays or into its level's Gray-code angles.'''
         gates = []
+        gray = {m: _gray_angles(x) for m, x in self.select.items()}
         for m, mux, j in _layout(self.n_qubits):
             if m == 1:
                 gates += [Gate("rz", 0, angle=self.delta[:, j]),
                           Gate("ry", 0, angle=self.gamma[:, j]),
                           Gate("rz", 0, angle=self.beta[:, j])]
                 continue
-            theta = self.theta[m][mux, :, j]
+            theta = gray[m][mux, :, j]
             for s, cx in enumerate(_ladder(m - 1, tuple(range(m - 1)))):
                 gates += [Gate(MUX_KINDS[mux], m - 1, angle=theta[:, s]), cx]
         if self.phase is not None:
@@ -633,13 +639,11 @@ def multiplexed_rotation_to_gates(axis, angles, target, controls):
     angles = np.asarray(angles, dtype=float)
     if len(angles) != 2 ** k:
         raise ValueError("need exactly 2^k angles for k controls")
-    if k == 0:
-        gates = [Gate(kind, target=target, angle=float(angles[0]))]
-    else:
-        theta = angles[None] @ _walsh_gray(k)[0] / len(angles)
-        gates = [g for a, cx in zip(theta[0].tolist(),
-                                    _ladder(target, controls))
-                 for g in (Gate(kind, target=target, angle=a), cx)]
+    gates = [Gate(kind, target=target, angle=a)
+             for a in _gray_angles(angles).tolist()]
+    if k:
+        gates = [g for pair in zip(gates, _ladder(target, controls))
+                 for g in pair]
     return GateSequence(max((target,) + controls) + 1, gates)
 
 
@@ -724,17 +728,15 @@ def qsd_compile(u):
         raise ValueError("matrix dimension must be a power of two")
     if n > 12:
         raise ValueError("refusing to compile more than 12 qubits")
-    theta = {}                # m -> (3, S, 4^(n-m), 2^(m-1))
+    select = {}               # m -> (3, S, 4^(n-m), 2^(m-1))
     level = u
     for m in range(n, 1, -1):
-        half = 2 ** (m - 1)
-        angles, level = _split(level.reshape(-1, 2 * half, 2 * half))
-        walsh, _ = _walsh_gray(m - 1)
-        theta[m] = (angles @ walsh / half).reshape(3, n_circ, -1, half)
+        angles, level = _split(level.reshape(-1, 2 ** m, 2 ** m))
+        select[m] = angles.reshape(3, n_circ, -1, 2 ** (m - 1))
     alpha, beta, gamma, delta = (x.reshape(n_circ, -1)
                                  for x in _zyz_angles(level.reshape(-1, 2, 2)))
     phase = np.mod(alpha.sum(axis=1) + np.pi, 2 * np.pi) - np.pi
-    tree = QsdTree(theta, beta, gamma, delta,
+    tree = QsdTree(select, beta, gamma, delta,
                    phase if stacked else float(phase[0]))
     return GateSequence(n, n_circuits=n_circ, tree=tree)
 

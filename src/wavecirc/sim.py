@@ -3,13 +3,14 @@ propagators, and seeded shot sampling.
 
 A compiled stack of circuits runs in lockstep from its level arrays:
 the amplitudes hold one column per circuit, and each multiplexed
-rotation and each ZYZ leaf applies every circuit's angles in one
-vectorised step.  `circuit_matrix` rebuilds a compiled sequence from
-the level arrays instead, every node of a level at once from its four
-children and its three multiplexors; a compiled 7-qubit circuit takes
-about 9 ms this way against about 1.4 s for its 36,481 gates run one by
-one across the 2^n identity, which is how a sequence with no tree is
-rebuilt (2-core x86, numpy 2.4.6; tools/bench_qsd.py).
+rotation turns every amplitude pair by its stored select angle, and
+each ZYZ leaf applies its 2x2 matrix, every circuit's in one step.
+`circuit_matrix` rebuilds a compiled sequence from the level arrays
+instead, every node of a level at once from its four children and its
+three multiplexors; a compiled 7-qubit circuit takes about 9 ms this
+way against about 1.4 s for its 36,481 gates run one by one across the
+2^n identity, which is how a sequence with no tree is rebuilt (2-core
+x86, numpy 2.4.6; tools/bench_qsd.py).
 
 The sampler uses numpy's Generator with the PCG64 bit generator; the
 seed is recorded in every ShotResult so runs are bit-exact
@@ -24,7 +25,7 @@ import numpy as np
 from . import units
 from .grid import eigensolve
 from .givens import _check_dim, _pair_cross, _rotate_pairs
-from .qsd import MUX_KINDS, _layout, _walsh_gray, _zyz_matrix
+from .qsd import MUX_KINDS, _layout, _zyz_matrix
 
 
 @dataclass(frozen=True)
@@ -96,26 +97,24 @@ def _rotate(a, kind, angle):
         raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def _apply_multiplexor(amp, kind, theta):
-    '''Apply every gate of a compiled multiplexor in one pass: its
-    target is qubit t, 2^t = theta.shape[1], and its controls are the
-    qubits below it, so the control value of each amplitude pair is the
-    pair's index below the target, and the pair turns by that value's
-    select angle (see _walsh_gray).  Row i of `theta` is circuit i of
-    the stack, and the last axis of `amp` indexes the circuits (or is
-    broadcast over for one circuit).'''
-    n_circ, size = theta.shape
+def _apply_multiplexor(amp, kind, select):
+    '''Apply a compiled multiplexor, the product of its gates, in one
+    pass: its target is qubit t, 2^t = select.shape[1], and its controls
+    are the qubits below it, so the control value b of each amplitude
+    pair is the pair's index below the target, and the pair turns by
+    select angle b.  Row i of `select` is circuit i of the stack, and the
+    last axis of `amp` indexes the circuits (or is broadcast over for one
+    circuit).'''
+    n_circ, size = select.shape
     t = size.bit_length() - 1
     a = amp.reshape(amp.shape[0] >> (t + 1), 2, size, -1, n_circ)
-    select = _walsh_gray(t)[0] @ theta.T
-    _rotate(a, kind, select[:, None, :])
+    _rotate(a, kind, select.T[:, None, :])
     return amp
 
 
-def _apply_leaf(amp, beta, gamma, delta):
-    '''Apply a ZYZ leaf, Rz(delta) Ry(gamma) Rz(beta) on qubit 0, as one
-    2x2 matrix per circuit.'''
-    m = _zyz_matrix(beta, gamma, delta)
+def _apply_leaf(amp, m):
+    '''Apply a ZYZ leaf on qubit 0, given as one 2x2 matrix per circuit
+    (S, 2, 2).'''
     a = amp.reshape(amp.shape[0] >> 1, 2, -1, len(m))
     lo, hi = a[:, 0], a[:, 1]
     a[:, 0], a[:, 1] = (m[:, 0, 0] * lo + m[:, 0, 1] * hi,
@@ -125,14 +124,14 @@ def _apply_leaf(amp, beta, gamma, delta):
 
 def _run_tree(amp, tree):
     '''Run the circuits of a QsdTree on `amp` in place: each multiplexor
-    and each leaf in application order, its angles formed from the level
-    arrays one block at a time, then the global phase.'''
+    and each leaf in application order, the leaves' matrices formed
+    once for the whole tree, then the global phase.'''
+    leaves = _zyz_matrix(tree.beta, tree.gamma, tree.delta)
     for m, mux, j in _layout(tree.n_qubits):
         if m == 1:
-            _apply_leaf(amp, tree.beta[:, j], tree.gamma[:, j],
-                        tree.delta[:, j])
+            _apply_leaf(amp, leaves[:, j])
         else:
-            _apply_multiplexor(amp, MUX_KINDS[mux], tree.theta[m][mux, :, j])
+            _apply_multiplexor(amp, MUX_KINDS[mux], tree.select[m][mux, :, j])
     if tree.phase is not None:
         amp *= np.exp(1j * tree.phase)
     return amp
@@ -188,15 +187,14 @@ def _tree_matrix(tree, n_circ):
     '''The matrices (S, 2^n, 2^n) of a QsdTree's circuits: the leaves'
     2x2 matrices, then each node of level m as C3 Z2 C2 Y C1 Z0 C0, with
     C_c = blkdiag(child c, child c) and Z0, Y, Z2 its multiplexors, which
-    turn row pair (b, b + 2^(m-1)) by select angle b, theta[m] @ walsh.T.
+    turn row pair (b, b + 2^(m-1)) by select angle b, select[m][..., b].
     C1 Z0 C0 is blkdiag(C1 z C0, C1 z* C0); only the products after Y
     are full.'''
     n = tree.n_qubits
     mats = _zyz_matrix(tree.beta, tree.gamma, tree.delta)
     for m in range(2, n + 1):
         h = 2 ** (m - 1)
-        walsh, _ = _walsh_gray(m - 1)
-        rz0, ry, rz2 = (tree.theta[m] @ walsh.T)[..., None]
+        rz0, ry, rz2 = tree.select[m][..., None]
         c0, c1, c2, c3 = np.moveaxis(mats.reshape(n_circ, -1, 4, h, h), 2, 0)
         z = np.exp(-0.5j * rz0)
         lo, hi = c1 @ (z * c0), c1 @ (z.conj() * c0)

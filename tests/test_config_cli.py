@@ -727,10 +727,10 @@ class TestInputsRefusedBeforeEvolution:
 
 
 def corrupt_one_multiplexor(seq):
-    '''seq with 1e-3 added in place to the angles of its first
+    '''seq with 1e-3 added in place to the select angles of its first
     multiplexor in the level arrays, so that QASM, run_circuit and
     circuit_matrix all see it.'''
-    seq.tree.theta[2][0, :, 0] += 1e-3
+    seq.tree.select[2][0, :, 0] += 1e-3
     return seq
 
 

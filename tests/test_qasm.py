@@ -104,16 +104,18 @@ class TestBlockWiseWriter:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_block_angle_raises(self, bad):
-        # in place in the level arrays, after the gates were expanded
-        # with views into them: the tree writer and the gate writer both
-        # refuse it
+        # in place, after the gates were expanded: a select angle in the
+        # level arrays stops the tree writer, and a gate angle (a view
+        # into its level's Gray-code angles) stops the gate writer
         u = unitary_group.rvs(8, random_state=31)
         seq = w.qsd_compile(u)
         plain = GateSequence(3, seq.blocks)
-        seq.tree.theta[2][0, 0, 0, 1] = bad
-        for s in (seq, plain):
-            with pytest.raises(ValueError, match="finite"):
-                w.to_qasm(s)
+        seq.tree.select[2][0, 0, 0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            w.to_qasm(seq)
+        plain.blocks[3].angle[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            w.to_qasm(plain)
         # and so does the gate expansion
         seq = w.qsd_compile(u)
         seq.tree.gamma[0, 1] = bad

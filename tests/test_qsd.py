@@ -290,9 +290,27 @@ class TestLevelArrays:
         rz, cx = seq.blocks[3:5]
         assert (rz.kind, rz.target, cx.kind, cx.control) == ("rz", 1,
                                                               "cx", 0)
-        assert np.shares_memory(rz.angle, seq.tree.theta[2])
+        # every multiplexor gate of level 2 is a view into one Gray-code
+        # array formed from that level's select angles
+        gray = rz.angle.base
+        assert np.array_equal(gray, qsd._gray_angles(seq.tree.select[2]))
+        level2 = [g for g in seq.blocks if g.kind != "cx" and g.target == 1]
+        assert len(level2) == 3 * 16 * 2
+        assert all(g.angle.base is gray for g in level2)
+        assert not np.shares_memory(gray, seq.tree.select[2])
         with pytest.raises(TypeError):
             seq.append(qsd.Gate("ry", angle=0.1))
+
+    def test_tree_keeps_select_angles(self):
+        # the Ry multiplexor of a 4x4 node turns by 2 alpha of its CSD;
+        # its gates carry the Gray-code angles formed from that
+        u = unitary_group.rvs(4, random_state=153)
+        seq = w.qsd_compile(u)
+        select = seq.tree.select[2][1, 0, 0]
+        assert np.array_equal(select, 2 * w.cosine_sine_decompose(u).alpha)
+        ry = [g.angle for g in w.from_qasm(w.to_qasm(seq)) if g.kind == "ry"
+              and g.target == 1]
+        assert ry == qsd._gray_angles(select).tolist()
 
     @pytest.mark.parametrize("stack", [1, 3])
     @pytest.mark.parametrize("n", [1, 2, 4])
@@ -309,7 +327,7 @@ class TestLevelArrays:
         u = unitary_group.rvs(16, random_state=152)
         seq = w.qsd_compile(u)
         bare = seq.without_phase()
-        assert bare.tree.theta is seq.tree.theta
+        assert bare.tree.select is seq.tree.select
         assert bare.tree.beta is seq.tree.beta
         assert bare.global_phase() == 0
         assert np.abs(circuit_matrix(bare) * np.exp(1j * seq.global_phase())
@@ -444,7 +462,7 @@ def lapack_demultiplex(l0, l1):
 def all_angles(seq):
     '''Every angle of a compiled stack, the global phase included.'''
     tree = seq.tree
-    return np.concatenate([x.ravel() for x in tree.theta.values()]
+    return np.concatenate([x.ravel() for x in tree.select.values()]
                           + [tree.beta.ravel(), tree.gamma.ravel(),
                              tree.delta.ravel(), np.ravel(tree.phase)])
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import units
 from .config import ConfigError, load_config
-from .dynamics import (WavepacketSpec, densities, evolve, initial_wavepacket,
-                       probability_error)
+from .dynamics import (WavepacketSpec, check_reconstruction, densities, evolve,
+                       initial_wavepacket, probability_error)
 from .givens import (block_eigensolve, block_transform, eigensystem,
                      eigenvalues, parity_partition)
 from .grid import DafParams, _eval_potential, build_grid, build_hamiltonian
@@ -25,7 +25,7 @@ from .ising import (BrokenSymmetryError, check_parity_coupling, map_system,
                     parameters_to_dict)
 from .qasm import write_qasm
 from .qsd import NumericalError, cnot_count, cnot_lower_bound, qsd_compile
-from .sim import circuit_matrix, exact_propagator
+from .sim import exact_propagator
 from .spectra import MIN_SAMPLES, compare_eigendiffs, grid_spectrum
 
 EXIT_OK = 0
@@ -194,11 +194,7 @@ def cmd_compile(args):
         u = exact_propagator(eig, args.time_fs)
         seqs[name] = qsd_compile(u)
         if args.check:
-            err = np.abs(circuit_matrix(seqs[name]) - u).max()
-            if err > 1e-9:
-                print(f"reconstruction error {err:.3e} exceeds 1e-9",
-                      file=sys.stderr)
-                return EXIT_NUMERICAL
+            check_reconstruction(seqs[name], u, f" in the {name} block")
     out = _out_dir(cfg, args)
     files = []
     for name, seq in seqs.items():

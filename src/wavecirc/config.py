@@ -109,7 +109,9 @@ SCHEMA = {
                 "steps": {"type": "integer", "minimum": 1},
                 "method": {"enum": ["classical", "ising", "circuit-exact",
                                     "circuit-shots"]},
-                "shots": {"type": "integer", "minimum": 1},
+                # numpy's multinomial sampler takes a 64-bit count
+                "shots": {"type": "integer", "minimum": 1,
+                          "maximum": 2 ** 63 - 1},
                 "seed": {"type": "integer", "minimum": 0},
             },
         },

@@ -29,7 +29,9 @@ a chunk of steps at a time: the chunk's exact propagators are one
 batched product, compiled by one stacked `qsd_compile` call and run by
 one lockstep `run_circuit` call.  A fixed byte budget on the stack
 (CHUNK_BYTES) sets the chunk size, so memory does not grow with the
-step count, and each chunk is checked against exact block evolution.
+step count, and each chunk is checked against exact block evolution:
+its circuits' matrices against its propagators, and its amplitudes
+against the exactly evolved state.
 
 The two parity blocks share no data until their amplitudes are put back
 together, so the circuit routes evolve them at once: the even block in
@@ -56,7 +58,8 @@ from .givens import (BlockEigenSystem, _pair_cross, _rotate_pairs,
                      parity_partition, to_mapped_basis)
 from .ising import check_parity_coupling, map_system
 from .qsd import NumericalError, qsd_compile
-from .sim import _split_pairs, exact_propagator, run_circuit, sample_shots
+from .sim import (_split_pairs, circuit_matrix, exact_propagator,
+                  run_circuit, sample_shots)
 
 
 @dataclass(frozen=True)
@@ -349,6 +352,18 @@ def _chunk_steps(dim):
     return max(1, CHUNK_BYTES // (16 * dim * dim))
 
 
+def check_reconstruction(seq, u, where=""):
+    '''NumericalError when the matrices of the compiled circuits `seq`
+    miss the exact block propagators `u` (one, or a stack of one per
+    circuit) by more than CIRCUIT_TOL in any entry; `where` ends the
+    message.'''
+    err = np.abs(circuit_matrix(seq) - u).max()
+    if not err <= CIRCUIT_TOL:
+        raise NumericalError(
+            f"compiled circuits miss the exact block evolution: "
+            f"reconstruction error {err:.3e} (> {CIRCUIT_TOL:g}){where}")
+
+
 def _compiled_evolve(eig, comp0, dt_fs, steps, out=None,
                      states=slice(None)):
     '''Amplitudes (steps+1, dim) of comp0 under one compiled circuit per
@@ -357,8 +372,10 @@ def _compiled_evolve(eig, comp0, dt_fs, steps, out=None,
     `out` is None).  Steps go in chunks of `_chunk_steps(dim)`: the exact
     propagators of a chunk come from one exact_propagator call, are
     compiled by one qsd_compile call and run in lockstep by one
-    run_circuit call.  Each chunk's circuit amplitudes are checked
-    against U_s comp0 (NumericalError above CIRCUIT_TOL).'''
+    run_circuit call.  Each chunk's circuits are checked whole against
+    its propagators, and their amplitudes against U_s comp0
+    (NumericalError above CIRCUIT_TOL): comp0 alone can miss an error,
+    as on a block that holds almost none of the state.'''
     dim = len(comp0)
     if out is None:
         out = np.empty((steps + 1, dim), dtype=complex)
@@ -372,14 +389,16 @@ def _compiled_evolve(eig, comp0, dt_fs, steps, out=None,
         if dim == 1:
             out[rows, states] = exact
             continue
+        seq = qsd_compile(u)
+        where = f" at t = {s[0] * dt_fs:g}..{s[-1] * dt_fs:g} fs"
+        check_reconstruction(seq, u, where)
         cols = np.repeat(comp0[:, None], len(s), axis=1)
-        amps = run_circuit(cols, qsd_compile(u)).T
+        amps = run_circuit(cols, seq).T
         err = np.abs(amps - exact).max()
         if not err <= CIRCUIT_TOL:
             raise NumericalError(
                 f"compiled circuits miss the exact block evolution by "
-                f"{err:.3e} (> {CIRCUIT_TOL:g}) at t = {s[0] * dt_fs:g}.."
-                f"{s[-1] * dt_fs:g} fs")
+                f"{err:.3e} (> {CIRCUIT_TOL:g}){where}")
         out[rows, states] = amps
     return out
 

@@ -122,7 +122,14 @@ def double_well_coefficients(barrier_kcal, minimum_angstrom):
     the central barrier.'''
     vb = units.kcalmol_to_hartree(barrier_kcal)
     xm = minimum_angstrom
-    a = vb / xm ** 4
+    try:
+        x4 = xm ** 4
+    except OverflowError:
+        x4 = 0.0
+    if not 0 < x4 < np.inf:
+        raise ValueError(f"potential.model.minimum_angstrom = {xm:g}: its "
+                         f"fourth power is not a finite positive float")
+    a = vb / x4
     b = 2 * vb / xm ** 2
     return a, b
 

@@ -714,6 +714,27 @@ class TestInputsRefusedBeforeEvolution:
                      "--out", str(tmp_path / "o")]) == 2
         assert "non-finite number" in capsys.readouterr().err
 
+    # the schema once let these through to an OverflowError
+    @pytest.mark.parametrize("command, extra, field", [
+        ("propagate", {"dynamics": {"method": "circuit-shots", "steps": 5,
+                                    "shots": 10 ** 19}}, "shots"),
+        ("build", {"potential": {"model": {
+            "kind": "double_well", "minimum_angstrom": 1e300}}},
+         "minimum_angstrom")],
+        ids=["shots-1e19", "minimum_angstrom-1e300"])
+    def test_overflowing_config_number_exit_2(self, tmp_path, command,
+                                              extra, field):
+        cfg = write_config(tmp_path, extra)
+        src = os.path.dirname(os.path.dirname(w.__file__))
+        res = subprocess.run(
+            [sys.executable, "-m", "wavecirc", command, "--config", cfg,
+             "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=300)
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert field in res.stderr
+
     def test_compile_single_qubit_grid_exit_2(self, tmp_path, capsys,
                                               monkeypatch):
         def compile_(u):
@@ -780,6 +801,21 @@ class TestCircuitHealthCheck:
                      "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err and "exact block evolution" in err
+
+    def test_odd_block_of_centred_gaussian_exit_3(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # the centred Gaussian puts about 1e-17 of its weight on the odd
+        # block, so only the whole-matrix check sees its corrupted circuits
+        from wavecirc.qsd import qsd_compile
+        monkeypatch.setattr("wavecirc.dynamics.qsd_compile", in_worker_only(
+            lambda u: corrupt_one_multiplexor(qsd_compile(u)), qsd_compile))
+        cfg = write_config(tmp_path, {"dynamics": {
+            "method": "circuit-exact", "steps": 40,
+            "wavepacket": dict(GAUSSIAN, mu_angstrom=0.0)}})
+        assert main(["propagate", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "reconstruction error" in err
 
     def test_dead_worker_exit_3(self, tmp_path, capsys, monkeypatch):
         from wavecirc.dynamics import _compiled_evolve

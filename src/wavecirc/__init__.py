@@ -16,8 +16,8 @@ from .ising import (IsingParameters, MappedSystem, BrokenSymmetryError,
                     extract_diagonal_params, extract_offdiag_params,
                     assemble_ising, check_parity_coupling, map_system,
                     restrict_to_block)
-from .qsd import (NumericalError, Gate, GateSequence, CsdResult, DemuxResult,
-                  cosine_sine_decompose, demultiplex,
+from .qsd import (NumericalError, Gate, GateSequence, QsdTree, CsdResult,
+                  DemuxResult, cosine_sine_decompose, demultiplex,
                   multiplexed_rotation_to_gates, zyz, qsd_compile,
                   cnot_count, cnot_lower_bound)
 from .qasm import to_qasm, from_qasm, write_qasm, read_qasm

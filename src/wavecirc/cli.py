@@ -189,21 +189,21 @@ def cmd_compile(args):
     check_parity_coupling(pipe.blocks, m["threshold_ratio"], m["force"])
     # compile (and check) both blocks before writing any file
     solved = block_eigensolve(pipe.blocks)
-    seqs = {}
+    trees = {}
     for name, eig in (("even", solved.plus), ("odd", solved.minus)):
         u = exact_propagator(eig, args.time_fs)
-        seqs[name] = qsd_compile(u)
+        trees[name] = qsd_compile(u)
         if args.check:
-            check_reconstruction(seqs[name], u, f" in the {name} block")
+            check_reconstruction(trees[name], u, f" in the {name} block")
     out = _out_dir(cfg, args)
     files = []
-    for name, seq in seqs.items():
+    for name, tree in trees.items():
         fname = f"propagator_{name}.qasm"
-        write_qasm(seq, os.path.join(out, fname))
+        write_qasm(tree, os.path.join(out, fname))
         files.append(fname)
     summary = {"cnot_formula": cnot_count(nb),
                "cnot_lower_bound": cnot_lower_bound(nb),
-               "blocks": {name: seq.counts() for name, seq in seqs.items()}}
+               "blocks": {name: tree.counts() for name, tree in trees.items()}}
     _write_json(os.path.join(out, "gate_counts.json"), summary)
     files.append("gate_counts.json")
     _write_manifest(out, cfg, files)

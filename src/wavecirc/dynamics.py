@@ -352,12 +352,11 @@ def _chunk_steps(dim):
     return max(1, CHUNK_BYTES // (16 * dim * dim))
 
 
-def check_reconstruction(seq, u, where=""):
-    '''NumericalError when the matrices of the compiled circuits `seq`
-    miss the exact block propagators `u` (one, or a stack of one per
-    circuit) by more than CIRCUIT_TOL in any entry; `where` ends the
-    message.'''
-    err = np.abs(circuit_matrix(seq) - u).max()
+def check_reconstruction(tree, u, where=""):
+    '''NumericalError when the matrices of the QsdTree `tree` miss the
+    exact block propagators `u` (one, or a stack of one per circuit) by
+    more than CIRCUIT_TOL in any entry; `where` ends the message.'''
+    err = np.abs(circuit_matrix(tree) - u).max()
     if not err <= CIRCUIT_TOL:
         raise NumericalError(
             f"compiled circuits miss the exact block evolution: "
@@ -389,11 +388,11 @@ def _compiled_evolve(eig, comp0, dt_fs, steps, out=None,
         if dim == 1:
             out[rows, states] = exact
             continue
-        seq = qsd_compile(u)
+        tree = qsd_compile(u)
         where = f" at t = {s[0] * dt_fs:g}..{s[-1] * dt_fs:g} fs"
-        check_reconstruction(seq, u, where)
+        check_reconstruction(tree, u, where)
         cols = np.repeat(comp0[:, None], len(s), axis=1)
-        amps = run_circuit(cols, seq).T
+        amps = run_circuit(cols, tree).T
         err = np.abs(amps - exact).max()
         if not err <= CIRCUIT_TOL:
             raise NumericalError(

@@ -1,5 +1,5 @@
-'''OpenQASM 2.0 export of gate sequences and a reader for the emitted
-subset (ry, rz, cx on a single register).
+'''OpenQASM 2.0 export of circuits (a QsdTree or a GateSequence) and a
+reader for the emitted subset (ry, rz, cx on a single register).
 
 The global phase has no OpenQASM 2.0 representation; it is dropped at
 export and noted in the file header.
@@ -10,20 +10,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qsd import MUX_KINDS, Gate, GateSequence, _gray_angles, _ladder, _layout
+from .qsd import (MUX_KINDS, Gate, GateSequence, QsdTree, _gray_angles,
+                  _ladder, _layout)
 
 _GATE_RE = re.compile(
     r"^(ry|rz)\(([^)]+)\)\s+q\[(\d+)\];$|^cx\s+q\[(\d+)\],\s*q\[(\d+)\];$")
 
 
 def to_qasm(seq):
-    '''Serialize a GateSequence to OpenQASM 2.0 text, every circuit of a
-    stack in order.
+    '''Serialize a GateSequence, or every circuit of a QsdTree in order,
+    to OpenQASM 2.0 text.
 
-    A compiled sequence fills one text template per qubit count with its
-    gate angles, formed from the level arrays; any other is formatted gate
-    by gate.  A non-finite angle raises ValueError, and so does a stack
-    that still holds its per-circuit phases (drop them with
+    A QsdTree fills one text template per qubit count with its gate
+    angles, formed from the level arrays; a GateSequence is formatted
+    gate by gate.  A non-finite angle raises ValueError, and so does a
+    stack that still holds its per-circuit phases (drop them with
     `without_phase()`).
     '''
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
@@ -36,23 +37,21 @@ def to_qasm(seq):
     if phase:
         lines.append(f"// global phase dropped: {phase:.17g}")
     lines.append(f"qreg q[{seq.n_qubits}];")
-    if seq.tree is not None:
-        return "\n".join(lines) + "\n" + _tree_text(seq.tree)
-    for i in range(seq.n_circuits):
-        for g in seq.blocks:
-            g = g.at(i)
-            if g.kind == "cx":
-                lines.append(f"cx q[{g.control}],q[{g.target}];")
-            elif g.kind in ("ry", "rz"):
-                lines.append(f"{g.kind}({g.angle:.17g}) q[{g.target}];")
-            elif g.kind != "phase":
-                raise ValueError(f"gate kind {g.kind!r} has no QASM form")
+    if isinstance(seq, QsdTree):
+        return "\n".join(lines) + "\n" + _tree_text(seq)
+    for g in seq:
+        if g.kind == "cx":
+            lines.append(f"cx q[{g.control}],q[{g.target}];")
+        elif g.kind in ("ry", "rz"):
+            lines.append(f"{g.kind}({g.angle:.17g}) q[{g.target}];")
+        elif g.kind != "phase":
+            raise ValueError(f"gate kind {g.kind!r} has no QASM form")
     return "\n".join(lines) + "\n"
 
 
 def _tree_text(tree):
     '''The gate lines of every circuit of a QsdTree.'''
-    n, n_circ = tree.n_qubits, len(tree.beta)
+    n, n_circ = tree.n_qubits, tree.n_circuits
     template, order = _tree_template(n)
     angles = np.concatenate(
         [_gray_angles(tree.select[m]).swapaxes(0, 1).reshape(n_circ, -1)

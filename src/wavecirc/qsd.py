@@ -24,12 +24,12 @@ to LAPACK (scipy's zuncsd and zgees, through wavecirc.lapack, which
 loads them at the first such node) instead; about 1% of the nodes of a
 propagator go there.  The sorting, the demultiplex products and the ZYZ
 split run once per level over every node of every circuit.  The result
-is one GateSequence of S circuits sharing one gate layout, which keeps
-the level arrays the walk built (QsdTree), with each multiplexor's
-select angles, as the one store of its angles.  `sim.run_circuit` runs
-all S circuits from them in lockstep, and `sim.circuit_matrix` reads
-them too.  Gray-code gate angles exist only at export: `_gray_angles`
-forms them a level at a time for `QsdTree.gates()` and `qasm.to_qasm`.
+is the QsdTree of the S circuits: the level arrays the walk built, with
+each multiplexor's select angles, the one store of their angles, which
+`sim.run_circuit` runs in lockstep and `sim.circuit_matrix` reads.
+Gray-code gate angles exist only at export: `_gray_angles` forms them a
+level at a time for `qasm.to_qasm` and for `QsdTree.circuit(i)`, the
+one expansion of a compiled circuit into gates (a GateSequence).
 
 Both factorizations leave one phase per column free, which LAPACK fixes
 differently from one BLAS kernel to another and from one input to its
@@ -52,6 +52,7 @@ acts on the state first.  Qubit q addresses bit q of the basis index
 (qubit 0 is the least significant bit).
 '''
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -78,8 +79,8 @@ class Gate:
     '''One elementary gate.
 
     kind: "ry" | "rz" | "cx" | "phase".  Rotations use `target` and
-    `angle`; cx uses `control` and `target`; phase is global.  In a stack
-    of circuits `angle` may hold one value per circuit.
+    `angle`, a finite float; cx uses `control` and `target`; phase is
+    global.
     '''
     kind: str
     target: int = 0
@@ -89,86 +90,38 @@ class Gate:
     def __post_init__(self):
         if self.kind == "cx" and self.control == self.target:
             raise ValueError("cx control and target must differ")
-        if self.angle is not None and not np.isfinite(self.angle).all():
-            raise ValueError("gate angle must be finite")
-
-    def at(self, i):
-        '''The gate of circuit i of a stack.'''
-        if np.ndim(self.angle) == 0:
-            return self
-        return replace(self, angle=float(self.angle[i]))
+        if self.angle is not None:
+            if np.ndim(self.angle) or not np.isfinite(self.angle):
+                raise ValueError("gate angle must be one finite number")
+            object.__setattr__(self, "angle", float(self.angle))
 
 
 class GateSequence:
-    '''Ordered gate list over n qubits, for one circuit or a stack of
-    `n_circuits` circuits with the same gate layout.
+    '''The gates of one circuit over n qubits, in application order:
+    built by hand, read from QASM, or expanded from a compiled QsdTree
+    by `QsdTree.circuit(i)`.'''
 
-    `blocks` holds the Gates in application order; in a stack a gate's
-    angle holds one value per circuit.  `circuit(i)` takes circuit i's
-    single Gates from them with `Gate.at(i)`; `gates`, iteration, `len`
-    and `counts` cover every circuit of the stack, circuit by circuit.
-
-    A compiled sequence keeps its QsdTree `tree`, the one store of its
-    angles, and takes no further gates.  Running it, its matrix, its
-    QASM, its counts and its phase read the tree; only `blocks` expands
-    it, once, into `tree.gates()`.  Any other sequence has no tree and a
-    list of gates.
-    '''
-
-    def __init__(self, n_qubits, gates=(), n_circuits=1, tree=None):
+    def __init__(self, n_qubits, gates=()):
         self.n_qubits = n_qubits
-        self.n_circuits = n_circuits
-        self.tree = tree
-        self._blocks = None if tree is not None else list(gates)
-
-    @property
-    def blocks(self):
-        if self._blocks is None:
-            self._blocks = self.tree.gates()
-        return self._blocks
-
-    def circuit(self, i):
-        return GateSequence(self.n_qubits, [b.at(i) for b in self.blocks])
-
-    @property
-    def gates(self):
-        return [g for i in range(self.n_circuits)
-                for g in self.circuit(i).blocks]
-
-    def append(self, gate):
-        if self.tree is not None:
-            raise TypeError("a compiled sequence takes no further gates")
-        self._blocks.append(gate)
+        self.gates = list(gates)
 
     def counts(self):
-        '''Gates of each kind over the stack, kinds in order of first use.'''
-        if self.tree is not None:
-            one = self.tree.counts()
-        else:
-            one = {}
-            for b in self.blocks:
-                one[b.kind] = one.get(b.kind, 0) + 1
-        return {kind: k * self.n_circuits for kind, k in one.items()}
+        '''Gates of each kind, kinds in order of first use.'''
+        return dict(Counter(g.kind for g in self.gates))
 
     def cnot_count(self):
         return self.counts().get("cx", 0)
 
     def global_phase(self):
-        '''Sum of the phase gates: a float, or one value per circuit.'''
-        if self.tree is not None:
-            return 0 if self.tree.phase is None else self.tree.phase
-        return sum(b.angle for b in self.blocks if b.kind == "phase")
+        '''Sum of the phase gates.'''
+        return sum(g.angle for g in self.gates if g.kind == "phase")
 
     def without_phase(self):
-        if self.tree is not None:
-            return GateSequence(self.n_qubits, n_circuits=self.n_circuits,
-                                tree=replace(self.tree, phase=None))
         return GateSequence(self.n_qubits,
-                            [b for b in self.blocks if b.kind != "phase"],
-                            self.n_circuits)
+                            [g for g in self.gates if g.kind != "phase"])
 
     def __len__(self):
-        return sum(self.counts().values())
+        return len(self.gates)
 
     def __iter__(self):
         return iter(self.gates)
@@ -229,7 +182,8 @@ class QsdTree:
     children on level m - 1 are nodes 4j .. 4j+3.  beta, gamma and delta,
     shape (S, 4^(n-1)), are the ZYZ leaves of level 1; `phase` is the
     global phase (a float for one circuit, one value per circuit for a
-    stack, None once dropped).
+    stack, None once dropped).  `qsd_compile` returns it, and
+    `circuit(i)` alone expands circuit i into gates.
     '''
     select: dict
     beta: np.ndarray
@@ -241,32 +195,49 @@ class QsdTree:
     def n_qubits(self):
         return len(self.select) + 1
 
-    def gates(self):
-        '''The elementary gates in application order, then the phase
-        gate.  Each angle (one value per circuit) is a view into the leaf
-        arrays or into its level's Gray-code angles.'''
+    @property
+    def n_circuits(self):
+        return len(self.beta)
+
+    def circuit(self, i):
+        '''Circuit i of the stack as a GateSequence: the elementary gates
+        in application order, then the phase gate.  Each level's
+        Gray-code angles are formed over the whole level, as for
+        `qasm.to_qasm`, so both give the same angles to the last bit.'''
+        gray = {m: _gray_angles(x)[:, i].tolist()
+                for m, x in self.select.items()}
+        leaves = self.delta[i].tolist(), self.gamma[i].tolist(), \
+            self.beta[i].tolist()
         gates = []
-        gray = {m: _gray_angles(x) for m, x in self.select.items()}
         for m, mux, j in _layout(self.n_qubits):
             if m == 1:
-                gates += [Gate("rz", 0, angle=self.delta[:, j]),
-                          Gate("ry", 0, angle=self.gamma[:, j]),
-                          Gate("rz", 0, angle=self.beta[:, j])]
+                gates += [Gate(kind, 0, angle=x[j])
+                          for kind, x in zip(("rz", "ry", "rz"), leaves)]
                 continue
-            theta = gray[m][mux, :, j]
-            for s, cx in enumerate(_ladder(m - 1, tuple(range(m - 1)))):
-                gates += [Gate(MUX_KINDS[mux], m - 1, angle=theta[:, s]), cx]
+            for angle, cx in zip(gray[m][mux][j],
+                                 _ladder(m - 1, tuple(range(m - 1)))):
+                gates += [Gate(MUX_KINDS[mux], m - 1, angle=angle), cx]
         if self.phase is not None:
-            gates.append(Gate("phase", angle=self.phase))
-        return tuple(gates)
+            gates.append(Gate("phase", angle=np.ravel(self.phase)[i]))
+        return GateSequence(self.n_qubits, gates)
 
     def counts(self):
-        '''Gates of each kind in one circuit, in order of first use.'''
+        '''Gates of each kind over the stack, in order of first use.'''
         leaves = 4 ** (self.n_qubits - 1)
         angles = leaves - 2 ** (self.n_qubits - 1)   # per multiplexor row
         out = {"rz": 2 * (leaves + angles), "ry": leaves + angles,
                "cx": 3 * angles, "phase": int(self.phase is not None)}
-        return {kind: k for kind, k in out.items() if k}
+        return {kind: k * self.n_circuits for kind, k in out.items() if k}
+
+    def cnot_count(self):
+        return self.counts().get("cx", 0)
+
+    def global_phase(self):
+        '''`phase`, or 0 once dropped.'''
+        return 0 if self.phase is None else self.phase
+
+    def without_phase(self):
+        return replace(self, phase=None)
 
 
 @dataclass(frozen=True)
@@ -712,9 +683,9 @@ def _layout(m, node=0):
 
 def qsd_compile(u):
     '''Compile a 2^n x 2^n unitary, or a stack (S, 2^n, 2^n) of them,
-    into Ry/Rz/CNOT gates plus one trailing global-phase gate.
+    into the QsdTree of Ry/Rz/CNOT circuits plus a global phase.
 
-    A stack gives one GateSequence of S circuits, circuit i compiled from
+    A stack gives one QsdTree of S circuits, circuit i compiled from
     u[i]; each circuit is the one `qsd_compile(u[i])` gives, up to
     rounding.  The tree is walked level by level: level m holds the
     4^(n-m) nodes of size 2^m of every circuit.
@@ -736,9 +707,8 @@ def qsd_compile(u):
     alpha, beta, gamma, delta = (x.reshape(n_circ, -1)
                                  for x in _zyz_angles(level.reshape(-1, 2, 2)))
     phase = np.mod(alpha.sum(axis=1) + np.pi, 2 * np.pi) - np.pi
-    tree = QsdTree(select, beta, gamma, delta,
+    return QsdTree(select, beta, gamma, delta,
                    phase if stacked else float(phase[0]))
-    return GateSequence(n, n_circuits=n_circ, tree=tree)
 
 
 def cnot_count(n):

@@ -1,16 +1,17 @@
 '''Statevector execution of gate sequences, exact eigendecomposition
 propagators, and seeded shot sampling.
 
-A compiled stack of circuits runs in lockstep from its level arrays:
-the amplitudes hold one column per circuit, and each multiplexed
-rotation turns every amplitude pair by its stored select angle, and
-each ZYZ leaf applies its 2x2 matrix, every circuit's in one step.
-`circuit_matrix` rebuilds a compiled sequence from the level arrays
-instead, every node of a level at once from its four children and its
-three multiplexors; a compiled 7-qubit circuit takes about 9 ms this
-way against about 1.4 s for its 36,481 gates run one by one across the
-2^n identity, which is how a sequence with no tree is rebuilt (2-core
-x86, numpy 2.4.6; tools/bench_qsd.py).
+Circuits come in two forms: a GateSequence, the gate list of one
+circuit, and a compiled QsdTree.  A QsdTree's stack of circuits runs in
+lockstep from its level arrays: the amplitudes hold one column per
+circuit, and each multiplexed rotation turns every amplitude pair by
+its stored select angle, and each ZYZ leaf applies its 2x2 matrix,
+every circuit's in one step.  `circuit_matrix` rebuilds a QsdTree from
+the level arrays instead, every node of a level at once from its four
+children and its three multiplexors; a compiled 7-qubit circuit takes
+about 9 ms this way against about 1.4 s for its 36,481 gates run one by
+one across the 2^n identity, which is how a GateSequence is rebuilt
+(2-core x86, numpy 2.4.6; tools/bench_qsd.py).
 
 The sampler uses numpy's Generator with the PCG64 bit generator; the
 seed is recorded in every ShotResult so runs are bit-exact
@@ -25,7 +26,7 @@ import numpy as np
 from . import units
 from .grid import eigensolve
 from .givens import _check_dim, _pair_cross, _rotate_pairs
-from .qsd import MUX_KINDS, _layout, _zyz_matrix
+from .qsd import MUX_KINDS, QsdTree, _layout, _zyz_matrix
 
 
 @dataclass(frozen=True)
@@ -138,59 +139,55 @@ def _run_tree(amp, tree):
 
 
 def run_circuit(psi, seq):
-    '''Apply a gate sequence to a state vector (or a batch of column
-    vectors) and return the evolved amplitudes.
+    '''Apply a circuit to a state vector (or a batch of column vectors)
+    and return the evolved amplitudes.
 
-    A stack of S circuits runs in lockstep: the last axis of `psi` must
-    have length S, and slice [..., i] goes through circuit i.  A
-    compiled sequence runs from its level arrays, each multiplexor and
-    each ZYZ leaf as the exact product of its gates in one vectorised
-    step for every circuit at once; applying its gates one by one with
-    _apply_gate gives the same result to rounding.  A gate outside the
-    register raises ValueError.
+    A GateSequence's gates are applied one by one.  A QsdTree of S
+    circuits runs in lockstep from its level arrays: the last axis of
+    `psi` must have length S, slice [..., i] goes through circuit i, and
+    each multiplexor and ZYZ leaf is the exact product of its gates in
+    one vectorised step for every circuit, as `seq.circuit(i)` run gate
+    by gate is to rounding.  A gate outside the register raises
+    ValueError.
     '''
     psi = np.array(psi, dtype=complex)
-    n, s = seq.n_qubits, seq.n_circuits
+    n = seq.n_qubits
     if psi.shape[0] != 2 ** n:
         raise ValueError("state dimension does not match the circuit")
-    if s > 1 and (psi.ndim < 2 or psi.shape[-1] != s):
-        raise ValueError(f"a stack of {s} circuits needs {s} amplitude "
-                         "columns on the last axis")
-    if seq.tree is not None:
-        return _run_tree(psi, seq.tree)
-    if any(max(g.target, g.control or 0) >= n for g in seq.blocks):
+    if isinstance(seq, QsdTree):
+        s = seq.n_circuits
+        if s > 1 and (psi.ndim < 2 or psi.shape[-1] != s):
+            raise ValueError(f"a stack of {s} circuits needs {s} amplitude "
+                             "columns on the last axis")
+        return _run_tree(psi, seq)
+    if any(max(g.target, g.control or 0) >= n for g in seq):
         raise ValueError("gate acts outside the circuit's qubits")
-    for g in seq.blocks:
+    for g in seq:
         psi = _apply_gate(psi, g, n)
     return psi
 
 
 def circuit_matrix(seq):
-    '''Dense matrix realized by a gate sequence (including phase); a
-    stack of S circuits gives shape (S, 2^n, 2^n).
+    '''Dense matrix realized by a circuit (including phase); a QsdTree
+    of S > 1 circuits gives shape (S, 2^n, 2^n).
 
-    A compiled sequence is rebuilt from its QsdTree, the angles its
-    gates carry, a level at a time; any other sequence is run across the
-    whole 2^n identity.
+    A QsdTree is rebuilt from its level arrays a level at a time; a
+    GateSequence is run across the whole 2^n identity.
     '''
-    n, n_circ = seq.n_qubits, seq.n_circuits
-    if seq.tree is not None:
-        m = _tree_matrix(seq.tree, n_circ)
-    else:
-        eye = np.repeat(np.eye(2 ** n, dtype=complex)[:, :, None], n_circ,
-                        axis=2)
-        m = np.moveaxis(run_circuit(eye, seq), 2, 0)
-    return m[0] if n_circ == 1 else m
+    if isinstance(seq, QsdTree):
+        m = _tree_matrix(seq)
+        return m[0] if seq.n_circuits == 1 else m
+    return run_circuit(np.eye(2 ** seq.n_qubits, dtype=complex), seq)
 
 
-def _tree_matrix(tree, n_circ):
+def _tree_matrix(tree):
     '''The matrices (S, 2^n, 2^n) of a QsdTree's circuits: the leaves'
     2x2 matrices, then each node of level m as C3 Z2 C2 Y C1 Z0 C0, with
     C_c = blkdiag(child c, child c) and Z0, Y, Z2 its multiplexors, which
     turn row pair (b, b + 2^(m-1)) by select angle b, select[m][..., b].
     C1 Z0 C0 is blkdiag(C1 z C0, C1 z* C0); only the products after Y
     are full.'''
-    n = tree.n_qubits
+    n, n_circ = tree.n_qubits, tree.n_circuits
     mats = _zyz_matrix(tree.beta, tree.gamma, tree.delta)
     for m in range(2, n + 1):
         h = 2 ** (m - 1)

@@ -747,26 +747,24 @@ class TestInputsRefusedBeforeEvolution:
         assert not out.exists()
 
 
-def corrupt_one_multiplexor(seq):
-    '''seq with 1e-3 added in place to the select angles of its first
-    multiplexor in the level arrays, so that QASM, run_circuit and
+def corrupt_one_multiplexor(tree):
+    '''The QsdTree `tree` with 1e-3 added in place to the select angles
+    of its first multiplexor, so that QASM, run_circuit and
     circuit_matrix all see it.'''
-    seq.tree.select[2][0, :, 0] += 1e-3
-    return seq
+    tree.select[2][0, :, 0] += 1e-3
+    return tree
 
 
-def corrupt_one_leaf(seq):
-    '''seq with 1e-3 added in place to the beta of its first ZYZ leaf.'''
-    seq.tree.beta[:, 0] += 1e-3
-    return seq
+def corrupt_one_leaf(tree):
+    '''`tree` with 1e-3 added in place to the beta of its first ZYZ
+    leaf.'''
+    tree.beta[:, 0] += 1e-3
+    return tree
 
 
-def corrupt_phase(seq):
-    '''seq with 1e-3 added to its global phase.'''
-    tree = seq.tree
-    return w.GateSequence(seq.n_qubits, n_circuits=seq.n_circuits,
-                          tree=dataclasses.replace(tree,
-                                                   phase=tree.phase + 1e-3))
+def corrupt_phase(tree):
+    '''`tree` with 1e-3 added to its global phase.'''
+    return dataclasses.replace(tree, phase=tree.phase + 1e-3)
 
 
 # off-centre, so both parity components are spread over their registers:
@@ -910,10 +908,10 @@ class TestCircuitHealthCheck:
         names = iter(("even", "odd"))
 
         def corrupted(u):
-            seq = qsd_compile(u)
+            tree = qsd_compile(u)
             if next(names) in corrupt:
-                corrupt_one_multiplexor(seq)
-            return seq
+                corrupt_one_multiplexor(tree)
+            return tree
         monkeypatch.setattr("wavecirc.cli.qsd_compile", corrupted)
         cfg = write_config(tmp_path)
         out = tmp_path / "o"

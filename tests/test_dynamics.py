@@ -269,9 +269,10 @@ class TestParityWorker:
 
     def test_worker_exception_is_raised_here(self, monkeypatch, forks):
         def corrupted(u):
-            seq = w.qsd_compile(u)
-            return w.GateSequence(seq.n_qubits, seq.blocks[1:],
-                                  seq.n_circuits)
+            # drops each circuit's first gate, its first leaf's Rz(delta)
+            tree = w.qsd_compile(u)
+            tree.delta[:, 0] = 0
+            return tree
         monkeypatch.setattr(dynamics, "qsd_compile",
                             in_worker_only(corrupted, w.qsd_compile))
         ham, pp, systems = block_model(4)

@@ -13,28 +13,19 @@ from wavecirc.qsd import Gate, GateSequence
 from wavecirc.sim import circuit_matrix
 
 
-def reference_gate(gate, i):
-    '''Reference: the gate of circuit i of a stack.'''
-    if np.ndim(gate.angle) == 0:
-        return gate
-    return Gate(gate.kind, gate.target, gate.control, float(gate.angle[i]))
-
-
 def per_gate_qasm(seq):
-    '''Reference: OpenQASM formatted from one Gate per line, every
-    circuit of a stack in order.'''
+    '''Reference: OpenQASM formatted from one Gate per line of a
+    GateSequence.'''
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
     phase = seq.global_phase()
     if phase:
         lines.append(f"// global phase dropped: {phase:.17g}")
     lines.append(f"qreg q[{seq.n_qubits}];")
-    for i in range(seq.n_circuits):
-        for b in seq.blocks:
-            g = reference_gate(b, i)
-            if g.kind == "cx":
-                lines.append(f"cx q[{g.control}],q[{g.target}];")
-            elif g.kind != "phase":
-                lines.append(f"{g.kind}({g.angle:.17g}) q[{g.target}];")
+    for g in seq:
+        if g.kind == "cx":
+            lines.append(f"cx q[{g.control}],q[{g.target}];")
+        elif g.kind != "phase":
+            lines.append(f"{g.kind}({g.angle:.17g}) q[{g.target}];")
     return "\n".join(lines) + "\n"
 
 
@@ -64,27 +55,29 @@ class TestToQasm:
 
 
 class TestBlockWiseWriter:
-    '''to_qasm fills a template from a compiled sequence's level arrays;
-    the per-Gate formatter over its gate expansion is the reference,
-    byte for byte.'''
+    '''to_qasm fills a template from a QsdTree's level arrays; the
+    per-Gate formatter over circuit(i), its one gate expansion, is the
+    reference, byte for byte.'''
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_compiled_bytes_match_per_gate(self, n):
-        seq = w.qsd_compile(unitary_group.rvs(2 ** n, random_state=20 + n))
-        assert w.to_qasm(seq) == per_gate_qasm(seq)
+        tree = w.qsd_compile(unitary_group.rvs(2 ** n, random_state=20 + n))
+        text = w.to_qasm(tree)
+        assert text == per_gate_qasm(tree.circuit(0))
+        assert text == w.to_qasm(tree.circuit(0))
 
     def test_stack_bytes_match_per_gate(self):
         # a stack's phase is one value per circuit, which the header
-        # comment cannot hold: the stack is written without it
+        # comment cannot hold: the stack is written without it, its
+        # circuits one after the other
         rng = np.random.default_rng(30)
-        u = np.array([unitary_group.rvs(8, random_state=rng)
-                      for _ in range(3)])
-        seq = w.qsd_compile(u).without_phase()
-        text = w.to_qasm(seq)
-        assert text == per_gate_qasm(seq)
-        body = text.splitlines()[3:]
-        assert len(body) == 3 * len(w.to_qasm(
-            w.qsd_compile(u[0])).splitlines()[4:])
+        for n in range(1, 8):
+            u = unitary_group.rvs(2 ** n, size=3, random_state=rng)
+            tree = w.qsd_compile(u).without_phase()
+            circuits = [per_gate_qasm(tree.circuit(i)).splitlines(
+                keepends=True) for i in range(3)]
+            assert w.to_qasm(tree) == "".join(
+                circuits[0] + circuits[1][3:] + circuits[2][3:])
 
     def test_stack_with_phases_refused(self):
         rng = np.random.default_rng(31)
@@ -104,36 +97,34 @@ class TestBlockWiseWriter:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_block_angle_raises(self, bad):
-        # in place, after the gates were expanded: a select angle in the
-        # level arrays stops the tree writer, and a gate angle (a view
-        # into its level's Gray-code angles) stops the gate writer
+        # in place: a select angle in the level arrays stops the tree
+        # writer, and a leaf angle stops the gate expansion
         u = unitary_group.rvs(8, random_state=31)
-        seq = w.qsd_compile(u)
-        plain = GateSequence(3, seq.blocks)
-        seq.tree.select[2][0, 0, 0, 1] = bad
+        tree = w.qsd_compile(u)
+        tree.select[2][0, 0, 0, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            w.to_qasm(seq)
-        plain.blocks[3].angle[0] = bad
+            w.to_qasm(tree)
+        tree = w.qsd_compile(u)
+        tree.gamma[0, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            w.to_qasm(plain)
-        # and so does the gate expansion
-        seq = w.qsd_compile(u)
-        seq.tree.gamma[0, 1] = bad
-        with pytest.raises(ValueError, match="finite"):
-            seq.blocks
+            tree.circuit(0)
 
     def test_circuit_and_iteration_gate_lists(self):
+        # circuit(i) is circuit i's section of the stack's QASM, angle
+        # for angle, as a list of Gates with float angles
         rng = np.random.default_rng(32)
-        u = np.array([unitary_group.rvs(8, random_state=rng)
-                      for _ in range(3)])
-        seq = w.qsd_compile(u)
-        want = [[reference_gate(b, i) for b in seq.blocks]
-                for i in range(3)]
+        tree = w.qsd_compile(unitary_group.rvs(8, size=3, random_state=rng))
+        lines = w.to_qasm(tree.without_phase()).splitlines(keepends=True)
+        size = (len(lines) - 3) // 3
         for i in range(3):
-            assert seq.circuit(i).blocks == want[i]
-        assert list(seq) == want[0] + want[1] + want[2]
-        assert all(type(g.angle) is float for g in seq
-                   if g.kind != "cx")
+            seq = tree.circuit(i)
+            section = "".join(lines[:3] + lines[3 + i * size:
+                                                 3 + (i + 1) * size])
+            assert list(seq) == seq.gates
+            assert seq.gates[:-1] == w.from_qasm(section).gates
+            assert seq.gates[-1] == Gate("phase", angle=tree.phase[i])
+            assert all(type(g.angle) is float for g in seq
+                       if g.kind != "cx")
 
 
 class TestRoundTrip:
@@ -149,7 +140,7 @@ class TestRoundTrip:
     def test_angles_bit_exact(self):
         seq = w.qsd_compile(unitary_group.rvs(4, random_state=2))
         back = w.from_qasm(w.to_qasm(seq))
-        orig = [g for g in seq if g.kind != "phase"]
+        orig = seq.without_phase().circuit(0).gates
         assert len(orig) == len(back.gates)
         for a, b in zip(orig, back):
             assert (a.kind, a.target, a.control) == (b.kind, b.target,

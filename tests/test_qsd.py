@@ -26,6 +26,22 @@ def csd_reassemble(res):
     return block_diag(res.l0, res.l1) @ cs @ block_diag(res.r0, res.r1)
 
 
+class TestGate:
+    def test_angle_is_one_finite_float(self):
+        g = w.Gate("ry", angle=np.float64(0.25))
+        assert type(g.angle) is float and g.angle == 0.25
+        for bad in (np.zeros(2), np.zeros((1, 1)), [0.1]):
+            with pytest.raises(ValueError, match="one finite number"):
+                w.Gate("rz", angle=bad)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                w.Gate("ry", angle=bad)
+
+    def test_cx_needs_two_qubits(self):
+        with pytest.raises(ValueError, match="differ"):
+            w.Gate("cx", target=1, control=1)
+
+
 class TestCosineSine:
     def test_identity(self):
         res = w.cosine_sine_decompose(np.eye(4))
@@ -242,7 +258,7 @@ class TestQsdCompile:
         patterns = set()
         for _ in range(5):
             u = unitary_group.rvs(8, random_state=rng)
-            seq = w.qsd_compile(u)
+            seq = w.qsd_compile(u).circuit(0)
             patterns.add(tuple((g.kind, g.target, g.control) for g in seq))
         assert len(patterns) == 1
 
@@ -262,7 +278,7 @@ class TestQsdCompile:
         seq = w.qsd_compile(u)
         counts = seq.counts()
         assert counts["cx"] == seq.cnot_count()
-        assert sum(counts.values()) == len(seq)
+        assert sum(counts.values()) == len(seq.circuit(0))
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
@@ -276,64 +292,78 @@ class TestQsdCompile:
 
 
 class TestLevelArrays:
-    '''A compiled sequence keeps the compiler's level arrays; its gates
-    are expanded from them once, their angles views.'''
+    '''qsd_compile returns its QsdTree, the compiler's level arrays;
+    circuit(i) alone expands circuit i into gates.'''
 
-    def test_blocks_built_once_as_views(self):
-        seq = w.qsd_compile(unitary_group.rvs(16, random_state=150))
-        assert seq.blocks is seq.blocks
-        assert isinstance(seq.blocks, tuple)
-        delta, gamma, beta = seq.blocks[:3]
-        assert np.shares_memory(delta.angle, seq.tree.delta)
-        assert np.shares_memory(gamma.angle, seq.tree.gamma)
-        assert np.shares_memory(beta.angle, seq.tree.beta)
-        rz, cx = seq.blocks[3:5]
-        assert (rz.kind, rz.target, cx.kind, cx.control) == ("rz", 1,
-                                                              "cx", 0)
-        # every multiplexor gate of level 2 is a view into one Gray-code
-        # array formed from that level's select angles
-        gray = rz.angle.base
-        assert np.array_equal(gray, qsd._gray_angles(seq.tree.select[2]))
-        level2 = [g for g in seq.blocks if g.kind != "cx" and g.target == 1]
-        assert len(level2) == 3 * 16 * 2
-        assert all(g.angle.base is gray for g in level2)
-        assert not np.shares_memory(gray, seq.tree.select[2])
-        with pytest.raises(TypeError):
-            seq.append(qsd.Gate("ry", angle=0.1))
+    def test_compile_returns_the_tree(self):
+        tree = w.qsd_compile(unitary_group.rvs(16, random_state=150))
+        assert type(tree) is w.QsdTree
+        for gone in ("blocks", "tree", "gates", "append"):
+            assert not hasattr(tree, gone)
+        assert tree.n_qubits == 4 and tree.n_circuits == 1
+
+    def test_circuit_angles_from_whole_levels(self):
+        # circuit i's gates carry column i of each level's Gray-code
+        # angles, formed over the whole level, as plain floats
+        rng = np.random.default_rng(154)
+        u = np.array([unitary_group.rvs(16, random_state=rng)
+                      for _ in range(3)])
+        tree = w.qsd_compile(u)
+        gray = qsd._gray_angles(tree.select[2])
+        for i in range(3):
+            seq = tree.circuit(i)
+            assert isinstance(seq, w.GateSequence) and seq.n_qubits == 4
+            delta, gamma, beta = (g.angle for g in seq.gates[:3])
+            assert (delta, gamma, beta) == (tree.delta[i, 0],
+                                            tree.gamma[i, 0], tree.beta[i, 0])
+            rz, cx = seq.gates[3:5]
+            assert (rz.kind, rz.target, cx.kind, cx.control) == ("rz", 1,
+                                                                  "cx", 0)
+            assert [g.angle for g in seq.gates[3:7:2]] == \
+                gray[0, i, 0].tolist()
+            assert all(type(g.angle) is float for g in seq if g.kind != "cx")
+            assert seq.gates[-1] == w.Gate("phase", angle=tree.phase[i])
+        with pytest.raises(IndexError):
+            tree.circuit(3)
 
     def test_tree_keeps_select_angles(self):
         # the Ry multiplexor of a 4x4 node turns by 2 alpha of its CSD;
         # its gates carry the Gray-code angles formed from that
         u = unitary_group.rvs(4, random_state=153)
-        seq = w.qsd_compile(u)
-        select = seq.tree.select[2][1, 0, 0]
+        tree = w.qsd_compile(u)
+        select = tree.select[2][1, 0, 0]
         assert np.array_equal(select, 2 * w.cosine_sine_decompose(u).alpha)
-        ry = [g.angle for g in w.from_qasm(w.to_qasm(seq)) if g.kind == "ry"
+        ry = [g.angle for g in w.from_qasm(w.to_qasm(tree)) if g.kind == "ry"
               and g.target == 1]
         assert ry == qsd._gray_angles(select).tolist()
 
     @pytest.mark.parametrize("stack", [1, 3])
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_counts_match_blocks(self, n, stack):
+        # the tree's counts are those of its circuits' gate lists, summed
         rng = np.random.default_rng(151 + n)
         u = np.array([unitary_group.rvs(2 ** n, random_state=rng)
                       for _ in range(stack)])
-        for seq in (w.qsd_compile(u), w.qsd_compile(u).without_phase()):
-            plain = w.GateSequence(n, seq.blocks, stack)
-            assert list(seq.counts().items()) == \
-                list(plain.counts().items())
+        for tree in (w.qsd_compile(u), w.qsd_compile(u).without_phase()):
+            want = {}
+            for i in range(stack):
+                for kind, k in tree.circuit(i).counts().items():
+                    want[kind] = want.get(kind, 0) + k
+            assert list(tree.counts().items()) == list(want.items())
+            assert tree.cnot_count() == want.get("cx", 0)
 
     def test_without_phase_keeps_tree(self):
         u = unitary_group.rvs(16, random_state=152)
-        seq = w.qsd_compile(u)
-        bare = seq.without_phase()
-        assert bare.tree.select is seq.tree.select
-        assert bare.tree.beta is seq.tree.beta
+        tree = w.qsd_compile(u)
+        bare = tree.without_phase()
+        assert bare.select is tree.select
+        assert bare.beta is tree.beta
         assert bare.global_phase() == 0
-        assert np.abs(circuit_matrix(bare) * np.exp(1j * seq.global_phase())
+        assert tree.global_phase() == tree.phase
+        assert np.abs(circuit_matrix(bare) * np.exp(1j * tree.global_phase())
                       - u).max() <= 1e-12
         # the same gate lines, with no header phase; and back
-        text = w.to_qasm(seq)
+        text = w.to_qasm(tree)
         assert w.to_qasm(bare) == "".join(
             line for line in text.splitlines(keepends=True)
             if not line.startswith("//"))
@@ -369,7 +399,7 @@ class TestSingleCircuitLayout:
     def test_gates_counts_and_qasm(self, n, tmp_path):
         seq = w.qsd_compile(unitary_group.rvs(2 ** n, random_state=90 + n))
         want = reference_layout(n)
-        assert [(g.kind, g.target, g.control) for g in seq] == \
+        assert [(g.kind, g.target, g.control) for g in seq.circuit(0)] == \
             want + [("phase", 0, None)]
         kinds = [k for k, _, _ in want]
         assert seq.counts() == {"rz": kinds.count("rz"),
@@ -384,8 +414,7 @@ class TestSingleCircuitLayout:
         u = unitary_group.rvs(8, random_state=99)
         one, single = w.qsd_compile(u[None]), w.qsd_compile(u)
         assert one.n_circuits == single.n_circuits == 1
-        assert [(g.kind, g.target, g.control, g.angle) for g in one] == \
-            [(g.kind, g.target, g.control, g.angle) for g in single]
+        assert one.circuit(0).gates == single.circuit(0).gates
 
 
 class TestNumericalError:
@@ -459,9 +488,8 @@ def lapack_demultiplex(l0, l1):
     return tuple(np.array(f) for f in zip(*out))
 
 
-def all_angles(seq):
+def all_angles(tree):
     '''Every angle of a compiled stack, the global phase included.'''
-    tree = seq.tree
     return np.concatenate([x.ravel() for x in tree.select.values()]
                           + [tree.beta.ravel(), tree.gamma.ravel(),
                              tree.delta.ravel(), np.ravel(tree.phase)])

@@ -166,9 +166,9 @@ class TestFusedExecution:
     reference.'''
 
     def test_compiled_stack_never_expanded(self, monkeypatch):
-        def expand(tree):
+        def expand(tree, i):
             pytest.fail("a compiled stack was expanded into gates")
-        monkeypatch.setattr(QsdTree, "gates", expand)
+        monkeypatch.setattr(QsdTree, "circuit", expand)
         rng = np.random.default_rng(10)
         u = np.array([unitary_group.rvs(8, random_state=rng)
                       for _ in range(3)])
@@ -209,10 +209,10 @@ class TestFusedExecution:
             seq = w.qsd_compile(unitary_group.rvs(2 ** n, random_state=rng))
             psi = random_state(2 ** n, rng)
             assert np.abs(w.run_circuit(psi, seq)
-                          - gate_by_gate(psi, seq)).max() <= 1e-12
+                          - gate_by_gate(psi, seq.circuit(0))).max() <= 1e-12
             eye = np.eye(2 ** n, dtype=complex)
             assert np.abs(circuit_matrix(seq)
-                          - gate_by_gate(eye, seq)).max() <= 1e-12
+                          - gate_by_gate(eye, seq.circuit(0))).max() <= 1e-12
 
     def test_multiplexor_on_spectator_register(self):
         # controls above and below the target, one idle qubit
@@ -220,7 +220,7 @@ class TestFusedExecution:
         for axis in ("y", "z"):
             mux = w.multiplexed_rotation_to_gates(
                 axis, rng.normal(size=4), 1, [3, 0])
-            seq = GateSequence(n_qubits=5, gates=mux.blocks)
+            seq = GateSequence(n_qubits=5, gates=mux.gates)
             psi = random_state(32, rng)
             assert np.abs(w.run_circuit(psi, seq)
                           - dense_product(seq) @ psi).max() <= 1e-12
@@ -238,12 +238,13 @@ class TestFusedExecution:
         for states, eig in zip((pp.even_states, pp.odd_states), systems):
             for s in range(1, steps + 1):
                 u = w.exact_propagator(eig, s * dt)
-                ref = gate_by_gate(psi0_map[states], w.qsd_compile(u))
+                ref = gate_by_gate(psi0_map[states],
+                                   w.qsd_compile(u).circuit(0))
                 assert np.abs(out[s, states] - ref).max() <= 1e-12
 
 
 def identity_run(seq):
-    '''Reference: every block of `seq` run across the whole 2^n identity,
+    '''Reference: a compiled QsdTree run across the whole 2^n identity,
     with a stack of S circuits as (S, 2^n, 2^n).'''
     eye = np.eye(2 ** seq.n_qubits, dtype=complex)
     if seq.n_circuits == 1:
@@ -328,7 +329,7 @@ class TestNestedProducts:
         def mux(kind, target, controls):
             return w.multiplexed_rotation_to_gates(
                 kind, rng.normal(size=2 ** len(controls)), target,
-                controls).blocks
+                controls).gates
         mux_y = mux("y", 1, [2, 0])
         blocks = ([rot("ry", 0), rot("rz", 0), rot("ry", 0), cx(0, 1),
                    cx(1, 0), rot("ry", 3), Gate("phase", angle=0.4)]
@@ -367,7 +368,7 @@ class TestNestedProducts:
         seq = w.qsd_compile(unitary_group.rvs(128, random_state=140))
         circuit_matrix(seq)
         assert 128 not in widths
-        circuit_matrix(GateSequence(7, seq.blocks))
+        circuit_matrix(seq.circuit(0))
         assert widths and set(widths) == {128}
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -417,7 +418,7 @@ class TestLockstepExecution:
         psi = np.stack([random_state(2 ** n, rng) for _ in range(stack)], 1)
         got = w.run_circuit(psi, seq)
         for i in range(stack):
-            ref = gate_by_gate(psi[:, i], w.qsd_compile(u[i]))
+            ref = gate_by_gate(psi[:, i], w.qsd_compile(u[i]).circuit(0))
             assert np.abs(got[:, i] - ref).max() <= 1e-12
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -432,7 +433,7 @@ class TestLockstepExecution:
         assert np.array_equal(out[0], comp0)
         for s in range(1, steps + 1):
             u = w.exact_propagator(eig, s * dt)
-            ref = gate_by_gate(comp0, w.qsd_compile(u))
+            ref = gate_by_gate(comp0, w.qsd_compile(u).circuit(0))
             assert np.abs(out[s] - ref).max() <= 1e-12
 
     def test_complex_hermitian_block_matches_exact_evolution(self):
@@ -457,6 +458,21 @@ class TestLockstepExecution:
             assert seq.circuit(i).cnot_count() == law
             assert np.abs(recon[i] - u[i]).max() <= 1e-9
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_expanded_circuit_matches_its_column(self, n):
+        # tree.circuit(i), run gate by gate, is circuit i of the lockstep
+        # run and of the level-by-level rebuild
+        rng = np.random.default_rng(85 + n)
+        tree = w.qsd_compile(unitary_group.rvs(2 ** n, size=3,
+                                               random_state=rng))
+        psi = np.stack([random_state(2 ** n, rng) for _ in range(3)], 1)
+        got, mats = w.run_circuit(psi, tree), circuit_matrix(tree)
+        for i in range(3):
+            seq = tree.circuit(i)
+            assert np.abs(w.run_circuit(psi[:, i], seq)
+                          - got[:, i]).max() <= 1e-12
+            assert np.abs(circuit_matrix(seq) - mats[i]).max() <= 1e-12
+
     def test_stack_needs_one_column_per_circuit(self):
         seq = w.qsd_compile(np.array([np.eye(4), np.eye(4)]))
         with pytest.raises(ValueError, match="columns"):
@@ -466,9 +482,9 @@ class TestLockstepExecution:
 
     def test_corrupted_compile_raises_numerical_error(self, monkeypatch):
         def corrupted(u):
-            seq = w.qsd_compile(u)
-            seq.tree.beta[:, 0] += 1e-6
-            return seq
+            tree = w.qsd_compile(u)
+            tree.beta[:, 0] += 1e-6
+            return tree
         monkeypatch.setattr("wavecirc.dynamics.qsd_compile", corrupted)
         rng = np.random.default_rng(80)
         with pytest.raises(w.NumericalError, match="exact block evolution"):

@@ -2,10 +2,13 @@
 
 Subcommands: build, map, compile, propagate, spectrum, sweep-shots.
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical
-failure or a lost parity-block worker, 4 guarded-precondition refusal.
+failure (a non-finite evolution among them) or a lost parity-block
+worker, 4 guarded-precondition refusal or a run that does not fit in
+memory.
 '''
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import units
-from .config import ConfigError, load_config
+from .config import MAX_SHOTS, ConfigError, load_config
 from .dynamics import (WavepacketSpec, check_reconstruction, densities, evolve,
                        initial_wavepacket, probability_error)
 from .givens import (block_eigensolve, block_transform, eigensystem,
@@ -212,16 +215,19 @@ def cmd_compile(args):
     return EXIT_OK
 
 
-def _integer_at_least(minimum):
-    '''argparse type: an integer >= minimum, refused at parse time.'''
+def _integer_at_least(minimum, maximum=None):
+    '''argparse type: an integer >= minimum (and <= maximum, if given),
+    refused at parse time.'''
     def parse(text):
         try:
             value = int(text)
         except ValueError:
             value = None
-        if value is None or value < minimum:
+        if value is None or value < minimum \
+                or maximum is not None and value > maximum:
+            bound = "" if maximum is None else f" and <= {maximum}"
             raise argparse.ArgumentTypeError(
-                f"expected an integer >= {minimum}, got {text!r}")
+                f"expected an integer >= {minimum}{bound}, got {text!r}")
         return value
     return parse
 
@@ -239,7 +245,9 @@ def _finite_float(text):
 
 
 def _shot_counts(text):
-    return [_integer_at_least(1)(s) for s in text.split(",")]
+    '''argparse type: comma-separated shot counts, bounded as the
+    config's dynamics.shots.'''
+    return [_integer_at_least(1, MAX_SHOTS)(s) for s in text.split(",")]
 
 
 def _seed(args, cfg):
@@ -251,11 +259,21 @@ def _evolve(pipe, method):
     '''Evolution of the configured wavepacket along `method`'s route,
     from the cached blocks `pipe.blocks` and eigensystem `pipe.eig`.
     When the parity blocks couple, `evolve` refuses every route but the
-    classical one, unless mapping.force.'''
+    classical one, unless mapping.force.  An array of the Evolution with
+    a non-finite entry raises NumericalError, before anything is
+    written.'''
     dyn, m = pipe.cfg["dynamics"], pipe.cfg["mapping"]
-    return evolve(method, pipe.ham, pipe.wavepacket(), dyn["dt_fs"],
-                  dyn["steps"], blocks=pipe.blocks, eig=pipe.eig,
-                  force=m["force"], threshold_ratio=m["threshold_ratio"])
+    evo = evolve(method, pipe.ham, pipe.wavepacket(), dyn["dt_fs"],
+                 dyn["steps"], blocks=pipe.blocks, eig=pipe.eig,
+                 force=m["force"], threshold_ratio=m["threshold_ratio"])
+    for field in dataclasses.fields(evo):
+        x = getattr(evo, field.name)
+        # a finite sum shows every entry finite without a boolean copy
+        if isinstance(x, np.ndarray) and not np.isfinite(x.sum()) \
+                and not np.isfinite(x).all():
+            raise NumericalError(f"the {method} evolution has non-finite "
+                                 f"values in {field.name}")
+    return evo
 
 
 def _propagate(pipe, seed, min_samples=1):
@@ -422,6 +440,9 @@ def main(argv=None):
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"refused: out of memory: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
 
 
 if __name__ == "__main__":

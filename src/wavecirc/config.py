@@ -8,6 +8,8 @@ import math
 from . import units
 
 NUMBER = {"type": "number"}
+# numpy's multinomial sampler takes a 64-bit count
+MAX_SHOTS = 2 ** 63 - 1
 POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 
 
@@ -109,9 +111,8 @@ SCHEMA = {
                 "steps": {"type": "integer", "minimum": 1},
                 "method": {"enum": ["classical", "ising", "circuit-exact",
                                     "circuit-shots"]},
-                # numpy's multinomial sampler takes a 64-bit count
                 "shots": {"type": "integer", "minimum": 1,
-                          "maximum": 2 ** 63 - 1},
+                          "maximum": MAX_SHOTS},
                 "seed": {"type": "integer", "minimum": 0},
             },
         },

@@ -46,6 +46,7 @@ import mmap
 import os
 import pickle
 import signal
+import sys
 import threading
 from dataclasses import dataclass, replace
 
@@ -269,10 +270,11 @@ def _circuit_evolve(even, odd, psi0_map, partition, dt_fs, steps):
     The pipe carries only a worker exception, which is raised here; a
     worker that dies without reporting raises ChildProcessError.  The
     worker is joined on every path, and killed first when this process
-    fails.  OpenBLAS stops its thread pool around a fork, so the worker
-    starts with a usable BLAS and this process forks with one thread.
-    Without `os.fork`, or while another Python thread runs here (a child
-    could inherit a lock that thread holds), the blocks run in turn.
+    fails; it dies when this process dies (`_worker`).  OpenBLAS stops
+    its thread pool around a fork, so the worker starts with a usable
+    BLAS and this process forks with one thread.  Without `os.fork`, or
+    while another Python thread runs here (a child could inherit a lock
+    that thread holds), the blocks run in turn.
     '''
     out = np.empty((steps + 1, 2 * partition.half), dtype=complex)
     evens, odds = partition.even_states, partition.odd_states
@@ -285,10 +287,11 @@ def _circuit_evolve(even, odd, psi0_map, partition, dt_fs, steps):
     shared = np.frombuffer(mmap.mmap(-1, (steps + 1) * len(odds) * 16),
                            dtype=complex).reshape(steps + 1, len(odds))
     read_fd, write_fd = os.pipe()
+    parent = os.getpid()
     pid = os.fork()
     if pid == 0:
-        _worker(read_fd, write_fd, _compiled_evolve, odd, psi0_map[odds],
-                dt_fs, steps, shared)
+        _worker(parent, read_fd, write_fd, _compiled_evolve, odd,
+                psi0_map[odds], dt_fs, steps, shared)
     os.close(write_fd)
     try:
         with open(read_fd, "rb") as pipe:
@@ -309,14 +312,28 @@ def _circuit_evolve(even, odd, psi0_map, partition, dt_fs, steps):
     return out
 
 
-def _worker(read_fd, write_fd, evolve_block, *args):
-    '''Body of the forked worker: runs `evolve_block(*args)`, writes
-    its pickled exception, if any, to the pipe `write_fd`, and leaves by
-    os._exit (status 0 once it has run or reported), so that no
-    inherited exit handler or buffered output runs twice.  Never
-    returns.'''
+# prctl option: the signal a process gets when its parent dies (Linux)
+PR_SET_PDEATHSIG = 1
+
+
+def _worker(parent, read_fd, write_fd, evolve_block, *args):
+    '''Body of the forked worker of the process `parent`: runs
+    `evolve_block(*args)`, writes its pickled exception, if any, to the
+    pipe `write_fd`, and leaves by os._exit (status 0 once it has run or
+    reported), so that no inherited exit handler or buffered output runs
+    twice.  It dies with its parent: on Linux the kernel sends it
+    SIGKILL when the parent dies, and it leaves at once when the parent
+    died before that was set up.  Never returns.'''
     code = 1
     try:
+        if sys.platform.startswith("linux"):
+            import ctypes
+            prctl = ctypes.CDLL(None).prctl
+            prctl.argtypes, prctl.restype = (ctypes.c_int,
+                                             ctypes.c_ulong), ctypes.c_int
+            prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:
+            return
         os.close(read_fd)
         with open(write_fd, "wb") as pipe:
             try:

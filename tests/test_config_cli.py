@@ -1,9 +1,12 @@
 import dataclasses
+import glob
 import json
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 
 import jsonschema
 import numpy as np
@@ -735,6 +738,22 @@ class TestInputsRefusedBeforeEvolution:
         assert "Traceback" not in res.stderr
         assert field in res.stderr
 
+    def test_overflowing_shot_flag_exit_2(self, tmp_path):
+        # bounded as dynamics.shots is; once an OverflowError in sampling
+        cfg = write_config(tmp_path, {"dynamics": {"steps": 5}})
+        src = os.path.dirname(os.path.dirname(w.__file__))
+        res = subprocess.run(
+            [sys.executable, "-m", "wavecirc", "sweep-shots", "--config", cfg,
+             "--out", str(tmp_path / "o"), "--n-seeds", "1",
+             "--shots", "10000000000000000000"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=300)
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert "--shots" in res.stderr and "<= 9223372036854775807" \
+            in res.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_compile_single_qubit_grid_exit_2(self, tmp_path, capsys,
                                               monkeypatch):
         def compile_(u):
@@ -745,6 +764,101 @@ class TestInputsRefusedBeforeEvolution:
         assert main(["compile", "--config", cfg, "--out", str(out)]) == 2
         assert "compile needs grid.n_qubits >= 2" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestRunsThatCannotFinish:
+    def test_non_finite_density_exit_3(self, tmp_path):
+        # the potential overflows: the evolution is NaN, and nothing is
+        # written
+        cfg = write_config(tmp_path, {
+            "potential": {"model": {"kind": "polynomial",
+                                    "coefficients": [0, 0, 1e308]}},
+            "dynamics": {"steps": 40}})
+        out = tmp_path / "o"
+        src = os.path.dirname(os.path.dirname(w.__file__))
+        res = subprocess.run(
+            [sys.executable, "-m", "wavecirc", "propagate", "--config", cfg,
+             "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=300)
+        assert res.returncode == 3, res.stderr
+        assert "Traceback" not in res.stderr
+        assert "non-finite values" in res.stderr
+        assert not out.exists()
+
+    def test_memory_error_refused_exit_4(self, tmp_path, capsys,
+                                         monkeypatch):
+        # what numpy raises for dynamics.steps = 10**12, without
+        # allocating it
+        message = ("Unable to allocate 58.2 TiB for an array with shape "
+                   "(1000000000001, 8) and data type float64")
+
+        def evolve(*args, **kwargs):
+            raise MemoryError(message)
+        monkeypatch.setattr("wavecirc.cli.evolve", evolve)
+        cfg = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["propagate", "--config", cfg, "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("refused:") and message in err
+        assert not out.exists()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the worker's death signal is Linux prctl")
+    def test_worker_dies_with_its_parent(self, tmp_path):
+        # a long circuit run in a session of its own; once the parent has
+        # forked the odd block's worker, the parent gets SIGKILL
+        cfg = write_config(tmp_path, {
+            "grid": {"n_qubits": 8},
+            "dynamics": {"method": "circuit-exact", "steps": 2000}})
+        src = os.path.dirname(os.path.dirname(w.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wavecirc", "propagate", "--config", cfg,
+             "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=src), start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            worker = wait_for_child(proc, timeout=120)
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 5
+            while running(worker) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not running(worker), "the worker outlived its parent"
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait(timeout=30)
+
+
+def wait_for_child(proc, timeout):
+    '''The pid of the first child process of `proc`, read from
+    /proc/<pid>/task/*/children.'''
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        assert proc.poll() is None, "the run ended before it forked"
+        for path in glob.glob(f"/proc/{proc.pid}/task/*/children"):
+            try:
+                with open(path) as fh:
+                    pids = fh.read().split()
+            except OSError:
+                continue
+            if pids:
+                return int(pids[0])
+        time.sleep(0.05)
+    pytest.fail(f"no child of the run within {timeout} s")
+
+
+def running(pid):
+    '''Whether process `pid` exists and is not a zombie.'''
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in ("Z", "X")
 
 
 def corrupt_one_multiplexor(tree):

@@ -3,11 +3,10 @@ circuits: grid Hamiltonians, parity block transforms, spin-model
 parameter extraction, unitary-to-gate compilation, shot-based
 emulation, and vibrational spectra.'''
 
-from .grid import (GridSpec, PotentialSurface, DafParams,
-                   NuclearHamiltonian, EigenSystem, build_grid,
-                   eval_potential, daf_kinetic, daf_band, daf_kernel,
-                   assemble_hamiltonian, build_hamiltonian, eigensolve,
-                   double_well_coefficients)
+from .grid import (GridSpec, DafParams, NuclearHamiltonian, EigenSystem,
+                   build_grid, eval_potential, daf_kinetic, daf_band,
+                   daf_kernel, assemble_hamiltonian, build_hamiltonian,
+                   eigensolve, double_well_coefficients)
 from .givens import (ParityPartition, BlockHamiltonian, BlockEigenSystem,
                      parity_partition, block_transform, block_eigensolve,
                      eigensystem, eigenvalues, to_mapped_basis,

@@ -147,7 +147,7 @@ def cmd_build(args):
     out = _out_dir(cfg, args)
     _write_matrix_csv(os.path.join(out, "hamiltonian.csv"), pipe.ham.matrix)
     np.savetxt(os.path.join(out, "potential.csv"),
-               np.column_stack([pipe.grid.points, pipe.potential.values]),
+               np.column_stack([pipe.grid.points, pipe.potential]),
                delimiter=",", header="x_angstrom,energy_hartree")
     np.savetxt(os.path.join(out, "eigenvalues.csv"), energies,
                delimiter=",", header="energy_hartree")

@@ -1,5 +1,6 @@
-'''Uniform grid, potential surfaces, banded kinetic-energy operator and
-exact diagonalization for a one-dimensional nuclear Hamiltonian.
+'''Uniform grid, the potential sampled on it (a float array in Hartree),
+banded kinetic-energy operator and exact diagonalization for a
+one-dimensional nuclear Hamiltonian.
 
 The kinetic energy uses the Gaussian-weighted Hermite expansion of the
 free propagator (an analytic, banded, Toeplitz approximation to the
@@ -17,8 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lapack, units
-
-SYMMETRY_TOL = 1e-10  # Hartree
 
 
 @dataclass(frozen=True)
@@ -55,14 +54,6 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class PotentialSurface:
-    '''Potential energy sampled on the grid (Hartree).'''
-    values: np.ndarray
-    source: str          # "tabulated" or "analytic"
-    symmetric: bool      # max_i |V_i - V_{n-i}| <= SYMMETRY_TOL
-
-
-@dataclass(frozen=True)
 class DafParams:
     '''Truncation order and Gaussian width of the kinetic-energy kernel.
 
@@ -84,7 +75,6 @@ class NuclearHamiltonian:
     matrix: np.ndarray
     grid: GridSpec
     kinetic_band: np.ndarray = field(repr=False)  # first row of Toeplitz K
-    potential: PotentialSurface = None
 
     @property
     def bandwidth(self):
@@ -112,10 +102,6 @@ def build_grid(n_qubits, length, center=0.0, mass=units.PROTON_MASS):
                     center=float(center), mass=float(mass))
 
 
-def _symmetry_flag(values):
-    return bool(np.abs(values - values[::-1]).max() <= SYMMETRY_TOL)
-
-
 def double_well_coefficients(barrier_kcal, minimum_angstrom):
     '''Quartic coefficients (a, b) of a*x^4 - b*x^2 (Hartree, Angstrom)
     with minima at +-minimum_angstrom and well depth barrier_kcal below
@@ -135,7 +121,7 @@ def double_well_coefficients(barrier_kcal, minimum_angstrom):
 
 
 def eval_potential(spec, source):
-    '''Evaluate a potential on the grid.
+    '''The potential on the grid points: a float array in Hartree.
 
     `source` is either a path to a CSV file with header
     `x_angstrom,energy_hartree` (monotone-cubic interpolated) or a dict
@@ -176,7 +162,6 @@ def _eval_potential(spec, source):
                 x - spec.center, source["coefficients"])
         else:
             raise ValueError(f"unknown analytic model: {kind!r}")
-        tag = "analytic"
     else:
         # imported here: only a tabulated potential pays for it
         from scipy.interpolate import PchipInterpolator
@@ -188,11 +173,10 @@ def _eval_potential(spec, source):
                 f"tabulated domain [{xt[0]}, {xt[-1]}] does not cover the "
                 f"grid [{x[0]}, {x[-1]}]")
         v = PchipInterpolator(xt, vt)(x)
-        tag = "tabulated"
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("potential contains non-finite values")
-    return PotentialSurface(values=v, source=tag, symmetric=_symmetry_flag(v))
+    return v
 
 
 def _hermite_values(n_max, z):
@@ -244,22 +228,19 @@ def daf_kinetic(spec, params=DafParams()):
 
 
 def assemble_hamiltonian(kinetic, potential, spec):
-    '''H = K + diag(V) as a NuclearHamiltonian.'''
+    '''H = K + diag(V) as a NuclearHamiltonian, V the potential on the
+    grid points (Hartree).'''
     k = np.asarray(kinetic, dtype=float)
-    v = potential.values if isinstance(potential, PotentialSurface) \
-        else np.asarray(potential, dtype=float)
+    v = np.asarray(potential, dtype=float)
     if k.shape != (len(v), len(v)) or len(v) != spec.n_points:
         raise ValueError("kinetic/potential/grid dimensions do not match")
     h = k + np.diag(v)
-    if isinstance(potential, np.ndarray):
-        potential = PotentialSurface(values=v, source="analytic",
-                                     symmetric=_symmetry_flag(v))
-    return NuclearHamiltonian(matrix=h, grid=spec, kinetic_band=k[0].copy(),
-                              potential=potential)
+    return NuclearHamiltonian(matrix=h, grid=spec, kinetic_band=k[0].copy())
 
 
 def build_hamiltonian(spec, potential, params=DafParams()):
-    '''Convenience: kinetic matrix + potential -> NuclearHamiltonian.'''
+    '''Convenience: kinetic matrix + potential array ->
+    NuclearHamiltonian.'''
     return assemble_hamiltonian(daf_kinetic(spec, params), potential, spec)
 
 

@@ -30,22 +30,14 @@ class Spectrum:
 
     omega_cm1: frequency axis in cm^-1; power: scalar intensity;
     peaks: list of (omega_cm1, intensity) sorted by frequency;
-    bin_cm1: unpadded frequency resolution.
+    bin_cm1: unpadded frequency resolution; zero_weight: the removed
+    static (zero-frequency) weight.
     '''
     omega_cm1: np.ndarray
     power: np.ndarray
     peaks: tuple
     bin_cm1: float
-    window: str
-    padding: int
     zero_weight: float = 0.0
-
-
-def _fft_axis(n_steps, dt_fs, padding):
-    n_pad = n_steps * padding
-    dt_au = units.fs_to_au(dt_fs)
-    omega_au = 2 * np.pi * np.fft.rfftfreq(n_pad, dt_au)
-    return n_pad, units.hartree_to_cm1(omega_au)
 
 
 def _find_peaks(omega, power, threshold):
@@ -63,22 +55,6 @@ def _find_peaks(omega, power, threshold):
             step = omega[1] - omega[0]
             peaks.append((float(omega[k] + shift * step), float(y1)))
     return tuple(peaks)
-
-
-def _spectrum(omega, power, n_pad, zero_weight, duration_fs, window, padding,
-              threshold):
-    '''The Spectrum of `power` over `omega` (n_pad padded samples) from
-    a record of `duration_fs`, with its peaks above threshold * max.'''
-    # a stationary density leaves only roundoff at finite frequency;
-    # suppress peak extraction when the power is negligible against the
-    # static (zero-frequency) weight
-    floor = 1e-24 * n_pad ** 2 * zero_weight
-    peaks = _find_peaks(omega, power, threshold) \
-        if power.max() > floor else ()
-    bin_cm1 = units.hartree_to_cm1(2 * np.pi / units.fs_to_au(duration_fs))
-    return Spectrum(omega_cm1=omega, power=power, peaks=peaks,
-                    bin_cm1=bin_cm1, window=window or "none",
-                    padding=padding, zero_weight=zero_weight)
 
 
 # fewest time samples (steps + 1) a spectrum is taken from
@@ -103,13 +79,14 @@ def _fast_len(n):
         n += 1
 
 
-def grid_spectrum(traj, window=None, padding=4, threshold=1e-3):
-    '''Per-grid-point Fourier transform of the density trajectory.
+def _padded_spectrum(t_fs, y, dx, window, padding, threshold):
+    '''The Spectrum of the real columns of `y` (time along axis 0, at
+    the uniform times t_fs), each weighted by dx.
 
-    The time mean of each rho(x_i, t) is removed before the transform so
+    The time mean of each column is removed before the transform so
     finite-frequency peaks are not swamped by the static component (the
     removed zero-frequency weight is reported separately).  The scalar
-    intensity is P(omega) = sum_i |I(omega; x_i)|^2 * dx, at the bins of
+    intensity is P(omega) = sum_i |I(omega; y_i)|^2 * dx, at the bins of
     the zero-padded length n_pad = padding * L for L time samples.
 
     Each column is zero-padded to M = _fast_len(2L - 1) and transformed
@@ -126,30 +103,30 @@ def grid_spectrum(traj, window=None, padding=4, threshold=1e-3):
     Columns go in chunks of SPECTRUM_CHUNK_BYTES of padded columns and
     their transforms.
     '''
-    rho = np.asarray(traj.rho)
-    n_steps, n_cols = rho.shape
+    n_steps, n_cols = y.shape
     if n_steps < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} time steps")
-    dt = np.diff(traj.t_fs)
+    dt = np.diff(t_fs)
     if np.abs(dt - dt[0]).max() > 1e-9 * dt[0]:
         raise ValueError("non-uniform time axis")
-    mean = rho.mean(axis=0)
-    zero_weight = float(np.sum(mean ** 2) * traj.dx)
+    dt = dt[0]
+    mean = y.mean(axis=0)
+    zero_weight = float(np.sum(mean ** 2) * dx)
     if window == "hann":
         taper = np.hanning(n_steps)[:, None]
     elif window in (None, "none"):
         taper = 1.0
     else:
         raise ValueError(f"unknown window {window!r}")
-    n_pad, omega = _fft_axis(n_steps, dt[0], padding)
+    n_pad = n_steps * padding
     m = _fast_len(2 * n_steps - 1)
     width = min(n_cols, max(1, SPECTRUM_CHUNK_BYTES // (16 * m)))
-    y = np.zeros((width, m))          # zero past the L samples
+    z = np.zeros((width, m))          # zero past the L samples
     total = np.zeros(m // 2 + 1)
     for a in range(0, n_cols, width):
         cols = slice(a, min(a + width, n_cols))
-        chunk = y[:cols.stop - a]
-        chunk[:, :n_steps] = ((rho[:, cols] - mean[cols]) * taper).T
+        chunk = z[:cols.stop - a]
+        chunk[:, :n_steps] = ((y[:, cols] - mean[cols]) * taper).T
         f = np.fft.rfft(chunk, axis=1).view(float)
         total += np.einsum("ij,ij->j", f, f).reshape(-1, 2).sum(axis=1)
     # the summed autocorrelation, lags 0..L-1 at the front and
@@ -160,9 +137,27 @@ def grid_spectrum(traj, window=None, padding=4, threshold=1e-3):
     folded[:n_steps] = acf[:n_steps]
     folded[n_pad - n_steps + 1:] += acf[m - n_steps + 1:]
     power = np.maximum(np.fft.rfft(folded).real, 0)
-    power *= traj.dx
-    return _spectrum(omega, power, n_pad, zero_weight, n_steps * dt[0],
-                     window, padding, threshold)
+    power *= dx
+    omega = units.hartree_to_cm1(
+        2 * np.pi * np.fft.rfftfreq(n_pad, units.fs_to_au(dt)))
+    # a stationary signal leaves only roundoff at finite frequency;
+    # suppress peak extraction when the power is negligible against the
+    # static (zero-frequency) weight
+    floor = 1e-24 * n_pad ** 2 * zero_weight
+    peaks = _find_peaks(omega, power, threshold) \
+        if power.max() > floor else ()
+    bin_cm1 = units.hartree_to_cm1(
+        2 * np.pi / units.fs_to_au(n_steps * dt))
+    return Spectrum(omega_cm1=omega, power=power, peaks=peaks,
+                    bin_cm1=bin_cm1, zero_weight=zero_weight)
+
+
+def grid_spectrum(traj, window=None, padding=4, threshold=1e-3):
+    '''Per-grid-point Fourier transform of the density trajectory:
+    the Spectrum of the density columns rho(x_i, t), each weighted by the
+    grid spacing (see _padded_spectrum).'''
+    return _padded_spectrum(traj.t_fs, np.asarray(traj.rho), traj.dx,
+                            window, padding, threshold)
 
 
 def autocorrelation(states):
@@ -174,7 +169,8 @@ def autocorrelation(states):
 
 def autocorrelation_spectrum(states, dt_fs, window=None, padding=4,
                              threshold=1e-3):
-    '''Spectrum of the density-overlap autocorrelation.
+    '''Spectrum of the density-overlap autocorrelation: that of C(t)
+    as one column of weight 1, along grid_spectrum's path.
 
     Needs amplitudes, not shot counts: the correlation function is
     quadratic in the state, so empirical densities cannot supply it.
@@ -183,17 +179,8 @@ def autocorrelation_spectrum(states, dt_fs, window=None, padding=4,
     if states.ndim != 2 or not np.iscomplexobj(states):
         raise ValueError("autocorrelation needs an amplitude trajectory")
     corr = autocorrelation(states)
-    n_steps = len(corr)
-    y = corr - corr.mean()
-    zero_weight = float(corr.mean() ** 2)
-    if window == "hann":
-        y = y * np.hanning(n_steps)
-    elif window not in (None, "none"):
-        raise ValueError(f"unknown window {window!r}")
-    n_pad, omega = _fft_axis(n_steps, dt_fs, padding)
-    power = np.abs(np.fft.rfft(y, n=n_pad)) ** 2
-    return _spectrum(omega, power, n_pad, zero_weight, n_steps * dt_fs,
-                     window, padding, threshold)
+    return _padded_spectrum(dt_fs * np.arange(len(corr)), corr[:, None],
+                            1.0, window, padding, threshold)
 
 
 def eigen_differences(eig, max_levels=None):

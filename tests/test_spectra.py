@@ -236,6 +236,42 @@ class TestAutocorrelation:
         s2 = w.grid_spectrum(traj, window="hann")
         assert abs(s1.peaks[0][0] - s2.peaks[0][0]) <= s1.bin_cm1 / 2
 
+    @staticmethod
+    def amplitudes(dw3, steps):
+        _, _, ham = dw3
+        eig = w.eigensolve(ham)
+        psi0 = (eig.states[:, 0] + eig.states[:, 1] + eig.states[:, 4]) / \
+            np.sqrt(3)
+        return w.evolve_exact(eig, psi0, 0.25, steps)
+
+    # 127 samples: n_pad = 127 at padding 1, where the lags fold onto
+    # each other, and 4 x 127 at padding 4
+    @pytest.mark.parametrize("window", [None, "hann"])
+    @pytest.mark.parametrize("padding", [1, 4])
+    def test_grid_spectrum_of_one_column(self, dw3, padding, window):
+        # C(t) as one column of weight 1 takes grid_spectrum's path, bit
+        # for bit, and its power is the per-column rfft's to round-off
+        states = self.amplitudes(dw3, 126)
+        spec = w.autocorrelation_spectrum(states, 0.25, window=window,
+                                          padding=padding)
+        traj = w.Trajectory(t_fs=0.25 * np.arange(len(states)),
+                            rho=w.autocorrelation(states)[:, None],
+                            method="classical", dx=1.0)
+        ref = w.grid_spectrum(traj, window=window, padding=padding)
+        for name in ("power", "omega_cm1", "peaks", "bin_cm1",
+                     "zero_weight"):
+            assert np.array_equal(getattr(spec, name), getattr(ref, name))
+        assert spec.peaks
+        omega, power = rfft_power(traj, window, padding)
+        assert np.array_equal(spec.omega_cm1, omega)
+        assert np.abs(spec.power - power).max() <= 1e-12 * power.max()
+
+    def test_refuses_fewer_than_64_samples(self, dw3):
+        states = self.amplitudes(dw3, 63)
+        assert len(w.autocorrelation_spectrum(states, 0.25).power) == 129
+        with pytest.raises(ValueError, match="at least 64"):
+            w.autocorrelation_spectrum(states[:63], 0.25)
+
     def test_rejects_density_input(self, dw3):
         g, _, ham = dw3
         psi0 = np.zeros(8)
@@ -275,7 +311,7 @@ class TestEigenComparisons:
         _, _, ham = dw3
         eig = w.eigensolve(ham)
         spec = w.Spectrum(omega_cm1=np.arange(4.0), power=np.zeros(4),
-                          peaks=(), bin_cm1=1.0, window="none", padding=1)
+                          peaks=(), bin_cm1=1.0)
         with pytest.raises(ValueError):
             w.compare_eigendiffs(spec, eig)
 
@@ -298,7 +334,7 @@ class TestEigenComparisons:
             [0.0, lines[0] / 3, 2 * lines[-1]]])
         spec = w.Spectrum(omega_cm1=None, power=None,
                           peaks=tuple((float(o), 1.0) for o in omegas),
-                          bin_cm1=1.0, window="none", padding=1)
+                          bin_cm1=1.0)
         rows = w.compare_eigendiffs(spec, eig, max_levels)
         ties = 0
         for omega, row in zip(omegas, rows):

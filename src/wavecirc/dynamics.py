@@ -156,9 +156,22 @@ def _exact_chunks(eig, psi0, dt_fs, steps):
     symmetric H) takes two real products per chunk, one for the real and
     one for the imaginary part of its coefficients; complex eigenvectors
     (a complex Hermitian H) project psi0 with their conjugate and take
-    one complex product.
+    one complex product.  Before the first chunk, a run whose largest
+    phase max|E| t (atomic units) is finite and at least 2^52 rad raises
+    ValueError.
     '''
     blocks, pair = _eigen_blocks(eig)
+    dt_au = units.fs_to_au(dt_fs)
+    # at 2^52 rad adjacent float64 phases lie a whole radian apart, and
+    # the amplitudes are finite nonsense; a phase that overflows makes
+    # them non-finite, which the caller's checks see
+    phase = dt_au * steps * float(max(np.abs(e).max(initial=0)
+                                      for e, _ in blocks))
+    if 2.0 ** 52 <= phase < np.inf:
+        raise ValueError(
+            f"dynamics.dt_fs * dynamics.steps = {dt_fs * steps:g} fs gives "
+            f"phases of {phase:.3g} rad, beyond the 2^52 rad at which "
+            f"float64 phases carry no information")
     psi0 = np.asarray(psi0, dtype=complex)
     if pair:
         psi0 = _rotate_pairs(psi0)
@@ -173,7 +186,6 @@ def _exact_chunks(eig, psi0, dt_fs, steps):
     c0 = np.concatenate(c0)
     energies = np.concatenate([e for e, _ in blocks])
     dim = len(energies)
-    dt_au = units.fs_to_au(dt_fs)
     rows = min(steps + 1, max(1, REFERENCE_CHUNK_BYTES // (16 * dim)))
     table = np.outer(dt_au * np.arange(rows), -1j * energies)
     np.exp(table, out=table)

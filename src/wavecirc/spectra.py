@@ -5,16 +5,18 @@ Densities oscillate at the beat frequencies (E_j - E_i)/hbar of the
 populated eigenstates, so the grid-resolved spectrum and the density
 autocorrelation spectrum both peak at eigenenergy differences.
 
-The grid spectrum walks the real density columns in chunks of
-SPECTRUM_CHUNK_BYTES, so it never holds the transform of every column
-at once.  The columns are transformed at a 5-smooth length of at least
-2L - 1 for L time samples, not at the padded length, which is often a
-prime times the padding: the summed power gives the summed
-autocorrelation without wrap-around (Wiener-Khinchin), and one real
-transform of that, folded to the padded length, gives the power at the
-padded bins.  The transforms are numpy's: scipy.fft, the same pocketfft,
-would cost a spectrum process 0.11 s and 5 MB of resident memory more to
-import.
+Both spectra take one path, `_padded_spectrum`: the grid spectrum feeds
+it the density columns, each weighted by the grid spacing, and the
+autocorrelation spectrum feeds it C(t) as one column of weight 1.  It
+walks the real columns in chunks of SPECTRUM_CHUNK_BYTES, so it never
+holds the transform of every column at once.  The columns are
+transformed at a 5-smooth length of at least 2L - 1 for L time samples,
+not at the padded length, which is often a prime times the padding: the
+summed power gives the summed autocorrelation without wrap-around
+(Wiener-Khinchin), and one real transform of that, folded to the padded
+length, gives the power at the padded bins.  The transforms are numpy's:
+scipy.fft, the same pocketfft, would cost a spectrum process 0.11 s and
+5 MB of resident memory more to import.
 '''
 
 from dataclasses import dataclass

@@ -786,6 +786,24 @@ class TestRunsThatCannotFinish:
         assert "non-finite values" in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["propagate", "spectrum"])
+    def test_phases_beyond_float_resolution_exit_2(self, tmp_path, command):
+        # at t = 1e302 fs the phases exp(-iEt) carry no information; the
+        # run once exited 0 with finite nonsense
+        cfg = write_config(tmp_path, {"dynamics": {"dt_fs": 1e300}})
+        out = tmp_path / "o"
+        src = os.path.dirname(os.path.dirname(w.__file__))
+        res = subprocess.run(
+            [sys.executable, "-m", "wavecirc", command, "--config", cfg,
+             "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=300)
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert "dynamics.dt_fs" in res.stderr \
+            and "dynamics.steps" in res.stderr
+        assert not out.exists()
+
     def test_memory_error_refused_exit_4(self, tmp_path, capsys,
                                          monkeypatch):
         # what numpy raises for dynamics.steps = 10**12, without

@@ -130,6 +130,26 @@ class TestEvolveExact:
         t_au = units.fs_to_au(0.05 * steps)
         assert np.abs(got[-1] - expm(-1j * h * t_au) @ psi0).max() <= 1e-11
 
+    def test_refuses_phases_beyond_float_resolution(self, dw3):
+        # at max|E| t >= 2^52 rad adjacent float64 phases are a radian
+        # apart: refused before any step is evolved
+        _, _, ham = dw3
+        psi0 = np.zeros(8)
+        psi0[0] = 1.0
+        with pytest.raises(ValueError, match="dt_fs.*steps"):
+            w.evolve_exact(ham, psi0, 1e300, 100)
+        dt_au = units.fs_to_au(0.5)
+        for scale, refused in ((0.99, False), (1.01, True)):
+            e = scale * 2.0 ** 52 / (10 * dt_au)
+            eig = w.EigenSystem(energies=np.array([-e, 1.0]),
+                                states=np.eye(2))
+            if refused:
+                with pytest.raises(ValueError, match="2\\^52"):
+                    w.evolve_exact(eig, [1.0, 0.0], 0.5, 10)
+            else:
+                assert w.evolve_exact(eig, [1.0, 0.0], 0.5, 10).shape \
+                    == (11, 2)
+
 
 class TestPropagate:
     def test_classical_density(self, dw3):

@@ -108,10 +108,10 @@ def _padded_spectrum(t_fs, y, dx, window, padding, threshold):
     n_steps, n_cols = y.shape
     if n_steps < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} time steps")
-    dt = np.diff(t_fs)
-    if np.abs(dt - dt[0]).max() > 1e-9 * dt[0]:
+    dts = np.diff(t_fs)
+    if np.abs(dts - dts[0]).max() > 1e-9 * dts[0]:
         raise ValueError("non-uniform time axis")
-    dt = dt[0]
+    dt = dts[0]
     mean = y.mean(axis=0)
     zero_weight = float(np.sum(mean ** 2) * dx)
     if window == "hann":

@@ -3,7 +3,8 @@
 Subcommands: build, map, compile, propagate, spectrum, sweep-shots.
 Exit codes: 0 success, 2 configuration/validation error (a run whose
 phases outgrow float64 among them), 3 numerical failure (a non-finite
-evolution among them) or a lost parity-block worker, 4
+Hamiltonian, evolution or JSON value among them) or a lost parity-block
+worker, 4
 guarded-precondition refusal or a run that does not fit in memory.
 '''
 
@@ -53,6 +54,14 @@ class Pipeline:
         self.ham = build_hamiltonian(
             self.grid, self.potential,
             DafParams(m_daf=daf["m_daf"], sigma_ratio=daf["sigma_ratio"]))
+        # the kinetic band holds every off-diagonal entry of H and the
+        # diagonal the rest: checked in O(2^N), not the whole matrix
+        if not (np.isfinite(self.ham.kinetic_band).all()
+                and np.isfinite(np.diagonal(self.ham.matrix)).all()):
+            raise NumericalError(
+                "the grid Hamiltonian has non-finite entries: the DAF "
+                "kinetic energy is not finite for these daf.m_daf, "
+                "daf.sigma_ratio, grid.length_angstrom and grid.mass")
 
     @cached_property
     def eig(self):
@@ -79,9 +88,15 @@ def _out_dir(cfg, args):
 
 
 def _write_json(path, obj):
+    '''Writes obj as JSON; a non-finite number in it raises
+    NumericalError, and nothing is written.'''
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{os.path.basename(path)} would hold a "
+                             f"non-finite number: {exc}") from exc
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_matrix_csv(path, h):

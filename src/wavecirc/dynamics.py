@@ -59,8 +59,8 @@ from .givens import (BlockEigenSystem, _pair_cross, _rotate_pairs,
                      parity_partition, to_mapped_basis)
 from .ising import check_parity_coupling, map_system
 from .qsd import NumericalError, qsd_compile
-from .sim import (_split_pairs, circuit_matrix, exact_propagator,
-                  run_circuit, sample_shots)
+from .sim import (_check_phases, _split_pairs, circuit_matrix,
+                  exact_propagator, run_circuit, sample_shots)
 
 
 @dataclass(frozen=True)
@@ -158,20 +158,12 @@ def _exact_chunks(eig, psi0, dt_fs, steps):
     (a complex Hermitian H) project psi0 with their conjugate and take
     one complex product.  Before the first chunk, a run whose largest
     phase max|E| t (atomic units) is finite and at least 2^52 rad raises
-    ValueError.
+    ValueError (see `sim._check_phases`).
     '''
     blocks, pair = _eigen_blocks(eig)
     dt_au = units.fs_to_au(dt_fs)
-    # at 2^52 rad adjacent float64 phases lie a whole radian apart, and
-    # the amplitudes are finite nonsense; a phase that overflows makes
-    # them non-finite, which the caller's checks see
-    phase = dt_au * steps * float(max(np.abs(e).max(initial=0)
-                                      for e, _ in blocks))
-    if 2.0 ** 52 <= phase < np.inf:
-        raise ValueError(
-            f"dynamics.dt_fs * dynamics.steps = {dt_fs * steps:g} fs gives "
-            f"phases of {phase:.3g} rad, beyond the 2^52 rad at which "
-            f"float64 phases carry no information")
+    _check_phases(max(np.abs(e).max(initial=0) for e, _ in blocks),
+                  dt_fs * steps, "dynamics.dt_fs * dynamics.steps")
     psi0 = np.asarray(psi0, dtype=complex)
     if pair:
         psi0 = _rotate_pairs(psi0)

@@ -195,7 +195,8 @@ def check_parity_coupling(bh, threshold_ratio=1e-8, force=False):
     circuits both drop that coupling.'''
     if force:
         return
-    if bh.coupling_norm > threshold_ratio * max(bh.norm, 1e-300):
+    # written so that a NaN coupling or norm is refused too
+    if not bh.coupling_norm <= threshold_ratio * max(bh.norm, 1e-300):
         raise BrokenSymmetryError(
             "parity blocks are coupled (broken symmetry): coupling norm "
             f"{bh.coupling_norm:.3e} exceeds {threshold_ratio:.1e}*||H||")

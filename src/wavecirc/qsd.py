@@ -28,8 +28,8 @@ is the QsdTree of the S circuits: the level arrays the walk built, with
 each multiplexor's select angles, the one store of their angles, which
 `sim.run_circuit` runs in lockstep and `sim.circuit_matrix` reads.
 Gray-code gate angles exist only at export: `_gray_angles` forms them a
-level at a time for `qasm.to_qasm` and for `QsdTree.circuit(i)`, the
-one expansion of a compiled circuit into gates (a GateSequence).
+level at a time for `qasm.to_qasm`, the one place a compiled circuit is
+written out gate by gate.
 
 Both factorizations leave one phase per column free, which LAPACK fixes
 differently from one BLAS kernel to another and from one input to its
@@ -47,12 +47,11 @@ crossing -1 (where the sort key wraps), crossing alpha values or
 eigenphases, and a ZYZ leaf whose gamma comes within DEGENERATE_TOL of 0
 or pi, where only beta + delta or beta - delta is determined.
 
-Gates are listed in application order: the first gate in a sequence
+Gates are written in application order: the first gate of a circuit
 acts on the state first.  Qubit q addresses bit q of the basis index
 (qubit 0 is the least significant bit).
 '''
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -72,59 +71,6 @@ SCREEN_TOL = 1e-3
 class NumericalError(ValueError):
     '''A numerical result failed its check (a matrix that should be
     unitary is not, a compiled circuit misses its target).'''
-
-
-@dataclass(frozen=True)
-class Gate:
-    '''One elementary gate.
-
-    kind: "ry" | "rz" | "cx" | "phase".  Rotations use `target` and
-    `angle`, a finite float; cx uses `control` and `target`; phase is
-    global.
-    '''
-    kind: str
-    target: int = 0
-    control: int = None
-    angle: float = None
-
-    def __post_init__(self):
-        if self.kind == "cx" and self.control == self.target:
-            raise ValueError("cx control and target must differ")
-        if self.angle is not None:
-            if np.ndim(self.angle) or not np.isfinite(self.angle):
-                raise ValueError("gate angle must be one finite number")
-            object.__setattr__(self, "angle", float(self.angle))
-
-
-class GateSequence:
-    '''The gates of one circuit over n qubits, in application order:
-    built by hand, read from QASM, or expanded from a compiled QsdTree
-    by `QsdTree.circuit(i)`.'''
-
-    def __init__(self, n_qubits, gates=()):
-        self.n_qubits = n_qubits
-        self.gates = list(gates)
-
-    def counts(self):
-        '''Gates of each kind, kinds in order of first use.'''
-        return dict(Counter(g.kind for g in self.gates))
-
-    def cnot_count(self):
-        return self.counts().get("cx", 0)
-
-    def global_phase(self):
-        '''Sum of the phase gates.'''
-        return sum(g.angle for g in self.gates if g.kind == "phase")
-
-    def without_phase(self):
-        return GateSequence(self.n_qubits,
-                            [g for g in self.gates if g.kind != "phase"])
-
-    def __len__(self):
-        return len(self.gates)
-
-    def __iter__(self):
-        return iter(self.gates)
 
 
 @lru_cache(maxsize=None)
@@ -151,12 +97,12 @@ def _gray_angles(select):
 
 
 @lru_cache(maxsize=None)
-def _ladder(target, controls):
-    '''The CNOTs of a multiplexor's Gray ladder, in order.'''
-    size = 2 ** len(controls)
-    return tuple(Gate("cx", target, controls[
-        (_gray(s) ^ _gray((s + 1) % size)).bit_length() - 1])
-        for s in range(size))
+def _ladder(k):
+    '''The control qubit of each CNOT of the Gray ladder of a multiplexor
+    with controls 0 .. k-1, in order.'''
+    size = 2 ** k
+    return tuple((_gray(s) ^ _gray((s + 1) % size)).bit_length() - 1
+                 for s in range(size))
 
 
 def _zyz_matrix(beta, gamma, delta):
@@ -183,7 +129,7 @@ class QsdTree:
     shape (S, 4^(n-1)), are the ZYZ leaves of level 1; `phase` is the
     global phase (a float for one circuit, one value per circuit for a
     stack, None once dropped).  `qsd_compile` returns it, and
-    `circuit(i)` alone expands circuit i into gates.
+    `qasm.to_qasm` writes its gates.
     '''
     select: dict
     beta: np.ndarray
@@ -198,28 +144,6 @@ class QsdTree:
     @property
     def n_circuits(self):
         return len(self.beta)
-
-    def circuit(self, i):
-        '''Circuit i of the stack as a GateSequence: the elementary gates
-        in application order, then the phase gate.  Each level's
-        Gray-code angles are formed over the whole level, as for
-        `qasm.to_qasm`, so both give the same angles to the last bit.'''
-        gray = {m: _gray_angles(x)[:, i].tolist()
-                for m, x in self.select.items()}
-        leaves = self.delta[i].tolist(), self.gamma[i].tolist(), \
-            self.beta[i].tolist()
-        gates = []
-        for m, mux, j in _layout(self.n_qubits):
-            if m == 1:
-                gates += [Gate(kind, 0, angle=x[j])
-                          for kind, x in zip(("rz", "ry", "rz"), leaves)]
-                continue
-            for angle, cx in zip(gray[m][mux][j],
-                                 _ladder(m - 1, tuple(range(m - 1)))):
-                gates += [Gate(MUX_KINDS[mux], m - 1, angle=angle), cx]
-        if self.phase is not None:
-            gates.append(Gate("phase", angle=np.ravel(self.phase)[i]))
-        return GateSequence(self.n_qubits, gates)
 
     def counts(self):
         '''Gates of each kind over the stack, in order of first use.'''
@@ -591,31 +515,6 @@ def _with_fallback(out, bad, lapack, x):
 
 def _gray(i):
     return i ^ (i >> 1)
-
-
-def multiplexed_rotation_to_gates(axis, angles, target, controls):
-    '''Expand a uniformly controlled rotation through Gray-code ordering.
-
-    angles[b] is the rotation applied when the control qubits hold the
-    binary value b (controls[0] supplies the least significant select
-    bit).  Emits 2^k rotations and 2^k CNOTs for k controls.
-    '''
-    if axis not in ("y", "z"):
-        raise ValueError("axis must be 'y' or 'z'")
-    kind = "r" + axis
-    controls = tuple(controls)
-    if target in controls:
-        raise ValueError("target must not be a control")
-    k = len(controls)
-    angles = np.asarray(angles, dtype=float)
-    if len(angles) != 2 ** k:
-        raise ValueError("need exactly 2^k angles for k controls")
-    gates = [Gate(kind, target=target, angle=a)
-             for a in _gray_angles(angles).tolist()]
-    if k:
-        gates = [g for pair in zip(gates, _ladder(target, controls))
-                 for g in pair]
-    return GateSequence(max((target,) + controls) + 1, gates)
 
 
 def zyz(u):

@@ -1,17 +1,16 @@
-'''Statevector execution of gate sequences, exact eigendecomposition
+'''Statevector execution of compiled circuits, exact eigendecomposition
 propagators, and seeded shot sampling.
 
-Circuits come in two forms: a GateSequence, the gate list of one
-circuit, and a compiled QsdTree.  A QsdTree's stack of circuits runs in
-lockstep from its level arrays: the amplitudes hold one column per
-circuit, and each multiplexed rotation turns every amplitude pair by
-its stored select angle, and each ZYZ leaf applies its 2x2 matrix,
-every circuit's in one step.  `circuit_matrix` rebuilds a QsdTree from
-the level arrays instead, every node of a level at once from its four
-children and its three multiplexors; a compiled 7-qubit circuit takes
-about 9 ms this way against about 1.4 s for its 36,481 gates run one by
-one across the 2^n identity, which is how a GateSequence is rebuilt
-(2-core x86, numpy 2.4.6; tools/bench_qsd.py).
+A circuit is a compiled QsdTree.  Its stack of circuits runs in lockstep
+from its level arrays: the amplitudes hold one column per circuit, and
+each multiplexed rotation turns every amplitude pair by its stored
+select angle, and each ZYZ leaf applies its 2x2 matrix, every circuit's
+in one step.  `circuit_matrix` rebuilds a QsdTree from the level arrays
+instead, every node of a level at once from its four children and its
+three multiplexors; a compiled 7-qubit circuit takes about 9 ms this way
+against about 1.3 s for its 36,480 gates run one by one across the 2^n
+identity by the gate-by-gate oracle of the tests (2-core x86, numpy
+2.4.6).
 
 The sampler uses numpy's Generator with the PCG64 bit generator; the
 seed is recorded in every ShotResult so runs are bit-exact
@@ -19,14 +18,13 @@ reproducible.
 '''
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import units
 from .grid import eigensolve
 from .givens import _check_dim, _pair_cross, _rotate_pairs
-from .qsd import MUX_KINDS, QsdTree, _layout, _zyz_matrix
+from .qsd import MUX_KINDS, _layout, _zyz_matrix
 
 
 @dataclass(frozen=True)
@@ -41,6 +39,21 @@ class ShotResult:
         return self.counts / self.shots
 
 
+def _check_phases(e_max, t_fs, what):
+    '''Refuse with ValueError a run to time t_fs (largest |t| of an
+    array) whose largest phase e_max |t| in atomic units is finite and
+    at least 2^52 rad; `what` names the inputs that set t_fs.'''
+    t_fs = float(np.abs(t_fs).max(initial=0))
+    phase = units.fs_to_au(t_fs) * float(e_max)
+    # at 2^52 rad adjacent float64 phases lie a whole radian apart, and
+    # the amplitudes are finite nonsense; a phase that overflows makes
+    # them non-finite, which the callers' checks see
+    if 2.0 ** 52 <= phase < np.inf:
+        raise ValueError(
+            f"{what} = {t_fs:g} fs gives phases of {phase:.3g} rad, beyond "
+            f"the 2^52 rad at which float64 phases carry no information")
+
+
 def exact_propagator(ham, t_fs):
     '''U(t) = X exp(-i E t) X^H from the eigendecomposition of a
     Hermitian Hamiltonian (Hartree, time in femtoseconds): `ham` is the
@@ -48,54 +61,26 @@ def exact_propagator(ham, t_fs):
 
     `t_fs` may be an array of times; the result then has shape
     t_fs.shape + (dim, dim), one propagator per time.  For real
-    eigenvectors X^H is X^T, with no copy.
+    eigenvectors X^H is X^T, with no copy.  A time whose phases outgrow
+    float64 raises ValueError (see `_check_phases`).
     '''
     eig = ham if hasattr(ham, "energies") else eigensolve(ham)
+    _check_phases(np.abs(eig.energies).max(initial=0), t_fs, "t")
     t_au = np.asarray(units.fs_to_au(t_fs))
     phases = np.exp(-1j * eig.energies * t_au[..., None])
     return (eig.states * phases[..., None, :]) @ eig.states.conj().T
 
 
-def _apply_gate(amp, gate, n):
-    '''Apply one gate in place to amplitudes of shape (2^n, ...).
-    Axis 0 indexes the basis state (qubit q is bit q of the index);
-    trailing axes are batch dimensions.'''
-    if gate.kind == "phase":
-        amp *= np.exp(1j * gate.angle)
-        return amp
-    t = gate.target
-    if gate.kind == "cx":
-        off, on = _cx_rows(amp.shape[0], gate.control, t)
-        amp[off], amp[on] = amp[on], amp[off]
-        return amp
-    _rotate(amp.reshape((amp.shape[0] >> (t + 1), 2, 1 << t)
-                        + amp.shape[1:]), gate.kind, gate.angle)
-    return amp
-
-
-@lru_cache(maxsize=None)
-def _cx_rows(dim, control, target):
-    '''The basis states with the control bit set and the target bit
-    clear, and their partners with the target bit set.'''
-    i = np.arange(dim)
-    i = i[(i >> control & 1 == 1) & (i >> target & 1 == 0)]
-    j = i | 1 << target
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
-
-
 def _rotate(a, kind, angle):
-    '''R(angle), an Ry or Rz, on every pair (a[:, 0], a[:, 1]) in place;
-    `angle` broadcasts against a[:, 0].'''
+    '''R(angle), an Ry (kind "ry") or else an Rz, on every pair (a[:, 0],
+    a[:, 1]) in place; `angle` broadcasts against a[:, 0].'''
     lo, hi = a[:, 0], a[:, 1]
     if kind == "ry":
         co, si = np.cos(angle / 2), np.sin(angle / 2)
         a[:, 0], a[:, 1] = co * lo - si * hi, si * lo + co * hi
-    elif kind == "rz":
+    else:
         ph = np.exp(-0.5j * angle)
         a[:, 0], a[:, 1] = ph * lo, np.conj(ph) * hi
-    else:
-        raise ValueError(f"unknown gate kind {kind!r}")
 
 
 def _apply_multiplexor(amp, kind, select):
@@ -138,46 +123,33 @@ def _run_tree(amp, tree):
     return amp
 
 
-def run_circuit(psi, seq):
-    '''Apply a circuit to a state vector (or a batch of column vectors)
-    and return the evolved amplitudes.
+def run_circuit(psi, tree):
+    '''Apply the circuits of a QsdTree to a state vector (or a batch of
+    column vectors) and return the evolved amplitudes.
 
-    A GateSequence's gates are applied one by one.  A QsdTree of S
-    circuits runs in lockstep from its level arrays: the last axis of
-    `psi` must have length S, slice [..., i] goes through circuit i, and
-    each multiplexor and ZYZ leaf is the exact product of its gates in
-    one vectorised step for every circuit, as `seq.circuit(i)` run gate
-    by gate is to rounding.  A gate outside the register raises
-    ValueError.
+    A tree of S circuits runs in lockstep from its level arrays: the
+    last axis of `psi` must have length S, slice [..., i] goes through
+    circuit i, and each multiplexor and ZYZ leaf is the exact product of
+    its gates in one vectorised step for every circuit, as circuit i's
+    QASM run gate by gate is to rounding.
     '''
     psi = np.array(psi, dtype=complex)
-    n = seq.n_qubits
-    if psi.shape[0] != 2 ** n:
+    if psi.shape[0] != 2 ** tree.n_qubits:
         raise ValueError("state dimension does not match the circuit")
-    if isinstance(seq, QsdTree):
-        s = seq.n_circuits
-        if s > 1 and (psi.ndim < 2 or psi.shape[-1] != s):
-            raise ValueError(f"a stack of {s} circuits needs {s} amplitude "
-                             "columns on the last axis")
-        return _run_tree(psi, seq)
-    if any(max(g.target, g.control or 0) >= n for g in seq):
-        raise ValueError("gate acts outside the circuit's qubits")
-    for g in seq:
-        psi = _apply_gate(psi, g, n)
-    return psi
+    s = tree.n_circuits
+    if s > 1 and (psi.ndim < 2 or psi.shape[-1] != s):
+        raise ValueError(f"a stack of {s} circuits needs {s} amplitude "
+                         "columns on the last axis")
+    return _run_tree(psi, tree)
 
 
-def circuit_matrix(seq):
-    '''Dense matrix realized by a circuit (including phase); a QsdTree
-    of S > 1 circuits gives shape (S, 2^n, 2^n).
-
-    A QsdTree is rebuilt from its level arrays a level at a time; a
-    GateSequence is run across the whole 2^n identity.
+def circuit_matrix(tree):
+    '''Dense matrix realized by the circuits of a QsdTree (including
+    phase), rebuilt from its level arrays a level at a time; a tree of
+    S > 1 circuits gives shape (S, 2^n, 2^n).
     '''
-    if isinstance(seq, QsdTree):
-        m = _tree_matrix(seq)
-        return m[0] if seq.n_circuits == 1 else m
-    return run_circuit(np.eye(2 ** seq.n_qubits, dtype=complex), seq)
+    m = _tree_matrix(tree)
+    return m[0] if tree.n_circuits == 1 else m
 
 
 def _tree_matrix(tree):

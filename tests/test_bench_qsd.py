@@ -30,9 +30,8 @@ def test_writes_report(tmp_path):
         assert 0 <= fallbacks[kind]["fraction"] <= 1
     for n in (5, 7):
         costs = report["ms_per_circuit"][f"{n}_qubits"]
-        assert set(costs) == {"circuit_matrix_ms", "identity_replay_ms",
-                              "to_qasm_ms", "to_qasm_blockwise_ms",
-                              "gates_ms", "run_circuit_ms"}
+        assert set(costs) == {"circuit_matrix_ms", "to_qasm_ms",
+                              "run_circuit_ms"}
         assert all(t > 0 for t in costs.values())
     assert report["numpy"] and report["scipy"]
     assert report["src_lines"] > 0

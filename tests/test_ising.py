@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -357,6 +359,13 @@ class TestMapSystem:
             w.check_parity_coupling(bh, threshold_ratio=ratio / 2)
         w.check_parity_coupling(bh, threshold_ratio=ratio * 2)
         w.check_parity_coupling(bh, threshold_ratio=ratio / 2, force=True)
+
+    def test_coupling_guard_refuses_nan(self, dw3_full):
+        # NaN > bound is False: a NaN coupling once passed the guard
+        bh = dataclasses.replace(dw3_full["blocks"], coupling_norm=np.nan)
+        with pytest.raises(w.BrokenSymmetryError, match="coupling norm"):
+            w.check_parity_coupling(bh)
+        w.check_parity_coupling(bh, force=True)
 
     def test_parameter_counts(self):
         # unknowns per block: 1 + N + N(N-1)/2 diagonal, N(N-1) off-diagonal

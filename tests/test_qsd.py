@@ -8,6 +8,7 @@ import wavecirc as w
 from wavecirc import qsd
 from wavecirc.sim import circuit_matrix, exact_propagator
 
+import gate_oracle as oracle
 from conftest import double_well_system
 
 
@@ -24,22 +25,6 @@ def csd_reassemble(res):
     c, s = np.diag(np.cos(res.alpha)), np.diag(np.sin(res.alpha))
     cs = np.block([[c, -s], [s, c]])
     return block_diag(res.l0, res.l1) @ cs @ block_diag(res.r0, res.r1)
-
-
-class TestGate:
-    def test_angle_is_one_finite_float(self):
-        g = w.Gate("ry", angle=np.float64(0.25))
-        assert type(g.angle) is float and g.angle == 0.25
-        for bad in (np.zeros(2), np.zeros((1, 1)), [0.1]):
-            with pytest.raises(ValueError, match="one finite number"):
-                w.Gate("rz", angle=bad)
-        for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="finite"):
-                w.Gate("ry", angle=bad)
-
-    def test_cx_needs_two_qubits(self):
-        with pytest.raises(ValueError, match="differ"):
-            w.Gate("cx", target=1, control=1)
 
 
 class TestCosineSine:
@@ -102,7 +87,20 @@ class TestDemultiplex:
             w.demultiplex(np.eye(2), np.ones((2, 2)))
 
 
+def mux_gates(kind, angles, k):
+    '''The gates of a multiplexed rotation on qubit k with controls
+    0 .. k-1 from the compiler's Gray-code angles and CNOT ladder.'''
+    theta = qsd._gray_angles(np.asarray(angles, dtype=float))
+    if not k:
+        return [(kind, 0, None, theta[0])]
+    return [g for a, c in zip(theta, qsd._ladder(k))
+            for g in ((kind, k, None, a), ("cx", k, c, None))]
+
+
 class TestMultiplexedRotation:
+    '''The Gray-code angles and CNOT ladder of a multiplexor, run by the
+    oracle, give a rotation by select angle b for control value b.'''
+
     def multiplexor_matrix(self, axis, angles, k):
         blocks = []
         for a in angles:
@@ -122,23 +120,21 @@ class TestMultiplexedRotation:
 
     def test_single_control_identity(self):
         a0, a1 = 0.7, -0.3
-        seq = w.multiplexed_rotation_to_gates("y", [a0, a1], 1, [0])
-        got = circuit_matrix(seq)
+        got = oracle.matrix((2, 0.0, mux_gates("ry", [a0, a1], 1)))
         want = self.multiplexor_matrix("y", [a0, a1], 1)
         assert np.abs(got - want).max() <= 1e-12
 
     def test_equal_angles_reduce_to_plain_rotation(self):
-        seq = w.multiplexed_rotation_to_gates("z", [0.4] * 4, 2, [0, 1])
-        got = circuit_matrix(seq)
+        got = oracle.matrix((3, 0.0, mux_gates("rz", [0.4] * 4, 2)))
         want = self.multiplexor_matrix("z", [0.4] * 4, 2)
         assert np.abs(got - want).max() <= 1e-12
 
     def test_three_controls_random(self):
         rng = np.random.default_rng(4)
         angles = rng.normal(size=8)
-        seq = w.multiplexed_rotation_to_gates("y", angles, 3, [0, 1, 2])
-        assert seq.cnot_count() == 8
-        got = circuit_matrix(seq)
+        gates = mux_gates("ry", angles, 3)
+        assert [g[0] for g in gates].count("cx") == 8
+        got = oracle.matrix((4, 0.0, gates))
         want = self.multiplexor_matrix("y", angles, 3)
         assert np.abs(got - want).max() <= 1e-12
 
@@ -148,15 +144,11 @@ class TestMultiplexedRotation:
     def test_cnot_count_and_reconstruction(self, k, axis, seed):
         rng = np.random.default_rng(seed)
         angles = rng.normal(size=2 ** k)
-        seq = w.multiplexed_rotation_to_gates(axis, angles, k, list(range(k)))
-        assert seq.cnot_count() == (2 ** k if k else 0)
-        got = circuit_matrix(seq)
+        gates = mux_gates("r" + axis, angles, k)
+        assert [g[0] for g in gates].count("cx") == (2 ** k if k else 0)
+        got = oracle.matrix((k + 1, 0.0, gates))
         want = self.multiplexor_matrix(axis, angles, k)
         assert np.abs(got - want).max() <= 1e-11
-
-    def test_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            w.multiplexed_rotation_to_gates("y", [0.1, 0.2], 0, [0])
 
 
 def rz(b):
@@ -258,8 +250,8 @@ class TestQsdCompile:
         patterns = set()
         for _ in range(5):
             u = unitary_group.rvs(8, random_state=rng)
-            seq = w.qsd_compile(u).circuit(0)
-            patterns.add(tuple((g.kind, g.target, g.control) for g in seq))
+            gates = oracle.circuit(w.qsd_compile(u))[2]
+            patterns.add(tuple(g[:3] for g in gates))
         assert len(patterns) == 1
 
     def test_phase_hygiene(self):
@@ -278,7 +270,7 @@ class TestQsdCompile:
         seq = w.qsd_compile(u)
         counts = seq.counts()
         assert counts["cx"] == seq.cnot_count()
-        assert sum(counts.values()) == len(seq.circuit(0))
+        assert sum(counts.values()) == len(oracle.circuit(seq)[2]) + 1
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
@@ -293,38 +285,33 @@ class TestQsdCompile:
 
 class TestLevelArrays:
     '''qsd_compile returns its QsdTree, the compiler's level arrays;
-    circuit(i) alone expands circuit i into gates.'''
+    only to_qasm writes its gates.'''
 
     def test_compile_returns_the_tree(self):
         tree = w.qsd_compile(unitary_group.rvs(16, random_state=150))
         assert type(tree) is w.QsdTree
-        for gone in ("blocks", "tree", "gates", "append"):
+        for gone in ("blocks", "tree", "gates", "append", "circuit"):
             assert not hasattr(tree, gone)
         assert tree.n_qubits == 4 and tree.n_circuits == 1
 
     def test_circuit_angles_from_whole_levels(self):
-        # circuit i's gates carry column i of each level's Gray-code
-        # angles, formed over the whole level, as plain floats
+        # circuit i's section of the stack's QASM carries column i of each
+        # level's Gray-code angles, formed over the whole level
         rng = np.random.default_rng(154)
         u = np.array([unitary_group.rvs(16, random_state=rng)
                       for _ in range(3)])
         tree = w.qsd_compile(u)
         gray = qsd._gray_angles(tree.select[2])
+        n, _, gates = oracle.parse_qasm(w.to_qasm(tree.without_phase()))
+        size = len(gates) // 3
+        assert n == 4 and size == sum(tree.counts().values()) // 3 - 1
         for i in range(3):
-            seq = tree.circuit(i)
-            assert isinstance(seq, w.GateSequence) and seq.n_qubits == 4
-            delta, gamma, beta = (g.angle for g in seq.gates[:3])
-            assert (delta, gamma, beta) == (tree.delta[i, 0],
-                                            tree.gamma[i, 0], tree.beta[i, 0])
-            rz, cx = seq.gates[3:5]
-            assert (rz.kind, rz.target, cx.kind, cx.control) == ("rz", 1,
-                                                                  "cx", 0)
-            assert [g.angle for g in seq.gates[3:7:2]] == \
-                gray[0, i, 0].tolist()
-            assert all(type(g.angle) is float for g in seq if g.kind != "cx")
-            assert seq.gates[-1] == w.Gate("phase", angle=tree.phase[i])
-        with pytest.raises(IndexError):
-            tree.circuit(3)
+            seq = gates[i * size:(i + 1) * size]
+            assert [g[3] for g in seq[:3]] == [
+                tree.delta[i, 0], tree.gamma[i, 0], tree.beta[i, 0]]
+            assert [g[:3] for g in seq[3:5]] == [("rz", 1, None),
+                                                 ("cx", 1, 0)]
+            assert [g[3] for g in seq[3:7:2]] == gray[0, i, 0].tolist()
 
     def test_tree_keeps_select_angles(self):
         # the Ry multiplexor of a 4x4 node turns by 2 alpha of its CSD;
@@ -333,22 +320,23 @@ class TestLevelArrays:
         tree = w.qsd_compile(u)
         select = tree.select[2][1, 0, 0]
         assert np.array_equal(select, 2 * w.cosine_sine_decompose(u).alpha)
-        ry = [g.angle for g in w.from_qasm(w.to_qasm(tree)) if g.kind == "ry"
-              and g.target == 1]
+        ry = [g[3] for g in oracle.circuit(tree)[2] if g[:2] == ("ry", 1)]
         assert ry == qsd._gray_angles(select).tolist()
 
     @pytest.mark.parametrize("stack", [1, 3])
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_counts_match_blocks(self, n, stack):
-        # the tree's counts are those of its circuits' gate lists, summed
+        # the tree's counts are those of its circuits' QASM gates and
+        # phases, summed
         rng = np.random.default_rng(151 + n)
         u = np.array([unitary_group.rvs(2 ** n, random_state=rng)
                       for _ in range(stack)])
         for tree in (w.qsd_compile(u), w.qsd_compile(u).without_phase()):
             want = {}
             for i in range(stack):
-                for kind, k in tree.circuit(i).counts().items():
-                    want[kind] = want.get(kind, 0) + k
+                kinds = [g[0] for g in oracle.circuit(tree, i)[2]]
+                for kind in kinds + ["phase"] * (tree.phase is not None):
+                    want[kind] = want.get(kind, 0) + 1
             assert list(tree.counts().items()) == list(want.items())
             assert tree.cnot_count() == want.get("cx", 0)
 
@@ -367,8 +355,8 @@ class TestLevelArrays:
         assert w.to_qasm(bare) == "".join(
             line for line in text.splitlines(keepends=True)
             if not line.startswith("//"))
-        back = w.from_qasm(w.to_qasm(bare))
-        assert np.abs(circuit_matrix(back) - circuit_matrix(bare)).max() \
+        back = oracle.parse_qasm(w.to_qasm(bare))
+        assert np.abs(oracle.matrix(back) - circuit_matrix(bare)).max() \
             <= 1e-12
 
 
@@ -399,22 +387,23 @@ class TestSingleCircuitLayout:
     def test_gates_counts_and_qasm(self, n, tmp_path):
         seq = w.qsd_compile(unitary_group.rvs(2 ** n, random_state=90 + n))
         want = reference_layout(n)
-        assert [(g.kind, g.target, g.control) for g in seq.circuit(0)] == \
-            want + [("phase", 0, None)]
+        assert [g[:3] for g in oracle.circuit(seq)[2]] == want
         kinds = [k for k, _, _ in want]
         assert seq.counts() == {"rz": kinds.count("rz"),
                                 "ry": kinds.count("ry"),
                                 **({"cx": w.cnot_count(n)} if n > 1 else {}),
                                 "phase": 1}
         w.write_qasm(seq, tmp_path / "c.qasm")
-        back = w.read_qasm(tmp_path / "c.qasm")
-        assert [(g.kind, g.target, g.control) for g in back] == want
+        n_back, phase, back = oracle.parse_qasm((tmp_path / "c.qasm")
+                                                .read_text())
+        assert n_back == n and phase == seq.phase
+        assert [g[:3] for g in back] == want
 
     def test_stack_of_one_equals_single(self):
         u = unitary_group.rvs(8, random_state=99)
         one, single = w.qsd_compile(u[None]), w.qsd_compile(u)
         assert one.n_circuits == single.n_circuits == 1
-        assert one.circuit(0).gates == single.circuit(0).gates
+        assert oracle.circuit(one) == oracle.circuit(single)
 
 
 class TestNumericalError:

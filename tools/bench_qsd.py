@@ -18,13 +18,9 @@ double well for `--steps` steps of 1 fs, 16 steps per qsd_compile call.
 
 The layer costs are the best of `--repeats` timings, in milliseconds per
 circuit, on one compiled Haar-random circuit of 5 and of 7 qubits:
-`circuit_matrix` (the QsdTree rebuilt from its level arrays), its
-reference `identity_replay` (the circuit's gate expansion
-`tree.circuit(0)` run gate by gate across the 2^n identity, what a
-GateSequence costs), `to_qasm` from the level arrays against
-`to_qasm_blockwise` (the gate expansion formatted gate by gate), `gates`
-(that expansion, `tree.circuit(0)`) and `run_circuit` (the QsdTree run
-from its level arrays on one column).
+`circuit_matrix` (the QsdTree rebuilt from its level arrays), `to_qasm`
+(its gate lines filled in from the level arrays) and `run_circuit` (the
+QsdTree run from its level arrays on one column).
 '''
 
 import argparse
@@ -113,13 +109,9 @@ def layer_costs(repeats, seed=1):
     out = {}
     for n in (5, 7):
         tree = w.qsd_compile(unitary_group.rvs(2 ** n, random_state=rng))
-        plain = tree.circuit(0)
         eye = np.eye(2 ** n, dtype=complex)
         calls = {"circuit_matrix": lambda: circuit_matrix(tree),
-                 "identity_replay": lambda: run_circuit(eye, plain),
                  "to_qasm": lambda: w.to_qasm(tree),
-                 "to_qasm_blockwise": lambda: w.to_qasm(plain),
-                 "gates": lambda: tree.circuit(0),
                  "run_circuit": lambda: run_circuit(eye[:, 0], tree)}
         out[f"{n}_qubits"] = {f"{name}_ms": 1e3 * best_s(f, repeats)
                               for name, f in calls.items()}

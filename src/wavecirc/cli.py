@@ -4,8 +4,8 @@ Subcommands: build, map, compile, propagate, spectrum, sweep-shots.
 Exit codes: 0 success, 2 configuration/validation error (a run whose
 phases outgrow float64 among them), 3 numerical failure (a non-finite
 Hamiltonian, evolution or JSON value among them) or a lost parity-block
-worker, 4
-guarded-precondition refusal or a run that does not fit in memory.
+worker, 4 guarded-precondition refusal or a run that does not fit in
+memory.
 '''
 
 import argparse

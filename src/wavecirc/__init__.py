@@ -15,9 +15,8 @@ from .ising import (IsingParameters, MappedSystem, BrokenSymmetryError,
                     extract_diagonal_params, extract_offdiag_params,
                     assemble_ising, check_parity_coupling, map_system,
                     restrict_to_block)
-from .qsd import (NumericalError, QsdTree, CsdResult, DemuxResult,
-                  cosine_sine_decompose, demultiplex, zyz, qsd_compile,
-                  cnot_count, cnot_lower_bound)
+from .qsd import (NumericalError, QsdTree, qsd_compile, cnot_count,
+                  cnot_lower_bound)
 from .qasm import to_qasm, write_qasm
 from .sim import (ShotResult, exact_propagator, run_circuit,
                   circuit_matrix, sample_shots, mapped_density_to_grid)

@@ -18,18 +18,19 @@ def to_qasm(tree):
 
     One text template per qubit count is filled with the gate angles,
     formed from the level arrays.  A non-finite angle raises ValueError,
-    and so does a stack that still holds its per-circuit phases (drop
-    them with `without_phase()`).
+    and so does a stack of more than one circuit that still holds its
+    per-circuit phases (drop them with `without_phase()`).
     '''
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
-    phase = tree.global_phase()
-    if np.ndim(phase):
-        raise ValueError(
-            f"a stack of {tree.n_circuits} circuits has one global phase "
-            f"per circuit and the QASM header holds one; write "
-            f"tree.without_phase()")
-    if phase:
-        lines.append(f"// global phase dropped: {phase:.17g}")
+    if tree.phase is not None:
+        if tree.n_circuits > 1:
+            raise ValueError(
+                f"a stack of {tree.n_circuits} circuits has one global "
+                f"phase per circuit and the QASM header holds one; write "
+                f"tree.without_phase()")
+        phase = float(tree.phase[0])
+        if phase:
+            lines.append(f"// global phase dropped: {phase:.17g}")
     lines.append(f"qreg q[{tree.n_qubits}];")
     return "\n".join(lines) + "\n" + _tree_text(tree)
 

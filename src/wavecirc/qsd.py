@@ -126,9 +126,9 @@ class QsdTree:
     select angles, angle b for control value b, of the Rz, Ry and Rz
     multiplexors (rows 0, 1, 2) of every node of level m; node j's
     children on level m - 1 are nodes 4j .. 4j+3.  beta, gamma and delta,
-    shape (S, 4^(n-1)), are the ZYZ leaves of level 1; `phase` is the
-    global phase (a float for one circuit, one value per circuit for a
-    stack, None once dropped).  `qsd_compile` returns it, and
+    shape (S, 4^(n-1)), are the ZYZ leaves of level 1; `phase`, shape
+    (S,), is each circuit's global phase, None once dropped.
+    `qsd_compile` returns it, also for one unitary (S = 1), and
     `qasm.to_qasm` writes its gates.
     '''
     select: dict
@@ -156,57 +156,24 @@ class QsdTree:
     def cnot_count(self):
         return self.counts().get("cx", 0)
 
-    def global_phase(self):
-        '''`phase`, or 0 once dropped.'''
-        return 0 if self.phase is None else self.phase
-
     def without_phase(self):
         return replace(self, phase=None)
 
 
-@dataclass(frozen=True)
-class CsdResult:
-    '''U = blkdiag(l0, l1) @ [[C, -S], [S, C]] @ blkdiag(r0, r1) with
-    C = diag(cos alpha), S = diag(sin alpha), alpha ascending.'''
-    l0: np.ndarray
-    l1: np.ndarray
-    r0: np.ndarray
-    r1: np.ndarray
-    alpha: np.ndarray
-
-
-@dataclass(frozen=True)
-class DemuxResult:
-    '''blkdiag(l0, l1) = blkdiag(v, v) @ blkdiag(D, D*) @ blkdiag(w, w)
-    with D = diag(exp(i delta)).'''
-    v: np.ndarray
-    w: np.ndarray
-    delta: np.ndarray
-
-
-def _check_unitary(u, tol=1e-10, stack=False):
-    '''u as a complex array: one square matrix, or with `stack` also a
-    stack of them (ValueError on the shape, NumericalError when not
-    unitary).'''
+def _check_unitary(u, tol=1e-10):
+    '''u as a complex stack (S, d, d) of unitaries, one square matrix
+    becoming a stack of one (ValueError on the shape, NumericalError
+    when not unitary).'''
     u = np.asarray(u, dtype=complex)
-    if u.ndim not in ((2, 3) if stack else (2,)) \
-            or u.shape[-1] != u.shape[-2]:
-        raise ValueError("input must be a square matrix"
-                         + (" or a stack of them" if stack else ""))
+    if u.ndim == 2:
+        u = u[None]
+    if u.ndim != 3 or u.shape[-1] != u.shape[-2]:
+        raise ValueError("input must be a square matrix or a stack of them")
     gram = u.conj().swapaxes(-1, -2) @ u
     gram -= np.eye(u.shape[-1])
     if not np.abs(gram).max() <= tol:
         raise NumericalError("input matrix is not unitary")
     return u
-
-
-def cosine_sine_decompose(u):
-    '''Split a 2m x 2m unitary into half-size blocks and mixing angles.'''
-    u = _check_unitary(u)
-    if u.shape[0] % 2:
-        raise ValueError("matrix dimension must be even")
-    alpha, l0, l1, r0, r1 = (x[0] for x in _csd(u[None]))
-    return CsdResult(l0=l0, l1=l1, r0=r0, r1=r1, alpha=alpha)
 
 
 # The LAPACK drivers behind scipy.linalg.cossin and schur, the fallback
@@ -235,9 +202,11 @@ def _schur_lwork(n):
 
 
 def _csd(u):
-    '''CSD of every matrix of a stack (K, 2m, 2m); returns alpha (K, m),
-    ascending in each row, and l0, l1, r0, r1 (K, m, m) in the canonical
-    gauge: the largest-magnitude entry of each column of l0 is real and
+    '''CSD of every matrix of a stack (K, 2m, 2m): u = blkdiag(l0, l1) @
+    [[C, -S], [S, C]] @ blkdiag(r0, r1), C = diag(cos alpha), S =
+    diag(sin alpha).  Returns alpha (K, m), ascending in each row, and
+    l0, l1, r0, r1 (K, m, m) in the canonical gauge: the
+    largest-magnitude entry of each column of l0 is real and
     positive.'''
     alpha, l0, l1, r0, r1 = _csd4(u) if u.shape[-1] == 4 else _csd_stack(u)
     d = _column_gauge(l0)
@@ -351,20 +320,11 @@ def _eigh2(g):
                      np.stack([-s, ph * c], 1)], axis=2)
 
 
-def demultiplex(l0, l1):
-    '''Factor blkdiag(l0, l1) through a shared eigenbasis.
-
-    l0 l1^dag is unitary; its eigendecomposition V D^2 V^dag gives
-    delta = arg(eigenvalue)/2 with arg in (-pi, pi], and w = D V^dag l1.
-    Eigenvalues are sorted by phase angle.
-    '''
-    l0, l1 = _check_unitary(l0), _check_unitary(l1)
-    v, w, delta = (x[0] for x in _demultiplex(l0[None], l1[None]))
-    return DemuxResult(v=v, w=w, delta=delta)
-
-
 def _demultiplex(l0, l1):
-    '''demultiplex over stacks (K, m, m); returns v, w (K, m, m) and
+    '''Factor blkdiag(l0, l1) = blkdiag(v, v) @ blkdiag(D, D*) @
+    blkdiag(w, w), D = diag(exp(i delta)), for stacks l0, l1 (K, m, m):
+    l0 l1^dag = V D^2 V^dag, so delta is half its eigenphases in
+    (-pi, pi], ascending, and w = D V^dag l1.  Returns v, w (K, m, m) and
     delta (K, m), with the largest-magnitude entry of each column of v
     real and positive.'''
     x = l0 @ l1.conj().swapaxes(1, 2)
@@ -517,19 +477,11 @@ def _gray(i):
     return i ^ (i >> 1)
 
 
-def zyz(u):
-    '''Angles (alpha, beta, gamma, delta) with
-    u = exp(i alpha) Rz(beta) Ry(gamma) Rz(delta), gamma in [0, pi],
-    beta and delta in (-pi, pi], and delta = 0 when gamma is 0 or pi.'''
-    u = _check_unitary(u)
-    if u.shape != (2, 2):
-        raise ValueError("zyz expects a 2x2 matrix")
-    return tuple(float(x[0]) for x in _zyz_angles(u[None]))
-
-
 def _zyz_angles(u):
-    '''zyz for a stack of 2x2 unitaries, shape (L, 2, 2); returns the
-    arrays alpha, beta, gamma, delta.'''
+    '''Angle arrays alpha, beta, gamma, delta of a stack of 2x2 unitaries
+    (L, 2, 2) with u = exp(i alpha) Rz(beta) Ry(gamma) Rz(delta), gamma
+    in [0, pi], beta and delta in (-pi, pi], and delta = 0 when gamma is
+    0 or pi.'''
     det = u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0]
     alpha = 0.5 * np.angle(det)
     v = u * np.exp(-1j * alpha)[:, None, None]
@@ -581,17 +533,13 @@ def _layout(m, node=0):
 
 
 def qsd_compile(u):
-    '''Compile a 2^n x 2^n unitary, or a stack (S, 2^n, 2^n) of them,
-    into the QsdTree of Ry/Rz/CNOT circuits plus a global phase.
+    '''Compile a stack (S, 2^n, 2^n) of unitaries into the QsdTree of S
+    Ry/Rz/CNOT circuits plus a global phase each, circuit i from u[i].
 
-    A stack gives one QsdTree of S circuits, circuit i compiled from
-    u[i]; each circuit is the one `qsd_compile(u[i])` gives, up to
-    rounding.  The tree is walked level by level: level m holds the
-    4^(n-m) nodes of size 2^m of every circuit.
+    One 2^n x 2^n unitary is a stack of one.  The tree is walked level by
+    level: level m holds the 4^(n-m) nodes of size 2^m of every circuit.
     '''
-    u = _check_unitary(u, stack=True)
-    stacked = u.ndim == 3
-    u = u if stacked else u[None]
+    u = _check_unitary(u)
     n_circ, dim = len(u), u.shape[-1]
     n = dim.bit_length() - 1
     if n < 1 or 2 ** n != dim:
@@ -606,8 +554,7 @@ def qsd_compile(u):
     alpha, beta, gamma, delta = (x.reshape(n_circ, -1)
                                  for x in _zyz_angles(level.reshape(-1, 2, 2)))
     phase = np.mod(alpha.sum(axis=1) + np.pi, 2 * np.pi) - np.pi
-    return QsdTree(select, beta, gamma, delta,
-                   phase if stacked else float(phase[0]))
+    return QsdTree(select, beta, gamma, delta, phase)
 
 
 def cnot_count(n):

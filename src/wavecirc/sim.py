@@ -175,7 +175,7 @@ def _tree_matrix(tree):
         mats = np.concatenate([top, bottom], -2)
     mats = mats.reshape(n_circ, 2 ** n, 2 ** n)
     if tree.phase is not None:
-        mats *= np.exp(1j * np.reshape(tree.phase, (-1, 1, 1)))
+        mats *= np.exp(1j * tree.phase)[:, None, None]
     return mats
 
 

@@ -58,8 +58,7 @@ def parse_qasm(text):
 def circuit(tree, i=0):
     '''Circuit i of a compiled QsdTree, with its phase: the QASM of the
     tree sliced to circuit i, parsed.'''
-    phase = tree.phase if tree.phase is None else float(
-        np.ravel(tree.phase)[i])
+    phase = None if tree.phase is None else tree.phase[i:i + 1]
     one = replace(tree, select={m: x[:, i:i + 1]
                                 for m, x in tree.select.items()},
                   beta=tree.beta[i:i + 1], gamma=tree.gamma[i:i + 1],

@@ -90,7 +90,7 @@ class TestBlockWiseWriter:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_compiled_bytes_match_per_gate(self, n):
         tree = w.qsd_compile(unitary_group.rvs(2 ** n, random_state=20 + n))
-        assert w.to_qasm(tree) == per_gate_qasm(n, tree.phase,
+        assert w.to_qasm(tree) == per_gate_qasm(n, tree.phase[0],
                                                 expected_gates(tree))
 
     def test_stack_bytes_match_per_gate(self):
@@ -110,6 +110,19 @@ class TestBlockWiseWriter:
                       for _ in range(3)])
         with pytest.raises(ValueError,
                            match="3 circuits has one global phase per circuit"):
+            w.to_qasm(w.qsd_compile(u))
+
+    def test_stack_of_one_keeps_its_phase(self):
+        # one circuit has one phase, which the header holds, whether it
+        # was compiled alone or as a stack of one
+        assert w.to_qasm(w.qsd_compile(np.eye(4)[None])) == \
+            w.to_qasm(w.qsd_compile(np.eye(4)))
+        u = unitary_group.rvs(4, size=2, random_state=33)
+        text = w.to_qasm(w.qsd_compile(u[:1]))
+        assert text == w.to_qasm(w.qsd_compile(u[0]))
+        assert "// global phase dropped:" in text
+        with pytest.raises(ValueError,
+                           match="2 circuits has one global phase per circuit"):
             w.to_qasm(w.qsd_compile(u))
 
     def test_single_gates_match_per_gate(self):

@@ -144,7 +144,7 @@ class TestFusedExecution:
         assert np.abs(w.run_circuit(psi, seq)
                       - np.einsum("sij,js->is", mats, psi)).max() <= 1e-12
         bare = seq.without_phase()
-        assert bare.global_phase() == 0
+        assert bare.phase is None
         assert len(w.to_qasm(bare).splitlines()) \
             == 3 + sum(bare.counts().values())
         assert seq.counts()["cx"] == 3 * w.cnot_count(3)

@@ -85,7 +85,9 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "m_daf": {"type": "integer", "minimum": 0},
+                # H_(m_daf+2)(0) overflows float64 from 268 on, which
+                # makes the kinetic energy non-finite on every grid
+                "m_daf": {"type": "integer", "minimum": 0, "maximum": 266},
                 "sigma_ratio": {"type": "number", "exclusiveMinimum": 0},
             },
         },

@@ -98,8 +98,14 @@ def build_grid(n_qubits, length, center=0.0, mass=units.PROTON_MASS):
         raise ValueError("length must be positive")
     if mass <= 0:
         raise ValueError("mass must be positive")
-    return GridSpec(n_qubits=int(n_qubits), length=float(length),
+    spec = GridSpec(n_qubits=int(n_qubits), length=float(length),
                     center=float(center), mass=float(mass))
+    # far from the origin float64 merges the points of a short grid
+    if not np.abs(np.diff(spec.points) - spec.dx).max() <= 1e-6 * spec.dx:
+        raise ValueError(
+            f"grid.center_angstrom = {center:g} and grid.length_angstrom = "
+            f"{length:g}: float64 cannot resolve the grid points apart")
+    return spec
 
 
 def double_well_coefficients(barrier_kcal, minimum_angstrom):
@@ -196,16 +202,19 @@ def daf_kernel(d, mass, m_daf, sigma):
     matrix element is K(x_i - x_j) * dx with dx folded in by the caller.
     '''
     d = np.asarray(d, dtype=float)
-    z = d / (np.sqrt(2) * sigma)
-    h = _hermite_values(m_daf + 2, z)
-    s = np.zeros_like(d)
-    fac = 1.0
-    for q in range(m_daf // 2 + 1):
-        if q > 0:
-            fac *= q
-        s += (-0.25) ** q / fac * h[2 * q + 2]
-    pref = -1.0 / (4 * mass * sigma ** 3 * np.sqrt(2 * np.pi))
-    return pref * np.exp(-d ** 2 / (2 * sigma ** 2)) * s
+    # a kernel out of float range comes back non-finite, without numpy's
+    # warnings: its callers refuse it by name
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = d / (np.sqrt(2) * sigma)
+        h = _hermite_values(m_daf + 2, z)
+        s = np.zeros_like(d)
+        fac = 1.0
+        for q in range(m_daf // 2 + 1):
+            if q > 0:
+                fac *= q
+            s += (-0.25) ** q / fac * h[2 * q + 2]
+        pref = -1.0 / (4 * mass * sigma ** 3 * np.sqrt(2 * np.pi))
+        return pref * np.exp(-d ** 2 / (2 * sigma ** 2)) * s
 
 
 def daf_band(spec, params=DafParams()):

@@ -770,7 +770,7 @@ class TestInputsRefusedBeforeEvolution:
 
 
 # schema-accepted configs whose DAF kinetic energy is not finite
-NON_FINITE_H = {"m_daf": {"daf": {"m_daf": 1000000}},
+NON_FINITE_H = {"m_daf": {"daf": {"m_daf": 266}},
                 "length": {"grid": {"length_angstrom": 1e-300}},
                 "sigma": {"daf": {"sigma_ratio": 1e-300}}}
 COMMANDS = {"build": [], "map": [], "compile": ["--check"], "propagate": [],
@@ -784,8 +784,14 @@ class TestRunsThatCannotFinish:
                      ("daf.m_daf", "daf.sigma_ratio", "grid.length_angstrom",
                       "grid.mass"), id=f"{c}-{command}")
         for c in NON_FINITE_H for command, flags in COMMANDS.items()] + [
+        # H_270(0) overflows: the schema refuses before any kernel build
+        pytest.param({"daf": {"m_daf": 1000000}}, command, flags, 2,
+                     ("m_daf", "maximum of 266"), id=f"m_daf-1e6-{command}")
+        for command, flags in COMMANDS.items()] + [
         pytest.param({}, "compile", ["--time-fs", "1e300", "--check"], 2,
                      ("2^52",), id="time-fs-compile")])
+    # a numpy warning would otherwise go to pytest's summary, not stderr
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_runs_exit_documented(self, tmp_path, capsys, config,
                                              command, flags, code, names):
         # these once exited 0 with NaN in ising_parameters.json or QASM of
@@ -796,10 +802,22 @@ class TestRunsThatCannotFinish:
                     + flags) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err
+        assert "RuntimeWarning" not in err
         assert all(name in err for name in names), err
         for path in out.glob("*"):
             assert not re.search(r"\b(nan|inf|infinity)\b",
                                  path.read_text(), re.I), path.name
+
+    def test_unresolvable_grid_exit_2(self, tmp_path, capsys):
+        # at 1e17 Angstrom float64 puts all 8 points of a 1 Angstrom grid
+        # on one value: the double well became a free particle, exit 0
+        cfg = write_config(tmp_path, {"grid": {"length_angstrom": 1.0,
+                                               "center_angstrom": 1e17}})
+        out = tmp_path / "o"
+        assert main(["build", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "grid.center_angstrom" in err and "grid.length_angstrom" in err
+        assert not out.exists()
 
     def test_json_refuses_non_finite(self, tmp_path):
         with pytest.raises(w.NumericalError, match="out.json"):

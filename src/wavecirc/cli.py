@@ -1,6 +1,10 @@
 '''Command-line front end.
 
 Subcommands: build, map, compile, propagate, spectrum, sweep-shots.
+compile, like the circuit routes of propagate, spectrum and sweep-shots,
+runs its two parity blocks at once in two processes with one BLAS thread
+each (`dynamics._parity_processes`): the blocks share no data, and two
+processes of threaded BLAS would contend for the cores.
 Exit codes: 0 success, 2 configuration/validation error (a run whose
 phases outgrow float64 among them), 3 numerical failure (a non-finite
 Hamiltonian, evolution or JSON value among them) or a lost parity-block
@@ -20,7 +24,8 @@ import numpy as np
 
 from . import units
 from .config import MAX_SHOTS, ConfigError, load_config
-from .dynamics import (WavepacketSpec, check_reconstruction, densities, evolve,
+from .dynamics import (WavepacketSpec, _parity_processes,
+                       check_reconstruction, densities, evolve,
                        initial_wavepacket, probability_error)
 from .givens import (block_eigensolve, block_transform, eigensystem,
                      eigenvalues, parity_partition)
@@ -54,14 +59,6 @@ class Pipeline:
         self.ham = build_hamiltonian(
             self.grid, self.potential,
             DafParams(m_daf=daf["m_daf"], sigma_ratio=daf["sigma_ratio"]))
-        # the kinetic band holds every off-diagonal entry of H and the
-        # diagonal the rest: checked in O(2^N), not the whole matrix
-        if not (np.isfinite(self.ham.kinetic_band).all()
-                and np.isfinite(np.diagonal(self.ham.matrix)).all()):
-            raise NumericalError(
-                "the grid Hamiltonian has non-finite entries: the DAF "
-                "kinetic energy is not finite for these daf.m_daf, "
-                "daf.sigma_ratio, grid.length_angstrom and grid.mass")
 
     @cached_property
     def eig(self):
@@ -205,14 +202,19 @@ def cmd_compile(args):
     # the block circuits drop the coupling: refuse it as map does
     m = cfg["mapping"]
     check_parity_coupling(pipe.blocks, m["threshold_ratio"], m["force"])
-    # compile (and check) both blocks before writing any file
     solved = block_eigensolve(pipe.blocks)
-    trees = {}
-    for name, eig in (("even", solved.plus), ("odd", solved.minus)):
+
+    def compiled(eig, name):
         u = exact_propagator(eig, args.time_fs)
-        trees[name] = qsd_compile(u)
+        tree = qsd_compile(u)
         if args.check:
-            check_reconstruction(trees[name], u, f" in the {name} block")
+            check_reconstruction(tree, u, f" in the {name} block")
+        return tree
+    # both blocks at once, the odd one in a forked worker that returns its
+    # tree; both are compiled (and checked) before any file is written
+    trees = dict(zip(("even", "odd"), _parity_processes(
+        lambda: compiled(solved.plus, "even"),
+        lambda: compiled(solved.minus, "odd"))))
     out = _out_dir(cfg, args)
     files = []
     for name, tree in trees.items():

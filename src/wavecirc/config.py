@@ -6,6 +6,7 @@ import json
 import math
 
 from . import units
+from .grid import MAX_M_DAF
 
 NUMBER = {"type": "number"}
 # numpy's multinomial sampler takes a 64-bit count
@@ -85,9 +86,8 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                # H_(m_daf+2)(0) overflows float64 from 268 on, which
-                # makes the kinetic energy non-finite on every grid
-                "m_daf": {"type": "integer", "minimum": 0, "maximum": 266},
+                "m_daf": {"type": "integer", "minimum": 0,
+                          "maximum": MAX_M_DAF},
                 "sigma_ratio": {"type": "number", "exclusiveMinimum": 0},
             },
         },
@@ -183,7 +183,7 @@ def _validate(schema, value, what):
     exc = jsonschema.exceptions.best_match(
         jsonschema.Draft202012Validator(schema).iter_errors(value))
     if exc is not None:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+        path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"{what} invalid at {path}: {exc.message}") from exc
 
 
@@ -204,7 +204,7 @@ def resolve(raw):
         if not math.isfinite(value):
             raise ConfigError(
                 f"config holds the non-finite number {value} at "
-                + "/".join(map(str, path)))
+                + ".".join(map(str, path)))
     mass = cfg["grid"]["mass"]
     cfg["grid"]["mass_au"] = MASSES.get(mass, mass)
     return cfg

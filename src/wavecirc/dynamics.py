@@ -34,11 +34,14 @@ its circuits' matrices against its propagators, and its amplitudes
 against the exactly evolved state.
 
 The two parity blocks share no data until their amplitudes are put back
-together, so the circuit routes evolve them at once: the even block in
-the calling process and the odd block in one worker forked for the call,
-which writes its amplitudes into a shared buffer (see `_circuit_evolve`).
-Where `os.fork` is missing, or another Python thread is running, the
-blocks run in turn.  The ising route forks nothing: its few large
+together, so the circuit routes evolve them at once in two processes:
+the even block in the calling process and the odd block in one worker
+forked for the call, which writes its amplitudes into a shared buffer
+(see `_circuit_evolve`).  `_parity_processes` runs such a pair of calls,
+for `cli`'s `compile` too, with one BLAS thread in each process: two
+processes of two OpenBLAS threads each on two cores slow each other
+down.  Where `os.fork` is missing, or another Python thread is running,
+the blocks run in turn.  The ising route forks nothing: its few large
 products already use both cores through BLAS.
 '''
 
@@ -52,7 +55,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import units
+from . import lapack, units
 from .grid import eigensolve
 from .givens import (BlockEigenSystem, _pair_cross, _rotate_pairs,
                      block_eigensolve, block_transform, eigensystem,
@@ -265,69 +268,87 @@ def _circuit_evolve(even, odd, psi0_map, partition, dt_fs, steps):
     and run on the block component; returns mapped-basis amplitudes,
     shape (steps+1, 2^N).
 
-    The odd block runs in one worker forked for the call while the even
-    one runs here, each writing its amplitudes in place: the even block
-    into its columns of the result, the odd block into a MAP_SHARED
-    buffer of (steps+1, half) that is copied into the result once the
-    worker is done.  So the whole run holds the result plus one half,
-    as when the blocks run in turn, plus the worker's chunk working set.
-    The pipe carries only a worker exception, which is raised here; a
-    worker that dies without reporting raises ChildProcessError.  The
-    worker is joined on every path, and killed first when this process
-    fails; it dies when this process dies (`_worker`).  OpenBLAS stops
-    its thread pool around a fork, so the worker starts with a usable
-    BLAS and this process forks with one thread.  Without `os.fork`, or
-    while another Python thread runs here (a child could inherit a lock
-    that thread holds), the blocks run in turn.
+    The two blocks run at once in two processes with one BLAS thread
+    each (`_parity_processes`), each writing its amplitudes in place:
+    the even block into its columns of the result, the odd block, in the
+    worker, into a MAP_SHARED buffer of (steps+1, half) that is copied
+    into the result once the worker is done.  So the whole run holds the
+    result plus one half, plus each process's chunk working set.
     '''
     out = np.empty((steps + 1, 2 * partition.half), dtype=complex)
     evens, odds = partition.even_states, partition.odd_states
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        for states, eig in ((evens, even), (odds, odd)):
-            _compiled_evolve(eig, psi0_map[states], dt_fs, steps, out,
-                             states)
-        return out
     # MAP_SHARED and anonymous; unmapped when the last view is dropped
     shared = np.frombuffer(mmap.mmap(-1, (steps + 1) * len(odds) * 16),
                            dtype=complex).reshape(steps + 1, len(odds))
-    read_fd, write_fd = os.pipe()
-    parent = os.getpid()
-    pid = os.fork()
-    if pid == 0:
-        _worker(parent, read_fd, write_fd, _compiled_evolve, odd,
-                psi0_map[odds], dt_fs, steps, shared)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            _compiled_evolve(even, psi0_map[evens], dt_fs, steps, out, evens)
-            report = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if report:
-        raise pickle.loads(report)
-    if status:
+
+    def odd_block():    # its amplitudes go back through `shared` only
+        _compiled_evolve(odd, psi0_map[odds], dt_fs, steps, shared)
+
+    _parity_processes(lambda: _compiled_evolve(
+        even, psi0_map[evens], dt_fs, steps, out, evens), odd_block)
+    out[:, odds] = shared
+    return out
+
+
+def _parity_processes(even_block, odd_block):
+    '''(even_block(), odd_block()), the two calls run at once: odd_block
+    in one worker forked for the call (`_worker`), whose result comes
+    back pickled over a pipe, and even_block here.  Both processes run
+    in `lapack.one_blas_thread`: with the default pools, two processes
+    of two BLAS threads each would share the 2 cores of the reference
+    machine, where a mid-size BLAS call ran 50-100x slower while
+    another process kept the cores busy.
+
+    An exception of the worker is raised here; a worker that dies
+    without reporting raises ChildProcessError.  The worker is joined on
+    every path, and killed first when this process fails; it dies when
+    this process dies.  OpenBLAS stops its thread pool around a fork, so
+    the worker starts with a usable BLAS and this process forks with one
+    thread.  Without `os.fork`, or while another Python thread runs here
+    (a child could inherit a lock that thread holds, and the BLAS pools
+    that the scope would set are that thread's too), the calls run in
+    turn, even_block first, with the BLAS pools as they are.
+    '''
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return even_block(), odd_block()
+    with lapack.one_blas_thread():
+        read_fd, write_fd = os.pipe()
+        parent = os.getpid()
+        pid = os.fork()
+        if pid == 0:
+            _worker(parent, read_fd, write_fd, odd_block)
+        os.close(write_fd)
+        try:
+            with open(read_fd, "rb") as pipe:
+                here = even_block()
+                report = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)
+    if status or not report:
         raise ChildProcessError(
             f"the odd parity block's worker exited with status "
             f"{os.waitstatus_to_exitcode(status)} without a result")
-    out[:, odds] = shared
-    return out
+    done, there = pickle.loads(report)
+    if not done:
+        raise there
+    return here, there
 
 
 # prctl option: the signal a process gets when its parent dies (Linux)
 PR_SET_PDEATHSIG = 1
 
 
-def _worker(parent, read_fd, write_fd, evolve_block, *args):
-    '''Body of the forked worker of the process `parent`: runs
-    `evolve_block(*args)`, writes its pickled exception, if any, to the
-    pipe `write_fd`, and leaves by os._exit (status 0 once it has run or
-    reported), so that no inherited exit handler or buffered output runs
-    twice.  It dies with its parent: on Linux the kernel sends it
-    SIGKILL when the parent dies, and it leaves at once when the parent
-    died before that was set up.  Never returns.'''
+def _worker(parent, read_fd, write_fd, call):
+    '''Body of the forked worker of the process `parent`: runs `call()`,
+    writes its report (`_report`) to the pipe `write_fd`, and leaves by
+    os._exit (status 0 once it has reported), so that no inherited exit
+    handler or buffered output runs twice.  It dies with its parent: on
+    Linux the kernel sends it SIGKILL when the parent dies, and it
+    leaves at once when the parent died before that was set up.  Never
+    returns.'''
     code = 1
     try:
         if sys.platform.startswith("linux"):
@@ -340,22 +361,24 @@ def _worker(parent, read_fd, write_fd, evolve_block, *args):
             return
         os.close(read_fd)
         with open(write_fd, "wb") as pipe:
-            try:
-                evolve_block(*args)
-            except Exception as exc:
-                pipe.write(_pickled(exc))
+            pipe.write(_report(call))
         code = 0
     finally:
         os._exit(code)
 
 
-def _pickled(exc):
-    '''exc pickled, or a RuntimeError with its message where exc does
-    not pickle.'''
+def _report(call):
+    '''(True, call()) pickled, or (False, the exception) when call raises
+    or its result does not pickle; an exception that does not pickle
+    becomes a RuntimeError with its message.'''
     try:
-        return pickle.dumps(exc)
-    except Exception:
-        return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        return pickle.dumps((True, call()))
+    except Exception as exc:
+        try:
+            return pickle.dumps((False, exc))
+        except Exception:
+            return pickle.dumps(
+                (False, RuntimeError(f"{type(exc).__name__}: {exc}")))
 
 
 # Byte budget of the stack of exact propagators compiled together,

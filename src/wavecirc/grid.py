@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lapack, units
+from .qsd import NumericalError
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,10 @@ class GridSpec:
         return units.angstrom_to_bohr(self.dx)
 
 
+# the largest DAF order whose Hermite values stay finite
+MAX_M_DAF = 266
+
+
 @dataclass(frozen=True)
 class DafParams:
     '''Truncation order and Gaussian width of the kinetic-energy kernel.
@@ -65,6 +70,11 @@ class DafParams:
     def __post_init__(self):
         if self.m_daf < 0 or self.m_daf % 2 != 0:
             raise ValueError("m_daf must be a non-negative even integer")
+        # H_(m_daf+2)(0) overflows float64 from 268 on, which makes the
+        # kinetic energy non-finite on every grid
+        if self.m_daf > MAX_M_DAF:
+            raise ValueError(f"m_daf must be at most {MAX_M_DAF}, got "
+                             f"{self.m_daf}")
         if self.sigma_ratio <= 0:
             raise ValueError("sigma_ratio must be positive")
 
@@ -248,9 +258,18 @@ def assemble_hamiltonian(kinetic, potential, spec):
 
 
 def build_hamiltonian(spec, potential, params=DafParams()):
-    '''Convenience: kinetic matrix + potential array ->
-    NuclearHamiltonian.'''
-    return assemble_hamiltonian(daf_kinetic(spec, params), potential, spec)
+    '''Kinetic matrix + potential array -> NuclearHamiltonian.  A
+    Hamiltonian with a non-finite entry raises NumericalError.'''
+    ham = assemble_hamiltonian(daf_kinetic(spec, params), potential, spec)
+    # the kinetic band holds every off-diagonal entry of H and the
+    # diagonal the rest: checked in O(2^N), not the whole matrix
+    if not (np.isfinite(ham.kinetic_band).all()
+            and np.isfinite(np.diagonal(ham.matrix)).all()):
+        raise NumericalError(
+            "the grid Hamiltonian has non-finite entries: the DAF "
+            "kinetic energy is not finite for these daf.m_daf, "
+            "daf.sigma_ratio, grid.length_angstrom and grid.mass")
+    return ham
 
 
 def _fix_signs(states, scale=1.0):

@@ -9,10 +9,26 @@ for about 0.25 s and 20 MB that no wavecirc command uses.  The extension
 holds the same routine objects that scipy.linalg.lapack re-exports, and
 `eigh` calls them with the arguments scipy.linalg.eigh passes by default,
 so its results are bit-identical to scipy's.
+
+`one_blas_thread` sets every OpenBLAS thread pool in the process to one
+thread for its body.  numpy and scipy each bundle their own OpenBLAS
+(numpy's runs np.linalg and matmul, scipy's these drivers), each with a
+pool of one thread per core.  The two parity blocks run in two
+processes (`dynamics._parity_processes`), and there the default pools,
+two threads each in each process, would share the 2 cores of the
+reference machine: the two pools of a process contend, the two
+processes contend, and threads that spin between calls bill CPU for no
+work.  So each of the
+two processes runs one BLAS thread (wavebench `compile-check` in
+BENCH_e2e.json).  No other code enters the scope: a lone process keeps
+threaded BLAS, as for the 1024^2 solves of a `spectrum` at N=11.
 '''
 
+import os
 import sys
+from contextlib import contextmanager
 from functools import lru_cache
+from itertools import product
 from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
                                  FileFinder)
 from importlib.util import module_from_spec
@@ -75,3 +91,60 @@ def eigh(h):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of {name}")
     return w, v
+
+
+# the C thread-count entry points of an OpenBLAS build: plain, or with
+# the prefix and symbol suffix of the scipy-openblas wheels (numpy's
+# 64-bit integer build adds 64_)
+POOL_SYMBOLS = [(f"{prefix}openblas_get_num_threads{suffix}",
+                 f"{prefix}openblas_set_num_threads{suffix}")
+                for prefix, suffix in product(("", "scipy_"), ("", "64_"))]
+
+
+def _openblas_pools():
+    '''(get, set) thread-count functions of each OpenBLAS library mapped
+    into this process, found by name in /proc/self/maps; none where that
+    file does not exist.'''
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return []
+    paths = sorted({f[5].strip() for f in fields if len(f) == 6
+                    and "openblas" in os.path.basename(f[5]).lower()})
+    import ctypes
+    pools = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in POOL_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            set_threads = getattr(lib, set_name, None)
+            if get is not None and set_threads is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_threads.argtypes = (ctypes.c_int,)
+                set_threads.restype = None
+                pools.append((get, set_threads))
+                break
+    return pools
+
+
+@contextmanager
+def one_blas_thread():
+    '''Scope in which every OpenBLAS pool of the process runs one
+    thread: numpy's, and scipy's, which `flapack` loads first if it is
+    not loaded yet.  On exit, by an exception too, each pool gets back
+    its previous thread count.  Where no OpenBLAS is found the scope
+    does nothing.  A process forked inside inherits the settings.'''
+    flapack()
+    pools = _openblas_pools()
+    previous = [get() for get, _ in pools]
+    try:
+        for _, set_threads in pools:
+            set_threads(1)
+        yield
+    finally:
+        for (_, set_threads), count in zip(pools, previous):
+            set_threads(count)

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import jsonschema
@@ -107,11 +108,11 @@ class TestConfig:
             load_config(str(path))
 
     @pytest.mark.parametrize("raw, where", [
-        ({"grid": {"length_angstrom": float("nan")}}, "grid/length_angstrom"),
-        ({"dynamics": {"dt_fs": float("inf")}}, "dynamics/dt_fs"),
+        ({"grid": {"length_angstrom": float("nan")}}, "grid.length_angstrom"),
+        ({"dynamics": {"dt_fs": float("inf")}}, "dynamics.dt_fs"),
         ({"potential": {"model": {
             "kind": "polynomial", "coefficients": [0.0, -float("inf")]}}},
-         "potential/model/coefficients/1")], ids=["nan", "inf", "in-list"])
+         "potential.model.coefficients.1")], ids=["nan", "inf", "in-list"])
     def test_resolve_rejects_non_finite(self, raw, where):
         # a library caller's dict, which no JSON parser has seen
         cfg = json.loads(json.dumps(BASE))
@@ -125,7 +126,7 @@ class TestConfig:
         path.write_text(json.dumps(BASE).replace('"dt_fs": 0.5',
                                                  '"dt_fs": 1e400'))
         with pytest.raises(ConfigError, match="non-finite number inf at "
-                                              "dynamics/dt_fs"):
+                                              "dynamics.dt_fs"):
             load_config(str(path))
 
 
@@ -482,24 +483,24 @@ class TestModelSchema:
 
     @pytest.mark.parametrize("model, where, message", [
         ({"kind": "double_well", "barrier_kcal": "two"},
-         "potential/model/barrier_kcal", "is not of type 'number'"),
+         "potential.model.barrier_kcal", "is not of type 'number'"),
         ({"kind": "polynomial"},
-         "potential/model", "'coefficients' is a required property"),
+         "potential.model", "'coefficients' is a required property"),
         ({"kind": "double_well", "barier_kcal": 2.0},
-         "potential/model", "'barier_kcal' was unexpected"),
+         "potential.model", "'barier_kcal' was unexpected"),
         ({"kind": "double_well", "a": 1.0},
-         "potential/model", "'b' is a dependency of 'a'"),
+         "potential.model", "'b' is a dependency of 'a'"),
         ({"kind": "double_well", "a": 1.0, "b": 2.0, "barrier_kcal": 2.0},
-         "potential/model", "'barrier_kcal' is not one of"),
-        ({"kind": "harmonic"}, "potential/model", "'k' is a required"),
+         "potential.model", "'barrier_kcal' is not one of"),
+        ({"kind": "harmonic"}, "potential.model", "'k' is a required"),
         ({"kind": "harmonic", "k": 1.0, "a": 1.0},
-         "potential/model", "'a' was unexpected"),
+         "potential.model", "'a' was unexpected"),
         ({"kind": "polynomial", "coefficients": [0.0, "x"]},
-         "potential/model/coefficients/1", "is not of type 'number'"),
+         "potential.model.coefficients.1", "is not of type 'number'"),
         ({"kind": "polynomial", "coefficients": []},
-         "potential/model/coefficients", "should be non-empty"),
+         "potential.model.coefficients", "should be non-empty"),
         ({"kind": "double_well", "minimum_angstrom": 0.0},
-         "potential/model/minimum_angstrom", "less than or equal")],
+         "potential.model.minimum_angstrom", "less than or equal")],
         ids=["barrier-string", "polynomial-no-coefficients", "misspelled",
              "a-without-b", "a-b-and-barrier", "harmonic-no-k",
              "harmonic-extra", "coefficient-string", "no-coefficients",
@@ -1092,13 +1093,15 @@ class TestCircuitHealthCheck:
     @pytest.mark.parametrize("corrupt", [("odd",), ("even", "odd")])
     def test_compile_check_failure_writes_nothing(self, tmp_path, capsys,
                                                    monkeypatch, corrupt):
-        # the even block is compiled first, then the odd one
+        # the odd block is compiled in a forked worker, or after the even
+        # one where the blocks run in turn
         from wavecirc.qsd import qsd_compile
-        names = iter(("even", "odd"))
+        parent, names = os.getpid(), iter(("even", "odd"))
 
         def corrupted(u):
             tree = qsd_compile(u)
-            if next(names) in corrupt:
+            name = next(names) if os.getpid() == parent else "odd"
+            if name in corrupt:
                 corrupt_one_multiplexor(tree)
             return tree
         monkeypatch.setattr("wavecirc.cli.qsd_compile", corrupted)
@@ -1109,6 +1112,52 @@ class TestCircuitHealthCheck:
         assert "reconstruction error" in capsys.readouterr().err
         assert not list(out.glob("*.qasm"))
         assert not (out / "manifest.json").exists()
+
+
+class TestCompileBlocksAtOnce:
+    '''compile runs the odd block's propagator, compile and check in one
+    forked worker, which returns the tree.'''
+
+    def compile(self, tmp_path, out):
+        return main(["compile", "--config", write_config(tmp_path),
+                     "--out", str(out), "--time-fs", "0.5", "--check"])
+
+    def test_forks_once(self, tmp_path, forks):
+        assert self.compile(tmp_path, tmp_path / "o") == 0
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+
+    def test_live_thread_runs_blocks_in_turn_same_bytes(self, tmp_path,
+                                                        forks):
+        assert self.compile(tmp_path, tmp_path / "forked") == 0
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert self.compile(tmp_path, tmp_path / "in_turn") == 0
+        finally:
+            stop.set()
+            thread.join()
+        assert len(forks) == 1
+        names = sorted(os.listdir(tmp_path / "forked"))
+        assert names == sorted(os.listdir(tmp_path / "in_turn"))
+        assert "propagator_odd.qasm" in names
+        for name in names:
+            assert (tmp_path / "forked" / name).read_bytes() \
+                == (tmp_path / "in_turn" / name).read_bytes(), name
+
+    def test_odd_block_failing_in_worker_writes_nothing(
+            self, tmp_path, capsys, monkeypatch, forks):
+        from wavecirc.qsd import qsd_compile
+        monkeypatch.setattr("wavecirc.cli.qsd_compile", in_worker_only(
+            lambda u: corrupt_one_multiplexor(qsd_compile(u)), qsd_compile))
+        out = tmp_path / "o"
+        assert self.compile(tmp_path, out) == 3
+        err = capsys.readouterr().err
+        assert "reconstruction error" in err and "in the odd block" in err
+        assert len(forks) == 1
+        assert not out.exists()
 
 
 class TestEntryPoint:

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 import wavecirc as w
-from wavecirc import dynamics, units
+from wavecirc import dynamics, lapack, units
 
 from conftest import (block_systems, double_well_system, in_worker_only,
                       pair_cross, random_state)
@@ -350,6 +350,34 @@ class TestParityWorker:
         with pytest.raises(FloatingPointError, match="even block"):
             dynamics._circuit_evolve(*systems, psi0_map, pp, 0.5, 2000)
         assert os.waitstatus_to_exitcode(statuses[0]) == -signal.SIGKILL
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+
+
+class TestParityProcesses:
+    '''_parity_processes runs two calls at once, the second in a forked
+    worker whose result comes back over a pipe, each process with one
+    BLAS thread.'''
+
+    def test_worker_result_comes_back(self, forks):
+        here, there = dynamics._parity_processes(os.getpid, os.getpid)
+        assert here == os.getpid()
+        assert forks == [there]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                        reason="finds the pools through /proc/self/maps")
+    def test_both_processes_run_one_blas_thread(self, forks):
+        def counts():
+            return [get() for get, _ in lapack._openblas_pools()]
+        before = counts()
+        here, there = dynamics._parity_processes(counts, counts)
+        assert len(forks) == 1
+        assert here == there == [1] * len(before)
+        assert counts() == before
+
+    def test_unpicklable_result_raises_here(self, forks):
+        with pytest.raises(Exception, match="pickle"):
+            dynamics._parity_processes(int, lambda: lambda: 0)
         with pytest.raises(ChildProcessError):
             os.waitpid(forks[0], os.WNOHANG)
 

@@ -189,6 +189,25 @@ class TestDafKinetic:
         with pytest.raises(ValueError):
             w.DafParams(sigma_ratio=-1.0)
 
+    def test_order_beyond_float_range_refused(self):
+        g, pot, _ = double_well_system(3)
+        assert w.DafParams(m_daf=266).m_daf == 266
+        with pytest.raises(ValueError, match="at most 266"):
+            w.build_hamiltonian(g, pot, w.DafParams(m_daf=268))
+
+    @pytest.mark.parametrize("params, spec", [
+        (w.DafParams(sigma_ratio=1e-300), (3, 0.66)),
+        (w.DafParams(), (3, 1e-300))], ids=["sigma_ratio", "length"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_hamiltonian_raises(self, params, spec):
+        # a library caller gets the CLI's refusal, naming the same fields
+        g = w.build_grid(*spec)
+        with pytest.raises(w.NumericalError) as exc:
+            w.build_hamiltonian(g, np.zeros(g.n_points), params)
+        for name in ("daf.m_daf", "daf.sigma_ratio", "grid.length_angstrom",
+                     "grid.mass"):
+            assert name in str(exc.value)
+
 
 class TestAssembleAndEigensolve:
     def test_zero_potential_gives_kinetic(self):

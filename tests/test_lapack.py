@@ -3,6 +3,7 @@ scipy.linalg package, and eigh on its drivers bit-identical to
 scipy.linalg.eigh.  The loader's own path runs in new interpreters: this
 one has usually imported scipy.linalg already.'''
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -158,3 +159,57 @@ def test_eigensolve_in_process_matches_scipy():
         ref_e, ref_v = scipy.linalg.eigh(h)
         assert np.array_equal(eig.energies, ref_e)
         assert np.array_equal(eig.states, w.grid._fix_signs(ref_v))
+
+
+class FakePool:
+    '''A (get, set) pair standing for one OpenBLAS pool.'''
+
+    def __init__(self, threads):
+        self.threads, self.sets = threads, []
+
+    def get(self):
+        return self.threads
+
+    def set(self, threads):
+        self.sets.append(threads)
+        self.threads = threads
+
+
+class TestOneBlasThread:
+    @pytest.mark.parametrize("fails", [False, True], ids=["ok", "raises"])
+    def test_each_pool_set_to_one_then_restored(self, monkeypatch, fails):
+        pools = [FakePool(3), FakePool(5)]
+        monkeypatch.setattr(lapack, "_openblas_pools",
+                            lambda: [(p.get, p.set) for p in pools])
+        inside = []
+        with pytest.raises(KeyError) if fails else contextlib.nullcontext():
+            with lapack.one_blas_thread():
+                inside = [p.threads for p in pools]
+                if fails:
+                    raise KeyError("body")
+        assert inside == [1, 1]
+        assert [p.sets for p in pools] == [[1, 3], [1, 5]]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                        reason="finds the pools through /proc/self/maps")
+    def test_finds_numpys_and_scipys_pools(self):
+        lapack.flapack()
+        pools = lapack._openblas_pools()
+        assert len(pools) >= 2
+        before = [get() for get, _ in pools]
+        with pytest.raises(KeyError):
+            with lapack.one_blas_thread():
+                assert [get() for get, _ in pools] == [1] * len(pools)
+                raise KeyError("body")
+        assert [get() for get, _ in pools] == before
+
+    def test_no_pool_found_changes_nothing(self, monkeypatch):
+        pools = lapack._openblas_pools()
+        before = [get() for get, _ in pools]
+        monkeypatch.setattr(lapack, "_openblas_pools", lambda: [])
+        a = np.arange(1.0, 65.0).reshape(8, 8)
+        with lapack.one_blas_thread():
+            assert [get() for get, _ in pools] == before
+            inside = a @ a.T
+        assert np.array_equal(inside, a @ a.T)
+        assert [get() for get, _ in pools] == before

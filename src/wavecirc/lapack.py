@@ -99,12 +99,16 @@ def eigh(h):
 POOL_SYMBOLS = [(f"{prefix}openblas_get_num_threads{suffix}",
                  f"{prefix}openblas_set_num_threads{suffix}")
                 for prefix, suffix in product(("", "scipy_"), ("", "64_"))]
+# the function an OpenBLAS pthreads build runs before a fork: it stops
+# the pool's threads, and the next threaded call starts them again
+POOL_STOP = "blas_thread_shutdown_"
 
 
 def _openblas_pools():
-    '''(get, set) thread-count functions of each OpenBLAS library mapped
-    into this process, found by name in /proc/self/maps; none where that
-    file does not exist.'''
+    '''(get, set, stop) functions of each OpenBLAS library mapped into
+    this process, found by name in /proc/self/maps: the pool's thread
+    count, its setter, and the stop of its threads (None where the
+    library has none); no pools where that file does not exist.'''
     try:
         with open("/proc/self/maps") as fh:
             fields = [line.split(maxsplit=5) for line in fh]
@@ -126,7 +130,8 @@ def _openblas_pools():
                 get.argtypes, get.restype = (), ctypes.c_int
                 set_threads.argtypes = (ctypes.c_int,)
                 set_threads.restype = None
-                pools.append((get, set_threads))
+                pools.append((get, set_threads,
+                              getattr(lib, POOL_STOP, None)))
                 break
     return pools
 
@@ -135,16 +140,23 @@ def _openblas_pools():
 def one_blas_thread():
     '''Scope in which every OpenBLAS pool of the process runs one
     thread: numpy's, and scipy's, which `flapack` loads first if it is
-    not loaded yet.  On exit, by an exception too, each pool gets back
-    its previous thread count.  Where no OpenBLAS is found the scope
-    does nothing.  A process forked inside inherits the settings.'''
+    not loaded yet.  A process forked inside inherits the settings.  On
+    exit, by an exception too, each pool gets back its previous thread
+    count, and then its threads are stopped, as before a fork: setting
+    the count of a pool that a fork stopped starts its threads at once,
+    and each would spin idle for about 65 ms of CPU before it sleeps;
+    stopped, they start again at the pool's next threaded call.  Where
+    no OpenBLAS is found the scope does nothing.  Enter it only where no
+    other thread of the process calls BLAS.'''
     flapack()
     pools = _openblas_pools()
-    previous = [get() for get, _ in pools]
+    previous = [get() for get, _, _ in pools]
     try:
-        for _, set_threads in pools:
+        for _, set_threads, _ in pools:
             set_threads(1)
         yield
     finally:
-        for (_, set_threads), count in zip(pools, previous):
+        for (_, set_threads, stop), count in zip(pools, previous):
             set_threads(count)
+            if stop is not None:
+                stop()

@@ -368,7 +368,7 @@ class TestParityProcesses:
                         reason="finds the pools through /proc/self/maps")
     def test_both_processes_run_one_blas_thread(self, forks):
         def counts():
-            return [get() for get, _ in lapack._openblas_pools()]
+            return [get() for get, _, _ in lapack._openblas_pools()]
         before = counts()
         here, there = dynamics._parity_processes(counts, counts)
         assert len(forks) == 1

@@ -162,25 +162,32 @@ def test_eigensolve_in_process_matches_scipy():
 
 
 class FakePool:
-    '''A (get, set) pair standing for one OpenBLAS pool.'''
+    '''A (get, set, stop) triple standing for one OpenBLAS pool; `calls`
+    is shared by all pools.'''
 
-    def __init__(self, threads):
-        self.threads, self.sets = threads, []
+    def __init__(self, name, threads, calls):
+        self.name, self.threads, self.calls = name, threads, calls
 
     def get(self):
         return self.threads
 
     def set(self, threads):
-        self.sets.append(threads)
+        self.calls.append((self.name, threads))
         self.threads = threads
+
+    def stop(self):
+        self.calls.append((self.name, "stop"))
 
 
 class TestOneBlasThread:
     @pytest.mark.parametrize("fails", [False, True], ids=["ok", "raises"])
     def test_each_pool_set_to_one_then_restored(self, monkeypatch, fails):
-        pools = [FakePool(3), FakePool(5)]
-        monkeypatch.setattr(lapack, "_openblas_pools",
-                            lambda: [(p.get, p.set) for p in pools])
+        calls = []
+        pools = [FakePool("a", 3, calls), FakePool("b", 5, calls)]
+        # a pool whose library cannot stop its threads is only restored
+        monkeypatch.setattr(lapack, "_openblas_pools", lambda: [
+            (pools[0].get, pools[0].set, pools[0].stop),
+            (pools[1].get, pools[1].set, None)])
         inside = []
         with pytest.raises(KeyError) if fails else contextlib.nullcontext():
             with lapack.one_blas_thread():
@@ -188,7 +195,8 @@ class TestOneBlasThread:
                 if fails:
                     raise KeyError("body")
         assert inside == [1, 1]
-        assert [p.sets for p in pools] == [[1, 3], [1, 5]]
+        assert calls == [("a", 1), ("b", 1), ("a", 3), ("a", "stop"),
+                         ("b", 5)]
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
                         reason="finds the pools through /proc/self/maps")
@@ -196,20 +204,41 @@ class TestOneBlasThread:
         lapack.flapack()
         pools = lapack._openblas_pools()
         assert len(pools) >= 2
-        before = [get() for get, _ in pools]
+        before = [get() for get, _, _ in pools]
         with pytest.raises(KeyError):
             with lapack.one_blas_thread():
-                assert [get() for get, _ in pools] == [1] * len(pools)
+                assert [get() for get, _, _ in pools] == [1] * len(pools)
                 raise KeyError("body")
-        assert [get() for get, _ in pools] == before
+        assert [get() for get, _, _ in pools] == before
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/task"),
+                        reason="counts threads in /proc/self/task")
+    def test_leaves_no_pool_thread_running(self):
+        # set back after a fork, a pool starts its threads at once, and
+        # they spin before they sleep; the scope stops them
+        run_fresh('''
+import os
+import numpy as np
+from wavecirc import dynamics, lapack
+lapack.flapack()
+a = np.ones((400, 400))
+a @ a
+assert len(os.listdir("/proc/self/task")) > 1
+before = [get() for get, _, _ in lapack._openblas_pools()]
+assert dynamics._parity_processes(int, int) == (0, 0)
+assert [get() for get, _, _ in lapack._openblas_pools()] == before
+assert len(os.listdir("/proc/self/task")) == 1
+a @ a
+assert len(os.listdir("/proc/self/task")) > 1
+''')
 
     def test_no_pool_found_changes_nothing(self, monkeypatch):
         pools = lapack._openblas_pools()
-        before = [get() for get, _ in pools]
+        before = [get() for get, _, _ in pools]
         monkeypatch.setattr(lapack, "_openblas_pools", lambda: [])
         a = np.arange(1.0, 65.0).reshape(8, 8)
         with lapack.one_blas_thread():
-            assert [get() for get, _ in pools] == before
+            assert [get() for get, _, _ in pools] == before
             inside = a @ a.T
         assert np.array_equal(inside, a @ a.T)
-        assert [get() for get, _ in pools] == before
+        assert [get() for get, _, _ in pools] == before

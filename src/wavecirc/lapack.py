@@ -18,20 +18,21 @@ processes (`dynamics._parity_processes`), and there the default pools,
 two threads each in each process, would share the 2 cores of the
 reference machine: the two pools of a process contend, the two
 processes contend, and threads that spin between calls bill CPU for no
-work.  So each of the
-two processes runs one BLAS thread (wavebench `compile-check` in
-BENCH_e2e.json).  No other code enters the scope: a lone process keeps
-threaded BLAS, as for the 1024^2 solves of a `spectrum` at N=11.
+work.  So each of the two processes runs one BLAS thread: wavebench
+`compile-check` CPU fell 5.17 -> 3.30 s and wall 2.99 -> 2.32 s
+(medians of 10 pairs, BENCH_e2e.json).  No other code enters the scope:
+a lone process keeps threaded BLAS, as for the 1024^2 solves of a
+`spectrum` at N=11.
 '''
 
 import os
 import sys
 from contextlib import contextmanager
 from functools import lru_cache
-from itertools import product
 from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
                                  FileFinder)
 from importlib.util import module_from_spec
+from itertools import product
 from pathlib import Path
 
 import numpy as np

@@ -3,8 +3,12 @@
 Subcommands: build, map, compile, propagate, spectrum, sweep-shots.
 compile, like the circuit routes of propagate, spectrum and sweep-shots,
 runs its two parity blocks at once in two processes with one BLAS thread
-each (`dynamics._parity_processes`): the blocks share no data, and two
-processes of threaded BLAS would contend for the cores.
+each (`lapack._parity_processes`): the blocks share no data, and two
+processes of threaded BLAS would contend for the cores.  So do the
+eigensolves of blocks of givens.FORK_MIN_DIM rows or more, in build and
+in every command that needs eigenvectors.  Run as `python -m wavecirc`
+or the `wavecirc` script (`__main__.main`), a process runs every BLAS
+call on one thread, unless OPENBLAS_NUM_THREADS says otherwise.
 Exit codes: 0 success, 2 configuration/validation error (a run whose
 phases outgrow float64 among them), 3 numerical failure (a non-finite
 Hamiltonian, evolution or JSON value among them) or a lost parity-block
@@ -22,16 +26,15 @@ from functools import cached_property
 
 import numpy as np
 
-from . import units
 from .config import MAX_SHOTS, ConfigError, load_config
-from .dynamics import (WavepacketSpec, _parity_processes,
-                       check_reconstruction, densities, evolve,
-                       initial_wavepacket, probability_error)
+from .dynamics import (WavepacketSpec, check_reconstruction, densities,
+                       evolve, initial_wavepacket, probability_error)
 from .givens import (block_eigensolve, block_transform, eigensystem,
                      eigenvalues, parity_partition)
 from .grid import DafParams, _eval_potential, build_grid, build_hamiltonian
 from .ising import (BrokenSymmetryError, check_parity_coupling, map_system,
                     parameters_to_dict)
+from .lapack import _parity_processes
 from .qasm import write_qasm
 from .qsd import NumericalError, cnot_count, cnot_lower_bound, qsd_compile
 from .sim import exact_propagator

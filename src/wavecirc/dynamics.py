@@ -37,30 +37,30 @@ The two parity blocks share no data until their amplitudes are put back
 together, so the circuit routes evolve them at once in two processes:
 the even block in the calling process and the odd block in one worker
 forked for the call, which writes its amplitudes into a shared buffer
-(see `_circuit_evolve`).  `_parity_processes` runs such a pair of calls,
-for `cli`'s `compile` too, with one BLAS thread in each process: two
-processes of two OpenBLAS threads each on two cores slow each other
-down.  Where `os.fork` is missing, or another Python thread is running,
-the blocks run in turn.  The ising route forks nothing: its few large
-products already use both cores through BLAS.
+(see `_circuit_evolve`).  `lapack._parity_processes` runs such a pair
+of calls, for `cli`'s `compile` and the large block eigensolves of
+`givens` too, with one BLAS thread in each process: two processes of two
+OpenBLAS threads each on two cores slow each other down.  Where
+`os.fork` is missing, or another Python thread is running, the blocks
+run in turn.  The exact evolution loop, of the reference and of the
+ising route, forks nothing: its few large products run on the calling
+process's pools, threaded in the library and at one thread in a CLI
+process (`wavecirc.__main__`), where threads bought little wall time
+for much idle CPU.
 '''
 
 import mmap
-import os
-import pickle
-import signal
-import sys
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import lapack, units
+from . import units
 from .grid import eigensolve
 from .givens import (BlockEigenSystem, _pair_cross, _rotate_pairs,
                      block_eigensolve, block_transform, eigensystem,
                      parity_partition, to_mapped_basis)
 from .ising import check_parity_coupling, map_system
+from .lapack import _parity_processes
 from .qsd import NumericalError, qsd_compile
 from .sim import (_check_phases, _split_pairs, circuit_matrix,
                   exact_propagator, run_circuit, sample_shots)
@@ -290,97 +290,6 @@ def _circuit_evolve(even, odd, psi0_map, partition, dt_fs, steps):
     return out
 
 
-def _parity_processes(even_block, odd_block):
-    '''(even_block(), odd_block()), the two calls run at once: odd_block
-    in one worker forked for the call (`_worker`), whose result comes
-    back pickled over a pipe, and even_block here.  Both processes run
-    in `lapack.one_blas_thread`: with the default pools, two processes
-    of two BLAS threads each would share the 2 cores of the reference
-    machine, where a mid-size BLAS call ran 50-100x slower while
-    another process kept the cores busy.
-
-    An exception of the worker is raised here; a worker that dies
-    without reporting raises ChildProcessError.  The worker is joined on
-    every path, and killed first when this process fails; it dies when
-    this process dies.  OpenBLAS stops its thread pool around a fork, so
-    the worker starts with a usable BLAS and this process forks with one
-    thread.  Without `os.fork`, or while another Python thread runs here
-    (a child could inherit a lock that thread holds, and the BLAS pools
-    that the scope would set are that thread's too), the calls run in
-    turn, even_block first, with the BLAS pools as they are.
-    '''
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return even_block(), odd_block()
-    with lapack.one_blas_thread():
-        read_fd, write_fd = os.pipe()
-        parent = os.getpid()
-        pid = os.fork()
-        if pid == 0:
-            _worker(parent, read_fd, write_fd, odd_block)
-        os.close(write_fd)
-        try:
-            with open(read_fd, "rb") as pipe:
-                here = even_block()
-                report = pipe.read()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            _, status = os.waitpid(pid, 0)
-    if status or not report:
-        raise ChildProcessError(
-            f"the odd parity block's worker exited with status "
-            f"{os.waitstatus_to_exitcode(status)} without a result")
-    done, there = pickle.loads(report)
-    if not done:
-        raise there
-    return here, there
-
-
-# prctl option: the signal a process gets when its parent dies (Linux)
-PR_SET_PDEATHSIG = 1
-
-
-def _worker(parent, read_fd, write_fd, call):
-    '''Body of the forked worker of the process `parent`: runs `call()`,
-    writes its report (`_report`) to the pipe `write_fd`, and leaves by
-    os._exit (status 0 once it has reported), so that no inherited exit
-    handler or buffered output runs twice.  It dies with its parent: on
-    Linux the kernel sends it SIGKILL when the parent dies, and it
-    leaves at once when the parent died before that was set up.  Never
-    returns.'''
-    code = 1
-    try:
-        if sys.platform.startswith("linux"):
-            import ctypes
-            prctl = ctypes.CDLL(None).prctl
-            prctl.argtypes, prctl.restype = (ctypes.c_int,
-                                             ctypes.c_ulong), ctypes.c_int
-            prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
-        if os.getppid() != parent:
-            return
-        os.close(read_fd)
-        with open(write_fd, "wb") as pipe:
-            pipe.write(_report(call))
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _report(call):
-    '''(True, call()) pickled, or (False, the exception) when call raises
-    or its result does not pickle; an exception that does not pickle
-    becomes a RuntimeError with its message.'''
-    try:
-        return pickle.dumps((True, call()))
-    except Exception as exc:
-        try:
-            return pickle.dumps((False, exc))
-        except Exception:
-            return pickle.dumps(
-                (False, RuntimeError(f"{type(exc).__name__}: {exc}")))
-
-
 # Byte budget of the stack of exact propagators compiled together,
 # S 4^n complex numbers: 256 KiB is 16 steps of a 5-qubit block.  The
 # compile's level arrays are the same size as the stack, so the budget
@@ -487,10 +396,11 @@ def evolve(method, ham, psi0, dt_fs, steps, blocks=None, eig=None,
     "circuit-shots": per-step compiled circuits for the blocks, from
     `eig.plus`/`eig.minus` when `eig` is a BlockEigenSystem, else from
     block_eigensolve(blocks); each block is eigensolved at most once, in
-    this process.  The circuit routes evolve the odd block in a child
-    process forked for the call (joined before returning), unless
-    another Python thread is running here; an error there is raised
-    here, and a child that dies without a result raises
+    this process below givens.FORK_MIN_DIM rows (the odd block in a
+    forked child from there).  The circuit routes evolve the odd block in
+    a child process forked for the call (joined before returning),
+    unless another Python thread is running here; an error there is
+    raised here, and a child that dies without a result raises
     ChildProcessError.
     '''
     if method not in ("classical", "ising", "circuit-exact",
@@ -550,8 +460,9 @@ def propagate(method, ham, psi0, dt_fs, steps, shots=None, seed=None,
               force=False, threshold_ratio=1e-8):
     '''Produce a density Trajectory: `evolve`, which derives the parity
     blocks and the eigensystems from `ham` as the CLI does, then
-    `densities`.  The circuit routes fork one child process per call
-    (see `evolve`).'''
+    `densities`.  The circuit routes fork one child process per call,
+    and blocks of givens.FORK_MIN_DIM rows or more one for their
+    eigensolve (see `evolve`).'''
     evo = evolve(method, ham, psi0, dt_fs, steps, force=force,
                  threshold_ratio=threshold_ratio)
     return densities(evo, shots=shots, seed=seed)

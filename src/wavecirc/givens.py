@@ -13,15 +13,17 @@ solves the two half-size eigenproblems, which, when the blocks are
 exactly decoupled, give the eigensystem of H in block form
 (`BlockEigenSystem`); `eigensystem` picks that form or the full
 eigensolve, for the CLI and the dynamics alike, and `eigenvalues` makes
-the same choice for the energies alone.
+the same choice for the energies alone.  Blocks of FORK_MIN_DIM rows or
+more are solved at once in two processes (`_solve_blocks`).
 '''
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .grid import EigenSystem, _fix_signs, eigensolve
+from .lapack import _parity_processes
 
 # the pair rotation's coefficient, 1/sqrt(2)
 _R = 1 / np.sqrt(2)
@@ -163,6 +165,24 @@ class BlockEigenSystem:
         return _rotate_pairs(x, axis=0)
 
 
+# Rows of a parity block from which its eigensolve and the other block's
+# run at once in two processes; smaller blocks run in turn, where the
+# fork and the pickled result would cost more than the second core
+# saves.  From the crossover in BENCH_startup.json ("parity_blocks").
+FORK_MIN_DIM = 512
+
+
+def _solve_blocks(solve, bh):
+    '''(solve(bh.block_plus), solve(bh.block_minus)): at once, the odd
+    block in a forked worker with one BLAS thread in each process
+    (`lapack._parity_processes`), for blocks of FORK_MIN_DIM rows or
+    more; in turn, in this process, below.'''
+    plus, minus = partial(solve, bh.block_plus), partial(solve, bh.block_minus)
+    if len(bh.block_plus) >= FORK_MIN_DIM:
+        return _parity_processes(plus, minus)
+    return plus(), minus()
+
+
 def block_eigensolve(bh):
     '''The eigensystems of the two parity blocks of a BlockHamiltonian,
     merged into the eigensystem of H as a BlockEigenSystem.
@@ -176,7 +196,7 @@ def block_eigensolve(bh):
     that of an odd one [flip(x), -x]/sqrt(2), so eigensolve's sign rule
     on the grid reads an even x from its start and an odd x from its end.
     '''
-    plus, minus = eigensolve(bh.block_plus), eigensolve(bh.block_minus)
+    plus, minus = _solve_blocks(eigensolve, bh)
     _fix_signs(plus.states, _R)
     _fix_signs(minus.states[::-1], _R)
     energies = np.concatenate([plus.energies, minus.energies])
@@ -199,8 +219,7 @@ def eigenvalues(ham, bh):
     full H's.  numpy's eigvalsh: no scipy is loaded.'''
     if bh.coupling_norm != 0.0:
         return np.linalg.eigvalsh(getattr(ham, "matrix", ham))
-    energies = np.concatenate([np.linalg.eigvalsh(bh.block_plus),
-                               np.linalg.eigvalsh(bh.block_minus)])
+    energies = np.concatenate(_solve_blocks(np.linalg.eigvalsh, bh))
     return np.sort(energies, kind="stable")
 
 

@@ -10,23 +10,30 @@ holds the same routine objects that scipy.linalg.lapack re-exports, and
 `eigh` calls them with the arguments scipy.linalg.eigh passes by default,
 so its results are bit-identical to scipy's.
 
-`one_blas_thread` sets every OpenBLAS thread pool in the process to one
-thread for its body.  numpy and scipy each bundle their own OpenBLAS
-(numpy's runs np.linalg and matmul, scipy's these drivers), each with a
-pool of one thread per core.  The two parity blocks run in two
-processes (`dynamics._parity_processes`), and there the default pools,
-two threads each in each process, would share the 2 cores of the
-reference machine: the two pools of a process contend, the two
+`_parity_processes` runs two calls at once, one per parity block, the
+odd block's in a worker forked for the call: the circuit routes'
+compiled evolution, `compile`, and the eigensolves of blocks of
+`givens.FORK_MIN_DIM` rows or more.  Both processes run in
+`one_blas_thread`, which sets every OpenBLAS thread pool in the process
+to one thread for its body.  numpy and scipy each bundle their own
+OpenBLAS (numpy's runs np.linalg and matmul, scipy's these drivers),
+each with a pool of one thread per core by default.  In two processes
+those pools, two threads each in each process, would share the 2 cores
+of the reference machine: the two pools of a process contend, the two
 processes contend, and threads that spin between calls bill CPU for no
 work.  So each of the two processes runs one BLAS thread: wavebench
-`compile-check` CPU fell 5.17 -> 3.30 s and wall 2.99 -> 2.32 s
-(medians of 10 pairs, BENCH_e2e.json).  No other code enters the scope:
-a lone process keeps threaded BLAS, as for the 1024^2 solves of a
-`spectrum` at N=11.
+`compile-check` CPU fell 5.17 -> 3.30 s and wall 2.99 -> 2.32 s when
+that scope came in (medians of 10 pairs).  A CLI process runs its pools
+at one thread from its start (`wavecirc.__main__`), so there the scope
+changes nothing; the library, imported on its own, keeps threaded
+pools outside the scope.
 '''
 
 import os
+import pickle
+import signal
 import sys
+import threading
 from contextlib import contextmanager
 from functools import lru_cache
 from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
@@ -161,3 +168,94 @@ def one_blas_thread():
             set_threads(count)
             if stop is not None:
                 stop()
+
+
+def _parity_processes(even_block, odd_block):
+    '''(even_block(), odd_block()), the two calls run at once: odd_block
+    in one worker forked for the call (`_worker`), whose result comes
+    back pickled over a pipe, and even_block here.  Both processes run
+    in `one_blas_thread`: with the default pools, two processes of two
+    BLAS threads each would share the 2 cores of the reference machine,
+    where a mid-size BLAS call ran 50-100x slower while another process
+    kept the cores busy.
+
+    An exception of the worker is raised here; a worker that dies
+    without reporting raises ChildProcessError.  The worker is joined on
+    every path, and killed first when this process fails; it dies when
+    this process dies.  OpenBLAS stops its thread pool around a fork, so
+    the worker starts with a usable BLAS and this process forks with one
+    thread.  Without `os.fork`, or while another Python thread runs here
+    (a child could inherit a lock that thread holds, and the BLAS pools
+    that the scope would set are that thread's too), the calls run in
+    turn, even_block first, with the BLAS pools as they are.
+    '''
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return even_block(), odd_block()
+    with one_blas_thread():
+        read_fd, write_fd = os.pipe()
+        parent = os.getpid()
+        pid = os.fork()
+        if pid == 0:
+            _worker(parent, read_fd, write_fd, odd_block)
+        os.close(write_fd)
+        try:
+            with open(read_fd, "rb") as pipe:
+                here = even_block()
+                report = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)
+    if status or not report:
+        raise ChildProcessError(
+            f"the odd parity block's worker exited with status "
+            f"{os.waitstatus_to_exitcode(status)} without a result")
+    done, there = pickle.loads(report)
+    if not done:
+        raise there
+    return here, there
+
+
+# prctl option: the signal a process gets when its parent dies (Linux)
+PR_SET_PDEATHSIG = 1
+
+
+def _worker(parent, read_fd, write_fd, call):
+    '''Body of the forked worker of the process `parent`: runs `call()`,
+    writes its report (`_report`) to the pipe `write_fd`, and leaves by
+    os._exit (status 0 once it has reported), so that no inherited exit
+    handler or buffered output runs twice.  It dies with its parent: on
+    Linux the kernel sends it SIGKILL when the parent dies, and it
+    leaves at once when the parent died before that was set up.  Never
+    returns.'''
+    code = 1
+    try:
+        if sys.platform.startswith("linux"):
+            import ctypes
+            prctl = ctypes.CDLL(None).prctl
+            prctl.argtypes, prctl.restype = (ctypes.c_int,
+                                             ctypes.c_ulong), ctypes.c_int
+            prctl(PR_SET_PDEATHSIG, signal.SIGKILL)
+        if os.getppid() != parent:
+            return
+        os.close(read_fd)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(_report(call))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _report(call):
+    '''(True, call()) pickled, or (False, the exception) when call raises
+    or its result does not pickle; an exception that does not pickle
+    becomes a RuntimeError with its message.'''
+    try:
+        return pickle.dumps((True, call()))
+    except Exception as exc:
+        try:
+            return pickle.dumps((False, exc))
+        except Exception:
+            return pickle.dumps(
+                (False, RuntimeError(f"{type(exc).__name__}: {exc}")))

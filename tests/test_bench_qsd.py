@@ -2,6 +2,7 @@
 report.'''
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +12,17 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_qsd.py"
 
 def test_writes_report(tmp_path):
     out = tmp_path / "BENCH_qsd.json"
+    # the pools' thread counts are read, not only the variable
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     subprocess.run([sys.executable, str(TOOL), "--nodes", "2", "--repeats",
                     "1", "--steps", "2", "--out", str(out)],
-                   check=True, capture_output=True, timeout=300)
+                   check=True, capture_output=True, timeout=300, env=env)
     report = json.loads(out.read_text())
+    assert report["openblas_num_threads"] == "1"
+    pools = report["openblas_pool_threads"]
+    assert pools == [1] * len(pools)
+    if os.path.exists("/proc/self/maps"):
+        assert len(pools) >= 2      # numpy's and scipy's
     assert set(report["us_per_node"]) == {"8x8", "16x16", "32x32"}
     for row in report["us_per_node"].values():
         for kind in ("csd", "demultiplex"):

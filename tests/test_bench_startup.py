@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from wavecirc.givens import FORK_MIN_DIM
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_startup.py"
 
 
@@ -15,15 +17,19 @@ def test_writes_report(tmp_path):
                     "--n-qubits", "3", "--repeats", "1", "--out", str(out)],
                    check=True, capture_output=True, timeout=300)
     report = json.loads(out.read_text())
-    assert set(report["import"]) == {"cli", "cli+deferred"}
+    assert set(report["import"]) == {"cli", "cli+deferred", "main",
+                                     "main:threaded"}
     assert set(report["loader"]) == {"flapack", "scipy.linalg"}
     for row in report["import"].values():
-        assert set(row) == {"wall_s", "peak_rss_mb"}
+        assert set(row) == {"wall_s", "cpu_s", "peak_rss_mb", "threads"}
     for row in [*report["import"].values(), *report["loader"].values()]:
         for metric in row.values():
             assert 0 < metric["q1"] <= metric["median"] <= metric["q3"]
     for row in report["loader"].values():
+        assert set(row) == {"wall_s", "cpu_s", "peak_rss_mb", "in_process_s"}
         assert row["in_process_s"]["q3"] < row["wall_s"]["q1"]
+    # python -m wavecirc starts no BLAS pool thread
+    assert report["import"]["main"]["threads"]["q3"] == 1
     csv = report["hamiltonian_csv"]
     assert csv["n_qubits"] == 3 and csv["byte_identical"]
     # 8 rows of 8 '%.18e' fields, 24 or 25 characters each
@@ -43,5 +49,14 @@ def test_writes_report(tmp_path):
     assert energies["n_qubits"] == 3 and energies["block_form"]
     assert energies["eigenvalues_s"] > 0 and energies["eigensystem_s"] > 0
     assert energies["max_energy_diff_over_max"] <= 1e-14
+    parity = report["parity_blocks"]
+    assert parity["fork_min_dim"] == FORK_MIN_DIM
+    assert set(parity["block_dims"]) == {"2", "4"}
+    for row in parity["block_dims"].values():
+        assert set(row) == {f"{name}_{way}_s"
+                            for name in ("eigensolve", "eigenvalues")
+                            for way in ("in_turn", "forked")}
+        assert all(t > 0 for t in row.values())
+    assert parity["crossover_dim"] in (None, 2, 4)
     assert report["numpy"] and report["scipy"]
     assert report["src_lines"] > 0

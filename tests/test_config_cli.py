@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import wavecirc as w
+from wavecirc import givens, lapack
 from wavecirc.cli import _write_json, _write_matrix_csv, main
 from wavecirc.config import SCHEMA, ConfigError, load_config, resolve
 
@@ -1160,6 +1161,31 @@ class TestCompileBlocksAtOnce:
         assert not out.exists()
 
 
+class TestForkedEigensolveFailure:
+    '''With the fork cutoff lowered to the 4-row blocks of N = 3, build
+    (eigenvalues only) and the eigensolving commands solve the odd block
+    in a forked worker; a LinAlgError there exits 3 and writes nothing.'''
+
+    @pytest.mark.parametrize("command, module, solver", [
+        ("build", np.linalg, "eigvalsh"), ("propagate", lapack, "eigh")],
+        ids=["build", "propagate"])
+    def test_worker_linalg_error_exit_3(self, tmp_path, capsys, monkeypatch,
+                                        forks, command, module, solver):
+        def fails(*args):
+            raise np.linalg.LinAlgError("the odd block did not converge")
+        monkeypatch.setattr(module, solver,
+                            in_worker_only(fails, getattr(module, solver)))
+        monkeypatch.setattr(givens, "FORK_MIN_DIM", 4)
+        out = tmp_path / "o"
+        assert main([command, "--config", write_config(tmp_path),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: the odd block did not converge" in err
+        assert len(forks) == 1 and not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+
+
 class TestEntryPoint:
     def test_console_script(self, tmp_path):
         import subprocess
@@ -1180,3 +1206,100 @@ class TestEntryPoint:
              "--out", str(tmp_path / "o")],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+    def test_console_script_runs_main_of_dunder_main(self):
+        pyproject = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.dirname(w.__file__))), "pyproject.toml")
+        with open(pyproject) as fh:
+            assert 'wavecirc = "wavecirc.__main__:main"' in fh.read()
+
+
+# A new interpreter that runs the CLI as `python -m wavecirc` does (runpy,
+# "module") or as the console script does (`wavecirc.__main__.main`,
+# "script").  An audit hook reads the thread count at every import once
+# numpy is loading; at exit the process prints, as JSON, the largest
+# count read, the count then, the thread count of every OpenBLAS pool and
+# OPENBLAS_NUM_THREADS.
+CLI_PROBE = '''
+import atexit, json, os, runpy, sys
+peak = []
+def threads():
+    return len(os.listdir("/proc/self/task"))
+def hook(event, args):
+    if event == "import" and "numpy" in sys.modules:
+        peak.append(threads())
+sys.addaudithook(hook)
+def report():
+    from wavecirc import lapack
+    print(json.dumps({
+        "peak": max(peak), "threads": threads(),
+        "pools": [get() for get, _, _ in lapack._openblas_pools()],
+        "env": os.environ.get("OPENBLAS_NUM_THREADS")}))
+atexit.register(report)
+argv = %r
+if %r == "module":
+    sys.argv = ["wavecirc", *argv]
+    runpy.run_module("wavecirc", run_name="__main__", alter_sys=True)
+else:
+    from wavecirc.__main__ import main
+    sys.exit(main(argv))
+'''
+
+
+def fresh_env(**extra):
+    '''This environment without OPENBLAS_NUM_THREADS, plus `extra`, with
+    this checkout's src/ on the path.'''
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    env.update(extra, PYTHONPATH=os.path.dirname(os.path.dirname(
+        w.__file__)))
+    return env
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/task"),
+                    reason="counts threads in /proc/self/task")
+class TestOneThreadProcess:
+    '''A CLI process runs one BLAS thread from its start: `import
+    wavecirc` loads no numpy, and `__main__` sets OPENBLAS_NUM_THREADS
+    to 1 before numpy loads, unless the user set it.'''
+
+    def probe(self, tmp_path, entry, argv, **env):
+        res = subprocess.run(
+            [sys.executable, "-c", CLI_PROBE % (argv, entry)],
+            env=fresh_env(**env), capture_output=True, text=True,
+            timeout=300)
+        assert res.returncode == 0, res.stderr
+        return json.loads(res.stdout.splitlines()[-1])
+
+    def test_import_loads_no_numpy(self):
+        loaded = modules_after("import wavecirc")
+        assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
+        assert "wavecirc.grid" not in loaded
+
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    @pytest.mark.parametrize("name, pools", [("build", 1), ("compile", 2)])
+    def test_every_pool_one_thread_and_no_pool_thread(self, tmp_path, entry,
+                                                      name, pools):
+        # build loads numpy's pool; compile forks and loads scipy's too
+        argv = [name, "--config", write_config(tmp_path),
+                "--out", str(tmp_path / "o")]
+        report = self.probe(tmp_path, entry, argv)
+        assert report["pools"] == [1] * len(report["pools"])
+        assert len(report["pools"]) >= pools
+        assert (report["peak"], report["threads"], report["env"]) \
+            == (1, 1, "1")
+
+    def test_user_set_thread_count_kept(self, tmp_path):
+        argv = ["build", "--config", write_config(tmp_path),
+                "--out", str(tmp_path / "o")]
+        report = self.probe(tmp_path, "script", argv,
+                            OPENBLAS_NUM_THREADS="2")
+        # numpy's pool as a plain interpreter starts it with that setting
+        res = subprocess.run(
+            [sys.executable, "-c", "import numpy\n"
+             "from wavecirc import lapack\n"
+             "print([get() for get, _, _ in lapack._openblas_pools()])"],
+            env=fresh_env(OPENBLAS_NUM_THREADS="2"), capture_output=True,
+            text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert report["pools"] == json.loads(res.stdout)
+        assert report["env"] == "2"

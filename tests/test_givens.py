@@ -1,8 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavecirc as w
+from wavecirc import givens, lapack
 from wavecirc.cli import Pipeline
 from wavecirc.config import resolve
 from wavecirc.givens import _rotate_pairs
@@ -301,3 +304,74 @@ class TestBlockEigensolve:
         assert np.array_equal(got, want)
         assert np.abs(got - pipe.eig.energies).max() \
             <= 1e-14 * np.abs(pipe.eig.energies).max()
+
+
+class TestForkedBlockSolves:
+    '''Parity blocks of givens.FORK_MIN_DIM rows or more are solved at
+    once, the odd one in a forked worker; here the cutoff is lowered to
+    the 64-row blocks of the N = 7 double well, whose coupling is exactly
+    0.'''
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        ham = double_well_system(7)[2]
+        bh = w.block_transform(ham)
+        assert bh.coupling_norm == 0.0
+        return ham, bh
+
+    def solves(self, system):
+        ham, bh = system
+        return {"eigensolve": lambda: w.block_eigensolve(bh),
+                "eigenvalues": lambda: w.eigenvalues(ham, bh)}
+
+    @staticmethod
+    def arrays(result):
+        if isinstance(result, np.ndarray):
+            return [result]
+        return [result.energies, result.plus.energies, result.plus.states,
+                result.minus.energies, result.minus.states]
+
+    @pytest.mark.parametrize("name", ["eigensolve", "eigenvalues"])
+    def test_bit_identical_to_solves_in_turn(self, system, monkeypatch,
+                                             forks, name):
+        solve = self.solves(system)[name]
+        with lapack.one_blas_thread():
+            in_turn = solve()
+        monkeypatch.setattr(givens, "FORK_MIN_DIM", 64)
+        forked = solve()
+        assert len(forks) == 1
+        # bits, signs included
+        assert [a.tobytes() for a in self.arrays(forked)] \
+            == [a.tobytes() for a in self.arrays(in_turn)]
+
+    # the solver each call hands its block to
+    @pytest.mark.parametrize("name, module, solver", [
+        ("eigensolve", givens, "eigensolve"),
+        ("eigenvalues", np.linalg, "eigvalsh")], ids=["eigensolve",
+                                                     "eigenvalues"])
+    def test_each_block_once_in_each_process(self, system, monkeypatch,
+                                             forks, tmp_path, name, module,
+                                             solver):
+        _, bh = system
+        original = getattr(module, solver)
+        log = tmp_path / "calls"
+
+        def recorded(h):
+            block = "plus" if h is bh.block_plus \
+                else "minus" if h is bh.block_minus else "other"
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {block}\n")
+            return original(h)
+        monkeypatch.setattr(module, solver, recorded)
+        monkeypatch.setattr(givens, "FORK_MIN_DIM", 64)
+        self.solves(system)[name]()
+        assert len(forks) == 1
+        assert sorted(log.read_text().split("\n")[:-1]) \
+            == sorted([f"{os.getpid()} plus", f"{forks[0]} minus"])
+
+    @pytest.mark.parametrize("name", ["eigensolve", "eigenvalues"])
+    def test_blocks_below_cutoff_run_in_turn(self, system, monkeypatch,
+                                             forks, name):
+        monkeypatch.setattr(givens, "FORK_MIN_DIM", 65)
+        self.solves(system)[name]()
+        assert forks == []

@@ -21,6 +21,11 @@ circuit, on one compiled Haar-random circuit of 5 and of 7 qubits:
 `circuit_matrix` (the QsdTree rebuilt from its level arrays), `to_qasm`
 (its gate lines filled in from the level arrays) and `run_circuit` (the
 QsdTree run from its level arrays on one column).
+
+The report gives OPENBLAS_NUM_THREADS as the tool found it (null when
+unset) and the thread count each OpenBLAS pool ran the timings with:
+the tool runs the library's default pools, one thread per core unless
+that variable says otherwise.
 '''
 
 import argparse
@@ -41,7 +46,7 @@ import scipy                                        # noqa: E402
 from scipy.stats import unitary_group               # noqa: E402
 
 import wavecirc as w                                # noqa: E402
-from wavecirc import qsd                            # noqa: E402
+from wavecirc import lapack, qsd                    # noqa: E402
 from wavecirc.sim import (circuit_matrix, exact_propagator,  # noqa: E402
                           run_circuit)
 
@@ -135,6 +140,14 @@ def double_well_fallbacks(steps, chunk=16):
             for kind, (batched, lapack) in PATHS.items()}
 
 
+def pool_threads():
+    '''The thread count of each OpenBLAS pool the timings ran with,
+    numpy's and scipy's (empty where none is found): what
+    OPENBLAS_NUM_THREADS, or the core count when it is unset, gave.'''
+    lapack.flapack()
+    return [get() for get, _, _ in lapack._openblas_pools()]
+
+
 def commit():
     try:
         return subprocess.run(["git", "describe", "--always", "--dirty",
@@ -160,6 +173,7 @@ def main(argv=None):
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "openblas_pool_threads": pool_threads(),
         "src_lines": sum(len(f.read_text().splitlines())
                          for f in (ROOT / "src" / "wavecirc").glob("*.py")),
         "nodes_per_stack": args.nodes,

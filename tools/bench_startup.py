@@ -9,13 +9,20 @@ replaced.  Writes one JSON file.
                                    [--repeats 3] [--out BENCH_startup.json]
 
 Each import entry gives the median and quartiles, over `--processes`
-fresh interpreters, of the wall time of the process and of its peak RSS
-(`ru_maxrss` from wait4 in a small launcher process).  "cli" imports
-wavecirc.cli and jsonschema, which the config check loads: what `build`
-and `map` load.  "cli+deferred" also loads scipy's LAPACK extension by
-`wavecirc.lapack.flapack()`, as the commands that need eigenvectors do
-at their first eigensolve, and imports numpy.fft, which `spectrum`
-loads.  The two kinds of process alternate.  The loader entry compares,
+fresh interpreters, of the wall time of the process, its CPU time (user
+plus system) and peak RSS (`ru_maxrss`), both from wait4 in a small
+launcher process, and the thread count it prints at its end (from
+/proc/self/task).  "cli" imports wavecirc.cli and jsonschema, which the
+config check loads: what `build` and `map` load.  "cli+deferred" also
+loads scipy's LAPACK extension by `wavecirc.lapack.flapack()`, as the
+commands that need eigenvectors do at their first eigensolve, and
+imports numpy.fft, which `spectrum` loads.  "main" is the no-op CLI
+process `python -m wavecirc --help`, run as `-m` runs it (by runpy), so
+that it can print its thread count: `wavecirc.__main__` sets
+OPENBLAS_NUM_THREADS to 1 before numpy loads.  "main:threaded" is the
+same process with OPENBLAS_NUM_THREADS set to the core count, which
+`__main__` keeps: the pools of numpy's default.  Every other process
+runs without OPENBLAS_NUM_THREADS.  The kinds of process alternate.  The loader entry compares,
 the same way, `wavecirc.lapack.flapack()` with `import scipy.linalg`,
 each run after `import wavecirc.lapack`: the seconds the statement took
 in its process (in_process_s), and the process's wall time and peak
@@ -41,6 +48,17 @@ build_energies entry times, the same way, the energies `build` writes
 (`givens.eigenvalues`, numpy's eigvalsh) and those of
 `givens.eigensystem`, which also computes eigenvectors, and reports the
 largest change, in Hartree and over max|E|.
+
+The parity_blocks entry finds the block size from which solving the two
+parity blocks at once in two processes pays (`givens.FORK_MIN_DIM`).
+For the double well at each N from `--n-qubits` - 4 (at least 2) to
+`--n-qubits`, it times, best of `--repeats`, `givens.block_eigensolve`
+and the values-only solve `build` makes (numpy's eigvalsh of each
+block), each in turn in this process (the cutoff above the block size)
+and forked (the cutoff at it), all with one BLAS thread per process, as
+in a CLI process.  `crossover_dim` is the smallest block
+size from which the forked solves win both timings at every measured
+size; null if they never do.
 '''
 
 import argparse
@@ -60,18 +78,34 @@ import numpy as np                                  # noqa: E402
 import scipy.fft                                    # noqa: E402
 
 import wavecirc as w                                # noqa: E402
-from wavecirc import givens, ising, spectra         # noqa: E402
+from wavecirc import givens, ising, lapack, spectra  # noqa: E402
 from wavecirc.cli import _write_matrix_csv          # noqa: E402
 
-IMPORTS = {"cli": "import wavecirc.cli, jsonschema",
+# prints the thread count of the process as a JSON line
+THREADS = ("\nimport json, os\n"
+           "print(json.dumps({'threads': len(os.listdir('/proc/self/task'))}))")
+# `python -m wavecirc --help`, as `-m` runs it, its help text dropped
+MAIN = """import contextlib, io, runpy, sys
+sys.argv = ["wavecirc", "--help"]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("wavecirc", run_name="__main__", alter_sys=True)
+    except SystemExit:
+        pass"""
+IMPORTS = {"cli": "import wavecirc.cli, jsonschema" + THREADS,
            "cli+deferred": "import wavecirc.cli, jsonschema; "
-                           "wavecirc.lapack.flapack(); import numpy.fft"}
+                           "wavecirc.lapack.flapack(); import numpy.fft"
+                           + THREADS,
+           "main": MAIN + THREADS,
+           "main:threaded": MAIN + THREADS}
+# the environment of a process beyond PYTHONPATH
+ENVIRONMENT = {"main:threaded": {"OPENBLAS_NUM_THREADS": str(os.cpu_count())}}
 # scipy's LAPACK drivers, as wavecirc loads them and by scipy's package
 LOADERS = {"flapack": "lapack.flapack()",
            "scipy.linalg": "import scipy.linalg"}
-TIMED = ("import time; from wavecirc import lapack; "
+TIMED = ("import json, time; from wavecirc import lapack; "
          "start = time.perf_counter(); {}; "
-         "print(time.perf_counter() - start)")
+         "print(json.dumps({{'in_process_s': time.perf_counter() - start}}))")
 # the time steps of the benchmark's grid-map spectrum: 4,001 samples
 STEPS = 4000
 
@@ -82,10 +116,10 @@ def quartiles(values):
 
 
 # Runs the interpreter `-c argv[1]` and prints its wall time, exit code,
-# peak RSS (KiB on Linux) and output.  A child's ru_maxrss starts from
-# the high-water RSS of the process that started it, so the measured
-# interpreters are started from this small one (about 8 MB, run with -S),
-# not from the tool, which holds numpy and wavecirc.
+# CPU seconds, peak RSS (KiB on Linux) and output.  A child's ru_maxrss
+# starts from the high-water RSS of the process that started it, so the
+# measured interpreters are started from this small one (about 8 MB, run
+# with -S), not from the tool, which holds numpy and wavecirc.
 LAUNCHER = """
 import json, os, subprocess, sys, time
 start = time.perf_counter()
@@ -94,38 +128,38 @@ proc = subprocess.Popen([sys.executable, "-c", sys.argv[1]],
 out = proc.stdout.read()
 _, status, usage = os.wait4(proc.pid, 0)
 print(json.dumps([time.perf_counter() - start,
-                  os.waitstatus_to_exitcode(status), usage.ru_maxrss, out]))
+                  os.waitstatus_to_exitcode(status),
+                  usage.ru_utime + usage.ru_stime, usage.ru_maxrss, out]))
 """
 
 
-def run_once(code):
-    '''(wall seconds, peak RSS in MB, stdout) of one fresh interpreter
-    running `code` with this checkout's src/ on its path.'''
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    wall, status, kib, out = json.loads(subprocess.run(
+def run_once(code, environment=None):
+    '''{"wall_s", "cpu_s", "peak_rss_mb", and each key of the JSON
+    object on the last line of its output} of one fresh interpreter
+    running `code` with this checkout's src/ on its path, without
+    OPENBLAS_NUM_THREADS but as `environment` sets it.'''
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    env.update(environment or {}, PYTHONPATH=str(ROOT / "src"))
+    wall, status, cpu, kib, out = json.loads(subprocess.run(
         [sys.executable, "-S", "-c", LAUNCHER, code], env=env,
         capture_output=True, text=True, check=True).stdout)
     if status != 0:
         raise RuntimeError(f"{code!r} exited {status}")
-    return wall, kib / 1024, out
+    return {"wall_s": wall, "cpu_s": cpu, "peak_rss_mb": kib / 1024,
+            **(json.loads(out.splitlines()[-1]) if out else {})}
 
 
 def process_costs(codes, n_processes):
-    '''name -> quartiles of the wall time and peak RSS of `n_processes`
-    fresh interpreters running codes[name], the names alternating, and of
-    the seconds each printed, if it printed any.'''
+    '''name -> quartiles of each figure `run_once` gives for
+    `n_processes` fresh interpreters running codes[name], the names
+    alternating.'''
     runs = {name: [] for name in codes}
     for _ in range(n_processes):
         for name, code in codes.items():
-            runs[name].append(run_once(code))
-    report = {}
-    for name, rs in runs.items():
-        report[name] = {"wall_s": quartiles([r[0] for r in rs]),
-                        "peak_rss_mb": quartiles([r[1] for r in rs])}
-        if rs[0][2]:
-            report[name]["in_process_s"] = quartiles(
-                [float(r[2]) for r in rs])
-    return report
+            runs[name].append(run_once(code, ENVIRONMENT.get(name)))
+    return {name: {key: quartiles([r[key] for r in rs]) for key in rs[0]}
+            for name, rs in runs.items()}
 
 
 def double_well(n_qubits):
@@ -289,6 +323,37 @@ def build_energy_costs(n_qubits, repeats):
             "max_energy_diff_over_max": diff / np.abs(eig.energies).max()}
 
 
+def parity_block_costs(n_qubits, repeats):
+    sizes = {}
+    with lapack.one_blas_thread():
+        for n in range(max(2, n_qubits - 4), n_qubits + 1):
+            bh = w.block_transform(double_well(n))
+            dim = len(bh.block_plus)
+            solves = {"eigensolve": lambda: givens.block_eigensolve(bh),
+                      "eigenvalues": lambda: givens._solve_blocks(
+                          np.linalg.eigvalsh, bh)}
+            row = {}
+            for way, cutoff in (("in_turn", dim + 1), ("forked", dim)):
+                saved, givens.FORK_MIN_DIM = givens.FORK_MIN_DIM, cutoff
+                try:
+                    for name, solve in solves.items():
+                        row[f"{name}_{way}_s"] = best_of(repeats, solve)[0]
+                finally:
+                    givens.FORK_MIN_DIM = saved
+            sizes[dim] = row
+    wins = [dim for dim, row in sizes.items()
+            if all(row[f"{name}_forked_s"] < row[f"{name}_in_turn_s"]
+                   for name in ("eigensolve", "eigenvalues"))]
+    # the smallest size from which every larger one wins too
+    crossover = None
+    for dim in sorted(sizes, reverse=True):
+        if dim not in wins:
+            break
+        crossover = dim
+    return {"fork_min_dim": givens.FORK_MIN_DIM, "crossover_dim": crossover,
+            "block_dims": {str(dim): row for dim, row in sizes.items()}}
+
+
 def commit():
     try:
         return subprocess.run(["git", "describe", "--always", "--dirty",
@@ -325,12 +390,14 @@ def main(argv=None):
         "grid_spectrum": spectrum_costs(args.n_qubits, args.repeats),
         "spin_fit": spin_fit_costs(args.n_qubits, args.repeats),
         "build_energies": build_energy_costs(args.n_qubits, args.repeats),
+        "parity_blocks": parity_block_costs(args.n_qubits, args.repeats),
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report["import"]))
     print(json.dumps(report["loader"]))
     print(json.dumps(report["hamiltonian_csv"]))
-    for name in ("grid_spectrum", "spin_fit", "build_energies"):
+    for name in ("grid_spectrum", "spin_fit", "build_energies",
+                 "parity_blocks"):
         print(json.dumps(report[name]))
 
 

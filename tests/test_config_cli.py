@@ -1206,6 +1206,7 @@ class TestEntryPoint:
              "--out", str(tmp_path / "o")],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
     def test_console_script_runs_main_of_dunder_main(self):
         pyproject = os.path.join(os.path.dirname(os.path.dirname(
             os.path.dirname(w.__file__))), "pyproject.toml")

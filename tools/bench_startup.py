@@ -22,11 +22,11 @@ that it can print its thread count: `wavecirc.__main__` sets
 OPENBLAS_NUM_THREADS to 1 before numpy loads.  "main:threaded" is the
 same process with OPENBLAS_NUM_THREADS set to the core count, which
 `__main__` keeps: the pools of numpy's default.  Every other process
-runs without OPENBLAS_NUM_THREADS.  The kinds of process alternate.  The loader entry compares,
-the same way, `wavecirc.lapack.flapack()` with `import scipy.linalg`,
-each run after `import wavecirc.lapack`: the seconds the statement took
-in its process (in_process_s), and the process's wall time and peak
-RSS.  The write entries are the best of `--repeats` writes of the
+runs without OPENBLAS_NUM_THREADS.  The kinds of process alternate.
+The loader entry compares, the same way, `wavecirc.lapack.flapack()`
+with `import scipy.linalg`, each run after `import wavecirc.lapack`: the
+seconds the statement took in its process (in_process_s), and the
+process's wall time, CPU time and peak RSS.  The write entries are the best of `--repeats` writes of the
 double-well Hamiltonian at `--n-qubits`, in a temporary directory, and
 the report says whether the two files are byte-identical.
 
@@ -56,9 +56,9 @@ For the double well at each N from `--n-qubits` - 4 (at least 2) to
 and the values-only solve `build` makes (numpy's eigvalsh of each
 block), each in turn in this process (the cutoff above the block size)
 and forked (the cutoff at it), all with one BLAS thread per process, as
-in a CLI process.  `crossover_dim` is the smallest block
-size from which the forked solves win both timings at every measured
-size; null if they never do.
+in a CLI process.  `crossover_dim` is the smallest block size from
+which the forked solves win both timings at every measured size; null
+if they never do.
 '''
 
 import argparse

@@ -10,10 +10,10 @@ in every command that needs eigenvectors.  Run as `python -m wavecirc`
 or the `wavecirc` script (`__main__.main`), a process runs every BLAS
 call on one thread, unless OPENBLAS_NUM_THREADS says otherwise.
 Exit codes: 0 success, 2 configuration/validation error (a run whose
-phases outgrow float64 among them), 3 numerical failure (a non-finite
-Hamiltonian, evolution or JSON value among them) or a lost parity-block
-worker, 4 guarded-precondition refusal or a run that does not fit in
-memory.
+phases outgrow float64 and a path that cannot be read or written among
+them), 3 numerical failure (a non-finite Hamiltonian, evolution or JSON
+value among them) or a lost parity-block worker, 4 guarded-precondition
+refusal or a run that does not fit in memory.
 '''
 
 import argparse
@@ -445,9 +445,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except BrokenSymmetryError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
@@ -457,7 +454,8 @@ def main(argv=None):
     except ChildProcessError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (FileNotFoundError, ValueError) as exc:
+    # ConfigError, and an unusable --config, --out or potential.file
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:

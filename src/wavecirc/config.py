@@ -4,6 +4,7 @@ with all defaults made explicit in the resolved form.'''
 import copy
 import json
 import math
+import numbers
 
 from . import units
 from .grid import MAX_M_DAF
@@ -173,18 +174,109 @@ def _merge(defaults, override):
     return out
 
 
+# The JSON Schema (draft 2020-12) keywords _errors knows: those SCHEMA
+# uses.  The jsonschema package's imports would cost a command 0.08 s.
+KEYWORDS = frozenset("""type properties additionalProperties required enum
+    const minimum maximum exclusiveMinimum items minItems allOf oneOf if then
+    dependentRequired propertyNames""".split())
+TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+         "number": numbers.Number, "integer": int}
+
+
+def _is_type(value, kind):
+    '''Draft 2020-12's types: a bool is not a number, and a float with no
+    fractional part is an integer.'''
+    return (kind == "boolean" or not isinstance(value, bool)) and (
+        isinstance(value, TYPES[kind]) or kind == "integer"
+        and isinstance(value, float) and value.is_integer())
+
+
+def _errors(schema, value, path=()):
+    '''Each error of `value` at `path` under `schema`, in jsonschema's
+    order and words: (its relevance, message, a failed oneOf's errors).'''
+    for key, arg in ({} if schema is True else schema).items():
+        if key not in KEYWORDS or (
+                key == "additionalProperties" and arg is not False):
+            raise NotImplementedError(f"schema keyword {key}: {arg!r}")
+
+        def error(message, context=()):
+            return (-len(path), path, key != "oneOf", not (
+                "type" in schema and _is_type(value, schema["type"]))), \
+                message, context
+        if key == "type" and not _is_type(value, arg):
+            yield error(f"{value!r} is not of type {arg!r}")
+        # Python compares an int of any size exactly with a float
+        elif key == "minimum" and _is_type(value, "number") and value < arg:
+            yield error(f"{value!r} is less than the minimum of {arg!r}")
+        elif key == "maximum" and _is_type(value, "number") and value > arg:
+            yield error(f"{value!r} is greater than the maximum of {arg!r}")
+        elif key == "exclusiveMinimum" and _is_type(value, "number") and \
+                value <= arg:
+            yield error(f"{value!r} is less than or equal to the minimum of "
+                        f"{arg!r}")
+        elif key == "enum" and value not in arg:
+            yield error(f"{value!r} is not one of {arg!r}")
+        elif key == "const" and value != arg:
+            yield error(f"{arg!r} was expected")
+        elif key == "allOf":
+            for sub in arg:
+                yield from _errors(sub, value, path)
+        elif key == "oneOf":
+            context = [list(_errors(sub, value, path)) for sub in arg]
+            valid = [sub for sub, errs in zip(arg, context) if not errs]
+            if not valid:
+                yield error(f"{value!r} is not valid under any of the given "
+                            "schemas", sum(context, []))
+            elif len(valid) > 1:
+                yield error(f"{value!r} is valid under each of "
+                            + ", ".join(map(repr, valid[1:] + valid[:1])))
+        elif key == "if" and not any(_errors(arg, value)):
+            yield from _errors(schema.get("then", True), value, path)
+        elif key == "items" and isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from _errors(arg, item, path + (i,))
+        elif key == "minItems" and isinstance(value, list) and \
+                len(value) < arg:
+            yield error(f"{value!r} should be non-empty" if arg == 1
+                        else f"{value!r} is too short")
+        elif not isinstance(value, dict):
+            continue
+        elif key == "properties":
+            for name, sub in arg.items():
+                if name in value:
+                    yield from _errors(sub, value[name], path + (name,))
+        elif key == "additionalProperties":
+            extra = sorted(value.keys() - schema.get("properties", {}),
+                           key=str)
+            if extra:
+                yield error("Additional properties are not allowed (%s %s "
+                            "unexpected)" % (", ".join(map(repr, extra)),
+                                             "were" if extra[1:] else "was"))
+        elif key == "required":
+            yield from (error(f"{name!r} is a required property")
+                        for name in arg if name not in value)
+        elif key == "dependentRequired":
+            yield from (error(f"{each!r} is a dependency of {name!r}")
+                        for name in arg if name in value
+                        for each in arg[name] if each not in value)
+        elif key == "propertyNames":
+            for name in value:
+                yield from _errors(arg, name, path)
+
+
 def _validate(schema, value, what):
-    '''ConfigError naming the first problem of `value` under `schema`.'''
-    # the error jsonschema.validate would raise, without its check of
-    # the constant SCHEMA against the metaschema (about 20 ms a call),
-    # which the tests make once.  Imported here, so that `import
-    # wavecirc.cli` does not pay for it (about 0.09 s).
-    import jsonschema
-    exc = jsonschema.exceptions.best_match(
-        jsonschema.Draft202012Validator(schema).iter_errors(value))
-    if exc is not None:
-        path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"{what} invalid at {path}: {exc.message}") from exc
+    '''ConfigError naming the problem jsonschema's best_match picks.'''
+    best = max(_errors(schema, value), key=lambda err: err[0], default=None)
+    # into a failed oneOf, unless its two most relevant errors tie; their
+    # paths extend the oneOf's, so they rank as their relative paths do
+    while best and best[2]:
+        first, *rest = sorted(best[2], key=lambda err: err[0])
+        if rest and rest[0][0] == first[0]:
+            break
+        best = first
+    if best:
+        where = ".".join(map(str, best[0][1])) or "<root>"
+        raise ConfigError(f"{what} invalid at {where}: {best[1]}")
 
 
 def check_model(model):

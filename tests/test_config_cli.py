@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import glob
 import json
 import os
+import random
 import re
 import signal
 import subprocess
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 import wavecirc as w
-from wavecirc import givens, lapack
+from wavecirc import config, givens, lapack
 from wavecirc.cli import _write_json, _write_matrix_csv, main
 from wavecirc.config import SCHEMA, ConfigError, load_config, resolve
 
@@ -160,6 +162,29 @@ class TestCliExitCodes:
         code = main(["build", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "no_such.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg, out", [
+        ("run.json", "a_file"), ("run.json", "a_file/o"), ("a_dir", "o"),
+        ("file_is_dir.json", "o")],
+        ids=["out-is-file", "out-under-file", "config-is-dir",
+             "potential-file-is-dir"])
+    def test_unusable_path_exit_2(self, tmp_path, cfg, out):
+        write_config(tmp_path)
+        (tmp_path / "file_is_dir.json").write_text(json.dumps(
+            dict(BASE, potential={"file": str(tmp_path / "a_dir")})))
+        (tmp_path / "a_file").write_text("")
+        (tmp_path / "a_dir").mkdir()
+        before = sorted(os.listdir(tmp_path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "wavecirc", "build", "--config",
+             str(tmp_path / cfg), "--out", str(tmp_path / out)],
+            env=fresh_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert sorted(os.listdir(tmp_path)) == before
+        assert os.listdir(tmp_path / "a_dir") == []
 
     def test_map_refuses_asymmetric_exit_4(self, tmp_path, capsys):
         # tabulated potential with a tilt: parity blocks couple
@@ -529,6 +554,203 @@ class TestModelSchema:
                      "--out", str(tmp_path / "o")]) == 0
 
 
+# A config that sets every field the schema names.
+FULL = {
+    "grid": {"n_qubits": 4, "length_angstrom": 0.66, "center_angstrom": 0.1,
+             "mass": "deuteron"},
+    "potential": {"model": {"kind": "double_well", "barrier_kcal": 2.0,
+                            "minimum_angstrom": 0.15}},
+    "daf": {"m_daf": 10, "sigma_ratio": 1.5},
+    "dynamics": {"wavepacket": {"kind": "thermal", "x0_index": 1,
+                                "mu_angstrom": 0.0, "sigma_angstrom": 0.1,
+                                "temperature_kelvin": 300.0},
+                 "dt_fs": 0.5, "steps": 10, "method": "circuit-shots",
+                 "shots": 100, "seed": 3},
+    "spectrum": {"window": "hann", "padding": 2, "peak_threshold": 1e-3},
+    "mapping": {"force": True, "threshold_ratio": 1e-8},
+    "output_dir": "runs"}
+POTENTIALS = [{"model": {"kind": "double_well", "a": 1.0, "b": 2.0}},
+              {"model": {"kind": "harmonic", "k": 1.0}},
+              {"model": {"kind": "polynomial", "coefficients": [0.0, 1]}},
+              {"model": {"kind": "double_well"}}, {"file": "v.csv"},
+              {"file": "v.csv", "model": {"kind": "harmonic", "k": 1}}, {}]
+# What a mutation puts at a node: wrong types, numbers out of range,
+# non-finite ones, integers beyond float64 and int64, bools and an
+# integral float.
+WRONG = ["x", "", [], {}, None, -1, 0, 13, 0.5, -1e-9, 1e9, float("nan"),
+         float("inf"), -float("inf"), 10 ** 400, -10 ** 400, 2 ** 63,
+         2 ** 63 - 1, True, False, 1.0, 12.0, "proton", "hann", [1.0],
+         {"kind": "harmonic"}]
+UNKNOWN_KEYS = ["extra", "a", "b", "k", "file", "kind", "coefficients"]
+
+
+def workload_configs():
+    '''The run configs of the benchmark's four workloads at seed 201.'''
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "wavebench"))
+    import workloads
+    return [make(201).config for make in workloads.WORKLOADS.values()]
+
+
+def node_paths(node, path=()):
+    '''The path of every node of a nested config, the root's first.'''
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, val in items:
+        yield from node_paths(val, path + (key,))
+
+
+def at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def mutate(rng, cfg):
+    '''Sets a node to a wrong value, deletes one, adds an unknown key
+    or swaps the potential model's kind or the potential itself.'''
+    paths = list(node_paths(cfg))[1:]
+    kind = rng.randrange(5)
+    if kind < 2 and paths:
+        path = rng.choice(paths)
+        parent = at(cfg, path[:-1])
+        if kind == 0:
+            parent[path[-1]] = copy.deepcopy(rng.choice(WRONG))
+        else:
+            del parent[path[-1]]
+    elif kind == 2:
+        path = rng.choice([p for p in node_paths(cfg)
+                           if isinstance(at(cfg, p), dict)])
+        at(cfg, path)[rng.choice(UNKNOWN_KEYS)] = \
+            copy.deepcopy(rng.choice(WRONG))
+    elif isinstance(cfg.get("potential"), dict):
+        model = cfg["potential"].get("model")
+        if kind == 3 and isinstance(model, dict):
+            model["kind"] = rng.choice(["double_well", "harmonic",
+                                        "polynomial", "quartic"])
+        else:
+            cfg["potential"] = copy.deepcopy(rng.choice(POTENTIALS))
+
+
+def problem(cfg):
+    '''(path, message) of the schema problem resolve() reports, or None
+    when it finds none.'''
+    try:
+        resolve(cfg)
+    except ConfigError as exc:
+        if str(exc).startswith("config invalid at "):
+            return tuple(str(exc)[18:].split(": ", 1))
+    return None
+
+
+def jsonschema_problems(errors):
+    '''(path, message) of each error, and of each error in the context
+    of a failed oneOf.'''
+    for error in errors:
+        yield (".".join(map(str, error.absolute_path)) or "<root>",
+               error.message)
+        yield from jsonschema_problems(error.context)
+
+
+def schema_keywords(schema):
+    '''The keywords of `schema` and of every schema within it.'''
+    if schema is True:
+        return set()
+    found = set(schema)
+    for key, arg in schema.items():
+        subschemas = arg.values() if key == "properties" else arg \
+            if key in ("allOf", "oneOf") else [arg] \
+            if key in ("items", "if", "then", "propertyNames") else []
+        for sub in subschemas:
+            found |= schema_keywords(sub)
+    return found
+
+
+def workload_bases():
+    return workload_configs() + [FULL] + [dict(FULL, potential=p)
+                                          for p in POTENTIALS]
+
+
+def each_node_wrong():
+    '''Each base config with one of its nodes set to each WRONG value.'''
+    for base in workload_bases():
+        for path in list(node_paths(base))[1:]:
+            for value in WRONG:
+                cfg = copy.deepcopy(base)
+                at(cfg, path[:-1])[path[-1]] = copy.deepcopy(value)
+                yield cfg
+
+
+def random_mutations(count=2500):
+    '''`count` base configs with 0 to 3 random mutations each.'''
+    bases, rng = workload_bases(), random.Random(2020)
+    for _ in range(count):
+        cfg = copy.deepcopy(rng.choice(bases))
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            mutate(rng, cfg)
+        yield cfg
+
+
+class TestSchemaInterpreter:
+    '''The config check (config._errors) decides as jsonschema's
+    Draft202012Validator does, and reports what it reports.'''
+
+    @pytest.mark.parametrize("configs", [each_node_wrong, random_mutations])
+    def test_agrees_with_jsonschema(self, configs):
+        oracle = jsonschema.Draft202012Validator(SCHEMA)
+        counts = {"accepted": 0, "one error": 0, "more errors": 0}
+        for cfg in configs():
+            errors = list(oracle.iter_errors(cfg))
+            got = problem(copy.deepcopy(cfg))
+            if not errors:
+                assert got is None, cfg
+                counts["accepted"] += 1
+            elif len(errors) == 1:
+                assert got == next(jsonschema_problems(
+                    [jsonschema.exceptions.best_match(errors)])), cfg
+                counts["one error"] += 1
+            else:
+                assert got in set(jsonschema_problems(errors)), cfg
+                counts["more errors"] += 1
+        assert min(counts.values()) > 100, counts
+        assert sum(counts.values()) >= 2000, counts
+
+    @pytest.mark.parametrize("schema, value, message", [
+        ({"type": "integer"}, 1.0, None),
+        ({"type": "integer"}, 1.5, "1.5 is not of type 'integer'"),
+        ({"type": "number"}, True, "True is not of type 'number'"),
+        ({"maximum": 12}, 10 ** 400,
+         f"{10 ** 400} is greater than the maximum of 12"),
+        ({"maximum": 2 ** 63 - 1}, 2 ** 63,
+         f"{2 ** 63} is greater than the maximum of {2 ** 63 - 1}"),
+        ({"exclusiveMinimum": 0}, float("nan"), None)],
+        ids=["integral-float", "fraction", "bool", "beyond-float",
+             "beyond-int64", "nan"])
+    def test_draft_2020_12_numbers(self, schema, value, message):
+        oracle = jsonschema.Draft202012Validator(schema)
+        assert [e.message for e in oracle.iter_errors(value)] \
+            == [message] * (message is not None)
+        if message is None:
+            config._validate(schema, value, "value")
+        else:
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                config._validate(schema, value, "value")
+
+    def test_knows_every_keyword_of_schema(self):
+        assert schema_keywords(SCHEMA) == config.KEYWORDS
+
+    @pytest.mark.parametrize("schema", [
+        {"type": "object", "maxProperties": 1},
+        {"additionalProperties": {"type": "number"}},
+        {"properties": {"a": {"if": True, "else": False}}}],
+        ids=["unknown", "schema-valued", "nested"])
+    def test_unknown_keyword_raises(self, schema):
+        # a fault of the program, not of the config: no exit 2
+        with pytest.raises(NotImplementedError, match="schema keyword"):
+            config._validate(schema, {"a": 1}, "value")
+
+
 def savetxt_bytes(tmp_path, h):
     path = tmp_path / "savetxt.csv"
     np.savetxt(path, h, delimiter=",")
@@ -636,6 +858,17 @@ class TestImportCost:
             m in ("scipy", "scipy.__config__", "scipy.version",
                   "scipy.linalg._flapack")
             or m.startswith("scipy._"))] == []
+
+    # the config check is wavecirc's own
+    @pytest.mark.parametrize("name", ["build", "map", "spectrum", "propagate",
+                                      "compile", "sweep-shots"])
+    def test_no_command_loads_jsonschema(self, tmp_path, name):
+        flags = ("--shots", "100", "--n-seeds", "1") \
+            if name == "sweep-shots" else ()
+        roots = {"jsonschema", "attrs", "attr", "referencing", "rpds",
+                 "jsonschema_specifications"}
+        loaded = modules_after(self.command(tmp_path, name, *flags))
+        assert [m for m in loaded if m.split(".")[0] in roots] == []
 
     def test_build_from_tabulated_potential(self, tmp_path):
         from scipy.interpolate import PchipInterpolator

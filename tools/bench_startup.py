@@ -12,8 +12,9 @@ Each import entry gives the median and quartiles, over `--processes`
 fresh interpreters, of the wall time of the process, its CPU time (user
 plus system) and peak RSS (`ru_maxrss`), both from wait4 in a small
 launcher process, and the thread count it prints at its end (from
-/proc/self/task).  "cli" imports wavecirc.cli and jsonschema, which the
-config check loads: what `build` and `map` load.  "cli+deferred" also
+/proc/self/task).  "cli" imports wavecirc.cli and checks a small config
+against the schema (`wavecirc.config.resolve`), as every command does
+before its work: what `build` and `map` load.  "cli+deferred" also
 loads scipy's LAPACK extension by `wavecirc.lapack.flapack()`, as the
 commands that need eigenvectors do at their first eigensolve, and
 imports numpy.fft, which `spectrum` loads.  "main" is the no-op CLI
@@ -92,10 +93,13 @@ with contextlib.redirect_stdout(io.StringIO()):
         runpy.run_module("wavecirc", run_name="__main__", alter_sys=True)
     except SystemExit:
         pass"""
-IMPORTS = {"cli": "import wavecirc.cli, jsonschema" + THREADS,
-           "cli+deferred": "import wavecirc.cli, jsonschema; "
-                           "wavecirc.lapack.flapack(); import numpy.fft"
-                           + THREADS,
+# `import wavecirc.cli` and the config check every command makes first
+CLI = ("import wavecirc.cli; wavecirc.config.resolve({'grid': {'n_qubits': "
+       "3, 'length_angstrom': 0.66}, 'potential': {'model': {'kind': "
+       "'double_well'}}})")
+IMPORTS = {"cli": CLI + THREADS,
+           "cli+deferred": CLI + "; wavecirc.lapack.flapack(); "
+                                 "import numpy.fft" + THREADS,
            "main": MAIN + THREADS,
            "main:threaded": MAIN + THREADS}
 # the environment of a process beyond PYTHONPATH

@@ -584,14 +584,6 @@ WRONG = ["x", "", [], {}, None, -1, 0, 13, 0.5, -1e-9, 1e9, float("nan"),
 UNKNOWN_KEYS = ["extra", "a", "b", "k", "file", "kind", "coefficients"]
 
 
-def workload_configs():
-    '''The run configs of the benchmark's four workloads at seed 201.'''
-    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "wavebench"))
-    import workloads
-    return [make(201).config for make in workloads.WORKLOADS.values()]
-
-
 def node_paths(node, path=()):
     '''The path of every node of a nested config, the root's first.'''
     yield path
@@ -636,11 +628,12 @@ def mutate(rng, cfg):
 def problem(cfg):
     '''(path, message) of the schema problem resolve() reports, or None
     when it finds none.'''
+    prefix = "config invalid at "
     try:
         resolve(cfg)
     except ConfigError as exc:
-        if str(exc).startswith("config invalid at "):
-            return tuple(str(exc)[18:].split(": ", 1))
+        if str(exc).startswith(prefix):
+            return tuple(str(exc).removeprefix(prefix).split(": ", 1))
     return None
 
 
@@ -668,8 +661,15 @@ def schema_keywords(schema):
 
 
 def workload_bases():
-    return workload_configs() + [FULL] + [dict(FULL, potential=p)
-                                          for p in POTENTIALS]
+    '''The run configs of the benchmark's four workloads at seed 201,
+    FULL, and FULL with each of POTENTIALS.'''
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "wavebench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+    return [make(201).config for make in workloads.WORKLOADS.values()] \
+        + [FULL] + [dict(FULL, potential=p) for p in POTENTIALS]
 
 
 def each_node_wrong():

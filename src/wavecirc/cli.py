@@ -4,11 +4,12 @@ Subcommands: build, map, compile, propagate, spectrum, sweep-shots.
 compile, like the circuit routes of propagate, spectrum and sweep-shots,
 runs its two parity blocks at once in two processes with one BLAS thread
 each (`lapack._parity_processes`): the blocks share no data, and two
-processes of threaded BLAS would contend for the cores.  So do the
-eigensolves of blocks of givens.FORK_MIN_DIM rows or more, in build and
-in every command that needs eigenvectors.  Run as `python -m wavecirc`
-or the `wavecirc` script (`__main__.main`), a process runs every BLAS
-call on one thread, unless OPENBLAS_NUM_THREADS says otherwise.
+processes of threaded BLAS would contend for the cores.  So do, from
+blocks of givens.FORK_MIN_DIM rows, the eigensolves (build's unless it
+uses the band), the exact evolution loop and the grid spectrum.  Run as
+`python -m wavecirc` or the `wavecirc` script (`__main__.main`), a
+process runs every BLAS call on one thread, unless OPENBLAS_NUM_THREADS
+says otherwise.
 Exit codes: 0 success, 2 configuration/validation error (a run whose
 phases outgrow float64 and a path that cannot be read or written among
 them), 3 numerical failure (a non-finite Hamiltonian, evolution or JSON
@@ -18,6 +19,7 @@ refusal or a run that does not fit in memory.
 
 import argparse
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -79,10 +81,23 @@ class Pipeline:
         return initial_wavepacket(spec, self.grid, self.eig)
 
 
-def _out_dir(cfg, args):
+def _start(args):
+    '''The resolved config and the output path, which every command
+    takes first: a directory, or none below a directory (else exit 2,
+    before any work, creating nothing).'''
+    cfg = load_config(args.config)
+    path = args.out or cfg["output_dir"]
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise NotADirectoryError(errno.ENOTDIR, "Not a directory", probe)
+    return cfg, path
+
+
+def _out_dir(path):
     '''The output directory, created: every command calls it only once
     its work has succeeded, so a refused or failed run leaves none.'''
-    path = args.out or cfg["output_dir"]
     os.makedirs(path, exist_ok=True)
     return path
 
@@ -156,10 +171,10 @@ def _trajectory_csv(path, traj):
 
 
 def cmd_build(args):
-    cfg = load_config(args.config)
+    cfg, path = _start(args)
     pipe = Pipeline(cfg)
     energies = eigenvalues(pipe.ham, pipe.blocks)
-    out = _out_dir(cfg, args)
+    out = _out_dir(path)
     _write_matrix_csv(os.path.join(out, "hamiltonian.csv"), pipe.ham.matrix)
     np.savetxt(os.path.join(out, "potential.csv"),
                np.column_stack([pipe.grid.points, pipe.potential]),
@@ -174,7 +189,7 @@ def cmd_build(args):
 
 
 def cmd_map(args):
-    cfg = load_config(args.config)
+    cfg, path = _start(args)
     pipe = Pipeline(cfg)
     m = cfg["mapping"]
     msys = map_system(pipe.blocks, parity_partition(pipe.grid.n_qubits),
@@ -187,7 +202,7 @@ def cmd_map(args):
         "reconstruction_error": {"even": msys.recon_error_even,
                                  "odd": msys.recon_error_odd},
     }
-    out = _out_dir(cfg, args)
+    out = _out_dir(path)
     _write_json(os.path.join(out, "ising_parameters.json"), report)
     _write_manifest(out, cfg, ["ising_parameters.json"])
     print(f"mapped blocks; reconstruction error even={msys.recon_error_even:.3e}"
@@ -196,7 +211,7 @@ def cmd_map(args):
 
 
 def cmd_compile(args):
-    cfg = load_config(args.config)
+    cfg, path = _start(args)
     nb = cfg["grid"]["n_qubits"] - 1
     if nb < 1:
         raise ConfigError("compile needs grid.n_qubits >= 2: the parity "
@@ -218,7 +233,7 @@ def cmd_compile(args):
     trees = dict(zip(("even", "odd"), _parity_processes(
         lambda: compiled(solved.plus, "even"),
         lambda: compiled(solved.minus, "odd"))))
-    out = _out_dir(cfg, args)
+    out = _out_dir(path)
     files = []
     for name, tree in trees.items():
         fname = f"propagator_{name}.qasm"
@@ -322,9 +337,9 @@ def _write_epsilon(out, traj, eps):
 
 
 def cmd_propagate(args):
-    cfg = load_config(args.config)
+    cfg, path = _start(args)
     traj, eps = _propagate(Pipeline(cfg), _seed(args, cfg))
-    out = _out_dir(cfg, args)
+    out = _out_dir(path)
     _trajectory_csv(os.path.join(out, "trajectory.csv"), traj)
     files = ["trajectory.csv"]
     if eps is not None:
@@ -338,7 +353,7 @@ def cmd_propagate(args):
 
 
 def cmd_spectrum(args):
-    cfg = load_config(args.config)
+    cfg, path = _start(args)
     pipe = Pipeline(cfg)
     traj, eps = _propagate(pipe, _seed(args, cfg), min_samples=MIN_SAMPLES)
     sp = cfg["spectrum"]
@@ -346,7 +361,7 @@ def cmd_spectrum(args):
                              else sp["window"], padding=sp["padding"],
                              threshold=sp["peak_threshold"])
     table = compare_eigendiffs(spectrum, pipe.eig)
-    out = _out_dir(cfg, args)
+    out = _out_dir(path)
     np.savetxt(os.path.join(out, "spectrum.csv"),
                np.column_stack([spectrum.omega_cm1, spectrum.power]),
                delimiter=",", header="omega_cm1,intensity")
@@ -363,7 +378,7 @@ def cmd_spectrum(args):
 
 
 def cmd_sweep_shots(args):
-    cfg = load_config(args.config)
+    cfg, path = _start(args)
     pipe = Pipeline(cfg)
     shot_counts = args.shots
     base = _seed(args, cfg)
@@ -379,7 +394,7 @@ def cmd_sweep_shots(args):
     for s in shot_counts:
         medians[str(s)] = float(np.median(
             [r["epsilon"] for r in rows if r["shots"] == s]))
-    out = _out_dir(cfg, args)
+    out = _out_dir(path)
     _write_json(os.path.join(out, "shot_sweep.json"),
                 {"results": rows, "median_epsilon": medians})
     _write_manifest(out, cfg, ["shot_sweep.json"])

@@ -286,8 +286,29 @@ def check_model(model):
               model, "potential model")
 
 
+# The most lists and objects on one path of a config that the check,
+# the merge and the float scan may recurse into: twice the schema's
+# deepest legal nesting (the root, potential, model, coefficients).
+MAX_DEPTH = 8
+
+
+def _check_depth(raw):
+    '''ConfigError at a path deeper than MAX_DEPTH, found without
+    recursion.'''
+    stack = [(raw, ())]
+    while stack:
+        node, path = stack.pop()
+        if isinstance(node, (dict, list)) and len(path) >= MAX_DEPTH:
+            raise ConfigError(f"config invalid at {'.'.join(map(str, path))}"
+                              f": nested deeper than {MAX_DEPTH} levels")
+        items = node.items() if isinstance(node, dict) else enumerate(
+            node) if isinstance(node, list) else ()
+        stack.extend((val, path + (key,)) for key, val in items)
+
+
 def resolve(raw):
     '''Validate a raw config dict and fill in defaults.'''
+    _check_depth(raw)
     _validate(SCHEMA, raw, "config")
     cfg = _merge(DEFAULTS, raw)
     # json.load gives NaN, Infinity and literals beyond the float range
@@ -321,4 +342,6 @@ def load_config(path):
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:   # nested beyond the interpreter's limit
+        raise ConfigError(f"config nests too deeply to read: {exc}") from exc
     return resolve(raw)

@@ -35,26 +35,21 @@ against the exactly evolved state.
 
 The two parity blocks share no data until their amplitudes are put back
 together, so the circuit routes evolve them at once in two processes:
-the even block in the calling process and the odd block in one worker
-forked for the call, which writes its amplitudes into a shared buffer
-(see `_circuit_evolve`).  `lapack._parity_processes` runs such a pair
-of calls, for `cli`'s `compile` and the large block eigensolves of
-`givens` too, with one BLAS thread in each process: two processes of two
-OpenBLAS threads each on two cores slow each other down.  Where
-`os.fork` is missing, or another Python thread is running, the blocks
-run in turn.  The exact evolution loop, of the reference and of the
-ising route, forks nothing: its few large products run on the calling
-process's pools, threaded in the library and at one thread in a CLI
-process (`wavecirc.__main__`), where threads bought little wall time
-for much idle CPU.
+the even block here and the odd block in one worker forked for the
+call, each writing its columns into one shared array (`_circuit_evolve`).
+From parity blocks of givens.FORK_MIN_DIM rows (N >= 10) the exact loop
+runs by time halves the same way, writing rows (`_exact_rows`).
+`lapack._parity_processes` runs such pairs of calls, with one BLAS
+thread in each process: two processes of two OpenBLAS threads each on
+two cores slow each other down.  Where `os.fork` is missing, or another
+Python thread is running, the two calls run in turn, with the same bits.
 '''
 
-import mmap
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import units
+from . import givens, units
 from .grid import eigensolve
 from .givens import (BlockEigenSystem, _pair_cross, _rotate_pairs,
                      block_eigensolve, block_transform, eigensystem,
@@ -144,14 +139,19 @@ def _eigen_blocks(eig):
     return ((eig.energies, eig.states),), False
 
 
-def _exact_chunks(eig, psi0, dt_fs, steps):
+def _chunk_rows(dim, steps):
+    '''Time steps in a chunk of the exact loop at dimension `dim`.'''
+    return min(steps + 1, max(1, REFERENCE_CHUNK_BYTES // (16 * dim)))
+
+
+def _exact_chunks(eig, psi0, dt_fs, steps, chunks=slice(None)):
     '''The exact evolution loop: psi0 (grid amplitudes) under
     exp(-i H t) at t = s dt_fs, s = 0..steps, through the eigensystem
-    `eig`, in time chunks of REFERENCE_CHUNK_BYTES.  Yields (rows, re,
-    im): the real and imaginary amplitudes of the steps in the slice
-    `rows`, on the basis of the eigenvectors (the pair basis for a
-    BlockEigenSystem, else the grid).  They are views of buffers that the
-    next chunk overwrites.
+    `eig`, in the slice `chunks` of its time chunks of `_chunk_rows`
+    steps.  Yields (rows, re, im): the real and imaginary amplitudes of
+    the steps in the slice `rows`, on the basis of the eigenvectors (the
+    pair basis for a BlockEigenSystem, else the grid).  They are views of
+    buffers that the next chunk overwrites.
 
     psi0 is projected once.  A chunk's phases exp(-iE t) are
     W[k] exp(-iE t_start), from one table W = exp(-iE k dt) of a chunk's
@@ -181,13 +181,13 @@ def _exact_chunks(eig, psi0, dt_fs, steps):
     c0 = np.concatenate(c0)
     energies = np.concatenate([e for e, _ in blocks])
     dim = len(energies)
-    rows = min(steps + 1, max(1, REFERENCE_CHUNK_BYTES // (16 * dim)))
+    rows = _chunk_rows(dim, steps)
     table = np.outer(dt_au * np.arange(rows), -1j * energies)
     np.exp(table, out=table)
     # one set of chunk buffers, overwritten by every chunk
     coef = np.empty_like(table)
     re, im = np.empty((rows, dim)), np.empty((rows, dim))
-    for start in range(0, steps + 1, rows):
+    for start in range(0, steps + 1, rows)[chunks]:
         n = min(rows, steps + 1 - start)
         np.multiply(table[:n], c0 * np.exp(-1j * (dt_au * start) * energies),
                     out=coef[:n])
@@ -213,41 +213,75 @@ def _pair_density(re, im, out):
     out += g
 
 
+def _exact_rows(eig, psi0, dt_fs, steps, widths, fill):
+    '''Float arrays of shape (steps+1, w), w in `widths`, in one buffer,
+    filled by fill(arrays, rows, re, im) for each chunk of
+    `_exact_chunks`: by time halves in two processes into a shared buffer
+    from parity blocks of givens.FORK_MIN_DIM rows and two chunks, with
+    the same products and bits as in one.'''
+    def arrays(buf):
+        cuts = np.cumsum(widths[:-1]) * (steps + 1)
+        return [a.reshape(steps + 1, -1) for a in np.split(buf, cuts)]
+
+    def part(chunks):
+        def run(buf):
+            out = arrays(buf)
+            for rows, re, im in _exact_chunks(eig, psi0, dt_fs, steps,
+                                              chunks):
+                fill(out, rows, re, im)
+        return run
+    dim, size = len(eig.energies), (steps + 1) * sum(widths)
+    n_chunks = len(range(0, steps + 1, _chunk_rows(dim, steps)))
+    if dim // 2 >= givens.FORK_MIN_DIM and n_chunks >= 2:
+        half = slice((n_chunks + 1) // 2)
+        buf = _parity_processes(part(half), part(slice(half.stop, None)),
+                                shape=size)
+    else:
+        buf = np.empty(size)
+        part(slice(None))(buf)
+    return arrays(buf)
+
+
 def evolve_exact(ham_or_eig, psi0, dt_fs, steps):
     '''Amplitude trajectory under exp(-i H t); shape (steps+1, dim).
 
     `ham_or_eig` is a Hamiltonian, its EigenSystem or its
-    BlockEigenSystem; the steps come from the one exact evolution loop,
-    `_exact_chunks`, and a block eigensystem's chunks are rotated to the
+    BlockEigenSystem; the steps come from the one exact evolution loop
+    (`_exact_rows`), and a block eigensystem's chunks are rotated to the
     grid one chunk at a time.
     '''
     eig = ham_or_eig if hasattr(ham_or_eig, "energies") \
         else eigensolve(ham_or_eig)
     _, pair = _eigen_blocks(eig)
-    out = np.empty((steps + 1, len(eig.energies)), dtype=complex)
-    for rows, re, im in _exact_chunks(eig, psi0, dt_fs, steps):
-        out[rows].real = _rotate_pairs(re) if pair else re
-        out[rows].imag = _rotate_pairs(im) if pair else im
-    return out
+
+    def fill(out, rows, re, im):
+        z = out[0][rows].view(complex)
+        z.real = _rotate_pairs(re) if pair else re
+        z.imag = _rotate_pairs(im) if pair else im
+    out, = _exact_rows(eig, psi0, dt_fs, steps, [2 * len(eig.energies)],
+                       fill)
+    return out.view(complex)
 
 
 def _exact_reference(eig, psi0, dt_fs, steps, cross):
     '''The classical reference of `evolve`, or the ising route's density,
-    from the exact evolution loop through `eig`: the grid density, shape
-    (steps+1, 2^N), and, when `cross`, the pair cross term of the
-    amplitudes (`givens._pair_cross`), shape (steps+1, 2^(N-1)); else
-    None.  Only one chunk of amplitudes exists at a time.'''
+    from the exact evolution loop through `eig` (`_exact_rows`): the
+    grid density, shape (steps+1, 2^N), and, when `cross`, the pair
+    cross term of the amplitudes (`givens._pair_cross`), shape
+    (steps+1, 2^(N-1)); else None.  Only one chunk of amplitudes exists
+    at a time.'''
     _, pair = _eigen_blocks(eig)
     dim = len(eig.energies)
-    rho = np.empty((steps + 1, dim))
-    pc = np.empty((steps + 1, dim // 2)) if cross else None
-    for rows, re, im in _exact_chunks(eig, psi0, dt_fs, steps):
+
+    def fill(out, rows, re, im):
         if not pair:    # grid amplitudes: to the pair basis, as in block form
             re, im = _rotate_pairs(re), _rotate_pairs(im)
         if cross:
-            pc[rows] = _pair_cross(re, im)
-        _pair_density(re, im, rho[rows])
-    return rho, pc
+            out[1][rows] = _pair_cross(re, im)
+        _pair_density(re, im, out[0][rows])
+    rho, *pc = _exact_rows(eig, psi0, dt_fs, steps,
+                           [dim, dim // 2][:1 + bool(cross)], fill)
+    return rho, (pc[0] if cross else None)
 
 
 def _mapped_density(states, partition):
@@ -269,25 +303,18 @@ def _circuit_evolve(even, odd, psi0_map, partition, dt_fs, steps):
     shape (steps+1, 2^N).
 
     The two blocks run at once in two processes with one BLAS thread
-    each (`_parity_processes`), each writing its amplitudes in place:
-    the even block into its columns of the result, the odd block, in the
-    worker, into a MAP_SHARED buffer of (steps+1, half) that is copied
-    into the result once the worker is done.  So the whole run holds the
-    result plus one half, plus each process's chunk working set.
+    each (`_parity_processes`), each writing its amplitudes into its
+    columns of the result in shared memory: the whole run holds the
+    result plus each process's chunk working set.
     '''
-    out = np.empty((steps + 1, 2 * partition.half), dtype=complex)
     evens, odds = partition.even_states, partition.odd_states
-    # MAP_SHARED and anonymous; unmapped when the last view is dropped
-    shared = np.frombuffer(mmap.mmap(-1, (steps + 1) * len(odds) * 16),
-                           dtype=complex).reshape(steps + 1, len(odds))
 
-    def odd_block():    # its amplitudes go back through `shared` only
-        _compiled_evolve(odd, psi0_map[odds], dt_fs, steps, shared)
-
-    _parity_processes(lambda: _compiled_evolve(
-        even, psi0_map[evens], dt_fs, steps, out, evens), odd_block)
-    out[:, odds] = shared
-    return out
+    def block(eig, states):
+        return lambda out: _compiled_evolve(eig, psi0_map[states], dt_fs,
+                                            steps, out, states)
+    return _parity_processes(block(even, evens), block(odd, odds),
+                             shape=(steps + 1, 2 * partition.half),
+                             dtype=complex)
 
 
 # Byte budget of the stack of exact propagators compiled together,
@@ -398,7 +425,8 @@ def evolve(method, ham, psi0, dt_fs, steps, blocks=None, eig=None,
     block_eigensolve(blocks); each block is eigensolved at most once, in
     this process below givens.FORK_MIN_DIM rows (the odd block in a
     forked child from there).  The circuit routes evolve the odd block in
-    a child process forked for the call (joined before returning),
+    a child process forked for the call (joined before returning), and
+    from FORK_MIN_DIM rows the exact loop its second time half,
     unless another Python thread is running here; an error there is
     raised here, and a child that dies without a result raises
     ChildProcessError.
@@ -462,7 +490,7 @@ def propagate(method, ham, psi0, dt_fs, steps, shots=None, seed=None,
     blocks and the eigensystems from `ham` as the CLI does, then
     `densities`.  The circuit routes fork one child process per call,
     and blocks of givens.FORK_MIN_DIM rows or more one for their
-    eigensolve (see `evolve`).'''
+    eigensolve and each exact loop of two chunks or more (see `evolve`).'''
     evo = evolve(method, ham, psi0, dt_fs, steps, force=force,
                  threshold_ratio=threshold_ratio)
     return densities(evo, shots=shots, seed=seed)

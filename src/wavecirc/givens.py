@@ -13,8 +13,9 @@ solves the two half-size eigenproblems, which, when the blocks are
 exactly decoupled, give the eigensystem of H in block form
 (`BlockEigenSystem`); `eigensystem` picks that form or the full
 eigensolve, for the CLI and the dynamics alike, and `eigenvalues` makes
-the same choice for the energies alone.  Blocks of FORK_MIN_DIM rows or
-more are solved at once in two processes (`_solve_blocks`).
+the same choice for the energies alone, from the band where it is
+narrow.  Blocks of FORK_MIN_DIM rows or more are otherwise solved at
+once in two processes (`_solve_blocks`).
 '''
 
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .grid import EigenSystem, _fix_signs, eigensolve
-from .lapack import _parity_processes
+from .lapack import _parity_processes, band_eigenvalues
 
 # the pair rotation's coefficient, 1/sqrt(2)
 _R = 1 / np.sqrt(2)
@@ -169,7 +170,13 @@ class BlockEigenSystem:
 # run at once in two processes; smaller blocks run in turn, where the
 # fork and the pickled result would cost more than the second core
 # saves.  From the crossover in BENCH_startup.json ("parity_blocks").
+# The exact loop and the grid spectrum split from the same size.
 FORK_MIN_DIM = 512
+
+# `eigenvalues` solves blocks of n rows from their band when it ends at
+# subdiagonal kd <= n / BAND_RATIO (kd = 57 for the DAF blocks of N =
+# 11).  From the crossover in BENCH_startup.json ("band_energies").
+BAND_RATIO = 16
 
 
 def _solve_blocks(solve, bh):
@@ -212,15 +219,30 @@ def eigensystem(ham, bh):
     return block_eigensolve(bh) if bh.coupling_norm == 0.0 else eigensolve(ham)
 
 
+def _bandwidth(h):
+    '''The last subdiagonal of the square `h` that holds a nonzero
+    entry, compared by value with no tolerance; 0 for a diagonal h.'''
+    i, j = np.nonzero(np.tril(h, -1))
+    return int((i - j).max(initial=0))
+
+
 def eigenvalues(ham, bh):
     '''The ascending eigenvalues of H whose BlockHamiltonian is `bh`, by
     eigensystem's rule and without eigenvectors: the two blocks' merged
     by the same stable sort when they are exactly decoupled, else the
-    full H's.  numpy's eigvalsh: no scipy is loaded.'''
+    full H's by numpy's eigvalsh.  Blocks whose band ends within 1 /
+    BAND_RATIO of their rows are solved in turn from it, exactly their
+    lower triangle (`lapack.band_eigenvalues`); wider ones by eigvalsh
+    (`_solve_blocks`).'''
     if bh.coupling_norm != 0.0:
         return np.linalg.eigvalsh(getattr(ham, "matrix", ham))
-    energies = np.concatenate(_solve_blocks(np.linalg.eigvalsh, bh))
-    return np.sort(energies, kind="stable")
+    blocks = bh.block_plus, bh.block_minus
+    kd = max(map(_bandwidth, blocks))
+    if BAND_RATIO * kd <= len(bh.block_plus):
+        energies = [band_eigenvalues(b, kd) for b in blocks]
+    else:
+        energies = _solve_blocks(np.linalg.eigvalsh, bh)
+    return np.sort(np.concatenate(energies), kind="stable")
 
 
 def _check_dim(psi, partition):

@@ -1,41 +1,44 @@
 '''scipy's LAPACK drivers without the scipy.linalg package.
 
-wavecirc needs four drivers beyond numpy: dsyevr/zheevr behind
-`scipy.linalg.eigh`, and zuncsd/zgees behind the QSD fallback.  They live
-in scipy's f2py extension scipy.linalg._flapack, which `flapack` loads by
-itself: `import scipy.linalg` runs the package's __init__, whose array-API
+wavecirc needs five drivers beyond numpy: dsyevr/zheevr behind
+`scipy.linalg.eigh`, dsbevd behind `build`'s band eigenvalues, and
+zuncsd/zgees behind the QSD fallback.  They live in scipy's f2py
+extension scipy.linalg._flapack, which `flapack` loads by itself:
+`import scipy.linalg` runs the package's __init__, whose array-API
 layer clones numpy's namespace (numpy.testing, numpy.f2py, numpy.ma, ...)
 for about 0.25 s and 20 MB that no wavecirc command uses.  The extension
 holds the same routine objects that scipy.linalg.lapack re-exports, and
 `eigh` calls them with the arguments scipy.linalg.eigh passes by default,
 so its results are bit-identical to scipy's.
 
-`_parity_processes` runs two calls at once, one per parity block, the
-odd block's in a worker forked for the call: the circuit routes'
-compiled evolution, `compile`, and the eigensolves of blocks of
-`givens.FORK_MIN_DIM` rows or more.  Both processes run in
-`one_blas_thread`, which sets every OpenBLAS thread pool in the process
-to one thread for its body.  numpy and scipy each bundle their own
-OpenBLAS (numpy's runs np.linalg and matmul, scipy's these drivers),
-each with a pool of one thread per core by default.  In two processes
-those pools, two threads each in each process, would share the 2 cores
-of the reference machine: the two pools of a process contend, the two
-processes contend, and threads that spin between calls bill CPU for no
-work.  So each of the two processes runs one BLAS thread: wavebench
-`compile-check` CPU fell 5.17 -> 3.30 s and wall 2.99 -> 2.32 s when
-that scope came in (medians of 10 pairs).  A CLI process runs its pools
-at one thread from its start (`wavecirc.__main__`), so there the scope
-changes nothing; the library, imported on its own, keeps threaded
-pools outside the scope.
+`_parity_processes` runs two calls at once, the second in a worker
+forked for the call, optionally into one shared output array: the
+parity blocks of the circuit routes' compiled evolution, of `compile`
+and of the eigensolves of `givens.FORK_MIN_DIM` rows or more, and the
+halves of the exact evolution loop and of the grid spectrum at that
+size.  Both processes run in `one_blas_thread`, which sets every
+OpenBLAS thread pool in the process to one thread for its body.  numpy
+and scipy each bundle their own OpenBLAS (numpy's runs np.linalg and
+matmul, scipy's these drivers), each with a pool of one thread per core
+by default.  In two processes those pools, two threads each in each
+process, would share the 2 cores of the reference machine: the two pools
+of a process contend, the two processes contend, and threads that spin
+between calls bill CPU for no work.  So each of the two processes runs
+one BLAS thread: wavebench `compile-check` CPU fell 5.17 -> 3.30 s and
+wall 2.99 -> 2.32 s when that scope came in (medians of 10 pairs).  A
+CLI process runs its pools at one thread from its start
+(`wavecirc.__main__`), so there the scope changes nothing; the library,
+imported on its own, keeps threaded pools outside the scope.
 '''
 
+import mmap
 import os
 import pickle
 import signal
 import sys
 import threading
 from contextlib import contextmanager
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
                                  FileFinder)
 from importlib.util import module_from_spec
@@ -99,6 +102,21 @@ def eigh(h):
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of {name}")
     return w, v
+
+
+def band_eigenvalues(h, kd):
+    '''The ascending eigenvalues of the real symmetric matrix whose lower
+    triangle is that of `h`, zero below subdiagonal `kd`: dsbevd on that
+    lower band without eigenvectors, as scipy.linalg.eig_banded(band,
+    lower=True, eigvals_only=True) calls it.  info > 0 raises
+    LinAlgError.'''
+    band = np.zeros((kd + 1, len(h)))
+    for k in range(kd + 1):
+        band[k, :len(h) - k] = np.diagonal(h, -k)
+    w, _, info = flapack().dsbevd(band, compute_v=0, lower=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dsbevd failed with info={info}")
+    return w
 
 
 # the C thread-count entry points of an OpenBLAS build: plain, or with
@@ -170,14 +188,17 @@ def one_blas_thread():
                 stop()
 
 
-def _parity_processes(even_block, odd_block):
-    '''(even_block(), odd_block()), the two calls run at once: odd_block
-    in one worker forked for the call (`_worker`), whose result comes
-    back pickled over a pipe, and even_block here.  Both processes run
-    in `one_blas_thread`: with the default pools, two processes of two
-    BLAS threads each would share the 2 cores of the reference machine,
-    where a mid-size BLAS call ran 50-100x slower while another process
-    kept the cores busy.
+def _parity_processes(first, second, shape=None, dtype=float):
+    '''(first(), second()), the two calls run at once: second in one
+    worker forked for the call (`_worker`), whose result comes back
+    pickled over a pipe, and first here.  Given `shape`, each call takes
+    instead one zero-filled array of that shape and dtype in anonymous
+    MAP_SHARED memory to write its rows into, and that array is the
+    result: the worker's rows reach it without a pipe or a copy.  Both
+    processes run in `one_blas_thread`: with the default pools, two
+    processes of two BLAS threads each would share the 2 cores of the
+    reference machine, where a mid-size BLAS call ran 50-100x slower
+    while another process kept the cores busy.
 
     An exception of the worker is raised here; a worker that dies
     without reporting raises ChildProcessError.  The worker is joined on
@@ -187,20 +208,26 @@ def _parity_processes(even_block, odd_block):
     thread.  Without `os.fork`, or while another Python thread runs here
     (a child could inherit a lock that thread holds, and the BLAS pools
     that the scope would set are that thread's too), the calls run in
-    turn, even_block first, with the BLAS pools as they are.
+    turn, `first` before `second`, with the BLAS pools as they are.
     '''
+    if shape is not None:
+        count = int(np.prod(shape))
+        out = np.frombuffer(mmap.mmap(-1, max(1, count * np.dtype(
+            dtype).itemsize)), dtype, count).reshape(shape)
+        _parity_processes(partial(first, out), partial(second, out))
+        return out
     if not hasattr(os, "fork") or threading.active_count() > 1:
-        return even_block(), odd_block()
+        return first(), second()
     with one_blas_thread():
         read_fd, write_fd = os.pipe()
         parent = os.getpid()
         pid = os.fork()
         if pid == 0:
-            _worker(parent, read_fd, write_fd, odd_block)
+            _worker(parent, read_fd, write_fd, second)
         os.close(write_fd)
         try:
             with open(read_fd, "rb") as pipe:
-                here = even_block()
+                here = first()
                 report = pipe.read()
         except BaseException:
             os.kill(pid, signal.SIGKILL)
@@ -209,7 +236,7 @@ def _parity_processes(even_block, odd_block):
             _, status = os.waitpid(pid, 0)
     if status or not report:
         raise ChildProcessError(
-            f"the odd parity block's worker exited with status "
+            f"the forked worker exited with status "
             f"{os.waitstatus_to_exitcode(status)} without a result")
     done, there = pickle.loads(report)
     if not done:

@@ -39,10 +39,13 @@ def _tree_text(tree):
     '''The gate lines of every circuit of a QsdTree.'''
     n, n_circ = tree.n_qubits, tree.n_circuits
     template, order = _tree_template(n)
-    angles = np.concatenate(
-        [_gray_angles(tree.select[m]).swapaxes(0, 1).reshape(n_circ, -1)
-         for m in range(n, 1, -1)] + [tree.delta, tree.gamma, tree.beta],
-        axis=1)[:, order]
+    # a non-finite select angle is refused below, without numpy's warning
+    # from the Gray-code product
+    with np.errstate(invalid="ignore", over="ignore"):
+        angles = np.concatenate(
+            [_gray_angles(tree.select[m]).swapaxes(0, 1).reshape(n_circ, -1)
+             for m in range(n, 1, -1)] + [tree.delta, tree.gamma, tree.beta],
+            axis=1)[:, order]
     if not np.isfinite(angles).all():
         raise ValueError("gate angle must be finite")
     return "".join(template % tuple(row) for row in angles.tolist())

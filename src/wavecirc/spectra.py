@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import units
+from . import givens, units
+from .lapack import _parity_processes
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,8 @@ def _padded_spectrum(t_fs, y, dx, window, padding, threshold):
     round-off, and those it leaves negative are written as 0, so the
     far tail of the power is no signal on a log scale.
     Columns go in chunks of SPECTRUM_CHUNK_BYTES of padded columns and
-    their transforms.
+    their transforms; from 2 givens.FORK_MIN_DIM columns and two chunks,
+    by column halves in two processes (`lapack._parity_processes`).
     '''
     n_steps, n_cols = y.shape
     if n_steps < MIN_SAMPLES:
@@ -123,14 +125,26 @@ def _padded_spectrum(t_fs, y, dx, window, padding, threshold):
     n_pad = n_steps * padding
     m = _fast_len(2 * n_steps - 1)
     width = min(n_cols, max(1, SPECTRUM_CHUNK_BYTES // (16 * m)))
+    starts = range(0, n_cols, width)
     z = np.zeros((width, m))          # zero past the L samples
-    total = np.zeros(m // 2 + 1)
-    for a in range(0, n_cols, width):
+
+    def chunk_power(a):     # the summed power of the chunk of columns at a
         cols = slice(a, min(a + width, n_cols))
         chunk = z[:cols.stop - a]
         chunk[:, :n_steps] = ((y[:, cols] - mean[cols]) * taper).T
         f = np.fft.rfft(chunk, axis=1).view(float)
-        total += np.einsum("ij,ij->j", f, f).reshape(-1, 2).sum(axis=1)
+        return np.einsum("ij,ij->j", f, f).reshape(-1, 2).sum(axis=1)
+
+    sums = map(chunk_power, starts)
+    if n_cols >= 2 * givens.FORK_MIN_DIM and len(starts) >= 2:
+        half = (len(starts) + 1) // 2
+        first, rest = _parity_processes(
+            lambda: list(map(chunk_power, starts[:half])),
+            lambda: list(map(chunk_power, starts[half:])))
+        sums = first + rest
+    total = np.zeros(m // 2 + 1)
+    for s in sums:          # in chunk order, however they were computed
+        total += s
     # the summed autocorrelation, lags 0..L-1 at the front and
     # -(L-1)..-1 at the back
     acf = np.fft.irfft(total, n=m)

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from wavecirc.givens import FORK_MIN_DIM
+from wavecirc.givens import BAND_RATIO, FORK_MIN_DIM
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_startup.py"
 
@@ -49,6 +49,14 @@ def test_writes_report(tmp_path):
     assert energies["n_qubits"] == 3 and energies["block_form"]
     assert energies["eigenvalues_s"] > 0 and energies["eigensystem_s"] > 0
     assert energies["max_energy_diff_over_max"] <= 1e-14
+    band = report["band_energies"]
+    assert (band["n"], band["band_ratio"]) == (4, BAND_RATIO)
+    assert band["rule_max_kd"] == 4 // BAND_RATIO
+    assert set(band["kd"]) == {"0", "1", "2"}
+    for row in [*band["kd"].values(), band["daf_block"]]:
+        assert row["band_s"] > 0 and row["dense_s"] > 0
+    assert band["daf_block"]["kd"] == 3
+    assert band["crossover_kd"] in (None, 0, 1, 2)
     parity = report["parity_blocks"]
     assert parity["fork_min_dim"] == FORK_MIN_DIM
     assert set(parity["block_dims"]) == {"2", "4"}

@@ -11,6 +11,7 @@ import sys
 import textwrap
 import threading
 import time
+import types
 
 import jsonschema
 import numpy as np
@@ -219,6 +220,82 @@ class TestCliExitCodes:
         report = json.load(open(os.path.join(out, "ising_parameters.json")))
         assert report["reconstruction_error"]["even"] <= 1e-10
         assert len(report["even"]["b_z"]) == 3   # one field per register spin
+
+
+class TestRefusedBeforeWork:
+    '''A config nested past what the check reads, and an --out that
+    cannot be a directory, exit 2 before any work, with no traceback and
+    no output directory.'''
+
+    def test_deep_config_exit_2(self, tmp_path):
+        # past the interpreter's recursion limit, which json.load hits
+        path = tmp_path / "deep.json"
+        path.write_text('{"grid": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "wavecirc", "build", "--config",
+             str(path), "--out", str(out)],
+            env=fresh_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: config nests too deeply")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("depth", [config.MAX_DEPTH, 10_000])
+    def test_deep_config_refused_before_the_check(self, depth):
+        # config.MAX_DEPTH lists under the root: one level too deep
+        node = []
+        for _ in range(depth - 1):
+            node = [node]
+        with pytest.raises(ConfigError, match=r"config invalid at grid\.0"
+                           r"(\.0)*: nested deeper than 8 levels"):
+            resolve({"grid": node})
+
+    def test_legal_depth_keeps_the_schema_message(self):
+        with pytest.raises(ConfigError, match=r"at potential\.model\."
+                           r"coefficients\.1: \[\[1\.0\]\] is not of type"):
+            resolve(dict(BASE, potential={"model": {
+                "kind": "polynomial", "coefficients": [0.0, [[1.0]]]}}))
+
+    @pytest.mark.parametrize("command", ["build", "spectrum"])
+    @pytest.mark.parametrize("out", ["a_file", "a_file/o/p"])
+    def test_unusable_out_refused_first(self, tmp_path, capsys, monkeypatch,
+                                        command, out):
+        def no_work(*args):
+            raise AssertionError("the command started its work")
+        monkeypatch.setattr("wavecirc.cli.build_hamiltonian", no_work)
+        cfg = write_config(tmp_path)
+        (tmp_path / "a_file").write_text("")
+        before = sorted(os.listdir(tmp_path))
+        assert main([command, "--config", cfg,
+                     "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 20] Not a directory: " \
+            f"'{tmp_path / 'a_file'}'\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_new_out_below_new_directories(self, tmp_path):
+        out = tmp_path / "x" / "y" / "o"
+        assert main(["build", "--config", write_config(tmp_path),
+                     "--out", str(out)]) == 0
+        assert (out / "eigenvalues.csv").exists()
+
+
+class TestBandSolveFailure:
+    def test_dsbevd_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        # the cutoff raised to take N = 3's 4-row blocks (kd = 3) from the
+        # band; the driver reports no convergence
+        def dsbevd(band, **kwargs):
+            return np.zeros(band.shape[1]), np.zeros((1, 1)), 2
+        monkeypatch.setattr(givens, "BAND_RATIO", 1)
+        monkeypatch.setattr(lapack, "flapack",
+                            lambda: types.SimpleNamespace(dsbevd=dsbevd))
+        out = tmp_path / "o"
+        assert main(["build", "--config", write_config(tmp_path),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == \
+            "numerical failure: dsbevd failed with info=2\n"
+        assert not out.exists()
 
 
 class TestCliPipeline:

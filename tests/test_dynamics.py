@@ -1,3 +1,4 @@
+import mmap
 import os
 import signal
 import threading
@@ -19,6 +20,13 @@ def block_model(n):
     EigenSystems of its two parity blocks.'''
     g, pot, ham = double_well_system(n)
     return ham, w.parity_partition(n), block_systems(w.block_transform(ham))
+
+
+def memory_of(a):
+    '''The object that holds the memory of the array `a`.'''
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
 
 
 class TestInitialWavepacket:
@@ -375,11 +383,152 @@ class TestParityProcesses:
         assert here == there == [1] * len(before)
         assert counts() == before
 
+    def test_shared_result_is_the_mapping(self, forks):
+        # both calls write into one array in shared memory, which is the
+        # result itself: the worker's row is there, and nothing is copied
+        seen = []
+
+        def row(i):
+            def write(out):
+                seen.append(out)
+                out[i] = os.getpid()
+            return write
+        out = dynamics._parity_processes(row(0), row(1), shape=(2,),
+                                         dtype=np.int64)
+        assert len(forks) == 1
+        assert out.tolist() == [os.getpid(), forks[0]]
+        assert out is seen[0]
+        assert isinstance(memory_of(out), mmap.mmap)
+
+    def test_shared_result_in_turn(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        out = dynamics._parity_processes(lambda a: a.__setitem__(0, 1.5),
+                                         lambda a: a.__setitem__(1, 2.5),
+                                         shape=(2,))
+        assert out.tolist() == [1.5, 2.5]
+        assert isinstance(memory_of(out), mmap.mmap)
+
     def test_unpicklable_result_raises_here(self, forks):
         with pytest.raises(Exception, match="pickle"):
             dynamics._parity_processes(int, lambda: lambda: 0)
         with pytest.raises(ChildProcessError):
             os.waitpid(forks[0], os.WNOHANG)
+
+
+class TestExactLoopByTimeHalves:
+    '''From parity blocks of givens.FORK_MIN_DIM rows and two time chunks,
+    the exact evolution loop runs by time halves in two processes, each
+    writing its rows into one shared array; the bits are those of one
+    process.  The chunk budget is shrunk so that several chunks exist.'''
+
+    STEPS = 200
+
+    @pytest.fixture(scope="class")
+    def n10(self):
+        g, _, ham = double_well_system(10)
+        psi0 = w.initial_wavepacket(
+            w.WavepacketSpec("gaussian", mu=0.05, sigma=0.1), g)
+        return ham, w.block_eigensolve(w.block_transform(ham)), psi0
+
+    @pytest.fixture
+    def chunks(self, monkeypatch):
+        # 32 steps of 1,024 amplitudes: 7 chunks of 201 steps at N = 10
+        monkeypatch.setattr(dynamics, "REFERENCE_CHUNK_BYTES", 16 * 1024 * 32)
+
+    @staticmethod
+    def runs(ham, eig, psi0, steps):
+        '''name -> (the loop's call, the forks it makes): the classical
+        reference with its pair cross term, the amplitudes of
+        evolve_exact, and the densities of the classical and ising
+        routes.'''
+        return {
+            "reference": (lambda: dynamics._exact_reference(
+                eig, psi0, 0.5, steps, cross=True), 1),
+            "evolve_exact": (lambda: (w.evolve_exact(eig, psi0, 0.5, steps),),
+                             1),
+            "classical": (lambda: (w.evolve("classical", ham, psi0, 0.5,
+                                            steps, eig=eig).rho,), 1),
+            # the spin blocks' eigensolve forks too
+            "ising": (lambda: (w.evolve("ising", ham, psi0, 0.5, steps,
+                                        eig=eig).rho,), 3)}
+
+    @pytest.mark.parametrize("name", ["reference", "evolve_exact",
+                                      "classical", "ising"])
+    @pytest.mark.parametrize("in_turn", ["no-fork", "other-thread",
+                                         "below-cutoff"])
+    def test_bits_of_one_process(self, n10, chunks, monkeypatch, forks, name,
+                                 in_turn):
+        call, n_forks = self.runs(*n10, self.STEPS)[name]
+        forked = call()
+        assert len(forks) == n_forks
+        if name == "ising":
+            # the spin blocks' eigensolve (dsyevr) takes other bits on
+            # threaded pools than on the one thread of a forked solve
+            solve = call
+
+            def call():
+                with lapack.one_blas_thread():
+                    return solve()
+        if in_turn == "no-fork":
+            monkeypatch.delattr(os, "fork")
+            alone = call()
+        elif in_turn == "other-thread":
+            stop = threading.Event()
+            thread = threading.Thread(target=stop.wait)
+            thread.start()
+            try:
+                alone = call()
+            finally:
+                stop.set()
+                thread.join()
+        else:
+            monkeypatch.setattr(w.givens, "FORK_MIN_DIM", 513)
+            alone = call()
+        assert len(forks) == n_forks
+        assert [a.tobytes() for a in forked] == [a.tobytes() for a in alone]
+
+    def test_one_chunk_forks_nothing(self, n10, forks):
+        # 201 steps of 1,024 amplitudes fit in the default chunk
+        ham, eig, psi0 = n10
+        dynamics._exact_reference(eig, psi0, 0.5, self.STEPS, cross=False)
+        assert forks == []
+
+    @pytest.mark.parametrize("steps", [1, 31, 32, 64, 100])
+    def test_small_blocks_with_lowered_cutoff(self, monkeypatch, forks,
+                                              steps):
+        # N = 6: 32-row blocks, 2 steps of 64 amplitudes a chunk, so from
+        # 1 to 51 chunks, cut between the two processes
+        g, _, ham = double_well_system(6)
+        eig = w.block_eigensolve(w.block_transform(ham))
+        psi0 = w.initial_wavepacket(
+            w.WavepacketSpec("gaussian", mu=0.05, sigma=0.1), g)
+        monkeypatch.setattr(dynamics, "REFERENCE_CHUNK_BYTES", 16 * 64 * 2)
+        alone = dynamics._exact_reference(eig, psi0, 0.5, steps, cross=True)
+        assert forks == []
+        monkeypatch.setattr(w.givens, "FORK_MIN_DIM", 32)
+        forked = dynamics._exact_reference(eig, psi0, 0.5, steps, cross=True)
+        assert len(forks) == (steps >= 2)
+        assert [a.tobytes() for a in forked] == [a.tobytes() for a in alone]
+
+    def test_worker_error_raised_here(self, n10, chunks, monkeypatch, forks):
+        def fails(*args):
+            raise FloatingPointError("second half")
+        monkeypatch.setattr(dynamics, "_pair_density",
+                            in_worker_only(fails, dynamics._pair_density))
+        ham, eig, psi0 = n10
+        with pytest.raises(FloatingPointError, match="second half"):
+            dynamics._exact_reference(eig, psi0, 0.5, self.STEPS, cross=False)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
+
+    def test_result_is_the_shared_mapping(self, n10, chunks):
+        ham, eig, psi0 = n10
+        rho, cross = dynamics._exact_reference(eig, psi0, 0.5, self.STEPS,
+                                               cross=True)
+        assert isinstance(memory_of(rho), mmap.mmap)
+        assert np.shares_memory(rho, cross) is False
+        assert rho.flags.c_contiguous and cross.flags.c_contiguous
 
 
 class TestCouplingGuard:

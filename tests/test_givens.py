@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import wavecirc as w
@@ -304,6 +305,93 @@ class TestBlockEigensolve:
         assert np.array_equal(got, want)
         assert np.abs(got - pipe.eig.energies).max() \
             <= 1e-14 * np.abs(pipe.eig.energies).max()
+
+
+def banded(n, kd, rng):
+    '''A random real symmetric n x n matrix that is zero beyond its kd-th
+    subdiagonal and superdiagonal.'''
+    a = rng.normal(size=(n, n))
+    a = a + a.T
+    i, j = np.indices((n, n))
+    a[np.abs(i - j) > kd] = 0
+    return a
+
+
+def decoupled(plus, minus):
+    return w.BlockHamiltonian(block_plus=plus, block_minus=minus,
+                              coupling_norm=0.0, norm=1.0)
+
+
+class TestBandEigenvalues:
+    '''build's energies come from the band of each parity block (LAPACK
+    dsbevd) where BAND_RATIO kd <= the block's rows, solved in turn; from
+    numpy's eigvalsh, forked from FORK_MIN_DIM rows, otherwise.'''
+
+    @pytest.fixture(scope="class")
+    def n11(self):
+        ham = double_well_system(11)[2]
+        return ham, w.block_transform(ham)
+
+    def test_daf_blocks_at_n11_from_the_band(self, n11, forks):
+        ham, bh = n11
+        kd = givens._bandwidth(bh.block_plus)
+        assert kd == givens._bandwidth(bh.block_minus) == 57
+        assert givens.BAND_RATIO * kd <= len(bh.block_plus)
+        got = w.eigenvalues(ham, bh)
+        assert forks == []
+        # bitwise dsbevd on the lower band, as scipy calls it
+        want = [scipy.linalg.eig_banded(
+            np.array([np.pad(np.diagonal(b, -k), (0, k))
+                      for k in range(kd + 1)]),
+            lower=True, eigvals_only=True)
+            for b in (bh.block_plus, bh.block_minus)]
+        assert got.tobytes() == np.sort(np.concatenate(want),
+                                        kind="stable").tobytes()
+        dense = np.sort(np.concatenate(
+            [np.linalg.eigvalsh(bh.block_plus),
+             np.linalg.eigvalsh(bh.block_minus)]), kind="stable")
+        assert np.abs(got - dense).max() <= 1e-14 * np.abs(dense).max()
+
+    # two backward-stable solvers agree to about n eps max|E|: at
+    # n = 256, within 7.2e-15 max|E| over five seeds
+    @pytest.mark.parametrize("kd", [0, 1, 16])
+    def test_random_bands_near_eigvalsh(self, kd):
+        rng = np.random.default_rng(kd)
+        plus, minus = banded(256, kd, rng), banded(256, kd, rng)
+        assert givens.BAND_RATIO * kd <= 256
+        got = w.eigenvalues(None, decoupled(plus, minus))
+        want = np.sort(np.concatenate([np.linalg.eigvalsh(plus),
+                                       np.linalg.eigvalsh(minus)]))
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_wider_band_bitwise_eigvalsh(self, monkeypatch, forks):
+        # one entry on subdiagonal 17 of 256 rows puts both blocks past
+        # the crossover: eigvalsh of each, forked with the cutoff lowered
+        rng = np.random.default_rng(5)
+        plus, minus = banded(256, 16, rng), banded(256, 16, rng)
+        minus[17, 0] = minus[0, 17] = 1e-300
+        monkeypatch.setattr(givens, "FORK_MIN_DIM", 256)
+        got = w.eigenvalues(None, decoupled(plus, minus))
+        assert len(forks) == 1
+        with lapack.one_blas_thread():
+            want = np.sort(np.concatenate([np.linalg.eigvalsh(plus),
+                                           np.linalg.eigvalsh(minus)]),
+                           kind="stable")
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("h, kd", [
+        (np.zeros((3, 3)), 0), (np.eye(4), 0), (np.ones((4, 4)), 3),
+        (np.diag([1.0, 2.0, 3.0], -2) + np.diag([-0.0] * 4, -1), 2)])
+    def test_bandwidth_by_value(self, h, kd):
+        # -0.0 is zero; the upper triangle is not read
+        assert givens._bandwidth(np.tril(h)) == kd
+
+    def test_band_is_the_lower_triangle(self):
+        rng = np.random.default_rng(8)
+        a = banded(64, 3, rng)
+        low = np.tril(a)
+        assert lapack.band_eigenvalues(a, 3).tobytes() \
+            == lapack.band_eigenvalues(low, 3).tobytes()
 
 
 class TestForkedBlockSolves:

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -136,16 +137,20 @@ class TestBlockWiseWriter:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_block_angle_raises(self, bad):
         # in place: a select angle or a leaf angle in the level arrays
-        # stops the writer
+        # stops the writer, with no numpy warning on the way
         u = unitary_group.rvs(8, random_state=31)
         tree = w.qsd_compile(u)
         tree.select[2][0, 0, 0, 1] = bad
-        with pytest.raises(ValueError, match="finite"):
-            w.to_qasm(tree)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                w.to_qasm(tree)
         tree = w.qsd_compile(u)
         tree.gamma[0, 1] = bad
-        with pytest.raises(ValueError, match="finite"):
-            w.to_qasm(tree)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                w.to_qasm(tree)
 
     def test_circuit_and_iteration_gate_lists(self):
         # circuit i's section of the stack's QASM is the QASM of the

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,68 @@ class TestGridSpectrum:
         traj = w.propagate("classical", ham, psi0, 0.5, 128)
         with pytest.raises(ValueError):
             w.grid_spectrum(traj, window="hamming")
+
+
+class TestSpectrumByColumnHalves:
+    '''From 2 givens.FORK_MIN_DIM density columns and two chunks, the
+    grid spectrum's chunks run by column halves in two processes; the
+    chunk sums are added in chunk order, so the bits are those of one
+    process.'''
+
+    @staticmethod
+    def trajectory(n, steps=200):
+        g, _, ham = double_well_system(n)
+        psi0 = w.initial_wavepacket(
+            w.WavepacketSpec("gaussian", mu=0.05, sigma=0.1), g)
+        return w.propagate("classical", ham, psi0, 0.5, steps)
+
+    @staticmethod
+    def arrays(spec):
+        return [spec.omega_cm1.tobytes(), spec.power.tobytes(), spec.peaks,
+                spec.bin_cm1, spec.zero_weight]
+
+    @pytest.mark.parametrize("n, cutoff, columns", [
+        (10, None, 48), (10, None, 1024), (6, 32, 7), (6, 32, 3)],
+        ids=["N10-22-chunks", "N10-1-chunk", "N6-10-chunks",
+             "N6-22-chunks"])
+    def test_bits_of_one_process(self, monkeypatch, forks, n, cutoff,
+                                 columns):
+        traj = self.trajectory(n)
+        forks.clear()       # those of the N = 10 eigensolve
+        m = spectra._fast_len(2 * len(traj.rho) - 1)
+        monkeypatch.setattr(spectra, "SPECTRUM_CHUNK_BYTES", 16 * m * columns)
+        if cutoff:
+            monkeypatch.setattr(w.givens, "FORK_MIN_DIM", cutoff)
+        forked = w.grid_spectrum(traj, window="hann")
+        n_chunks = -(-len(traj.rho[0]) // columns)
+        assert len(forks) == (n_chunks >= 2)
+        monkeypatch.delattr("os.fork")
+        alone = w.grid_spectrum(traj, window="hann")
+        assert self.arrays(forked) == self.arrays(alone)
+        assert forked.peaks
+
+    def test_small_grid_forks_nothing(self, monkeypatch, forks):
+        traj = self.trajectory(6)
+        monkeypatch.setattr(spectra, "SPECTRUM_CHUNK_BYTES", 1 << 16)
+        w.grid_spectrum(traj)
+        assert forks == []
+
+    def test_worker_error_raised_here(self, monkeypatch, forks):
+        traj = self.trajectory(6)
+        rfft, parent = np.fft.rfft, os.getpid()
+
+        def fails_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                raise FloatingPointError("second half")
+            return rfft(*args, **kwargs)
+        monkeypatch.setattr(np.fft, "rfft", fails_in_worker)
+        monkeypatch.setattr(w.givens, "FORK_MIN_DIM", 32)
+        monkeypatch.setattr(spectra, "SPECTRUM_CHUNK_BYTES", 1 << 16)
+        with pytest.raises(FloatingPointError, match="second half"):
+            w.grid_spectrum(traj)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forks[0], os.WNOHANG)
 
 
 class TestAutocorrelation:

@@ -46,9 +46,19 @@ fit `extract_offdiag_params` and the least-squares design it replaced
 reports both blocks' residuals by each, the largest change in J over
 max|J| and that in the residual over the block's Frobenius norm.  The
 build_energies entry times, the same way, the energies `build` writes
-(`givens.eigenvalues`, numpy's eigvalsh) and those of
-`givens.eigensystem`, which also computes eigenvectors, and reports the
-largest change, in Hartree and over max|E|.
+(`givens.eigenvalues`) and those of `givens.eigensystem`, which also
+computes eigenvectors, and reports the largest change, in Hartree and
+over max|E|.
+
+The band_energies entry sets the rule by which `build` takes a parity
+block's eigenvalues from its band (`givens.BAND_RATIO`).  At the block
+size n = 2^(`--n-qubits` - 1), for random symmetric matrices of each
+bandwidth kd in 0, 1 and n/64 .. n/2, it times, best of `--repeats` and
+with one BLAS thread, the band solve (`lapack.band_eigenvalues`, LAPACK
+dsbevd) and numpy's eigvalsh; and both on the double well's even block.
+`crossover_kd` is the largest kd up to which the band solve wins at
+every measured bandwidth; null if it never does.  `rule_max_kd` is the
+largest kd the rule sends to the band, n / BAND_RATIO.
 
 The parity_blocks entry finds the block size from which solving the two
 parity blocks at once in two processes pays (`givens.FORK_MIN_DIM`).
@@ -327,6 +337,43 @@ def build_energy_costs(n_qubits, repeats):
             "max_energy_diff_over_max": diff / np.abs(eig.energies).max()}
 
 
+def band_energy_costs(n_qubits, repeats):
+    '''The band and dense eigenvalue solves of one parity block's size
+    n = 2^(n_qubits - 1) over a sweep of bandwidths, and at the double
+    well's own block.'''
+    n = 2 ** (n_qubits - 1)
+    rng = np.random.default_rng(0)
+    sweep = {}
+    with lapack.one_blas_thread():
+        for kd in sorted({0, 1} | {n // d for d in (64, 32, 16, 8, 4, 2)}):
+            a = rng.normal(size=(n, n))
+            a = a + a.T
+            i, j = np.indices((n, n))
+            a[np.abs(i - j) > kd] = 0
+            sweep[kd] = {
+                "band_s": best_of(repeats, lambda: lapack.band_eigenvalues(
+                    a, kd))[0],
+                "dense_s": best_of(repeats,
+                                   lambda: np.linalg.eigvalsh(a))[0]}
+        block = w.block_transform(double_well(n_qubits)).block_plus
+        kd_daf = givens._bandwidth(block)
+        daf = {"kd": kd_daf,
+               "band_s": best_of(repeats, lambda: lapack.band_eigenvalues(
+                   block, kd_daf))[0],
+               "dense_s": best_of(repeats,
+                                  lambda: np.linalg.eigvalsh(block))[0]}
+    # the largest bandwidth up to which the band wins at every one measured
+    crossover = None
+    for kd, row in sweep.items():
+        if row["band_s"] >= row["dense_s"]:
+            break
+        crossover = kd
+    return {"n": n, "band_ratio": givens.BAND_RATIO,
+            "rule_max_kd": n // givens.BAND_RATIO, "crossover_kd": crossover,
+            "kd": {str(kd): row for kd, row in sweep.items()},
+            "daf_block": daf}
+
+
 def parity_block_costs(n_qubits, repeats):
     sizes = {}
     with lapack.one_blas_thread():
@@ -394,6 +441,7 @@ def main(argv=None):
         "grid_spectrum": spectrum_costs(args.n_qubits, args.repeats),
         "spin_fit": spin_fit_costs(args.n_qubits, args.repeats),
         "build_energies": build_energy_costs(args.n_qubits, args.repeats),
+        "band_energies": band_energy_costs(args.n_qubits, args.repeats),
         "parity_blocks": parity_block_costs(args.n_qubits, args.repeats),
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
@@ -401,7 +449,7 @@ def main(argv=None):
     print(json.dumps(report["loader"]))
     print(json.dumps(report["hamiltonian_csv"]))
     for name in ("grid_spectrum", "spin_fit", "build_energies",
-                 "parity_blocks"):
+                 "band_energies", "parity_blocks"):
         print(json.dumps(report[name]))
 
 

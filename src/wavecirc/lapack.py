@@ -108,7 +108,7 @@ def band_eigenvalues(h, kd):
     '''The ascending eigenvalues of the real symmetric matrix whose lower
     triangle is that of `h`, zero below subdiagonal `kd`: dsbevd on that
     lower band without eigenvectors, as scipy.linalg.eig_banded(band,
-    lower=True, eigvals_only=True) calls it.  info > 0 raises
+    lower=True, eigvals_only=True) calls it.  A nonzero info raises
     LinAlgError.'''
     band = np.zeros((kd + 1, len(h)))
     for k in range(kd + 1):

@@ -1,4 +1,5 @@
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -224,8 +225,9 @@ class TestSpectrumByColumnHalves:
         (10, None, 48), (10, None, 1024), (6, 32, 7), (6, 32, 3)],
         ids=["N10-22-chunks", "N10-1-chunk", "N6-10-chunks",
              "N6-22-chunks"])
+    @pytest.mark.parametrize("in_turn", ["no-fork", "other-thread"])
     def test_bits_of_one_process(self, monkeypatch, forks, n, cutoff,
-                                 columns):
+                                 columns, in_turn):
         traj = self.trajectory(n)
         forks.clear()       # those of the N = 10 eigensolve
         m = spectra._fast_len(2 * len(traj.rho) - 1)
@@ -235,8 +237,19 @@ class TestSpectrumByColumnHalves:
         forked = w.grid_spectrum(traj, window="hann")
         n_chunks = -(-len(traj.rho[0]) // columns)
         assert len(forks) == (n_chunks >= 2)
-        monkeypatch.delattr("os.fork")
-        alone = w.grid_spectrum(traj, window="hann")
+        if in_turn == "no-fork":
+            monkeypatch.delattr("os.fork")
+            alone = w.grid_spectrum(traj, window="hann")
+        else:
+            stop = threading.Event()
+            thread = threading.Thread(target=stop.wait)
+            thread.start()
+            try:
+                alone = w.grid_spectrum(traj, window="hann")
+            finally:
+                stop.set()
+                thread.join()
+            assert len(forks) == (n_chunks >= 2)
         assert self.arrays(forked) == self.arrays(alone)
         assert forked.peaks
 

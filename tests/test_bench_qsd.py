@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from wavecirc.dynamics import _chunk_steps
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_qsd.py"
 
 
@@ -36,6 +38,12 @@ def test_writes_report(tmp_path):
     assert fallbacks["demultiplex"]["nodes"] == 2 * 2 * 42
     for kind in ("csd", "demultiplex"):
         assert 0 <= fallbacks[kind]["fraction"] <= 1
+    # the layers per step of one block, at the program's chunk size
+    per_step = report["double_well_n6_ms_per_step"]
+    assert per_step.pop("chunk_steps") == _chunk_steps(32)
+    assert set(per_step) == {"qsd_compile_ms", "circuit_matrix_ms",
+                             "run_circuit_ms"}
+    assert all(t > 0 for t in per_step.values())
     for n in (5, 7):
         costs = report["ms_per_circuit"][f"{n}_qubits"]
         assert set(costs) == {"circuit_matrix_ms", "to_qasm_ms",

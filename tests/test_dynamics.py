@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 import wavecirc as w
-from wavecirc import dynamics, lapack, units
+from wavecirc import dynamics, lapack, spectra, units
 
 from conftest import (block_systems, double_well_system, in_worker_only,
                       pair_cross, random_state)
@@ -696,7 +696,7 @@ class TestClassicalWorkingSet:
         # break the bounds below.
         budget = 1 << 20
         monkeypatch.setattr(dynamics, "REFERENCE_CHUNK_BYTES", budget)
-        monkeypatch.setattr(w.spectra, "SPECTRUM_CHUNK_BYTES", budget)
+        monkeypatch.setattr(spectra, "SPECTRUM_CHUNK_BYTES", budget)
         g, pot, ham = double_well_system(9)
         eig = w.block_eigensolve(w.block_transform(ham))
         psi0 = w.initial_wavepacket(

@@ -14,7 +14,14 @@ fallback for the nodes that fail them) against `qsd._csd_lapack`
 (zuncsd), and `qsd._eig_stack` against `qsd._schur_lapack` (zgees) on
 x = l0 l1^H.  The sorting and gauge code that both paths share is not
 timed.  The fallback counts compile both parity blocks of the N = 6
-double well for `--steps` steps of 1 fs, 16 steps per qsd_compile call.
+double well for `--steps` steps of 1 fs, in the program's chunks
+(`dynamics._chunk_steps`) of steps per qsd_compile call.
+
+The per-step costs take the same propagators in the same chunks, and
+give the best of `--repeats` timings of each layer over both blocks'
+chunks, in milliseconds per step of one block: `qsd_compile`,
+`circuit_matrix` (the reconstruction check's rebuild) and `run_circuit`
+on one column per circuit, as `dynamics._compiled_evolve` calls them.
 
 The layer costs are the best of `--repeats` timings, in milliseconds per
 circuit, on one compiled Haar-random circuit of 5 and of 7 qubits:
@@ -46,7 +53,7 @@ import scipy                                        # noqa: E402
 from scipy.stats import unitary_group               # noqa: E402
 
 import wavecirc as w                                # noqa: E402
-from wavecirc import lapack, qsd                    # noqa: E402
+from wavecirc import dynamics, lapack, qsd          # noqa: E402
 from wavecirc.sim import (circuit_matrix, exact_propagator,  # noqa: E402
                           run_circuit)
 
@@ -123,21 +130,45 @@ def layer_costs(repeats, seed=1):
     return out
 
 
-def double_well_fallbacks(steps, chunk=16):
+def double_well_stacks(steps):
+    '''The exact propagators of both parity blocks of the N = 6 double
+    well at t = 1 .. `steps` fs, one stack per chunk of the program's
+    chunk size, and that size.'''
     g = w.build_grid(6, 0.66)
     ham = w.build_hamiltonian(g, w.eval_potential(g, {"kind": "double_well"}))
     bh = w.block_transform(ham)
     times = np.arange(1, steps + 1) * 1.0
+    chunk = dynamics._chunk_steps(len(bh.block_plus))
+    stacks = []
+    for block in (bh.block_plus, bh.block_minus):
+        eig = w.eigensolve(block)
+        stacks += [exact_propagator(eig, times[start:start + chunk])
+                   for start in range(0, steps, chunk)]
+    return stacks, chunk
+
+
+def double_well_fallbacks(stacks):
     names = [name for pair in PATHS.values() for name in pair]
     with counted(*names) as counts:
-        for block in (bh.block_plus, bh.block_minus):
-            eig = w.eigensolve(block)
-            for start in range(0, steps, chunk):
-                w.qsd_compile(exact_propagator(eig, times[start:start + chunk]))
+        for u in stacks:
+            w.qsd_compile(u)
     return {kind: {"nodes": counts[batched],
                    "fallback": counts[lapack],
                    "fraction": counts[lapack] / counts[batched]}
             for kind, (batched, lapack) in PATHS.items()}
+
+
+def double_well_per_step(stacks, chunk, repeats):
+    trees = [w.qsd_compile(u) for u in stacks]
+    cols = [np.ones((u.shape[-1], len(u))) for u in stacks]
+    calls = {"qsd_compile": lambda: [w.qsd_compile(u) for u in stacks],
+             "circuit_matrix": lambda: [circuit_matrix(t) for t in trees],
+             "run_circuit": lambda: [run_circuit(c, t)
+                                     for c, t in zip(cols, trees)]}
+    circuits = sum(len(u) for u in stacks)
+    return {"chunk_steps": chunk,
+            **{f"{name}_ms": 1e3 * best_s(f, repeats) / circuits
+               for name, f in calls.items()}}
 
 
 def pool_threads():
@@ -181,12 +212,16 @@ def main(argv=None):
         "us_per_node": node_costs(args.nodes, args.repeats),
         "ms_per_circuit": layer_costs(args.repeats),
         "double_well_n6_steps": args.steps,
-        "double_well_n6_fallbacks": double_well_fallbacks(args.steps),
     }
+    stacks, chunk = double_well_stacks(args.steps)
+    report["double_well_n6_fallbacks"] = double_well_fallbacks(stacks)
+    report["double_well_n6_ms_per_step"] = double_well_per_step(
+        stacks, chunk, args.repeats)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     print(json.dumps(report["us_per_node"]))
     print(json.dumps(report["ms_per_circuit"]))
     print(json.dumps(report["double_well_n6_fallbacks"]))
+    print(json.dumps(report["double_well_n6_ms_per_step"]))
 
 
 if __name__ == "__main__":

@@ -28,10 +28,11 @@ The circuit routes compile one circuit per time step and parity block,
 a chunk of steps at a time: the chunk's exact propagators are one
 batched product, compiled by one stacked `qsd_compile` call and run by
 one lockstep `run_circuit` call.  A fixed byte budget on the stack
-(CHUNK_BYTES) sets the chunk size, so memory does not grow with the
-step count, and each chunk is checked against exact block evolution:
-its circuits' matrices against its propagators, and its amplitudes
-against the exactly evolved state.
+(CHUNK_BYTES, 32 steps of a 5-qubit block) sets the chunk size, and
+each chunk's arrays are freed before the next is built, so memory does
+not grow with the step count.  Each chunk is checked against exact
+block evolution: its circuits' matrices against its propagators, and
+its amplitudes against the exactly evolved state.
 
 The two parity blocks share no data until their amplitudes are put back
 together, so the circuit routes evolve them at once in two processes:
@@ -318,10 +319,10 @@ def _circuit_evolve(even, odd, psi0_map, partition, dt_fs, steps):
 
 
 # Byte budget of the stack of exact propagators compiled together,
-# S 4^n complex numbers: 256 KiB is 16 steps of a 5-qubit block.  The
+# S 4^n complex numbers: 512 KiB is 32 steps of a 5-qubit block.  The
 # compile's level arrays are the same size as the stack, so the budget
 # bounds the working set whatever the step count.
-CHUNK_BYTES = 1 << 18
+CHUNK_BYTES = 1 << 19
 
 # compiled circuit against exact block evolution, as in `compile --check`
 CIRCUIT_TOL = 1e-9
@@ -379,6 +380,9 @@ def _compiled_evolve(eig, comp0, dt_fs, steps, out=None,
                 f"compiled circuits miss the exact block evolution by "
                 f"{err:.3e} (> {CIRCUIT_TOL:g}){where}")
         out[rows, states] = amps
+        # free this chunk before the next is built, which would otherwise
+        # hold two chunks' arrays at once
+        del u, exact, tree, cols, amps
     return out
 
 

@@ -105,6 +105,16 @@ def _ladder(k):
                  for s in range(size))
 
 
+def _matmul(a, b):
+    '''a @ b over stacks of matrices.  A 2x2 `a`, the factors of the 4x4
+    nodes that make up most of a circuit, is multiplied out as two
+    broadcast products: numpy's matmul takes several times as long on
+    stacked 2x2 matrices.  From 4x4 on, matmul is as fast or faster.'''
+    if a.shape[-2:] == (2, 2) and b.shape[-2] == 2:
+        return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+    return a @ b
+
+
 def _zyz_matrix(beta, gamma, delta):
     '''Rz(beta) Ry(gamma) Rz(delta) for angle arrays of one shape; the
     2x2 matrices are the last two axes.'''
@@ -285,12 +295,12 @@ def _csd4(u):
     a, b = u[:, :2, :2], u[:, 2:, :2]
     use_a = (np.linalg.norm(a, axis=(1, 2))
              <= np.linalg.norm(b, axis=(1, 2)))[:, None, None]
-    x = _eigh2(np.where(use_a, a.conj().swapaxes(1, 2) @ a,
-                        b.conj().swapaxes(1, 2) @ b))
+    x = _eigh2(np.where(use_a, _matmul(a.conj().swapaxes(1, 2), a),
+                        _matmul(b.conj().swapaxes(1, 2), b)))
     # alpha ascending: A's Gram gives the larger cosine first, B's the
     # larger sine, so B's order is reversed
     x = np.where(use_a, x, x[:, :, ::-1])
-    ax, bx = a @ x, b @ x
+    ax, bx = _matmul(a, x), _matmul(b, x)
     alpha = np.arctan2(np.linalg.norm(bx, axis=1), np.linalg.norm(ax, axis=1))
     swap = (alpha[:, 0] > alpha[:, 1])[:, None]
     alpha = np.where(swap, alpha[:, ::-1], alpha)
@@ -303,8 +313,8 @@ def _csd4(u):
     l1 = np.stack([_aligned(_perp(l1_1), bx[:, :, 0]), l1_1], axis=2)
     c, s = np.cos(alpha)[:, :, None], np.sin(alpha)[:, :, None]
     # the chosen divisor is at least 1/sqrt(2); clip only guards the other
-    from_sin = -(l0.conj().swapaxes(1, 2) @ u[:, :2, 2:]) / s.clip(0.5)
-    from_cos = (l1.conj().swapaxes(1, 2) @ u[:, 2:, 2:]) / c.clip(0.5)
+    from_sin = -_matmul(l0.conj().swapaxes(1, 2), u[:, :2, 2:]) / s.clip(0.5)
+    from_cos = _matmul(l1.conj().swapaxes(1, 2), u[:, 2:, 2:]) / c.clip(0.5)
     r1 = np.where(s >= c, from_sin, from_cos)
     return alpha, l0, l1, x.conj().swapaxes(1, 2), r1
 
@@ -327,13 +337,13 @@ def _demultiplex(l0, l1):
     (-pi, pi], ascending, and w = D V^dag l1.  Returns v, w (K, m, m) and
     delta (K, m), with the largest-magnitude entry of each column of v
     real and positive.'''
-    x = l0 @ l1.conj().swapaxes(1, 2)
+    x = _matmul(l0, l1.conj().swapaxes(1, 2))
     phases, v = _eig2_unitary(x) if x.shape[-1] == 2 else _eig_stack(x)
     order = np.argsort(phases, axis=1, kind="stable")
     delta = np.take_along_axis(phases, order, 1) / 2
     v = np.take_along_axis(v, order[:, None, :], 2)
     v = v * _column_gauge(v)[:, None, :]
-    w = (np.exp(1j * delta)[:, :, None] * v.conj().swapaxes(1, 2)) @ l1
+    w = _matmul(np.exp(1j * delta)[:, :, None] * v.conj().swapaxes(1, 2), l1)
     return v, w, delta
 
 
@@ -517,19 +527,24 @@ def _split(level):
 MUX_KINDS = ("rz", "ry", "rz")
 
 
-def _layout(m, node=0):
-    '''Application order of the blocks below node `node` of the m-qubit
-    level: (1, None, node) for a ZYZ leaf, (m, r, node) for multiplexor r
-    of a node (0: Rz of the right factor, 1: Ry, 2: Rz of the left).
-    Node j's children on the next level are 4j .. 4j+3: the w and v of
-    the right factor's demultiplex, then those of the left factor's.'''
+@lru_cache(maxsize=None)
+def _layout(m):
+    '''Application order of the blocks of an m-qubit circuit, as a tuple:
+    (1, None, j) for ZYZ leaf j, (k, r, j) for multiplexor r of node j
+    of the k-qubit level (0: Rz of the right factor, 1: Ry, 2: Rz of the
+    left).  Node j's children on the next level are 4j .. 4j+3: the w
+    and v of the right factor's demultiplex, then those of the left
+    factor's.'''
     if m == 1:
-        yield 1, None, node
-        return
+        return ((1, None, 0),)
+    out = []
     for child, mux in enumerate((0, 1, 2, None)):
-        yield from _layout(m - 1, 4 * node + child)
+        # child's descendants on level k are nodes child 4^(m-1-k) + j
+        out += [(k, r, child * 4 ** (m - 1 - k) + j)
+                for k, r, j in _layout(m - 1)]
         if mux is not None:
-            yield m, mux, node
+            out.append((m, mux, 0))
+    return tuple(out)
 
 
 def qsd_compile(u):

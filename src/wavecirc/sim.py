@@ -2,12 +2,15 @@
 propagators, and seeded shot sampling.
 
 A circuit is a compiled QsdTree.  Its stack of circuits runs in lockstep
-from its level arrays: the amplitudes hold one column per circuit, and
-each multiplexed rotation turns every amplitude pair by its stored
-select angle, and each ZYZ leaf applies its 2x2 matrix, every circuit's
-in one step.  `circuit_matrix` rebuilds a QsdTree from the level arrays
-instead, every node of a level at once from its four children and its
-three multiplexors; a compiled 7-qubit circuit takes under 10 ms this way
+from its level arrays: the amplitudes hold one column per circuit.  The
+pair factors of every multiplexor and leaf are formed once per level,
+with one cos, sin or exp over the level's select angles (and over the
+leaves' angles); each multiplexed Ry and each ZYZ leaf then turns every
+amplitude pair (lo, hi) into diag (lo, hi) + off (hi, lo), and each
+multiplexed Rz is one multiply, every circuit's in one step.
+`circuit_matrix` rebuilds a QsdTree from the level arrays instead, every
+node of a level at once from its four children and its three
+multiplexors; a compiled 7-qubit circuit takes under 10 ms this way
 against about 1.3 s for its 36,480 gates run one by one across the 2^n
 identity by the gate-by-gate oracle of the tests (2-core x86, numpy
 2.4.6).
@@ -24,7 +27,7 @@ import numpy as np
 from . import units
 from .grid import eigensolve
 from .givens import _check_dim, _pair_cross, _rotate_pairs
-from .qsd import MUX_KINDS, _layout, _zyz_matrix
+from .qsd import MUX_KINDS, _layout, _matmul, _zyz_matrix
 
 
 @dataclass(frozen=True)
@@ -71,53 +74,60 @@ def exact_propagator(ham, t_fs):
     return (eig.states * phases[..., None, :]) @ eig.states.conj().T
 
 
-def _rotate(a, kind, angle):
-    '''R(angle), an Ry (kind "ry") or else an Rz, on every pair (a[:, 0],
-    a[:, 1]) in place; `angle` broadcasts against a[:, 0].'''
-    lo, hi = a[:, 0], a[:, 1]
+def _mux_factors(kind, select):
+    '''The pair factors (diag, off) of multiplexors of kind `kind` ("ry",
+    else Rz) from their select angles (S, ..., 2^t), circuit first, for
+    `_apply_pairs`: shape (..., 2, 2^t, 1, S), or (..., 1, 2^t, 1, S) for
+    an Ry's diag, which is the same for both amplitudes; off is None for
+    an Rz.'''
+    angle = np.moveaxis(select, 0, -1)[..., None, :, None, :]
     if kind == "ry":
         co, si = np.cos(angle / 2), np.sin(angle / 2)
-        a[:, 0], a[:, 1] = co * lo - si * hi, si * lo + co * hi
-    else:
-        ph = np.exp(-0.5j * angle)
-        a[:, 0], a[:, 1] = ph * lo, np.conj(ph) * hi
+        return co, np.concatenate([-si, si], -4)
+    ph = np.exp(-0.5j * angle)
+    return np.concatenate([ph, ph.conj()], -4), None
 
 
-def _apply_multiplexor(amp, kind, select):
-    '''Apply a compiled multiplexor, the product of its gates, in one
-    pass: its target is qubit t, 2^t = select.shape[1], and its controls
-    are the qubits below it, so the control value b of each amplitude
-    pair is the pair's index below the target, and the pair turns by
-    select angle b.  Row i of `select` is circuit i of the stack, and the
-    last axis of `amp` indexes the circuits (or is broadcast over for one
-    circuit).'''
-    n_circ, size = select.shape
-    t = size.bit_length() - 1
-    a = amp.reshape(amp.shape[0] >> (t + 1), 2, size, -1, n_circ)
-    _rotate(a, kind, select.T[:, None, :])
-    return amp
+def _leaf_factors(tree):
+    '''The pair factors (diag, off) of a QsdTree's ZYZ leaves for
+    `_apply_pairs`, shape (4^(n-1), 2, 1, 1, S): the diagonal and the
+    off-diagonal entries of each leaf's 2x2 matrix.'''
+    m = np.moveaxis(_zyz_matrix(tree.beta, tree.gamma, tree.delta), 0, -1)
+    diag, off = m[:, [0, 1], [0, 1]], m[:, [0, 1], [1, 0]]
+    return diag[:, :, None, None], off[:, :, None, None]
 
 
-def _apply_leaf(amp, m):
-    '''Apply a ZYZ leaf on qubit 0, given as one 2x2 matrix per circuit
-    (S, 2, 2).'''
-    a = amp.reshape(amp.shape[0] >> 1, 2, -1, len(m))
-    lo, hi = a[:, 0], a[:, 1]
-    a[:, 0], a[:, 1] = (m[:, 0, 0] * lo + m[:, 0, 1] * hi,
-                        m[:, 1, 0] * lo + m[:, 1, 1] * hi)
+def _apply_pairs(amp, diag, off=None):
+    '''Turn every amplitude pair (lo, hi) of target qubit t in place into
+    diag (lo, hi) + off (hi, lo), or diag (lo, hi) when `off` is None.
+    diag and off broadcast against (2, 2^t, 1, S): the pair's two
+    amplitudes, its control value b (its index below the target; the
+    controls are the qubits below it) and the circuit of the stack,
+    which the last axis of `amp` indexes (or is broadcast over for one
+    circuit).  This is a multiplexor, the product of its gates, or a
+    leaf on qubit 0, in one pass.'''
+    size, n_circ = diag.shape[-3], diag.shape[-1]
+    a = amp.reshape(amp.shape[0] // (2 * size), 2, size, -1, n_circ)
+    # factor first, as in a gate's product: numpy's complex products
+    # round differently with their operands swapped
+    turned = None if off is None else off * a[:, ::-1]
+    np.multiply(diag, a, out=a)
+    if off is not None:
+        a += turned
     return amp
 
 
 def _run_tree(amp, tree):
     '''Run the circuits of a QsdTree on `amp` in place: each multiplexor
-    and each leaf in application order, the leaves' matrices formed
-    once for the whole tree, then the global phase.'''
-    leaves = _zyz_matrix(tree.beta, tree.gamma, tree.delta)
+    and each leaf in application order, from pair factors formed once
+    per level for the whole tree, then the global phase.'''
+    factors = {(1, None): _leaf_factors(tree)}
+    for m, select in tree.select.items():
+        for mux, kind in enumerate(MUX_KINDS):
+            factors[m, mux] = _mux_factors(kind, select[mux])
     for m, mux, j in _layout(tree.n_qubits):
-        if m == 1:
-            _apply_leaf(amp, leaves[:, j])
-        else:
-            _apply_multiplexor(amp, MUX_KINDS[mux], tree.select[m][mux, :, j])
+        diag, off = factors[m, mux]
+        _apply_pairs(amp, diag[j], None if off is None else off[j])
     if tree.phase is not None:
         amp *= np.exp(1j * tree.phase)
     return amp
@@ -166,12 +176,13 @@ def _tree_matrix(tree):
         rz0, ry, rz2 = tree.select[m][..., None]
         c0, c1, c2, c3 = np.moveaxis(mats.reshape(n_circ, -1, 4, h, h), 2, 0)
         z = np.exp(-0.5j * rz0)
-        lo, hi = c1 @ (z * c0), c1 @ (z.conj() * c0)
+        lo, hi = _matmul(c1, z * c0), _matmul(c1, z.conj() * c0)
         co, si = np.cos(ry / 2), np.sin(ry / 2)
         z = np.exp(-0.5j * rz2)
-        top = c3 @ (z * (c2 @ np.concatenate([co * lo, -si * hi], -1)))
-        bottom = c3 @ (z.conj() * (c2 @ np.concatenate([si * lo, co * hi],
-                                                        -1)))
+        top = _matmul(c3, z * _matmul(
+            c2, np.concatenate([co * lo, -si * hi], -1)))
+        bottom = _matmul(c3, z.conj() * _matmul(
+            c2, np.concatenate([si * lo, co * hi], -1)))
         mats = np.concatenate([top, bottom], -2)
     mats = mats.reshape(n_circ, 2 ** n, 2 ** n)
     if tree.phase is not None:

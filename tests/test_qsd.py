@@ -729,3 +729,33 @@ class TestBatchedPathInUse:
         assert calls["_eig_stack"] == 800 * 42
         assert calls["_csd_lapack"] <= 0.02 * calls["_csd_stack"]
         assert calls["_schur_lapack"] <= 0.02 * calls["_eig_stack"]
+
+
+class TestStackedProducts:
+    '''qsd._matmul multiplies out a 2x2 left factor by broadcasting and
+    leaves every other size to matmul.'''
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((64, 2, 2), (64, 2, 2)),
+        ((3, 16, 2, 2), (3, 16, 2, 4)),   # a circuit_matrix level-2 node
+        ((2, 2), (5, 2, 2)),              # broadcast stack axes
+    ])
+    def test_two_by_two_matches_matmul(self, a_shape, b_shape):
+        rng = np.random.default_rng(150)
+        a = rng.normal(size=a_shape) + 1j * rng.normal(size=a_shape)
+        b = rng.normal(size=b_shape) + 1j * rng.normal(size=b_shape)
+        want = a @ b
+        got = qsd._matmul(a, b)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((64, 4, 4), (64, 4, 4)),
+        ((8, 8, 8), (8, 8, 8)),
+        ((64, 4, 2), (64, 2, 2)),         # 2 columns, not 2x2
+    ])
+    def test_other_sizes_go_through_matmul(self, a_shape, b_shape):
+        rng = np.random.default_rng(151)
+        a = rng.normal(size=a_shape) + 1j * rng.normal(size=a_shape)
+        b = rng.normal(size=b_shape) + 1j * rng.normal(size=b_shape)
+        assert np.array_equal(qsd._matmul(a, b), a @ b)

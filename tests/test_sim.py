@@ -195,8 +195,8 @@ class TestFusedExecution:
                                       qsd._ladder(2)):
                 gates += [(kind, 2, None, angle), ("cx", 2, control, None)]
             psi = random_state(32, rng)
-            got = sim._apply_multiplexor(psi[:, None].copy(), kind,
-                                         select[None])
+            got = sim._apply_pairs(psi[:, None].copy(),
+                                   *sim._mux_factors(kind, select[None]))
             assert np.abs(got[:, 0] - oracle.run((5, 0.0, gates), psi)) \
                 .max() <= 1e-12
 
@@ -290,11 +290,11 @@ class TestNestedProducts:
         # a compiled tree is rebuilt from its level arrays: no multiplexor
         # or leaf kernel runs across the 2^n identity
         widths = []
-        for name in ("_apply_multiplexor", "_apply_leaf"):
-            def counted(amp, *args, fn=getattr(sim, name)):
-                widths.append(amp.shape[0])
-                return fn(amp, *args)
-            monkeypatch.setattr(sim, name, counted)
+
+        def counted(amp, *args, fn=sim._apply_pairs):
+            widths.append(amp.shape[0])
+            return fn(amp, *args)
+        monkeypatch.setattr(sim, "_apply_pairs", counted)
         seq = w.qsd_compile(unitary_group.rvs(128, random_state=140))
         circuit_matrix(seq)
         assert 128 not in widths
@@ -421,10 +421,17 @@ class TestLockstepExecution:
             _compiled_evolve(w.eigensolve(random_block(8, rng)),
                              random_state(8, rng), 0.5, 4)
 
-    def test_working_memory_independent_of_step_count(self):
+    @pytest.mark.parametrize("chunk_bytes", [None, 1 << 20],
+                             ids=["default-chunk", "1MiB-chunk"])
+    def test_working_memory_independent_of_step_count(
+            self, chunk_bytes, monkeypatch):
         # 5 block qubits.  The trajectory grows with the step count, and so
         # does each block's half of it while it is copied into place;
-        # the chunked compile-and-run working set must not.
+        # the chunked compile-and-run working set must not.  At 1 MiB (64
+        # steps) a chunk's arrays still held while the next chunk is
+        # compiled break the bound.
+        if chunk_bytes:
+            monkeypatch.setattr("wavecirc.dynamics.CHUNK_BYTES", chunk_bytes)
         g, pot, ham = double_well_system(6)
         pp = w.parity_partition(6)
         bh = w.block_transform(ham)
@@ -444,9 +451,14 @@ class TestLockstepExecution:
         assert peak[2000] - peak[64] <= 1.5 * (size[2000] - size[64]) \
             + 2 ** 18
 
-    def test_block_working_memory_independent_of_step_count(self):
+    @pytest.mark.parametrize("chunk_bytes", [None, 1 << 20],
+                             ids=["default-chunk", "1MiB-chunk"])
+    def test_block_working_memory_independent_of_step_count(
+            self, chunk_bytes, monkeypatch):
         # _compiled_evolve alone, as the odd block's forked worker runs
         # it: the test above traces only the even block, in this process
+        if chunk_bytes:
+            monkeypatch.setattr("wavecirc.dynamics.CHUNK_BYTES", chunk_bytes)
         g, pot, ham = double_well_system(6)
         pp = w.parity_partition(6)
         bh = w.block_transform(ham)

@@ -12,7 +12,8 @@ The recursion tree has the same shape for every unitary of a given
 size, so `qsd_compile` takes a stack of S unitaries and walks the tree
 one level at a time.  The 4x4 nodes of level m = 2, most nodes of a
 circuit, are factorized by vectorised closed forms: a 4x4 -> 2x2 CSD and
-the eigensystem of a 2x2 unitary.  Nodes of 8x8 and larger are
+the eigensystem of a 2x2 unitary, their stacked 2x2 products multiplied
+out by broadcasting (`_matmul`).  Nodes of 8x8 and larger are
 factorized over the whole level by batched numpy calls: the CSD from
 one SVD (the right vectors) and two QRs (l0 and l1), the demultiplex
 from one eigh of a Hermitian part of l0 l1^H (the eigenvectors) and its

@@ -14,8 +14,8 @@ fallback for the nodes that fail them) against `qsd._csd_lapack`
 (zuncsd), and `qsd._eig_stack` against `qsd._schur_lapack` (zgees) on
 x = l0 l1^H.  The sorting and gauge code that both paths share is not
 timed.  The fallback counts compile both parity blocks of the N = 6
-double well for `--steps` steps of 1 fs, in the program's chunks
-(`dynamics._chunk_steps`) of steps per qsd_compile call.
+double well for `--steps` steps of 1 fs, one qsd_compile call per chunk
+of the program's size (`dynamics._chunk_steps`).
 
 The per-step costs take the same propagators in the same chunks, and
 give the best of `--repeats` timings of each layer over both blocks'

@@ -27,13 +27,12 @@ _EXPORTS = {
             "cnot_lower_bound"),
     "qasm": ("to_qasm", "write_qasm"),
     "sim": ("ShotResult", "exact_propagator", "run_circuit",
-            "circuit_matrix", "sample_shots", "mapped_density_to_grid"),
+            "circuit_matrix", "sample_shots"),
     "dynamics": ("WavepacketSpec", "Trajectory", "Evolution",
                  "initial_wavepacket", "evolve_exact", "evolve", "densities",
                  "propagate", "probability_error",
                  "shot_density_trajectory"),
-    "spectra": ("Spectrum", "grid_spectrum", "autocorrelation",
-                "autocorrelation_spectrum", "compare_eigendiffs",
+    "spectra": ("Spectrum", "grid_spectrum", "compare_eigendiffs",
                 "eigen_differences"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

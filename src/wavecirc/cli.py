@@ -33,7 +33,7 @@ from .dynamics import (WavepacketSpec, check_reconstruction, densities,
                        evolve, initial_wavepacket, probability_error)
 from .givens import (block_eigensolve, block_transform, eigensystem,
                      eigenvalues, parity_partition)
-from .grid import DafParams, _eval_potential, build_grid, build_hamiltonian
+from .grid import DafParams, build_grid, build_hamiltonian, eval_potential
 from .ising import (BrokenSymmetryError, check_parity_coupling, map_system,
                     parameters_to_dict)
 from .lapack import _parity_processes
@@ -57,8 +57,7 @@ class Pipeline:
         self.grid = build_grid(g["n_qubits"], g["length_angstrom"],
                                g["center_angstrom"], g["mass_au"])
         pot = cfg["potential"]
-        # resolve has checked the model
-        self.potential = _eval_potential(
+        self.potential = eval_potential(
             self.grid, pot["file"] if "file" in pot else pot["model"])
         daf = cfg["daf"]
         self.ham = build_hamiltonian(

@@ -53,13 +53,13 @@ import numpy as np
 from . import givens, units
 from .grid import eigensolve
 from .givens import (BlockEigenSystem, _pair_cross, _rotate_pairs,
-                     block_eigensolve, block_transform, eigensystem,
-                     parity_partition, to_mapped_basis)
+                     _split_pairs, block_eigensolve, block_transform,
+                     eigensystem, parity_partition, to_mapped_basis)
 from .ising import check_parity_coupling, map_system
 from .lapack import _parity_processes
 from .qsd import NumericalError, qsd_compile
-from .sim import (_check_phases, _split_pairs, circuit_matrix,
-                  exact_propagator, run_circuit, sample_shots)
+from .sim import (_check_phases, circuit_matrix, exact_propagator,
+                  run_circuit, sample_shots)
 
 
 @dataclass(frozen=True)
@@ -503,9 +503,10 @@ def propagate(method, ham, psi0, dt_fs, steps, shots=None, seed=None,
 def shot_density_trajectory(mapped_states, pair_cross, partition, shots,
                             seed):
     '''Sample each mapped state and transport the empirical densities to
-    the grid, mirror pair i split by pair_cross[s, i], the reference's
-    cross term at step s (`Evolution.pair_cross`; see
-    `mapped_density_to_grid`).  Per-step draws are independent streams
+    the grid (`givens._split_pairs`).  Counts fix only each mirror pair's
+    total; pair i at step s is split between x_i and x_{n-i} by
+    pair_cross[s, i], the classical reference's Re(conj(phi_i) phi_{n-i})
+    (`Evolution.pair_cross`).  Per-step draws are independent streams
     spawned from one seed.'''
     ss = np.random.SeedSequence(seed)
     children = ss.spawn(len(mapped_states))

@@ -7,6 +7,8 @@ The rotation G mixes mirror grid pairs (i, n-i): row i < 2^(N-1) is
 G is symmetric and its own inverse.  `_rotate_pairs` applies it by
 slicing: states are rotated in O(2^N), and `block_transform` builds the
 blocks of G H G at half size in O(4^N), never forming G or G H G.
+`_pair_cross` forms the interference term of each mirror pair, and
+`_split_pairs` splits a shot density between the pair by it.
 `ParityPartition` is the one basis descriptor: it lays the even/odd
 blocks onto the even/odd bitstring-parity sectors.  `block_eigensolve`
 solves the two half-size eigenproblems, which, when the blocks are
@@ -89,6 +91,25 @@ def _pair_cross(re, im):
     half = re.shape[-1] // 2
     return re[..., :half] * re[..., half:][..., ::-1] \
         + im[..., :half] * im[..., half:][..., ::-1]
+
+
+def _split_pairs(probabilities, partition, cross):
+    '''The grid density of computational-basis probabilities q: mirror
+    pair i holds q of its even and odd slots, split as their mean
+    +- cross[i] between x_i and x_{n-i}.'''
+    q = _check_dim(np.asarray(probabilities, dtype=float), partition)
+    dim = len(q)
+    n = dim - 1
+    half = dim // 2
+    order = partition.order
+    i = np.arange(half)
+    qp = q[order[i]]        # even-combination slot of pair i
+    qm = q[order[n - i]]    # odd-combination slot of pair i
+    s = 0.5 * (qp + qm)
+    rho = np.empty(dim)
+    rho[i] = s + cross
+    rho[n - i] = s - cross
+    return rho
 
 
 def parity_partition(n_qubits):

@@ -8,9 +8,11 @@ second-derivative operator on a uniform grid).
 
 eigensolve is scipy's eigh driver (dsyevr/zheevr), called through
 wavecirc.lapack, which loads scipy's LAPACK extension at the first call
-without the scipy.linalg package.  A command that needs no eigenvectors
-loads no scipy: `build` writes eigenvalues only (givens.eigenvalues,
-numpy's eigvalsh), and `map` needs none.
+without the scipy.linalg package.  `map` needs no eigensolve and loads
+no scipy.  `build` writes eigenvalues only (givens.eigenvalues): from
+numpy's eigvalsh where the parity blocks' band is wide, and from
+scipy's band driver dsbevd, which loads that extension, where it ends
+within 1 / givens.BAND_RATIO of the rows (N = 11, not N = 8).
 '''
 
 from dataclasses import dataclass, field
@@ -43,11 +45,6 @@ class GridSpec:
         '''Grid points in Angstrom, x_i = center - L/2 + i*dx.'''
         i = np.arange(self.n_points)
         return self.center - self.length / 2 + i * self.dx
-
-    @property
-    def points_au(self):
-        '''Grid points in bohr.'''
-        return units.angstrom_to_bohr(self.points)
 
     @property
     def dx_au(self):
@@ -85,12 +82,6 @@ class NuclearHamiltonian:
     matrix: np.ndarray
     grid: GridSpec
     kinetic_band: np.ndarray = field(repr=False)  # first row of Toeplitz K
-
-    @property
-    def bandwidth(self):
-        '''Largest |i-j| with a kinetic matrix element above round-off.'''
-        big = np.abs(self.kinetic_band) > 1e-14 * np.abs(self.kinetic_band).max()
-        return int(np.nonzero(big)[0].max())
 
 
 @dataclass(frozen=True)
@@ -153,12 +144,6 @@ def eval_potential(spec, source):
         # imported here: a tabulated potential needs no schema
         from .config import check_model
         check_model(source)
-    return _eval_potential(spec, source)
-
-
-def _eval_potential(spec, source):
-    '''eval_potential of a source whose model dict, if any, has been
-    checked (config.resolve checks every config's).'''
     x = spec.points
     if isinstance(source, dict):
         kind = source.get("kind")

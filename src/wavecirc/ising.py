@@ -50,10 +50,6 @@ class MappedSystem:
     recon_error_odd: float
 
 
-def _pairs(n):
-    return [(j, k) for j in range(n) for k in range(j + 1, n)]
-
-
 def _diag_design(bitstrings, n):
     '''Rows: one equation per basis state; columns: [1, Bz_j, Jz_jk],
     with Bz_j the sign (-1)^bit_j and Jz_jk the sign (-1)^(bit_j xor
@@ -80,8 +76,7 @@ def extract_diagonal_params(diag, bitstrings, n):
     offset = theta[0]
     b_z = theta[1:1 + n]
     j_z = np.zeros((n, n))
-    for c, (j, k) in enumerate(_pairs(n)):
-        j_z[j, k] = theta[1 + n + c]
+    j_z[np.triu_indices(n, 1)] = theta[1 + n:]
     return float(offset), b_z, j_z, residual
 
 
@@ -159,7 +154,7 @@ def _assemble(params, n, states):
     diag = np.full(dim, params.offset, dtype=float)
     for j in range(n):
         diag += params.b_z[j] * (-1.0) ** ((states >> j) & 1)
-    for j, k in _pairs(n):
+    for j, k in zip(*np.triu_indices(n, 1)):
         zz = (-1.0) ** (((states >> j) & 1) ^ ((states >> k) & 1))
         diag += params.j_z[j, k] * zz
         mask = (1 << j) | (1 << k)
@@ -225,7 +220,7 @@ def map_system(bh, partition, force=False, threshold_ratio=1e-8):
 
 def parameters_to_dict(params):
     '''JSON-ready dictionary of one block's parameters.'''
-    pairs = _pairs(params.n_qubits)
+    pairs = list(zip(*np.triu_indices(params.n_qubits, 1)))
     return {
         "offset": params.offset,
         "b_z": list(params.b_z),

@@ -54,7 +54,7 @@ acts on the state first.  Qubit q addresses bit q of the basis index
 '''
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -169,6 +169,19 @@ class QsdTree:
 
     def without_phase(self):
         return replace(self, phase=None)
+
+    @cached_property
+    def _leaves(self):
+        '''The ZYZ leaves' 2x2 matrices, shape (S, 4^(n-1), 2, 2), formed
+        at first use and read-only: the run and `circuit_matrix` both
+        read them, so the angles must not change after that.'''
+        m = _zyz_matrix(self.beta, self.gamma, self.delta)
+        m.flags.writeable = False
+        return m
+
+    def __getstate__(self):
+        # without the leaves' matrices, which are formed again on use
+        return {k: v for k, v in vars(self).items() if k != "_leaves"}
 
 
 def _check_unitary(u, tol=1e-10):

@@ -3,11 +3,12 @@ propagators, and seeded shot sampling.
 
 A circuit is a compiled QsdTree.  Its stack of circuits runs in lockstep
 from its level arrays: the amplitudes hold one column per circuit.  The
-pair factors of every multiplexor and leaf are formed once per level,
-with one cos, sin or exp over the level's select angles (and over the
-leaves' angles); each multiplexed Ry and each ZYZ leaf then turns every
-amplitude pair (lo, hi) into diag (lo, hi) + off (hi, lo), and each
-multiplexed Rz is one multiply, every circuit's in one step.
+pair factors of every multiplexor are formed once per level, with one
+cos, sin or exp over the level's select angles, and the leaves' from
+the 2x2 matrices the tree forms once (`QsdTree._leaves`, which
+`circuit_matrix` reads too); each multiplexed Ry and each ZYZ leaf then
+turns every amplitude pair (lo, hi) into diag (lo, hi) + off (hi, lo),
+and each multiplexed Rz is one multiply, every circuit's in one step.
 `circuit_matrix` rebuilds a QsdTree from the level arrays instead, every
 node of a level at once from its four children and its three
 multiplexors; a compiled 7-qubit circuit takes under 10 ms this way
@@ -17,7 +18,8 @@ identity by the gate-by-gate oracle of the tests (2-core x86, numpy
 
 The sampler uses numpy's Generator with the PCG64 bit generator; the
 seed is recorded in every ShotResult so runs are bit-exact
-reproducible.
+reproducible; `dynamics.shot_density_trajectory` takes the counts to
+the grid.
 '''
 
 from dataclasses import dataclass
@@ -26,8 +28,7 @@ import numpy as np
 
 from . import units
 from .grid import eigensolve
-from .givens import _check_dim, _pair_cross, _rotate_pairs
-from .qsd import MUX_KINDS, _layout, _matmul, _zyz_matrix
+from .qsd import MUX_KINDS, _layout, _matmul
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def _leaf_factors(tree):
     '''The pair factors (diag, off) of a QsdTree's ZYZ leaves for
     `_apply_pairs`, shape (4^(n-1), 2, 1, 1, S): the diagonal and the
     off-diagonal entries of each leaf's 2x2 matrix.'''
-    m = np.moveaxis(_zyz_matrix(tree.beta, tree.gamma, tree.delta), 0, -1)
+    m = np.moveaxis(tree._leaves, 0, -1)
     diag, off = m[:, [0, 1], [0, 1]], m[:, [0, 1], [1, 0]]
     return diag[:, :, None, None], off[:, :, None, None]
 
@@ -170,7 +171,7 @@ def _tree_matrix(tree):
     C1 Z0 C0 is blkdiag(C1 z C0, C1 z* C0); only the products after Y
     are full.'''
     n, n_circ = tree.n_qubits, tree.n_circuits
-    mats = _zyz_matrix(tree.beta, tree.gamma, tree.delta)
+    mats = tree._leaves
     for m in range(2, n + 1):
         h = 2 ** (m - 1)
         rz0, ry, rz2 = tree.select[m][..., None]
@@ -186,7 +187,9 @@ def _tree_matrix(tree):
         mats = np.concatenate([top, bottom], -2)
     mats = mats.reshape(n_circ, 2 ** n, 2 ** n)
     if tree.phase is not None:
-        mats *= np.exp(1j * tree.phase)[:, None, None]
+        phase = np.exp(1j * tree.phase)[:, None, None]
+        # a 1-qubit tree's matrices are its leaves, which are not written
+        mats = mats * phase if n == 1 else np.multiply(mats, phase, out=mats)
     return mats
 
 
@@ -199,39 +202,3 @@ def sample_shots(psi, shots, seed):
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, p)
     return ShotResult(shots=int(shots), counts=counts, seed=seed)
-
-
-def mapped_density_to_grid(probabilities, partition, reference=None):
-    '''Transport a computational-basis probability vector to the grid.
-
-    Probabilities alone fix only the symmetric part of each mirror-pair
-    density; the interference split between x_i and x_{n-i} needs the
-    relative phase of the even/odd pair amplitudes.  `reference` (a
-    grid-basis amplitude vector, normally the classically propagated
-    state at the same time) supplies that split; without it the split
-    term is taken as zero.
-    '''
-    cross = 0.0
-    if reference is not None:
-        phi = _rotate_pairs(_check_dim(reference, partition))
-        cross = _pair_cross(phi.real, phi.imag)
-    return _split_pairs(probabilities, partition, cross)
-
-
-def _split_pairs(probabilities, partition, cross):
-    '''The grid density of computational-basis probabilities q: mirror
-    pair i holds q of its even and odd slots, split as their mean
-    +- cross[i] between x_i and x_{n-i}.'''
-    q = _check_dim(np.asarray(probabilities, dtype=float), partition)
-    dim = len(q)
-    n = dim - 1
-    half = dim // 2
-    order = partition.order
-    i = np.arange(half)
-    qp = q[order[i]]        # even-combination slot of pair i
-    qm = q[order[n - i]]    # odd-combination slot of pair i
-    s = 0.5 * (qp + qm)
-    rho = np.empty(dim)
-    rho[i] = s + cross
-    rho[n - i] = s - cross
-    return rho

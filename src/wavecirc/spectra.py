@@ -1,22 +1,20 @@
-'''Fourier analysis of density trajectories and autocorrelation
-functions, with peak extraction against exact eigenenergy differences.
+'''Fourier analysis of density trajectories, with peak extraction
+against exact eigenenergy differences.
 
 Densities oscillate at the beat frequencies (E_j - E_i)/hbar of the
-populated eigenstates, so the grid-resolved spectrum and the density
-autocorrelation spectrum both peak at eigenenergy differences.
+populated eigenstates, so the grid-resolved spectrum peaks at
+eigenenergy differences.
 
-Both spectra take one path, `_padded_spectrum`: the grid spectrum feeds
-it the density columns, each weighted by the grid spacing, and the
-autocorrelation spectrum feeds it C(t) as one column of weight 1.  It
-walks the real columns in chunks of SPECTRUM_CHUNK_BYTES, so it never
-holds the transform of every column at once.  The columns are
-transformed at a 5-smooth length of at least 2L - 1 for L time samples,
-not at the padded length, which is often a prime times the padding: the
-summed power gives the summed autocorrelation without wrap-around
-(Wiener-Khinchin), and one real transform of that, folded to the padded
-length, gives the power at the padded bins.  The transforms are numpy's:
-scipy.fft, the same pocketfft, would cost a spectrum process 0.11 s and
-5 MB of resident memory more to import.
+`grid_spectrum` walks the density columns, each weighted by the grid
+spacing, in chunks of SPECTRUM_CHUNK_BYTES, so it never holds the
+transform of every column at once.  The columns are transformed at a
+5-smooth length of at least 2L - 1 for L time samples, not at the padded
+length, which is often a prime times the padding: the summed power gives
+the summed autocorrelation without wrap-around (Wiener-Khinchin), and
+one real transform of that, folded to the padded length, gives the power
+at the padded bins.  The transforms are numpy's: scipy.fft, the same
+pocketfft, would cost a spectrum process 0.11 s and 5 MB of resident
+memory more to import.
 '''
 
 from dataclasses import dataclass
@@ -82,15 +80,16 @@ def _fast_len(n):
         n += 1
 
 
-def _padded_spectrum(t_fs, y, dx, window, padding, threshold):
-    '''The Spectrum of the real columns of `y` (time along axis 0, at
-    the uniform times t_fs), each weighted by dx.
+def grid_spectrum(traj, window=None, padding=4, threshold=1e-3):
+    '''Per-grid-point Fourier transform of the density trajectory: the
+    Spectrum of the density columns rho(x_i, t), at the uniform times
+    traj.t_fs, each weighted by the grid spacing traj.dx.
 
     The time mean of each column is removed before the transform so
     finite-frequency peaks are not swamped by the static component (the
     removed zero-frequency weight is reported separately).  The scalar
-    intensity is P(omega) = sum_i |I(omega; y_i)|^2 * dx, at the bins of
-    the zero-padded length n_pad = padding * L for L time samples.
+    intensity is P(omega) = sum_i |I(omega; rho_i)|^2 * dx, at the bins
+    of the zero-padded length n_pad = padding * L for L time samples.
 
     Each column is zero-padded to M = _fast_len(2L - 1) and transformed
     by a real FFT.  The power summed over the columns has as its inverse
@@ -107,6 +106,7 @@ def _padded_spectrum(t_fs, y, dx, window, padding, threshold):
     their transforms; from 2 givens.FORK_MIN_DIM columns and two chunks,
     by column halves in two processes (`lapack._parity_processes`).
     '''
+    t_fs, y, dx = traj.t_fs, np.asarray(traj.rho), traj.dx
     n_steps, n_cols = y.shape
     if n_steps < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} time steps")
@@ -168,40 +168,9 @@ def _padded_spectrum(t_fs, y, dx, window, padding, threshold):
                     bin_cm1=bin_cm1, zero_weight=zero_weight)
 
 
-def grid_spectrum(traj, window=None, padding=4, threshold=1e-3):
-    '''Per-grid-point Fourier transform of the density trajectory:
-    the Spectrum of the density columns rho(x_i, t), each weighted by the
-    grid spacing (see _padded_spectrum).'''
-    return _padded_spectrum(traj.t_fs, np.asarray(traj.rho), traj.dx,
-                            window, padding, threshold)
-
-
-def autocorrelation(states):
-    '''C(t_s) = |<psi(0)|psi(t_s)>|^2 for an amplitude trajectory.'''
-    states = np.asarray(states)
-    overlaps = states @ states[0].conj()
-    return np.abs(overlaps) ** 2
-
-
-def autocorrelation_spectrum(states, dt_fs, window=None, padding=4,
-                             threshold=1e-3):
-    '''Spectrum of the density-overlap autocorrelation: that of C(t)
-    as one column of weight 1, along grid_spectrum's path.
-
-    Needs amplitudes, not shot counts: the correlation function is
-    quadratic in the state, so empirical densities cannot supply it.
-    '''
-    states = np.asarray(states)
-    if states.ndim != 2 or not np.iscomplexobj(states):
-        raise ValueError("autocorrelation needs an amplitude trajectory")
-    corr = autocorrelation(states)
-    return _padded_spectrum(dt_fs * np.arange(len(corr)), corr[:, None],
-                            1.0, window, padding, threshold)
-
-
-def eigen_differences(eig, max_levels=None):
+def eigen_differences(eig):
     '''All positive eigenenergy differences (E_j - E_i) in cm^-1.'''
-    e = eig.energies if max_levels is None else eig.energies[:max_levels]
+    e = eig.energies
     diffs = e[None, :] - e[:, None]
     vals = np.unique(diffs[diffs > 0])
     return units.hartree_to_cm1(vals)
@@ -245,7 +214,7 @@ def _nearest_difference(e, omega):
     return vals[np.lexsort((vals, dist))[0]]
 
 
-def compare_eigendiffs(spectrum, eig, max_levels=None):
+def compare_eigendiffs(spectrum, eig):
     '''Match each extracted peak to the nearest eigenenergy difference
     (of eigen_differences; of equally near ones, the smallest).
 
@@ -254,10 +223,9 @@ def compare_eigendiffs(spectrum, eig, max_levels=None):
     '''
     if not spectrum.peaks:
         raise ValueError("no peaks to compare")
-    e = eig.energies if max_levels is None else eig.energies[:max_levels]
     out = []
     for omega, intensity in spectrum.peaks:
-        nearest = _nearest_difference(e, omega)
+        nearest = _nearest_difference(eig.energies, omega)
         err = abs(omega - nearest)
         out.append({
             "peak_cm1": omega,

@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 import wavecirc as w
-from wavecirc import dynamics, lapack, spectra, units
+from wavecirc import dynamics, givens, lapack, spectra, units
 
 from conftest import (block_systems, double_well_system, in_worker_only,
                       pair_cross, random_state)
@@ -586,9 +586,8 @@ class TestEvolveAndDensities:
 
     @pytest.mark.parametrize("n, block_form", [(3, True), (4, False)])
     def test_shot_split_matches_reference_amplitudes(self, n, block_form):
-        # the kept cross term splits the shots as the reference amplitudes
-        # do through mapped_density_to_grid, in block form and through
-        # the full eigensystem
+        # the kept cross term splits the shots as that of the reference
+        # amplitudes does, in block form and through the full eigensystem
         g, _, ham = double_well_system(n)
         pp = w.parity_partition(n)
         eig = w.block_eigensolve(w.block_transform(ham)) if block_form \
@@ -603,7 +602,7 @@ class TestEvolveAndDensities:
         streams = np.random.SeedSequence(9).spawn(13)
         for s in (0, 5, 12):
             q = w.sample_shots(evo.states[s], 500, streams[s]).probabilities
-            want = w.mapped_density_to_grid(q, pp, reference=amps[s])
+            want = givens._split_pairs(q, pp, pair_cross(amps[s]))
             assert np.abs(traj.rho[s] - want).max() <= 1e-13
 
     def test_reference_is_classical_trajectory(self, dw3):

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -106,22 +105,6 @@ class TestEvalPotential:
             w.eval_potential(g, model)
         assert field in str(exc.value)
 
-    def test_pipeline_does_not_check_twice(self, tmp_path, monkeypatch):
-        # config.resolve has checked the model; Pipeline evaluates it
-        # unchecked
-        from wavecirc import config
-        from wavecirc.cli import Pipeline
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({
-            "grid": {"n_qubits": 3, "length_angstrom": 1.0},
-            "potential": {"model": {"kind": "harmonic", "k": 2.5}}}))
-        cfg = config.load_config(str(path))
-
-        def refuse(model):
-            pytest.fail("the model was checked again")
-        monkeypatch.setattr(config, "check_model", refuse)
-        Pipeline(cfg)
-
 
 class TestDafKinetic:
     def test_toeplitz_bitwise(self):
@@ -162,7 +145,7 @@ class TestDafKinetic:
         m = units.PROTON_MASS
         g = w.build_grid(8, 10.0, mass=m)
         k = w.daf_kinetic(g)
-        x = g.points_au
+        x = units.angstrom_to_bohr(g.points)
         kmax = np.pi / g.dx_au
         for frac in (0.05, 0.2):
             kv = frac * kmax

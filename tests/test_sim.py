@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -10,11 +11,12 @@ import wavecirc as w
 from wavecirc import units
 from wavecirc.dynamics import _chunk_steps, _circuit_evolve, _compiled_evolve
 from wavecirc.givens import _rotate_pairs
-from wavecirc import qsd, sim
+from wavecirc import givens, qsd, sim
 from wavecirc.sim import circuit_matrix
 
 import gate_oracle as oracle
-from conftest import block_systems, double_well_system, random_state
+from conftest import (block_systems, double_well_system, pair_cross,
+                      random_state)
 
 
 class TestExactPropagator:
@@ -410,6 +412,40 @@ class TestLockstepExecution:
         with pytest.raises(ValueError, match="columns"):
             w.run_circuit(np.ones((4, 3)), seq)
 
+    def test_one_chunk_forms_its_leaves_once(self, monkeypatch):
+        # the run and the reconstruction check read the same leaf matrices
+        calls = []
+
+        def counting(*angles):
+            calls.append(angles[0].shape)
+            return zyz(*angles)
+        zyz = qsd._zyz_matrix
+        monkeypatch.setattr(qsd, "_zyz_matrix", counting)
+        monkeypatch.setattr(sim, "_zyz_matrix", counting, raising=False)
+        rng = np.random.default_rng(81)
+        eig = w.eigensolve(random_block(8, rng))
+        psi = random_state(8, rng)
+        assert _chunk_steps(8) > 4
+        got = _compiled_evolve(eig, psi, 0.5, 4)
+        assert calls == [(4, 16)]
+        monkeypatch.undo()
+        assert np.array_equal(got, _compiled_evolve(eig, psi, 0.5, 4))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_leaves_are_read_only_and_not_pickled(self, n):
+        tree = w.qsd_compile(unitary_group.rvs(2 ** n, random_state=n))
+        mats = circuit_matrix(tree)
+        leaves = tree._leaves.copy()
+        assert not tree._leaves.flags.writeable
+        assert np.abs(w.run_circuit(np.eye(2 ** n), tree)
+                      - mats).max() <= 1e-13
+        # a 1-qubit tree's phase is not multiplied into its leaves
+        assert np.array_equal(circuit_matrix(tree), mats)
+        assert np.array_equal(tree._leaves, leaves)
+        copy = pickle.loads(pickle.dumps(tree))
+        assert "_leaves" not in vars(copy)
+        assert np.array_equal(circuit_matrix(copy), mats)
+
     def test_corrupted_compile_raises_numerical_error(self, monkeypatch):
         def corrupted(u):
             tree = w.qsd_compile(u)
@@ -517,22 +553,13 @@ class TestDensityTransport:
         assert np.abs(rho - np.abs(psi) ** 2).max() <= 1e-14
 
     def test_transport_with_reference_recovers_density(self, dw3_full):
-        # exact probabilities + the same state as reference must give the
-        # exact grid density including the mirror-pair split
+        # exact probabilities split by the same state's cross term must
+        # give the exact grid density including the mirror-pair split
         pp = dw3_full["partition"]
         psi = random_state(8, np.random.default_rng(5))
         mapped = w.to_mapped_basis(psi, pp)
-        rho = w.mapped_density_to_grid(np.abs(mapped) ** 2, pp,
-                                       reference=psi)
+        rho = givens._split_pairs(np.abs(mapped) ** 2, pp, pair_cross(psi))
         assert np.abs(rho - np.abs(psi) ** 2).max() <= 1e-13
-
-    def test_transport_without_reference_symmetrizes(self, dw3_full):
-        pp = dw3_full["partition"]
-        psi = random_state(8, np.random.default_rng(6))
-        mapped = w.to_mapped_basis(psi, pp)
-        rho = w.mapped_density_to_grid(np.abs(mapped) ** 2, pp)
-        assert np.abs(rho - rho[::-1]).max() <= 1e-13
-        assert rho.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_pair_split_formula(self, n):
@@ -549,26 +576,22 @@ class TestDensityTransport:
         cross = np.real(np.conj(phi[i]) * phi[dim - 1 - i])
         expected = np.empty(dim)
         expected[i], expected[dim - 1 - i] = total + cross, total - cross
-        rho = w.mapped_density_to_grid(q, pp, reference=psi)
+        rho = givens._split_pairs(q, pp, pair_cross(psi))
         assert np.abs(rho - expected).max() <= 1e-15
-        even = w.mapped_density_to_grid(q, pp)
-        expected[i] = expected[dim - 1 - i] = total
-        assert np.abs(even - expected).max() <= 1e-15
 
     def test_dimension_mismatch_rejected(self, dw3_full):
         pp = dw3_full["partition"]
-        q = np.full(8, 1 / 8)
         with pytest.raises(ValueError, match="dimension"):
-            w.mapped_density_to_grid(np.full(16, 1 / 16), pp)
+            givens._split_pairs(np.full(16, 1 / 16), pp, np.zeros(4))
         with pytest.raises(ValueError, match="dimension"):
-            w.mapped_density_to_grid(q, pp, reference=np.ones(16))
+            w.shot_density_trajectory(np.full((2, 16), 0.25), np.zeros((2, 4)),
+                                      pp, 100, 0)
 
     def test_shot_result_pathway(self, dw3_full):
         pp = dw3_full["partition"]
         psi = random_state(8, np.random.default_rng(7))
         mapped = w.to_mapped_basis(psi, pp)
-        res = w.sample_shots(mapped, 200000, seed=8)
-        rho = w.mapped_density_to_grid(res.probabilities, pp,
-                                       reference=psi)
+        rho, = w.shot_density_trajectory(mapped[None], pair_cross(psi)[None],
+                                         pp, 200000, 8)
         assert rho.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.abs(rho - np.abs(psi) ** 2).max() <= 0.01

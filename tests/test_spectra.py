@@ -277,87 +277,6 @@ class TestSpectrumByColumnHalves:
             os.waitpid(forks[0], os.WNOHANG)
 
 
-class TestAutocorrelation:
-    def test_initial_value_one(self, dw3):
-        g, _, ham = dw3
-        psi0 = np.zeros(8)
-        psi0[0] = 1.0
-        states = w.evolve_exact(ham, psi0, 0.5, 100)
-        corr = w.autocorrelation(states)
-        assert corr[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.all((corr >= -1e-12) & (corr <= 1 + 1e-12))
-
-    def test_two_state_weight_ratio(self, dw3):
-        # equal superposition: C(t) oscillates at the gap with a single
-        # finite-frequency line; its weight relative to the spectrum total
-        # must be 1 within 5%
-        g, _, ham = dw3
-        eig = w.eigensolve(ham)
-        psi0 = (eig.states[:, 0] + eig.states[:, 1]) / np.sqrt(2)
-        states = w.evolve_exact(eig, psi0, 0.25, 2048)
-        spec = w.autocorrelation_spectrum(states, 0.25, window="hann")
-        assert len(spec.peaks) == 1
-        # integrate over the peak neighbourhood vs total finite-freq power
-        k = np.argmin(np.abs(spec.omega_cm1 - spec.peaks[0][0]))
-        lo, hi = max(k - 16, 0), k + 17
-        ratio = spec.power[lo:hi].sum() / spec.power.sum()
-        assert ratio == pytest.approx(1.0, abs=0.05)
-
-    def test_peak_positions_agree_with_grid_spectrum(self, dw3):
-        g, _, ham = dw3
-        eig = w.eigensolve(ham)
-        psi0 = (eig.states[:, 0] + eig.states[:, 1]) / np.sqrt(2)
-        states = w.evolve_exact(eig, psi0, 0.25, 2048)
-        traj = w.propagate("classical", ham, psi0, 0.25, 2048)
-        s1 = w.autocorrelation_spectrum(states, 0.25, window="hann")
-        s2 = w.grid_spectrum(traj, window="hann")
-        assert abs(s1.peaks[0][0] - s2.peaks[0][0]) <= s1.bin_cm1 / 2
-
-    @staticmethod
-    def amplitudes(dw3, steps):
-        _, _, ham = dw3
-        eig = w.eigensolve(ham)
-        psi0 = (eig.states[:, 0] + eig.states[:, 1] + eig.states[:, 4]) / \
-            np.sqrt(3)
-        return w.evolve_exact(eig, psi0, 0.25, steps)
-
-    # 127 samples: n_pad = 127 at padding 1, where the lags fold onto
-    # each other, and 4 x 127 at padding 4
-    @pytest.mark.parametrize("window", [None, "hann"])
-    @pytest.mark.parametrize("padding", [1, 4])
-    def test_grid_spectrum_of_one_column(self, dw3, padding, window):
-        # C(t) as one column of weight 1 takes grid_spectrum's path, bit
-        # for bit, and its power is the per-column rfft's to round-off
-        states = self.amplitudes(dw3, 126)
-        spec = w.autocorrelation_spectrum(states, 0.25, window=window,
-                                          padding=padding)
-        traj = w.Trajectory(t_fs=0.25 * np.arange(len(states)),
-                            rho=w.autocorrelation(states)[:, None],
-                            method="classical", dx=1.0)
-        ref = w.grid_spectrum(traj, window=window, padding=padding)
-        for name in ("power", "omega_cm1", "peaks", "bin_cm1",
-                     "zero_weight"):
-            assert np.array_equal(getattr(spec, name), getattr(ref, name))
-        assert spec.peaks
-        omega, power = rfft_power(traj, window, padding)
-        assert np.array_equal(spec.omega_cm1, omega)
-        assert np.abs(spec.power - power).max() <= 1e-12 * power.max()
-
-    def test_refuses_fewer_than_64_samples(self, dw3):
-        states = self.amplitudes(dw3, 63)
-        assert len(w.autocorrelation_spectrum(states, 0.25).power) == 129
-        with pytest.raises(ValueError, match="at least 64"):
-            w.autocorrelation_spectrum(states[:63], 0.25)
-
-    def test_rejects_density_input(self, dw3):
-        g, _, ham = dw3
-        psi0 = np.zeros(8)
-        psi0[0] = 1.0
-        traj = w.propagate("classical", ham, psi0, 0.5, 128)
-        with pytest.raises(ValueError):
-            w.autocorrelation_spectrum(traj.rho, 0.5)
-
-
 class TestEigenComparisons:
     def test_eigen_differences_positive_sorted(self, dw3):
         _, _, ham = dw3
@@ -365,12 +284,6 @@ class TestEigenComparisons:
         lines = w.eigen_differences(eig)
         assert np.all(lines > 0)
         assert np.all(np.diff(lines) > 0)
-
-    def test_max_levels_restricts(self, dw3):
-        _, _, ham = dw3
-        eig = w.eigensolve(ham)
-        few = w.eigen_differences(eig, max_levels=3)
-        assert len(few) <= 3
 
     def test_compare_reports_small_error_for_true_line(self, dw3):
         g, _, ham = dw3
@@ -392,8 +305,8 @@ class TestEigenComparisons:
         with pytest.raises(ValueError):
             w.compare_eigendiffs(spec, eig)
 
-    @pytest.mark.parametrize("max_levels", [None, 7])
-    def test_nearest_line_matches_difference_matrix(self, max_levels):
+    @pytest.mark.parametrize("levels", [None, 7])
+    def test_nearest_line_matches_difference_matrix(self, levels):
         # the line eigen_differences' full difference matrix gives, with
         # its tie-break (the smallest of equally near lines), on energies
         # with twofold and threefold levels and repeated gaps
@@ -402,8 +315,8 @@ class TestEigenComparisons:
         e = np.sort(np.concatenate([
             step * np.array([0, 0, 1, 2, 2, 2, 3, 5, 8, 8]),
             rng.uniform(0, 0.01, 14)]))
-        eig = w.EigenSystem(energies=e, states=None)
-        lines = w.eigen_differences(eig, max_levels)
+        eig = w.EigenSystem(energies=e[:levels], states=None)
+        lines = w.eigen_differences(eig)
         mids = (lines[1:] + lines[:-1]) / 2
         omegas = np.concatenate([
             lines, mids, np.nextafter(mids, 0), np.nextafter(mids, np.inf),
@@ -412,7 +325,7 @@ class TestEigenComparisons:
         spec = w.Spectrum(omega_cm1=None, power=None,
                           peaks=tuple((float(o), 1.0) for o in omegas),
                           bin_cm1=1.0)
-        rows = w.compare_eigendiffs(spec, eig, max_levels)
+        rows = w.compare_eigendiffs(spec, eig)
         ties = 0
         for omega, row in zip(omegas, rows):
             dist = np.abs(lines - omega)

@@ -421,6 +421,7 @@ class TestLockstepExecution:
             return zyz(*angles)
         zyz = qsd._zyz_matrix
         monkeypatch.setattr(qsd, "_zyz_matrix", counting)
+        # a name sim imported would be called past the patch of qsd
         monkeypatch.setattr(sim, "_zyz_matrix", counting, raising=False)
         rng = np.random.default_rng(81)
         eig = w.eigensolve(random_block(8, rng))
